@@ -62,6 +62,7 @@ func (h *dirHandler) HandleInvalidate(*wire.Invalidate) {}
 func (h *dirHandler) HandleDirBatch(m *wire.DirBatch) {
 	h.waitGate()
 	now := time.Now()
+	h.dir.AdvancePeerVersion(m.Owner, m.Version) // before applying, as core does
 	for i := range m.Updates {
 		u := &m.Updates[i]
 		if u.Delete {
@@ -73,7 +74,6 @@ func (h *dirHandler) HandleDirBatch(m *wire.DirBatch) {
 			}, now)
 		}
 	}
-	h.dir.AdvancePeerVersion(m.Owner, m.Version)
 }
 
 func (h *dirHandler) HandleDirSync(m *wire.DirSync) {

@@ -1410,12 +1410,14 @@ func (h *clusterHandler) HandleStats() wire.StatsReply {
 
 // --- versioned directory replication (cluster.DirSyncer) ---
 
-// HandleDirBatch implements cluster.DirSyncer: apply a batched run of peer
-// directory updates in order, then record how far into the peer's update
-// stream this replica now is.
+// HandleDirBatch implements cluster.DirSyncer: record how far into the peer's
+// update stream this replica is about to be — first, so that an older full
+// snapshot arriving on the pair's other connection merges instead of
+// replacing (directory.ApplySync) — then apply the batched run in order.
 func (h *clusterHandler) HandleDirBatch(m *wire.DirBatch) {
 	s := h.server()
 	now := s.clk.Now()
+	s.dir.AdvancePeerVersion(m.Owner, m.Version)
 	for i := range m.Updates {
 		u := &m.Updates[i]
 		if u.Delete {
@@ -1430,7 +1432,6 @@ func (h *clusterHandler) HandleDirBatch(m *wire.DirBatch) {
 			}, now)
 		}
 	}
-	s.dir.AdvancePeerVersion(m.Owner, m.Version)
 }
 
 // HandleDirSync implements cluster.DirSyncer: apply an anti-entropy catch-up

@@ -693,18 +693,26 @@ func (d *Directory) Version() uint64 {
 // SyncSince assembles the catch-up needed to bring a replica that last saw
 // version since up to date with the local table. When the journal still
 // covers the gap it returns an ordered delta (full=false); when the replica
-// is too far behind — or has never seen this node (since 0), or claims a
-// version from a previous incarnation (since beyond the current version) —
-// it returns a full snapshot of live local entries as insert ops
-// (full=true). ok=false means the replica is already current and nothing
-// needs to be sent.
+// is too far behind, or has never seen this node (since 0), it returns a
+// full snapshot of live local entries as insert ops (full=true). ok=false
+// means the replica is already current and nothing needs to be sent.
+//
+// A replica that claims a version beyond ours saw a previous incarnation of
+// this node. Versions order a snapshot against the batches around it only
+// while they are comparable (ApplySync never lets one move backwards), so
+// this node then adopts the replica's version: the snapshot it answers with
+// replaces the old incarnation's table, and every later update is newer than
+// anything a peer still holds from before.
 func (d *Directory) SyncSince(since uint64) (ops []SyncOp, version uint64, full, ok bool) {
 	d.localMu.Lock()
 	defer d.localMu.Unlock()
-	cur := d.version
-	if since == cur {
-		return nil, cur, false, false
+	if since > d.version {
+		d.version = since
+		d.journal = d.journal[:0] // its versions no longer end at d.version
+	} else if since == d.version {
+		return nil, since, false, false
 	}
+	cur := d.version
 	if since != 0 && since < cur {
 		if gap := cur - since; gap <= uint64(len(d.journal)) {
 			start := len(d.journal) - int(gap)
@@ -732,7 +740,10 @@ func (d *Directory) PeerVersion(owner uint32) uint64 {
 
 // AdvancePeerVersion records that owner's updates through v have been
 // applied. It never moves the recorded version backwards — late-arriving
-// batches that were already covered by a sync must not regress it.
+// batches that were already covered by a sync must not regress it. A batch
+// records its version before it applies its updates, so that a full snapshot
+// racing it on the pair's other connection (ApplySync) can tell that the
+// table may already hold something newer than the snapshot.
 func (d *Directory) AdvancePeerVersion(owner uint32, v uint64) {
 	if v == 0 || owner == d.self {
 		return
@@ -747,32 +758,17 @@ func (d *Directory) AdvancePeerVersion(owner uint32, v uint64) {
 // ApplySync applies an anti-entropy catch-up for owner's table. With
 // full=true the whole replica is replaced by the snapshot (clearing any
 // stale entries the sender no longer knows about) and the recorded peer
-// version is reset to version outright; otherwise ops is an ordered delta
-// applied on top of the current replica and the version only advances.
+// version becomes version — unless this replica already holds updates newer
+// than the snapshot: each peer pair has two connections, and a link-up
+// snapshot can arrive on one after later batches arrived on the other.
+// Replacing would erase those batches for good, so an older snapshot is
+// merged like a delta. Otherwise ops is an ordered delta applied on top of
+// the current replica. The version only ever advances.
 func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uint64, now time.Time) {
 	if owner == d.self {
 		return
 	}
-	if full {
-		t := newTable()
-		for _, op := range ops {
-			if op.Delete {
-				continue
-			}
-			e := op.Entry
-			e.Owner = owner
-			if e.Inserted.IsZero() {
-				e.Inserted = now
-			}
-			ec := e
-			t.insert(&ec)
-		}
-		d.mu.Lock()
-		d.tables[owner] = t
-		d.mu.Unlock()
-		d.peerMu.Lock()
-		d.peerVers[owner] = version
-		d.peerMu.Unlock()
+	if full && d.replaceTable(owner, ops, version, now) {
 		return
 	}
 	for _, op := range ops {
@@ -785,6 +781,35 @@ func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uin
 		}
 	}
 	d.AdvancePeerVersion(owner, version)
+}
+
+// replaceTable swaps owner's table for the snapshot in ops, unless the
+// replica is already past the snapshot's version (it then reports false and
+// changes nothing). peerMu is held across the check and the swap, so a batch
+// has either recorded its version before the check or applies after the swap.
+func (d *Directory) replaceTable(owner uint32, ops []SyncOp, version uint64, now time.Time) bool {
+	t := newTable()
+	for _, op := range ops {
+		if op.Delete {
+			continue
+		}
+		e := op.Entry
+		e.Owner = owner
+		if e.Inserted.IsZero() {
+			e.Inserted = now
+		}
+		t.insert(&e)
+	}
+	d.peerMu.Lock()
+	defer d.peerMu.Unlock()
+	if version < d.peerVers[owner] {
+		return false
+	}
+	d.mu.Lock()
+	d.tables[owner] = t
+	d.mu.Unlock()
+	d.peerVers[owner] = version
+	return true
 }
 
 // LocalLen reports the number of entries in the local table.

@@ -121,12 +121,27 @@ func TestSyncSinceZeroIsFullSnapshot(t *testing.T) {
 
 func TestSyncSinceFutureVersionIsFull(t *testing.T) {
 	// A replica claiming a version beyond ours saw a previous incarnation
-	// of this node; it must get an authoritative snapshot.
+	// of this node; it must get an authoritative snapshot, at a version the
+	// replica will not take for older than what it holds — and every later
+	// update must be newer still.
 	d := New(1, 0, nil)
-	d.InsertLocal(Entry{Key: "a", Size: 1}, time.Now())
-	_, ver, full, ok := d.SyncSince(99)
-	if !ok || !full || ver != 1 {
-		t.Fatalf("SyncSince(future) = ver=%d full=%v ok=%v, want full at 1", ver, full, ok)
+	now := time.Now()
+	d.InsertLocal(Entry{Key: "a", Size: 1}, now)
+	ops, ver, full, ok := d.SyncSince(99)
+	if !ok || !full || ver != 99 || len(ops) != 1 {
+		t.Fatalf("SyncSince(future) = %d ops ver=%d full=%v ok=%v, want a full snapshot of 1 at 99", len(ops), ver, full, ok)
+	}
+	d.InsertLocal(Entry{Key: "b", Size: 1}, now)
+	if got := d.Version(); got != 100 {
+		t.Fatalf("version after the next insert = %d, want 100", got)
+	}
+	// The journal restarted with the version: 99 → 100 is a delta again,
+	// anything from before the jump a snapshot.
+	if ops, ver, full, ok := d.SyncSince(99); !ok || full || ver != 100 || len(ops) != 1 || ops[0].Entry.Key != "b" {
+		t.Fatalf("SyncSince(99) after the jump = %+v ver=%d full=%v ok=%v, want the delta {b} at 100", ops, ver, full, ok)
+	}
+	if _, _, full, ok := d.SyncSince(1); !ok || !full {
+		t.Fatalf("SyncSince(1) after the jump: full=%v ok=%v, want a full snapshot", full, ok)
 	}
 }
 
@@ -165,10 +180,53 @@ func TestApplySyncFullReplacesReplica(t *testing.T) {
 	if got := d.PeerVersion(2); got != 42 {
 		t.Fatalf("peer version = %d, want 42", got)
 	}
-	// Full sync resets even to a lower version (sender restart).
-	d.ApplySync(2, true, nil, 3, now)
-	if got := d.PeerVersion(2); got != 3 {
-		t.Fatalf("peer version after reset = %d, want 3", got)
+}
+
+// TestApplySyncOlderSnapshotMerges is the link-up race of the two
+// connections of a peer pair: batches up to version v arrive on one, then a
+// full snapshot taken at v-k arrives on the other. Replacing the table would
+// erase the k newer updates for good; the snapshot must merge and the
+// version must stay v.
+func TestApplySyncOlderSnapshotMerges(t *testing.T) {
+	const v, k = 20, 5
+	owner := New(2, 0, nil)
+	replica := New(1, 0, nil)
+	now := time.Now()
+	var snapshot []SyncOp
+	var snapVer uint64
+	for i := 1; i <= v; i++ {
+		owner.InsertLocal(Entry{Key: fmt.Sprintf("k%d", i), Size: 1}, now)
+		if i == v-k {
+			var full bool
+			snapshot, snapVer, full, _ = owner.SyncSince(0)
+			if !full || snapVer != v-k {
+				t.Fatalf("snapshot: full=%v at version %d, want full at %d", full, snapVer, v-k)
+			}
+		}
+		// The batch stream, as HandleDirBatch applies it: version first.
+		replica.AdvancePeerVersion(2, uint64(i))
+		replica.ApplyInsert(Entry{Key: fmt.Sprintf("k%d", i), Owner: 2, Size: 1}, now)
+	}
+	// Something only the snapshot carries (inserted before the link came up).
+	snapshot = append(snapshot, SyncOp{Entry: Entry{Key: "early", Size: 1}})
+
+	replica.ApplySync(2, true, snapshot, snapVer, now)
+
+	if got := replica.PeerVersion(2); got != v {
+		t.Fatalf("peer version after an older snapshot = %d, want %d", got, v)
+	}
+	for i := 1; i <= v; i++ {
+		if _, ok := replica.Lookup(fmt.Sprintf("k%d", i), now); !ok {
+			t.Fatalf("k%d lost to a snapshot taken at version %d", i, snapVer)
+		}
+	}
+	if _, ok := replica.Lookup("early", now); !ok {
+		t.Fatal("the older snapshot's own entry was not merged")
+	}
+	// A snapshot at the replica's version or beyond still replaces.
+	replica.ApplySync(2, true, []SyncOp{{Entry: Entry{Key: "only", Size: 1}}}, v, now)
+	if _, ok := replica.Lookup("k1", now); ok {
+		t.Fatal("a current full snapshot kept an entry it does not list")
 	}
 }
 

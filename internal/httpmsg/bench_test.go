@@ -31,6 +31,20 @@ func BenchmarkWriteResponse(b *testing.B) {
 	resp := NewResponse(200)
 	resp.Header.Set("Content-Type", "text/html")
 	resp.Body = make([]byte, 4096)
+	benchWriteResponse(b, resp)
+}
+
+// BenchmarkWriteResponse2k is a local hit as the server writes it: 2 KiB
+// body, the two headers core sets plus Content-Length.
+func BenchmarkWriteResponse2k(b *testing.B) {
+	resp := NewResponse(200)
+	resp.Header.Set("Content-Type", "application/octet-stream")
+	resp.Header.Set("X-Swala-Cache", "local")
+	resp.Body = make([]byte, 2048)
+	benchWriteResponse(b, resp)
+}
+
+func benchWriteResponse(b *testing.B, resp *Response) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	b.ReportAllocs()

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -42,18 +42,29 @@ var (
 // Word-Word form (e.g. "Content-Length").
 type Header map[string]string
 
-// CanonicalKey normalizes a header name to canonical form.
+// CanonicalKey normalizes a header name to canonical form. A name that is
+// already canonical is returned as it came, without a copy.
 func CanonicalKey(k string) string {
-	b := []byte(k)
+	var b []byte // made at the first byte that has to change
 	upper := true
-	for i, c := range b {
+	for i := 0; i < len(k); i++ {
+		c := k[i]
 		switch {
 		case upper && 'a' <= c && c <= 'z':
-			b[i] = c - ('a' - 'A')
+			c -= 'a' - 'A'
 		case !upper && 'A' <= c && c <= 'Z':
-			b[i] = c + ('a' - 'A')
+			c += 'a' - 'A'
+		}
+		if c != k[i] {
+			if b == nil {
+				b = []byte(k)
+			}
+			b[i] = c
 		}
 		upper = c == '-'
+	}
+	if b == nil {
+		return k
 	}
 	return string(b)
 }
@@ -67,28 +78,34 @@ func (h Header) Get(key string) string { return h[CanonicalKey(key)] }
 // Del removes key.
 func (h Header) Del(key string) { delete(h, CanonicalKey(key)) }
 
-// Clone returns a deep copy.
-func (h Header) Clone() Header {
-	c := make(Header, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
 // writeSorted writes headers in sorted key order for deterministic output.
-func (h Header) writeSorted(w *bufio.Writer) error {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
+// A contentLength >= 0 is written as Content-Length in its sorted place,
+// instead of whatever h holds under that key; h is not modified. Write errors
+// stay with w, which reports the first of them from Flush.
+func (h Header) writeSorted(w *bufio.Writer, contentLength int) {
+	const lengthKey = "Content-Length"
+	setLength := contentLength >= 0
+	var few [8]string // the usual response carries fewer: no allocation
+	keys := few[:0]
+	if setLength {
+		keys = append(keys, lengthKey)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s: %s\r\n", k, h[k]); err != nil {
-			return err
+	for k := range h {
+		if !setLength || k != lengthKey {
+			keys = append(keys, k)
 		}
 	}
-	return nil
+	slices.Sort(keys)
+	for _, k := range keys {
+		w.WriteString(k)
+		w.WriteString(": ")
+		if setLength && k == lengthKey {
+			w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(contentLength), 10))
+		} else {
+			w.WriteString(h[k])
+		}
+		w.WriteString("\r\n")
+	}
 }
 
 // Request is a parsed HTTP request.
@@ -284,28 +301,19 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 	if proto == "" {
 		proto = "HTTP/1.1"
 	}
-	if _, err := fmt.Fprintf(w, "%s %s %s\r\n", req.Method, req.URI, proto); err != nil {
-		return err
-	}
-	h := req.Header
-	if h == nil {
-		h = make(Header)
-	}
+	w.WriteString(req.Method)
+	w.WriteByte(' ')
+	w.WriteString(req.URI)
+	w.WriteByte(' ')
+	w.WriteString(proto)
+	w.WriteString("\r\n")
+	contentLength := -1
 	if len(req.Body) > 0 || req.Method == "POST" || req.Method == "PUT" {
-		h = h.Clone()
-		h.Set("Content-Length", strconv.Itoa(len(req.Body)))
+		contentLength = len(req.Body)
 	}
-	if err := h.writeSorted(w); err != nil {
-		return err
-	}
-	if _, err := w.WriteString("\r\n"); err != nil {
-		return err
-	}
-	if len(req.Body) > 0 {
-		if _, err := w.Write(req.Body); err != nil {
-			return err
-		}
-	}
+	req.Header.writeSorted(w, contentLength)
+	w.WriteString("\r\n")
+	w.Write(req.Body)
 	return w.Flush()
 }
 
@@ -344,7 +352,8 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 }
 
 // WriteResponse serializes a response to w, setting Content-Length from the
-// body and defaulting the reason phrase.
+// body and defaulting the reason phrase. Status line and headers are appended
+// straight into w's buffer; resp is not modified.
 func WriteResponse(w *bufio.Writer, resp *Response) error {
 	proto := resp.Proto
 	if proto == "" {
@@ -354,26 +363,15 @@ func WriteResponse(w *bufio.Writer, resp *Response) error {
 	if status == "" {
 		status = StatusText(resp.StatusCode)
 	}
-	if _, err := fmt.Fprintf(w, "%s %d %s\r\n", proto, resp.StatusCode, status); err != nil {
-		return err
-	}
-	h := resp.Header
-	if h == nil {
-		h = make(Header)
-	}
-	h = h.Clone()
-	h.Set("Content-Length", strconv.Itoa(len(resp.Body)))
-	if err := h.writeSorted(w); err != nil {
-		return err
-	}
-	if _, err := w.WriteString("\r\n"); err != nil {
-		return err
-	}
-	if len(resp.Body) > 0 {
-		if _, err := w.Write(resp.Body); err != nil {
-			return err
-		}
-	}
+	w.WriteString(proto)
+	w.WriteByte(' ')
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(resp.StatusCode), 10))
+	w.WriteByte(' ')
+	w.WriteString(status)
+	w.WriteString("\r\n")
+	resp.Header.writeSorted(w, len(resp.Body))
+	w.WriteString("\r\n")
+	w.Write(resp.Body)
 	return w.Flush()
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,15 +307,6 @@ func TestHeaderSetGetDel(t *testing.T) {
 	}
 }
 
-func TestHeaderCloneIndependent(t *testing.T) {
-	h := Header{"A": "1"}
-	c := h.Clone()
-	c.Set("A", "2")
-	if h.Get("A") != "1" {
-		t.Fatal("Clone is not independent")
-	}
-}
-
 func TestParseQuery(t *testing.T) {
 	got := ParseQuery("a=1&b=two+words&c=%41%42&d&a=dup")
 	want := map[string]string{"a": "1", "b": "two words", "c": "AB", "d": ""}
@@ -396,4 +388,89 @@ func sanitizeToken(raw []byte) string {
 		b.WriteByte(alphabet[int(c)%len(alphabet)])
 	}
 	return b.String()
+}
+
+// TestWriteResponseGolden pins WriteResponse's bytes on the wire to what the
+// fmt- and Clone-based serialiser before it wrote: sorted keys, Content-Length
+// merged in order and always the body's, keys emitted as the map holds them.
+func TestWriteResponseGolden(t *testing.T) {
+	twelve := Header{
+		"Accept-Ranges": "bytes", "Age": "0", "Cache-Control": "no-cache", "Connection": "close",
+		"Content-Type": "text/html", "Date": "Thu, 01 Jan 1998 00:00:00 GMT", "Etag": `"x"`, "Expires": "0",
+		"Last-Modified": "never", "Server": "swala", "Vary": "*", "X-Swala-Cache": "local",
+	}
+	cases := []struct {
+		name string
+		resp *Response
+		want string
+	}{
+		{"no headers", &Response{Proto: "HTTP/1.1", StatusCode: 200, Header: Header{}, Body: []byte("hi")},
+			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"},
+		{"nil header map, default proto", &Response{StatusCode: 404, Body: []byte("gone\n")},
+			"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n\r\ngone\n"},
+		{"one header", &Response{Proto: "HTTP/1.0", StatusCode: 200, Header: Header{"Content-Type": "text/html"}, Body: []byte("hello")},
+			"HTTP/1.0 200 OK\r\nContent-Length: 5\r\nContent-Type: text/html\r\n\r\nhello"},
+		{"three headers", &Response{Proto: "HTTP/1.1", StatusCode: 200,
+			Header: Header{"X-Swala-Cache": "local", "Content-Type": "application/octet-stream", "Connection": "close"}, Body: []byte("abc")},
+			"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\nContent-Type: application/octet-stream\r\nX-Swala-Cache: local\r\n\r\nabc"},
+		{"twelve headers", &Response{Proto: "HTTP/1.1", StatusCode: 503, Header: twelve, Body: []byte("busy")},
+			"HTTP/1.1 503 Service Unavailable\r\nAccept-Ranges: bytes\r\nAge: 0\r\nCache-Control: no-cache\r\nConnection: close\r\n" +
+				"Content-Length: 4\r\nContent-Type: text/html\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nEtag: \"x\"\r\nExpires: 0\r\n" +
+				"Last-Modified: never\r\nServer: swala\r\nVary: *\r\nX-Swala-Cache: local\r\n\r\nbusy"},
+		{"caller-set Content-Length", &Response{Proto: "HTTP/1.1", StatusCode: 200, Header: Header{"Content-Length": "999", "A": "1"}, Body: []byte("abc")},
+			"HTTP/1.1 200 OK\r\nA: 1\r\nContent-Length: 3\r\n\r\nabc"},
+		{"empty body", &Response{Proto: "HTTP/1.1", StatusCode: 204, Header: Header{"Server": "swala"}},
+			"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\nServer: swala\r\n\r\n"},
+		{"non-canonical keys, own reason phrase", &Response{Proto: "HTTP/1.1", StatusCode: 299, Status: "Odd",
+			Header: Header{"x-raw": "v", "content-length": "7", "Zed": "z"}, Body: []byte("q")},
+			"HTTP/1.1 299 Odd\r\nContent-Length: 1\r\nZed: z\r\ncontent-length: 7\r\nx-raw: v\r\n\r\nq"},
+		{"unknown status code", &Response{Proto: "HTTP/1.1", StatusCode: 299, Header: Header{}},
+			"HTTP/1.1 299 Status 299\r\nContent-Length: 0\r\n\r\n"},
+	}
+	for _, tc := range cases {
+		before := make(Header, len(tc.resp.Header))
+		for k, v := range tc.resp.Header {
+			before[k] = v
+		}
+		var buf bytes.Buffer
+		if err := WriteResponse(bufio.NewWriter(&buf), tc.resp); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := buf.String(); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
+		if len(tc.resp.Header) != len(before) || (len(before) > 0 && !reflect.DeepEqual(tc.resp.Header, before)) {
+			t.Errorf("%s: WriteResponse changed the caller's header map to %v", tc.name, tc.resp.Header)
+		}
+	}
+}
+
+// TestWriteResponseReportsWriteError: the serialiser leaves write errors to
+// the bufio.Writer, which must still hand the first one back.
+func TestWriteResponseReportsWriteError(t *testing.T) {
+	resp := NewResponse(200)
+	resp.Body = make([]byte, 64<<10) // larger than the buffer: reaches the sink
+	if err := WriteResponse(bufio.NewWriter(failingWriter{}), resp); !errors.Is(err, errSinkFull) {
+		t.Fatalf("WriteResponse into a failing sink = %v, want errSinkFull", err)
+	}
+}
+
+var errSinkFull = errors.New("sink full")
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errSinkFull }
+
+func TestCanonicalKey(t *testing.T) {
+	for in, want := range map[string]string{
+		"content-length": "Content-Length", "CONTENT-TYPE": "Content-Type", "x-swala-cache": "X-Swala-Cache",
+		"Content-Length": "Content-Length", "": "", "a": "A", "-a-": "-A-", "X--y": "X--Y",
+	} {
+		if got := CanonicalKey(in); got != want {
+			t.Errorf("CanonicalKey(%q) = %q, want %q", in, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { CanonicalKey("X-Swala-Cache") }); n != 0 {
+		t.Errorf("CanonicalKey of a canonical name allocates %v times", n)
+	}
 }

@@ -8,7 +8,12 @@
 // Every request is served under a per-request context.Context, canceled when
 // the client disconnects mid-request or when the server shuts down, so the
 // layers below (cache fetches, remote peer sessions, CGI executions) can
-// abandon work nobody will receive.
+// abandon work nobody will receive. Watching the connection for a disconnect
+// costs a goroutine, a read that parks in the netpoller and three deadline
+// calls, so the watch starts only when something first asks the context for
+// its Done channel — that is, when the handler is about to wait on it. A
+// handler that answers without waiting (a static file, a local cache hit)
+// never starts it; shutdown still reaches such a handler through Err.
 package httpserver
 
 import (
@@ -19,6 +24,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpmsg"
@@ -75,7 +81,7 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	served uint64 // total requests served, for tests/metrics
+	served atomic.Uint64 // total requests served, for tests/metrics
 }
 
 // DefaultReadTimeout is the default keep-alive idle timeout.
@@ -120,11 +126,7 @@ func (s *Server) Addr() string {
 }
 
 // Served reports the total number of requests completed.
-func (s *Server) Served() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
-}
+func (s *Server) Served() uint64 { return s.served.Load() }
 
 // requestThread is one member of the pool: it accepts a connection, handles
 // it to completion (all keep-alive requests), then goes back to accepting —
@@ -150,14 +152,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	reader := bufio.NewReaderSize(conn, 8<<10)
 	writer := bufio.NewWriterSize(conn, 8<<10)
+	remoteAddr := ""
+	if a := conn.RemoteAddr(); a != nil {
+		remoteAddr = a.String()
+	}
 	requests := 0
 	for {
 		if s.cfg.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		req, err := httpmsg.ReadRequest(reader)
-		if req != nil && conn.RemoteAddr() != nil {
-			req.RemoteAddr = conn.RemoteAddr().String()
+		if req != nil {
+			req.RemoteAddr = remoteAddr
 		}
 		if err != nil {
 			// EOF between requests is an orderly close; anything else on a
@@ -181,9 +187,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if !keepAlive {
 			resp.Header.Set("Connection", "close")
 		}
-		s.mu.Lock()
-		s.served++
-		s.mu.Unlock()
+		s.served.Add(1)
 		if err := httpmsg.WriteResponse(writer, resp); err != nil {
 			s.logf("write response: %v", err)
 			return
@@ -195,41 +199,76 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 // serveRequest runs the handler under a request-scoped context that is
-// canceled if the client goes away while the handler works. Disconnects are
-// observed by a watcher goroutine that peeks the connection for the next
-// byte: a clean EOF or connection reset means nobody is waiting for the
-// response, so the request's work can be abandoned; actual data (a pipelined
-// next request) simply stays buffered. The watcher is stopped by expiring
-// the read deadline, whose timeout error the watcher swallows, leaving the
-// buffered reader clean for the next keep-alive request.
+// canceled if the client goes away while the handler waits on it. The watch
+// is armed by the context's first Done call (see reqContext), so whether it
+// runs follows from what the handler does: cluster.Fetch, cgi.Exec, a
+// cpu.Node.Run that has to queue, a singleflight wait, a hedge and any
+// WithTimeout/WithCancel child all ask for Done; serving a static file or a
+// local hit does not. If it was armed it is stopped here, before the
+// connection loop reads again.
 func (s *Server) serveRequest(conn net.Conn, reader *bufio.Reader, req *httpmsg.Request) *httpmsg.Response {
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	inner, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
+	ctx := &reqContext{Context: inner, cancel: cancel, conn: conn, reader: reader}
 
-	// Clear any armed keep-alive deadline so it cannot fire mid-handler and
-	// stop the watcher early; the loop re-arms it for the next request.
-	conn.SetReadDeadline(time.Time{})
-	watchDone := make(chan struct{})
+	resp := s.handler.Serve(ctx, req)
+
+	// Spend the once: a goroutine the handler left behind may still call
+	// Done, and must not start a watcher on a reader the loop owns again.
+	ctx.once.Do(func() {})
+	if ctx.watchDone != nil {
+		// Stop the watcher: expire the read deadline so a blocked Peek
+		// returns, then restore it. The watcher consumes (and discards) the
+		// resulting timeout error from the buffered reader.
+		conn.SetReadDeadline(time.Now())
+		<-ctx.watchDone
+		conn.SetReadDeadline(time.Time{})
+	}
+	return resp
+}
+
+// reqContext is the context a handler runs under: the per-request cancelCtx,
+// with the disconnect watcher started by the first call of Done. Err, Value
+// and Deadline are the inner context's own, so a WithCancel or WithTimeout
+// child finds the inner cancelCtx through Value and attaches to it directly,
+// without a goroutine — after its own Done call has armed the watch.
+type reqContext struct {
+	context.Context
+	cancel context.CancelFunc
+	conn   net.Conn
+	reader *bufio.Reader
+
+	once      sync.Once
+	watchDone chan struct{} // closed when the watcher exits; nil if never armed
+}
+
+// Done implements context.Context.
+func (c *reqContext) Done() <-chan struct{} {
+	c.once.Do(c.watch)
+	return c.Context.Done()
+}
+
+// watch starts the watcher goroutine, which peeks the connection for the
+// next byte: a clean EOF or connection reset means nobody is waiting for the
+// response, so the request's work can be abandoned; actual data (a pipelined
+// next request) simply stays buffered. serveRequest stops it by expiring the
+// read deadline, whose timeout error the watcher swallows, leaving the
+// buffered reader clean for the next keep-alive request.
+func (c *reqContext) watch() {
+	// Clear the keep-alive deadline so it cannot fire mid-handler and stop
+	// the watcher early; the loop re-arms it for the next request.
+	c.conn.SetReadDeadline(time.Time{})
+	c.watchDone = make(chan struct{})
 	go func() {
-		defer close(watchDone)
-		if _, err := reader.Peek(1); err != nil {
+		defer close(c.watchDone)
+		if _, err := c.reader.Peek(1); err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				return // watcher stopped by serveRequest
 			}
-			cancel() // client disconnected mid-request
+			c.cancel() // client disconnected mid-request
 		}
 	}()
-
-	resp := s.handler.Serve(ctx, req)
-
-	// Stop the watcher: expire the read deadline so a blocked Peek returns,
-	// then restore it. The watcher consumes (and discards) the resulting
-	// timeout error from the buffered reader.
-	conn.SetReadDeadline(time.Now())
-	<-watchDone
-	conn.SetReadDeadline(time.Time{})
-	return resp
 }
 
 func isOrderlyClose(err error) bool {

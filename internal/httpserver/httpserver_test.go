@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -420,5 +421,247 @@ func TestCloseCancelsInflightRequests(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close blocked on an in-flight request (base context not canceled)")
+	}
+}
+
+// deadlineListener hands out connections that record every read deadline
+// set on them, as the time left until it (zero for "no deadline").
+type deadlineListener struct {
+	net.Listener
+	conns chan *deadlineConn
+}
+
+func (l deadlineListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	dc := &deadlineConn{Conn: c}
+	l.conns <- dc
+	return dc, nil
+}
+
+type deadlineConn struct {
+	net.Conn
+	mu   sync.Mutex
+	left []time.Duration
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	if t.IsZero() {
+		c.left = append(c.left, 0)
+	} else {
+		c.left = append(c.left, time.Until(t))
+	}
+	c.mu.Unlock()
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestUnarmedHandlerStartsNoWatcher: a handler that never touches its
+// context runs with no goroutine beside it and leaves the connection's read
+// deadline as the keep-alive loop armed it; one that asks for Done gets the
+// watcher.
+func TestUnarmedHandlerStartsNoWatcher(t *testing.T) {
+	const requests = 1000
+	const readTimeout = time.Minute
+	for _, armed := range []bool{false, true} {
+		var inHandler []int // runtime.NumGoroutine seen by each handler call
+		handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+			if armed {
+				ctx.Done()
+			}
+			inHandler = append(inHandler, runtime.NumGoroutine())
+			return echoHandler(ctx, req)
+		})
+		mem := netx.NewMem()
+		inner, err := mem.Listen("server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := deadlineListener{Listener: inner, conns: make(chan *deadlineConn, 1)}
+		s := New(handler, Config{RequestThreads: 1, ReadTimeout: readTimeout})
+		s.Serve(l)
+		conn, err := mem.Dial("server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sconn := <-l.conns
+		// The request thread is parked in its first read; between here and a
+		// handler call the only goroutines that may appear are the server's.
+		time.Sleep(20 * time.Millisecond)
+		baseline := runtime.NumGoroutine()
+		for i := 0; i < requests; i++ {
+			if resp := doRequest(t, conn, "GET", "/r", true); resp.StatusCode != 200 {
+				t.Fatalf("armed=%v request %d: status %d", armed, i, resp.StatusCode)
+			}
+		}
+		conn.Close()
+		s.Close() // the request thread has exited: inHandler and left are quiet
+
+		for i, n := range inHandler {
+			// Armed, the previous request's watcher may still be on its way
+			// out beside this request's.
+			if (!armed && n != baseline) || (armed && n <= baseline) {
+				t.Fatalf("armed=%v request %d: %d goroutines in the handler, baseline %d", armed, i, n, baseline)
+			}
+		}
+		if armed {
+			// clear, expire, restore per request, beside the loop's own.
+			if len(sconn.left) < 4*requests {
+				t.Fatalf("armed: %d read deadlines set over %d requests, want 4 each", len(sconn.left), requests)
+			}
+			continue
+		}
+		if len(sconn.left) > requests+1 {
+			t.Fatalf("unarmed: %d read deadlines set over %d requests, want one per loop iteration", len(sconn.left), requests)
+		}
+		for i, left := range sconn.left {
+			if left < readTimeout/2 {
+				t.Fatalf("unarmed: read deadline %d was set %v ahead, want the loop's %v", i, left, readTimeout)
+			}
+		}
+	}
+}
+
+// disconnectAfter sends one request and hangs up after d.
+func disconnectAfter(t *testing.T, conn net.Conn, d time.Duration) {
+	t.Helper()
+	if err := httpmsg.WriteRequest(bufio.NewWriter(conn), httpmsg.NewRequest("GET", "/hang")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(d)
+	conn.Close()
+}
+
+// TestLateDoneObservesDisconnect: the watch is armed by the first Done call,
+// however late — a client that left while the handler was busy is noticed
+// once the handler starts waiting.
+func TestLateDoneObservesDisconnect(t *testing.T) {
+	canceled := make(chan struct{})
+	block := make(chan struct{})
+	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+			close(canceled)
+		case <-block:
+		}
+		return httpmsg.NewResponse(200)
+	})
+	_, dial := startServer(t, handler, Config{RequestThreads: 1})
+	disconnectAfter(t, dial(), 10*time.Millisecond)
+	select {
+	case <-canceled:
+	case <-time.After(2 * time.Second):
+		close(block)
+		t.Fatal("handler context not canceled by a disconnect that preceded its first Done call")
+	}
+}
+
+// TestTimeoutChildObservesDisconnect: a WithTimeout child arms the watch and
+// attaches to the request's inner cancelCtx — one new goroutine (the
+// watcher), not two (no propagation goroutine for a foreign parent).
+func TestTimeoutChildObservesDisconnect(t *testing.T) {
+	canceled := make(chan error, 1)
+	grew := make(chan int, 1)
+	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+		before := runtime.NumGoroutine()
+		child, cancel := context.WithTimeout(ctx, time.Minute)
+		defer cancel()
+		grew <- runtime.NumGoroutine() - before
+		select {
+		case <-child.Done():
+			canceled <- child.Err()
+		case <-time.After(2 * time.Second):
+			canceled <- nil
+		}
+		return httpmsg.NewResponse(200)
+	})
+	_, dial := startServer(t, handler, Config{RequestThreads: 1})
+	disconnectAfter(t, dial(), 20*time.Millisecond)
+	if n := <-grew; n != 1 {
+		t.Fatalf("WithTimeout on the request context started %d goroutines, want 1 (the watcher)", n)
+	}
+	if err := <-canceled; err != context.Canceled {
+		t.Fatalf("child context after client disconnect: %v, want context.Canceled", err)
+	}
+}
+
+// TestErrBeforeDoneReportsShutdown: Err needs no watcher to see the server
+// shut down.
+func TestErrBeforeDoneReportsShutdown(t *testing.T) {
+	entered := make(chan struct{})
+	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+		close(entered)
+		for ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		return httpmsg.NewResponse(503)
+	})
+	s, dial := startServer(t, handler, Config{RequestThreads: 1})
+	conn := dial()
+	defer conn.Close()
+	if err := httpmsg.WriteRequest(bufio.NewWriter(conn), httpmsg.NewRequest("GET", "/x")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a handler polling Err never saw the shutdown")
+	}
+}
+
+// TestPipelinedAfterArmedAndUnarmed: whether or not the first request armed
+// the watcher, the pipelined second one reaches its handler intact — over
+// real TCP, where the watcher's peek and the deadline that stops it are the
+// kernel's.
+func TestPipelinedAfterArmedAndUnarmed(t *testing.T) {
+	for _, armed := range []bool{true, false} {
+		handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+			if armed && req.Path == "/first" {
+				ctx.Done()
+				time.Sleep(20 * time.Millisecond) // let the watcher buffer the next request
+			}
+			resp := httpmsg.NewResponse(200)
+			resp.Body = append([]byte("ok:"+req.Path+":"), req.Body...)
+			return resp
+		})
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("cannot listen on loopback: %v", err)
+		}
+		s := New(handler, Config{RequestThreads: 1})
+		s.Serve(l)
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := bufio.NewWriter(conn)
+		second := httpmsg.NewRequest("POST", "/second")
+		second.Body = []byte(strings.Repeat("payload", 100))
+		for _, req := range []*httpmsg.Request{httpmsg.NewRequest("GET", "/first"), second} {
+			if err := httpmsg.WriteRequest(w, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := bufio.NewReader(conn)
+		for _, want := range []string{"ok:/first:", "ok:/second:" + string(second.Body)} {
+			resp, err := httpmsg.ReadResponse(r)
+			if err != nil {
+				t.Fatalf("armed=%v: %v", armed, err)
+			}
+			if resp.StatusCode != 200 || string(resp.Body) != want {
+				t.Fatalf("armed=%v: got %d %q, want %q", armed, resp.StatusCode, resp.Body, want)
+			}
+		}
+		conn.Close()
+		s.Close()
 	}
 }

@@ -31,7 +31,7 @@ func BenchmarkDiskGetHot(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	benchGetHot(b, s)
+	benchGetHot(b, s, 4096)
 }
 
 // BenchmarkTieredDiskGetHot measures the same workload through the memory
@@ -43,12 +43,27 @@ func BenchmarkTieredDiskGetHot(b *testing.B) {
 	}
 	s := NewTiered(disk, 1<<20)
 	defer s.Close()
-	benchGetHot(b, s)
+	benchGetHot(b, s, 4096)
 }
 
-func benchGetHot(b *testing.B, s Store) {
+// BenchmarkLogGet2k and BenchmarkLogGet32k measure Log.Get at the two body
+// sizes of the benchmark's local_hit workload: one ReadAt through the
+// segment's open handle, CRC and key verified, body returned uncopied.
+func BenchmarkLogGet2k(b *testing.B)  { benchLogGet(b, 2<<10) }
+func BenchmarkLogGet32k(b *testing.B) { benchLogGet(b, 32<<10) }
+
+func benchLogGet(b *testing.B, size int) {
+	s, _, err := OpenLog(filepath.Join(b.TempDir(), "cache"), LogOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	benchGetHot(b, s, size)
+}
+
+func benchGetHot(b *testing.B, s Store, size int) {
 	b.Helper()
-	body := make([]byte, 4096)
+	body := make([]byte, size)
 	const hotKeys = 16
 	for i := 0; i < hotKeys; i++ {
 		if err := s.Put(fmt.Sprintf("k%d", i), "text/html", body); err != nil {

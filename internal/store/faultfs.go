@@ -32,7 +32,7 @@ type FaultFS struct {
 	// write lands before it reports tornErr.
 	tornBytes int
 	tornErr   error
-	// readErr, when non-nil, fails every ReadFile (e.g. EIO).
+	// readErr, when non-nil, fails every ReadFile and ReadAt (e.g. EIO).
 	readErr error
 	// crashed simulates the process dying mid-Put: renames fail and
 	// removes silently do nothing, so debris stays for recovery to find.
@@ -74,7 +74,8 @@ func (f *FaultFS) TornWrite(n int, err error) {
 	f.mu.Unlock()
 }
 
-// FailReads makes every ReadFile fail with err; nil heals.
+// FailReads makes every ReadFile, and every ReadAt on a handle from OpenRead,
+// fail with err; nil heals.
 func (f *FaultFS) FailReads(err error) {
 	f.mu.Lock()
 	f.readErr = err
@@ -134,13 +135,21 @@ func (f *FaultFS) ReadDir(dir string) ([]fs.DirEntry, error) { return f.inner.Re
 
 // ReadFile implements FS.
 func (f *FaultFS) ReadFile(path string) ([]byte, error) {
+	if err := f.readFault(path); err != nil {
+		return nil, err
+	}
+	return f.inner.ReadFile(path)
+}
+
+// readFault returns the injected read error for path, if one is armed.
+func (f *FaultFS) readFault(path string) error {
 	f.mu.Lock()
 	err := f.readErr
 	f.mu.Unlock()
 	if err != nil {
-		return nil, &os.PathError{Op: "read", Path: path, Err: err}
+		return &os.PathError{Op: "read", Path: path, Err: err}
 	}
-	return f.inner.ReadFile(path)
+	return nil
 }
 
 // Create implements FS.
@@ -178,15 +187,28 @@ func (f *FaultFS) Remove(path string) error {
 // RemoveAll implements FS.
 func (f *FaultFS) RemoveAll(path string) error { return f.inner.RemoveAll(path) }
 
-// OpenRead implements OpenReadFS, honoring the injected read fault.
+// OpenRead implements FS. The injected read fault is consulted on every
+// ReadAt, so FailReads also hits handles opened before it was armed.
 func (f *FaultFS) OpenRead(path string) (ReaderAtCloser, error) {
-	f.mu.Lock()
-	err := f.readErr
-	f.mu.Unlock()
+	inner, err := f.inner.OpenRead(path)
 	if err != nil {
-		return nil, &os.PathError{Op: "read", Path: path, Err: err}
+		return nil, err
 	}
-	return openRead(f.inner, path)
+	return &faultReader{ReaderAtCloser: inner, fs: f, path: path}, nil
+}
+
+// faultReader applies the parent's read fault to one open read handle.
+type faultReader struct {
+	ReaderAtCloser
+	fs   *FaultFS
+	path string
+}
+
+func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
+	if err := r.fs.readFault(r.path); err != nil {
+		return 0, err
+	}
+	return r.ReaderAtCloser.ReadAt(p, off)
 }
 
 // faultFile applies the parent's write verdicts to one open file.

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"io"
 	"io/fs"
 	"os"
@@ -27,6 +26,9 @@ type FS interface {
 	Remove(path string) error
 	// RemoveAll deletes path recursively.
 	RemoveAll(path string) error
+	// OpenRead opens path for random-access reads. The handle reads the file
+	// itself, not a snapshot: bytes appended after the open are visible.
+	OpenRead(path string) (ReaderAtCloser, error)
 }
 
 // File is the writable handle Create returns; the store writes the whole
@@ -42,33 +44,6 @@ type ReaderAtCloser interface {
 	io.ReaderAt
 	Close() error
 }
-
-// OpenReadFS is the optional extension the log-structured store uses for
-// record-at-offset reads. An FS that does not implement it still works —
-// the log falls back to ReadFile-and-slice, reading the whole segment per
-// Get — so existing FS implementations stay valid.
-type OpenReadFS interface {
-	OpenRead(path string) (ReaderAtCloser, error)
-}
-
-// openRead opens path for random-access reads on any FS, preferring the
-// OpenReadFS fast path.
-func openRead(f FS, path string) (ReaderAtCloser, error) {
-	if or, ok := f.(OpenReadFS); ok {
-		return or.OpenRead(path)
-	}
-	data, err := f.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return bufReaderAt{bytes.NewReader(data)}, nil
-}
-
-// bufReaderAt adapts an in-memory buffer to ReaderAtCloser.
-type bufReaderAt struct{ *bytes.Reader }
-
-// Close implements ReaderAtCloser.
-func (bufReaderAt) Close() error { return nil }
 
 // OSFS is the real filesystem.
 type OSFS struct{}
@@ -96,5 +71,5 @@ func (OSFS) Remove(path string) error { return os.Remove(path) }
 // RemoveAll implements FS.
 func (OSFS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
-// OpenRead implements OpenReadFS.
+// OpenRead implements FS.
 func (OSFS) OpenRead(path string) (ReaderAtCloser, error) { return os.Open(path) }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,10 +48,11 @@ type Log struct {
 	active     File  // nil until the first append after open/rotate
 	activeSeq  int64 // valid only when active != nil
 	activeOff  int64
-	nextSeq    int64           // highest segment number ever used
-	segBytes   map[int64]int64 // on-disk bytes per segment
-	totalBytes int64           // bytes across all segments (live + dead)
-	deadBytes  int64           // bytes no current index entry points at
+	nextSeq    int64                // highest segment number ever used
+	segBytes   map[int64]int64      // on-disk bytes per segment
+	handles    map[int64]*segHandle // one shared read handle per segment read so far
+	totalBytes int64                // bytes across all segments (live + dead)
+	deadBytes  int64                // bytes no current index entry points at
 	closed     bool
 
 	compacting bool // one compaction at a time; guarded by mu
@@ -133,6 +135,7 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 		compactMin:  opts.CompactMinBytes,
 		index:       make(map[string]recordLoc),
 		segBytes:    make(map[int64]int64),
+		handles:     make(map[int64]*segHandle),
 	}
 	l.reprobe = opts.ReprobeInterval
 	rep, err := l.recover()
@@ -468,16 +471,22 @@ func (l *Log) PutEntry(key, contentType string, body []byte, execTime time.Durat
 	return nil
 }
 
-// Get implements Store. The record is checksum-verified on every read; an
+// Get implements Store. The record is read with one ReadAt through its
+// segment's shared handle into one buffer, which the returned body aliases —
+// the buffer is the caller's own. It is checksum-verified on every read; an
 // entry that fails verification is dropped from the index and reported as an
 // error, so a corrupt body is never served. A read that races compaction
-// (its segment deleted between lookup and read) retries against the updated
+// (its segment retired between lookup and read) retries against the updated
 // index.
 func (l *Log) Get(key string) (string, []byte, error) {
 	for attempt := 0; ; attempt++ {
 		l.mu.RLock()
 		closed := l.closed
 		loc, ok := l.index[key]
+		h := l.handles[loc.seg]
+		if h != nil {
+			h.refs.Add(1)
+		}
 		l.mu.RUnlock()
 		if closed {
 			return "", nil, ErrClosed
@@ -485,10 +494,10 @@ func (l *Log) Get(key string) (string, []byte, error) {
 		if !ok {
 			return "", nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
-		data, err := l.readRecord(loc)
+		data, err := l.readRecord(loc, h)
 		if err != nil {
 			if errors.Is(err, iofs.ErrNotExist) && attempt < 4 {
-				continue // compaction deleted the segment under us; re-look up
+				continue // compaction retired the segment under us; re-look up
 			}
 			return "", nil, fmt.Errorf("store: reading %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
 		}
@@ -497,9 +506,7 @@ func (l *Log) Get(key string) (string, []byte, error) {
 			err = fmt.Errorf("%w: record holds key %q", ErrCorrupt, meta.Key)
 		}
 		if err == nil {
-			cp := make([]byte, len(body))
-			copy(cp, body)
-			return meta.ContentType, cp, nil
+			return meta.ContentType, body, nil
 		}
 		// Verification failed. If compaction moved the entry meanwhile, the
 		// stale bytes we read say nothing about the live record — retry.
@@ -518,18 +525,71 @@ func (l *Log) Get(key string) (string, []byte, error) {
 	}
 }
 
-// readRecord fetches loc's bytes from its segment.
-func (l *Log) readRecord(loc recordLoc) ([]byte, error) {
-	r, err := openRead(l.fs, l.segmentPath(loc.seg))
-	if err != nil {
-		return nil, err
+// readRecord fetches loc's bytes with one ReadAt through its segment's
+// handle: h, on which Get holds a reference, or the table's after opening it.
+func (l *Log) readRecord(loc recordLoc, h *segHandle) ([]byte, error) {
+	if h == nil {
+		var err error
+		if h, err = l.openHandle(loc.seg); err != nil {
+			return nil, err
+		}
 	}
-	defer r.Close()
+	defer h.release()
 	buf := make([]byte, loc.n)
-	if _, err := r.ReadAt(buf, loc.off); err != nil {
+	if _, err := h.f.ReadAt(buf, loc.off); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// segHandle is one segment's shared read handle. refs counts the handle
+// table's own reference plus every read in flight, and whoever drops the
+// last one closes the file — so it is never closed under a reader.
+type segHandle struct {
+	f    ReaderAtCloser
+	refs atomic.Int32
+}
+
+func (h *segHandle) release() {
+	if h.refs.Add(-1) == 0 {
+		h.f.Close()
+	}
+}
+
+// openHandle returns seg's read handle with a reference taken for the
+// caller, opening it on the first read of that segment (the active one
+// included: the handle sees later appends). A segment compaction has retired
+// reports ErrNotExist, which sends Get back to the index.
+func (l *Log) openHandle(seg int64) (*segHandle, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, ErrClosed
+	}
+	h := l.handles[seg]
+	if h == nil {
+		if _, live := l.segBytes[seg]; !live {
+			return nil, iofs.ErrNotExist
+		}
+		f, err := l.fs.OpenRead(l.segmentPath(seg))
+		if err != nil {
+			return nil, err
+		}
+		h = &segHandle{f: f}
+		h.refs.Store(1) // the table's reference
+		l.handles[seg] = h
+	}
+	h.refs.Add(1)
+	return h, nil
+}
+
+// dropHandleLocked takes seg's handle out of the table; reads in flight
+// keep the file open until they finish. Callers hold l.mu.
+func (l *Log) dropHandleLocked(seg int64) {
+	if h := l.handles[seg]; h != nil {
+		delete(l.handles, seg)
+		h.release()
+	}
 }
 
 // Delete implements Store: the key leaves the index immediately and a
@@ -672,9 +732,10 @@ func (l *Log) compact() {
 		}
 	}
 
-	// Publish the rewrite atomically, then swing the index and only then
-	// delete the old segments (a Get racing the deletion retries and finds
-	// the updated location).
+	// Publish the rewrite atomically, then swing the index, retire the old
+	// segments' read handles and only then delete the files (a Get racing
+	// the retirement retries and finds the updated location; one already
+	// reading keeps its handle, and the unlinked file, until it is done).
 	outPath := l.segmentPath(outSeq)
 	if err := l.truncateSegment(outPath, out); err != nil {
 		return
@@ -691,6 +752,7 @@ func (l *Log) compact() {
 	for _, seq := range oldSeqs {
 		oldBytes += l.segBytes[seq]
 		delete(l.segBytes, seq)
+		l.dropHandleLocked(seq)
 	}
 	l.segBytes[outSeq] = int64(len(out))
 	l.totalBytes -= oldBytes - int64(len(out))
@@ -726,6 +788,9 @@ func (l *Log) Close() error {
 		l.active = nil
 	}
 	l.index = make(map[string]recordLoc)
+	for seg := range l.handles {
+		l.dropHandleLocked(seg)
+	}
 	l.mu.Unlock()
 	l.compactWG.Wait()
 	return nil

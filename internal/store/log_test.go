@@ -1,13 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -325,26 +328,49 @@ func TestLogDamagedRecordQuarantined(t *testing.T) {
 // TestLogBitRotCaughtAtRead: corruption that develops after recovery is
 // detected by the per-read checksum; the corrupt body is never served.
 func TestLogBitRotCaughtAtRead(t *testing.T) {
-	l, dir := newTestLog(t)
-	l.Put("rot", "t/t", []byte(strings.Repeat("x", 500)))
-	loc := l.index["rot"]
-	path := filepath.Join(dir, segmentFileName(loc.seg))
-	data, err := os.ReadFile(path)
+	for _, tc := range []struct {
+		name      string
+		readFirst bool // the rot is seen through an already-open handle
+	}{{"FirstRead", false}, {"OpenHandle", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, dir := newTestLog(t)
+			l.Put("rot", "t/t", []byte(strings.Repeat("x", 500)))
+			if tc.readFirst {
+				if _, _, err := l.Get("rot"); err != nil {
+					t.Fatalf("Get before the rot: %v", err)
+				}
+			}
+			loc := l.index["rot"]
+			flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+50)
+			if _, _, err := l.Get("rot"); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get err = %v, want ErrCorrupt", err)
+			}
+			if _, _, err := l.Get("rot"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("second Get err = %v, want ErrNotFound (dropped)", err)
+			}
+			if st := l.StorageStatus(); st.Quarantined != 1 {
+				t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+			}
+		})
+	}
+}
+
+// flipByteInPlace flips one bit of the file at off without replacing the
+// file, so a handle that is already open sees the damage.
+func flipByteInPlace(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[loc.off+50] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.Get("rot"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get err = %v, want ErrCorrupt", err)
-	}
-	if _, _, err := l.Get("rot"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second Get err = %v, want ErrNotFound (dropped)", err)
-	}
-	if st := l.StorageStatus(); st.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -526,6 +552,220 @@ func TestLogExpiredDropped(t *testing.T) {
 	defer l2.Close()
 	if rep.Expired != 1 || len(rep.Recovered) != 1 || rep.Recovered[0].Key != "fresh" {
 		t.Fatalf("rep = %+v, want 1 expired, fresh recovered", rep)
+	}
+}
+
+// countingFS counts the read handles OpenRead has handed out and not yet
+// seen closed.
+type countingFS struct {
+	OSFS
+	open atomic.Int64
+}
+
+func (c *countingFS) OpenRead(path string) (ReaderAtCloser, error) {
+	f, err := c.OSFS.OpenRead(path)
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	return &countedReader{ReaderAtCloser: f, fs: c}, nil
+}
+
+type countedReader struct {
+	ReaderAtCloser
+	fs *countingFS
+}
+
+func (r *countedReader) Close() error {
+	r.fs.open.Add(-1)
+	return r.ReaderAtCloser.Close()
+}
+
+// churnBody is the body every version of key carries, so a reader can
+// byte-compare whatever version it gets.
+func churnBody(key string) []byte {
+	return []byte(strings.Repeat(key+"|", 40))
+}
+
+// TestLogHandlesUnderCompactionChurn reads a key set from several goroutines
+// while overwrite churn drives compactions: every Get succeeds with the right
+// bytes, and after each compaction the handle table holds no handle for a
+// segment that is gone. Run with -race.
+func TestLogHandlesUnderCompactionChurn(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cfs := &countingFS{}
+	l, _, err := OpenLog(dir, LogOptions{
+		FS:              cfs,
+		SegmentMaxBytes: 1 << 10, // several segments retire per compaction
+		CompactMinBytes: 4 << 10,
+		CompactFraction: 0.3,
+	})
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	defer l.Close()
+	const keys, readers, wantCompactions = 8, 4, 6
+	key := func(i int) string { return fmt.Sprintf("k%d", i%keys) }
+	for i := 0; i < keys; i++ {
+		l.Put(key(i), "t/t", churnBody(key(i)))
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopReaders := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopReaders() // before the deferred Close, whatever ends the test
+	var gets atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, got, err := l.Get(key(i))
+				if err != nil {
+					t.Errorf("Get(%s): %v", key(i), err)
+					return
+				}
+				if !bytes.Equal(got, churnBody(key(i))) {
+					t.Errorf("Get(%s) returned the wrong bytes (%d of them)", key(i), len(got))
+					return
+				}
+				gets.Add(1)
+			}
+		}(r)
+	}
+
+	// oldestSegment only ever rises when a compaction publishes: it retires
+	// every segment below its rewrite.
+	oldestSegment := func() int64 {
+		l.mu.RLock()
+		defer l.mu.RUnlock()
+		oldest := int64(math.MaxInt64)
+		for seg := range l.segBytes {
+			oldest = min(oldest, seg)
+		}
+		return oldest
+	}
+	compactions, fdsAfterFirst, last := 0, 0, oldestSegment()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; compactions < wantCompactions; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d compactions after 20s of churn", compactions)
+		}
+		if err := l.Put(key(i), "t/t", churnBody(key(i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if oldest := oldestSegment(); oldest != last {
+			last = oldest
+			compactions++
+			l.compactWG.Wait() // the old files are unlinked by now
+			l.mu.RLock()
+			cached, onDisk := len(l.handles), len(segmentFiles(t, dir))
+			l.mu.RUnlock()
+			if cached > onDisk {
+				t.Fatalf("compaction %d: %d cached handles for %d segment files", compactions, cached, onDisk)
+			}
+			// Beyond the table, a reader may still hold the one retired
+			// handle it is reading through.
+			if open := int(cfs.open.Load()); open > cached+readers {
+				t.Fatalf("compaction %d: %d handles open, %d cached", compactions, open, cached)
+			}
+			if fds := openFDs(); compactions == 1 {
+				fdsAfterFirst = fds
+			} else if fds > fdsAfterFirst+readers+onDisk {
+				t.Fatalf("compaction %d: %d file descriptors open, %d after the first compaction", compactions, fds, fdsAfterFirst)
+			}
+		}
+	}
+	stopReaders()
+	if gets.Load() == 0 {
+		t.Fatal("the readers completed no Get")
+	}
+	l.mu.RLock()
+	cached := len(l.handles)
+	l.mu.RUnlock()
+	if open := int(cfs.open.Load()); open != cached {
+		t.Fatalf("with no read in flight %d handles are open, %d cached", open, cached)
+	}
+}
+
+// openFDs counts this process's open file descriptors (0 where /proc is not
+// mounted, which turns the comparison off).
+func openFDs() int {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	return len(fds)
+}
+
+// TestLogGetSurvivesUnlink: a segment unlinked after its handle was opened —
+// what compaction does to a reader it races — still yields the verified
+// record.
+func TestLogGetSurvivesUnlink(t *testing.T) {
+	l, dir := newTestLog(t)
+	l.Put("k", "t/t", []byte("still here"))
+	if _, _, err := l.Get("k"); err != nil {
+		t.Fatalf("first Get: %v", err)
+	}
+	if err := os.Remove(filepath.Join(dir, segmentFileName(l.index["k"].seg))); err != nil {
+		t.Fatal(err)
+	}
+	ct, body, err := l.Get("k")
+	if err != nil || ct != "t/t" || string(body) != "still here" {
+		t.Fatalf("Get after unlink = %q, %q, %v", ct, body, err)
+	}
+}
+
+// TestLogCloseReleasesHandles: neither Close nor Destroy leaves a segment
+// handle open.
+func TestLogCloseReleasesHandles(t *testing.T) {
+	for _, destroy := range []bool{false, true} {
+		cfs := &countingFS{}
+		opts := testLogOptions(cfs)
+		opts.SegmentMaxBytes = 1 // one record per segment: several handles
+		l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), opts)
+		if err != nil {
+			t.Fatalf("OpenLog: %v", err)
+		}
+		for i := 0; i < 5; i++ {
+			key := fmt.Sprintf("k%d", i)
+			l.Put(key, "t/t", churnBody(key))
+			if _, _, err := l.Get(key); err != nil {
+				t.Fatalf("Get: %v", err)
+			}
+		}
+		if open := cfs.open.Load(); open != 5 {
+			t.Fatalf("%d handles open after reading 5 segments, want 5", open)
+		}
+		if destroy {
+			err = l.Destroy()
+		} else {
+			err = l.Close()
+		}
+		if open := cfs.open.Load(); err != nil || open != 0 {
+			t.Fatalf("destroy=%v: err %v, %d handles still open", destroy, err, open)
+		}
+		if _, _, err := l.Get("k0"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Get after close err = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestLogGetBodyIsCallersOwn: the returned body aliases no shared state.
+func TestLogGetBodyIsCallersOwn(t *testing.T) {
+	l, _ := newTestLog(t)
+	l.Put("k", "t/t", []byte("pristine"))
+	_, first, err := l.Get("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		first[i] = '!'
+	}
+	_ = append(first, "spill"...)
+	if _, second, err := l.Get("k"); err != nil || string(second) != "pristine" {
+		t.Fatalf("second Get = %q, %v", second, err)
 	}
 }
 

@@ -411,6 +411,35 @@ func TestDiskReadFaultSurfacesError(t *testing.T) {
 	}
 }
 
+// TestLogReadFaultSurfacesError: the log store reads through handles it keeps
+// open, so the fault must reach one opened before it was armed.
+func TestLogReadFaultSurfacesError(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), testLogOptions(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Destroy()
+	if err := l.Put("k", "t", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Get("k"); err != nil {
+		t.Fatalf("Get before the fault: %v", err)
+	}
+	ffs.FailReads(syscall.EIO)
+	if _, _, err := l.Get("k"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Get with read fault = %v, want EIO", err)
+	}
+	// A read fault is transient, not corruption: the entry survives.
+	if st := l.StorageStatus(); l.Len() != 1 || st.Quarantined != 0 {
+		t.Fatalf("after the fault Len = %d, Quarantined = %d; want 1, 0", l.Len(), st.Quarantined)
+	}
+	ffs.FailReads(nil)
+	if _, body, err := l.Get("k"); err != nil || string(body) != "x" {
+		t.Fatalf("Get after heal = %q, %v", body, err)
+	}
+}
+
 func TestDiskFsyncAlways(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	d, _, err := OpenDisk(dir, DiskOptions{Fsync: FsyncAlways})
