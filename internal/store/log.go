@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	iofs "io/fs"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -30,10 +32,11 @@ import (
 //     on the next record magic; at read time the entry is dropped from the
 //     index and an error returned, so a corrupt body is never served.
 //   - Overwrites and deletes append (tombstones for deletes); the old bytes
-//     become dead and are reclaimed by compaction, which rewrites the live
-//     set into a fresh segment and deletes the old ones. Replay order is
-//     (segment, offset) ascending with newest-wins, so a crash at any point
-//     of compaction leaves a directory that replays to the same live set.
+//     become dead and are reclaimed by the cleaner, which retires the oldest
+//     segment, one at a time, after copying what is still live in it to the
+//     tail. Replay order is (segment, offset) ascending with newest-wins and
+//     a copy is byte-identical to its original, so a crash at any point of
+//     cleaning leaves a directory that replays to the same live set.
 type Log struct {
 	dir   string
 	fs    FS
@@ -50,12 +53,14 @@ type Log struct {
 	activeOff  int64
 	nextSeq    int64                // highest segment number ever used
 	segBytes   map[int64]int64      // on-disk bytes per segment
+	segLive    map[int64]int64      // bytes per segment that index entries point at
 	handles    map[int64]*segHandle // one shared read handle per segment read so far
 	totalBytes int64                // bytes across all segments (live + dead)
 	deadBytes  int64                // bytes no current index entry points at
 	closed     bool
 
-	compacting bool // one compaction at a time; guarded by mu
+	compacting bool      // one cleaner at a time; guarded by mu
+	cleanRetry time.Time // a failed cleaning pass is not retried before this
 	compactWG  sync.WaitGroup
 
 	storeHealth
@@ -75,7 +80,7 @@ const tombstoneContentType = "application/x-swala-tombstone"
 
 // LogOptions tunes OpenLog. The zero value is the production default: the
 // real filesystem, no fsync, 5-second degraded re-probe, 4 MiB segments,
-// compaction at 50% dead bytes once 1 MiB is dead.
+// cleaning at 50% dead bytes once 1 MiB is dead.
 type LogOptions struct {
 	// FS is the filesystem seam (nil = OSFS); tests inject a FaultFS here.
 	FS FS
@@ -87,10 +92,10 @@ type LogOptions struct {
 	// SegmentMaxBytes rotates the active segment once it reaches this size
 	// (0 = DefaultSegmentMaxBytes).
 	SegmentMaxBytes int64
-	// CompactFraction triggers compaction when dead bytes exceed this
+	// CompactFraction starts the cleaner when dead bytes exceed this
 	// fraction of total bytes (0 = 0.5).
 	CompactFraction float64
-	// CompactMinBytes is the dead-byte floor below which compaction never
+	// CompactMinBytes is the dead-byte floor below which the cleaner never
 	// runs, so small stores don't churn (0 = DefaultCompactMinBytes).
 	CompactMinBytes int64
 }
@@ -135,6 +140,7 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 		compactMin:  opts.CompactMinBytes,
 		index:       make(map[string]recordLoc),
 		segBytes:    make(map[int64]int64),
+		segLive:     make(map[int64]int64),
 		handles:     make(map[int64]*segHandle),
 	}
 	l.reprobe = opts.ReprobeInterval
@@ -190,8 +196,8 @@ func (l *Log) recover() (*RecoveryReport, error) {
 		}
 		full := filepath.Join(l.dir, name)
 		if strings.HasSuffix(name, ".tmp") {
-			// A truncation or compaction that never reached its rename: the
-			// original file is still in place, so the debris just goes.
+			// A truncation that never reached its rename: the original file
+			// is still in place, so the debris just goes.
 			l.fs.Remove(full)
 			rep.OrphansSwept++
 			continue
@@ -243,8 +249,8 @@ func (l *Log) recover() (*RecoveryReport, error) {
 					continue
 				}
 				if _, dup := l.index[m.Key]; dup {
-					// A superseded copy (overwrite, or a crash mid-compaction
-					// that left both the old segments and their rewrite).
+					// A superseded copy (overwrite, or a crash mid-cleaning that
+					// left both a record and its copy at the tail).
 					rep.Duplicates++
 				}
 				_ = body // bodies stay on disk; only locations are indexed
@@ -298,6 +304,7 @@ func (l *Log) recover() (*RecoveryReport, error) {
 	for key, loc := range l.index {
 		ordered = append(ordered, liveEntry{loc: loc, meta: metas[key]})
 		liveBytes += int64(loc.n)
+		l.segLive[loc.seg] += int64(loc.n)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].loc.seg != ordered[j].loc.seg {
@@ -455,27 +462,40 @@ func (l *Log) PutEntry(key, contentType string, body []byte, execTime time.Durat
 		return err
 	}
 	if old, ok := l.index[key]; ok {
-		l.deadBytes += int64(old.n)
+		l.deadenLocked(old)
 	}
 	l.index[key] = loc
-	compact := l.shouldCompactLocked()
-	if compact {
-		l.compacting = true
-		l.compactWG.Add(1)
-	}
+	l.segLive[loc.seg] += int64(loc.n)
+	l.startCleanerLocked()
 	l.mu.Unlock()
 	l.noteWriteOK()
-	if compact {
-		go l.compact()
-	}
 	return nil
+}
+
+// deadenLocked takes loc, which the index just stopped pointing at, out of
+// the live accounting.
+func (l *Log) deadenLocked(loc recordLoc) {
+	l.deadBytes += int64(loc.n)
+	l.segLive[loc.seg] -= int64(loc.n)
+}
+
+// dropIfAt removes key from the index if it still points at loc.
+func (l *Log) dropIfAt(key string, loc recordLoc) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.index[key] != loc {
+		return false
+	}
+	delete(l.index, key)
+	l.deadenLocked(loc)
+	return true
 }
 
 // Get implements Store. The record is read with one ReadAt through its
 // segment's shared handle into one buffer, which the returned body aliases —
 // the buffer is the caller's own. It is checksum-verified on every read; an
 // entry that fails verification is dropped from the index and reported as an
-// error, so a corrupt body is never served. A read that races compaction
+// error, so a corrupt body is never served. A read that races the cleaner
 // (its segment retired between lookup and read) retries against the updated
 // index.
 func (l *Log) Get(key string) (string, []byte, error) {
@@ -497,7 +517,7 @@ func (l *Log) Get(key string) (string, []byte, error) {
 		data, err := l.readRecord(loc, h)
 		if err != nil {
 			if errors.Is(err, iofs.ErrNotExist) && attempt < 4 {
-				continue // compaction retired the segment under us; re-look up
+				continue // the cleaner retired the segment under us; re-look up
 			}
 			return "", nil, fmt.Errorf("store: reading %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
 		}
@@ -508,16 +528,9 @@ func (l *Log) Get(key string) (string, []byte, error) {
 		if err == nil {
 			return meta.ContentType, body, nil
 		}
-		// Verification failed. If compaction moved the entry meanwhile, the
+		// Verification failed. If the cleaner moved the entry meanwhile, the
 		// stale bytes we read say nothing about the live record — retry.
-		l.mu.Lock()
-		stale := l.index[key] != loc
-		if !stale {
-			delete(l.index, key)
-			l.deadBytes += int64(loc.n)
-		}
-		l.mu.Unlock()
-		if stale && attempt < 4 {
+		if !l.dropIfAt(key, loc) && attempt < 4 {
 			continue
 		}
 		l.quarantined.Add(1)
@@ -558,7 +571,7 @@ func (h *segHandle) release() {
 
 // openHandle returns seg's read handle with a reference taken for the
 // caller, opening it on the first read of that segment (the active one
-// included: the handle sees later appends). A segment compaction has retired
+// included: the handle sees later appends). A segment the cleaner has retired
 // reports ErrNotExist, which sends Get back to the index.
 func (l *Log) openHandle(seg int64) (*segHandle, error) {
 	l.mu.Lock()
@@ -609,7 +622,7 @@ func (l *Log) Delete(key string) error {
 		return nil
 	}
 	delete(l.index, key)
-	l.deadBytes += int64(loc.n)
+	l.deadenLocked(loc)
 	l.mu.Unlock()
 
 	if err := l.writeGate(); err != nil {
@@ -624,11 +637,7 @@ func (l *Log) Delete(key string) error {
 	_, err := l.appendLocked(rec)
 	if err == nil {
 		l.deadBytes += int64(len(rec)) // a tombstone is dead on arrival
-	}
-	compact := err == nil && l.shouldCompactLocked()
-	if compact {
-		l.compacting = true
-		l.compactWG.Add(1)
+		l.startCleanerLocked()
 	}
 	l.mu.Unlock()
 	if err != nil {
@@ -636,135 +645,205 @@ func (l *Log) Delete(key string) error {
 		return nil
 	}
 	l.noteWriteOK()
-	if compact {
-		go l.compact()
-	}
 	return nil
 }
 
-// shouldCompactLocked reports whether dead bytes justify a compaction.
-// Callers hold l.mu.
-func (l *Log) shouldCompactLocked() bool {
-	return !l.compacting && !l.closed &&
-		l.deadBytes >= l.compactMin &&
+// overDeadLocked reports whether dead bytes justify cleaning.
+func (l *Log) overDeadLocked() bool {
+	return l.deadBytes >= l.compactMin &&
 		float64(l.deadBytes) >= l.compactFrac*float64(l.totalBytes)
 }
 
-// compact rewrites the live set into a fresh segment and deletes the old
-// ones. It runs on its own goroutine with l.compacting held true.
-//
-// Ordering is what makes a crash at any point safe: the output segment gets
-// a sequence number *above* every old segment but *below* the new active
-// segment, so replay order (old, then rewrite, then new appends) always
-// converges on the same live set whether or not the old segments were
-// deleted before the crash.
-func (l *Log) compact() {
-	defer l.compactWG.Done()
-	defer func() {
-		l.mu.Lock()
-		l.compacting = false
-		l.mu.Unlock()
-	}()
-
-	// Freeze: the rewrite gets the next sequence number, appends move to a
-	// segment above it, and everything below is "old" and now immutable.
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+// startCleanerLocked launches the cleaner if dead bytes justify it, none is
+// running and the last failure is ReprobeInterval old. Callers hold l.mu.
+func (l *Log) startCleanerLocked() {
+	if l.compacting || l.closed || !l.overDeadLocked() || time.Now().Before(l.cleanRetry) {
 		return
 	}
-	if l.active != nil {
+	l.compacting = true
+	l.compactWG.Add(1)
+	go l.clean()
+}
+
+// clean retires oldest segments for as long as the trigger holds. It runs on
+// its own goroutine with l.compacting held true; Close interrupts it between
+// segments. A pass that failed ends it: a write error has put the store in
+// degraded mode, which gates the appends that would relaunch the cleaner, and
+// a read error is retried no sooner than a degraded store is re-probed.
+func (l *Log) clean() {
+	defer l.compactWG.Done()
+	var buf []byte
+	var err error
+	for {
+		l.mu.Lock()
+		if err != nil {
+			l.cleanRetry = time.Now().Add(l.reprobe)
+		}
+		if err != nil || l.closed || !l.overDeadLocked() {
+			l.compacting = false
+			l.mu.Unlock()
+			return
+		}
+		l.mu.Unlock()
+		buf, err = l.cleanOldest(buf)
+	}
+}
+
+// cleanBatchBytes bounds one copy of survivors to the tail, and with it how
+// long the cleaner holds the write lock.
+const cleanBatchBytes = 256 << 10
+
+// cleanOldest retires the oldest segment: unread if nothing in it is live,
+// otherwise after copying its live records to the tail through buf, which is
+// returned for the next pass — never more than one segment in memory. A crash
+// anywhere is safe: a copy is byte-identical to its original and replays
+// after it, and a tombstone in the oldest segment can only mask records of
+// that same segment, so it may leave with it.
+func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
+	l.mu.Lock()
+	victim := int64(math.MaxInt64)
+	for seq := range l.segBytes {
+		victim = min(victim, seq)
+	}
+	if l.active != nil && l.activeSeq == victim {
+		// Seal it: the next append, a copy included, starts a new segment.
 		l.active.Close()
 		l.active = nil
 	}
-	l.nextSeq++
-	outSeq := l.nextSeq
-	// The next append rotates onto a segment numbered above outSeq.
-	snapshot := make(map[string]recordLoc, len(l.index))
-	for k, loc := range l.index {
-		snapshot[k] = loc
-	}
-	oldSeqs := make([]int64, 0, len(l.segBytes))
-	for seq := range l.segBytes {
-		if seq < outSeq {
-			oldSeqs = append(oldSeqs, seq)
-		}
-	}
+	size, live := l.segBytes[victim], l.segLive[victim]
 	l.mu.Unlock()
 
-	// Read the live records out of the old segments, grouped by segment so
-	// each old segment is read once.
-	bySeg := make(map[int64][]recordLoc)
-	keyAt := make(map[recordLoc]string)
-	for key, loc := range snapshot {
-		bySeg[loc.seg] = append(bySeg[loc.seg], loc)
-		keyAt[loc] = key
-	}
-	var out []byte
-	moved := make(map[string]recordLoc)
-	segs := make([]int64, 0, len(bySeg))
-	for seg := range bySeg {
-		segs = append(segs, seg)
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	for _, seg := range segs {
-		data, err := l.fs.ReadFile(l.segmentPath(seg))
-		if err != nil {
-			// Can't read an old segment: abandon this compaction; the live
-			// index still points at whatever is readable.
-			return
+	if live > 0 {
+		if int64(cap(buf)) < size {
+			buf = make([]byte, size)
 		}
-		locs := bySeg[seg]
-		sort.Slice(locs, func(i, j int) bool { return locs[i].off < locs[j].off })
-		for _, loc := range locs {
-			if loc.off+int64(loc.n) > int64(len(data)) {
-				continue
-			}
-			rec := data[loc.off : loc.off+int64(loc.n)]
-			if _, _, _, err := decodeRecord(rec); err != nil {
-				// Rot found during compaction: don't carry it forward. The
-				// key stays pointing at the damaged record and the next Get
-				// reports and drops it.
-				continue
-			}
-			moved[keyAt[loc]] = recordLoc{seg: outSeq, off: int64(len(out)), n: loc.n}
-			out = append(out, rec...)
+		if err := l.copyLive(victim, buf[:size]); err != nil {
+			return buf, err
 		}
 	}
 
-	// Publish the rewrite atomically, then swing the index, retire the old
-	// segments' read handles and only then delete the files (a Get racing
-	// the retirement retries and finds the updated location; one already
-	// reading keeps its handle, and the unlinked file, until it is done).
-	outPath := l.segmentPath(outSeq)
-	if err := l.truncateSegment(outPath, out); err != nil {
-		return
-	}
 	l.mu.Lock()
-	for key, newLoc := range moved {
-		if cur, ok := l.index[key]; ok && cur == snapshot[key] {
-			l.index[key] = newLoc
+	if l.closed {
+		l.mu.Unlock()
+		return buf, ErrClosed
+	}
+	if l.segLive[victim] != 0 {
+		// What the index still holds here the scan did not find where the
+		// index says it is (damage before it, another key's record in its
+		// place, a short file): it cannot be verified, so it goes.
+		for key, loc := range l.index {
+			if loc.seg == victim {
+				delete(l.index, key)
+				l.deadenLocked(loc)
+				l.quarantined.Add(1)
+			}
 		}
 	}
-	// Old segments leave the accounting; the rewrite enters it. Everything
-	// in the old segments that was not rewritten was dead and is now gone.
-	var oldBytes int64
-	for _, seq := range oldSeqs {
-		oldBytes += l.segBytes[seq]
-		delete(l.segBytes, seq)
-		l.dropHandleLocked(seq)
+	l.totalBytes -= l.segBytes[victim]
+	l.deadBytes -= l.segBytes[victim]
+	delete(l.segBytes, victim)
+	delete(l.segLive, victim)
+	// Handle out of the table, then unlink: a Get racing this retries and
+	// finds the copy; one already reading keeps its handle until it is done.
+	l.dropHandleLocked(victim)
+	l.mu.Unlock()
+	return buf, l.fs.Remove(l.segmentPath(victim))
+}
+
+// liveRecord is a record of the victim the index pointed at when scanned.
+type liveRecord struct {
+	key string
+	loc recordLoc
+}
+
+// copyLive reads the sealed segment victim into data, walks its records as
+// recovery does, and copies to the tail each one the index still points at —
+// by (segment, offset), so of several records of one key at most the newest —
+// once it verifies as in Get: whole-record parse, checksum, stored key indexed
+// there. A live record that fails its checksum is dropped and counted.
+func (l *Log) copyLive(victim int64, data []byte) error {
+	h, err := l.openHandle(victim)
+	if err != nil {
+		return err
 	}
-	l.segBytes[outSeq] = int64(len(out))
-	l.totalBytes -= oldBytes - int64(len(out))
-	l.deadBytes -= oldBytes - int64(len(out))
-	if l.deadBytes < 0 {
-		l.deadBytes = 0
+	got, err := h.f.ReadAt(data, 0)
+	h.release()
+	if err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("store: cleaning %s: %w", segmentFileName(victim), err)
+	}
+	data = data[:got]
+
+	var batch []liveRecord
+	batchBytes := 0
+	for off := 0; off < len(data); {
+		m, n, err := parseEntryRecord(data[off:])
+		if err != nil {
+			next := nextMagic(data, off+1)
+			if next < 0 {
+				break
+			}
+			off = next
+			continue
+		}
+		loc := recordLoc{seg: victim, off: int64(off), n: n}
+		off += n
+		l.mu.RLock()
+		live := l.index[m.Key] == loc
+		l.mu.RUnlock()
+		if !live {
+			continue
+		}
+		if _, _, _, err := decodeRecord(data[loc.off:off]); err != nil {
+			if l.dropIfAt(m.Key, loc) {
+				l.quarantined.Add(1)
+			}
+			continue
+		}
+		if batchBytes+n > cleanBatchBytes && len(batch) > 0 {
+			if err := l.copyBatch(data, batch); err != nil {
+				return err
+			}
+			batch, batchBytes = batch[:0], 0
+		}
+		batch = append(batch, liveRecord{key: m.Key, loc: loc})
+		batchBytes += n
+	}
+	return l.copyBatch(data, batch)
+}
+
+// copyBatch appends the records of batch (in offset order, bytes in data) that
+// the index still points at to the tail with one append and swings the index
+// to the copies — all under the one lock a Put takes, so a concurrent
+// overwrite or delete lands wholly before (no copy) or after (later in the log).
+func (l *Log) copyBatch(data []byte, batch []liveRecord) error {
+	l.mu.Lock()
+	// Survivors are packed at the front of data: a record only moves down,
+	// over bytes the scan has passed. (A closed store's index is empty.)
+	out, kept := data[:0], batch[:0]
+	for _, r := range batch {
+		if l.index[r.key] == r.loc {
+			out = append(out, data[r.loc.off:r.loc.off+int64(r.loc.n)]...)
+			kept = append(kept, r)
+		}
+	}
+	var err error
+	if len(kept) > 0 {
+		var at recordLoc
+		if at, err = l.appendLocked(out); err == nil {
+			for _, r := range kept {
+				l.deadenLocked(r.loc)
+				at.n = r.loc.n
+				l.index[r.key] = at
+				l.segLive[at.seg] += int64(at.n)
+				at.off += int64(at.n)
+			}
+		}
 	}
 	l.mu.Unlock()
-
-	for _, seq := range oldSeqs {
-		l.fs.Remove(l.segmentPath(seq))
+	if err != nil {
+		l.noteWriteError(err)
 	}
+	return err
 }
 
 // StorageStatus implements the health reporter used by /swala-status and

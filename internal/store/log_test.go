@@ -596,7 +596,7 @@ func TestLogHandlesUnderCompactionChurn(t *testing.T) {
 	cfs := &countingFS{}
 	l, _, err := OpenLog(dir, LogOptions{
 		FS:              cfs,
-		SegmentMaxBytes: 1 << 10, // several segments retire per compaction
+		SegmentMaxBytes: 1 << 10, // a cleaner run retires several segments
 		CompactMinBytes: 4 << 10,
 		CompactFraction: 0.3,
 	})
@@ -638,8 +638,8 @@ func TestLogHandlesUnderCompactionChurn(t *testing.T) {
 		}(r)
 	}
 
-	// oldestSegment only ever rises when a compaction publishes: it retires
-	// every segment below its rewrite.
+	// oldestSegment rises exactly when the cleaner retires a segment; the
+	// Wait below lets the run it belongs to finish.
 	oldestSegment := func() int64 {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
