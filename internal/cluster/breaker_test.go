@@ -214,7 +214,7 @@ func TestBreakerUnderConcurrentFetches(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				_, _, _, _, _, err := a.FetchRing(context.Background(), 2, fmt.Sprintf("k%d", i), 0)
+				_, err := a.FetchRing(context.Background(), 2, fmt.Sprintf("k%d", i), 0)
 				if err == nil {
 					t.Error("fetch from closed peer succeeded")
 					return

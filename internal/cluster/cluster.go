@@ -10,9 +10,9 @@
 // cluster address. A node writes Insert/Delete/Fetch/Ping on its outbound
 // link to a peer and reads FetchReply/Pong back on the same link; messages
 // arriving on accepted (inbound) links are directory updates and fetch
-// requests from the peer, answered in-place. Fetch requests are served in a
-// fresh goroutine each, mirroring the paper's cacher module, which "starts a
-// separate thread for each request to return the cache contents".
+// requests from the peer, answered in-place. Every fetch in flight has its own
+// goroutine (the paper's cacher module "starts a separate thread for each
+// request to return the cache contents"), which then waits for the next one.
 package cluster
 
 import (
@@ -40,9 +40,11 @@ type Handler interface {
 	HandleInsert(m *wire.Insert)
 	// HandleDelete applies a peer's directory delete broadcast.
 	HandleDelete(m *wire.Delete)
-	// HandleFetch serves a peer's request for a locally cached body.
-	// ok=false signals a false hit (the entry is gone).
-	HandleFetch(key string) (contentType string, body []byte, ok bool)
+	// HandleFetch answers a peer's fetch of key by filling in reply: OK=false
+	// signals a false hit (the entry is gone). flags are the wire.Fetch* ring
+	// flags (zero, and ignored, under replicate placement). Body may be
+	// leased: the link calls release, when not nil, once reply is written.
+	HandleFetch(key string, flags uint8, reply *wire.FetchReply) (release func())
 	// HandleStats returns the node's counters for swalactl.
 	HandleStats() wire.StatsReply
 	// HandleInvalidate drops locally owned entries matching the pattern.
@@ -65,20 +67,6 @@ type DirSyncer interface {
 	// saw version since up to date with the local table; nil when the
 	// replica is already current.
 	BuildDirSync(since uint64) *wire.DirSync
-}
-
-// RingHandler is implemented by handlers that serve ring-placement fetches:
-// execute-if-missing miss forwarding and handoff takeover pulls. Optional —
-// a handler without it serves flagged fetches as plain cache lookups.
-type RingHandler interface {
-	// HandleFetchRing serves a fetch carrying ring flags (wire.FetchExecute,
-	// wire.FetchTakeover, wire.FetchReplica). executed reports that the body
-	// was produced by running the request at this node rather than from its
-	// cache; stored reports whether the result was (or already is) cached
-	// here — executed-and-not-stored tells the requester the key is
-	// uncacheable or too cold to keep, so routing the next miss here is
-	// wasted.
-	HandleFetchRing(key string, flags uint8) (contentType string, body []byte, executed, stored, ok bool)
 }
 
 // ReplicaHandler is implemented by handlers that speak adaptive hot-entry
@@ -131,7 +119,7 @@ func (NopHandler) HandleInsert(*wire.Insert) {}
 func (NopHandler) HandleDelete(*wire.Delete) {}
 
 // HandleFetch implements Handler.
-func (NopHandler) HandleFetch(string) (string, []byte, bool) { return "", nil, false }
+func (NopHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return nil }
 
 // HandleStats implements Handler.
 func (NopHandler) HandleStats() wire.StatsReply { return wire.StatsReply{} }
@@ -406,6 +394,28 @@ func (n *Node) serveInbound(conn net.Conn) {
 		}
 	}
 
+	// fetchWorker answers m and then every fetch the read loop hands it, until
+	// the link goes; the body travels from the handler's lease to the stream.
+	fetches := make(chan *wire.Fetch)
+	defer close(fetches)
+	fetchWorker := func(m *wire.Fetch) {
+		defer n.wg.Done()
+		var r wire.FetchReply // escapes into the handler: one per worker
+		for ; m != nil; m = <-fetches {
+			r = wire.FetchReply{Seq: m.Seq}
+			release := n.handler.HandleFetch(m.Key, m.Flags, &r)
+			sendMu.Lock()
+			err := wc.Write(&r)
+			sendMu.Unlock()
+			if release != nil {
+				release()
+			}
+			if err != nil {
+				n.logf("inbound reply: %v", err)
+			}
+		}
+	}
+
 	// Anti-entropy version exchange: tell a (re)connecting node how much of
 	// its directory we have, so it ships the catch-up we are missing. Only
 	// real cluster nodes announce a listen address; administrative clients
@@ -506,18 +516,14 @@ func (n *Node) serveInbound(conn net.Conn) {
 				reply(sync)
 			}
 		case *wire.Fetch:
-			// One goroutine per fetch, as in the paper's cacher module.
-			n.wg.Add(1)
-			go func(m *wire.Fetch) {
-				defer n.wg.Done()
-				if rh, ringOK := n.handler.(RingHandler); ringOK && m.Flags != 0 {
-					ct, body, executed, stored, served := rh.HandleFetchRing(m.Key, m.Flags)
-					reply(&wire.FetchReply{Seq: m.Seq, OK: served, ContentType: ct, Body: body, Executed: executed, Stored: stored})
-					return
-				}
-				ct, body, served := n.handler.HandleFetch(m.Key)
-				reply(&wire.FetchReply{Seq: m.Seq, OK: served, ContentType: ct, Body: body})
-			}(m)
+			// One goroutine per fetch in flight, as in the paper's cacher
+			// module: an idle one takes m, else a new one starts.
+			select {
+			case fetches <- m:
+			default:
+				n.wg.Add(1)
+				go fetchWorker(m)
+			}
 		case *wire.Ping:
 			reply(&wire.Pong{Seq: m.Seq})
 		case *wire.Stats:
@@ -1086,6 +1092,8 @@ func (n *Node) linkReader(link *peerLink) {
 			link.mu.Unlock()
 			if ch != nil {
 				ch <- m
+			} else {
+				m.Release() // its fetch timed out or was cancelled
 			}
 		case *wire.Pong:
 			link.mu.Lock()
@@ -1399,88 +1407,107 @@ func (n *Node) ReplicationStats() stats.ReplicationSnapshot {
 // false-hit fallback and aborting the request — by inspecting its own
 // context.
 func (n *Node) Fetch(ctx context.Context, owner uint32, key string) (contentType string, body []byte, ok bool, err error) {
-	ct, b, served, _, _, err := n.FetchRing(ctx, owner, key, 0)
-	return ct, b, served, err
+	reply, err := n.FetchRing(ctx, owner, key, 0)
+	if err != nil {
+		return "", nil, false, err
+	}
+	return reply.ContentType, reply.Body, reply.OK, nil // never released: body is the caller's own
 }
+
+// fetchWaiter is what one fetch blocks on: its reply's channel and the timer
+// bounding the wait. Only a fetch that got its reply pools its waiter again:
+// on every other exit a closing link or a late reply may touch the channel.
+type fetchWaiter struct {
+	ch    chan *wire.FetchReply // capacity 1: the reader never blocks on it
+	timer *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &fetchWaiter{ch: make(chan *wire.FetchReply, 1), timer: t}
+}}
 
 // FetchRing is Fetch with ring-placement flags (wire.FetchExecute asks the
 // owner to run the request on a cache miss; wire.FetchTakeover pulls a body
 // during handoff and tells the previous owner to drop its copy;
-// wire.FetchReplica pulls a copy the source keeps). executed reports whether
-// the owner ran the request rather than serving its cache; stored reports
-// whether the result is cached at the owner (false after an execute means
-// the key is not worth routing to the owner again until something changes).
-func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags uint8) (contentType string, body []byte, ok, executed, stored bool, err error) {
+// wire.FetchReplica pulls a copy the source keeps). The reply's Executed
+// reports whether the owner ran the request rather than serving its cache;
+// Stored whether the result is cached at the owner (false after an execute
+// means the key is not worth routing to the owner again until something
+// changes). Its Body is leased: valid until Release, which may never come.
+func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags uint8) (*wire.FetchReply, error) {
 	if n.PeerState(owner) == PeerDead {
 		// The failure detector has declared the owner dead: fail fast so the
 		// caller degrades to local execution immediately instead of paying
 		// FetchTimeout. (The prober keeps pinging, so a recovered peer is
 		// marked alive again without fetch traffic.)
-		return "", nil, false, false, false, fmt.Errorf("%w: %d (peer dead)", ErrNoPeer, owner)
+		return nil, fmt.Errorf("%w: %d (peer dead)", ErrNoPeer, owner)
 	}
 	probe, admitErr := n.admitFetch(owner)
 	if admitErr != nil {
 		// Breaker open: fail fast like the dead-peer path so the caller
 		// degrades to local execution without paying FetchTimeout.
-		return "", nil, false, false, false, admitErr
+		return nil, admitErr
 	}
 	n.mu.Lock()
 	link := n.peers[owner]
 	n.mu.Unlock()
 	if link == nil {
 		n.settleFetch(owner, probe, 0, fetchNeutral)
-		return "", nil, false, false, false, fmt.Errorf("%w: %d", ErrNoPeer, owner)
-	}
-	if n.cfg.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.cfg.FetchTimeout)
-		defer cancel()
+		return nil, fmt.Errorf("%w: %d", ErrNoPeer, owner)
 	}
 
 	link.mu.Lock()
 	if link.closed {
 		link.mu.Unlock()
 		n.settleFetch(owner, probe, 0, fetchFailed)
-		return "", nil, false, false, false, fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
+		return nil, fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
 	}
 	link.nextSeq++
 	seq := link.nextSeq
-	ch := make(chan *wire.FetchReply, 1)
-	link.pending[seq] = ch
+	w := waiterPool.Get().(*fetchWaiter)
+	link.pending[seq] = w.ch
 	link.mu.Unlock()
 
 	start := time.Now()
-	if err := link.send(&wire.Fetch{Seq: seq, Key: key, Flags: flags}); err != nil {
-		link.mu.Lock()
-		delete(link.pending, seq)
-		link.mu.Unlock()
-		n.settleFetch(owner, probe, 0, fetchFailed)
-		return "", nil, false, false, false, fmt.Errorf("cluster: fetch from %d: %w", owner, err)
-	}
-
-	select {
-	case reply, open := <-ch:
-		if !open {
-			n.settleFetch(owner, probe, 0, fetchFailed)
-			return "", nil, false, false, false, fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
+	err := link.send(&wire.Fetch{Seq: seq, Key: key, Flags: flags})
+	if err == nil {
+		w.timer.Reset(n.cfg.FetchTimeout)
+		select {
+		case reply, open := <-w.ch:
+			if !w.timer.Stop() {
+				// Fired meanwhile: take the tick out before the timer is reused.
+				select {
+				case <-w.timer.C:
+				default:
+				}
+			}
+			if open {
+				n.settleFetch(owner, probe, time.Since(start), fetchOK)
+				waiterPool.Put(w)
+				return reply, nil
+			}
+			err = fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
+		case <-w.timer.C:
+			err = ctxFetchErr(context.DeadlineExceeded)
+		case <-ctx.Done():
+			w.timer.Stop()
+			err = ctxFetchErr(ctx.Err())
 		}
-		n.settleFetch(owner, probe, time.Since(start), fetchOK)
-		return reply.ContentType, reply.Body, reply.OK, reply.Executed, reply.Stored, nil
-	case <-ctx.Done():
-		link.mu.Lock()
-		delete(link.pending, seq)
-		link.mu.Unlock()
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			// A fetch that ran into its deadline says the peer is slow or
-			// unresponsive: count it against the score. A cancellation by
-			// the caller (hedge loser, client disconnect) says nothing
-			// about the peer and must stay neutral.
-			n.settleFetch(owner, probe, 0, fetchFailed)
-		} else {
-			n.settleFetch(owner, probe, 0, fetchNeutral)
-		}
-		return "", nil, false, false, false, ctxFetchErr(ctx.Err())
+	} else {
+		err = fmt.Errorf("cluster: fetch from %d: %w", owner, err)
 	}
+	link.mu.Lock()
+	delete(link.pending, seq)
+	link.mu.Unlock()
+	outcome := fetchFailed // a failed send or a missed deadline counts against the peer
+	if errors.Is(err, context.Canceled) {
+		// The caller gave up (hedge loser, client gone): says nothing about it.
+		outcome = fetchNeutral
+	}
+	n.settleFetch(owner, probe, 0, outcome)
+	return nil, err
 }
 
 // ctxFetchErr maps a context failure onto the cluster error vocabulary while

@@ -36,14 +36,13 @@ func (h *recordingHandler) HandleDelete(m *wire.Delete) {
 	h.mu.Unlock()
 }
 
-func (h *recordingHandler) HandleFetch(key string) (string, []byte, bool) {
+func (h *recordingHandler) HandleFetch(key string, _ uint8, r *wire.FetchReply) func() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	body, ok := h.bodies[key]
-	if !ok {
-		return "", nil, false
+	if body, ok := h.bodies[key]; ok {
+		r.OK, r.ContentType, r.Body = true, "text/html", []byte(body)
 	}
-	return "text/html", []byte(body), true
+	return nil
 }
 
 func (h *recordingHandler) HandleStats() wire.StatsReply {

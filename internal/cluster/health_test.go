@@ -296,7 +296,7 @@ func (h *blockingFetchHandler) entered() chan struct{} {
 	return h.in
 }
 
-func (h *blockingFetchHandler) HandleFetch(string) (string, []byte, bool) {
+func (h *blockingFetchHandler) HandleFetch(string, uint8, *wire.FetchReply) func() {
 	h.mu.Lock()
 	if h.in == nil {
 		h.in = make(chan struct{})
@@ -309,7 +309,7 @@ func (h *blockingFetchHandler) HandleFetch(string) (string, []byte, bool) {
 		close(in)
 	}
 	<-h.release
-	return "", nil, false
+	return nil
 }
 
 // blockingInsertHandler blocks HandleInsert (which runs synchronously in the

@@ -53,7 +53,7 @@ func (h *dirHandler) HandleInsert(m *wire.Insert) {
 
 func (h *dirHandler) HandleDelete(m *wire.Delete) { h.dir.ApplyDelete(m.Owner, m.Key) }
 
-func (h *dirHandler) HandleFetch(string) (string, []byte, bool) { return "", nil, false }
+func (h *dirHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return nil }
 
 func (h *dirHandler) HandleStats() wire.StatsReply { return wire.StatsReply{} }
 

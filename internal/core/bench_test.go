@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/cgi"
 	"repro/internal/httpclient"
+	"repro/internal/httpmsg"
+	"repro/internal/lease"
 	"repro/internal/netx"
 )
 
@@ -135,3 +137,23 @@ func BenchmarkDuplicateMissesUncoalesced(b *testing.B) { benchDuplicateMissWave(
 // BenchmarkDuplicateMissesCoalesced runs the same wave with single-flight
 // miss coalescing: one execution per wave, the rest piggyback.
 func BenchmarkDuplicateMissesCoalesced(b *testing.B) { benchDuplicateMissWave(b, true) }
+
+func benchRemoteServe(b *testing.B, id int) {
+	lease.PoisonOnRelease(false)
+	defer lease.PoisonOnRelease(true)
+	srv := startLeasePair(b, 16, nil)
+	req := httpmsg.NewRequest("GET", leaseURI(id))
+	want := len(leaseBody(id))
+	remoteServe(b, srv[1], req, want)
+	b.SetBytes(int64(want))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		remoteServe(b, srv[1], req, want)
+	}
+}
+
+// BenchmarkRemoteServe2k and 32k time one remote hit across two in-process
+// nodes on loopback TCP; allocs/op and B/op cover both nodes.
+func BenchmarkRemoteServe2k(b *testing.B)  { benchRemoteServe(b, 1) }
+func BenchmarkRemoteServe32k(b *testing.B) { benchRemoteServe(b, 8) }

@@ -1153,7 +1153,7 @@ func (s *Server) serveDynamic(ctx context.Context, req *httpmsg.Request) *httpms
 	if result.Source != "" {
 		resp.Header.Set("X-Swala-Cache", result.Source)
 	}
-	resp.Body = result.Body
+	resp.Body, resp.Release = result.Body, result.Release
 	return resp
 }
 
@@ -1308,22 +1308,43 @@ func (h *clusterHandler) HandleDelete(m *wire.Delete) {
 // HandleFetch implements cluster.Handler: serve a peer's fetch from the
 // local store, updating owner-side statistics as in the paper ("the cache
 // manager on the node that owns the item updates meta-data statistics").
-func (h *clusterHandler) HandleFetch(key string) (string, []byte, bool) {
+// Ring flags: a takeover hands the body to its new owner; a replica pull is an
+// ordinary serve whose copy stays here; FetchExecute is a miss routed here as
+// the ring's owner — an ordinary serve when cached, otherwise executed here and
+// announced by caching, so the next request for the key, anywhere, finds it.
+func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply) (release func()) {
 	s := h.server()
+	if flags&wire.FetchTakeover != 0 {
+		r.ContentType, r.Body, r.OK = s.serveTakeover(key)
+		return nil
+	}
+	e, ok := s.dir.LookupLocal(key, s.clk.Now())
+	if !ok && flags&wire.FetchExecute != 0 {
+		if s.shedLevel() >= shedLevelExecute {
+			// Routed executions are the cheapest work to refuse: the requester
+			// already has the request and can execute it locally, so shedding
+			// here spreads a hot owner's overload across the cluster instead
+			// of queueing it all on one node.
+			s.shed.shedRemote.Add(1)
+			return nil
+		}
+		r.Executed = true
+		r.ContentType, r.Body, r.Stored, r.OK = s.executeAsOwner(key)
+		return nil
+	}
 	if s.shedLevel() >= shedLevelServe {
 		// Past the high watermark even remote serves are refused: the
 		// requester falls back to executing locally (a false hit), moving
 		// the work to a node with headroom.
 		s.shed.shedRemote.Add(1)
-		return "", nil, false
+		return nil
 	}
-	e, ok := s.dir.LookupLocal(key, s.clk.Now())
 	if !ok {
-		return "", nil, false
+		return nil
 	}
-	ct, body, err := s.store.Get(key)
+	ct, body, release, err := store.GetLeased(s.store, key)
 	if err != nil {
-		return "", nil, false
+		return nil
 	}
 	// The owner reads the cache file and ships it to the peer: the same
 	// file-fetch cost as a local hit plus the remote-serve overhead.
@@ -1340,7 +1361,8 @@ func (h *clusterHandler) HandleFetch(key string) (string, []byte, bool) {
 			s.rep.replicaServes.Add(1)
 		}
 	}
-	return ct, body, true
+	r.OK, r.ContentType, r.Body = true, ct, body
+	return release
 }
 
 // AdminOrigin marks an invalidation sent by an administrative client

@@ -92,12 +92,9 @@ type remoteCall struct {
 
 // remoteResult is the outcome of a (possibly hedged) remote fetch.
 type remoteResult struct {
-	ct       string
-	body     []byte
-	found    bool
-	executed bool
-	stored   bool
-	err      error
+	// reply is the owner's answer (nil when err is set), the taker's to release.
+	reply *wire.FetchReply
+	err   error
 	// from is the peer that produced the result; hedged reports it was the
 	// backup rather than the primary.
 	from   uint32
@@ -152,12 +149,11 @@ func (s *Server) hedgeAltFor(e directory.Entry, target uint32, viaReplica bool) 
 func (s *Server) fetchRemote(ctx context.Context, key string, pri remoteCall, alt *remoteCall) remoteResult {
 	h := s.hedge
 	if h == nil {
-		ct, body, found, executed, stored, err := s.clu.FetchRing(ctx, pri.target, key, pri.flags)
+		reply, err := s.clu.FetchRing(ctx, pri.target, key, pri.flags)
 		if errors.Is(err, cluster.ErrPeerTripped) {
 			s.breakerFastFails.Add(1)
 		}
-		return remoteResult{ct: ct, body: body, found: found, executed: executed,
-			stored: stored, err: err, from: pri.target}
+		return remoteResult{reply: reply, err: err, from: pri.target}
 	}
 	h.primaries.Add(1)
 	h.earn()
@@ -171,9 +167,8 @@ func (s *Server) fetchRemote(ctx context.Context, key string, pri remoteCall, al
 	ch := make(chan remoteResult, 2)
 	launch := func(cctx context.Context, call remoteCall, hedged bool) {
 		go func() {
-			ct, body, found, executed, stored, err := s.clu.FetchRing(cctx, call.target, key, call.flags)
-			ch <- remoteResult{ct: ct, body: body, found: found, executed: executed,
-				stored: stored, err: err, from: call.target, hedged: hedged}
+			reply, err := s.clu.FetchRing(cctx, call.target, key, call.flags)
+			ch <- remoteResult{reply: reply, err: err, from: call.target, hedged: hedged}
 		}()
 	}
 	launch(pctx, pri, false)
@@ -199,7 +194,7 @@ func (s *Server) fetchRemote(ctx context.Context, key string, pri remoteCall, al
 				if outstanding > 0 {
 					// The deferred cancel aborts the loser; FetchRing returns
 					// on context death, and the buffered channel absorbs its
-					// late result.
+					// late result (a reply nobody releases is collected).
 					h.abandoned.Add(1)
 				}
 				return r

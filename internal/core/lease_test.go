@@ -1,0 +1,263 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cgi"
+	"repro/internal/httpclient"
+	"repro/internal/httpmsg"
+	"repro/internal/lease"
+	"repro/internal/store"
+)
+
+// TestMain runs the whole package with released buffers poisoned: any test
+// whose served body is read after its lease ended sees 0xDB bytes.
+func TestMain(m *testing.M) {
+	lease.PoisonOnRelease(true)
+	os.Exit(m.Run())
+}
+
+// leaseBody is key id's body: most are 2 KiB and up, every eighth 32 KiB and
+// up, every sixteenth larger than the wire reader's buffer.
+func leaseBody(id int) []byte {
+	n := 2048 + id
+	switch {
+	case id%16 == 0:
+		n = 70_000 + id
+	case id%8 == 0:
+		n = 32<<10 + id
+	}
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31 + id)
+	}
+	return b
+}
+
+type leaseProgram struct{}
+
+func (leaseProgram) Run(_ context.Context, req cgi.Request) (cgi.Result, error) {
+	id, err := strconv.Atoi(strings.TrimPrefix(req.Query, "k="))
+	return cgi.Result{Status: 200, ContentType: "application/octet-stream", Body: leaseBody(id)}, err
+}
+
+func leaseURI(id int) string { return "/cgi-bin/lease?k=" + strconv.Itoa(id) }
+
+// startLeasePair starts two cooperative nodes on log stores over loopback TCP,
+// meshes them, and warms keys 0..keys-1 at node 0, waiting until node 1 sees
+// every one of them.
+func startLeasePair(tb testing.TB, keys int, mutate func(i int, cfg *Config)) []*Server {
+	tb.Helper()
+	srv := make([]*Server, 2)
+	for i := range srv {
+		st, _, err := store.OpenLog(filepath.Join(tb.TempDir(), "log"), store.LogOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg := Config{
+			NodeID: uint32(i + 1), Mode: Cooperative, Store: st,
+			Costs: CostModel{SpawnCost: time.Nanosecond}, PurgeInterval: time.Hour,
+		}
+		if mutate != nil {
+			mutate(i, &cfg)
+		}
+		s := New(cfg)
+		s.CGI().Register("/cgi-bin/lease", leaseProgram{})
+		if err := s.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
+			tb.Skipf("loopback unavailable: %v", err)
+		}
+		tb.Cleanup(func() { s.Close() })
+		srv[i] = s
+	}
+	for i, s := range srv {
+		if err := s.ConnectPeer(uint32(2-i), srv[1-i].ClusterAddr()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for id := 0; id < keys; id++ {
+		resp := srv[0].ServeRequest(ctx, httpmsg.NewRequest("GET", leaseURI(id)))
+		if resp.StatusCode != 200 {
+			tb.Fatalf("warming key %d: status %d", id, resp.StatusCode)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for id := 0; id < keys; id++ {
+		for {
+			if _, ok := srv[1].Directory().Lookup("GET "+leaseURI(id), time.Now()); ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				tb.Fatalf("key %d never became visible at node 2", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return srv
+}
+
+// TestLeasePoisonedServe is the poison test of the lease rule: 8 goroutines ×
+// 64 distinct keys of local hits (node 1) and remote hits (node 2) through
+// real httpserver connections, every byte verified while released buffers are
+// overwritten and handed to the next lease.
+func TestLeasePoisonedServe(t *testing.T) {
+	const keys, workers = 64, 8
+	srv := startLeasePair(t, keys, nil)
+	want := make([][]byte, keys)
+	for id := range want {
+		want[id] = leaseBody(id)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			client := httpclient.New(nil)
+			defer client.Close()
+			for round := 0; round < 3; round++ {
+				for i := 0; i < keys; i++ {
+					id := (i*7 + g*5) % keys
+					node, class := (g+i+round)%2, "local"
+					if node == 1 {
+						class = "remote"
+					}
+					resp, err := client.Get(srv[node].HTTPAddr(), leaseURI(id))
+					if err != nil {
+						t.Errorf("key %d at node %d: %v", id, node+1, err)
+						return
+					}
+					if got := resp.Header.Get("X-Swala-Cache"); got != class {
+						t.Errorf("key %d at node %d: class %q, want %q", id, node+1, got, class)
+					}
+					if !bytes.Equal(resp.Body, want[id]) {
+						t.Errorf("key %d at node %d (%s): body of %d bytes differs from the %d expected", id, node+1, class, len(resp.Body), len(want[id]))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestLeaseReleaseEndsTheBody pins the rule at ServeRequest: the body of a
+// local and of a remote hit is intact until Release and gone after it, Release
+// is idempotent, and a response that is never released keeps its body.
+func TestLeaseReleaseEndsTheBody(t *testing.T) {
+	srv := startLeasePair(t, 4, nil)
+	ctx := context.Background()
+	for node, class := range []string{"local", "remote"} {
+		kept := srv[node].ServeRequest(ctx, httpmsg.NewRequest("GET", leaseURI(1)))
+		resp := srv[node].ServeRequest(ctx, httpmsg.NewRequest("GET", leaseURI(2)))
+		if resp.Header.Get("X-Swala-Cache") != class || !bytes.Equal(resp.Body, leaseBody(2)) {
+			t.Fatalf("%s hit: class %q, body intact %v", class, resp.Header.Get("X-Swala-Cache"), bytes.Equal(resp.Body, leaseBody(2)))
+		}
+		if resp.Release == nil {
+			t.Fatalf("%s hit carries no lease", class)
+		}
+		body := resp.Body
+		resp.Release()
+		resp.Release()
+		if bytes.Equal(body, leaseBody(2)) {
+			t.Fatalf("%s hit: body still readable after Release", class)
+		}
+		// Churn the pool: the unreleased response must not be affected.
+		for i := 0; i < 50; i++ {
+			r := srv[node].ServeRequest(ctx, httpmsg.NewRequest("GET", leaseURI(3)))
+			r.Release()
+		}
+		if !bytes.Equal(kept.Body, leaseBody(1)) {
+			t.Fatalf("%s hit: an unreleased body changed under its holder", class)
+		}
+	}
+}
+
+// TestLeaseFalseHitFallsBack: the owner answers OK=false (its entry is gone);
+// the requester releases that reply and serves a locally executed body.
+func TestLeaseFalseHitFallsBack(t *testing.T) {
+	srv := startLeasePair(t, 8, nil)
+	for id := 0; id < 8; id++ {
+		// Drop the body behind the owner's directory: every fetch is a false hit.
+		if err := srv[0].Store().Delete("GET " + leaseURI(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := httpclient.New(nil)
+	defer client.Close()
+	for round := 0; round < 2; round++ {
+		for id := 0; id < 8; id++ {
+			resp, err := client.Get(srv[1].HTTPAddr(), leaseURI(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Body, leaseBody(id)) {
+				t.Fatalf("key %d after a false hit: wrong body (class %q)", id, resp.Header.Get("X-Swala-Cache"))
+			}
+		}
+	}
+	if got := srv[1].Counters().FalseHits; got == 0 {
+		t.Fatal("no false hit was counted")
+	}
+}
+
+// TestLeaseHedgeLoserDropped: with a hedge trigger of zero every routed fetch
+// abandons its primary, whose reply then arrives for a fetch that has gone;
+// bodies stay correct and later fetches are not handed the stale replies.
+func TestLeaseHedgeLoserDropped(t *testing.T) {
+	srv := startLeasePair(t, 16, func(i int, cfg *Config) {
+		cfg.Hedge = true
+		cfg.HedgeTrigger, cfg.HedgeMinTrigger = time.Nanosecond, time.Nanosecond
+		cfg.RetryBudgetRatio, cfg.RetryBudgetBurst = 1, 1000
+	})
+	client := httpclient.New(nil)
+	defer client.Close()
+	for round := 0; round < 4; round++ {
+		for id := 0; id < 16; id++ {
+			resp, err := client.Get(srv[1].HTTPAddr(), leaseURI(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp.Body, leaseBody(id)) {
+				t.Fatalf("key %d (class %q): wrong body", id, resp.Header.Get("X-Swala-Cache"))
+			}
+		}
+	}
+}
+
+// remoteServe is one in-process remote serve, released as httpserver would.
+func remoteServe(tb testing.TB, s *Server, req *httpmsg.Request, want int) {
+	resp := s.ServeRequest(context.Background(), req)
+	if len(resp.Body) != want {
+		tb.Fatalf("served %d bytes (class %q), want %d", len(resp.Body), resp.Header.Get("X-Swala-Cache"), want)
+	}
+	if resp.Release != nil {
+		resp.Release()
+	}
+}
+
+// TestLeaseServeAllocBudget holds the allocation budgets of the leased paths:
+// an in-process two-node remote serve (both nodes' allocations count) and a
+// log-store local serve.
+func TestLeaseServeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put")
+	}
+	srv := startLeasePair(t, 4, nil)
+	req := httpmsg.NewRequest("GET", leaseURI(1))
+	want := len(leaseBody(1))
+	for node, budget := range []float64{8, 16} { // local (7 measured), remote (14; 30 before leases)
+		s := srv[node]
+		remoteServe(t, s, req, want)
+		if got := testing.AllocsPerRun(500, func() { remoteServe(t, s, req, want) }); got > budget {
+			t.Errorf("node %d serve: %.1f allocs, budget %.0f", node+1, got, budget)
+		}
+	}
+}

@@ -208,7 +208,7 @@ func (st *localStage) Fetch(ctx context.Context, key string, hint any) (fetchpip
 		}
 		return fetchpipe.Defer(hint)
 	}
-	ct, body, err := s.store.Get(key)
+	ct, body, release, err := store.GetLeased(s.store, key)
 	if err != nil {
 		s.logf("local cache body missing for %q: %v", key, err)
 		s.dir.RemoveLocal(key)
@@ -217,11 +217,14 @@ func (st *localStage) Fetch(ctx context.Context, key string, hint any) (fetchpip
 	// A cache fetch "in effect becomes a file fetch".
 	cost := s.cfg.Costs.FileBaseCost + time.Duration(len(body))*s.cfg.Costs.PerByte
 	if _, err := s.node.Run(ctx, cost); err != nil {
+		if release != nil {
+			release()
+		}
 		return fetchpipe.Result{}, fetchpipe.CtxErr(err)
 	}
 	s.dir.TouchLocal(key)
 	s.counters.LocalHit()
-	return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: "local"}, nil
+	return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: "local", Release: release}, nil
 }
 
 // --- remote stage ---
@@ -252,8 +255,7 @@ func (st *remoteStage) Fetch(ctx context.Context, key string, hint any) (fetchpi
 		s.counters.FalseHit()
 		return fetchpipe.Defer(dirMiss{})
 	}
-	ct, body, found, err := r.ct, r.body, r.found, r.err
-	if err != nil {
+	if err := r.err; err != nil {
 		if ctx.Err() != nil {
 			return fetchpipe.Result{}, fetchpipe.CtxErr(ctx.Err())
 		}
@@ -262,9 +264,11 @@ func (st *remoteStage) Fetch(ctx context.Context, key string, hint any) (fetchpi
 		s.counters.FalseHit()
 		return fetchpipe.Defer(dirMiss{})
 	}
-	if !found {
+	reply := r.reply
+	if !reply.OK {
 		// Remote node deleted the entry; reflect that locally so we stop
 		// asking.
+		reply.Release()
 		s.dir.ApplyDelete(e.Owner, key)
 		s.counters.FalseHit()
 		return fetchpipe.Defer(dirMiss{})
@@ -274,12 +278,20 @@ func (st *remoteStage) Fetch(ctx context.Context, key string, hint any) (fetchpi
 	// owner; the peer's read/serve cost is charged on the owner's CPU in
 	// HandleFetch.
 	cost := s.cfg.Costs.RemoteFetchCost + s.cfg.Costs.FileBaseCost +
-		time.Duration(len(body))*s.cfg.Costs.PerByte
+		time.Duration(len(reply.Body))*s.cfg.Costs.PerByte
 	if _, err := s.node.Run(ctx, cost); err != nil {
+		reply.Release()
 		return fetchpipe.Result{}, fetchpipe.CtxErr(err)
 	}
 	s.counters.RemoteHit()
-	return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: "remote"}, nil
+	return remoteHit(reply, "remote"), nil
+}
+
+// remoteHit packages a fetched reply as a stage result; whoever consumes it
+// releases the frame.
+func remoteHit(reply *wire.FetchReply, source string) fetchpipe.Result {
+	return fetchpipe.Result{Status: 200, ContentType: reply.ContentType, Body: reply.Body,
+		Source: source, Release: reply.Release}
 }
 
 // --- ring stage ---
@@ -337,10 +349,10 @@ func (st *ringStage) Fetch(ctx context.Context, key string, hint any) (fetchpipe
 		target = r.from
 		viaReplica = target != e.Owner
 	}
-	ct, body, found, executed, stored, err := r.ct, r.body, r.found, r.executed, r.stored, r.err
-	if viaReplica && (err != nil || !found) && ctx.Err() == nil {
+	if viaReplica && (r.err != nil || !r.reply.OK) && ctx.Err() == nil {
 		// The holder is gone or already dropped its copy: stop routing there
 		// and retry once at the home owner, which can always execute.
+		r.reply.Release()
 		s.dir.RemoveReplica(key, target)
 		target, viaReplica = e.Owner, false
 		r = s.fetchRemote(ctx, key, remoteCall{target: target, flags: wire.FetchExecute}, nil)
@@ -348,9 +360,8 @@ func (st *ringStage) Fetch(ctx context.Context, key string, hint any) (fetchpipe
 			s.counters.FalseHit()
 			return fetchpipe.Defer(dirMiss{})
 		}
-		ct, body, found, executed, stored, err = r.ct, r.body, r.found, r.executed, r.stored, r.err
 	}
-	if err != nil {
+	if err := r.err; err != nil {
 		if ctx.Err() != nil {
 			return fetchpipe.Result{}, fetchpipe.CtxErr(ctx.Err())
 		}
@@ -359,32 +370,35 @@ func (st *ringStage) Fetch(ctx context.Context, key string, hint any) (fetchpipe
 		s.counters.FalseHit()
 		return fetchpipe.Defer(dirMiss{})
 	}
-	if !found {
+	reply := r.reply
+	if !reply.OK {
 		// The owner could neither serve nor execute; run it ourselves.
+		reply.Release()
 		s.counters.FalseHit()
 		return fetchpipe.Defer(dirMiss{})
 	}
 	cost := s.cfg.Costs.RemoteFetchCost + s.cfg.Costs.FileBaseCost +
-		time.Duration(len(body))*s.cfg.Costs.PerByte
+		time.Duration(len(reply.Body))*s.cfg.Costs.PerByte
 	if _, err := s.node.Run(ctx, cost); err != nil {
+		reply.Release()
 		return fetchpipe.Result{}, fetchpipe.CtxErr(err)
 	}
-	if executed {
+	if reply.Executed {
 		// The owner ran the CGI: a miss for the cluster (the owner itself
 		// counts only the insert), served through the owner so the next
 		// request anywhere is a remote hit.
-		if s.rep != nil && !stored {
+		if s.rep != nil && !reply.Stored {
 			s.rep.noteCold(key, s.clk.Now())
 		}
 		s.counters.Miss()
-		return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: "owner"}, nil
+		return remoteHit(reply, "owner"), nil
 	}
 	s.counters.RemoteHit()
 	source := "remote"
 	if viaReplica {
 		source = "replica"
 	}
-	return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: source}, nil
+	return remoteHit(reply, source), nil
 }
 
 // --- origin stage ---

@@ -360,12 +360,15 @@ func (s *Server) pullReplica(t replicaPull) {
 		return
 	}
 	startVer := s.invVersion()
-	ct, body, ok, _, _, err := s.clu.FetchRing(context.Background(), t.home, key, wire.FetchReplica)
+	reply, err := s.clu.FetchRing(context.Background(), t.home, key, wire.FetchReplica)
 	if err != nil {
 		s.logf("replica pull %q from %d: %v", key, t.home, err)
 		return
 	}
-	if !ok {
+	// The store copies what it is given, so the frame goes back on every exit.
+	defer reply.Release()
+	ct, body := reply.ContentType, reply.Body
+	if !reply.OK {
 		return // home no longer has it
 	}
 	if s.invStale(key, startVer) {

@@ -311,18 +311,18 @@ func (s *Server) handoffWorker() {
 // instantly and the entries would strand at the old owner until a routed
 // miss re-executes them. Any other error stays fatal to the pull — those
 // returns are benign (the body remains serveable at the old owner).
-func (s *Server) takeoverFetch(owner uint32, key string) (string, []byte, bool, error) {
+func (s *Server) takeoverFetch(owner uint32, key string) (*wire.FetchReply, error) {
 	for attempt := 0; ; attempt++ {
-		ct, body, ok, _, _, err := s.clu.FetchRing(context.Background(), owner, key, wire.FetchTakeover)
+		reply, err := s.clu.FetchRing(context.Background(), owner, key, wire.FetchTakeover)
 		if err == nil || !errors.Is(err, cluster.ErrNoPeer) || attempt >= 40 {
-			return ct, body, ok, err
+			return reply, err
 		}
 		if r := s.clu.Ring(); r == nil || !r.Contains(owner) {
-			return ct, body, ok, err
+			return nil, err
 		}
 		select {
 		case <-s.purgeStop:
-			return ct, body, ok, err
+			return nil, err
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
@@ -350,18 +350,23 @@ func (s *Server) pullHandoff(t handoffTask) {
 		// A routed miss already executed here before the pull ran — we have a
 		// fresher body than the old owner's. Still send the takeover so the
 		// old owner relinquishes its now-misplaced copy; discard the body.
-		if _, _, _, err := s.takeoverFetch(t.owner, key); err != nil {
+		reply, err := s.takeoverFetch(t.owner, key)
+		if err != nil {
 			s.logf("handoff release %q at %d: %v", key, t.owner, err)
 		}
+		reply.Release()
 		return
 	}
 	startVer := s.invVersion()
-	ct, body, ok, err := s.takeoverFetch(t.owner, key)
+	reply, err := s.takeoverFetch(t.owner, key)
 	if err != nil {
 		s.logf("handoff pull %q from %d: %v", key, t.owner, err)
 		return
 	}
-	if !ok {
+	// The store copies what it is given, so the frame goes back on every exit.
+	defer reply.Release()
+	ct, body := reply.ContentType, reply.Body
+	if !reply.OK {
 		return // old owner no longer has it (expired or evicted there)
 	}
 	if s.invStale(key, startVer) {
@@ -394,41 +399,6 @@ func (s *Server) pullHandoff(t handoffTask) {
 	}
 	s.handoffIn.Add(1)
 	s.handoffBytes.Add(uint64(len(body)))
-}
-
-// HandleFetchRing implements cluster.RingHandler: a peer fetch carrying
-// placement flags.
-func (h *clusterHandler) HandleFetchRing(key string, flags uint8) (contentType string, body []byte, executed, stored, ok bool) {
-	s := h.server()
-	if flags&wire.FetchTakeover != 0 {
-		ct, b, served := s.serveTakeover(key)
-		return ct, b, false, false, served
-	}
-	if flags&wire.FetchReplica != 0 {
-		// A holder pulling a hot entry's body for replication: an ordinary
-		// remote serve (charged and load-tracked by HandleFetch), except the
-		// copy stays here — the whole point is more serving copies.
-		ct, b, served := h.HandleFetch(key)
-		return ct, b, false, false, served
-	}
-	// FetchExecute: a miss routed here because the ring names us the owner.
-	// Serve from cache when we have it (an ordinary remote hit for the
-	// requester); otherwise execute here and announce by caching, so the next
-	// request for the key — on any node — finds it.
-	if _, cached := s.dir.LookupLocal(key, s.clk.Now()); cached {
-		ct, b, served := h.HandleFetch(key)
-		return ct, b, false, false, served
-	}
-	if s.shedLevel() >= shedLevelExecute {
-		// Routed executions are the cheapest work to refuse: the requester
-		// already has the request and can execute it locally, so shedding
-		// here spreads a hot owner's overload across the cluster instead
-		// of queueing it all on one node.
-		s.shed.shedRemote.Add(1)
-		return "", nil, false, false, false
-	}
-	ct, b, stored, served := s.executeAsOwner(key)
-	return ct, b, true, stored, served
 }
 
 // serveTakeover serves one handed-off body to its new owner and drops the

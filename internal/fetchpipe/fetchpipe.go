@@ -41,6 +41,9 @@ type Result struct {
 	// "coalesced", "stale-revalidate" (an invalidated body served during its
 	// stale-while-revalidate window), or "" for a plain origin execution.
 	Source string
+	// Release, when not nil, ends the lease Body is read under (package lease):
+	// the consumer calls it once Body is written out, and copies to keep.
+	Release func()
 
 	// hint carries per-walk scratch from a deferring stage to its successor
 	// (see Defer). It rides inside Result so deferral needs no allocation;

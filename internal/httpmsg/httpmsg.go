@@ -158,6 +158,9 @@ type Response struct {
 	Status     string // reason phrase; derived from StatusCode when empty
 	Header     Header
 	Body       []byte
+	// Release, when not nil, ends Body's lease (package lease); the connection
+	// loop calls it once the response is written.
+	Release func()
 }
 
 // NewResponse builds a response with an initialized header map.

@@ -188,7 +188,11 @@ func (s *Server) handleConn(conn net.Conn) {
 			resp.Header.Set("Connection", "close")
 		}
 		s.served.Add(1)
-		if err := httpmsg.WriteResponse(writer, resp); err != nil {
+		err = httpmsg.WriteResponse(writer, resp)
+		if resp.Release != nil {
+			resp.Release()
+		}
+		if err != nil {
 			s.logf("write response: %v", err)
 			return
 		}

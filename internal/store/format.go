@@ -89,15 +89,22 @@ var errShortRecord = errors.New("record shorter than its header declares")
 // parse to that); every malformation is reported as ErrCorrupt, with
 // too-few-bytes cases also matching errShortRecord.
 func parseEntryRecord(data []byte) (entryMeta, int, error) {
-	var m entryMeta
+	key, ct, m, n, err := parseRecordFields(data)
+	m.Key, m.ContentType = string(key), string(ct)
+	return m, n, err
+}
+
+// parseRecordFields is parseEntryRecord with the key and the content type
+// left as slices of data, for a reader that only compares them.
+func parseRecordFields(data []byte) (key, ct []byte, m entryMeta, n int, err error) {
 	if len(data) < entryFixedSize {
-		return m, 0, fmt.Errorf("%w: %w: %d bytes, want at least %d", ErrCorrupt, errShortRecord, len(data), entryFixedSize)
+		return nil, nil, m, 0, fmt.Errorf("%w: %w: %d bytes, want at least %d", ErrCorrupt, errShortRecord, len(data), entryFixedSize)
 	}
 	if [4]byte(data[:4]) != entryMagic {
-		return m, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:4])
+		return nil, nil, m, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:4])
 	}
 	if data[4] != entryVersion {
-		return m, 0, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, data[4])
+		return nil, nil, m, 0, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, data[4])
 	}
 	off := crcOffset + 4
 
@@ -116,19 +123,15 @@ func parseEntryRecord(data []byte) (entryMeta, int, error) {
 		off += n
 		return b, nil
 	}
-	key, err := next("key")
-	if err != nil {
-		return m, 0, err
+	if key, err = next("key"); err != nil {
+		return nil, nil, m, 0, err
 	}
-	ct, err := next("content type")
-	if err != nil {
-		return m, 0, err
+	if ct, err = next("content type"); err != nil {
+		return nil, nil, m, 0, err
 	}
 	if len(data)-off < 16 {
-		return m, 0, fmt.Errorf("%w: %w: meta fields", ErrCorrupt, errShortRecord)
+		return nil, nil, m, 0, fmt.Errorf("%w: %w: meta fields", ErrCorrupt, errShortRecord)
 	}
-	m.Key = string(key)
-	m.ContentType = string(ct)
 	m.ExecTime = time.Duration(binary.BigEndian.Uint64(data[off:]))
 	exp := int64(binary.BigEndian.Uint64(data[off+8:]))
 	if exp != 0 {
@@ -137,24 +140,11 @@ func parseEntryRecord(data []byte) (entryMeta, int, error) {
 	off += 16
 	body, err := next("body")
 	if err != nil {
-		return m, 0, err
+		return nil, nil, m, 0, err
 	}
 	m.bodyLen = len(body)
 	m.bodyOff = off - len(body)
-	return m, off, nil
-}
-
-// parseEntryHeader structurally decodes a whole-file entry buffer without
-// verifying the checksum: one record, nothing after it.
-func parseEntryHeader(data []byte) (entryMeta, error) {
-	m, n, err := parseEntryRecord(data)
-	if err != nil {
-		return m, err
-	}
-	if n != len(data) {
-		return m, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
-	}
-	return m, nil
+	return key, ct, m, off, nil
 }
 
 // decodeRecord parses and checksum-verifies the record at the start of data,
@@ -173,12 +163,23 @@ func decodeRecord(data []byte) (entryMeta, []byte, int, error) {
 // decodeEntry parses and checksum-verifies an entry buffer, returning the
 // meta-data and the body (aliasing data).
 func decodeEntry(data []byte) (entryMeta, []byte, error) {
-	m, err := parseEntryHeader(data)
+	key, ct, m, body, err := verifyRecord(data)
+	m.Key, m.ContentType = string(key), string(ct)
+	return m, body, err
+}
+
+// verifyRecord is decodeEntry with the key and the content type left as
+// slices of data, for a reader that only compares them.
+func verifyRecord(data []byte) (key, ct []byte, m entryMeta, body []byte, err error) {
+	key, ct, m, n, err := parseRecordFields(data)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-n)
+	}
 	if err != nil {
-		return m, nil, err
+		return nil, nil, m, nil, err
 	}
 	if got, want := crc32.ChecksumIEEE(data[crcOffset+4:]), binary.BigEndian.Uint32(data[crcOffset:]); got != want {
-		return m, nil, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
+		return nil, nil, m, nil, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, want)
 	}
-	return m, data[m.bodyOff : m.bodyOff+m.bodyLen], nil
+	return key, ct, m, data[m.bodyOff : m.bodyOff+m.bodyLen], nil
 }

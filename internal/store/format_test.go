@@ -56,7 +56,7 @@ func TestDecodeEntryRejectsMutations(t *testing.T) {
 	}
 }
 
-// FuzzParseEntryHeader holds parseEntryHeader to its contract: never panic on
+// FuzzParseEntryHeader holds parseEntryRecord to its contract: never panic on
 // arbitrary bytes, and accept-with-fidelity anything encodeEntry produced.
 func FuzzParseEntryHeader(f *testing.F) {
 	f.Add(encodeEntry("GET /cgi-bin/q?a=1", "text/html", []byte("<b>x</b>"), time.Millisecond, time.Unix(0, 1754000000000000000)))
@@ -70,8 +70,8 @@ func FuzzParseEntryHeader(f *testing.F) {
 	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := parseEntryHeader(data)
-		if err != nil {
+		m, n, err := parseEntryRecord(data)
+		if err != nil || n != len(data) {
 			return
 		}
 		// A structurally valid buffer must re-encode to the same bytes once

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/lease"
 )
 
 // Log is the log-structured alternative to the file-per-entry Disk backend.
@@ -491,14 +493,22 @@ func (l *Log) dropIfAt(key string, loc recordLoc) bool {
 	return true
 }
 
-// Get implements Store. The record is read with one ReadAt through its
-// segment's shared handle into one buffer, which the returned body aliases —
-// the buffer is the caller's own. It is checksum-verified on every read; an
-// entry that fails verification is dropped from the index and reported as an
-// error, so a corrupt body is never served. A read that races the cleaner
-// (its segment retired between lookup and read) retries against the updated
-// index.
+// Get implements Store; the body is the caller's own, allocated to size.
 func (l *Log) Get(key string) (string, []byte, error) {
+	ct, body, _, err := l.get(key, false)
+	return ct, body, err
+}
+
+// get reads key's record with one ReadAt through its segment's shared handle
+// into a buffer of its own or, when leased, into a leased one, which the
+// returned body then aliases until the lease (nil on error) is released. The
+// record is checksum-verified on every read; an entry that fails is dropped
+// from the index and reported as an error, so a corrupt body is never served.
+// A read that races the cleaner (its segment retired between lookup and read)
+// retries against the updated index.
+func (l *Log) get(key string, leased bool) (string, []byte, *lease.Buf, error) {
+	var ls *lease.Buf
+	var data []byte
 	for attempt := 0; ; attempt++ {
 		l.mu.RLock()
 		closed := l.closed
@@ -509,50 +519,60 @@ func (l *Log) Get(key string) (string, []byte, error) {
 		}
 		l.mu.RUnlock()
 		if closed {
-			return "", nil, ErrClosed
+			return "", nil, nil, ErrClosed
 		}
 		if !ok {
-			return "", nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+			return "", nil, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 		}
-		data, err := l.readRecord(loc, h)
-		if err != nil {
+		if cap(data) < loc.n {
+			ls.Release()
+			if leased {
+				ls = new(lease.Buf) // a Buf leases once
+				ls.Lease(loc.n)
+				data = ls.B
+			} else {
+				data = make([]byte, loc.n)
+			}
+		}
+		data = data[:loc.n]
+		if err := l.readRecord(data, loc, h); err != nil {
 			if errors.Is(err, iofs.ErrNotExist) && attempt < 4 {
 				continue // the cleaner retired the segment under us; re-look up
 			}
-			return "", nil, fmt.Errorf("store: reading %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
+			ls.Release()
+			return "", nil, nil, fmt.Errorf("store: reading %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
 		}
-		meta, body, err := decodeEntry(data)
-		if err == nil && meta.Key != key {
-			err = fmt.Errorf("%w: record holds key %q", ErrCorrupt, meta.Key)
+		k, ct, _, body, err := verifyRecord(data)
+		if err == nil && string(k) != key {
+			err = fmt.Errorf("%w: record holds key %q", ErrCorrupt, k)
 		}
 		if err == nil {
-			return meta.ContentType, body, nil
+			return string(ct), body, ls, nil
 		}
 		// Verification failed. If the cleaner moved the entry meanwhile, the
 		// stale bytes we read say nothing about the live record — retry.
 		if !l.dropIfAt(key, loc) && attempt < 4 {
 			continue
 		}
+		ls.Release()
 		l.quarantined.Add(1)
-		return "", nil, fmt.Errorf("store: %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
+		return "", nil, nil, fmt.Errorf("store: %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
 	}
 }
 
-// readRecord fetches loc's bytes with one ReadAt through its segment's
-// handle: h, on which Get holds a reference, or the table's after opening it.
-func (l *Log) readRecord(loc recordLoc, h *segHandle) ([]byte, error) {
+// readRecord fills data with loc's bytes by one ReadAt through its segment's
+// handle: h, on which the caller holds a reference, or the table's after
+// opening it.
+func (l *Log) readRecord(data []byte, loc recordLoc, h *segHandle) error {
 	if h == nil {
 		var err error
 		if h, err = l.openHandle(loc.seg); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	defer h.release()
-	buf := make([]byte, loc.n)
-	if _, err := h.f.ReadAt(buf, loc.off); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	_, err := h.f.ReadAt(data, loc.off)
+	return err
 }
 
 // segHandle is one segment's shared read handle. refs counts the handle

@@ -67,6 +67,25 @@ func PutWithMeta(s Store, key, contentType string, body []byte, execTime time.Du
 	return s.Put(key, contentType, body)
 }
 
+// GetLeased is s.Get into a pooled buffer when s can lease one (the log
+// store, alone or behind a memory tier): body is then valid until release is
+// called, and keeping it longer means copying it. release is nil when body is
+// the caller's own, and on error.
+func GetLeased(s Store, key string) (contentType string, body []byte, release func(), err error) {
+	switch s := s.(type) {
+	case *Log:
+		ct, body, ls, err := s.get(key, true)
+		if err != nil {
+			return "", nil, nil, err
+		}
+		return ct, body, ls.Release, nil
+	case *Tiered:
+		return s.get(key, true)
+	}
+	contentType, body, err = s.Get(key)
+	return contentType, body, nil, err
+}
+
 // --- storage health ---
 
 // StorageStatus is a point-in-time view of a persistent store's health,

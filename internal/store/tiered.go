@@ -78,29 +78,40 @@ func (t *Tiered) PutEntry(key, contentType string, body []byte, execTime time.Du
 // Get implements Store: memory tier first, backing store on a miss (with
 // the fetched body promoted into the memory tier).
 func (t *Tiered) Get(key string) (string, []byte, error) {
+	ct, body, _, err := t.get(key, false)
+	return ct, body, err
+}
+
+// get is Get; when leased, a body the tier does not hold is read through
+// GetLeased and comes with its release.
+func (t *Tiered) get(key string, leased bool) (ct string, body []byte, release func(), err error) {
 	t.mu.Lock()
 	if el, ok := t.items[key]; ok {
 		e := el.Value.(*tierEntry)
 		t.ll.MoveToFront(el)
 		t.hits++
-		ct := e.contentType
+		ct = e.contentType
 		// Copy out under the lock: eviction never mutates bodies, but the
 		// caller must get a stable slice even if the entry is evicted and
 		// the tier repopulated concurrently.
 		cp := make([]byte, len(e.body))
 		copy(cp, e.body)
 		t.mu.Unlock()
-		return ct, cp, nil
+		return ct, cp, nil, nil
 	}
 	t.misses++
 	t.mu.Unlock()
 
-	ct, body, err := t.backing.Get(key)
+	if leased {
+		ct, body, release, err = GetLeased(t.backing, key)
+	} else {
+		ct, body, err = t.backing.Get(key)
+	}
 	if err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	t.admit(key, ct, body)
-	return ct, body, nil
+	return ct, body, release, nil
 }
 
 // GetCached returns key's body only if it is resident in the memory tier,

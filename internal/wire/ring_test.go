@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -102,27 +103,30 @@ func TestFetchFlagsAndLegacyFrame(t *testing.T) {
 	}
 }
 
-func TestFetchReplyExecutedAndLegacyFrame(t *testing.T) {
-	in := &FetchReply{Seq: 4, OK: true, ContentType: "text/html", Body: []byte("b"), Executed: true}
+func TestFetchReplyExecutedAndShortFrame(t *testing.T) {
+	in := &FetchReply{Seq: 4, OK: true, ContentType: "text/html", Body: []byte("b"), Executed: true, Stored: true}
 	got := roundTrip(t, in).(*FetchReply)
-	if !got.Executed {
-		t.Fatal("Executed lost in round trip")
+	if !got.Executed || !got.Stored {
+		t.Fatalf("Executed/Stored lost in round trip: %+v", got)
 	}
 
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgFetchReply))
-	e.u64(4)
-	e.boolean(true)
-	e.str("text/html")
-	e.bytes([]byte("b"))
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	if m.(*FetchReply).Executed {
-		t.Fatal("legacy frame decoded Executed=true")
+	// A frame that ends after the body, or after Executed, is malformed: no
+	// peer that sends one exists.
+	for _, flags := range [][]bool{{}, {true}} {
+		e := &encoder{}
+		e.u32(0)
+		e.u8(uint8(MsgFetchReply))
+		e.u64(4)
+		e.boolean(true)
+		e.str("text/html")
+		e.bytes([]byte("b"))
+		for _, f := range flags {
+			e.boolean(f)
+		}
+		binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
+		if m, err := ReadMessage(bytes.NewReader(e.buf)); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("short frame (%d trailing flags): got %+v, %v; want ErrBadMessage", len(flags), m, err)
+		}
 	}
 }
 

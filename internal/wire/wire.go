@@ -23,6 +23,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/lease"
 )
 
 // MsgType identifies the kind of a protocol message.
@@ -262,7 +264,9 @@ type FetchReply struct {
 	// OK is false when the entry was deleted before the fetch arrived.
 	OK          bool
 	ContentType string
-	Body        []byte
+	// Body of a reply from ReadMessage is leased (see package lease): it
+	// aliases the frame it was read into and is valid until Release.
+	Body []byte
 	// Executed is true when the owner produced the body by running the
 	// request (a FetchExecute miss at the owner) rather than serving its
 	// cache — the requester counts a cluster-wide miss, not a remote hit.
@@ -272,10 +276,21 @@ type FetchReply struct {
 	// (too short, policy-rejected, store failure): the requester may record
 	// a short-lived negative hint and skip the routed hop next time.
 	Stored bool
+
+	frame lease.Buf
 }
 
 // Type implements Message.
 func (*FetchReply) Type() MsgType { return MsgFetchReply }
+
+// Release gives back the frame Body aliases, and Body with it. It is
+// idempotent, and a no-op on a nil reply or one that was not read.
+func (m *FetchReply) Release() {
+	if m != nil && m.frame.B != nil {
+		m.Body = nil
+		m.frame.Release()
+	}
+}
 
 // Ping is a liveness probe.
 type Ping struct{ Seq uint64 }
@@ -682,9 +697,11 @@ func (e *encoder) timeVal(t time.Time) {
 }
 
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	alias bool   // bytes returns slices of buf, not copies (FetchReply keeps its frame)
+	ct    string // the content type FetchReply.decode returned last
 }
 
 func (d *decoder) fail() {
@@ -727,26 +744,25 @@ func (d *decoder) i64() int64 { return int64(d.u64()) }
 
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *decoder) bytes() []byte {
+// view returns the next length-prefixed field as a slice of buf.
+func (d *decoder) view() []byte {
 	n := int(d.u32())
 	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+n])
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
+	return b
+}
+
+func (d *decoder) str() string { return string(d.view()) }
+
+func (d *decoder) bytes() []byte {
+	b := d.view()
+	if !d.alias {
+		b = append(make([]byte, 0, len(b)), b...)
+	}
 	return b
 }
 
@@ -849,19 +865,14 @@ func (m *FetchReply) encode(e *encoder) {
 func (m *FetchReply) decode(d *decoder) error {
 	m.Seq = d.u64()
 	m.OK = d.boolean()
-	m.ContentType = d.str()
+	// A content type that repeats from reply to reply through ReadMessage's
+	// pooled decoder is not copied again.
+	if ct := d.view(); d.ct != string(ct) {
+		d.ct = string(ct)
+	}
+	m.ContentType = d.ct
 	m.Body = d.bytes()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating ring placement: cache-served.
-		return nil
-	}
 	m.Executed = d.boolean()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating negative hints. Report executed
-		// results as stored so old owners never trigger hints.
-		m.Stored = m.Executed
-		return nil
-	}
 	m.Stored = d.boolean()
 	return d.finish()
 }
@@ -1412,8 +1423,13 @@ func Unmarshal(payload []byte) (Message, error) {
 	if len(payload) < 1 {
 		return nil, ErrBadMessage
 	}
+	return unmarshal(MsgType(payload[0]), &decoder{buf: payload[1:]})
+}
+
+// unmarshal decodes the message of type t that d holds.
+func unmarshal(t MsgType, d *decoder) (Message, error) {
 	var m Message
-	switch MsgType(payload[0]) {
+	switch t {
 	case MsgHello:
 		m = &Hello{}
 	case MsgInsert:
@@ -1455,9 +1471,8 @@ func Unmarshal(payload []byte) (Message, error) {
 	case MsgInvalAck:
 		m = &InvalAck{}
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, payload[0])
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
 	}
-	d := &decoder{buf: payload[1:]}
 	if err := m.decode(d); err != nil {
 		return nil, err
 	}
@@ -1483,47 +1498,55 @@ func WriteMessage(w io.Writer, m Message) error {
 	return err
 }
 
-// payloadPool recycles frame read buffers across ReadMessage calls. Safe
-// because Unmarshal copies everything it keeps (strings and byte slices)
-// out of the payload before returning.
-var payloadPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// frameReader is ReadMessage's pooled state. The frame stays from read to read
+// (messages copy what they keep) until a FetchReply takes it along; it is
+// never released in place, so leasing it again is safe.
+type frameReader struct {
+	hdr   [4]byte
+	d     decoder
+	frame lease.Buf
 }
 
-// ReadMessage reads one framed message from r. The frame payload is read
-// into a pooled buffer — the decoded message owns only its own copies — so
-// steady-state reads allocate just the message and its fields.
+var readerPool = sync.Pool{New: func() any { return new(frameReader) }}
+
+// ReadMessage reads one framed message from r. A FetchReply keeps the frame it
+// was read into (its Body aliases it until Release); every other message owns
+// copies of its fields, so steady-state reads allocate just the message.
 func ReadMessage(r io.Reader) (Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	fr := readerPool.Get().(*frameReader)
+	m, err := fr.read(r)
+	fr.d.buf = nil
+	if cap(fr.frame.B) > maxPooledBuf {
+		fr.frame = lease.Buf{}
+	}
+	readerPool.Put(fr)
+	return m, err
+}
+
+func (fr *frameReader) read(r io.Reader) (Message, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n == 0 {
 		return nil, ErrBadMessage
 	}
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	bp := payloadPool.Get().(*[]byte)
-	payload := *bp
-	if cap(payload) < int(n) {
-		payload = make([]byte, n)
-	} else {
-		payload = payload[:n]
+	if cap(fr.frame.B) < n {
+		fr.frame = lease.Buf{}
+		fr.frame.Lease(n)
 	}
+	payload := fr.frame.B[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		*bp = payload[:0]
-		payloadPool.Put(bp)
 		return nil, err
 	}
-	m, err := Unmarshal(payload)
-	*bp = payload[:0]
-	if cap(payload) <= maxPooledBuf {
-		payloadPool.Put(bp)
+	t := MsgType(payload[0])
+	fr.d = decoder{buf: payload[1:], alias: t == MsgFetchReply, ct: fr.d.ct}
+	m, err := unmarshal(t, &fr.d)
+	if reply, ok := m.(*FetchReply); ok {
+		reply.frame, fr.frame = fr.frame, lease.Buf{}
 	}
 	return m, err
 }

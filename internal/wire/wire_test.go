@@ -66,8 +66,11 @@ func TestRoundTripFetchAndReply(t *testing.T) {
 	if got := roundTrip(t, f); !reflect.DeepEqual(got, f) {
 		t.Fatalf("got %+v, want %+v", got, f)
 	}
-	r := &FetchReply{Seq: 99, OK: true, ContentType: "text/html", Body: []byte("hello")}
-	if got := roundTrip(t, r); !reflect.DeepEqual(got, r) {
+	// Field by field: a decoded reply also carries the frame it was read into.
+	r := &FetchReply{Seq: 99, OK: true, ContentType: "text/html", Body: []byte("hello"), Executed: true}
+	got := roundTrip(t, r).(*FetchReply)
+	if got.Seq != r.Seq || got.OK != r.OK || got.ContentType != r.ContentType ||
+		!bytes.Equal(got.Body, r.Body) || got.Executed != r.Executed || got.Stored != r.Stored {
 		t.Fatalf("got %+v, want %+v", got, r)
 	}
 }
