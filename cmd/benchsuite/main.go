@@ -118,7 +118,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		hotpath    = flag.String("hotpath", "", "run the hot-path optimisation comparison and write JSON to this file instead of the paper suite")
 		pipeline   = flag.String("pipeline", "", "run the fetch-pipeline overhead comparison and write JSON to this file instead of the paper suite")
-		broadcast  = flag.String("broadcast", "", "run the directory-replication batching comparison and write JSON to this file instead of the paper suite")
 		faults     = flag.String("faults", "", "run the fault-injection schedule (hang/partition/rejoin) and write JSON to this file instead of the paper suite")
 		crash      = flag.String("crash", "", "run the crash-recovery experiment (kill mid-write, corrupt entries, warm restart) and write JSON to this file instead of the paper suite")
 		crashStore = flag.String("crashstore", "files", "durable backend for -crash: files (file-per-entry) or log (segmented append-only)")
@@ -152,13 +151,6 @@ func main() {
 	if *pipeline != "" {
 		if err := runPipeline(*pipeline, *quick, *seed); err != nil {
 			log.Fatalf("pipeline failed: %v", err)
-		}
-		return
-	}
-
-	if *broadcast != "" {
-		if err := runBroadcast(*broadcast, *quick, *seed); err != nil {
-			log.Fatalf("broadcast failed: %v", err)
 		}
 		return
 	}
@@ -264,33 +256,6 @@ func runHotpath(path string, quick bool, seed int64) error {
 	}
 	fmt.Print(r.Render())
 	fmt.Printf("(hotpath in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runBroadcast measures batched, corked directory replication against the
-// pre-batching one-flush-per-update wire behaviour (Table 3/4 load shapes
-// plus update-visibility probes) and writes a machine-readable JSON report.
-// The headline criterion: >= 5x fewer stream pushes per directory update at
-// 8 nodes under an insert storm.
-func runBroadcast(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala directory-replication comparison — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunBroadcast(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(broadcast in %v)\n", time.Since(start).Round(time.Millisecond))
 
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

@@ -46,21 +46,14 @@ func main() {
 		log.Fatalf("hello: %v", err)
 	}
 
-	// readReply skips broadcast and sync traffic a chatty node might write on
-	// this connection and returns the first direct reply frame.
+	// readReply returns the node's reply: a connection that announced no listen
+	// address is sent nothing else.
 	readReply := func() wire.Message {
-		for {
-			msg, err := wc.Read()
-			if err != nil {
-				log.Fatalf("read: %v", err)
-			}
-			switch msg.(type) {
-			case *wire.Insert, *wire.Delete, *wire.DirBatch, *wire.DirSync, *wire.DirSyncReq,
-				*wire.RingUpdate, *wire.InvalWave:
-				continue
-			}
-			return msg
+		msg, err := wc.Read()
+		if err != nil {
+			log.Fatalf("read: %v", err)
 		}
+		return msg
 	}
 
 	fetchStats := func(seq uint64) *wire.StatsReply {

@@ -65,7 +65,6 @@ func main() {
 		memCache  = flag.Int64("memcache", 0, "in-memory read-cache tier budget in bytes over the store, 0 disables (beyond the paper)")
 		reqTO     = flag.Duration("request-timeout", 0, "end-to-end deadline per request through the whole fetch chain, 0 disables (overruns answer 504)")
 		fetchTO   = flag.Duration("fetch-timeout", 0, "bound on one remote cache fetch; a timeout falls back to local execution (0 = no bound)")
-		batch     = flag.Bool("batch", true, "coalesce directory update broadcasts into batched wire frames")
 		dirSync   = flag.Bool("dir-sync", true, "anti-entropy directory sync: heal dropped broadcasts and reconnect gaps with catch-up snapshots")
 		sendQueue = flag.Int("sendqueue", 0, "per-peer broadcast queue depth (0 = default 1024)")
 		health    = flag.Bool("health", true, "heartbeat failure detector: quarantine dead peers' directory entries instead of timing out every fetch (-health=false restores exact paper semantics)")
@@ -184,8 +183,7 @@ func main() {
 		ShedLowWatermark:     *shedLow,
 		ShedHighWatermark:    *shedHigh,
 
-		DisableBroadcastBatch: !*batch,
-		DisableDirSync:        !*dirSync,
+		DisableDirSync: !*dirSync,
 
 		DisableHealth:       !*health,
 		HealthProbeInterval: *probeIvl,

@@ -6,13 +6,12 @@
 // false hits), which the server layer tolerates by falling back to local
 // execution.
 //
-// Topology is a full mesh of outbound links: every node dials every peer's
-// cluster address. A node writes Insert/Delete/Fetch/Ping on its outbound
-// link to a peer and reads FetchReply/Pong back on the same link; messages
-// arriving on accepted (inbound) links are directory updates and fetch
-// requests from the peer, answered in-place. Every fetch in flight has its own
-// goroutine (the paper's cacher module "starts a separate thread for each
-// request to return the cache contents"), which then waits for the next one.
+// Topology is a full mesh with one connection per pair of nodes, whichever
+// side dialed it: both ends write directory batches, fetches and pings on it
+// and read the peer's on it, through one sender, one read loop and one
+// dispatch table. Every fetch in flight has its own goroutine (the paper's
+// cacher module "starts a separate thread for each request to return the cache
+// contents"), which then waits for the next one.
 package cluster
 
 import (
@@ -36,10 +35,6 @@ import (
 // Handler is the upper layer's (the cache manager's) view of cluster events.
 // Implementations must be safe for concurrent use.
 type Handler interface {
-	// HandleInsert applies a peer's directory insert broadcast.
-	HandleInsert(m *wire.Insert)
-	// HandleDelete applies a peer's directory delete broadcast.
-	HandleDelete(m *wire.Delete)
 	// HandleFetch answers a peer's fetch of key by filling in reply: OK=false
 	// signals a false hit (the entry is gone). flags are the wire.Fetch* ring
 	// flags (zero, and ignored, under replicate placement). Body may be
@@ -47,18 +42,16 @@ type Handler interface {
 	HandleFetch(key string, flags uint8, reply *wire.FetchReply) (release func())
 	// HandleStats returns the node's counters for swalactl.
 	HandleStats() wire.StatsReply
-	// HandleInvalidate drops locally owned entries matching the pattern.
-	HandleInvalidate(m *wire.Invalidate)
-}
+	// HandleInvalidate drops locally owned entries matching the pattern and
+	// reports the local matches plus the fan-out accounting (peers the
+	// invalidation was sent on toward, and how many of them it could not
+	// reach), which the link returns as an InvalAck when m.Seq asks for one.
+	HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int)
 
-// DirSyncer is implemented by handlers that speak versioned directory
-// replication: batched update apply plus anti-entropy catch-up sync. It is
-// optional — a handler without it still interoperates: incoming batches are
-// unrolled into HandleInsert/HandleDelete calls and sync frames are skipped.
-type DirSyncer interface {
 	// HandleDirBatch applies a batched run of directory updates.
 	HandleDirBatch(m *wire.DirBatch)
-	// HandleDirSync applies an anti-entropy catch-up from a peer.
+	// HandleDirSync applies an anti-entropy catch-up (or, with m.Handoff, a
+	// ring rebalance offer) from a peer.
 	HandleDirSync(m *wire.DirSync)
 	// DirVersion reports the highest update version applied from owner's
 	// directory table (0 = never seen a versioned update from it).
@@ -67,26 +60,7 @@ type DirSyncer interface {
 	// saw version since up to date with the local table; nil when the
 	// replica is already current.
 	BuildDirSync(since uint64) *wire.DirSync
-}
 
-// ReplicaHandler is implemented by handlers that speak adaptive hot-entry
-// replication: targeted replica pushes from a key's home owner and broadcast
-// replica events announcing where copies live. Optional — without it both
-// message kinds are ignored.
-type ReplicaHandler interface {
-	// HandleReplicaPush applies a home owner's instruction to hold (or
-	// retire) a replica of one of its hot entries.
-	HandleReplicaPush(m *wire.ReplicaPush)
-	// HandleReplicaEvent applies a holder's announcement that it now serves
-	// (or no longer serves) a replica.
-	HandleReplicaEvent(m *wire.ReplicaEvent)
-}
-
-// WaveSyncer is implemented by handlers that ride versioned invalidation
-// waves on the directory replication channel: broadcast wave frames plus
-// anti-entropy replay of waves a peer missed. Optional — without it wave
-// frames are ignored and DirSync frames carry no waves.
-type WaveSyncer interface {
 	// HandleInvalWave applies one invalidation wave from a peer.
 	HandleInvalWave(m *wire.InvalWave)
 	// HandleWaveSync applies waves replayed inside a DirSync catch-up.
@@ -97,26 +71,17 @@ type WaveSyncer interface {
 	// BuildWaveSync returns this node's own waves that a peer whose applied
 	// floor is since still needs, in sequence order (nil when current).
 	BuildWaveSync(since uint64) []wire.InvalWave
-}
 
-// InvalidateAcker is implemented by handlers that account invalidation
-// fan-out. An administrative Invalidate carrying a Seq is dispatched here
-// and answered with an InvalAck, so the admin client can see how many peers
-// the wave could not reach instead of the drop being silent.
-type InvalidateAcker interface {
-	// HandleInvalidateCounted applies an invalidation and reports the local
-	// matches plus the fan-out accounting.
-	HandleInvalidateCounted(m *wire.Invalidate) (matched, peers, unreached int)
+	// HandleReplicaPush applies a home owner's instruction to hold (or
+	// retire) a replica of one of its hot entries.
+	HandleReplicaPush(m *wire.ReplicaPush)
+	// HandleReplicaEvent applies a holder's announcement that it now serves
+	// (or no longer serves) a replica.
+	HandleReplicaEvent(m *wire.ReplicaEvent)
 }
 
 // NopHandler ignores all events; useful for tests and pseudo-servers.
 type NopHandler struct{}
-
-// HandleInsert implements Handler.
-func (NopHandler) HandleInsert(*wire.Insert) {}
-
-// HandleDelete implements Handler.
-func (NopHandler) HandleDelete(*wire.Delete) {}
 
 // HandleFetch implements Handler.
 func (NopHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return nil }
@@ -125,7 +90,39 @@ func (NopHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return n
 func (NopHandler) HandleStats() wire.StatsReply { return wire.StatsReply{} }
 
 // HandleInvalidate implements Handler.
-func (NopHandler) HandleInvalidate(*wire.Invalidate) {}
+func (NopHandler) HandleInvalidate(*wire.Invalidate) (matched, peers, unreached int) {
+	return 0, 0, 0
+}
+
+// HandleDirBatch implements Handler.
+func (NopHandler) HandleDirBatch(*wire.DirBatch) {}
+
+// HandleDirSync implements Handler.
+func (NopHandler) HandleDirSync(*wire.DirSync) {}
+
+// DirVersion implements Handler.
+func (NopHandler) DirVersion(uint32) uint64 { return 0 }
+
+// BuildDirSync implements Handler.
+func (NopHandler) BuildDirSync(uint64) *wire.DirSync { return nil }
+
+// HandleInvalWave implements Handler.
+func (NopHandler) HandleInvalWave(*wire.InvalWave) {}
+
+// HandleWaveSync implements Handler.
+func (NopHandler) HandleWaveSync(uint32, []wire.InvalWave) {}
+
+// WaveFloor implements Handler.
+func (NopHandler) WaveFloor(uint32) uint64 { return 0 }
+
+// BuildWaveSync implements Handler.
+func (NopHandler) BuildWaveSync(uint64) []wire.InvalWave { return nil }
+
+// HandleReplicaPush implements Handler.
+func (NopHandler) HandleReplicaPush(*wire.ReplicaPush) {}
+
+// HandleReplicaEvent implements Handler.
+func (NopHandler) HandleReplicaEvent(*wire.ReplicaEvent) {}
 
 // Config configures a cluster Node.
 type Config struct {
@@ -146,11 +143,6 @@ type Config struct {
 	// DisableReconnect turns off automatic redial of failed peer links
 	// (links normally reconnect with exponential backoff).
 	DisableReconnect bool
-	// DisableBatching writes (and flushes) every directory update as its
-	// own frame instead of drain-coalescing the send queue into corked
-	// DirBatch frames — the pre-batching wire behaviour, one stream push
-	// per update.
-	DisableBatching bool
 	// DisableSync turns off anti-entropy directory sync (version exchange
 	// on Hello and catch-up snapshots/deltas).
 	DisableSync bool
@@ -198,9 +190,10 @@ type Node struct {
 
 	mu           sync.Mutex
 	listener     net.Listener
-	peers        map[uint32]*peerLink // outbound links by peer ID
-	peerAddrs    map[uint32]string    // last known dial address per peer
-	intended     map[uint32]bool      // peers ConnectPeer was asked to reach
+	peers        map[uint32]*peerLink          // the one link per peer, dialed or adopted
+	peerAddrs    map[uint32]string             // last known dial address per peer
+	intended     map[uint32]bool               // peers ConnectPeer was asked to reach
+	dialing      map[uint32]context.CancelFunc // aborts of the dials in flight
 	reconnecting map[uint32]bool
 	inbound      map[net.Conn]struct{}
 	closed       bool
@@ -238,7 +231,6 @@ type Node struct {
 	updates      atomic.Uint64
 	updatesSent  atomic.Uint64
 	batchFrames  atomic.Uint64
-	singleFrames atomic.Uint64
 	flushes      atomic.Uint64
 	syncsSent    atomic.Uint64
 	syncFull     atomic.Uint64
@@ -282,6 +274,7 @@ func NewNode(cfg Config, handler Handler) *Node {
 		peers:        make(map[uint32]*peerLink),
 		peerAddrs:    make(map[uint32]string),
 		intended:     make(map[uint32]bool),
+		dialing:      make(map[uint32]context.CancelFunc),
 		reconnecting: make(map[uint32]bool),
 		inbound:      make(map[net.Conn]struct{}),
 		needFullSync: make(map[uint32]bool),
@@ -353,13 +346,19 @@ func (n *Node) acceptLoop(l net.Listener) {
 		n.inbound[conn] = struct{}{}
 		n.mu.Unlock()
 		n.wg.Add(1)
-		go n.serveInbound(conn)
+		go n.serveAccepted(conn)
 	}
 }
 
-// serveInbound handles one accepted peer connection: directory updates,
-// fetch requests, pings, and stats queries.
-func (n *Node) serveInbound(conn net.Conn) {
+// serveAccepted handles one accepted connection, whose first frame must be a
+// Hello. One that announces a listen address comes from a cluster node and is
+// answered with this node's own: the connection becomes this node's link to it
+// unless the pair's tie-break says otherwise (adopt), which an answer that
+// announces no address tells the dialer. Every other connection — an
+// administrative client (swalactl), or a peer's dial that lost the tie-break
+// and that the peer now closes — is served in request/reply form and is
+// nobody's link.
+func (n *Node) serveAccepted(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
 		conn.Close()
@@ -384,202 +383,171 @@ func (n *Node) serveInbound(conn net.Conn) {
 		n.logf("rejecting inbound link: %s", reason)
 		return
 	}
-
-	var sendMu sync.Mutex
-	reply := func(m wire.Message) {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		if err := wc.Write(m); err != nil {
-			n.logf("inbound reply: %v", err)
-		}
-	}
-
-	// fetchWorker answers m and then every fetch the read loop hands it, until
-	// the link goes; the body travels from the handler's lease to the stream.
-	fetches := make(chan *wire.Fetch)
-	defer close(fetches)
-	fetchWorker := func(m *wire.Fetch) {
-		defer n.wg.Done()
-		var r wire.FetchReply // escapes into the handler: one per worker
-		for ; m != nil; m = <-fetches {
-			r = wire.FetchReply{Seq: m.Seq}
-			release := n.handler.HandleFetch(m.Key, m.Flags, &r)
-			sendMu.Lock()
-			err := wc.Write(&r)
-			sendMu.Unlock()
-			if release != nil {
-				release()
-			}
-			if err != nil {
-				n.logf("inbound reply: %v", err)
-			}
-		}
-	}
-
-	// Anti-entropy version exchange: tell a (re)connecting node how much of
-	// its directory we have, so it ships the catch-up we are missing. Only
-	// real cluster nodes announce a listen address; administrative clients
-	// (swalactl) do not and are left alone. Wave state rides the same
-	// request even when directory sync is off (ring mode disables the
-	// latter but invalidation waves must still heal across reconnects).
-	syncer, hasSyncer := n.handler.(DirSyncer)
-	waveSyncer, hasWaves := n.handler.(WaveSyncer)
+	c := n.newConn(hello.NodeID, conn, wc, false)
 	if hello.Addr != "" {
-		req := &wire.DirSyncReq{}
-		send := false
-		if hasSyncer && !n.cfg.DisableSync {
-			req.Version = syncer.DirVersion(hello.NodeID)
-			send = true
+		// The answer is the connection's first frame, ahead of whatever other
+		// goroutines send once adopt has made it the link.
+		answer := n.hello()
+		c.sendMu.Lock()
+		adopted := n.adopt(c, hello.Addr)
+		if !adopted {
+			answer.Addr = ""
 		}
-		if hasWaves {
-			req.WaveSeq = waveSyncer.WaveFloor(hello.NodeID)
-			send = true
-		}
-		if send {
-			reply(req)
+		wc.Write(answer) // a failure shows in the read loop
+		c.sendMu.Unlock()
+		if adopted {
+			n.wg.Add(1)
+			go n.linkSender(c)
 		}
 	}
-	// Membership anti-entropy: every link (re)establishment between ring
-	// nodes exchanges the full membership view, the same pattern DirSyncReq
-	// uses for the directory.
-	if n.cfg.RingMode && hello.Addr != "" {
-		reply(&wire.RingUpdate{Origin: n.cfg.NodeID, Members: n.MembersSnapshot()})
-	}
+	n.readLoop(c)
+}
 
+// readLoop reads one connection until it fails. It never writes to the
+// connection it reads: with both ends of a link reading and answering on one
+// socket, two read loops blocked in a write to each other would never drain
+// the buffers they are waiting on. Replies leave through reply, the fetch
+// workers or the link's sender.
+func (n *Node) readLoop(c *peerLink) {
+	defer close(c.fetches)
 	for {
-		msg, err := wc.Read()
+		msg, err := c.wc.Read()
 		if err != nil {
+			n.linkDown(c)
 			return
 		}
-		switch m := msg.(type) {
-		case *wire.Insert:
-			n.handler.HandleInsert(m)
-		case *wire.Delete:
-			n.handler.HandleDelete(m)
-		case *wire.DirBatch:
-			if hasSyncer {
-				syncer.HandleDirBatch(m)
-				break
-			}
-			// Degrade for handlers that predate batching: unroll into the
-			// single-update callbacks, preserving order.
-			for i := range m.Updates {
-				u := &m.Updates[i]
-				if u.Delete {
-					n.handler.HandleDelete(&wire.Delete{Owner: u.Owner, Key: u.Key})
-				} else {
-					n.handler.HandleInsert(&wire.Insert{
-						Owner: u.Owner, Key: u.Key, Size: u.Size,
-						ExecTime: u.ExecTime, Expires: u.Expires,
-					})
-				}
-			}
-		case *wire.DirSync:
-			// Wave replays bypass the DisableSync gate too: they are the
-			// invalidation layer's own anti-entropy and must converge even in
-			// ring mode. Applied before the directory updates so a healed
-			// entry can never outlive a wave that covered it.
-			if hasWaves && len(m.Waves) > 0 {
-				waveSyncer.HandleWaveSync(m.Owner, m.Waves)
-			}
-			// Handoff frames (ring rebalance offers) bypass the DisableSync
-			// gate: ring mode turns anti-entropy off but still moves entry
-			// metadata between owners on this message.
-			if hasSyncer && (!n.cfg.DisableSync || m.Handoff) {
-				syncer.HandleDirSync(m)
-				n.syncsApplied.Add(1)
-			}
-		case *wire.DirSyncReq:
-			// Mirror of the request we send on accept: the dialer asked for
-			// OUR table's catch-up over its link. Reply with the delta — or an
-			// explicit empty ack at its version, because "you are current" must
-			// be an affirmative signal: a peer whose failure detector flapped
-			// after it had already converged re-quarantines our entries, and
-			// with no new directory traffic this ack is the only convergence
-			// signal it will ever see.
-			var sync *wire.DirSync
-			if hasSyncer && !n.cfg.DisableSync {
-				sync = syncer.BuildDirSync(m.Version)
-				if sync == nil {
-					sync = &wire.DirSync{Owner: n.cfg.NodeID, Version: m.Version}
-				}
-			}
-			if hasWaves {
-				if sync == nil {
-					sync = &wire.DirSync{Owner: n.cfg.NodeID}
-				}
-				sync.Waves = waveSyncer.BuildWaveSync(m.WaveSeq)
-			}
-			if sync != nil && (hasSyncer && !n.cfg.DisableSync || len(sync.Waves) > 0) {
-				// With dir sync off (ring mode) and no waves to replay there
-				// is nothing to say; quarantine lifts on liveness alone there.
-				reply(sync)
-			}
-		case *wire.Fetch:
-			// One goroutine per fetch in flight, as in the paper's cacher
-			// module: an idle one takes m, else a new one starts.
-			select {
-			case fetches <- m:
-			default:
-				n.wg.Add(1)
-				go fetchWorker(m)
-			}
-		case *wire.Ping:
-			reply(&wire.Pong{Seq: m.Seq})
-		case *wire.Stats:
-			sr := n.handler.HandleStats()
-			sr.Seq = m.Seq
-			reply(&sr)
-		case *wire.Invalidate:
-			if m.Seq != 0 {
-				if acker, ok := n.handler.(InvalidateAcker); ok {
-					matched, peers, unreached := acker.HandleInvalidateCounted(m)
-					reply(&wire.InvalAck{
-						Seq: m.Seq, Matched: uint32(matched),
-						Peers: uint32(peers), Unreached: uint32(unreached),
-					})
-					break
-				}
-			}
-			n.handler.HandleInvalidate(m)
-		case *wire.InvalWave:
-			if hasWaves {
-				waveSyncer.HandleInvalWave(m)
-			}
-		case *wire.ReplicaPush:
-			if rh, ok := n.handler.(ReplicaHandler); ok {
-				rh.HandleReplicaPush(m)
-			}
-		case *wire.ReplicaEvent:
-			if rh, ok := n.handler.(ReplicaHandler); ok {
-				rh.HandleReplicaEvent(m)
-			}
-		case *wire.Join:
-			if !n.cfg.RingMode {
-				n.logf("join from node %d at %s ignored: this node runs replicate placement (start it with -placement=ring to accept joins)", m.NodeID, m.Addr)
-				break
-			}
-			n.admitMember(m.NodeID, m.Addr)
-			reply(&wire.RingUpdate{Origin: n.cfg.NodeID, Members: n.MembersSnapshot()})
-		case *wire.Leave:
-			if !n.cfg.RingMode {
-				n.logf("leave from node %d ignored: this node runs replicate placement", m.NodeID)
-				break
-			}
-			n.mergeMembers([]wire.Member{{ID: m.NodeID, Incarnation: m.Incarnation, Left: true}}, true)
-		case *wire.RingUpdate:
-			if !n.cfg.RingMode {
-				n.logf("ring update from node %d ignored: this node runs replicate placement", m.Origin)
-				break
-			}
-			n.handleRingUpdate(m, reply)
-		default:
-			n.logf("unexpected inbound message: %v", msg.Type())
+		if !n.dispatch(c, msg) {
+			n.logf("unexpected %v from %d", msg.Type(), c.id)
 		}
 	}
 }
 
-// --- outbound peer links ---
+// isRequest reports the messages answered on any connection; every other
+// message is link traffic and unexpected anywhere else.
+func isRequest(t wire.MsgType) bool {
+	return t == wire.MsgFetch || t == wire.MsgPing || t == wire.MsgStats || t == wire.MsgInvalidate
+}
+
+// dispatch is the one table of inbound messages: what a node does with each
+// wire message read from a peer link or, for the requests, from any other
+// connection. It reports false for a message that is unexpected there.
+// One-way messages are applied in place, so a link's stream is applied in
+// the order its peer wrote it.
+func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
+	t := msg.Type()
+	if c.queue == nil && !isRequest(t) {
+		return false
+	}
+	if !n.cfg.RingMode && (t == wire.MsgJoin || t == wire.MsgLeave || t == wire.MsgRingUpdate) {
+		n.logf("%v from node %d ignored: this node runs replicate placement (start it with -placement=ring to accept joins)", t, c.id)
+		return true
+	}
+	switch m := msg.(type) {
+	case *wire.Fetch:
+		// One goroutine per fetch in flight, as in the paper's cacher
+		// module: an idle one takes m, else a new one starts.
+		select {
+		case c.fetches <- m:
+		default:
+			n.wg.Add(1)
+			go n.fetchWorker(c, m)
+		}
+	case *wire.FetchReply:
+		if !c.deliver(m.Seq, m) {
+			m.Release() // its fetch timed out or was cancelled
+		}
+	case *wire.Ping:
+		n.reply(c, &wire.Pong{Seq: m.Seq})
+	case *wire.Pong:
+		c.deliver(m.Seq, nil)
+	case *wire.Stats:
+		sr := n.handler.HandleStats()
+		sr.Seq = m.Seq
+		n.reply(c, &sr)
+	case *wire.Invalidate:
+		matched, peers, unreached := n.handler.HandleInvalidate(m)
+		if m.Seq != 0 {
+			n.reply(c, &wire.InvalAck{
+				Seq: m.Seq, Matched: uint32(matched),
+				Peers: uint32(peers), Unreached: uint32(unreached),
+			})
+		}
+	case *wire.DirBatch:
+		n.handler.HandleDirBatch(m)
+	case *wire.DirSyncReq:
+		// The peer told us how much of our directory and wave journal it
+		// has; wake the sender to ship the difference behind everything
+		// already queued. Wave state is exchanged even when directory sync is
+		// disabled (ring mode): invalidation waves must still heal across
+		// reconnects.
+		if !n.cfg.DisableSync {
+			raise(&c.peerVer, m.Version)
+		}
+		raise(&c.waveAck, m.WaveSeq)
+		c.wakeSync()
+	case *wire.DirSync:
+		// Waves first, so a healed entry can never outlive a wave that
+		// covered it. Even an empty catch-up is applied: it is the
+		// convergence signal that lifts a rejoined peer's quarantine. A
+		// handoff frame (ring rebalance offer) is not anti-entropy and
+		// passes the DisableSync gate that ring mode sets.
+		if len(m.Waves) > 0 {
+			n.handler.HandleWaveSync(m.Owner, m.Waves)
+		}
+		if !n.cfg.DisableSync || m.Handoff {
+			n.handler.HandleDirSync(m)
+			n.syncsApplied.Add(1)
+		}
+	case *wire.InvalWave:
+		n.handler.HandleInvalWave(m)
+	case *wire.ReplicaPush:
+		n.handler.HandleReplicaPush(m)
+	case *wire.ReplicaEvent:
+		n.handler.HandleReplicaEvent(m)
+	case *wire.Join:
+		n.admitMember(m.NodeID, m.Addr)
+	case *wire.Leave:
+		n.mergeMembers([]wire.Member{{ID: m.NodeID, Incarnation: m.Incarnation, Left: true}}, true)
+	case *wire.RingUpdate:
+		n.handleRingUpdate(c, m)
+	default:
+		return false
+	}
+	return true
+}
+
+// fetchWorker answers m and then every fetch the read loop hands it, until
+// the connection goes; the body travels from the handler's lease to the
+// stream.
+func (n *Node) fetchWorker(c *peerLink, m *wire.Fetch) {
+	defer n.wg.Done()
+	var r wire.FetchReply // escapes into the handler: one per worker
+	for ; m != nil; m = <-c.fetches {
+		r = wire.FetchReply{Seq: m.Seq}
+		release := n.handler.HandleFetch(m.Key, m.Flags, &r)
+		err := c.send(&r)
+		if release != nil {
+			release()
+		}
+		if err != nil {
+			n.logf("fetch reply to %d: %v", c.id, err)
+		}
+	}
+}
+
+// reply writes a read loop's answer to a request from a goroutine of its
+// own, for the reason readLoop gives.
+func (n *Node) reply(c *peerLink, m wire.Message) {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		if err := c.send(m); err != nil {
+			n.logf("%v to %d: %v", m.Type(), c.id, err)
+		}
+	}()
+}
+
+// --- peer links ---
 
 // outMsg is one entry in a link's send queue: either a versioned directory
 // update (batchable) or an arbitrary message written as its own frame.
@@ -590,22 +558,15 @@ type outMsg struct {
 	isUpdate bool
 }
 
-// legacy returns the single-frame encoding of a directory update, for peers
-// when batching is disabled.
-func (om *outMsg) legacy() wire.Message {
-	if om.update.Delete {
-		return &wire.Delete{Owner: om.update.Owner, Key: om.update.Key}
-	}
-	return &wire.Insert{
-		Owner: om.update.Owner, Key: om.update.Key, Size: om.update.Size,
-		ExecTime: om.update.ExecTime, Expires: om.update.Expires,
-	}
-}
-
+// peerLink is one served connection. Registered in Node.peers it is the
+// pair's link — the one connection both nodes send everything to each other
+// on, whichever of them dialed it — and owns a send queue and a sender; a
+// connection that is not a link (queue == nil) only answers requests.
 type peerLink struct {
-	id   uint32
-	conn net.Conn
-	wc   *wire.Conn
+	id     uint32
+	conn   net.Conn
+	wc     *wire.Conn
+	dialed bool // by this node; false = accepted
 
 	sendMu sync.Mutex // serializes writes to wc
 	queue  chan outMsg
@@ -614,6 +575,9 @@ type peerLink struct {
 	// queue overflow drops an update toward it.
 	syncCh chan struct{}
 	done   chan struct{} // closed when the link shuts down
+	// fetches hands the peer's fetches to idle fetch workers; the read loop
+	// closes it on its way out.
+	fetches chan *wire.Fetch
 
 	// peerVer tracks the highest directory version the peer is believed to
 	// have from us: seeded by its DirSyncReq, advanced as batches go out.
@@ -633,30 +597,73 @@ type peerLink struct {
 	run   []outMsg
 	batch []wire.DirUpdate
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending holds, by sequence number, the channel (capacity 1: the read
+	// loop never blocks on it) each request in flight gets its answer on: a
+	// fetch its FetchReply, a ping a nil for its Pong. Closing the link
+	// closes them.
 	pending map[uint64]chan *wire.FetchReply
-	pongs   map[uint64]chan struct{}
 	nextSeq uint64
 	closed  bool
 }
 
-// advancePeerVer raises peerVer to v, never lowering it.
-func (p *peerLink) advancePeerVer(v uint64) {
+// expect numbers a request and registers ch for its answer; false when the
+// link is closed.
+func (p *peerLink) expect(ch chan *wire.FetchReply) (seq uint64, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return 0, false
+	}
+	p.nextSeq++
+	p.pending[p.nextSeq] = ch
+	return p.nextSeq, true
+}
+
+// forget deregisters a request that gave up on its answer.
+func (p *peerLink) forget(seq uint64) {
+	p.mu.Lock()
+	delete(p.pending, seq)
+	p.mu.Unlock()
+}
+
+// deliver hands r to the request it answers, if that still waits.
+func (p *peerLink) deliver(seq uint64, r *wire.FetchReply) bool {
+	p.mu.Lock()
+	ch := p.pending[seq]
+	delete(p.pending, seq)
+	p.mu.Unlock()
+	if ch != nil {
+		ch <- r
+	}
+	return ch != nil
+}
+
+func (n *Node) newConn(id uint32, conn net.Conn, wc *wire.Conn, dialed bool) *peerLink {
+	return &peerLink{
+		id: id, conn: conn, wc: wc, dialed: dialed,
+		done:    make(chan struct{}),
+		fetches: make(chan *wire.Fetch),
+		flushes: &n.flushes,
+	}
+}
+
+// raise lifts a to v, never lowering it.
+func raise(a *atomic.Uint64, v uint64) {
 	for {
-		cur := p.peerVer.Load()
-		if v <= cur || p.peerVer.CompareAndSwap(cur, v) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
-// advanceWaveAck raises waveAck to v, never lowering it.
-func (p *peerLink) advanceWaveAck(v uint64) {
-	for {
-		cur := p.waveAck.Load()
-		if v <= cur || p.waveAck.CompareAndSwap(cur, v) {
-			return
-		}
+// wakeSync asks the sender for an anti-entropy pass; one already asked for
+// covers this one too.
+func (p *peerLink) wakeSync() {
+	select {
+	case p.syncCh <- struct{}{}:
+	default:
 	}
 }
 
@@ -667,10 +674,16 @@ func (p *peerLink) send(m wire.Message) error {
 		return err
 	}
 	wrote, err := p.wc.Flush()
-	if wrote && p.flushes != nil {
+	if wrote {
 		p.flushes.Add(1)
 	}
 	return err
+}
+
+func (p *peerLink) live() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.closed
 }
 
 func (p *peerLink) close() {
@@ -682,11 +695,6 @@ func (p *peerLink) close() {
 	p.closed = true
 	pending := p.pending
 	p.pending = make(map[uint64]chan *wire.FetchReply)
-	// Pong channels are closed by the reader on success only; ping waiters
-	// blocked at teardown are woken by the done channel below (closing them
-	// here would be indistinguishable from a pong). Dropping the map just
-	// unpins the memory.
-	p.pongs = make(map[uint64]chan struct{})
 	p.mu.Unlock()
 	close(p.done)
 	p.conn.Close()
@@ -695,9 +703,99 @@ func (p *peerLink) close() {
 	}
 }
 
-// ConnectPeer dials a peer's cluster address and registers the link under
-// peerID. It retries for DialRetry so nodes can start in any order.
-// Reconnecting an existing peer ID replaces the old link.
+// register makes c the pair's link, in place of whatever was. Callers hold
+// n.mu.
+func (n *Node) register(c *peerLink) {
+	c.queue = make(chan outMsg, n.cfg.SendQueue)
+	c.syncCh = make(chan struct{}, 1)
+	c.pending = make(map[uint64]chan *wire.FetchReply)
+	n.peers[c.id] = c
+}
+
+// adopt makes an accepted connection from a cluster node this node's link to
+// it, and reports whether it did. A pair settles on one connection even when
+// both nodes dial at once, by a rule both apply to the same two connections:
+// the one dialed by the lower NodeID is the link. So the higher node's dial
+// is not adopted while this node has its own dial to that peer in flight or
+// alive, and adopting the lower node's aborts this node's own. The spare was
+// never either end's link, so no end sees a link die of the tie-break. A
+// connection that is adopted replaces the link that was: a peer that dials
+// again has given the old one up.
+//
+// announced, the listen address in the peer's Hello, becomes the prober's
+// roster entry and the redial address only when ConnectPeer was never given
+// one for that peer: a node knows the address it listens on, not the one it
+// is reached at.
+func (n *Node) adopt(c *peerLink, announced string) bool {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return false
+	}
+	cur, abort := n.peers[c.id], n.dialing[c.id]
+	if c.id > n.cfg.NodeID && (abort != nil || cur != nil && cur.dialed && cur.live()) {
+		n.mu.Unlock()
+		return false
+	}
+	n.register(c)
+	if n.peerAddrs[c.id] == "" {
+		n.peerAddrs[c.id] = dialBack(announced, c.conn)
+	}
+	n.mu.Unlock()
+	if cur != nil {
+		cur.close()
+	}
+	if abort != nil {
+		abort() // our own dial is the spare now
+	}
+	return true
+}
+
+// dialBack is where the node at the far end of conn is dialed: the address it
+// announced, with the host conn came from when it announced none (a listener
+// on every interface, swalad's default).
+func dialBack(announced string, conn net.Conn) string {
+	host, port, err := net.SplitHostPort(announced)
+	if err != nil {
+		return announced // a netx.Mem name
+	}
+	if ip := net.ParseIP(host); host != "" && (ip == nil || !ip.IsUnspecified()) {
+		return announced
+	}
+	from, _, err := net.SplitHostPort(conn.RemoteAddr().String())
+	if err != nil {
+		return announced
+	}
+	return net.JoinHostPort(from, port)
+}
+
+// linkDown closes a connection that failed. If it was still the pair's link —
+// not replaced, forgotten or shut down with the node — the peer is suspected
+// and, unless a redial loop for it runs already, redialed, whichever side
+// had dialed the link.
+func (n *Node) linkDown(c *peerLink) {
+	c.close()
+	n.mu.Lock()
+	current := n.peers[c.id] == c && !n.closed
+	addr := n.peerAddrs[c.id]
+	redial := current && !n.cfg.DisableReconnect && addr != "" && !n.reconnecting[c.id]
+	if redial {
+		n.reconnecting[c.id] = true
+		n.wg.Add(1)
+	}
+	n.mu.Unlock()
+	if current {
+		n.noteLinkDown(c.id)
+	}
+	if redial {
+		go n.redial(c.id, addr)
+	}
+}
+
+// ConnectPeer makes sure this node has a link to peerID, dialing addr unless
+// one is already up (the peer may have dialed first: a pair shares one link).
+// It retries for DialRetry so nodes can start in any order, and both nodes
+// of a pair may call it at the same time (see adopt).
 func (n *Node) ConnectPeer(peerID uint32, addr string) error {
 	return n.ConnectPeerContext(context.Background(), peerID, addr)
 }
@@ -714,24 +812,11 @@ func (n *Node) ConnectPeerContext(ctx context.Context, peerID uint32, addr strin
 	// deliberately left alone until the dial succeeds — it doubles as the
 	// failure detector's probe roster.)
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
-	}
 	n.intended[peerID] = true
 	n.mu.Unlock()
 
-	window := time.NewTimer(n.cfg.DialRetry)
-	defer window.Stop()
-	var retry *time.Timer
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
-
-	var conn net.Conn
-	var err error
+	window, cancel := context.WithTimeout(ctx, n.cfg.DialRetry)
+	defer cancel()
 	for {
 		// Cancellation wins over a ready retry tick: the select below picks
 		// randomly among ready cases, so without this check a cancelled
@@ -739,123 +824,159 @@ func (n *Node) ConnectPeerContext(ctx context.Context, peerID uint32, addr strin
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, cerr)
 		}
-		select {
-		case <-n.done:
-			return ErrClosed
-		default:
+		up, err := n.dialLink(window, peerID, addr)
+		if up {
+			return nil
 		}
-		conn, err = n.cfg.Network.Dial(addr)
-		if err == nil {
-			// The context may have been cancelled while the dial was in
-			// flight; a link registered after cancellation would outlive the
-			// caller's intent, so give the connection back.
+		if errors.Is(err, ErrClosed) {
+			return err
+		}
+		select {
+		case <-window.Done():
 			if cerr := ctx.Err(); cerr != nil {
-				conn.Close()
-				return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, cerr)
+				err = cerr // the caller's cancellation, not the window
 			}
-			break
-		}
-		if retry == nil {
-			retry = time.NewTimer(jitter(20 * time.Millisecond))
-		} else {
-			// Drain a fired-but-unread timer before Reset; a stale tick
-			// would make the next wait fire immediately and turn the retry
-			// loop into a busy spin.
-			if !retry.Stop() {
-				select {
-				case <-retry.C:
-				default:
-				}
-			}
-			retry.Reset(jitter(20 * time.Millisecond))
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, ctx.Err())
+			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, err)
 		case <-n.done:
 			return ErrClosed
-		case <-window.C:
-			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, err)
-		case <-retry.C:
+		case <-time.After(jitter(20 * time.Millisecond)):
 		}
 	}
-
-	wc := wire.NewConn(conn)
-	hello := &wire.Hello{
-		NodeID: n.cfg.NodeID, NodeName: n.cfg.Name, Addr: n.Addr(),
-		ProtoVersion: wire.ProtoCurrent, Placement: n.placement(),
-	}
-	if err := wc.Write(hello); err != nil {
-		conn.Close()
-		return fmt.Errorf("cluster: hello to peer %d: %w", peerID, err)
-	}
-
-	link := &peerLink{
-		id:      peerID,
-		conn:    conn,
-		wc:      wc,
-		queue:   make(chan outMsg, n.cfg.SendQueue),
-		syncCh:  make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		flushes: &n.flushes,
-		pending: make(map[uint64]chan *wire.FetchReply),
-		pongs:   make(map[uint64]chan struct{}),
-	}
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		conn.Close()
-		return ErrClosed
-	}
-	if old := n.peers[peerID]; old != nil {
-		old.close()
-	}
-	n.peers[peerID] = link
-	n.peerAddrs[peerID] = addr
-	syncDebt := n.needFullSync[peerID]
-	n.mu.Unlock()
-
-	n.wg.Add(2)
-	go n.linkSender(link)
-	go n.linkReader(link)
-	if syncDebt {
-		// Updates were dropped toward this peer before the link (re)came up;
-		// settle with a catch-up even if its DirSyncReq never arrives.
-		select {
-		case link.syncCh <- struct{}{}:
-		default:
-		}
-	}
-	// Anti-entropy is requested in both directions on every link
-	// establishment: the accept side asks the dialer for its table (see
-	// serveConn), and here the dialer asks the accept side for *its* table.
-	// Without the dialer-side request, a node that re-quarantines an
-	// already-converged peer (an asymmetric detector flap — only our probes
-	// failed, the peer's links to us never died) would recycle its link,
-	// reconnect, and then wait forever: no version gap means no directory
-	// traffic, and the convergence ack that lifts the quarantine would never
-	// be provoked.
-	syncer, hasSyncer := n.handler.(DirSyncer)
-	waveSyncer, hasWaves := n.handler.(WaveSyncer)
-	if hasSyncer && !n.cfg.DisableSync || hasWaves {
-		req := &wire.DirSyncReq{}
-		if hasSyncer && !n.cfg.DisableSync {
-			req.Version = syncer.DirVersion(peerID)
-		}
-		if hasWaves {
-			req.WaveSeq = waveSyncer.WaveFloor(peerID)
-		}
-		if err := link.send(req); err != nil {
-			n.logf("sync request to peer %d: %v", peerID, err)
-		}
-	}
-	return nil
 }
 
-// linkSender drains the async queue onto the wire. Broadcast updates travel
-// through here so that directory maintenance never blocks request handling
-// (the paper's asynchronous update design). The writer is corked: the sender
+// errDialInFlight fails a dial attempt that found another one to the same
+// peer under way, its own or the peer's; the retry finds that one's link.
+var errDialInFlight = errors.New("another dial in flight")
+
+// dialLink is one attempt of ConnectPeer: up reports that the pair has its
+// link, which this attempt dialed unless the peer's own dial got there
+// first. A dialed connection is the link once the peer's Hello has said that
+// it adopted it (one that announces no address says it did not: see
+// serveAccepted), so when ConnectPeer returns, the link it found or made is
+// the one both ends use.
+func (n *Node) dialLink(ctx context.Context, peerID uint32, addr string) (up bool, err error) {
+	dial, abort := context.WithCancel(ctx)
+	defer abort()
+	n.mu.Lock()
+	cur := n.peers[peerID]
+	switch {
+	case n.closed:
+		err = ErrClosed
+	case cur != nil && cur.live():
+		up = true
+		n.peerAddrs[peerID] = addr
+	case n.dialing[peerID] != nil:
+		err = errDialInFlight
+	default:
+		// Until this attempt settles, no dial of a higher peer is adopted:
+		// ours is the one the pair keeps. Adopting a lower peer's, or Close,
+		// aborts it.
+		n.dialing[peerID] = abort
+	}
+	n.mu.Unlock()
+	if up || err != nil {
+		return up, err
+	}
+	c, answer, err := n.dialHello(dial, addr)
+	if err == nil && answer != nil {
+		switch {
+		case answer.NodeID != peerID:
+			err = fmt.Errorf("the node there is %d", answer.NodeID)
+		case answer.Addr == "":
+			// The peer keeps the link it dialed itself: adopting that one
+			// aborts this attempt.
+			c.conn.Close()
+			<-dial.Done()
+			err = errDialInFlight
+		}
+	}
+	return n.settle(c, peerID, err, addr)
+}
+
+// settle ends a dial attempt, err telling how it went: c becomes the pair's
+// link unless the lower node's dial was adopted while this one was in flight,
+// which makes this one the spare (see adopt). addr, the address the caller
+// was given for the peer, is the one the prober and the redial keep.
+func (n *Node) settle(c *peerLink, peerID uint32, err error, addr string) (up bool, _ error) {
+	n.mu.Lock()
+	delete(n.dialing, peerID)
+	cur := n.peers[peerID]
+	switch {
+	case n.closed:
+		err = ErrClosed
+	case cur != nil && cur.live() && n.cfg.NodeID > peerID:
+		up, err = true, nil
+		n.peerAddrs[peerID] = addr
+	case err == nil:
+		c.id = peerID
+		n.register(c)
+		n.peerAddrs[peerID] = addr
+		n.wg.Add(2)
+		n.mu.Unlock()
+		if cur != nil {
+			cur.close()
+		}
+		go n.linkSender(c)
+		go func() {
+			defer n.wg.Done()
+			n.readLoop(c)
+		}()
+		return true, nil
+	}
+	n.mu.Unlock()
+	if c != nil {
+		c.conn.Close()
+	}
+	return up, err
+}
+
+// hello introduces this node on a connection.
+func (n *Node) hello() *wire.Hello {
+	h := &wire.Hello{NodeID: n.cfg.NodeID, NodeName: n.cfg.Name, Addr: n.Addr(), ProtoVersion: wire.ProtoCurrent}
+	if n.cfg.RingMode {
+		h.Placement = wire.PlacementRing
+	}
+	return h
+}
+
+// dialHello dials addr, introduces this node and waits for the Hello the node
+// there answers with. A node that rejects ours hangs up instead, which is no
+// error here (answer is nil): to ConnectPeer that is a link that dies the way
+// links do, redial included.
+func (n *Node) dialHello(ctx context.Context, addr string) (c *peerLink, answer *wire.Hello, err error) {
+	conn, err := n.cfg.Network.Dial(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	c = n.newConn(0, conn, wire.NewConn(conn), true) // settle names the peer
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
+	// The context may have been cancelled while the dial was in flight; a
+	// link registered after cancellation would outlive the caller's intent,
+	// so give the connection back.
+	if err = ctx.Err(); err == nil {
+		err = c.wc.Write(n.hello())
+	}
+	if err == nil {
+		if first, rerr := c.wc.Read(); rerr == nil {
+			if answer, _ = first.(*wire.Hello); answer == nil {
+				err = fmt.Errorf("hello answered with %v", first.Type())
+			}
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	return c, answer, nil
+}
+
+// linkSender opens this node's half of a link's stream and then drains the
+// async queue onto the wire. Broadcast updates travel through here so that
+// directory maintenance never blocks request handling (the paper's
+// asynchronous update design). The writer is corked: the sender
 // drain-coalesces whatever has accumulated in the queue — packing runs of
 // directory updates into DirBatch frames — and flushes only when the queue
 // runs empty. Under light load each update flushes immediately; under an
@@ -863,26 +984,48 @@ func (n *Node) ConnectPeerContext(ctx context.Context, peerID uint32, addr strin
 // drained run.
 func (n *Node) linkSender(link *peerLink) {
 	defer n.wg.Done()
-	for {
+	err := n.writeLinkUp(link)
+	if err == nil {
+		// Nothing queued leaves before the peer's DirSyncReq has said what it
+		// holds: a batch written ahead of it would pass for the peer's
+		// version and hide what the peer missed while the link was down.
 		select {
-		case om := <-link.queue:
-			if err := n.writeCoalesced(link, om); err != nil {
-				n.logf("send to peer %d: %v", link.id, err)
-				link.close()
-				n.scheduleReconnect(link)
-				return
-			}
 		case <-link.syncCh:
-			if err := n.writeSync(link); err != nil {
-				n.logf("sync to peer %d: %v", link.id, err)
-				link.close()
-				n.scheduleReconnect(link)
-				return
-			}
+			err = n.writeSync(link)
 		case <-link.done:
 			return
 		}
 	}
+	for err == nil {
+		select {
+		case om := <-link.queue:
+			err = n.writeCoalesced(link, om)
+		case <-link.syncCh:
+			err = n.writeSync(link)
+		case <-link.done:
+			return
+		}
+	}
+	n.logf("send to peer %d: %v", link.id, err)
+	n.linkDown(link)
+}
+
+// writeLinkUp is the exchange each end opens a link with once the Hellos
+// have crossed, whichever end dialed: a DirSyncReq telling the peer how much of its directory and wave
+// journal this node has, so it ships the catch-up we are missing (and an
+// affirmative "you are current" when there is none — see writeSync), and in
+// ring mode the full membership view, link establishment being membership's
+// anti-entropy path too. The peer answers through its sender, so a snapshot
+// at version V is followed on the stream only by batches above V.
+func (n *Node) writeLinkUp(link *peerLink) error {
+	req := &wire.DirSyncReq{WaveSeq: n.handler.WaveFloor(link.id)}
+	if !n.cfg.DisableSync {
+		req.Version = n.handler.DirVersion(link.id)
+	}
+	if err := link.send(req); err != nil || !n.cfg.RingMode {
+		return err
+	}
+	return link.send(&wire.RingUpdate{Origin: n.cfg.NodeID, Members: n.MembersSnapshot()})
 }
 
 // maxDrain bounds how many queue items one drain pass collects before
@@ -945,14 +1088,14 @@ func (n *Node) writeRun(link *peerLink, run []outMsg) error {
 		})
 		n.batchFrames.Add(1)
 		n.updatesSent.Add(uint64(len(batch)))
-		link.advancePeerVer(ver)
+		raise(&link.peerVer, ver)
 		batch = batch[:0]
 		ver = 0
 		return err
 	}
 	for i := range run {
 		om := &run[i]
-		if om.isUpdate && !n.cfg.DisableBatching {
+		if om.isUpdate {
 			batch = append(batch, om.update)
 			if om.version > ver {
 				ver = om.version
@@ -967,49 +1110,40 @@ func (n *Node) writeRun(link *peerLink, run []outMsg) error {
 		if err := writeBatch(); err != nil {
 			return err
 		}
-		m := om.msg
-		if om.isUpdate {
-			// Batching disabled: the paper-faithful one-frame-per-update
-			// path, which any peer understands.
-			m = om.legacy()
-			n.updatesSent.Add(1)
-			n.singleFrames.Add(1)
-			link.advancePeerVer(om.version)
-		}
-		if err := link.wc.WriteBuffered(m); err != nil {
+		if err := link.wc.WriteBuffered(om.msg); err != nil {
 			return err
 		}
-		if w, ok := m.(*wire.InvalWave); ok && w.Origin == n.cfg.NodeID {
+		if w, ok := om.msg.(*wire.InvalWave); ok && w.Origin == n.cfg.NodeID {
 			// The peer now has (or has in the ordered pipe) every own wave
 			// up to this one; sync passes need not replay below it.
-			link.advanceWaveAck(w.Seq)
-		}
-		if om.isUpdate {
-			// One stream push per update, reproducing the pre-batching wire
-			// behaviour exactly (the baseline the -broadcast bench compares
-			// against).
-			wrote, err := link.wc.Flush()
-			if wrote {
-				n.flushes.Add(1)
-			}
-			if err != nil {
-				return err
-			}
+			raise(&link.waveAck, w.Seq)
 		}
 	}
 	return writeBatch()
 }
 
-// writeSync ships an anti-entropy catch-up to the peer. The queue is drained
-// first so the catch-up's version covers every update already on the wire —
-// anything still queued behind it replays idempotently on top.
+// writeSync ships an anti-entropy catch-up to the peer: everything above the
+// version the peer is known to hold as the pass starts. The queue is then
+// drained first so the catch-up's version covers every update already on the
+// wire — anything still queued behind it replays idempotently on top,
+// provided the replayed run has no hole: so the full-sync debt is taken before
+// the drain, and an update dropped any later than that asks for another pass.
 func (n *Node) writeSync(link *peerLink) error {
-	syncer, hasSyncer := n.handler.(DirSyncer)
-	ws, hasWaves := n.handler.(WaveSyncer)
-	dirSyncOn := hasSyncer && !n.cfg.DisableSync
-	if !dirSyncOn && !hasWaves {
-		return nil
-	}
+	n.mu.Lock()
+	full := !n.cfg.DisableSync && n.needFullSync[link.id]
+	delete(n.needFullSync, link.id)
+	n.mu.Unlock()
+	settled := false
+	defer func() {
+		if full && !settled { // the link failed first: the next one owes it
+			n.mu.Lock()
+			n.needFullSync[link.id] = true
+			n.mu.Unlock()
+		}
+	}()
+	// Read before the drain raises it: the peer's version says nothing about
+	// the updates made while it had no link to be queued on.
+	since := link.peerVer.Load()
 	select {
 	case om := <-link.queue:
 		if err := n.writeCoalesced(link, om); err != nil {
@@ -1017,19 +1151,14 @@ func (n *Node) writeSync(link *peerLink) error {
 		}
 	default:
 	}
-	since := link.peerVer.Load()
+	if full {
+		// Updates were dropped toward this peer, so versions alone cannot
+		// tell what it is missing: resend authoritative state.
+		since = 0
+	}
 	var msg *wire.DirSync
-	if dirSyncOn {
-		n.mu.Lock()
-		full := n.needFullSync[link.id]
-		delete(n.needFullSync, link.id)
-		n.mu.Unlock()
-		if full {
-			// Updates were dropped toward this peer, so versions alone cannot
-			// tell what it is missing: resend authoritative state.
-			since = 0
-		}
-		msg = syncer.BuildDirSync(since)
+	if !n.cfg.DisableSync {
+		msg = n.handler.BuildDirSync(since)
 	}
 	if msg == nil {
 		// The peer is already current (or directory sync is off and only
@@ -1040,25 +1169,15 @@ func (n *Node) writeSync(link *peerLink) error {
 		// ever see.
 		msg = &wire.DirSync{Owner: n.cfg.NodeID, Version: since}
 	}
-	if hasWaves {
-		msg.Waves = ws.BuildWaveSync(link.waveAck.Load())
-	}
-	if !dirSyncOn && len(msg.Waves) == 0 {
+	msg.Waves = n.handler.BuildWaveSync(link.waveAck.Load())
+	if n.cfg.DisableSync && len(msg.Waves) == 0 {
 		// Nothing to say on a wave-only link.
 		return nil
 	}
-	link.sendMu.Lock()
-	defer link.sendMu.Unlock()
-	if err := link.wc.WriteBuffered(msg); err != nil {
+	if err := link.send(msg); err != nil {
 		return err
 	}
-	wrote, err := link.wc.Flush()
-	if wrote {
-		n.flushes.Add(1)
-	}
-	if err != nil {
-		return err
-	}
+	settled = true
 	n.syncsSent.Add(1)
 	if msg.Full {
 		n.syncFull.Add(1)
@@ -1066,105 +1185,13 @@ func (n *Node) writeSync(link *peerLink) error {
 		n.syncDelta.Add(1)
 	}
 	n.syncUpdates.Add(uint64(len(msg.Updates)))
-	link.advancePeerVer(msg.Version)
+	raise(&link.peerVer, msg.Version)
 	if len(msg.Waves) > 0 {
-		link.advanceWaveAck(msg.Waves[len(msg.Waves)-1].Seq)
+		raise(&link.waveAck, msg.Waves[len(msg.Waves)-1].Seq)
 	}
 	return nil
 }
 
-// linkReader consumes replies on an outbound link.
-func (n *Node) linkReader(link *peerLink) {
-	defer n.wg.Done()
-	for {
-		msg, err := link.wc.Read()
-		if err != nil {
-			link.close()
-			n.noteLinkDown(link.id)
-			n.scheduleReconnect(link)
-			return
-		}
-		switch m := msg.(type) {
-		case *wire.FetchReply:
-			link.mu.Lock()
-			ch := link.pending[m.Seq]
-			delete(link.pending, m.Seq)
-			link.mu.Unlock()
-			if ch != nil {
-				ch <- m
-			} else {
-				m.Release() // its fetch timed out or was cancelled
-			}
-		case *wire.Pong:
-			link.mu.Lock()
-			ch := link.pongs[m.Seq]
-			delete(link.pongs, m.Seq)
-			link.mu.Unlock()
-			if ch != nil {
-				close(ch)
-			}
-		case *wire.DirSyncReq:
-			// The peer told us how much of our directory (and wave journal)
-			// it has; wake the sender to ship the difference. Wave state is
-			// exchanged even when directory sync is disabled (ring mode).
-			_, hasWaves := n.handler.(WaveSyncer)
-			if n.cfg.DisableSync && !hasWaves {
-				break
-			}
-			if !n.cfg.DisableSync {
-				link.advancePeerVer(m.Version)
-			}
-			if hasWaves {
-				link.advanceWaveAck(m.WaveSeq)
-			}
-			select {
-			case link.syncCh <- struct{}{}:
-			default:
-			}
-		case *wire.RingUpdate:
-			// Membership view exchanged on link establishment (or a
-			// convergence reply to our gossip).
-			if n.cfg.RingMode {
-				n.handleRingUpdate(m, func(msg wire.Message) {
-					if err := link.send(msg); err != nil {
-						n.logf("ring reply to peer %d: %v", link.id, err)
-					}
-				})
-			}
-		case *wire.DirSync:
-			// A ring rebalance offer can arrive on either side of a link —
-			// whoever dialed first owns the connection, and the old owner
-			// pushes to the new one regardless of who that was. A regular
-			// (non-handoff) sync here is the peer answering the DirSyncReq we
-			// sent when this link came up; it applies exactly as it would on
-			// the inbound side, and even an empty ack matters (it is the
-			// convergence signal that lifts a rejoined peer's quarantine).
-			if ws, ok := n.handler.(WaveSyncer); ok && len(m.Waves) > 0 {
-				ws.HandleWaveSync(m.Owner, m.Waves)
-			}
-			if syncer, ok := n.handler.(DirSyncer); ok && (!n.cfg.DisableSync || m.Handoff) {
-				syncer.HandleDirSync(m)
-				n.syncsApplied.Add(1)
-			}
-		case *wire.ReplicaPush:
-			// Like handoff offers, replica control traffic rides whichever
-			// side of the pair's links the sender owns.
-			if rh, ok := n.handler.(ReplicaHandler); ok {
-				rh.HandleReplicaPush(m)
-			}
-		case *wire.ReplicaEvent:
-			if rh, ok := n.handler.(ReplicaHandler); ok {
-				rh.HandleReplicaEvent(m)
-			}
-		default:
-			n.logf("unexpected reply on outbound link to %d: %v", link.id, msg.Type())
-		}
-	}
-}
-
-// scheduleReconnect redials a failed peer link with exponential backoff so a
-// restarted node rejoins the mesh without operator action. At most one
-// redial loop runs per peer, and intentional shutdown never reconnects.
 // jitter spreads a backoff wait uniformly over [d/2, d]. Deterministic
 // exponential backoff makes every link that died in the same partition
 // redial in lockstep after a heal — a reconnect thundering herd that lands
@@ -1178,52 +1205,38 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-func (n *Node) scheduleReconnect(dead *peerLink) {
-	if n.cfg.DisableReconnect {
-		return
-	}
-	n.mu.Lock()
-	if n.closed || n.peers[dead.id] != dead || n.reconnecting[dead.id] {
+// redial re-establishes a failed peer link with exponential backoff so a
+// restarted node rejoins the mesh without operator action. Both ends of a
+// dead link redial; whichever gets there first re-establishes it and the
+// other finds it up. At most one redial loop runs per peer (linkDown claims
+// Node.reconnecting), and intentional shutdown never reconnects.
+func (n *Node) redial(peer uint32, addr string) {
+	defer n.wg.Done()
+	defer func() {
+		n.mu.Lock()
+		delete(n.reconnecting, peer)
 		n.mu.Unlock()
-		return
-	}
-	addr := n.peerAddrs[dead.id]
-	if addr == "" {
-		n.mu.Unlock()
-		return
-	}
-	n.reconnecting[dead.id] = true
-	n.mu.Unlock()
-
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer func() {
-			n.mu.Lock()
-			delete(n.reconnecting, dead.id)
-			n.mu.Unlock()
-		}()
-		backoff := 50 * time.Millisecond
-		for {
-			select {
-			case <-n.done:
-				return
-			case <-time.After(jitter(backoff)):
-			}
-			err := n.ConnectPeer(dead.id, addr)
-			if err == nil {
-				n.logf("reconnected to peer %d at %s", dead.id, addr)
-				return
-			}
-			if errors.Is(err, ErrClosed) {
-				return
-			}
-			n.logf("reconnect to peer %d: %v", dead.id, err)
-			if backoff < 5*time.Second {
-				backoff *= 2
-			}
-		}
 	}()
+	backoff := 50 * time.Millisecond
+	for {
+		select {
+		case <-n.done:
+			return
+		case <-time.After(jitter(backoff)):
+		}
+		err := n.ConnectPeer(peer, addr)
+		if err == nil {
+			n.logf("reconnected to peer %d at %s", peer, addr)
+			return
+		}
+		if errors.Is(err, ErrClosed) {
+			return
+		}
+		n.logf("reconnect to peer %d: %v", peer, err)
+		if backoff < 5*time.Second {
+			backoff *= 2
+		}
+	}
 }
 
 // Peers returns the connected peer IDs, ascending.
@@ -1238,12 +1251,6 @@ func (n *Node) Peers() []uint32 {
 	return out
 }
 
-// Broadcast enqueues a message to every peer without blocking the caller.
-// Insert and Delete messages are converted to unversioned directory updates
-// so they ride the batching path. If a peer's queue is full the message is
-// dropped for that peer and counted; the weak consistency protocol tolerates
-// the resulting staleness (it manifests as a false miss or false hit) and
-// anti-entropy sync later heals it.
 // SendTo writes msg directly to one peer's link, bypassing the broadcast
 // queues — the transport for targeted control traffic such as handoff
 // metadata pushes during a rebalance.
@@ -1257,23 +1264,16 @@ func (n *Node) SendTo(peer uint32, msg wire.Message) error {
 	return link.send(msg)
 }
 
+// Broadcast enqueues a message to every peer without blocking the caller. If
+// a peer's queue is full the message is dropped for that peer and counted; the
+// weak consistency protocol tolerates the resulting staleness (it manifests as
+// a false miss or false hit) and anti-entropy sync later heals it.
 func (n *Node) Broadcast(m wire.Message) {
-	switch t := m.(type) {
-	case *wire.Insert:
-		n.broadcast(outMsg{isUpdate: true, update: wire.DirUpdate{
-			Owner: t.Owner, Key: t.Key, Size: t.Size,
-			ExecTime: t.ExecTime, Expires: t.Expires,
-		}})
-	case *wire.Delete:
-		n.broadcast(outMsg{isUpdate: true, update: wire.DirUpdate{
-			Delete: true, Owner: t.Owner, Key: t.Key,
-		}})
-	default:
-		n.broadcast(outMsg{msg: m})
-	}
+	n.broadcast(outMsg{msg: m})
 }
 
-// BroadcastUpdate enqueues one versioned directory update to every peer.
+// BroadcastUpdate enqueues one directory update to every peer, to travel in
+// a DirBatch (version 0 = unversioned: anti-entropy does not cover it).
 // Callers must present updates in version order (the directory's OnUpdate
 // callback does, holding its lock), which makes per-link queue contents
 // version-ordered — the invariant anti-entropy sync relies on.
@@ -1330,10 +1330,7 @@ func (n *Node) broadcast(om outMsg) (peers, unreached int) {
 				// Wake the sender to heal the gap: dropped directory updates
 				// replay via BuildDirSync, dropped waves via BuildWaveSync
 				// (waveAck never advanced past the dropped wave).
-				select {
-				case l.syncCh <- struct{}{}:
-				default:
-				}
+				l.wakeSync()
 			}
 			n.logf("broadcast queue full for peer %d; dropped %v", l.id, dropKind(om))
 		}
@@ -1383,7 +1380,6 @@ func (n *Node) ReplicationStats() stats.ReplicationSnapshot {
 		Updates:      n.updates.Load(),
 		UpdatesSent:  n.updatesSent.Load(),
 		BatchFrames:  n.batchFrames.Load(),
-		SingleFrames: n.singleFrames.Load(),
 		Flushes:      n.flushes.Load(),
 		SyncsSent:    n.syncsSent.Load(),
 		SyncFull:     n.syncFull.Load(),
@@ -1458,17 +1454,13 @@ func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags ui
 		return nil, fmt.Errorf("%w: %d", ErrNoPeer, owner)
 	}
 
-	link.mu.Lock()
-	if link.closed {
-		link.mu.Unlock()
+	w := waiterPool.Get().(*fetchWaiter)
+	seq, ok := link.expect(w.ch)
+	if !ok {
+		waiterPool.Put(w)
 		n.settleFetch(owner, probe, 0, fetchFailed)
 		return nil, fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
 	}
-	link.nextSeq++
-	seq := link.nextSeq
-	w := waiterPool.Get().(*fetchWaiter)
-	link.pending[seq] = w.ch
-	link.mu.Unlock()
 
 	start := time.Now()
 	err := link.send(&wire.Fetch{Seq: seq, Key: key, Flags: flags})
@@ -1498,9 +1490,7 @@ func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags ui
 	} else {
 		err = fmt.Errorf("cluster: fetch from %d: %w", owner, err)
 	}
-	link.mu.Lock()
-	delete(link.pending, seq)
-	link.mu.Unlock()
+	link.forget(seq)
 	outcome := fetchFailed // a failed send or a missed deadline counts against the peer
 	if errors.Is(err, context.Canceled) {
 		// The caller gave up (hedge loser, client gone): says nothing about it.
@@ -1519,9 +1509,9 @@ func ctxFetchErr(err error) error {
 	return fmt.Errorf("cluster: fetch canceled: %w", err)
 }
 
-// RecyclePeer tears down the outbound link to peer (if any); the automatic
-// reconnect then performs a fresh Hello — and with it the anti-entropy
-// version exchange. The server layer uses this when a dead peer turns alive
+// RecyclePeer tears down the link to peer (if any); the automatic reconnect,
+// from whichever end gets there first, then performs a fresh Hello — and
+// with it the anti-entropy version exchange. The server layer uses this when a dead peer turns alive
 // again without its links ever having died (a hung host that recovers): no
 // reconnect would otherwise happen, so no DirSyncReq would be exchanged and
 // updates lost during the outage would never be healed.
@@ -1544,50 +1534,29 @@ func (n *Node) Ping(ctx context.Context, peer uint32) error {
 	if link == nil {
 		return fmt.Errorf("%w: %d", ErrNoPeer, peer)
 	}
-	if n.cfg.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.cfg.FetchTimeout)
-		defer cancel()
-	}
-	link.mu.Lock()
-	if link.closed {
-		link.mu.Unlock()
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	defer cancel()
+	ch := make(chan *wire.FetchReply, 1)
+	seq, ok := link.expect(ch)
+	if !ok {
 		return fmt.Errorf("%w: %d (link closed)", ErrNoPeer, peer)
 	}
-	link.nextSeq++
-	seq := link.nextSeq
-	ch := make(chan struct{})
-	link.pongs[seq] = ch
-	link.mu.Unlock()
-
-	if err := link.send(&wire.Ping{Seq: seq}); err != nil {
-		// Deregister, as Fetch does — otherwise the pong channel would sit
-		// in link.pongs forever.
-		link.mu.Lock()
-		delete(link.pongs, seq)
-		link.mu.Unlock()
-		return err
+	err := link.send(&wire.Ping{Seq: seq})
+	if err == nil {
+		select {
+		case _, open := <-ch:
+			if open {
+				return nil
+			}
+			// The link was torn down with our ping in flight: the answer is
+			// known without waiting out ctx.
+			err = fmt.Errorf("%w: %d (link closed)", ErrNoPeer, peer)
+		case <-ctx.Done():
+			err = ctxFetchErr(ctx.Err())
+		}
 	}
-	select {
-	case <-ch:
-		return nil
-	case <-link.done:
-		// The reader tore the link down with our ping in flight. Unlike
-		// fetch waiters (whose pending channels are closed on teardown), a
-		// closed pong channel would read as success, so teardown is signalled
-		// through the link's done channel instead — without this case the
-		// waiter would strand until ctx (worst case FetchTimeout) despite the
-		// answer already being knowable: the peer is unreachable.
-		link.mu.Lock()
-		delete(link.pongs, seq)
-		link.mu.Unlock()
-		return fmt.Errorf("%w: %d (link closed)", ErrNoPeer, peer)
-	case <-ctx.Done():
-		link.mu.Lock()
-		delete(link.pongs, seq)
-		link.mu.Unlock()
-		return ctxFetchErr(ctx.Err())
-	}
+	link.forget(seq)
+	return err
 }
 
 func (n *Node) logf(format string, args ...any) {
@@ -1608,9 +1577,11 @@ func (n *Node) Close() error {
 	l := n.listener
 	peers := n.peers
 	n.peers = make(map[uint32]*peerLink)
-	inbound := make([]net.Conn, 0, len(n.inbound))
 	for c := range n.inbound {
-		inbound = append(inbound, c)
+		c.Close() // its serving goroutine takes it off the table
+	}
+	for _, abort := range n.dialing {
+		abort()
 	}
 	n.mu.Unlock()
 
@@ -1619,9 +1590,6 @@ func (n *Node) Close() error {
 	}
 	for _, p := range peers {
 		p.close()
-	}
-	for _, c := range inbound {
-		c.Close()
 	}
 	n.wg.Wait()
 	return nil

@@ -14,9 +14,10 @@ import (
 
 // recordingHandler collects events and serves a fixed set of cached bodies.
 type recordingHandler struct {
+	NopHandler
 	mu      sync.Mutex
-	inserts []*wire.Insert
-	deletes []*wire.Delete
+	inserts []wire.DirUpdate
+	deletes []wire.DirUpdate
 	bodies  map[string]string
 }
 
@@ -24,16 +25,16 @@ func newRecordingHandler() *recordingHandler {
 	return &recordingHandler{bodies: make(map[string]string)}
 }
 
-func (h *recordingHandler) HandleInsert(m *wire.Insert) {
+func (h *recordingHandler) HandleDirBatch(m *wire.DirBatch) {
 	h.mu.Lock()
-	h.inserts = append(h.inserts, m)
-	h.mu.Unlock()
-}
-
-func (h *recordingHandler) HandleDelete(m *wire.Delete) {
-	h.mu.Lock()
-	h.deletes = append(h.deletes, m)
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	for _, u := range m.Updates {
+		if u.Delete {
+			h.deletes = append(h.deletes, u)
+		} else {
+			h.inserts = append(h.inserts, u)
+		}
+	}
 }
 
 func (h *recordingHandler) HandleFetch(key string, _ uint8, r *wire.FetchReply) func() {
@@ -49,14 +50,16 @@ func (h *recordingHandler) HandleStats() wire.StatsReply {
 	return wire.StatsReply{LocalHits: 7, Entries: 3}
 }
 
-func (h *recordingHandler) HandleInvalidate(m *wire.Invalidate) {
+func (h *recordingHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for key := range h.bodies {
 		if m.Pattern == "*" || key == m.Pattern {
 			delete(h.bodies, key)
+			matched++
 		}
 	}
+	return matched, 0, 0
 }
 
 func (h *recordingHandler) insertCount() int {
@@ -116,7 +119,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestBroadcastInsertReachesAllPeers(t *testing.T) {
 	nodes, handlers := startMesh(t, 3)
-	nodes[0].Broadcast(&wire.Insert{Owner: 1, Key: "GET /q", Size: 10, ExecTime: time.Second})
+	nodes[0].BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: "GET /q", Size: 10, ExecTime: time.Second}, 0)
 
 	for i := 1; i < 3; i++ {
 		i := i
@@ -132,7 +135,7 @@ func TestBroadcastInsertReachesAllPeers(t *testing.T) {
 
 func TestBroadcastDelete(t *testing.T) {
 	nodes, handlers := startMesh(t, 2)
-	nodes[1].Broadcast(&wire.Delete{Owner: 2, Key: "GET /x"})
+	nodes[1].BroadcastUpdate(wire.DirUpdate{Delete: true, Owner: 2, Key: "GET /x"}, 0)
 	waitFor(t, "delete at node 1", func() bool { return handlers[0].deleteCount() == 1 })
 	if got := handlers[0].deletes[0]; got.Key != "GET /x" || got.Owner != 2 {
 		t.Fatalf("delete = %+v", got)
@@ -142,7 +145,7 @@ func TestBroadcastDelete(t *testing.T) {
 func TestBroadcastOrderingPerPeer(t *testing.T) {
 	nodes, handlers := startMesh(t, 2)
 	for i := 0; i < 100; i++ {
-		nodes[0].Broadcast(&wire.Insert{Owner: 1, Key: fmt.Sprintf("k%03d", i)})
+		nodes[0].BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: fmt.Sprintf("k%03d", i)}, 0)
 	}
 	waitFor(t, "all inserts", func() bool { return handlers[1].insertCount() == 100 })
 	handlers[1].mu.Lock()
@@ -264,7 +267,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a.Broadcast(&wire.Insert{Owner: 1, Key: "before"})
+	a.BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: "before"}, 0)
 	waitFor(t, "pre-restart insert", func() bool { return hB.insertCount() == 1 })
 
 	// Crash node 2 and restart a replacement at the same address.
@@ -284,7 +287,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("link never reconnected after peer restart")
 		}
-		a.Broadcast(&wire.Insert{Owner: 1, Key: "after"})
+		a.BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: "after"}, 0)
 		time.Sleep(20 * time.Millisecond)
 	}
 }
@@ -461,7 +464,7 @@ func TestMeshOverTCP(t *testing.T) {
 		t.Fatalf("body = %q", body)
 	}
 
-	a.Broadcast(&wire.Insert{Owner: 1, Key: "GET /i"})
+	a.BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: "GET /i"}, 0)
 	waitFor(t, "insert over TCP", func() bool { return h2.insertCount() == 1 })
 }
 
@@ -492,7 +495,7 @@ func TestPingSendErrorDeregistersPong(t *testing.T) {
 		t.Fatal("ping over closed transport succeeded")
 	}
 	link.mu.Lock()
-	leaked := len(link.pongs)
+	leaked := len(link.pending)
 	link.mu.Unlock()
 	if leaked != 0 {
 		t.Fatalf("%d pong registrations leaked after failed ping", leaked)

@@ -218,7 +218,7 @@ func TestFetchWakesOnLinkTeardown(t *testing.T) {
 // TestPingWakesOnLinkTeardown: a ping in flight when the link tears down must
 // be woken through the link's done channel — closing the pong channel would
 // read as success, and not waking at all would strand the prober until its
-// timeout. The peer's inbound loop is blocked (synchronous HandleInsert) so
+// timeout. The peer's read loop is blocked (synchronous HandleDirBatch) so
 // the ping is read by nobody; killing the peer must fail the ping promptly.
 func TestPingWakesOnLinkTeardown(t *testing.T) {
 	mem := netx.NewMem()
@@ -244,9 +244,9 @@ func TestPingWakesOnLinkTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Jam B's inbound loop: HandleInsert blocks, so the following ping frame
+	// Jam B's read loop: HandleDirBatch blocks, so the following ping frame
 	// is never read and no pong can come back.
-	a.Broadcast(&wire.Insert{Owner: 1, Key: "GET /jam", Size: 1})
+	a.BroadcastUpdate(wire.DirUpdate{Owner: 1, Key: "GET /jam", Size: 1}, 0)
 	select {
 	case <-h.entered():
 	case <-time.After(5 * time.Second):
@@ -312,8 +312,8 @@ func (h *blockingFetchHandler) HandleFetch(string, uint8, *wire.FetchReply) func
 	return nil
 }
 
-// blockingInsertHandler blocks HandleInsert (which runs synchronously in the
-// inbound read loop) until gate closes.
+// blockingInsertHandler blocks HandleDirBatch (which runs synchronously in the
+// read loop) until gate closes.
 type blockingInsertHandler struct {
 	NopHandler
 	gate chan struct{}
@@ -331,7 +331,7 @@ func (h *blockingInsertHandler) entered() chan struct{} {
 	return h.in
 }
 
-func (h *blockingInsertHandler) HandleInsert(*wire.Insert) {
+func (h *blockingInsertHandler) HandleDirBatch(*wire.DirBatch) {
 	h.mu.Lock()
 	if h.in == nil {
 		h.in = make(chan struct{})
@@ -352,7 +352,7 @@ func (h *blockingInsertHandler) HandleInsert(*wire.Insert) {
 // the test releases it.
 func TestConnectPeerCancelDuringDial(t *testing.T) {
 	inner := netx.NewMem()
-	bn := &blockingNetwork{Network: inner, entered: make(chan struct{}), release: make(chan struct{})}
+	bn := &blockingNetwork{countingNetwork: countingNetwork{Network: inner}, entered: make(chan struct{}), release: make(chan struct{})}
 
 	a := NewNode(Config{NodeID: 1, Network: bn, DialRetry: 10 * time.Second}, NopHandler{})
 	if err := a.Start("cd-a"); err != nil {
@@ -395,54 +395,18 @@ func TestConnectPeerCancelDuringDial(t *testing.T) {
 	}
 }
 
-// blockingNetwork parks the first Dial until release closes and counts
-// connections it handed out that were never closed.
+// blockingNetwork parks the first Dial until release closes.
 type blockingNetwork struct {
-	netx.Network
+	countingNetwork
 	entered chan struct{}
 	release chan struct{}
-
-	mu   sync.Mutex
-	once bool
-	open int
+	once    sync.Once
 }
 
 func (b *blockingNetwork) Dial(addr string) (net.Conn, error) {
-	b.mu.Lock()
-	first := !b.once
-	b.once = true
-	b.mu.Unlock()
-	if first {
+	b.once.Do(func() {
 		close(b.entered)
 		<-b.release
-	}
-	c, err := b.Network.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	b.mu.Lock()
-	b.open++
-	b.mu.Unlock()
-	return &countedConn{Conn: c, n: b}, nil
-}
-
-func (b *blockingNetwork) openConns() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-type countedConn struct {
-	net.Conn
-	n    *blockingNetwork
-	once sync.Once
-}
-
-func (c *countedConn) Close() error {
-	c.once.Do(func() {
-		c.n.mu.Lock()
-		c.n.open--
-		c.n.mu.Unlock()
 	})
-	return c.Conn.Close()
+	return b.countingNetwork.Dial(addr)
 }

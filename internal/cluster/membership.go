@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/ring"
 	"repro/internal/wire"
@@ -21,11 +21,12 @@ import (
 //     arrival at the same incarnation. Merging two tables member-by-member is
 //     idempotent, commutative, and associative, so concurrent joins, leaves,
 //     and evictions converge without coordination.
-//   - A node joins by dialing any seed and sending MsgJoin; the seed admits
-//     it at a fresh incarnation, answers with its full view, and gossips the
-//     change. Every Hello between ring-mode nodes also answers with the full
-//     view, making link (re)establishment the membership anti-entropy path —
-//     the same pattern the directory uses with DirSyncReq.
+//   - A node joins by dialing any seed and sending MsgJoin on that link; the
+//     seed admits it at a fresh incarnation and gossips the change. Both
+//     ends of every link between ring-mode nodes also open it with their
+//     full view — how the joiner learns the seed's — making link
+//     (re)establishment the membership anti-entropy path — the same pattern
+//     the directory uses with DirSyncReq.
 //   - Graceful leave marks the member departed at incarnation+1; the
 //     departing node hands its entries off first, then announces.
 //   - The PR 4 failure detector is the membership authority for crashes: a
@@ -76,13 +77,6 @@ func (n *Node) buildRingLocked() *ring.Ring {
 // Ring returns the current placement ring (nil when not in ring mode, never
 // nil after Start in ring mode). The returned ring is immutable.
 func (n *Node) Ring() *ring.Ring { return n.ringPtr.Load() }
-
-// RingEpoch counts effective membership changes seen by this node.
-func (n *Node) RingEpoch() uint64 {
-	n.memMu.Lock()
-	defer n.memMu.Unlock()
-	return n.epoch
-}
 
 // MembersSnapshot returns the full membership table (departed members
 // included — gossip needs the tombstones), sorted by ID.
@@ -273,15 +267,12 @@ func (n *Node) evictMember(id uint32) {
 	n.ringChangedLocked(true)
 }
 
-// handleRingUpdate merges gossip. When the sender's view is older than ours
-// on any member, answer with our view (on the connection the gossip arrived
-// on) so the pair converges even when we learned nothing new — this is how
-// an evicted node finds out and refutes.
-func (n *Node) handleRingUpdate(m *wire.RingUpdate, reply func(wire.Message)) {
+// handleRingUpdate merges gossip read from c. When the sender's view is
+// older than ours on any member, answer with our view so the pair converges
+// even when we learned nothing new — this is how an evicted node finds out
+// and refutes.
+func (n *Node) handleRingUpdate(c *peerLink, m *wire.RingUpdate) {
 	n.mergeMembers(m.Members, true)
-	if reply == nil {
-		return
-	}
 	n.memMu.Lock()
 	stale := false
 	theirs := make(map[uint32]wire.Member, len(m.Members))
@@ -302,65 +293,48 @@ func (n *Node) handleRingUpdate(m *wire.RingUpdate, reply func(wire.Message)) {
 	}
 	n.memMu.Unlock()
 	if stale {
-		reply(&wire.RingUpdate{Origin: n.cfg.NodeID, Members: snapshot})
+		n.reply(c, &wire.RingUpdate{Origin: n.cfg.NodeID, Members: snapshot})
 	}
 }
 
-// JoinSeed joins the ring through a seed member: it dials the seed, sends
-// MsgJoin, and waits for a membership view that includes this node. The
-// merge then connects to every live member. The temporary seed connection is
-// discarded; the mesh link to the seed is established like any other.
+// JoinSeed joins the ring through a seed member, over the link to it that
+// then stays: it dials the seed, whose Hello names it, sends MsgJoin on the
+// link and returns once the seed has admitted this node. The seed's view,
+// which arrives on the link, connects to every other live member.
 func (n *Node) JoinSeed(ctx context.Context, seedAddr string) error {
 	if !n.cfg.RingMode {
 		return fmt.Errorf("cluster: join requires ring placement mode")
 	}
-	if n.cfg.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.cfg.FetchTimeout)
-		defer cancel()
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	defer cancel()
+	c, answer, err := n.dialHello(ctx, seedAddr)
+	if err == nil && answer == nil {
+		c.conn.Close()
+		err = errors.New("the seed hung up (one that runs replicate placement does)")
 	}
-	conn, err := n.cfg.Network.Dial(seedAddr)
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
 	}
-	defer conn.Close()
-	if d, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(d)
+	seed := answer.NodeID
+	if answer.Addr == "" {
+		err = errDialInFlight // the seed is dialing this node: that is the link
 	}
-	wc := wire.NewConn(conn)
-	hello := &wire.Hello{
-		NodeID: n.cfg.NodeID, NodeName: n.cfg.Name, Addr: n.Addr(),
-		ProtoVersion: wire.ProtoCurrent, Placement: wire.PlacementRing,
+	up, err := n.settle(c, seed, err, seedAddr)
+	if !up {
+		err = n.ConnectPeerContext(ctx, seed, seedAddr)
 	}
-	if err := wc.Write(hello); err != nil {
-		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
+	if err == nil {
+		err = n.SendTo(seed, &wire.Join{NodeID: n.cfg.NodeID, Addr: n.Addr()})
 	}
-	if err := wc.Write(&wire.Join{NodeID: n.cfg.NodeID, Addr: n.Addr()}); err != nil {
-		return fmt.Errorf("cluster: join via %s: %w", seedAddr, err)
+	if err == nil {
+		// The seed reads the ping after the join: answered, it has admitted us.
+		err = n.Ping(ctx, seed)
 	}
-	for {
-		msg, err := wc.Read()
-		if err != nil {
-			return fmt.Errorf("cluster: join via %s: no admission (the seed may run replicate placement): %w", seedAddr, err)
-		}
-		ru, ok := msg.(*wire.RingUpdate)
-		if !ok {
-			continue // DirSyncReq and friends arrive first on this conn
-		}
-		admitted := false
-		for _, m := range ru.Members {
-			if m.ID == n.cfg.NodeID && !m.Left {
-				admitted = true
-				break
-			}
-		}
-		if !admitted {
-			continue
-		}
-		n.mergeMembers(ru.Members, true)
-		n.logf("joined ring via %s: %d members", seedAddr, n.Ring().Len())
-		return nil
+	if err != nil {
+		return fmt.Errorf("cluster: join via %s (node %d): %w", seedAddr, seed, err)
 	}
+	n.logf("joined ring via %s (node %d)", seedAddr, seed)
+	return nil
 }
 
 // LeaveRing marks this node departed in its own view and rebuilds the ring
@@ -456,6 +430,10 @@ func (n *Node) ringRejectHello(hello *wire.Hello) string {
 	if hello.Addr == "" {
 		return ""
 	}
+	if hello.NodeID == n.cfg.NodeID {
+		return fmt.Sprintf("peer %s announces this node's own ID %d: a dial that reached its own listener, or two nodes started with one -id",
+			hello.NodeName, hello.NodeID)
+	}
 	if n.cfg.RingMode {
 		if hello.ProtoVersion < wire.ProtoRing {
 			return fmt.Sprintf("peer %d (%s) speaks protocol v%d (replicate-era message set); ring placement requires v%d — upgrade it or start this node with -placement=replicate",
@@ -472,24 +450,4 @@ func (n *Node) ringRejectHello(hello *wire.Hello) string {
 			hello.NodeID, hello.NodeName)
 	}
 	return ""
-}
-
-// placement returns the placement byte this node announces in Hello.
-func (n *Node) placement() uint8 {
-	if n.cfg.RingMode {
-		return wire.PlacementRing
-	}
-	return wire.PlacementReplicate
-}
-
-// waitSettled is a test helper hook point: it blocks until the ring event
-// queue has drained into OnRingChange (best effort, bounded by d).
-func (n *Node) waitRingEvents(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if len(n.ringEvents) == 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

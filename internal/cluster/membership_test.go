@@ -230,3 +230,31 @@ func TestJoinRejectedByReplicateSeed(t *testing.T) {
 		t.Fatal("join through a replicate-placement seed succeeded")
 	}
 }
+
+// TestRejoinWhileSeedRedials: a node that crashed comes back and joins
+// through a seed that is redialing it at that moment. Whichever of the two
+// dials the pair keeps, the join goes over it and does not wait out a dial
+// the seed refused.
+func TestRejoinWhileSeedRedials(t *testing.T) {
+	for _, ids := range [][2]uint32{{1, 2}, {2, 1}} {
+		seedID, joinerID := ids[0], ids[1]
+		t.Run(fmt.Sprintf("seed %d joiner %d", seedID, joinerID), func(t *testing.T) {
+			mem := netx.NewMem()
+			seed, _ := startRingNode(t, mem, seedID, false)
+			seedAddr := fmt.Sprintf("ring-%d", seedID)
+			joiner, _ := startRingNode(t, mem, joinerID, false)
+			for iter := 0; iter < 15; iter++ {
+				if err := joiner.JoinSeed(context.Background(), seedAddr); err != nil {
+					t.Fatalf("iter %d: %v", iter, err)
+				}
+				waitFor(t, "2-member ring", func() bool {
+					return ringHas(seed, 1, 2) && ringHas(joiner, 1, 2)
+				})
+				joiner.Close()
+				// Let the seed's redial loop get going, a little further each time.
+				time.Sleep(time.Duration(iter) * 5 * time.Millisecond)
+				joiner, _ = startRingNode(t, mem, joinerID, false)
+			}
+		})
+	}
+}

@@ -14,10 +14,11 @@ import (
 )
 
 // dirHandler backs a cluster node with a real directory and implements
-// DirSyncer the same way the core server does: batches and syncs apply into
+// Handler's replication half the way the core server does: batches and syncs apply into
 // the directory, versions come from it, catch-ups are built from it. An
 // optional gate stalls batch application to simulate a slow receiver.
 type dirHandler struct {
+	NopHandler
 	dir  *directory.Directory
 	gate atomic.Pointer[chan struct{}]
 }
@@ -43,21 +44,6 @@ func (h *dirHandler) waitGate() {
 		<-*ch
 	}
 }
-
-func (h *dirHandler) HandleInsert(m *wire.Insert) {
-	h.dir.ApplyInsert(directory.Entry{
-		Key: m.Key, Owner: m.Owner, Size: m.Size,
-		ExecTime: m.ExecTime, Expires: m.Expires,
-	}, time.Now())
-}
-
-func (h *dirHandler) HandleDelete(m *wire.Delete) { h.dir.ApplyDelete(m.Owner, m.Key) }
-
-func (h *dirHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return nil }
-
-func (h *dirHandler) HandleStats() wire.StatsReply { return wire.StatsReply{} }
-
-func (h *dirHandler) HandleInvalidate(*wire.Invalidate) {}
 
 func (h *dirHandler) HandleDirBatch(m *wire.DirBatch) {
 	h.waitGate()

@@ -181,9 +181,6 @@ type Config struct {
 	// 1024). Updates beyond it are dropped (and healed by anti-entropy
 	// sync); small values are mainly useful for overflow testing.
 	SendQueue int
-	// DisableBroadcastBatch writes every directory update broadcast as its
-	// own wire frame instead of drain-coalescing into DirBatch frames.
-	DisableBroadcastBatch bool
 	// DisableDirSync turns off anti-entropy directory sync (the version
 	// exchange on peer connect and the catch-up snapshots that heal
 	// dropped broadcasts and reconnect gaps).
@@ -479,7 +476,6 @@ func New(cfg Config) *Server {
 		Network:         cfg.ClusterNetwork,
 		FetchTimeout:    cfg.FetchTimeout,
 		SendQueue:       cfg.SendQueue,
-		DisableBatching: cfg.DisableBroadcastBatch,
 		DisableSync:     cfg.DisableDirSync,
 		Health: cluster.HealthConfig{
 			Disable:       cfg.DisableHealth,
@@ -963,8 +959,7 @@ func (s *Server) serveStatus() *httpmsg.Response {
 	fmt.Fprintf(&b, "<h2>Replication</h2><ul>\n")
 	fmt.Fprintf(&b, "<li>directory version: %d</li>\n", s.dir.Version())
 	fmt.Fprintf(&b, "<li>updates enqueued: %d | sent: %d</li>\n", rs.Updates, rs.UpdatesSent)
-	fmt.Fprintf(&b, "<li>batch frames: %d (mean batch %.1f) | single frames: %d</li>\n",
-		rs.BatchFrames, rs.MeanBatch(), rs.SingleFrames)
+	fmt.Fprintf(&b, "<li>batch frames: %d (mean batch %.1f)</li>\n", rs.BatchFrames, rs.MeanBatch())
 	fmt.Fprintf(&b, "<li>wire flushes: %d (%.3f per update)</li>\n", rs.Flushes, rs.FlushesPerUpdate())
 	fmt.Fprintf(&b, "<li>syncs sent: %d (full %d, delta %d, %d updates) | syncs applied: %d</li>\n",
 		rs.SyncsSent, rs.SyncFull, rs.SyncDelta, rs.SyncUpdates, rs.SyncsApplied)
@@ -1288,23 +1283,6 @@ type clusterHandler Server
 
 func (h *clusterHandler) server() *Server { return (*Server)(h) }
 
-// HandleInsert implements cluster.Handler.
-func (h *clusterHandler) HandleInsert(m *wire.Insert) {
-	s := h.server()
-	s.dir.ApplyInsert(directory.Entry{
-		Key:      m.Key,
-		Owner:    m.Owner,
-		Size:     m.Size,
-		ExecTime: m.ExecTime,
-		Expires:  m.Expires,
-	}, s.clk.Now())
-}
-
-// HandleDelete implements cluster.Handler.
-func (h *clusterHandler) HandleDelete(m *wire.Delete) {
-	h.server().dir.ApplyDelete(m.Owner, m.Key)
-}
-
 // HandleFetch implements cluster.Handler: serve a peer's fetch from the
 // local store, updating owner-side statistics as in the paper ("the cache
 // manager on the node that owns the item updates meta-data statistics").
@@ -1370,17 +1348,25 @@ func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply
 const AdminOrigin = 0xFFFF
 
 // HandleInvalidate implements cluster.Handler: drop locally owned entries
-// matching the pattern. A node-originated invalidation is not re-broadcast
-// (the origin already told every peer; only the per-entry deletes are). An
-// admin-originated one arrived at a single node, so that node fans it out
-// with itself as origin — peers see a node origin and do not re-broadcast,
-// keeping the propagation loop-free.
-func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) {
+// matching the pattern and report the fan-out. A node-originated invalidation
+// is not re-broadcast (the origin already told every peer; only the per-entry
+// deletes are). An admin-originated one (swalactl invalidate) arrived at a
+// single node, so that node fans it out — as a wave when invalidation waves
+// are on, else with itself as origin: peers see a node origin and do not
+// re-broadcast, keeping the propagation loop-free.
+func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int) {
 	s := h.server()
-	s.invalidateLocal(m.Pattern)
-	if m.Origin == AdminOrigin && s.cfg.Mode == Cooperative {
-		s.clu.Broadcast(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
+	if m.Origin != AdminOrigin {
+		return s.invalidateLocal(m.Pattern), 0, 0
 	}
+	if s.inv != nil {
+		return s.invalidateWave(m.Pattern)
+	}
+	matched = s.invalidateLocal(m.Pattern)
+	if s.cfg.Mode == Cooperative {
+		peers, unreached = s.clu.BroadcastCounted(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
+	}
+	return matched, peers, unreached
 }
 
 // HandleStats implements cluster.Handler.
@@ -1430,11 +1416,11 @@ func (h *clusterHandler) HandleStats() wire.StatsReply {
 	return reply
 }
 
-// --- versioned directory replication (cluster.DirSyncer) ---
+// --- versioned directory replication ---
 
-// HandleDirBatch implements cluster.DirSyncer: record how far into the peer's
+// HandleDirBatch implements cluster.Handler: record how far into the peer's
 // update stream this replica is about to be — first, so that an older full
-// snapshot arriving on the pair's other connection merges instead of
+// snapshot still arriving on a link this one replaced merges instead of
 // replacing (directory.ApplySync) — then apply the batched run in order.
 func (h *clusterHandler) HandleDirBatch(m *wire.DirBatch) {
 	s := h.server()
@@ -1456,7 +1442,7 @@ func (h *clusterHandler) HandleDirBatch(m *wire.DirBatch) {
 	}
 }
 
-// HandleDirSync implements cluster.DirSyncer: apply an anti-entropy catch-up
+// HandleDirSync implements cluster.Handler: apply an anti-entropy catch-up
 // (full snapshot or delta) of a peer's directory table. A Handoff frame is
 // not replication at all: it is a rebalance offer listing entries whose ring
 // ownership moved to this node; the bodies are pulled asynchronously.
@@ -1487,12 +1473,12 @@ func (h *clusterHandler) HandleDirSync(m *wire.DirSync) {
 	s.noteSynced(m.Owner)
 }
 
-// DirVersion implements cluster.DirSyncer.
+// DirVersion implements cluster.Handler.
 func (h *clusterHandler) DirVersion(owner uint32) uint64 {
 	return h.server().dir.PeerVersion(owner)
 }
 
-// BuildDirSync implements cluster.DirSyncer: assemble the catch-up for a
+// BuildDirSync implements cluster.Handler: assemble the catch-up for a
 // replica that last saw version since of our local table.
 func (h *clusterHandler) BuildDirSync(since uint64) *wire.DirSync {
 	s := h.server()

@@ -23,7 +23,7 @@ import (
 // instead of the legacy fire-and-forget Invalidate broadcast; the origin
 // journals them, links track the highest wave each peer has confirmed, and
 // the anti-entropy sync path replays whatever a partitioned or overflowed
-// peer missed (cluster.WaveSyncer). Exactly-once application per node is the
+// peer missed (cluster.Handler). Exactly-once application per node is the
 // inval.State Mark/floor machinery.
 //
 // Stale-while-revalidate (Config.SWR) keeps the previous body of an
@@ -129,15 +129,15 @@ func (s *Server) WaveFloorFor(origin uint32) uint64 {
 	return s.inv.Floor(origin)
 }
 
-// --- cluster wave plumbing (cluster.WaveSyncer / cluster.InvalidateAcker) ---
+// --- cluster wave plumbing ---
 
-// HandleInvalWave implements cluster.WaveSyncer: one wave frame off a peer
+// HandleInvalWave implements cluster.Handler: one wave frame off a peer
 // link's ordered queue.
 func (h *clusterHandler) HandleInvalWave(m *wire.InvalWave) {
 	h.server().applyWave(inval.Wave{Origin: m.Origin, Seq: m.Seq, Pattern: m.Pattern})
 }
 
-// HandleWaveSync implements cluster.WaveSyncer: an anti-entropy replay of
+// HandleWaveSync implements cluster.Handler: an anti-entropy replay of
 // origin's waves above our advertised floor. The sender ships everything it
 // retains past that floor (prefixed by a synthetic full wave when its journal
 // has been trimmed), so the batch is contiguous and the floor may jump to its
@@ -153,7 +153,7 @@ func (h *clusterHandler) HandleWaveSync(origin uint32, waves []wire.InvalWave) {
 	s.inv.AdvanceFloor(origin, waves[len(waves)-1].Seq)
 }
 
-// WaveFloor implements cluster.WaveSyncer: the contiguous applied floor to
+// WaveFloor implements cluster.Handler: the contiguous applied floor to
 // advertise toward origin during the link handshake.
 func (h *clusterHandler) WaveFloor(origin uint32) uint64 {
 	s := h.server()
@@ -163,7 +163,7 @@ func (h *clusterHandler) WaveFloor(origin uint32) uint64 {
 	return s.inv.Floor(origin)
 }
 
-// BuildWaveSync implements cluster.WaveSyncer: our own waves a peer whose
+// BuildWaveSync implements cluster.Handler: our own waves a peer whose
 // floor is since still needs. Adopting since first makes a restarted node
 // resume numbering above what its peers already applied.
 func (h *clusterHandler) BuildWaveSync(since uint64) []wire.InvalWave {
@@ -181,21 +181,6 @@ func (h *clusterHandler) BuildWaveSync(since uint64) []wire.InvalWave {
 		out[i] = wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern}
 	}
 	return out
-}
-
-// HandleInvalidateCounted implements cluster.InvalidateAcker: an admin
-// invalidation (swalactl invalidate) that wants the fan-out drop count back
-// instead of the legacy silent fire-and-forget.
-func (h *clusterHandler) HandleInvalidateCounted(m *wire.Invalidate) (matched, peers, unreached int) {
-	s := h.server()
-	if s.inv != nil {
-		return s.invalidateWave(m.Pattern)
-	}
-	matched = s.invalidateLocal(m.Pattern)
-	if s.cfg.Mode == Cooperative {
-		peers, unreached = s.clu.BroadcastCounted(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
-	}
-	return matched, peers, unreached
 }
 
 // --- stale-while-revalidate ---

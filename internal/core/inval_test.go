@@ -310,7 +310,7 @@ func TestAdminInvalidateCountsUnreachedPeers(t *testing.T) {
 	go h.servers[0].ConnectPeer(3, "clu-3")
 	time.Sleep(50 * time.Millisecond)
 
-	matched, peers, unreached := (*clusterHandler)(h.servers[0]).HandleInvalidateCounted(
+	matched, peers, unreached := (*clusterHandler)(h.servers[0]).HandleInvalidate(
 		&wire.Invalidate{Origin: AdminOrigin, Pattern: "GET /cgi-bin/null*", Seq: 1})
 	if matched != 1 {
 		t.Fatalf("matched = %d, want 1", matched)

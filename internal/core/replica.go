@@ -291,7 +291,7 @@ func (s *Server) dropHeldReplica(key string) {
 
 // --- holder side: pushes and body pulls ---
 
-// HandleReplicaPush implements cluster.ReplicaHandler: a home owner asks us
+// HandleReplicaPush implements cluster.Handler: a home owner asks us
 // to hold (or retire) a replica of one of its hot entries.
 func (h *clusterHandler) HandleReplicaPush(m *wire.ReplicaPush) {
 	s := h.server()
@@ -395,7 +395,7 @@ func (s *Server) pullReplica(t replicaPull) {
 	s.clu.Broadcast(&wire.ReplicaEvent{Key: key, Home: t.home, Holder: s.dir.Self()})
 }
 
-// HandleReplicaEvent implements cluster.ReplicaHandler: fold a holder's
+// HandleReplicaEvent implements cluster.Handler: fold a holder's
 // announcement into the directory's holder index. Events apply in every
 // ring-mode node — a node with replication off still routes reads to
 // announced holders' homes correctly because its own ringStage ignores

@@ -50,35 +50,6 @@ func TestReplicationBatchedConvergence(t *testing.T) {
 	}
 }
 
-func TestReplicationMixedModeInterop(t *testing.T) {
-	// Node 2 speaks only the legacy one-frame-per-update protocol with no
-	// sync; both directions must still converge.
-	h := startCluster(t, 2, func(i int, cfg *Config) {
-		if i == 1 {
-			cfg.DisableBroadcastBatch = true
-			cfg.DisableDirSync = true
-		}
-	})
-	for _, s := range h.servers {
-		registerNullCGI(s)
-	}
-
-	const each = 50
-	driveInserts(t, h, 0, each, "a")
-	driveInserts(t, h, 1, each, "b")
-
-	dirA, dirB := h.servers[0].Directory(), h.servers[1].Directory()
-	waitUntil(t, "legacy node sees batched updates", func() bool {
-		return dirB.TotalLen()-dirB.LocalLen() == each
-	})
-	waitUntil(t, "batched node sees legacy updates", func() bool {
-		return dirA.TotalLen()-dirA.LocalLen() == each
-	})
-	if rs := h.servers[1].Cluster().ReplicationStats(); rs.SingleFrames != each {
-		t.Fatalf("legacy node single frames = %d, want %d", rs.SingleFrames, each)
-	}
-}
-
 func TestStatusPageReplicationSection(t *testing.T) {
 	h := startCluster(t, 2, nil)
 	for _, s := range h.servers {

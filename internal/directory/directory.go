@@ -759,8 +759,8 @@ func (d *Directory) AdvancePeerVersion(owner uint32, v uint64) {
 // full=true the whole replica is replaced by the snapshot (clearing any
 // stale entries the sender no longer knows about) and the recorded peer
 // version becomes version — unless this replica already holds updates newer
-// than the snapshot: each peer pair has two connections, and a link-up
-// snapshot can arrive on one after later batches arrived on the other.
+// than the snapshot: the frames of a dying link and of its replacement can
+// be applied concurrently, so a snapshot can arrive after later batches.
 // Replacing would erase those batches for good, so an older snapshot is
 // merged like a delta. Otherwise ops is an ordered delta applied on top of
 // the current replica. The version only ever advances.

@@ -219,6 +219,11 @@ func waveQuiesced(servers []*core.Server) bool {
 			if n.WaveFloorFor(origin.Directory().Self()) < seq {
 				return false
 			}
+			// The floor moves when a wave is marked, before its entries are
+			// dropped; a ping is read behind the wave, so answered after the drop.
+			if origin.Cluster().Ping(context.Background(), n.Directory().Self()) != nil {
+				return false
+			}
 		}
 	}
 	return true

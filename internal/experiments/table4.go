@@ -67,12 +67,12 @@ func startPseudoServer(opt Options, c *swalaCluster, idx int, targetCluAddr stri
 				return
 			case <-ticker.C:
 				seq++
-				ps.node.Broadcast(&wire.Insert{
+				ps.node.BroadcastUpdate(wire.DirUpdate{
 					Owner:    ps.node.ID(),
 					Key:      fmt.Sprintf("GET /cgi-bin/adl?q=pseudo-%d-%d", idx, seq),
 					Size:     2048,
 					ExecTime: time.Second,
-				})
+				}, 0)
 			}
 		}
 	}()

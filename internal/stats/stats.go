@@ -494,11 +494,8 @@ type ReplicationSnapshot struct {
 	UpdatesSent uint64 `json:"updates_sent"`
 	// BatchFrames counts DirBatch frames written.
 	BatchFrames uint64 `json:"batch_frames"`
-	// SingleFrames counts broadcast messages written as their own frame
-	// (unbatchable message types, or batching disabled).
-	SingleFrames uint64 `json:"single_frames"`
-	// Flushes counts real pushes to the underlying stream on outbound
-	// links — the write syscalls on a TCP transport.
+	// Flushes counts real pushes to the underlying stream on peer links —
+	// the write syscalls on a TCP transport.
 	Flushes uint64 `json:"flushes"`
 	// SyncsSent counts anti-entropy catch-ups shipped, split into full
 	// snapshots and deltas, with the total updates they carried.
@@ -517,8 +514,7 @@ func (r ReplicationSnapshot) MeanBatch() float64 {
 	if r.BatchFrames == 0 {
 		return 0
 	}
-	batched := r.UpdatesSent - r.SingleFrames
-	return float64(batched) / float64(r.BatchFrames)
+	return float64(r.UpdatesSent) / float64(r.BatchFrames)
 }
 
 // FlushesPerUpdate is how many stream pushes each sent update cost; 1.0

@@ -3,9 +3,25 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 )
+
+// rejectsShortFrame feeds ReadMessage a frame of type ty whose body, written by
+// body, stops before the message's last field: every node is built from this
+// tree, so there is no older sender to decode it for.
+func rejectsShortFrame(t *testing.T, ty MsgType, body func(e *encoder)) {
+	t.Helper()
+	e := &encoder{}
+	e.u32(0)
+	e.u8(uint8(ty))
+	body(e)
+	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
+	if m, err := ReadMessage(bytes.NewReader(e.buf)); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("short %v frame: got %+v, %v; want ErrBadMessage", ty, m, err)
+	}
+}
 
 func TestRoundTripInvalWave(t *testing.T) {
 	in := &InvalWave{Origin: 3, Seq: 42, Pattern: "* /cgi-bin/rwread*"}
@@ -27,20 +43,11 @@ func TestInvalidateSeqAndLegacyFrame(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 
-	// Pre-wave Invalidate ends at Pattern; it must decode with Seq 0.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgInvalidate))
-	e.u32(7)
-	e.str("GET /a*")
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	if inv := m.(*Invalidate); inv.Seq != 0 || inv.Pattern != "GET /a*" {
-		t.Fatalf("legacy frame decoded as %+v", inv)
-	}
+	// A pre-wave Invalidate ended at Pattern; no node sends one.
+	rejectsShortFrame(t, MsgInvalidate, func(e *encoder) {
+		e.u32(7)
+		e.str("GET /a*")
+	})
 }
 
 func TestDirSyncReqWaveSeqAndLegacyFrame(t *testing.T) {
@@ -49,19 +56,8 @@ func TestDirSyncReqWaveSeqAndLegacyFrame(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 
-	// Pre-wave DirSyncReq ends at Version.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgDirSyncReq))
-	e.u64(17)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	if req := m.(*DirSyncReq); req.Version != 17 || req.WaveSeq != 0 {
-		t.Fatalf("legacy frame decoded as %+v", req)
-	}
+	// A pre-wave DirSyncReq ended at Version; no node sends one.
+	rejectsShortFrame(t, MsgDirSyncReq, func(e *encoder) { e.u64(17) })
 }
 
 func TestDirSyncWavesAndLegacyFrame(t *testing.T) {
@@ -78,23 +74,14 @@ func TestDirSyncWavesAndLegacyFrame(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 
-	// Pre-wave DirSync ends at Handoff; it must decode with no waves.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgDirSync))
-	e.u32(2)
-	e.u64(30)
-	e.boolean(false)
-	e.u32(0)
-	e.boolean(true)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	if ds := m.(*DirSync); len(ds.Waves) != 0 || !ds.Handoff {
-		t.Fatalf("legacy frame decoded as %+v", ds)
-	}
+	// A pre-wave DirSync ended at Handoff; no node sends one.
+	rejectsShortFrame(t, MsgDirSync, func(e *encoder) {
+		e.u32(2)
+		e.u64(30)
+		e.boolean(false)
+		e.u32(0)
+		e.boolean(true)
+	})
 }
 
 func TestDirSyncRejectsOversizedWaveCount(t *testing.T) {

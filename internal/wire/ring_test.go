@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -57,27 +56,13 @@ func TestRoundTripHelloVersioned(t *testing.T) {
 	}
 }
 
-func TestHelloDecodesReplicateEraFrame(t *testing.T) {
-	// A Hello from before version negotiation ends at Addr; it must decode
-	// as the replicate-era protocol rather than fail on trailing fields.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgHello))
-	e.u32(7)
-	e.str("node-7")
-	e.str("h7:9080")
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	got, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	h := got.(*Hello)
-	if h.ProtoVersion != ProtoReplicate || h.Placement != PlacementReplicate {
-		t.Fatalf("legacy hello decoded as proto %d placement %d", h.ProtoVersion, h.Placement)
-	}
-	if h.NodeID != 7 || h.Addr != "h7:9080" {
-		t.Fatalf("got %+v", h)
-	}
+func TestHelloRejectsShortFrame(t *testing.T) {
+	// A Hello from before version negotiation ended at Addr; no node sends one.
+	rejectsShortFrame(t, MsgHello, func(e *encoder) {
+		e.u32(7)
+		e.str("node-7")
+		e.str("h7:9080")
+	})
 }
 
 func TestFetchFlagsAndLegacyFrame(t *testing.T) {
@@ -86,21 +71,11 @@ func TestFetchFlagsAndLegacyFrame(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 
-	// Replicate-era Fetch ends at Key.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgFetch))
-	e.u64(12)
-	e.str("GET /y")
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	got, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	f := got.(*Fetch)
-	if f.Flags != 0 || f.Key != "GET /y" {
-		t.Fatalf("got %+v", f)
-	}
+	// A replicate-era Fetch ended at Key; no node sends one.
+	rejectsShortFrame(t, MsgFetch, func(e *encoder) {
+		e.u64(12)
+		e.str("GET /y")
+	})
 }
 
 func TestFetchReplyExecutedAndShortFrame(t *testing.T) {
@@ -113,20 +88,15 @@ func TestFetchReplyExecutedAndShortFrame(t *testing.T) {
 	// A frame that ends after the body, or after Executed, is malformed: no
 	// peer that sends one exists.
 	for _, flags := range [][]bool{{}, {true}} {
-		e := &encoder{}
-		e.u32(0)
-		e.u8(uint8(MsgFetchReply))
-		e.u64(4)
-		e.boolean(true)
-		e.str("text/html")
-		e.bytes([]byte("b"))
-		for _, f := range flags {
-			e.boolean(f)
-		}
-		binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-		if m, err := ReadMessage(bytes.NewReader(e.buf)); !errors.Is(err, ErrBadMessage) {
-			t.Fatalf("short frame (%d trailing flags): got %+v, %v; want ErrBadMessage", len(flags), m, err)
-		}
+		rejectsShortFrame(t, MsgFetchReply, func(e *encoder) {
+			e.u64(4)
+			e.boolean(true)
+			e.str("text/html")
+			e.bytes([]byte("b"))
+			for _, f := range flags {
+				e.boolean(f)
+			}
+		})
 	}
 }
 
@@ -140,22 +110,13 @@ func TestDirSyncHandoffAndLegacyFrame(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 
-	// Replicate-era DirSync ends after Updates.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgDirSync))
-	e.u32(1)
-	e.u64(9)
-	e.boolean(false)
-	e.u32(0)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	if m.(*DirSync).Handoff {
-		t.Fatal("legacy frame decoded Handoff=true")
-	}
+	// A replicate-era DirSync ended after Updates; no node sends one.
+	rejectsShortFrame(t, MsgDirSync, func(e *encoder) {
+		e.u32(1)
+		e.u64(9)
+		e.boolean(false)
+		e.u32(0)
+	})
 }
 
 func TestStatsReplyRing(t *testing.T) {

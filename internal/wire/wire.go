@@ -139,9 +139,7 @@ func (t MsgType) String() string {
 	}
 }
 
-// Protocol versions announced in the Hello exchange. Frames from builds
-// predating version negotiation carry no version field and decode as
-// ProtoReplicate.
+// Protocol versions announced in the Hello exchange.
 const (
 	// ProtoReplicate is the replicate-era protocol: fully replicated
 	// directory, fixed boot-time peer list, no membership messages.
@@ -192,8 +190,7 @@ type Hello struct {
 	// Addr is the address at which the sender accepts cluster connections.
 	// Administrative clients (swalactl) leave it empty.
 	Addr string
-	// ProtoVersion is the sender's protocol version (ProtoReplicate for
-	// frames from builds predating version negotiation).
+	// ProtoVersion is the sender's protocol version.
 	ProtoVersion uint32
 	// Placement is the sender's placement mode (PlacementReplicate or
 	// PlacementRing); meaningful only for cluster nodes (Addr != "").
@@ -492,8 +489,7 @@ type Invalidate struct {
 	Pattern string
 	// Seq, when non-zero, asks the receiver to answer with an InvalAck
 	// carrying the same Seq once the invalidation has been applied and
-	// fanned out. Zero (and frames from senders predating waves) keeps the
-	// legacy fire-and-forget behavior.
+	// fanned out. Zero keeps the legacy fire-and-forget behavior.
 	Seq uint64
 }
 
@@ -550,16 +546,16 @@ type DirBatch struct {
 // Type implements Message.
 func (*DirBatch) Type() MsgType { return MsgDirBatch }
 
-// DirSyncReq is sent by the accepting side of a peer link after Hello: it
-// tells the dialing node the highest directory version the receiver has
-// recorded for it, so the dialer can ship a catch-up DirSync.
+// DirSyncReq is what each end of a peer link opens its half of the stream
+// with: it tells the peer the highest version of the peer's directory the
+// sender has recorded, so the peer can ship a catch-up DirSync.
 type DirSyncReq struct {
-	// Version is the receiver's recorded version of the dialer's table;
-	// 0 means the receiver has never seen a versioned update from it.
+	// Version is the sender's recorded version of the peer's table; 0 means
+	// it has never seen a versioned update from it.
 	Version uint64
-	// WaveSeq is the highest invalidation-wave sequence the receiver has
-	// applied from the dialer (0 when none, or the receiver predates waves);
-	// the dialer replays any of its own waves above it.
+	// WaveSeq is the highest invalidation-wave sequence the sender has
+	// applied from the peer (0 when none); the peer replays any of its own
+	// waves above it.
 	WaveSeq uint64
 }
 
@@ -796,13 +792,6 @@ func (m *Hello) decode(d *decoder) error {
 	m.NodeID = d.u32()
 	m.NodeName = d.str()
 	m.Addr = d.str()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating version negotiation: the
-		// replicate-era protocol, by definition.
-		m.ProtoVersion = ProtoReplicate
-		m.Placement = PlacementReplicate
-		return nil
-	}
 	m.ProtoVersion = d.u32()
 	m.Placement = d.u8()
 	return d.finish()
@@ -845,10 +834,6 @@ func (m *Fetch) encode(e *encoder) {
 func (m *Fetch) decode(d *decoder) error {
 	m.Seq = d.u64()
 	m.Key = d.str()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating ring placement: no flags.
-		return nil
-	}
 	m.Flags = d.u8()
 	return d.finish()
 }
@@ -1145,10 +1130,6 @@ func (m *Invalidate) encode(e *encoder) {
 func (m *Invalidate) decode(d *decoder) error {
 	m.Origin = d.u32()
 	m.Pattern = d.str()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating invalidation waves: no ack wanted.
-		return nil
-	}
 	m.Seq = d.u64()
 	return d.finish()
 }
@@ -1244,10 +1225,6 @@ func (m *DirSyncReq) encode(e *encoder) {
 
 func (m *DirSyncReq) decode(d *decoder) error {
 	m.Version = d.u64()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating invalidation waves.
-		return nil
-	}
 	m.WaveSeq = d.u64()
 	return d.finish()
 }
@@ -1274,15 +1251,7 @@ func (m *DirSync) decode(d *decoder) error {
 	m.Version = d.u64()
 	m.Full = d.boolean()
 	m.Updates = d.dirUpdates()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating ring handoff.
-		return nil
-	}
 	m.Handoff = d.boolean()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating invalidation waves.
-		return nil
-	}
 	wn := int(d.u32())
 	if d.err != nil || wn < 0 || wn > (len(d.buf)-d.off)/invalWaveMinSize {
 		d.fail()
