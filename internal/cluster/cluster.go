@@ -1418,6 +1418,10 @@ type fetchWaiter struct {
 	timer *time.Timer
 }
 
+// quickWait is how long a fetch waits for its reply before it also waits on
+// its context: several round trips, a thousandth of the default FetchTimeout.
+const quickWait = time.Millisecond
+
 var waiterPool = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
@@ -1453,6 +1457,11 @@ func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags ui
 		n.settleFetch(owner, probe, 0, fetchNeutral)
 		return nil, fmt.Errorf("%w: %d", ErrNoPeer, owner)
 	}
+	if err := ctx.Err(); err != nil {
+		// The wait below looks at ctx only after quickWait.
+		n.settleFetch(owner, probe, 0, fetchNeutral)
+		return nil, ctxFetchErr(err)
+	}
 
 	w := waiterPool.Get().(*fetchWaiter)
 	seq, ok := link.expect(w.ch)
@@ -1465,7 +1474,15 @@ func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags ui
 	start := time.Now()
 	err := link.send(&wire.Fetch{Seq: seq, Key: key, Flags: flags})
 	if err == nil {
-		w.timer.Reset(n.cfg.FetchTimeout)
+		// A reply is usually there within a fraction of a millisecond, and a
+		// context can charge for its Done channel (httpserver's starts the
+		// disconnect watch with it): wait quickWait on the reply alone, and
+		// ask the context only for a fetch that outlasts it.
+		quick := min(n.cfg.FetchTimeout, quickWait)
+		rest := n.cfg.FetchTimeout - quick
+		w.timer.Reset(quick)
+		var done <-chan struct{}
+	wait:
 		select {
 		case reply, open := <-w.ch:
 			if !w.timer.Stop() {
@@ -1482,8 +1499,14 @@ func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags ui
 			}
 			err = fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
 		case <-w.timer.C:
+			if rest > 0 {
+				done = ctx.Done()
+				w.timer.Reset(rest)
+				rest = 0
+				goto wait
+			}
 			err = ctxFetchErr(context.DeadlineExceeded)
-		case <-ctx.Done():
+		case <-done:
 			w.timer.Stop()
 			err = ctxFetchErr(ctx.Err())
 		}

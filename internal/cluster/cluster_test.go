@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -553,6 +554,95 @@ func TestConnectPeerContextCanceled(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ConnectPeerContext ignored cancellation")
+	}
+}
+
+// doneCounter counts how often its Done channel is asked for.
+type doneCounter struct {
+	context.Context
+	asked atomic.Int32
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.asked.Add(1)
+	return c.Context.Done()
+}
+
+// gatedFetchHandler answers a fetch once its gate is closed.
+type gatedFetchHandler struct {
+	NopHandler
+	gate chan struct{}
+}
+
+func (h gatedFetchHandler) HandleFetch(_ string, _ uint8, r *wire.FetchReply) func() {
+	<-h.gate
+	r.OK, r.ContentType, r.Body = true, "text/html", []byte("body")
+	return nil
+}
+
+// TestFetchAsksContextOnlyWhenSlow: a fetch answered inside quickWait never
+// asks its context for a Done channel (under httpserver that call is what
+// arms the disconnect watch); one that outlasts it does, and is then canceled
+// by it; FetchTimeout bounds the two waits together.
+func TestFetchAsksContextOnlyWhenSlow(t *testing.T) {
+	mem := netx.NewMem()
+	gate := make(chan struct{})
+	const fetchTimeout = 150 * time.Millisecond
+	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: fetchTimeout, DialRetry: time.Second}, NopHandler{})
+	b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: fetchTimeout, DialRetry: time.Second}, gatedFetchHandler{gate: gate})
+	for i, n := range []*Node{a, b} {
+		if err := n.Start(fmt.Sprintf("quick-%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+	}
+	if err := a.ConnectPeer(2, "quick-2"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Slow: the context is asked once the quick wait is over, and ends the fetch.
+	inner, cancel := context.WithCancel(context.Background())
+	ctx := &doneCounter{Context: inner}
+	errCh := make(chan error, 1)
+	go func() {
+		_, _, _, err := a.Fetch(ctx, 2, "GET /slow")
+		errCh <- err
+	}()
+	waitFor(t, "the slow fetch to ask its context", func() bool { return ctx.asked.Load() > 0 })
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) || errors.Is(err, ErrFetchTimeout) {
+		t.Fatalf("slow fetch under a canceled context: %v", err)
+	}
+
+	// Slower than FetchTimeout: the deadline counts from the send, not from
+	// the end of the quick wait.
+	start := time.Now()
+	_, _, _, err := a.Fetch(context.Background(), 2, "GET /never")
+	if took := time.Since(start); !errors.Is(err, ErrFetchTimeout) || took < fetchTimeout || took > fetchTimeout+100*time.Millisecond {
+		t.Fatalf("unanswered fetch: %v after %v, want ErrFetchTimeout after %v", err, took, fetchTimeout)
+	}
+
+	// Quick: answered at once, the context is left alone.
+	close(gate)
+	quick := 0
+	for i := 0; i < 200; i++ {
+		ctx := &doneCounter{Context: context.Background()}
+		start := time.Now()
+		_, body, ok, err := a.Fetch(ctx, 2, "GET /quick")
+		took := time.Since(start)
+		if err != nil || !ok || string(body) != "body" {
+			t.Fatalf("quick fetch %d: %q, %v, %v", i, body, ok, err)
+		}
+		if took >= quickWait {
+			continue // the host stalled this one: asking was due
+		}
+		quick++
+		if n := ctx.asked.Load(); n != 0 {
+			t.Fatalf("fetch %d, answered in %v, asked its context for Done %d times", i, took, n)
+		}
+	}
+	if quick < 100 {
+		t.Skipf("only %d of 200 fetches were answered inside quickWait", quick)
 	}
 }
 

@@ -25,6 +25,12 @@ import (
 	"repro/internal/clock"
 )
 
+// minWait is the shortest wait Run sleeps for. A timer cannot deliver less,
+// and a cost model of a nanosecond (how a caller switches the simulation off
+// without zeroing the model) must not cost a timer, a channel and a park per
+// job. The paper-profile costs start at 50 µs.
+const minWait = time.Microsecond
+
 // ErrStopped is returned when work is submitted to a stopped Node.
 var ErrStopped = errors.New("cpu: node stopped")
 
@@ -63,7 +69,9 @@ func (n *Node) Cores() int {
 // between submission and the core becoming available). Run returns
 // ctx.Err() if the context is cancelled while waiting and ErrStopped if the
 // node has been stopped. A cancelled job's reservation is not rolled back —
-// like a killed CGI process, its slot is wasted.
+// like a killed CGI process, its slot is wasted. A wait shorter than any timer
+// delivers (under minWait) is booked but not slept: Run returns at once with
+// ctx.Err(), and never asks ctx for its Done channel.
 func (n *Node) Run(ctx context.Context, service time.Duration) (queued time.Duration, err error) {
 	if service < 0 {
 		service = 0
@@ -95,6 +103,9 @@ func (n *Node) Run(ctx context.Context, service time.Duration) (queued time.Dura
 	wait := finish.Sub(now)
 	if wait <= 0 {
 		return queued, nil
+	}
+	if wait < minWait {
+		return queued, ctx.Err()
 	}
 	select {
 	case <-n.clk.After(wait):

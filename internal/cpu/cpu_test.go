@@ -273,3 +273,79 @@ func TestManyJobsThroughput(t *testing.T) {
 		t.Fatalf("jobs = %d, want %d", count, jobs)
 	}
 }
+
+// errOnlyCtx is a context whose Done must not be asked for.
+type errOnlyCtx struct {
+	context.Context
+	t   *testing.T
+	err error
+}
+
+func (c errOnlyCtx) Done() <-chan struct{} {
+	c.t.Error("Run asked the context for Done")
+	return c.Context.Done()
+}
+
+func (c errOnlyCtx) Err() error { return c.err }
+
+// afterCounter counts the timers a clock is asked for.
+type afterCounter struct {
+	clock.Clock
+	afters int
+}
+
+func (c *afterCounter) After(d time.Duration) <-chan time.Time {
+	c.afters++
+	return c.Clock.After(d)
+}
+
+// TestRunBelowTimerResolution: a reservation whose wait no timer can deliver
+// is booked like any other but costs no timer, no Done channel and no park;
+// the context is still consulted through Err. Real and fake clock.
+func TestRunBelowTimerResolution(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1000, 0))
+	for name, inner := range map[string]clock.Clock{"real": clock.Real{}, "fake": fake} {
+		clk := &afterCounter{Clock: inner}
+		n := NewNode(1, clk)
+		ctx := errOnlyCtx{Context: context.Background(), t: t}
+		const jobs = 100
+		for i := 0; i < jobs; i++ {
+			if _, err := n.Run(ctx, time.Nanosecond); err != nil {
+				t.Fatalf("%s clock, job %d: %v", name, i, err)
+			}
+		}
+		if busy, got := n.Usage(); busy != jobs*time.Nanosecond || got != jobs {
+			t.Fatalf("%s clock: booked %v over %d jobs, want %v over %d", name, busy, got, jobs*time.Nanosecond, jobs)
+		}
+		ctx.err = context.Canceled
+		if _, err := n.Run(ctx, time.Nanosecond); err != context.Canceled {
+			t.Fatalf("%s clock: canceled context: err = %v", name, err)
+		}
+		if clk.afters != 0 {
+			t.Fatalf("%s clock: %d timers for waits below %v", name, clk.afters, minWait)
+		}
+		// At and above the resolution Run sleeps as ever.
+		done := make(chan error, 1)
+		go func() {
+			_, err := n.Run(context.Background(), 50*time.Microsecond)
+			done <- err
+		}()
+		if inner == fake {
+			for fake.Waiters() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("fake clock: a 50µs job returned (%v) before the clock moved", err)
+			default:
+			}
+			fake.Advance(time.Millisecond)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("%s clock: 50µs job: %v", name, err)
+		}
+		if clk.afters != 1 {
+			t.Fatalf("%s clock: %d timers for one 50µs job", name, clk.afters)
+		}
+	}
+}

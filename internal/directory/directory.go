@@ -422,7 +422,11 @@ func (d *Directory) Lookup(key string, now time.Time) (Entry, bool) {
 			// ordinary miss served locally.
 			continue
 		}
-		if e, ok := d.tableFor(id, false).lookup(key, now); ok {
+		t := d.tableFor(id, false)
+		if t == nil {
+			continue // dropped (DropPeer) since the scan above
+		}
+		if e, ok := t.lookup(key, now); ok {
 			return e, true
 		}
 	}

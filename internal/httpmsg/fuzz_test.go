@@ -3,28 +3,20 @@ package httpmsg
 import (
 	"bufio"
 	"bytes"
-	"strings"
+	"errors"
 	"testing"
 )
 
-// FuzzReadRequest asserts the request parser never panics and that anything
-// it accepts can be re-serialized and re-parsed to the same request line.
+// FuzzReadRequest asserts the request parser never panics, agrees with the
+// reference line reader (parse_test.go) on every input through every reader,
+// and that anything it accepts can be re-serialized and re-parsed to the same
+// request line.
 func FuzzReadRequest(f *testing.F) {
-	seeds := []string{
-		"GET / HTTP/1.0\r\n\r\n",
-		"GET /cgi-bin/q?a=1&b=2 HTTP/1.1\r\nHost: x\r\n\r\n",
-		"POST /s HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc",
-		"GET / HTTP/1.1\nConnection: close\n\n",
-		"BOGUS\r\n\r\n",
-		"GET / HTTP/9.9\r\n\r\n",
-		"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
-		"GET / HTTP/1.1\r\n: empty\r\n\r\n",
-		strings.Repeat("A", 64) + " /x HTTP/1.0\r\n\r\n",
-	}
-	for _, s := range seeds {
+	for _, s := range requestCorpus() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRequest(t, data)
 		req, err := ReadRequest(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
@@ -34,7 +26,12 @@ func FuzzReadRequest(f *testing.F) {
 		if err := WriteRequest(bufio.NewWriter(&buf), req); err != nil {
 			t.Fatalf("re-serialize accepted request: %v", err)
 		}
-		again, err := ReadRequest(bufio.NewReader(&buf))
+		again, err := ReadRequest(bufio.NewReader(bytes.NewReader(buf.Bytes())))
+		if errors.Is(err, ErrHeaderTooLarge) && lineOverLimit(buf.Bytes()) {
+			// A line at its limit grew when written back: LF became CRLF, or
+			// "k:v" became "K: v".
+			return
+		}
 		if err != nil {
 			t.Fatalf("re-parse serialized request: %v", err)
 		}
@@ -47,19 +44,30 @@ func FuzzReadRequest(f *testing.F) {
 	})
 }
 
-// FuzzReadResponse asserts the response parser never panics.
-func FuzzReadResponse(f *testing.F) {
-	seeds := []string{
-		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
-		"HTTP/1.0 204\r\n\r\n",
-		"HTTP/1.1 999 Weird\r\n\r\n",
-		"NOPE\r\n\r\n",
-		"HTTP/1.1 abc OK\r\n\r\n",
+// lineOverLimit reports whether a serialized message has a head line longer
+// than the parser accepts.
+func lineOverLimit(msg []byte) bool {
+	limit := MaxRequestLineLen
+	for {
+		line, rest, ok := bytes.Cut(msg, []byte("\n"))
+		if !ok || len(line) <= 1 { // the blank line, CR included, ends the head
+			return false
+		}
+		if len(line) > limit {
+			return true
+		}
+		limit, msg = MaxHeaderLen, rest
 	}
-	for _, s := range seeds {
+}
+
+// FuzzReadResponse asserts the response parser never panics, agrees with the
+// reference line reader and accepts no status outside 100–599.
+func FuzzReadResponse(f *testing.F) {
+	for _, s := range responseCorpus() {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkResponse(t, data)
 		resp, err := ReadResponse(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return

@@ -8,10 +8,15 @@
 // bodies, HTTP/1.1 persistent connections and HTTP/1.0 keep-alive. Chunked
 // transfer encoding is intentionally not implemented — the 1998 servers
 // always knew the content length (files and tee'd CGI output).
+//
+// A message is read in two allocations: its head leaves the reader's buffer
+// as one string, of which the start line's parts and the header's keys and
+// values are substrings, and its Header is a short slice held inline.
 package httpmsg
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -38,9 +43,18 @@ var (
 	ErrUnsupportedProto  = errors.New("httpmsg: unsupported protocol version")
 )
 
-// Header is a case-insensitive HTTP header map. Keys are stored in canonical
-// Word-Word form (e.g. "Content-Length").
-type Header map[string]string
+// Header holds a message's header fields as key/value pairs, in the order
+// they were first set. Keys are case-insensitive and stored in canonical
+// Word-Word form (e.g. "Content-Length"); setting a key again replaces its
+// value. The zero value is an empty header. A message carries a handful of
+// fields — the clients here send one to four, the server answers with at most
+// three — so a slice searched in order costs less than a map, and Request and
+// Response keep the first inlineFields of them inside their own allocation.
+type Header []field
+
+type field struct{ key, value string }
+
+const inlineFields = 4
 
 // CanonicalKey normalizes a header name to canonical form. A name that is
 // already canonical is returned as it came, without a copy.
@@ -69,14 +83,40 @@ func CanonicalKey(k string) string {
 	return string(b)
 }
 
+// index returns the position of the canonical key k in h, or -1.
+func (h Header) index(k string) int {
+	for i := range h {
+		if h[i].key == k {
+			return i
+		}
+	}
+	return -1
+}
+
 // Set stores a header value under the canonical key.
-func (h Header) Set(key, value string) { h[CanonicalKey(key)] = value }
+func (h *Header) Set(key, value string) {
+	key = CanonicalKey(key)
+	if i := h.index(key); i >= 0 {
+		(*h)[i].value = value
+		return
+	}
+	*h = append(*h, field{key, value})
+}
 
 // Get returns the value for key ("" when absent).
-func (h Header) Get(key string) string { return h[CanonicalKey(key)] }
+func (h Header) Get(key string) string {
+	if i := h.index(CanonicalKey(key)); i >= 0 {
+		return h[i].value
+	}
+	return ""
+}
 
 // Del removes key.
-func (h Header) Del(key string) { delete(h, CanonicalKey(key)) }
+func (h *Header) Del(key string) {
+	if i := h.index(CanonicalKey(key)); i >= 0 {
+		*h = slices.Delete(*h, i, i+1)
+	}
+}
 
 // writeSorted writes headers in sorted key order for deterministic output.
 // A contentLength >= 0 is written as Content-Length in its sorted place,
@@ -85,24 +125,24 @@ func (h Header) Del(key string) { delete(h, CanonicalKey(key)) }
 func (h Header) writeSorted(w *bufio.Writer, contentLength int) {
 	const lengthKey = "Content-Length"
 	setLength := contentLength >= 0
-	var few [8]string // the usual response carries fewer: no allocation
-	keys := few[:0]
+	var few [2 * inlineFields]field // the usual message carries fewer: no allocation
+	fields := few[:0]
 	if setLength {
-		keys = append(keys, lengthKey)
+		fields = append(fields, field{key: lengthKey})
 	}
-	for k := range h {
-		if !setLength || k != lengthKey {
-			keys = append(keys, k)
+	for _, f := range h {
+		if !setLength || f.key != lengthKey {
+			fields = append(fields, f)
 		}
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		w.WriteString(k)
+	slices.SortFunc(fields, func(a, b field) int { return strings.Compare(a.key, b.key) })
+	for _, f := range fields {
+		w.WriteString(f.key)
 		w.WriteString(": ")
-		if setLength && k == lengthKey {
+		if setLength && f.key == lengthKey {
 			w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(contentLength), 10))
 		} else {
-			w.WriteString(h[k])
+			w.WriteString(f.value)
 		}
 		w.WriteString("\r\n")
 	}
@@ -123,11 +163,14 @@ type Request struct {
 	// RemoteAddr is the client's address, set by the server for requests it
 	// accepts (empty for client-constructed requests).
 	RemoteAddr string
+
+	inline [inlineFields]field // Header's first fields live here
 }
 
-// NewRequest builds a request with an initialized header map.
+// NewRequest builds a request with an empty header.
 func NewRequest(method, uri string) *Request {
-	r := &Request{Method: method, URI: uri, Proto: "HTTP/1.1", Header: make(Header)}
+	r := &Request{Method: method, URI: uri, Proto: "HTTP/1.1"}
+	r.Header = r.inline[:0]
 	r.Path, r.Query = splitURI(uri)
 	return r
 }
@@ -142,13 +185,11 @@ func splitURI(uri string) (path, query string) {
 // WantsKeepAlive reports whether the client asked for a persistent
 // connection (HTTP/1.1 default, or explicit Connection: keep-alive).
 func (r *Request) WantsKeepAlive() bool {
-	conn := strings.ToLower(r.Header.Get("Connection"))
-	switch r.Proto {
-	case "HTTP/1.1":
-		return conn != "close"
-	default:
-		return conn == "keep-alive"
+	conn := r.Header.Get("Connection")
+	if r.Proto == "HTTP/1.1" {
+		return !strings.EqualFold(conn, "close")
 	}
+	return strings.EqualFold(conn, "keep-alive")
 }
 
 // Response is a parsed or to-be-written HTTP response.
@@ -161,11 +202,15 @@ type Response struct {
 	// Release, when not nil, ends Body's lease (package lease); the connection
 	// loop calls it once the response is written.
 	Release func()
+
+	inline [inlineFields]field // Header's first fields live here
 }
 
-// NewResponse builds a response with an initialized header map.
+// NewResponse builds a response with an empty header.
 func NewResponse(code int) *Response {
-	return &Response{Proto: "HTTP/1.1", StatusCode: code, Header: make(Header)}
+	r := &Response{Proto: "HTTP/1.1", StatusCode: code}
+	r.Header = r.inline[:0]
+	return r
 }
 
 // StatusText returns the standard reason phrase for the status codes the
@@ -199,52 +244,117 @@ func StatusText(code int) string {
 	}
 }
 
-// readLine reads a CRLF- (or bare LF-) terminated line with a length cap.
-func readLine(r *bufio.Reader, limit int) (string, error) {
-	var sb strings.Builder
+// readHead takes one message head out of r — the start line and the header
+// lines, through the blank line that ends them — as a single string. The head
+// is scanned where it lies in r's buffer and copied once; only a head that
+// outgrows the buffer is gathered piecewise. Lines end in LF or CRLF, under
+// the Max* limits. On an error the lines read whole so far come with it, so
+// that a caller reports a malformed line ahead of whatever stopped the read
+// behind it; io.EOF means the stream ended at a line boundary.
+func readHead(r *bufio.Reader) (string, error) {
+	var long []byte // whole buffers of head already taken out of r
+	limit := MaxRequestLineLen
+	lines := 0 // lines read whole
+	// Offsets into r's buffered bytes: the current line starts at start
+	// (negative once its beginning moved to long), scanned are searched.
+	start, scanned := 0, 0
+	take := func(n int, err error) (string, error) {
+		n = max(n, 0) // the whole lines among the buffered bytes; none if the line began in long
+		buf, _ := r.Peek(n)
+		r.Discard(n)
+		if long == nil {
+			return string(buf), err
+		}
+		return string(append(long, buf...)), err
+	}
 	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			if err == io.EOF && sb.Len() > 0 {
-				return "", io.ErrUnexpectedEOF
+		buf, err := r.Peek(scanned + 1) // waits for a byte not yet scanned
+		switch {
+		case err == nil:
+			buf, _ = r.Peek(r.Buffered())
+		case errors.Is(err, bufio.ErrBufferFull):
+			long = append(long, buf...)
+			r.Discard(len(buf))
+			start, scanned = start-len(buf), 0
+			continue
+		case err == io.EOF && scanned > start:
+			return take(start, io.ErrUnexpectedEOF)
+		default:
+			return take(start, err)
+		}
+		for {
+			i := bytes.IndexByte(buf[scanned:], '\n')
+			if i < 0 {
+				break
 			}
-			return "", err
+			end := scanned + i // of the line's content, CR included
+			if end-start > limit {
+				return take(start, ErrHeaderTooLarge)
+			}
+			blank := end == start
+			if end == start+1 { // one byte of content: blank if it is a CR
+				if start < 0 {
+					blank = long[len(long)-1] == '\r'
+				} else {
+					blank = buf[start] == '\r'
+				}
+			}
+			start, scanned = end+1, end+1
+			if blank {
+				return take(start, nil)
+			}
+			if lines++; lines > 1+MaxHeaderCount {
+				return take(start, ErrTooManyHeaders)
+			}
+			limit = MaxHeaderLen
 		}
-		if b == '\n' {
-			s := sb.String()
-			return strings.TrimSuffix(s, "\r"), nil
+		if scanned = len(buf); scanned-start > limit {
+			return take(start, ErrHeaderTooLarge)
 		}
-		if sb.Len() >= limit {
-			return "", ErrHeaderTooLarge
-		}
-		sb.WriteByte(b)
 	}
 }
 
-func readHeaders(r *bufio.Reader) (Header, error) {
-	h := make(Header)
-	for {
-		line, err := readLine(r, MaxHeaderLen)
-		if err != nil {
-			return nil, err
+// cutLine splits head at its first line end, dropping the LF or CRLF. ok is
+// false when head holds no whole line.
+func cutLine(head string) (line, rest string, ok bool) {
+	line, rest, ok = strings.Cut(head, "\n")
+	return strings.TrimSuffix(line, "\r"), rest, ok
+}
+
+// parseHeaders sets h from the header lines of a head, up to the blank line
+// (or the end of what readHead could read). Every line counts against
+// MaxHeaderCount, a repeated name included; the last value of a name wins.
+func parseHeaders(h *Header, lines string) error {
+	for n := 0; ; n++ {
+		line, rest, ok := cutLine(lines)
+		if !ok || line == "" {
+			return nil
 		}
-		if line == "" {
-			return h, nil
+		if n >= MaxHeaderCount {
+			return ErrTooManyHeaders
 		}
-		if len(h) >= MaxHeaderCount {
-			return nil, ErrTooManyHeaders
+		key, val, ok := strings.Cut(line, ":")
+		if !ok || key == "" {
+			return fmt.Errorf("%w: header %q", ErrMalformedRequest, line)
 		}
-		i := strings.IndexByte(line, ':')
-		if i <= 0 {
-			return nil, fmt.Errorf("%w: header %q", ErrMalformedRequest, line)
+		if key = strings.TrimSpace(key); key == "" {
+			return fmt.Errorf("%w: empty header name", ErrMalformedRequest)
 		}
-		key := strings.TrimSpace(line[:i])
-		val := strings.TrimSpace(line[i+1:])
-		if key == "" {
-			return nil, fmt.Errorf("%w: empty header name", ErrMalformedRequest)
-		}
-		h.Set(key, val)
+		h.Set(key, strings.TrimSpace(val))
+		lines = rest
 	}
+}
+
+// readRest finishes a message whose start line parsed: the header lines of
+// its head into h, then whatever stopped readHead behind them, then the body.
+func readRest(r *bufio.Reader, h *Header, lines string, readErr error) ([]byte, error) {
+	if err := parseHeaders(h, lines); err != nil {
+		return nil, err
+	}
+	if readErr != nil {
+		return nil, readErr
+	}
+	return readBody(r, *h)
 }
 
 func readBody(r *bufio.Reader, h Header) ([]byte, error) {
@@ -267,33 +377,28 @@ func readBody(r *bufio.Reader, h Header) ([]byte, error) {
 }
 
 // ReadRequest parses one request from r. io.EOF with no bytes read signals
-// an orderly connection close between requests.
+// an orderly connection close between requests. The request's strings are
+// substrings of its head, which is copied out of r once.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
-	line, err := readLine(r, MaxRequestLineLen)
-	if err != nil {
-		return nil, err
+	head, readErr := readHead(r)
+	line, rest, ok := cutLine(head)
+	if !ok {
+		return nil, readErr // not even a request line: readErr is not nil
 	}
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("%w: request line %q", ErrMalformedRequest, line)
-	}
-	method, uri, proto := parts[0], parts[1], parts[2]
-	if method == "" || uri == "" {
+	method, target, _ := strings.Cut(line, " ")
+	uri, proto, ok := strings.Cut(target, " ")
+	if !ok || method == "" || uri == "" || strings.IndexByte(proto, ' ') >= 0 {
 		return nil, fmt.Errorf("%w: request line %q", ErrMalformedRequest, line)
 	}
 	if proto != "HTTP/1.0" && proto != "HTTP/1.1" {
 		return nil, fmt.Errorf("%w: %q", ErrUnsupportedProto, proto)
 	}
-	h, err := readHeaders(r)
-	if err != nil {
+	req := NewRequest(method, uri)
+	req.Proto = proto
+	var err error
+	if req.Body, err = readRest(r, &req.Header, rest, readErr); err != nil {
 		return nil, err
 	}
-	body, err := readBody(r, h)
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{Method: method, URI: uri, Proto: proto, Header: h, Body: body}
-	req.Path, req.Query = splitURI(uri)
 	return req, nil
 }
 
@@ -322,36 +427,30 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 
 // ReadResponse parses one response from r.
 func ReadResponse(r *bufio.Reader) (*Response, error) {
-	line, err := readLine(r, MaxRequestLineLen)
-	if err != nil {
-		return nil, err
+	head, readErr := readHead(r)
+	line, rest, ok := cutLine(head)
+	if !ok {
+		return nil, readErr
 	}
 	// "HTTP/1.1 200 OK" — reason phrase may contain spaces or be empty.
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
+	proto, after, ok := strings.Cut(line, " ")
+	if !ok {
 		return nil, fmt.Errorf("%w: status line %q", ErrMalformedResponse, line)
 	}
-	proto := parts[0]
 	if proto != "HTTP/1.0" && proto != "HTTP/1.1" {
 		return nil, fmt.Errorf("%w: %q", ErrUnsupportedProto, proto)
 	}
-	code, err := strconv.Atoi(parts[1])
+	codeText, status, _ := strings.Cut(after, " ")
+	code, err := strconv.Atoi(codeText)
 	if err != nil || code < 100 || code > 599 {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformedResponse, parts[1])
+		return nil, fmt.Errorf("%w: status code %q", ErrMalformedResponse, codeText)
 	}
-	status := ""
-	if len(parts) == 3 {
-		status = parts[2]
-	}
-	h, err := readHeaders(r)
-	if err != nil {
+	resp := NewResponse(code)
+	resp.Proto, resp.Status = proto, status
+	if resp.Body, err = readRest(r, &resp.Header, rest, readErr); err != nil {
 		return nil, err
 	}
-	body, err := readBody(r, h)
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Proto: proto, StatusCode: code, Status: status, Header: h, Body: body}, nil
+	return resp, nil
 }
 
 // WriteResponse serializes a response to w, setting Content-Length from the

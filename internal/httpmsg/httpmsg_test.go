@@ -5,7 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,8 +204,8 @@ func TestWriteResponseDoesNotMutateHeader(t *testing.T) {
 	if err := WriteResponse(bufio.NewWriter(&buf), in); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := in.Header["Content-Length"]; ok {
-		t.Fatal("WriteResponse mutated caller's header map")
+	if len(in.Header) != 0 {
+		t.Fatal("WriteResponse mutated caller's header")
 	}
 }
 
@@ -267,6 +268,8 @@ func TestWantsKeepAlive(t *testing.T) {
 		{"HTTP/1.0", "", false},
 		{"HTTP/1.0", "keep-alive", true},
 		{"HTTP/1.0", "Keep-Alive", true},
+		{"HTTP/1.1", "CLOSE", false},
+		{"HTTP/1.0", "close", false},
 	}
 	for _, tc := range cases {
 		req := NewRequest("GET", "/")
@@ -296,15 +299,49 @@ func TestHeaderCanonicalization(t *testing.T) {
 }
 
 func TestHeaderSetGetDel(t *testing.T) {
-	h := make(Header)
+	var h Header
 	h.Set("content-type", "text/plain")
-	if got := h.Get("CONTENT-TYPE"); got != "text/plain" {
-		t.Fatalf("Get = %q", got)
+	h.Set("X-A", "1")
+	h.Set("CONTENT-TYPE", "text/html")
+	if got := h.Get("Content-type"); got != "text/html" || len(h) != 2 {
+		t.Fatalf("Get = %q of %v, want the second value under one key", got, h)
 	}
 	h.Del("Content-Type")
-	if got := h.Get("content-type"); got != "" {
-		t.Fatalf("after Del, Get = %q", got)
+	if got := h.Get("content-type"); got != "" || h.Get("x-a") != "1" || len(h) != 1 {
+		t.Fatalf("after Del, Get = %q of %v", got, h)
 	}
+	h.Del("absent")
+
+	// The inline room is the message's own: a fifth field moves the header
+	// out of it, and two messages never share fields.
+	a, b := NewResponse(200), NewResponse(200)
+	for i := 0; i < inlineFields+2; i++ {
+		a.Header.Set("X-"+strconv.Itoa(i), "a")
+		b.Header.Set("X-"+strconv.Itoa(i), "b")
+	}
+	for i := 0; i < inlineFields+2; i++ {
+		if a.Header.Get("x-"+strconv.Itoa(i)) != "a" || b.Header.Get("x-"+strconv.Itoa(i)) != "b" {
+			t.Fatalf("field %d: a=%v b=%v", i, a.Header, b.Header)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r := NewResponse(200)
+		r.Header.Set("Content-Type", "text/html")
+		r.Header.Set("X-Swala-Cache", "local")
+		r.Header.Set("Connection", "close")
+	}); n > 1 {
+		t.Errorf("a response with three fields costs %v allocations, want its own one", n)
+	}
+}
+
+// rawHeader builds a header of the pairs as given: no canonical form, no
+// order, no merging of a repeated key.
+func rawHeader(kv ...string) Header {
+	h := Header{}
+	for i := 0; i < len(kv); i += 2 {
+		h = append(h, field{kv[i], kv[i+1]})
+	}
+	return h
 }
 
 func TestParseQuery(t *testing.T) {
@@ -392,13 +429,13 @@ func sanitizeToken(raw []byte) string {
 
 // TestWriteResponseGolden pins WriteResponse's bytes on the wire to what the
 // fmt- and Clone-based serialiser before it wrote: sorted keys, Content-Length
-// merged in order and always the body's, keys emitted as the map holds them.
+// merged in order and always the body's, keys emitted as the header holds them.
 func TestWriteResponseGolden(t *testing.T) {
-	twelve := Header{
-		"Accept-Ranges": "bytes", "Age": "0", "Cache-Control": "no-cache", "Connection": "close",
-		"Content-Type": "text/html", "Date": "Thu, 01 Jan 1998 00:00:00 GMT", "Etag": `"x"`, "Expires": "0",
-		"Last-Modified": "never", "Server": "swala", "Vary": "*", "X-Swala-Cache": "local",
-	}
+	twelve := rawHeader(
+		"X-Swala-Cache", "local", "Vary", "*", "Accept-Ranges", "bytes", "Age", "0", "Cache-Control", "no-cache", "Connection", "close",
+		"Content-Type", "text/html", "Date", "Thu, 01 Jan 1998 00:00:00 GMT", "Etag", `"x"`, "Expires", "0",
+		"Last-Modified", "never", "Server", "swala",
+	)
 	cases := []struct {
 		name string
 		resp *Response
@@ -406,32 +443,29 @@ func TestWriteResponseGolden(t *testing.T) {
 	}{
 		{"no headers", &Response{Proto: "HTTP/1.1", StatusCode: 200, Header: Header{}, Body: []byte("hi")},
 			"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"},
-		{"nil header map, default proto", &Response{StatusCode: 404, Body: []byte("gone\n")},
+		{"nil header, default proto", &Response{StatusCode: 404, Body: []byte("gone\n")},
 			"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n\r\ngone\n"},
-		{"one header", &Response{Proto: "HTTP/1.0", StatusCode: 200, Header: Header{"Content-Type": "text/html"}, Body: []byte("hello")},
+		{"one header", &Response{Proto: "HTTP/1.0", StatusCode: 200, Header: rawHeader("Content-Type", "text/html"), Body: []byte("hello")},
 			"HTTP/1.0 200 OK\r\nContent-Length: 5\r\nContent-Type: text/html\r\n\r\nhello"},
 		{"three headers", &Response{Proto: "HTTP/1.1", StatusCode: 200,
-			Header: Header{"X-Swala-Cache": "local", "Content-Type": "application/octet-stream", "Connection": "close"}, Body: []byte("abc")},
+			Header: rawHeader("X-Swala-Cache", "local", "Content-Type", "application/octet-stream", "Connection", "close"), Body: []byte("abc")},
 			"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\nContent-Type: application/octet-stream\r\nX-Swala-Cache: local\r\n\r\nabc"},
 		{"twelve headers", &Response{Proto: "HTTP/1.1", StatusCode: 503, Header: twelve, Body: []byte("busy")},
 			"HTTP/1.1 503 Service Unavailable\r\nAccept-Ranges: bytes\r\nAge: 0\r\nCache-Control: no-cache\r\nConnection: close\r\n" +
 				"Content-Length: 4\r\nContent-Type: text/html\r\nDate: Thu, 01 Jan 1998 00:00:00 GMT\r\nEtag: \"x\"\r\nExpires: 0\r\n" +
 				"Last-Modified: never\r\nServer: swala\r\nVary: *\r\nX-Swala-Cache: local\r\n\r\nbusy"},
-		{"caller-set Content-Length", &Response{Proto: "HTTP/1.1", StatusCode: 200, Header: Header{"Content-Length": "999", "A": "1"}, Body: []byte("abc")},
+		{"caller-set Content-Length", &Response{Proto: "HTTP/1.1", StatusCode: 200, Header: rawHeader("Content-Length", "999", "A", "1"), Body: []byte("abc")},
 			"HTTP/1.1 200 OK\r\nA: 1\r\nContent-Length: 3\r\n\r\nabc"},
-		{"empty body", &Response{Proto: "HTTP/1.1", StatusCode: 204, Header: Header{"Server": "swala"}},
+		{"empty body", &Response{Proto: "HTTP/1.1", StatusCode: 204, Header: rawHeader("Server", "swala")},
 			"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\nServer: swala\r\n\r\n"},
 		{"non-canonical keys, own reason phrase", &Response{Proto: "HTTP/1.1", StatusCode: 299, Status: "Odd",
-			Header: Header{"x-raw": "v", "content-length": "7", "Zed": "z"}, Body: []byte("q")},
+			Header: rawHeader("x-raw", "v", "content-length", "7", "Zed", "z"), Body: []byte("q")},
 			"HTTP/1.1 299 Odd\r\nContent-Length: 1\r\nZed: z\r\ncontent-length: 7\r\nx-raw: v\r\n\r\nq"},
 		{"unknown status code", &Response{Proto: "HTTP/1.1", StatusCode: 299, Header: Header{}},
 			"HTTP/1.1 299 Status 299\r\nContent-Length: 0\r\n\r\n"},
 	}
 	for _, tc := range cases {
-		before := make(Header, len(tc.resp.Header))
-		for k, v := range tc.resp.Header {
-			before[k] = v
-		}
+		before := slices.Clone(tc.resp.Header)
 		var buf bytes.Buffer
 		if err := WriteResponse(bufio.NewWriter(&buf), tc.resp); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -439,8 +473,8 @@ func TestWriteResponseGolden(t *testing.T) {
 		if got := buf.String(); got != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
 		}
-		if len(tc.resp.Header) != len(before) || (len(before) > 0 && !reflect.DeepEqual(tc.resp.Header, before)) {
-			t.Errorf("%s: WriteResponse changed the caller's header map to %v", tc.name, tc.resp.Header)
+		if !slices.Equal(tc.resp.Header, before) {
+			t.Errorf("%s: WriteResponse changed the caller's header to %v", tc.name, tc.resp.Header)
 		}
 	}
 }

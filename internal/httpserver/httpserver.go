@@ -5,15 +5,16 @@
 // efficiency property of the server; here the "request threads" are
 // goroutines accepting from a shared listener.
 //
-// Every request is served under a per-request context.Context, canceled when
-// the client disconnects mid-request or when the server shuts down, so the
-// layers below (cache fetches, remote peer sessions, CGI executions) can
-// abandon work nobody will receive. Watching the connection for a disconnect
-// costs a goroutine, a read that parks in the netpoller and three deadline
-// calls, so the watch starts only when something first asks the context for
-// its Done channel — that is, when the handler is about to wait on it. A
-// handler that answers without waiting (a static file, a local cache hit)
-// never starts it; shutdown still reaches such a handler through Err.
+// Every request is served under its own context.Context, canceled when the
+// client disconnects mid-request, when the server shuts down and when the
+// handler returns, so the layers below (cache fetches, remote peer sessions,
+// CGI executions) can abandon work nobody will receive. A request pays for
+// that only as far as it uses it. One that never asks for Done (a static
+// file, a local cache hit) pays one allocation; shutdown still reaches it
+// through Err. The first Done makes the cancelable context and starts watching
+// the connection: a goroutine, a read parked in the netpoller, three deadline
+// calls. What a handler may rely on: a disconnect cancels its context once it
+// has asked for Done, however late it asks.
 package httpserver
 
 import (
@@ -74,6 +75,9 @@ type Server struct {
 	// Close so in-flight handlers unwind during shutdown.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
+	// endedCtx is what a request context that was never asked for Done
+	// becomes when its handler returns: a canceled child of baseCtx.
+	endedCtx context.Context
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -100,6 +104,9 @@ func New(handler Handler, cfg Config) *Server {
 	}
 	s := &Server{handler: handler, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	var end context.CancelFunc
+	s.endedCtx, end = context.WithCancel(s.baseCtx)
+	end()
 	return s
 }
 
@@ -202,24 +209,22 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// serveRequest runs the handler under a request-scoped context that is
-// canceled if the client goes away while the handler waits on it. The watch
-// is armed by the context's first Done call (see reqContext), so whether it
-// runs follows from what the handler does: cluster.Fetch, cgi.Exec, a
-// cpu.Node.Run that has to queue, a singleflight wait, a hedge and any
-// WithTimeout/WithCancel child all ask for Done; serving a static file or a
-// local hit does not. If it was armed it is stopped here, before the
-// connection loop reads again.
+// serveRequest runs the handler under the request's context and ends that
+// context when it returns. If the handler asked for Done the watcher is
+// running, and is stopped here, before the connection loop reads again.
 func (s *Server) serveRequest(conn net.Conn, reader *bufio.Reader, req *httpmsg.Request) *httpmsg.Response {
-	inner, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	ctx := &reqContext{Context: inner, cancel: cancel, conn: conn, reader: reader}
-
+	ctx := &reqContext{base: s.baseCtx, conn: conn, reader: reader}
 	resp := s.handler.Serve(ctx, req)
 
-	// Spend the once: a goroutine the handler left behind may still call
+	// Under the lock: a goroutine the handler left behind may still call
 	// Done, and must not start a watcher on a reader the loop owns again.
-	ctx.once.Do(func() {})
+	ctx.mu.Lock()
+	if ctx.inner == nil {
+		ctx.inner = s.endedCtx
+	} else {
+		ctx.cancel()
+	}
+	ctx.mu.Unlock()
 	if ctx.watchDone != nil {
 		// Stop the watcher: expire the read deadline so a blocked Peek
 		// returns, then restore it. The watcher consumes (and discards) the
@@ -231,25 +236,47 @@ func (s *Server) serveRequest(conn net.Conn, reader *bufio.Reader, req *httpmsg.
 	return resp
 }
 
-// reqContext is the context a handler runs under: the per-request cancelCtx,
-// with the disconnect watcher started by the first call of Done. Err, Value
-// and Deadline are the inner context's own, so a WithCancel or WithTimeout
-// child finds the inner cancelCtx through Value and attaches to it directly,
-// without a goroutine — after its own Done call has armed the watch.
+// reqContext is the context a handler runs under. Until the first Done it
+// stands for the server's base context, so Err reports a shutdown. The first
+// Done makes inner, a cancelable child of the base context, and starts the
+// disconnect watcher; Done, Err, Value and Deadline are inner's from then on,
+// so a WithCancel or WithTimeout child finds inner through Value and attaches
+// to it without a goroutine. When the handler returns inner is canceled (or
+// becomes the server's endedCtx): Done is closed and Err is context.Canceled
+// for whoever still holds the context.
 type reqContext struct {
-	context.Context
-	cancel context.CancelFunc
+	base   context.Context
 	conn   net.Conn
 	reader *bufio.Reader
 
-	once      sync.Once
-	watchDone chan struct{} // closed when the watcher exits; nil if never armed
+	mu        sync.Mutex
+	inner     context.Context    // nil until the first Done
+	cancel    context.CancelFunc // inner's
+	watchDone chan struct{}      // closed when the watcher exits; nil if it never started
 }
 
-// Done implements context.Context.
+// current is the context c stands for at the moment.
+func (c *reqContext) current() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inner != nil {
+		return c.inner
+	}
+	return c.base
+}
+
+func (c *reqContext) Deadline() (time.Time, bool) { return c.current().Deadline() }
+func (c *reqContext) Err() error                  { return c.current().Err() }
+func (c *reqContext) Value(key any) any           { return c.current().Value(key) }
+
 func (c *reqContext) Done() <-chan struct{} {
-	c.once.Do(c.watch)
-	return c.Context.Done()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inner == nil {
+		c.inner, c.cancel = context.WithCancel(c.base)
+		c.watch()
+	}
+	return c.inner.Done()
 }
 
 // watch starts the watcher goroutine, which peeks the connection for the

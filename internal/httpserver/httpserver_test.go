@@ -2,10 +2,11 @@ package httpserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -424,30 +425,32 @@ func TestCloseCancelsInflightRequests(t *testing.T) {
 	}
 }
 
-// deadlineListener hands out connections that record every read deadline
-// set on them, as the time left until it (zero for "no deadline").
-type deadlineListener struct {
+// watchedListener hands out connections that record what the server does to
+// them: every read deadline, as the time left until it (zero for "no
+// deadline"), and every Read.
+type watchedListener struct {
 	net.Listener
-	conns chan *deadlineConn
+	conns chan *watchedConn
 }
 
-func (l deadlineListener) Accept() (net.Conn, error) {
+func (l watchedListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	dc := &deadlineConn{Conn: c}
-	l.conns <- dc
-	return dc, nil
+	wc := &watchedConn{Conn: c}
+	l.conns <- wc
+	return wc, nil
 }
 
-type deadlineConn struct {
+type watchedConn struct {
 	net.Conn
-	mu   sync.Mutex
-	left []time.Duration
+	mu    sync.Mutex
+	left  []time.Duration
+	reads int
 }
 
-func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+func (c *watchedConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	if t.IsZero() {
 		c.left = append(c.left, 0)
@@ -458,68 +461,114 @@ func (c *deadlineConn) SetReadDeadline(t time.Time) error {
 	return c.Conn.SetReadDeadline(t)
 }
 
-// TestUnarmedHandlerStartsNoWatcher: a handler that never touches its
-// context runs with no goroutine beside it and leaves the connection's read
-// deadline as the keep-alive loop armed it; one that asks for Done gets the
-// watcher.
-func TestUnarmedHandlerStartsNoWatcher(t *testing.T) {
-	const requests = 1000
-	const readTimeout = time.Minute
-	for _, armed := range []bool{false, true} {
-		var inHandler []int // runtime.NumGoroutine seen by each handler call
-		handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
-			if armed {
-				ctx.Done()
-			}
-			inHandler = append(inHandler, runtime.NumGoroutine())
-			return echoHandler(ctx, req)
-		})
-		mem := netx.NewMem()
-		inner, err := mem.Listen("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := deadlineListener{Listener: inner, conns: make(chan *deadlineConn, 1)}
-		s := New(handler, Config{RequestThreads: 1, ReadTimeout: readTimeout})
-		s.Serve(l)
-		conn, err := mem.Dial("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sconn := <-l.conns
-		// The request thread is parked in its first read; between here and a
-		// handler call the only goroutines that may appear are the server's.
-		time.Sleep(20 * time.Millisecond)
-		baseline := runtime.NumGoroutine()
-		for i := 0; i < requests; i++ {
-			if resp := doRequest(t, conn, "GET", "/r", true); resp.StatusCode != 200 {
-				t.Fatalf("armed=%v request %d: status %d", armed, i, resp.StatusCode)
-			}
-		}
-		conn.Close()
-		s.Close() // the request thread has exited: inHandler and left are quiet
+func (c *watchedConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	c.reads++
+	c.mu.Unlock()
+	return c.Conn.Read(p)
+}
 
-		for i, n := range inHandler {
-			// Armed, the previous request's watcher may still be on its way
-			// out beside this request's.
-			if (!armed && n != baseline) || (armed && n <= baseline) {
-				t.Fatalf("armed=%v request %d: %d goroutines in the handler, baseline %d", armed, i, n, baseline)
-			}
+// calls reports how many deadlines and reads the connection has seen.
+func (c *watchedConn) calls() (deadlines, reads int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.left), c.reads
+}
+
+// startWatched runs a one-thread server whose single connection is watched.
+func startWatched(t *testing.T, h Handler, readTimeout time.Duration) (*Server, net.Conn, *watchedConn) {
+	t.Helper()
+	mem := netx.NewMem()
+	inner, err := mem.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := watchedListener{Listener: inner, conns: make(chan *watchedConn, 1)}
+	s := New(h, Config{RequestThreads: 1, ReadTimeout: readTimeout})
+	s.Serve(l)
+	t.Cleanup(func() { s.Close() })
+	conn, err := mem.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return s, conn, <-l.conns
+}
+
+// TestUnarmedHandlerStartsNoWatcher: a handler that never asks its context
+// for Done — Err, Value and Deadline do not count — leaves the connection
+// alone: no read while it runs, and no read deadline but the one the
+// keep-alive loop sets per request.
+func TestUnarmedHandlerStartsNoWatcher(t *testing.T) {
+	const requests = 100
+	const readTimeout = time.Minute
+	var sconn *watchedConn
+	type seen struct{ deadlines, reads, readsInside int }
+	var calls []seen // by each handler call, on the request thread
+	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+		var at seen
+		at.deadlines, at.reads = sconn.calls()
+		if ctx.Err() != nil {
+			t.Errorf("live request: Err = %v", ctx.Err())
 		}
-		if armed {
-			// clear, expire, restore per request, beside the loop's own.
-			if len(sconn.left) < 4*requests {
-				t.Fatalf("armed: %d read deadlines set over %d requests, want 4 each", len(sconn.left), requests)
-			}
-			continue
+		if _, ok := ctx.Deadline(); ok || ctx.Value("k") != nil {
+			t.Error("request context has a deadline or a value of its own")
 		}
-		if len(sconn.left) > requests+1 {
-			t.Fatalf("unarmed: %d read deadlines set over %d requests, want one per loop iteration", len(sconn.left), requests)
+		_, reads := sconn.calls()
+		at.readsInside = reads - at.reads
+		calls = append(calls, at)
+		return echoHandler(ctx, req)
+	})
+	s, conn, sc := startWatched(t, handler, readTimeout)
+	sconn = sc
+	for i := 0; i < requests; i++ {
+		if resp := doRequest(t, conn, "GET", "/r", true); resp.StatusCode != 200 {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
-		for i, left := range sconn.left {
-			if left < readTimeout/2 {
-				t.Fatalf("unarmed: read deadline %d was set %v ahead, want the loop's %v", i, left, readTimeout)
-			}
+	}
+	conn.Close()
+	s.Close() // the request thread has exited: calls and sconn are quiet
+
+	end, _ := sconn.calls()
+	for i, at := range calls {
+		if at.readsInside != 0 {
+			t.Fatalf("request %d: %d reads of the connection while the handler ran", i, at.readsInside)
+		}
+		next := end
+		if i+1 < len(calls) {
+			next = calls[i+1].deadlines
+		}
+		// From this handler's start to the next one's: the loop's deadline
+		// for the next request, nothing from a watcher.
+		if set := sconn.left[at.deadlines:next]; len(set) != 1 || set[0] < readTimeout/2 {
+			t.Fatalf("request %d: read deadlines set %v, want the loop's one of %v", i, set, readTimeout)
+		}
+	}
+}
+
+// TestChildAttachesToRequestContext: a WithTimeout child hangs on the
+// request's cancelable context itself, found through Value, so canceling that
+// cancels the child before cancel returns; a child propagated to by a
+// goroutine would learn of it later.
+func TestChildAttachesToRequestContext(t *testing.T) {
+	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+		child, cancel := context.WithTimeout(ctx, time.Minute)
+		defer cancel()
+		if err := child.Err(); err != nil {
+			t.Errorf("child of a live request: %v", err)
+		}
+		ctx.(*reqContext).cancel()
+		if err := child.Err(); err != context.Canceled {
+			t.Errorf("child right after the request context was canceled: %v, want Canceled", err)
+		}
+		return echoHandler(ctx, req)
+	})
+	_, dial := startServer(t, handler, Config{RequestThreads: 1})
+	conn := dial()
+	defer conn.Close()
+	for i := 0; i < 3; i++ { // the watcher each one armed is stopped cleanly
+		if resp := doRequest(t, conn, "GET", "/r", true); string(resp.Body) != "echo:/r" {
+			t.Fatalf("request %d: %d %q", i, resp.StatusCode, resp.Body)
 		}
 	}
 }
@@ -559,17 +608,14 @@ func TestLateDoneObservesDisconnect(t *testing.T) {
 	}
 }
 
-// TestTimeoutChildObservesDisconnect: a WithTimeout child arms the watch and
-// attaches to the request's inner cancelCtx — one new goroutine (the
-// watcher), not two (no propagation goroutine for a foreign parent).
+// TestTimeoutChildObservesDisconnect: a WithTimeout child is canceled by the
+// client's disconnect — making it asked the request context for Done — and the
+// watch shows on the connection as one cleared read deadline.
 func TestTimeoutChildObservesDisconnect(t *testing.T) {
 	canceled := make(chan error, 1)
-	grew := make(chan int, 1)
 	handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
-		before := runtime.NumGoroutine()
 		child, cancel := context.WithTimeout(ctx, time.Minute)
 		defer cancel()
-		grew <- runtime.NumGoroutine() - before
 		select {
 		case <-child.Done():
 			canceled <- child.Err()
@@ -578,13 +624,67 @@ func TestTimeoutChildObservesDisconnect(t *testing.T) {
 		}
 		return httpmsg.NewResponse(200)
 	})
-	_, dial := startServer(t, handler, Config{RequestThreads: 1})
-	disconnectAfter(t, dial(), 20*time.Millisecond)
-	if n := <-grew; n != 1 {
-		t.Fatalf("WithTimeout on the request context started %d goroutines, want 1 (the watcher)", n)
-	}
+	_, conn, sconn := startWatched(t, handler, time.Minute)
+	disconnectAfter(t, conn, 20*time.Millisecond)
 	if err := <-canceled; err != context.Canceled {
 		t.Fatalf("child context after client disconnect: %v, want context.Canceled", err)
+	}
+	sconn.mu.Lock()
+	defer sconn.mu.Unlock()
+	if len(sconn.left) < 2 || sconn.left[1] != 0 {
+		t.Fatalf("read deadlines %v: want the loop's, then the watcher's clearing of it", sconn.left)
+	}
+}
+
+// TestLeftBehindGoroutineSeesCanceled: once the response is out, the request
+// context is over for whoever still holds it — Done is closed and Err is
+// Canceled whether or not the handler ever asked — and asking starts no watch
+// on a connection that is the loop's again.
+func TestLeftBehindGoroutineSeesCanceled(t *testing.T) {
+	for _, askedBefore := range []bool{false, true} {
+		ctxs := make(chan context.Context, 1)
+		handler := HandlerFunc(func(ctx context.Context, req *httpmsg.Request) *httpmsg.Response {
+			if askedBefore {
+				ctx.Done()
+			}
+			ctxs <- ctx
+			return echoHandler(ctx, req)
+		})
+		_, conn, sconn := startWatched(t, handler, time.Minute)
+		doRequest(t, conn, "GET", "/r", true)
+		// Let the loop arm its deadline and park in its read of the next request.
+		deadlines, reads := sconn.calls()
+		for {
+			time.Sleep(5 * time.Millisecond)
+			d, r := sconn.calls()
+			if d == deadlines && r == reads {
+				break
+			}
+			deadlines, reads = d, r
+		}
+
+		ctx := <-ctxs
+		select {
+		case <-ctx.Done():
+		default:
+			t.Fatalf("askedBefore=%v: Done still open after the response", askedBefore)
+		}
+		if err := ctx.Err(); err != context.Canceled {
+			t.Fatalf("askedBefore=%v: Err after the response = %v, want Canceled", askedBefore, err)
+		}
+		child, cancel := context.WithCancel(ctx)
+		if err := child.Err(); err != context.Canceled {
+			t.Fatalf("askedBefore=%v: child made after the response: Err = %v", askedBefore, err)
+		}
+		cancel()
+		time.Sleep(5 * time.Millisecond)
+		if d, r := sconn.calls(); d != deadlines || r != reads {
+			t.Fatalf("askedBefore=%v: a late Done touched the connection: %d deadlines, %d reads more", askedBefore, d-deadlines, r-reads)
+		}
+		// The connection still serves.
+		if resp := doRequest(t, conn, "GET", "/again", true); string(resp.Body) != "echo:/again" {
+			t.Fatalf("askedBefore=%v: next request: %q", askedBefore, resp.Body)
+		}
 	}
 }
 
@@ -663,5 +763,58 @@ func TestPipelinedAfterArmedAndUnarmed(t *testing.T) {
 		}
 		conn.Close()
 		s.Close()
+	}
+}
+
+// TestNullHandlerAllocBudget is the request layer's allocation budget: one
+// keep-alive round trip over loopback TCP through a handler that only builds
+// its response costs the head string and the Request, the request context
+// and the Response. The client allocates nothing.
+func TestNullHandlerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	body := make([]byte, 2048)
+	handler := HandlerFunc(func(context.Context, *httpmsg.Request) *httpmsg.Response {
+		resp := httpmsg.NewResponse(200)
+		resp.Header.Set("Content-Type", "application/octet-stream")
+		resp.Body = body
+		return resp
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	s := New(handler, Config{RequestThreads: 1})
+	s.Serve(l)
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	request := []byte("GET /null HTTP/1.1\r\nHost: bench\r\n\r\n")
+	var reply []byte
+	roundTrip := func() {
+		if _, err := conn.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		if reply == nil { // the first reply tells how long every one is
+			resp, err := httpmsg.ReadResponse(bufio.NewReaderSize(conn, 16))
+			if err != nil || len(resp.Body) != len(body) {
+				t.Fatalf("first reply: %v", err)
+			}
+			var buf bytes.Buffer
+			httpmsg.WriteResponse(bufio.NewWriter(&buf), resp)
+			reply = make([]byte, buf.Len())
+			return
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	if n := testing.AllocsPerRun(500, roundTrip); n > 4 {
+		t.Errorf("null-handler round trip: %v allocations, budget 4", n)
 	}
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package httpserver
+
+const raceEnabled = false
