@@ -119,8 +119,7 @@ func main() {
 		hotpath    = flag.String("hotpath", "", "run the hot-path optimisation comparison and write JSON to this file instead of the paper suite")
 		pipeline   = flag.String("pipeline", "", "run the fetch-pipeline overhead comparison and write JSON to this file instead of the paper suite")
 		faults     = flag.String("faults", "", "run the fault-injection schedule (hang/partition/rejoin) and write JSON to this file instead of the paper suite")
-		crash      = flag.String("crash", "", "run the crash-recovery experiment (kill mid-write, corrupt entries, warm restart) and write JSON to this file instead of the paper suite")
-		crashStore = flag.String("crashstore", "files", "durable backend for -crash: files (file-per-entry) or log (segmented append-only)")
+		crash      = flag.String("crash", "", "run the crash-recovery experiment on the log store (kill mid-write, corrupt records, warm restart) and write JSON to this file instead of the paper suite")
 		multicore  = flag.String("multicore", "", "run the GOMAXPROCS scaling sweep (closed-loop capacity + open-loop tail latency) and write JSON to this file instead of the paper suite")
 		scaleout   = flag.String("scaleout", "", "run the scale-out experiment (live 8->12 ring join and graceful leave under load vs the replicated directory) and write JSON to this file instead of the paper suite")
 		replicat   = flag.String("replication", "", "run the adaptive hot-entry replication experiment (viral key on an 8-node ring with and without -replicate-hot) and write JSON to this file instead of the paper suite")
@@ -163,7 +162,7 @@ func main() {
 	}
 
 	if *crash != "" {
-		if err := runCrash(*crash, *crashStore, *quick, *seed); err != nil {
+		if err := runCrash(*crash, *quick, *seed); err != nil {
 			log.Fatalf("crash failed: %v", err)
 		}
 		return
@@ -244,9 +243,9 @@ func main() {
 }
 
 // runHotpath measures the beyond-the-paper hot-path optimisations
-// (miss coalescing, memory store tier, striped directory locks, pooled wire
-// buffers) and writes a machine-readable JSON report so successive changes
-// can be compared against it.
+// (miss coalescing, striped directory locks, pooled wire buffers) and writes
+// a machine-readable JSON report so successive changes can be compared
+// against it.
 func runHotpath(path string, quick bool, seed int64) error {
 	fmt.Printf("Swala hot-path comparison — quick=%v, seed=%d\n\n", quick, seed)
 	start := time.Now()
@@ -432,16 +431,15 @@ func runInvalidation(path string, quick bool, seed int64) error {
 	return nil
 }
 
-// runCrash measures durable-store crash recovery: a stand-alone node fills
-// its disk cache, is killed before a publish rename, has entry files damaged
-// while down, and restarts over the same directory. The headline criteria:
-// every completed entry is recovered and every damaged one quarantined, the
-// warm-restart hit ratio is strictly above the cold baseline, and zero
-// corrupt bodies are ever served.
-func runCrash(path, backend string, quick bool, seed int64) error {
-	fmt.Printf("Swala crash-recovery experiment — store=%s, quick=%v, seed=%d\n\n", backend, quick, seed)
+// runCrash measures log-store crash recovery: a stand-alone node fills its
+// disk cache, dies mid-append, has records damaged while down, and restarts
+// over the same directory. The headline criteria: every completed entry is
+// recovered and every damaged one quarantined, the warm-restart hit ratio is
+// strictly above the cold baseline, and zero corrupt bodies are ever served.
+func runCrash(path string, quick bool, seed int64) error {
+	fmt.Printf("Swala crash-recovery experiment — quick=%v, seed=%d\n\n", quick, seed)
 	start := time.Now()
-	r, err := experiments.RunCrashStore(experiments.Options{Quick: quick, Seed: seed}, backend)
+	r, err := experiments.RunCrash(experiments.Options{Quick: quick, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -466,9 +464,9 @@ func runCrash(path, backend string, quick bool, seed int64) error {
 
 // runMulticore sweeps GOMAXPROCS 1→N over the warm hot-set workload
 // (closed-loop capacity, then open-loop Poisson arrivals at ~70% of it for
-// honest p99/p999) plus the files-vs-log warm-miss write path, and writes a
-// machine-readable JSON report. The >=2x-at-4-cores gate is enforced only on
-// hosts with at least 4 CPUs; smaller hosts record the curve unchecked.
+// honest p99/p999) and writes a machine-readable JSON report. The
+// >=2x-at-4-cores gate is enforced only on hosts with at least 4 CPUs;
+// smaller hosts record the curve unchecked.
 func runMulticore(path string, quick bool, seed int64) error {
 	fmt.Printf("Swala multicore scaling sweep — quick=%v, seed=%d\n\n", quick, seed)
 	start := time.Now()

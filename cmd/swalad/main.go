@@ -50,10 +50,9 @@ func main() {
 		capacity  = flag.Int("capacity", 2000, "cache capacity in entries (0 = unbounded)")
 		policy    = flag.String("policy", "lru", "replacement policy: lru|fifo|lfu|size|gds")
 		cfgPath   = flag.String("config", "", "cacheability config file (default: cache all CGI, 10m TTL)")
-		cacheDir  = flag.String("cachedir", "", "disk cache directory (default: in-memory store)")
-		storeKind = flag.String("store", "files", "disk cache layout for -cachedir: files (one file per entry) or log (segmented append-only log, one append per insert)")
+		cacheDir  = flag.String("cachedir", "", "disk cache directory, kept as a segmented append-only log (default: in-memory store)")
 		persist   = flag.Bool("persist", true, "recover the disk cache across restarts: scan -cachedir at startup, rebuild the directory from intact entries, quarantine corrupt ones (-persist=false wipes the directory first, the paper's cold-start semantics)")
-		fsyncPol  = flag.String("fsync", "never", "disk cache fsync policy: never|always (always fsyncs each entry before publishing it)")
+		fsyncPol  = flag.String("fsync", "never", "disk cache fsync policy: never|always (always fsyncs each append before acknowledging it)")
 		docsDir   = flag.String("docs", "", "static document root to serve")
 		cgiMounts = flag.String("cgi", "/cgi-bin/=demo", "comma-separated prefix=program mounts; program 'demo' is the built-in synthetic CGI")
 		cores     = flag.Int("cores", 1, "simulated CPU cores")
@@ -62,7 +61,6 @@ func main() {
 		watchIvl  = flag.Duration("watch-interval", time.Second, "source watch poll interval")
 		accessLog = flag.String("accesslog", "", "write an extended-CLF access log to this file (analyze with loganalyze -swala)")
 		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent identical cache misses into one CGI execution (beyond the paper)")
-		memCache  = flag.Int64("memcache", 0, "in-memory read-cache tier budget in bytes over the store, 0 disables (beyond the paper)")
 		reqTO     = flag.Duration("request-timeout", 0, "end-to-end deadline per request through the whole fetch chain, 0 disables (overruns answer 504)")
 		fetchTO   = flag.Duration("fetch-timeout", 0, "bound on one remote cache fetch; a timeout falls back to local execution (0 = no bound)")
 		dirSync   = flag.Bool("dir-sync", true, "anti-entropy directory sync: heal dropped broadcasts and reconnect gaps with catch-up snapshots")
@@ -153,7 +151,6 @@ func main() {
 		RequestThreads: *threads,
 		Logger:         logger,
 		CoalesceMisses: *coalesce,
-		MemCacheBytes:  *memCache,
 		RequestTimeout: *reqTO,
 		FetchTimeout:   *fetchTO,
 		SendQueue:      *sendQueue,
@@ -215,27 +212,16 @@ func main() {
 				logger.Fatalf("cachedir: %v", err)
 			}
 		}
-		var (
-			disk store.Store
-			rep  *store.RecoveryReport
-		)
-		switch *storeKind {
-		case "files":
-			disk, rep, err = store.OpenDisk(*cacheDir, store.DiskOptions{Fsync: fsync})
-		case "log":
-			disk, rep, err = store.OpenLog(*cacheDir, store.LogOptions{Fsync: fsync})
-		default:
-			logger.Fatalf("store: unknown layout %q (want files or log)", *storeKind)
-		}
+		l, rep, err := store.OpenLog(*cacheDir, store.LogOptions{Fsync: fsync})
 		if err != nil {
 			logger.Fatalf("cachedir: %v", err)
 		}
 		if *persist {
-			logger.Printf("cache recovery (%s store): %d entries recovered, %d quarantined, %d orphans swept, %d duplicates, %d expired",
-				*storeKind, len(rep.Recovered), rep.Quarantined, rep.OrphansSwept, rep.Duplicates, rep.Expired)
+			logger.Printf("cache recovery: %d entries recovered, %d quarantined, %d orphans swept, %d duplicates, %d expired",
+				len(rep.Recovered), rep.Quarantined, rep.OrphansSwept, rep.Duplicates, rep.Expired)
 			cfg.Recovered = rep.Recovered
 		}
-		cfg.Store = disk
+		cfg.Store = l
 	}
 	var logWriter *accesslog.Writer
 	if *accessLog != "" {

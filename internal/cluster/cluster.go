@@ -505,7 +505,7 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 	case *wire.ReplicaEvent:
 		n.handler.HandleReplicaEvent(m)
 	case *wire.Join:
-		n.admitMember(m.NodeID, m.Addr)
+		n.admitMember(m.NodeID, dialBack(m.Addr, c.conn))
 	case *wire.Leave:
 		n.mergeMembers([]wire.Member{{ID: m.NodeID, Incarnation: m.Incarnation, Left: true}}, true)
 	case *wire.RingUpdate:

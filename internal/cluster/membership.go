@@ -236,7 +236,8 @@ func (n *Node) forgetPeer(id uint32) {
 }
 
 // admitMember handles a MsgJoin: the joiner enters (or re-enters, after an
-// eviction or restart) at a fresh incarnation.
+// eviction or restart) at a fresh incarnation, at addr, the address it
+// announced as the link layer redials it (dialBack).
 func (n *Node) admitMember(id uint32, addr string) {
 	n.memMu.Lock()
 	cur, exists := n.members[id]
@@ -267,11 +268,17 @@ func (n *Node) evictMember(id uint32) {
 	n.ringChangedLocked(true)
 }
 
-// handleRingUpdate merges gossip read from c. When the sender's view is
-// older than ours on any member, answer with our view so the pair converges
-// even when we learned nothing new — this is how an evicted node finds out
-// and refutes.
+// handleRingUpdate merges gossip read from c. The sender's own entry holds
+// its listen address, which is redialed the way the link layer redials it
+// (dialBack). When the sender's view is older than ours on any member, answer
+// with our view so the pair converges even when we learned nothing new —
+// this is how an evicted node finds out and refutes.
 func (n *Node) handleRingUpdate(c *peerLink, m *wire.RingUpdate) {
+	for i := range m.Members {
+		if m.Members[i].ID == c.id {
+			m.Members[i].Addr = dialBack(m.Members[i].Addr, c.conn)
+		}
+	}
 	n.mergeMembers(m.Members, true)
 	n.memMu.Lock()
 	stale := false

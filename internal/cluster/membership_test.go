@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -98,6 +99,57 @@ func TestJoinSeedConvergence(t *testing.T) {
 		defer cancel()
 		return n2.Ping(ctx, 3) == nil && n3.Ping(ctx, 2) == nil
 	})
+}
+
+// TestRingMemberAddressesDialable: on a ring whose nodes listen on every
+// interface, a member address learned from a Join or from gossip carries the
+// host the member was reached from, never the unspecified host its listener
+// reports, which another host could not dial.
+func TestRingMemberAddressesDialable(t *testing.T) {
+	start := func(id uint32) (*Node, string) {
+		t.Helper()
+		n := NewNode(Config{NodeID: id, RingMode: true, VirtualNodes: 32,
+			FetchTimeout: 2 * time.Second, DialRetry: 50 * time.Millisecond}, newRecordingHandler())
+		if err := n.Start(":0"); err != nil {
+			t.Skipf("loopback unavailable: %v", err)
+		}
+		t.Cleanup(func() { n.Close() })
+		_, port, err := net.SplitHostPort(n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, net.JoinHostPort("127.0.0.1", port)
+	}
+	n1, seed := start(1)
+	n2, _ := start(2)
+	n3, _ := start(3)
+	ctx := context.Background()
+	if err := n2.JoinSeed(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := n3.JoinSeed(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*Node{n1, n2, n3}
+	waitFor(t, "all nodes to converge on 3 members", func() bool {
+		return ringHas(n1, 1, 2, 3) && ringHas(n2, 1, 2, 3) && ringHas(n3, 1, 2, 3)
+	})
+	waitFor(t, "membership to link 2 and 3", func() bool {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		return n2.Ping(ctx, 3) == nil && n3.Ping(ctx, 2) == nil
+	})
+	for _, n := range nodes {
+		for _, m := range n.MembersSnapshot() {
+			if m.ID == n.cfg.NodeID {
+				continue // its own listen address, which peers rewrite on receipt
+			}
+			host, _, err := net.SplitHostPort(m.Addr)
+			if ip := net.ParseIP(host); err != nil || host == "" || ip != nil && ip.IsUnspecified() {
+				t.Errorf("node %d holds member %d at %q, which another host cannot dial", n.cfg.NodeID, m.ID, m.Addr)
+			}
+		}
+	}
 }
 
 func TestGracefulLeave(t *testing.T) {

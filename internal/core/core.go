@@ -144,16 +144,11 @@ type Config struct {
 	// Store holds cached bodies; nil defaults to an in-memory store.
 	Store store.Store
 	// Recovered lists entries a durable store salvaged from disk at startup
-	// (store.OpenDisk's RecoveryReport.Recovered). New repopulates the local
+	// (store.OpenLog's RecoveryReport.Recovered). New repopulates the local
 	// directory table from it before serving, so a restarted node comes back
 	// warm — and, in cooperative mode, re-announces those entries to peers
 	// via the usual broadcast/anti-entropy machinery.
 	Recovered []store.RecoveredEntry
-	// MemCacheBytes, when >0, layers a size-bounded in-memory LRU read
-	// cache of that many bytes over Store, so repeated local hits and
-	// peer fetches for hot keys skip the backing store (beyond the paper,
-	// which relies on the OS file cache; default off for paper fidelity).
-	MemCacheBytes int64
 	// CoalesceMisses, when true, makes concurrent identical cacheable
 	// misses share a single CGI execution instead of each running their
 	// own. The paper executes all of them and counts the duplicates as
@@ -347,8 +342,8 @@ type Server struct {
 
 	// Ring-placement rebalance state: handoffCh queues body pulls on the
 	// receiving side of a handoff; the counters feed StatsReply.Ring.
-	handoffCh     chan handoffTask
-	handoffWG     sync.WaitGroup
+	handoffCh chan handoffTask
+	handoffWG sync.WaitGroup
 	// rep holds the adaptive hot-entry replication state (nil unless
 	// Config.ReplicateHot is set in ring mode); see replica.go.
 	rep *replicaState
@@ -364,11 +359,11 @@ type Server struct {
 	hedge            *hedgeState
 	shed             *shedState
 	breakerFastFails atomic.Uint64
-	handoffOut    atomic.Uint64 // entries taken over by new owners
-	handoffIn     atomic.Uint64 // entries pulled from old owners
-	handoffBytes  atomic.Uint64 // body bytes pulled during handoffs
-	rebalances    atomic.Uint64 // ring changes handled
-	lastRebalance atomic.Int64  // unix nanos of the last ring change
+	handoffOut       atomic.Uint64 // entries taken over by new owners
+	handoffIn        atomic.Uint64 // entries pulled from old owners
+	handoffBytes     atomic.Uint64 // body bytes pulled during handoffs
+	rebalances       atomic.Uint64 // ring changes handled
+	lastRebalance    atomic.Int64  // unix nanos of the last ring change
 
 	started   atomic.Bool
 	purgeStop chan struct{}
@@ -391,9 +386,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemory()
-	}
-	if cfg.MemCacheBytes > 0 {
-		cfg.Store = store.NewTiered(cfg.Store, cfg.MemCacheBytes)
 	}
 	if cfg.Network == nil {
 		cfg.Network = netx.TCP{}
@@ -471,12 +463,12 @@ func New(cfg Config) *Server {
 		ErrorLog:       cfg.Logger,
 	})
 	clusterCfg := cluster.Config{
-		NodeID:          cfg.NodeID,
-		Name:            cfg.Name,
-		Network:         cfg.ClusterNetwork,
-		FetchTimeout:    cfg.FetchTimeout,
-		SendQueue:       cfg.SendQueue,
-		DisableSync:     cfg.DisableDirSync,
+		NodeID:       cfg.NodeID,
+		Name:         cfg.Name,
+		Network:      cfg.ClusterNetwork,
+		FetchTimeout: cfg.FetchTimeout,
+		SendQueue:    cfg.SendQueue,
+		DisableSync:  cfg.DisableDirSync,
 		Health: cluster.HealthConfig{
 			Disable:       cfg.DisableHealth,
 			ProbeInterval: cfg.HealthProbeInterval,

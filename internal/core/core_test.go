@@ -16,7 +16,6 @@ import (
 	"repro/internal/httpmsg"
 	"repro/internal/netx"
 	"repro/internal/replacement"
-	"repro/internal/store"
 )
 
 // harness bundles a test cluster and a client.
@@ -780,30 +779,5 @@ func TestFalseHitLocalExecutionWithCoalescing(t *testing.T) {
 	// The fallback execution re-cached the result locally on node 2.
 	if _, ok := h.servers[1].Directory().LookupLocal(key, time.Now()); !ok {
 		t.Fatal("fallback execution was not re-cached locally")
-	}
-}
-
-func TestMemCacheTierServesRepeatedHits(t *testing.T) {
-	h := startCluster(t, 1, func(i int, cfg *Config) {
-		cfg.Mode = StandAlone
-		cfg.MemCacheBytes = 1 << 20
-	})
-	s := h.servers[0]
-	registerNullCGI(s)
-
-	h.get(t, 0, "/cgi-bin/null?x=1")
-	for i := 0; i < 3; i++ {
-		resp := h.get(t, 0, "/cgi-bin/null?x=1")
-		if resp.Header.Get("X-Swala-Cache") != "local" {
-			t.Fatalf("request %d not a local hit", i)
-		}
-	}
-	tiered, ok := s.store.(*store.Tiered)
-	if !ok {
-		t.Fatalf("store is %T, want *store.Tiered", s.store)
-	}
-	_, _, hits, _ := tiered.MemStats()
-	if hits < 3 {
-		t.Fatalf("memory-tier hits = %d, want >= 3", hits)
 	}
 }

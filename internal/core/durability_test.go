@@ -13,18 +13,18 @@ import (
 	"repro/internal/store"
 )
 
-// durableNode builds a StandAlone server over an OpenDisk store rooted at
-// dir, registering the synthetic CGI used by the durability tests.
+// durableNode builds a StandAlone server over a log store rooted at dir,
+// registering the synthetic CGI used by the durability tests.
 func durableNode(t *testing.T, mem *netx.Mem, dir, httpAddr, cluAddr string) (*Server, *store.RecoveryReport) {
 	t.Helper()
-	disk, rep, err := store.OpenDisk(dir, store.DiskOptions{})
+	l, rep, err := store.OpenLog(dir, store.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{
 		NodeID:        1,
 		Mode:          StandAlone,
-		Store:         disk,
+		Store:         l,
 		Recovered:     rep.Recovered,
 		Network:       mem,
 		PurgeInterval: time.Hour,
@@ -110,7 +110,7 @@ func TestWarmRestartReannouncesToPeers(t *testing.T) {
 	}
 
 	// Restart cooperative over the recovered store, next to a cold peer.
-	disk, rep, err := store.OpenDisk(dir, store.DiskOptions{})
+	l, rep, err := store.OpenLog(dir, store.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestWarmRestartReannouncesToPeers(t *testing.T) {
 	a := New(Config{
 		NodeID:        1,
 		Mode:          Cooperative,
-		Store:         disk,
+		Store:         l,
 		Recovered:     rep.Recovered,
 		Network:       mem,
 		PurgeInterval: time.Hour,
@@ -170,14 +170,14 @@ func TestWarmRestartReannouncesToPeers(t *testing.T) {
 func TestStorageFaultDegradesWithoutFailingRequests(t *testing.T) {
 	mem := netx.NewMem()
 	ffs := store.NewFaultFS(nil)
-	disk, _, err := store.OpenDisk(t.TempDir()+"/cache", store.DiskOptions{FS: ffs, ReprobeInterval: 50 * time.Millisecond})
+	l, _, err := store.OpenLog(t.TempDir()+"/cache", store.LogOptions{FS: ffs, ReprobeInterval: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{
 		NodeID:        1,
 		Mode:          StandAlone,
-		Store:         disk,
+		Store:         l,
 		Network:       mem,
 		PurgeInterval: time.Hour,
 	})

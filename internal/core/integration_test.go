@@ -16,12 +16,12 @@ import (
 	"repro/internal/store"
 )
 
-// TestDiskStoreEndToEnd runs the server with the paper's actual storage
-// design — one OS file per cached result — and verifies hits are served
-// from disk.
+// TestDiskStoreEndToEnd runs the server over the log store on disk, as
+// swalad -cachedir does, and verifies the insert lands in a segment and the
+// hit is served from it.
 func TestDiskStoreEndToEnd(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	disk, err := store.NewDisk(dir)
+	l, _, err := store.OpenLog(dir, store.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestDiskStoreEndToEnd(t *testing.T) {
 	s := New(Config{
 		NodeID:        1,
 		Mode:          StandAlone,
-		Store:         disk,
+		Store:         l,
 		Network:       mem,
 		PurgeInterval: time.Hour,
 	})
@@ -50,8 +50,8 @@ func TestDiskStoreEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 1 {
-		t.Fatalf("cache files on disk = %d, want 1", len(files))
+	if len(files) != 1 || files[0].Name() != "seg-1.log" || l.Len() != 1 {
+		t.Fatalf("cache files on disk = %v with %d entries, want one segment with 1", files, l.Len())
 	}
 
 	second, err := client.Get("http", "/cgi-bin/q?a=1")
@@ -62,7 +62,7 @@ func TestDiskStoreEndToEnd(t *testing.T) {
 		t.Fatal("second request missed")
 	}
 	if string(second.Body) != string(first.Body) {
-		t.Fatal("disk-cached body differs from executed body")
+		t.Fatal("log-cached body differs from executed body")
 	}
 }
 

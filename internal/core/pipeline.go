@@ -21,7 +21,6 @@ import (
 // decision arrow becomes a stage that either serves the request or defers to
 // the next stage:
 //
-//	mem    — in-memory read tier (only when Config.MemCacheBytes is set)
 //	local  — directory lookup + local store fetch
 //	remote — peer fetch; any remote failure is the paper's false hit and
 //	         falls through to origin (local execution)
@@ -39,9 +38,6 @@ var errCGIFailed = errors.New("cgi failed")
 func (s *Server) buildPipeline() {
 	s.pipe = stats.NewPipelineStats()
 	stages := make([]fetchpipe.Stage, 0, 4)
-	if tiered, ok := s.store.(*store.Tiered); ok {
-		stages = append(stages, &memStage{s: s, tier: tiered})
-	}
 	stages = append(stages, &localStage{s: s})
 	if s.swr != nil {
 		// Stale-while-revalidate sits right after local: a live entry always
@@ -62,8 +58,8 @@ func (s *Server) buildPipeline() {
 }
 
 // Fetch resolves a cacheable request key through the server's fetch chain —
-// memory tier, local store, owning peer, CGI origin — without going through
-// the HTTP layer. The key must be a canonical cache key (httpmsg.CacheKey);
+// local store, owning peer, CGI origin — without going through the HTTP
+// layer. The key must be a canonical cache key (httpmsg.CacheKey);
 // the CGI request is reconstructed from it. Library embedders and the
 // benchsuite pipeline comparison use this entry point; HTTP requests travel
 // the same chain via serveDynamic.
@@ -143,45 +139,6 @@ func (s *Server) fetchStateFrom(ctx context.Context, key string) fetchState {
 		creq: cgi.Request{Method: method, Path: path, Query: query},
 		ttl:  ttl,
 	}
-}
-
-// --- mem stage ---
-
-// memStage serves hits resident in the in-memory read tier without touching
-// the backing store. It mirrors the local stage's accounting exactly: the
-// memory tier is a transparent accelerator, so its hits are local hits.
-type memStage struct {
-	s    *Server
-	tier *store.Tiered
-}
-
-func (st *memStage) Name() string { return "mem" }
-
-func (st *memStage) Fetch(ctx context.Context, key string, hint any) (fetchpipe.Result, error) {
-	s := st.s
-	var e directory.Entry
-	var ok bool
-	if hint == nil {
-		e, ok = s.dir.Lookup(key, s.clk.Now())
-	} else {
-		e, ok = s.dirResolve(hint, key)
-	}
-	if !ok || e.Owner != s.dir.Self() {
-		return fetchpipe.Defer(dirHintFor(e, ok))
-	}
-	ct, body, ok := st.tier.GetCached(key)
-	if !ok {
-		// Not resident in the memory tier; the local stage reads the backing
-		// store with the entry we already resolved.
-		return fetchpipe.Defer(dirHit{e: e})
-	}
-	cost := s.cfg.Costs.FileBaseCost + time.Duration(len(body))*s.cfg.Costs.PerByte
-	if _, err := s.node.Run(ctx, cost); err != nil {
-		return fetchpipe.Result{}, fetchpipe.CtxErr(err)
-	}
-	s.dir.TouchLocal(key)
-	s.counters.LocalHit()
-	return fetchpipe.Result{Status: 200, ContentType: ct, Body: body, Source: "local"}, nil
 }
 
 // --- local stage ---

@@ -15,23 +15,18 @@ import (
 )
 
 // CrashResult is the machine-readable outcome of the crash-recovery
-// experiment (benchsuite -crash): a stand-alone node fills a durable disk
-// cache, dies mid-write (kill before the publish rename for the files
-// backend; a torn segment append for the log backend), has three of its
-// completed entries damaged while it is down, and restarts over the same
-// directory. The headline numbers are the warm-restart hit ratio against the
-// cold baseline and the corrupt-served count, which must be zero: every
-// damaged entry is quarantined and re-executed, never served.
+// experiment (benchsuite -crash): a stand-alone node fills its log store,
+// dies mid-write (a torn segment append), has three of its completed records
+// damaged while it is down, and restarts over the same directory. The
+// headline numbers are the warm-restart hit ratio against the cold baseline
+// and the corrupt-served count, which must be zero: every damaged entry is
+// quarantined and re-executed, never served.
 type CrashResult struct {
 	Meta Meta `json:"meta"`
 
-	// Backend is the durable store under test: "files" (file-per-entry
-	// Disk) or "log" (segmented append-only Log).
-	Backend string `json:"backend"`
-
 	// Keys is the working-set size; every key is requested twice per phase.
 	Keys int `json:"keys"`
-	// Damaged is how many published entry files were corrupted post-crash.
+	// Damaged is how many completed records were corrupted post-crash.
 	Damaged int `json:"damaged"`
 
 	// Cold is the pre-crash fill over an empty cache directory.
@@ -40,7 +35,7 @@ type CrashResult struct {
 		HitRatio float64 `json:"hit_ratio"`
 	} `json:"cold"`
 
-	// Recovery is what OpenDisk found when the node restarted.
+	// Recovery is what OpenLog found when the node restarted.
 	Recovery struct {
 		Recovered    int           `json:"recovered"`
 		Quarantined  int           `json:"quarantined"`
@@ -54,9 +49,9 @@ type CrashResult struct {
 		HitRatio float64 `json:"hit_ratio"`
 	} `json:"warm"`
 
-	// RuntimeCorruption is the post-restart bit-rot probe: one live entry
-	// file gets a flipped bit, and the next read must quarantine it and
-	// re-execute instead of serving the damaged body.
+	// RuntimeCorruption is the post-restart bit-rot probe: one live record
+	// gets a flipped bit, and the next read must quarantine it and re-execute
+	// instead of serving the damaged body.
 	RuntimeCorruption struct {
 		Quarantined bool `json:"quarantined"`
 	} `json:"runtime_corruption"`
@@ -75,123 +70,6 @@ type CrashResult struct {
 // crashURI returns the deterministic request URI for key k.
 func crashURI(k, cost int) string {
 	return fmt.Sprintf("/cgi-bin/adl?q=crash-%d&cost=%d", k, cost)
-}
-
-// listEntryFiles returns the published entry files in dir, sorted by name.
-func listEntryFiles(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, de := range des {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), ".cache") {
-			out = append(out, filepath.Join(dir, de.Name()))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// crashBackend abstracts the store-specific steps of the crash schedule so
-// the same fill / kill / damage / recover / probe flow gates both durable
-// backends.
-type crashBackend struct {
-	name string
-	// open builds the store over dir (fs nil = the real filesystem).
-	open func(dir string, fs store.FS) (store.Store, *store.RecoveryReport, error)
-	// kill arms the mid-write death for the one in-flight request: the
-	// files backend dies before the publish rename (temp debris stays), the
-	// log backend tears the segment append partway through.
-	kill func(ffs *store.FaultFS)
-	// damage corrupts n completed entries on disk and plants one orphaned
-	// temp file, returning how many entries were damaged.
-	damage func(dir string, n int) (int, error)
-	// bitrot flips one bit of a live entry's stored bytes after the warm
-	// restart, for the runtime quarantine probe.
-	bitrot func(dir string) error
-}
-
-// crashBackendFor returns the backend named "files" or "log".
-func crashBackendFor(name string) (crashBackend, error) {
-	switch name {
-	case "", "files":
-		return crashBackend{
-			name: "files",
-			open: func(dir string, fs store.FS) (store.Store, *store.RecoveryReport, error) {
-				return store.OpenDisk(dir, store.DiskOptions{FS: fs})
-			},
-			kill:   func(ffs *store.FaultFS) { ffs.SetCrashed(true) },
-			damage: damageEntryFiles,
-			bitrot: bitrotEntryFile,
-		}, nil
-	case "log":
-		return crashBackend{
-			name: "log",
-			open: func(dir string, fs store.FS) (store.Store, *store.RecoveryReport, error) {
-				return store.OpenLog(dir, store.LogOptions{FS: fs})
-			},
-			// Tear the next segment append after its first 20 bytes — the
-			// log's shape of dying mid-write. Recovery must truncate the
-			// torn tail (counted as an orphan sweep, like Disk's temp-file
-			// debris) because the append was never acknowledged.
-			kill:   func(ffs *store.FaultFS) { ffs.TornWrite(20, nil) },
-			damage: damageLogRecords,
-			bitrot: bitrotLogRecord,
-		}, nil
-	default:
-		return crashBackend{}, fmt.Errorf("crash: unknown store backend %q (want files or log)", name)
-	}
-}
-
-// damageEntryFiles corrupts n published entry files the classic ways
-// (truncated tail, a flipped bit, complete loss) and plants an orphaned temp
-// file beyond the crash debris.
-func damageEntryFiles(dir string, n int) (int, error) {
-	files, err := listEntryFiles(dir)
-	if err != nil {
-		return 0, err
-	}
-	if len(files) < n {
-		return 0, fmt.Errorf("crash: %d entry files on disk after fill, want at least %d", len(files), n)
-	}
-	damage := []func(path string) error{
-		func(p string) error { return os.Truncate(p, 11) }, // torn tail
-		func(p string) error { // single flipped bit
-			data, err := os.ReadFile(p)
-			if err != nil {
-				return err
-			}
-			data[len(data)/2] ^= 0x10
-			return os.WriteFile(p, data, 0o644)
-		},
-		func(p string) error { return os.Truncate(p, 0) }, // lost content
-	}
-	for i := 0; i < n; i++ {
-		if err := damage[i%len(damage)](files[i*len(files)/n]); err != nil {
-			return 0, err
-		}
-	}
-	err = os.WriteFile(filepath.Join(dir, "entry-999999.cache.tmp"), []byte("abandoned"), 0o644)
-	return n, err
-}
-
-// bitrotEntryFile flips one bit near the end of the middle live entry file.
-func bitrotEntryFile(dir string) error {
-	live, err := listEntryFiles(dir)
-	if err != nil {
-		return err
-	}
-	if len(live) == 0 {
-		return fmt.Errorf("crash: no live entry files for the bit-rot probe")
-	}
-	p := live[len(live)/2]
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return err
-	}
-	data[len(data)-3] ^= 0x04
-	return os.WriteFile(p, data, 0o644)
 }
 
 // listSegmentFiles returns the log segment files in dir, oldest first.
@@ -286,24 +164,13 @@ func bitrotLogRecord(dir string) error {
 	return os.WriteFile(p, data, 0o644)
 }
 
-// RunCrash measures crash recovery end to end against the file-per-entry
-// backend: fill, die mid-write, corrupt entries on disk, restart warm, and
-// verify no damaged byte is ever served.
+// RunCrash measures crash recovery of the log store end to end: fill, die
+// mid-write, corrupt records on disk, restart warm, and verify no damaged
+// byte is ever served.
 func RunCrash(o Options) (CrashResult, error) {
-	return RunCrashStore(o, "files")
-}
-
-// RunCrashStore runs the crash schedule against the named durable backend
-// ("files" or "log"); both must satisfy the same gates.
-func RunCrashStore(o Options, backend string) (CrashResult, error) {
 	o = o.withDefaults()
 	var r CrashResult
-	b, err := crashBackendFor(backend)
-	if err != nil {
-		return r, err
-	}
 	r.Meta = CollectMeta()
-	r.Backend = b.name
 	keys := o.pick(24, 96)
 	r.Keys = keys
 	cost := o.pick(5, 20) // paper-ms per request
@@ -354,7 +221,7 @@ func RunCrashStore(o Options, backend string) (CrashResult, error) {
 	// --- fill phase (cold, empty directory) ---
 
 	ffs := store.NewFaultFS(nil)
-	st, _, err := b.open(cacheDir, ffs)
+	st, _, err := store.OpenLog(cacheDir, store.LogOptions{FS: ffs})
 	if err != nil {
 		return r, err
 	}
@@ -370,22 +237,21 @@ func RunCrashStore(o Options, backend string) (CrashResult, error) {
 	}
 	r.Cold.HitRatio = hitRatio(before, snapshotCounters(c))
 
-	// Die mid-write: the files backend is killed before the publish rename
-	// (the in-flight entry's temp file stays on disk as debris — a dead
-	// process cleans nothing up), the log backend tears the append partway.
-	// Either way the request is still answered from the execution.
-	b.kill(ffs)
+	// Die mid-write: the next segment append lands only its first 20 bytes.
+	// The request is still answered from the execution; recovery must
+	// truncate the torn tail (an orphan sweep, not a quarantine) because the
+	// append was never acknowledged.
+	ffs.TornWrite(20, nil)
 	if resp, err := c.client.Get(c.addrs[0], crashURI(keys, cost)); err != nil || resp.StatusCode != 200 {
 		c.Close()
 		return r, fmt.Errorf("crash: in-flight request failed: %v", err)
 	}
 	c.Close()
 
-	// --- corrupt the downed node's files ---
+	// --- corrupt the downed node's segments ---
 
-	// Damage three completed entries plus one more orphaned temp file beyond
-	// the crash debris.
-	r.Damaged, err = b.damage(cacheDir, 3)
+	// Damage three completed records and plant an orphaned temp file.
+	r.Damaged, err = damageLogRecords(cacheDir, 3)
 	if err != nil {
 		return r, err
 	}
@@ -393,7 +259,7 @@ func RunCrashStore(o Options, backend string) (CrashResult, error) {
 	// --- warm restart over the damaged directory ---
 
 	start := time.Now()
-	st2, rep, err := b.open(cacheDir, nil)
+	st2, rep, err := store.OpenLog(cacheDir, store.LogOptions{})
 	if err != nil {
 		return r, err
 	}
@@ -417,7 +283,7 @@ func RunCrashStore(o Options, backend string) (CrashResult, error) {
 	// --- runtime bit-rot probe ---
 
 	stBefore, _ := store.StatusOf(c2.servers[0].Store())
-	if err := b.bitrot(cacheDir); err != nil {
+	if err := bitrotLogRecord(cacheDir); err != nil {
 		return r, err
 	}
 	// Replay once more: the rotten entry must be quarantined on read and
@@ -440,8 +306,8 @@ func RunCrashStore(o Options, backend string) (CrashResult, error) {
 // Render formats the result as a human-readable report.
 func (r CrashResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "crash recovery, %s store, %d keys, %d damaged entries (go %s, GOMAXPROCS %d):\n",
-		r.Backend, r.Keys, r.Damaged, r.Meta.GoVersion, r.Meta.GOMAXPROCS)
+	fmt.Fprintf(&b, "crash recovery, log store, %d keys, %d damaged entries (go %s, GOMAXPROCS %d):\n",
+		r.Keys, r.Damaged, r.Meta.GoVersion, r.Meta.GOMAXPROCS)
 	fmt.Fprintf(&b, "  cold fill: %d requests, hit ratio %.1f%%\n",
 		r.Cold.Requests, 100*r.Cold.HitRatio)
 	fmt.Fprintf(&b, "  recovery: %d entries recovered, %d quarantined, %d orphans swept in %v\n",

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-func testCrashGates(t *testing.T, backend string) {
-	t.Helper()
-	r, err := RunCrashStore(structuralOpts(), backend)
+func TestCrashRecoveryGates(t *testing.T) {
+	r, err := RunCrash(structuralOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +27,9 @@ func testCrashGates(t *testing.T, backend string) {
 		t.Error("runtime bit-rot probe was not quarantined")
 	}
 	if r.Recovery.OrphansSwept != 2 {
-		t.Errorf("orphans swept = %d, want 2 (crash debris + planted temp)", r.Recovery.OrphansSwept)
+		t.Errorf("orphans swept = %d, want 2 (torn tail + planted temp)", r.Recovery.OrphansSwept)
 	}
 	if out := r.Render(); !strings.Contains(out, "crash recovery") {
 		t.Fatalf("render missing title:\n%s", out)
 	}
 }
-
-func TestCrashRecoveryGates(t *testing.T)         { testCrashGates(t, "files") }
-func TestCrashRecoveryGatesLogStore(t *testing.T) { testCrashGates(t, "log") }

@@ -32,9 +32,9 @@ import (
 type GrayFaultResult struct {
 	Meta Meta `json:"meta"`
 
-	Nodes    int           `json:"nodes"`
-	HotKeys  int           `json:"hot_keys"`
-	SlowNode uint32        `json:"slow_node"`
+	Nodes    int    `json:"nodes"`
+	HotKeys  int    `json:"hot_keys"`
+	SlowNode uint32 `json:"slow_node"`
 	// InjectedDelay is added to every write the slow node makes on its
 	// cluster links; DelayJitter spreads it uniformly by +-fraction.
 	InjectedDelay time.Duration `json:"injected_delay_ns"`

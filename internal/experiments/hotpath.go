@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,15 +15,14 @@ import (
 	"repro/internal/directory"
 	"repro/internal/httpclient"
 	"repro/internal/netx"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // HotpathResult is the machine-readable outcome of the hot-path comparison
 // run (benchsuite -hotpath): it quantifies each layer of the beyond-the-paper
-// optimisations — miss coalescing, the in-memory store tier, striped
-// directory locking, and pooled wire buffers — so successive PRs can track
-// the performance trajectory from the emitted JSON.
+// optimisations — miss coalescing, striped directory locking, and pooled wire
+// buffers — so successive changes can track the performance trajectory from
+// the emitted JSON.
 type HotpathResult struct {
 	// Meta records the runtime environment of the run.
 	Meta Meta `json:"meta"`
@@ -46,16 +43,6 @@ type HotpathResult struct {
 		OpsPerSecOff   float64 `json:"ops_per_sec_off"`
 		OpsPerSecOn    float64 `json:"ops_per_sec_on"`
 	} `json:"coalescing"`
-
-	// Store compares hot-key Gets straight from the disk store against the
-	// same workload through the in-memory LRU tier.
-	Store struct {
-		HotKeys          int     `json:"hot_keys"`
-		BodyBytes        int     `json:"body_bytes"`
-		DiskGetsPerSec   float64 `json:"disk_gets_per_sec"`
-		TieredGetsPerSec float64 `json:"tiered_gets_per_sec"`
-		Speedup          float64 `json:"speedup"`
-	} `json:"store"`
 
 	// Directory compares striped-lock lookup throughput against a simulated
 	// single exclusive directory-wide lock at 8 goroutines.
@@ -85,9 +72,6 @@ func (r HotpathResult) Render() string {
 		r.Coalescing.CGIExecsOff, r.Coalescing.DuplicatesOff, r.Coalescing.FalseMissesOff, r.Coalescing.OpsPerSecOff)
 	fmt.Fprintf(&b, "  on:  %d CGI execs (%d duplicates, %d coalesced), %.0f req/s\n",
 		r.Coalescing.CGIExecsOn, r.Coalescing.DuplicatesOn, r.Coalescing.CoalescedOn, r.Coalescing.OpsPerSecOn)
-	fmt.Fprintf(&b, "store tier (%d hot keys, %d B bodies):\n", r.Store.HotKeys, r.Store.BodyBytes)
-	fmt.Fprintf(&b, "  disk %.0f gets/s, tiered %.0f gets/s (%.1fx)\n",
-		r.Store.DiskGetsPerSec, r.Store.TieredGetsPerSec, r.Store.Speedup)
 	fmt.Fprintf(&b, "directory lookups at %d goroutines:\n", r.Directory.Goroutines)
 	fmt.Fprintf(&b, "  striped %.0f ops/s vs global lock %.0f ops/s (%.2fx)\n",
 		r.Directory.StripedOpsPerSec, r.Directory.GlobalOpsPerSec, r.Directory.ThroughputFactor)
@@ -107,7 +91,7 @@ func (p *hotpathCountingCGI) Run(ctx context.Context, req cgi.Request) (cgi.Resu
 	return p.gen.Run(ctx, req)
 }
 
-// RunHotpath measures the four hot-path optimisation layers. All
+// RunHotpath measures the three hot-path optimisation layers. All
 // measurements run at a small fixed scale (they compare implementation
 // mechanisms, not paper quantities, so the experiment time scale is not
 // applied to them beyond the CGI spawn cost).
@@ -119,9 +103,6 @@ func RunHotpath(o Options) (HotpathResult, error) {
 	waves := o.pick(30, 150)
 	const dups = 4
 	if err := hotpathCoalescing(&r, waves, dups); err != nil {
-		return r, err
-	}
-	if err := hotpathStore(&r, o.pick(2000, 20000)); err != nil {
 		return r, err
 	}
 	hotpathDirectory(&r, o.pick(50000, 400000))
@@ -204,68 +185,6 @@ func hotpathCoalescing(r *HotpathResult, waves, dups int) error {
 	c.OpsPerSecOff = float64(c.Requests) / offTime.Seconds()
 	c.OpsPerSecOn = float64(c.Requests) / onTime.Seconds()
 	return nil
-}
-
-// hotpathStore times hot-key Gets against the disk store with and without
-// the memory tier.
-func hotpathStore(r *HotpathResult, gets int) error {
-	dir, err := os.MkdirTemp("", "swala-hotpath-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	const hotKeys = 16
-	const bodyBytes = 4096
-	body := make([]byte, bodyBytes)
-
-	time1, err := timeStoreGets(filepath.Join(dir, "disk"), nil, hotKeys, body, gets)
-	if err != nil {
-		return err
-	}
-	wrap := func(s store.Store) store.Store { return store.NewTiered(s, 1<<20) }
-	time2, err := timeStoreGets(filepath.Join(dir, "tiered"), wrap, hotKeys, body, gets)
-	if err != nil {
-		return err
-	}
-
-	st := &r.Store
-	st.HotKeys = hotKeys
-	st.BodyBytes = bodyBytes
-	st.DiskGetsPerSec = float64(gets) / time1.Seconds()
-	st.TieredGetsPerSec = float64(gets) / time2.Seconds()
-	if time2 > 0 {
-		st.Speedup = float64(time1) / float64(time2)
-	}
-	return nil
-}
-
-func timeStoreGets(dir string, wrap func(store.Store) store.Store, hotKeys int, body []byte, gets int) (time.Duration, error) {
-	disk, err := store.NewDisk(dir)
-	if err != nil {
-		return 0, err
-	}
-	var s store.Store = disk
-	if wrap != nil {
-		s = wrap(s)
-	}
-	defer disk.Destroy() // Close alone keeps the files for recovery
-	defer s.Close()
-	keys := make([]string, hotKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("GET /cgi-bin/q?id=%d", i)
-		if err := s.Put(keys[i], "text/html", body); err != nil {
-			return 0, err
-		}
-	}
-	settle()
-	start := time.Now()
-	for i := 0; i < gets; i++ {
-		if _, _, err := s.Get(keys[i%hotKeys]); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
 }
 
 // hotpathDirectory measures lookup throughput over a populated directory

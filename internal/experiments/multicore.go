@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -37,13 +35,6 @@ type MulticorePoint struct {
 	Max  time.Duration `json:"max_ns"`
 }
 
-// MulticoreStorePoint is one backend of the warm-miss write-path comparison.
-type MulticoreStorePoint struct {
-	Backend    string  `json:"backend"`
-	Puts       int     `json:"puts"`
-	PutsPerSec float64 `json:"puts_per_sec"`
-}
-
 // MulticoreResult is the machine-readable outcome of the multicore scaling
 // run (benchsuite -multicore). The acceptance gate — >=2x closed-loop
 // throughput at GOMAXPROCS=4 vs 1 — is only enforceable on a host with at
@@ -55,18 +46,10 @@ type MulticoreResult struct {
 
 	// HotKeys is the size of the fixed key set; every request after warmup
 	// is a cache hit, so the sweep stresses the request hot path (stats
-	// shards, singleflight stripes, directory, store tier), not the CGI.
+	// shards, singleflight stripes, directory, store), not the CGI.
 	HotKeys int `json:"hot_keys"`
 
 	Points []MulticorePoint `json:"points"`
-
-	// Store compares the warm-miss write path of the two durable backends:
-	// file-per-entry create+write+rename vs one log append.
-	Store struct {
-		Files      MulticoreStorePoint `json:"files"`
-		Log        MulticoreStorePoint `json:"log"`
-		LogSpeedup float64             `json:"log_speedup"`
-	} `json:"store"`
 
 	// ScalingAt4 is closed-loop throughput at 4 procs over 1 proc.
 	ScalingAt4 float64 `json:"scaling_at_4"`
@@ -86,9 +69,8 @@ func multicoreProcs() []int {
 }
 
 // RunMulticore sweeps GOMAXPROCS across {1, 2, 4, NumCPU} on the warm
-// hot-set workload against one stand-alone node over the in-memory network,
-// then compares the two durable backends' write paths. GOMAXPROCS is
-// restored before returning.
+// hot-set workload against one stand-alone node over the in-memory network.
+// GOMAXPROCS is restored before returning.
 func RunMulticore(o Options) (MulticoreResult, error) {
 	o = o.withDefaults()
 	var r MulticoreResult
@@ -118,10 +100,6 @@ func RunMulticore(o Options) (MulticoreResult, error) {
 		if procs == 4 {
 			r.ScalingAt4 = p.SpeedupVs1
 		}
-	}
-
-	if err := multicoreStores(&r, o); err != nil {
-		return r, err
 	}
 
 	r.GateChecked = r.NumCPU >= 4
@@ -215,59 +193,6 @@ func multicorePoint(o Options, procs, hotKeys, clients, perClient int, openDur t
 	return p, nil
 }
 
-// multicoreStores times the warm-miss write path — unique-key inserts — on
-// both durable backends at the host's full core count.
-func multicoreStores(r *MulticoreResult, o Options) error {
-	runtime.GOMAXPROCS(runtime.NumCPU())
-	puts := o.pick(2000, 10000)
-	body := make([]byte, 2048)
-
-	dir, err := os.MkdirTemp("", "swala-multicore-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	time1, err := timeStorePuts(func() (store.Store, error) {
-		d, err := store.NewDisk(dir + "/files")
-		return store.Store(d), err
-	}, puts, body)
-	if err != nil {
-		return err
-	}
-	time2, err := timeStorePuts(func() (store.Store, error) {
-		l, _, err := store.OpenLog(dir+"/log", store.LogOptions{})
-		return store.Store(l), err
-	}, puts, body)
-	if err != nil {
-		return err
-	}
-
-	r.Store.Files = MulticoreStorePoint{Backend: "files", Puts: puts, PutsPerSec: float64(puts) / time1.Seconds()}
-	r.Store.Log = MulticoreStorePoint{Backend: "log", Puts: puts, PutsPerSec: float64(puts) / time2.Seconds()}
-	if time2 > 0 {
-		r.Store.LogSpeedup = float64(time1) / float64(time2)
-	}
-	return nil
-}
-
-// timeStorePuts times unique-key Puts against a freshly opened store.
-func timeStorePuts(open func() (store.Store, error), puts int, body []byte) (time.Duration, error) {
-	s, err := open()
-	if err != nil {
-		return 0, err
-	}
-	defer s.Close()
-	settle()
-	start := time.Now()
-	for i := 0; i < puts; i++ {
-		if err := s.Put(fmt.Sprintf("GET /cgi-bin/adl?q=ins%06d", i), "text/html", body); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
 // Render formats the result as a human-readable report.
 func (r MulticoreResult) Render() string {
 	var b strings.Builder
@@ -280,9 +205,6 @@ func (r MulticoreResult) Render() string {
 			p.Procs, p.ClosedRPS, p.SpeedupVs1, p.OpenRPS,
 			p.P50.Round(time.Microsecond), p.P99.Round(time.Microsecond), p.P999.Round(time.Microsecond))
 	}
-	fmt.Fprintf(&b, "warm-miss write path (%d unique inserts, 2 KiB bodies):\n", r.Store.Files.Puts)
-	fmt.Fprintf(&b, "  files %.0f puts/s, log %.0f puts/s (%.1fx)\n",
-		r.Store.Files.PutsPerSec, r.Store.Log.PutsPerSec, r.Store.LogSpeedup)
 	if r.GateChecked {
 		fmt.Fprintf(&b, "scaling gate (>=2x at 4 procs): %.2fx, passed=%v\n", r.ScalingAt4, r.GatePassed)
 	} else {

@@ -5,7 +5,7 @@
 //
 // A Stage either serves a fetch itself or defers to the next stage in the
 // chain, so the decision arrows of Figure 2 become stage boundaries: the
-// memory-tier and local-store stages serve local hits, the remote stage
+// local stage serves local hits, the remote stage
 // serves peer hits (and turns every remote failure mode into a fall-through,
 // which is exactly the paper's false-hit → local-execution rule), and the
 // origin stage executes the CGI. The chain threads a context.Context through
@@ -110,8 +110,8 @@ func (f FetcherFunc) Fetch(ctx context.Context, key string) (Result, error) { re
 // defers by returning Defer's outcome, which moves the walk to the next
 // stage in the chain.
 type Stage interface {
-	// Name labels the stage in per-stage statistics ("mem", "local",
-	// "remote", "origin").
+	// Name labels the stage in per-stage statistics ("local", "remote",
+	// "origin").
 	Name() string
 	// Fetch serves the key or returns Defer(...) to pass it on. hint is
 	// per-walk scratch handed over by the upstream deferring stage — nil for

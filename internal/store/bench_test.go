@@ -24,29 +24,6 @@ func BenchmarkMemoryPutGet(b *testing.B) {
 	}
 }
 
-// BenchmarkDiskGetHot measures repeated Gets of a small hot key set straight
-// from the disk store: every hit pays an os.ReadFile.
-func BenchmarkDiskGetHot(b *testing.B) {
-	s, err := NewDisk(filepath.Join(b.TempDir(), "cache"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	benchGetHot(b, s, 4096)
-}
-
-// BenchmarkTieredDiskGetHot measures the same workload through the memory
-// tier: after the first pass every hot key is served from the in-memory LRU.
-func BenchmarkTieredDiskGetHot(b *testing.B) {
-	disk, err := NewDisk(filepath.Join(b.TempDir(), "cache"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewTiered(disk, 1<<20)
-	defer s.Close()
-	benchGetHot(b, s, 4096)
-}
-
 // BenchmarkLogGet2k and BenchmarkLogGet32k measure Log.Get at the two body
 // sizes of the benchmark's local_hit workload: one ReadAt through the
 // segment's open handle, CRC and key verified, body returned uncopied.
@@ -80,26 +57,6 @@ func benchGetHot(b *testing.B, s Store, size int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.Get(keys[i%hotKeys]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDiskPutGet(b *testing.B) {
-	s, err := NewDisk(filepath.Join(b.TempDir(), "cache"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	body := make([]byte, 4096)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(body)))
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("k%d", i%100)
-		if err := s.Put(key, "text/html", body); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := s.Get(key); err != nil {
 			b.Fatal(err)
 		}
 	}

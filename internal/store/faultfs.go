@@ -15,9 +15,9 @@ var ErrCrashed = errors.New("store: simulated crash")
 // counterpart of netx.Faulty. Tests and the crash experiment use it to
 // simulate a full disk (every write fails with ENOSPC), a failing device
 // (read EIO, fail-on-Nth-write), torn writes (a prefix of the data lands,
-// then an error), and a process crash between write and rename (the rename
-// fails and cleanup is suppressed, leaving the temp file as debris exactly
-// as a kill would). All controls are safe for concurrent use.
+// then an error), and a dead process (renames fail and unlinks are
+// suppressed, leaving whatever was on disk as a kill would). All controls are
+// safe for concurrent use.
 type FaultFS struct {
 	inner FS
 
@@ -34,8 +34,8 @@ type FaultFS struct {
 	tornErr   error
 	// readErr, when non-nil, fails every ReadFile and ReadAt (e.g. EIO).
 	readErr error
-	// crashed simulates the process dying mid-Put: renames fail and
-	// removes silently do nothing, so debris stays for recovery to find.
+	// crashed simulates the process dying: renames fail and removes
+	// silently do nothing, so debris stays for recovery to find.
 	crashed bool
 
 	writes int // completed or attempted data writes, for tests
@@ -82,9 +82,9 @@ func (f *FaultFS) FailReads(err error) {
 	f.mu.Unlock()
 }
 
-// SetCrashed simulates the process dying before the publish rename: while
-// set, Rename fails with ErrCrashed and Remove is suppressed, so whatever
-// the write left behind stays on disk for the next OpenDisk to deal with.
+// SetCrashed simulates a dead process: while set, Rename fails with
+// ErrCrashed and Remove is suppressed, so whatever the store left behind
+// stays on disk for the next OpenLog to deal with.
 func (f *FaultFS) SetCrashed(crashed bool) {
 	f.mu.Lock()
 	f.crashed = crashed
@@ -186,6 +186,9 @@ func (f *FaultFS) Remove(path string) error {
 
 // RemoveAll implements FS.
 func (f *FaultFS) RemoveAll(path string) error { return f.inner.RemoveAll(path) }
+
+// SyncDir implements FS.
+func (f *FaultFS) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
 
 // OpenRead implements FS. The injected read fault is consulted on every
 // ReadAt, so FailReads also hits handles opened before it was armed.

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Entry file format, version 1. Each cache file is self-describing so a
-// restarted node can rebuild its key→file map (and its directory table) from
-// the files alone, and so bit rot or truncation is detected before a body is
-// ever served:
+// Entry record format, version 1. Each record in a log segment is
+// self-describing so a restarted node can rebuild its key→record index (and
+// its directory table) from the segments alone, and so bit rot or truncation
+// is detected before a body is ever served:
 //
 //	offset 0  magic   "SWLC" (4 bytes)
 //	offset 4  version u8 (currently 1)
@@ -20,14 +20,14 @@ import (
 //	          ctLen   u32, then the content type
 //	          exec    i64, CGI execution time in nanoseconds
 //	          expires i64, TTL deadline as Unix nanoseconds (0 = no TTL)
-//	          bodyLen u32, then the body — which must end the file exactly
+//	          bodyLen u32, then the body — which ends the record
 //
 // All integers are big-endian. The checksum covers the meta-data fields and
-// the body, so a truncated file, a torn final block, or a flipped bit
+// the body, so a truncated record, a torn final block, or a flipped bit
 // anywhere after the magic fails verification.
 
-// ErrCorrupt marks an entry file that failed structural or checksum
-// verification; such files are quarantined, never served.
+// ErrCorrupt marks a record that failed structural or checksum
+// verification; such records are quarantined, never served.
 var ErrCorrupt = errors.New("store: corrupt entry")
 
 const (
@@ -42,7 +42,7 @@ const (
 
 var entryMagic = [4]byte{'S', 'W', 'L', 'C'}
 
-// entryMeta is the decoded header of one entry file.
+// entryMeta is the decoded header of one entry record.
 type entryMeta struct {
 	Key         string
 	ContentType string
@@ -160,16 +160,10 @@ func decodeRecord(data []byte) (entryMeta, []byte, int, error) {
 	return m, data[m.bodyOff : m.bodyOff+m.bodyLen], n, nil
 }
 
-// decodeEntry parses and checksum-verifies an entry buffer, returning the
-// meta-data and the body (aliasing data).
-func decodeEntry(data []byte) (entryMeta, []byte, error) {
-	key, ct, m, body, err := verifyRecord(data)
-	m.Key, m.ContentType = string(key), string(ct)
-	return m, body, err
-}
-
-// verifyRecord is decodeEntry with the key and the content type left as
-// slices of data, for a reader that only compares them.
+// verifyRecord parses and checksum-verifies data, which must hold exactly one
+// record, returning its meta-data and body (aliasing data) with the key and
+// the content type left as slices of data, for a reader that only compares
+// them.
 func verifyRecord(data []byte) (key, ct []byte, m entryMeta, body []byte, err error) {
 	key, ct, m, n, err := parseRecordFields(data)
 	if err == nil && n != len(data) {

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// decodeEntry is verifyRecord with the key and content type as strings.
+func decodeEntry(data []byte) (entryMeta, []byte, error) {
+	key, ct, m, body, err := verifyRecord(data)
+	m.Key, m.ContentType = string(key), string(ct)
+	return m, body, err
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	exp := time.Unix(0, time.Now().Add(time.Hour).UnixNano())
 	cases := []struct {

@@ -6,9 +6,9 @@ import (
 	"os"
 )
 
-// FS abstracts the filesystem calls the disk store makes, so tests can
-// inject storage faults (disk full, I/O errors, torn writes, crashes
-// between write and rename) the way netx.Faulty injects network faults.
+// FS abstracts the filesystem calls the log store makes, so tests can
+// inject storage faults (disk full, I/O errors, torn appends, a process that
+// dies before it cleans up) the way netx.Faulty injects network faults.
 // The production implementation is OSFS; FaultFS wraps any FS with
 // deterministic fault injection.
 type FS interface {
@@ -29,10 +29,13 @@ type FS interface {
 	// OpenRead opens path for random-access reads. The handle reads the file
 	// itself, not a snapshot: bytes appended after the open are visible.
 	OpenRead(path string) (ReaderAtCloser, error)
+	// SyncDir flushes dir's entries (the names of files created in it) to
+	// stable storage.
+	SyncDir(dir string) error
 }
 
-// File is the writable handle Create returns; the store writes the whole
-// entry, optionally syncs, and closes.
+// File is the writable handle Create returns; the store appends records,
+// optionally syncs, and closes.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -73,3 +76,16 @@ func (OSFS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // OpenRead implements FS.
 func (OSFS) OpenRead(path string) (ReaderAtCloser, error) { return os.Open(path) }
+
+// SyncDir implements FS.
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// storeHealth is the degraded-mode and fault-accounting state shared by the
-// persistent backends (Disk and Log): a write failure flips the store into
-// degraded read-only mode, one probe write per reprobe interval is let
-// through, and a successful write lifts the mode. Embedded so both backends
-// expose the same StorageStatus surface.
+// storeHealth is the log store's degraded-mode and fault accounting: a write
+// failure flips the store into degraded read-only mode, one probe write per
+// reprobe interval is let through, and a successful write lifts the mode.
 type storeHealth struct {
 	reprobe time.Duration
 

@@ -93,31 +93,6 @@ func TestLeaseGetOwnsExactBuffer(t *testing.T) {
 	}
 }
 
-// TestLeaseTieredForwards: behind a memory tier the log still leases what the
-// tier does not hold, the tier keeps its own copy, and a tier hit is the
-// caller's own.
-func TestLeaseTieredForwards(t *testing.T) {
-	l, _ := newTestLog(t)
-	want := leaseTestBody(5)
-	l.Put("k", "text/html", want)
-	tiered := NewTiered(l, 1<<20)
-	ct, body, release, err := GetLeased(tiered, "k")
-	if err != nil || ct != "text/html" || !bytes.Equal(body, want) || release == nil {
-		t.Fatalf("GetLeased miss = %q, %d bytes, release %v, %v", ct, len(body), release != nil, err)
-	}
-	release()
-	if bytes.Equal(body, want) {
-		t.Fatal("leased body still readable after release")
-	}
-	_, body, release, err = GetLeased(tiered, "k")
-	if err != nil || release != nil || !bytes.Equal(body, want) {
-		t.Fatalf("GetLeased tier hit: release %v, err %v, body intact %v", release != nil, err, bytes.Equal(body, want))
-	}
-	if _, _, release, err := GetLeased(tiered, "absent"); !errors.Is(err, ErrNotFound) || release != nil {
-		t.Fatalf("GetLeased absent: release %v, %v", release != nil, err)
-	}
-}
-
 // TestLeaseLogReadVerifies: the leased read makes every check Get makes — a
 // rotten record is an ErrCorrupt, dropped and counted, never a body.
 func TestLeaseLogReadVerifies(t *testing.T) {

@@ -17,18 +17,16 @@ import (
 	"repro/internal/lease"
 )
 
-// Log is the log-structured alternative to the file-per-entry Disk backend.
-// Entries are appended to segmented, append-only files ("seg-N.log"), each
-// record being exactly the PR 5 checksummed entry encoding; the key→location
-// index lives in memory and is rebuilt by a recovery scan on open. Where
-// Disk pays create + write + rename (+ fsync) per warm miss, Log pays one
-// sequential append — the point of the backend.
+// Log is the durable store. Entries are appended to segmented, append-only
+// files ("seg-N.log"), each record being one checksummed entry encoding
+// (format.go); the key→location index lives in memory and is rebuilt by a
+// recovery scan on open. A warm miss costs one sequential append.
 //
-// Crash semantics match Disk's guarantees through different mechanics:
+// Crash semantics:
 //
 //   - A crash mid-append leaves a torn record at the tail of the newest
-//     segment; recovery truncates it away (the write was never acknowledged
-//     as durable under FsyncNever, exactly like Disk's orphaned temp files).
+//     segment; recovery truncates it away (the append was never
+//     acknowledged).
 //   - Bit rot is caught by the per-record checksum — at recovery the damaged
 //     record is skipped (counted as quarantined) and the scan resynchronizes
 //     on the next record magic; at read time the entry is dropped from the
@@ -387,6 +385,8 @@ func (l *Log) truncateSegment(path string, keep []byte) error {
 }
 
 // rotateLocked closes the active segment (if any) and opens a fresh one.
+// Under FsyncAlways the new segment's directory entry is synced before
+// anything is appended to it, or a power cut could drop the whole segment.
 // Callers hold l.mu.
 func (l *Log) rotateLocked() error {
 	if l.active != nil {
@@ -395,8 +395,13 @@ func (l *Log) rotateLocked() error {
 	}
 	l.nextSeq++
 	f, err := l.fs.Create(l.segmentPath(l.nextSeq))
+	if err == nil && l.fsync == FsyncAlways {
+		if err = l.fs.SyncDir(l.dir); err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
-		l.nextSeq-- // the segment never existed
+		l.nextSeq-- // the segment never held anything; the next rotation reuses it
 		return err
 	}
 	l.active = f
@@ -439,9 +444,7 @@ func (l *Log) Put(key, contentType string, body []byte) error {
 	return l.PutEntry(key, contentType, body, 0, time.Time{})
 }
 
-// PutEntry implements MetaPutter. The write path is a single segment append:
-// this is the log's whole advantage over the file-per-entry backend's
-// create + write + rename.
+// PutEntry implements MetaPutter. The write path is a single segment append.
 func (l *Log) PutEntry(key, contentType string, body []byte, execTime time.Duration, expires time.Time) error {
 	if contentType == tombstoneContentType {
 		return fmt.Errorf("store: content type %q is reserved", contentType)
@@ -627,9 +630,8 @@ func (l *Log) dropHandleLocked(seg int64) {
 
 // Delete implements Store: the key leaves the index immediately and a
 // tombstone record makes the deletion durable. If the store is degraded the
-// tombstone is skipped — the entry may resurrect on the next open, which is
-// the same wrinkle as Disk losing an unsynced delete — rather than failing
-// an eviction that must proceed.
+// tombstone is skipped — the entry may resurrect on the next open — rather
+// than failing an eviction that must proceed.
 func (l *Log) Delete(key string) error {
 	l.mu.Lock()
 	if l.closed {

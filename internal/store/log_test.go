@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -97,13 +98,20 @@ func TestLogRecoverAcrossRestart(t *testing.T) {
 	if len(rep.Recovered) != 9 {
 		t.Fatalf("Recovered = %d entries, want 9 (k3 tombstoned)", len(rep.Recovered))
 	}
-	for _, e := range rep.Recovered {
-		if e.Key == "k3" {
-			t.Fatal("tombstoned key recovered")
+	// Write order, with the meta-data each entry was put with.
+	for j, e := range rep.Recovered {
+		i := j
+		if i >= 3 {
+			i++ // k3 is gone
 		}
-		if e.ContentType != "text/plain" {
-			t.Fatalf("recovered content type = %q", e.ContentType)
+		key := fmt.Sprintf("k%d", i)
+		if e.Key != key || e.ContentType != "text/plain" || e.Size != int64(len("body-"+key)) ||
+			e.ExecTime != time.Duration(i)*time.Millisecond || !e.Expires.Equal(exp) {
+			t.Fatalf("Recovered[%d] = %+v, want %s as put", j, e, key)
 		}
+	}
+	if st := l2.StorageStatus(); !st.Persistent || st.Recovered != 9 || st.Degraded {
+		t.Fatalf("status = %+v", st)
 	}
 	ct, body, err := l2.Get("k7")
 	if err != nil || ct != "text/plain" || string(body) != "body-k7" {
@@ -199,8 +207,8 @@ func TestLogTornFinalRecord(t *testing.T) {
 }
 
 // TestLogEmptyTrailingSegment: a rotation (or open) followed by a crash
-// before any append leaves a zero-byte segment; recovery sweeps it and a
-// fresh open starts clean.
+// before any append leaves a zero-byte segment, and a crash mid-truncation a
+// .tmp file; recovery sweeps both and a fresh open starts clean.
 func TestLogEmptyTrailingSegment(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	l, _, err := OpenLog(dir, testLogOptions(nil))
@@ -213,13 +221,20 @@ func TestLogEmptyTrailingSegment(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentFileName(99)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	tmp := filepath.Join(dir, segmentFileName(7)+".tmp")
+	if err := os.WriteFile(tmp, []byte("abandoned"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l2, rep, err := OpenLog(dir, testLogOptions(nil))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	if rep.OrphansSwept != 1 {
-		t.Fatalf("OrphansSwept = %d, want 1 (the empty segment)", rep.OrphansSwept)
+	if rep.OrphansSwept != 2 || rep.Quarantined != 0 {
+		t.Fatalf("OrphansSwept = %d, Quarantined = %d; want 2 (the empty segment, the .tmp), 0", rep.OrphansSwept, rep.Quarantined)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatal("orphaned .tmp not swept from disk")
 	}
 	if len(rep.Recovered) != 1 {
 		t.Fatalf("Recovered = %d, want 1", len(rep.Recovered))
@@ -309,8 +324,8 @@ func TestLogDamagedRecordQuarantined(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.Close()
-	if rep.Quarantined != 1 {
-		t.Fatalf("Quarantined = %d, want 1", rep.Quarantined)
+	if st := l2.StorageStatus(); rep.Quarantined != 1 || st.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d (status %d), want 1", rep.Quarantined, st.Quarantined)
 	}
 	if len(rep.Recovered) != 2 {
 		t.Fatalf("Recovered = %d, want 2", len(rep.Recovered))
@@ -766,6 +781,407 @@ func TestLogGetBodyIsCallersOwn(t *testing.T) {
 	_ = append(first, "spill"...)
 	if _, second, err := l.Get("k"); err != nil || string(second) != "pristine" {
 		t.Fatalf("second Get = %q, %v", second, err)
+	}
+}
+
+// The TestDisk* tests hold the log to the contract of a durable on-disk
+// store: what its directory holds across Close and Destroy, how a full or
+// faulty disk fails a request, and that damage is never served.
+
+func TestDiskDir(t *testing.T) {
+	l, dir := newTestLog(t)
+	if l.Dir() != dir {
+		t.Fatalf("Dir() = %q, want %q", l.Dir(), dir)
+	}
+}
+
+// TestDiskFilesOnDisk: the directory holds segments and nothing else; Close
+// keeps them for the next open, Destroy removes the directory.
+func TestDiskFilesOnDisk(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	l, _, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	l.Put("a", "t", []byte("1"))
+	l.Put("b", "t", []byte("2"))
+	l.Delete("a")
+	listing, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs := segmentFiles(t, dir); len(segs) == 0 || len(segs) != len(listing) {
+		t.Fatalf("directory holds %d files, %d of them segments", len(listing), len(segs))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rep, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("Close must keep the cache directory for recovery: %v", err)
+	}
+	if len(rep.Recovered) != 1 || rep.Recovered[0].Key != "b" {
+		t.Fatalf("report = %+v, want b recovered", rep)
+	}
+	if err := l2.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatal("Destroy must remove the cache directory")
+	}
+}
+
+func TestDiskPutAfterClose(t *testing.T) {
+	l, _ := newTestLog(t)
+	l.Close()
+	if err := l.Put("k", "t", []byte("v")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestDiskDegradedModeAndReprobe: a full disk fails the Put that hit it and
+// degrades the store; within the reprobe interval a Put fails fast without
+// a write; after it a Put probes, and a healed disk lifts the mode.
+func TestDiskDegradedModeAndReprobe(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	opts := testLogOptions(ffs)
+	opts.ReprobeInterval = 30 * time.Millisecond
+	l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), opts)
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	defer l.Destroy()
+	if err := l.Put("before", "t", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs.FailWrites(syscall.ENOSPC)
+	if err := l.Put("k1", "t", []byte("x")); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Put on a full disk = %v, want ENOSPC", err)
+	}
+	if st := l.StorageStatus(); !st.Degraded || st.PutFailures != 1 || st.LastError == "" {
+		t.Fatalf("status after the fault = %+v", st)
+	}
+	if _, body, err := l.Get("before"); err != nil || string(body) != "x" {
+		t.Fatalf("read in degraded mode: %q, %v", body, err)
+	}
+	writes := ffs.Writes()
+	if err := l.Put("k2", "t", []byte("x")); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Put within the reprobe interval = %v, want ErrDegraded", err)
+	}
+	if ffs.Writes() != writes {
+		t.Fatal("a Put within the reprobe interval attempted a write")
+	}
+
+	ffs.FailWrites(nil)
+	time.Sleep(40 * time.Millisecond)
+	if err := l.Put("k3", "t", []byte("x")); err != nil {
+		t.Fatalf("probe Put after heal: %v", err)
+	}
+	if st := l.StorageStatus(); st.Degraded {
+		t.Fatalf("still degraded after a successful probe: %+v", st)
+	}
+}
+
+// TestDiskReadFaultSurfacesError: a read fault on the first read of an entry
+// reaches the caller as the error it is, and, being transient, drops nothing.
+func TestDiskReadFaultSurfacesError(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), testLogOptions(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Destroy()
+	if err := l.Put("k", "t", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	ffs.FailReads(syscall.EIO)
+	if _, _, err := l.Get("k"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Get with read fault = %v, want EIO", err)
+	}
+	ffs.FailReads(nil)
+	if _, body, err := l.Get("k"); err != nil || string(body) != "x" {
+		t.Fatalf("Get after heal = %q, %v", body, err)
+	}
+}
+
+// TestDiskGetQuarantinesRuntimeCorruption: a record that rots after open is
+// never served, its key is dropped, its neighbour is kept, and the next open
+// quarantines it rather than bringing it back.
+func TestDiskGetQuarantinesRuntimeCorruption(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	l, _, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	for _, key := range []string{"rot", "sound"} {
+		if err := l.PutEntry(key, "text/html", []byte(strings.Repeat(key, 50)), time.Millisecond, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loc := l.index["rot"]
+	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+int64(loc.n)-2)
+
+	if _, _, err := l.Get("rot"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get on the corrupt entry = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := l.Get("rot"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Get = %v, want ErrNotFound (entry dropped)", err)
+	}
+	if _, _, err := l.Get("sound"); err != nil {
+		t.Fatalf("neighbour lost: %v", err)
+	}
+	if st := l.StorageStatus(); st.Quarantined != 1 {
+		t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
+	}
+	l.Close()
+
+	l2, rep, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if rep.Quarantined != 1 || len(rep.Recovered) != 1 || rep.Recovered[0].Key != "sound" {
+		t.Fatalf("report = %+v, want the rotten record quarantined and sound recovered", rep)
+	}
+}
+
+// TestDiskPutConcurrentSameKeyNoLeak: concurrent overwrites of one key leave
+// one live record, accounted once, and the index and a reopen agree on which
+// write won. Run with -race.
+func TestDiskPutConcurrentSameKeyNoLeak(t *testing.T) {
+	l, dir := newTestLog(t)
+	const writers, puts = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				if err := l.Put("hot", "t/t", []byte(fmt.Sprintf("writer-%d-%d", w, i))); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if l.Len() != 1 {
+		t.Fatalf("Len = %d after concurrent Puts of one key, want 1", l.Len())
+	}
+	checkLogAccounting(t, l)
+	_, won, err := l.Get("hot")
+	if err != nil {
+		t.Fatalf("Get after concurrent Puts: %v", err)
+	}
+	l.Close()
+
+	l2, rep, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if len(rep.Recovered) != 1 || rep.Duplicates != writers*puts-1 {
+		t.Fatalf("report = %+v, want 1 recovered and %d duplicates", rep, writers*puts-1)
+	}
+	if _, body, err := l2.Get("hot"); err != nil || !bytes.Equal(body, won) {
+		t.Fatalf("Get after reopen = %q, %v; the index had %q", body, err, won)
+	}
+}
+
+// TestDiskFailNthWrite: one failed append fails exactly its own Put; the
+// next Put, a probe once the interval has passed, goes on, and a reopen
+// recovers every acknowledged entry and nothing else.
+func TestDiskFailNthWrite(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	dir := filepath.Join(t.TempDir(), "cache")
+	opts := testLogOptions(ffs)
+	opts.ReprobeInterval = time.Millisecond
+	l, _, err := OpenLog(dir, opts)
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	ffs.FailNthWrite(3, syscall.EIO)
+	var failed []string
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if err := l.Put(key, "t/t", []byte(key)); err != nil {
+			if !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Put %d failed with %v, want EIO", i, err)
+			}
+			failed = append(failed, key)
+			time.Sleep(2 * time.Millisecond) // let the next Put probe
+		}
+	}
+	if len(failed) != 1 || failed[0] != "k2" {
+		t.Fatalf("failed Puts = %v, want exactly the 3rd write's [k2]", failed)
+	}
+	l.Close()
+	l2, rep, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if len(rep.Recovered) != 4 || rep.Quarantined != 0 {
+		t.Fatalf("report = %+v, want 4 recovered, 0 quarantined", rep)
+	}
+	if _, _, err := l2.Get("k2"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the failed Put = %v, want ErrNotFound", err)
+	}
+}
+
+// TestLogReadFaultSurfacesError: the log store reads through handles it keeps
+// open, so the fault must reach one opened before it was armed.
+func TestLogReadFaultSurfacesError(t *testing.T) {
+	ffs := NewFaultFS(nil)
+	l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), testLogOptions(ffs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Destroy()
+	if err := l.Put("k", "t", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Get("k"); err != nil {
+		t.Fatalf("Get before the fault: %v", err)
+	}
+	ffs.FailReads(syscall.EIO)
+	if _, _, err := l.Get("k"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Get with read fault = %v, want EIO", err)
+	}
+	// A read fault is transient, not corruption: the entry survives.
+	if st := l.StorageStatus(); l.Len() != 1 || st.Quarantined != 0 {
+		t.Fatalf("after the fault Len = %d, Quarantined = %d; want 1, 0", l.Len(), st.Quarantined)
+	}
+	ffs.FailReads(nil)
+	if _, body, err := l.Get("k"); err != nil || string(body) != "x" {
+		t.Fatalf("Get after heal = %q, %v", body, err)
+	}
+}
+
+// syncLogFS records, in order, the segment creations, directory syncs,
+// writes and file syncs the log makes.
+type syncLogFS struct {
+	OSFS
+	mu     sync.Mutex
+	events []string
+}
+
+func (s *syncLogFS) note(event string) {
+	s.mu.Lock()
+	s.events = append(s.events, event)
+	s.mu.Unlock()
+}
+
+func (s *syncLogFS) Create(path string) (File, error) {
+	f, err := s.OSFS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	s.note("create")
+	return &syncLogFile{File: f, fs: s}, nil
+}
+
+func (s *syncLogFS) SyncDir(dir string) error {
+	s.note("syncdir")
+	return s.OSFS.SyncDir(dir)
+}
+
+type syncLogFile struct {
+	File
+	fs *syncLogFS
+}
+
+func (f *syncLogFile) Write(p []byte) (int, error) {
+	f.fs.note("write")
+	return f.File.Write(p)
+}
+
+func (f *syncLogFile) Sync() error {
+	f.fs.note("sync")
+	return f.File.Sync()
+}
+
+// TestLogFsyncAlways: under FsyncAlways every acknowledged append — Put,
+// tombstone, cleaner batch — is synced before it returns, and every new
+// segment's directory entry is synced before its first append; under
+// FsyncNever neither happens.
+func TestLogFsyncAlways(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			fs := &syncLogFS{}
+			opts := testLogOptions(fs)
+			opts.Fsync = policy
+			opts.SegmentMaxBytes = 1 << 10 // a new segment every few records
+			l, _, err := OpenLog(filepath.Join(t.TempDir(), "cache"), opts)
+			if err != nil {
+				t.Fatalf("OpenLog: %v", err)
+			}
+			defer l.Close()
+			appends := 0
+			put := func(key string) {
+				if err := l.Put(key, "t/t", churnBody(key)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+				appends++
+			}
+			put("cold") // stays live in the oldest segment
+			for i := 0; i < 12; i++ {
+				put(fmt.Sprintf("k%d", i%3))
+			}
+			if err := l.Delete("k0"); err != nil {
+				t.Fatalf("Delete: %v", err)
+			}
+			appends++
+			oldest := l.index["cold"].seg
+			if _, err := l.cleanOldest(nil); err != nil {
+				t.Fatalf("cleanOldest: %v", err)
+			}
+			if l.index["cold"].seg == oldest {
+				t.Fatal("the cleaner copied nothing")
+			}
+			appends++ // the one batch that moved "cold"
+
+			count := map[string]int{}
+			for i, e := range fs.events {
+				count[e]++
+				if e == "create" && policy == FsyncAlways && (i+1 == len(fs.events) || fs.events[i+1] != "syncdir") {
+					t.Fatalf("event %d: a segment was created without a directory sync right after: %v", i, fs.events)
+				}
+			}
+			if count["create"] < 3 || count["write"] != appends {
+				t.Fatalf("%d creates, %d writes for %d appends: %v", count["create"], count["write"], appends, fs.events)
+			}
+			wantSyncs, wantDirSyncs := appends, count["create"]
+			if policy == FsyncNever {
+				wantSyncs, wantDirSyncs = 0, 0
+			}
+			if count["sync"] != wantSyncs || count["syncdir"] != wantDirSyncs {
+				t.Fatalf("%d syncs, %d directory syncs; want %d, %d: %v",
+					count["sync"], count["syncdir"], wantSyncs, wantDirSyncs, fs.events)
+			}
+		})
+	}
+}
+
+func TestParseFsyncPolicy(t *testing.T) {
+	if p, err := ParseFsyncPolicy("always"); err != nil || p != FsyncAlways {
+		t.Fatalf("always -> %v, %v", p, err)
+	}
+	if p, err := ParseFsyncPolicy("never"); err != nil || p != FsyncNever {
+		t.Fatalf("never -> %v, %v", p, err)
+	}
+	if _, err := ParseFsyncPolicy("sometimes"); err == nil {
+		t.Fatal("bad policy accepted")
+	}
+}
+
+func TestStatusOf(t *testing.T) {
+	l, _ := newTestLog(t)
+	if st, ok := StatusOf(l); !ok || !st.Persistent {
+		t.Fatalf("StatusOf(log) = %+v, %v", st, ok)
+	}
+	if _, ok := StatusOf(NewMemory()); ok {
+		t.Fatal("memory store reported storage status")
 	}
 }
 

@@ -3,23 +3,19 @@ package store
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
-// backends returns a fresh instance of every Store implementation.
+// backends returns a fresh instance of every Store implementation: the
+// in-memory map and the on-disk log.
 func backends(t *testing.T) map[string]Store {
 	t.Helper()
-	disk, err := NewDisk(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := newTestLog(t)
 	return map[string]Store{
 		"memory": NewMemory(),
-		"disk":   disk,
+		"disk":   l,
 	}
 }
 
@@ -182,87 +178,9 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestDiskFilesOnDisk(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put("a", "t", []byte("1"))
-	d.Put("b", "t", []byte("2"))
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("files on disk = %d, want 2", len(files))
-	}
-	d.Delete("a")
-	files, _ = os.ReadDir(dir)
-	if len(files) != 1 {
-		t.Fatalf("files after delete = %d, want 1", len(files))
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatal("Close must keep the cache directory for recovery")
-	}
-	if err := d.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatal("Destroy must remove the cache directory")
-	}
-}
-
-func TestDiskOverwriteRemovesOldFile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "cache")
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.Put("k", "t", []byte("v1"))
-	d.Put("k", "t", []byte("v2"))
-	files, _ := os.ReadDir(dir)
-	if len(files) != 1 {
-		t.Fatalf("files = %d after overwrite, want 1 (old file must be removed)", len(files))
-	}
-}
-
-func TestDiskPutAfterClose(t *testing.T) {
-	d, err := NewDisk(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	if err := d.Put("k", "t", []byte("v")); err == nil {
-		t.Fatal("Put after Close succeeded, want error")
-	}
-}
-
-func TestDiskDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "c")
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if d.Dir() != dir {
-		t.Fatalf("Dir() = %q, want %q", d.Dir(), dir)
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
-	mem := NewMemory()
-	disk, err := NewDisk(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disk.Close()
-	for name, s := range map[string]Store{"memory": mem, "disk": disk} {
-		s := s
+	for name, s := range backends(t) {
+		defer s.Close()
 		f := func(keyRaw []byte, body []byte) bool {
 			key := "k" + fmt.Sprintf("%x", keyRaw)
 			if err := s.Put(key, "ct", body); err != nil {

@@ -467,11 +467,12 @@ type StorageStats struct {
 	LastError string
 	// PutFailures counts writes that failed (including degraded fast-fails).
 	PutFailures uint64
-	// Quarantined counts corrupt entry files moved aside, never served.
+	// Quarantined counts corrupt records dropped, never served.
 	Quarantined uint64
 	// Recovered is how many entries the startup scan salvaged.
 	Recovered uint64
-	// OrphansSwept is how many abandoned temp files the startup scan removed.
+	// OrphansSwept is how many torn tails and leftover files the startup scan
+	// removed.
 	OrphansSwept uint64
 }
 
