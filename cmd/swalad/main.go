@@ -40,61 +40,44 @@ import (
 	"repro/internal/store"
 )
 
+// The flags. Package level so a test can check README's table against them.
+var (
+	id        = flag.Uint("id", 1, "node ID (unique in the group)")
+	httpAddr  = flag.String("http", ":8080", "HTTP listen address")
+	cluAddr   = flag.String("cluster", ":9080", "cluster listen address")
+	peersFlag = flag.String("peers", "", "comma-separated id=host:port peer list")
+	modeFlag  = flag.String("mode", "cooperative", "no-cache | stand-alone | cooperative")
+	capacity  = flag.Int("capacity", 2000, "cache capacity in entries (0 = unbounded)")
+	policy    = flag.String("policy", "lru", "replacement policy: lru|fifo|lfu|size|gds")
+	cfgPath   = flag.String("config", "", "cacheability config file (default: cache all CGI, 10m TTL)")
+	cacheDir  = flag.String("cachedir", "", "disk cache directory, kept as a segmented append-only log (default: in-memory store)")
+	persist   = flag.Bool("persist", true, "recover the disk cache across restarts: scan -cachedir at startup, rebuild the directory from intact entries, quarantine corrupt ones (-persist=false deletes the log's segments first, the paper's cold-start semantics; other files in -cachedir stay)")
+	fsyncPol  = flag.String("fsync", "never", "disk cache fsync policy: never|always (always fsyncs each append before acknowledging it)")
+	docsDir   = flag.String("docs", "", "static document root to serve")
+	cgiMounts = flag.String("cgi", "/cgi-bin/=demo", "comma-separated prefix=program mounts; program 'demo' is the built-in synthetic CGI")
+	cores     = flag.Int("cores", 1, "simulated CPU cores")
+	threads   = flag.Int("threads", 16, "HTTP request threads")
+	watches   = flag.String("watch", "", "comma-separated file=pattern source watches; a change to file (polled every second) invalidates cached keys matching pattern")
+	accessLog = flag.String("accesslog", "", "write an extended-CLF access log to this file (analyze with loganalyze -swala)")
+	coalesce  = flag.Bool("coalesce", false, "coalesce concurrent identical cache misses into one CGI execution (beyond the paper)")
+	reqTO     = flag.Duration("request-timeout", 0, "end-to-end deadline per request through the whole fetch chain, 0 disables (overruns answer 504)")
+	fetchTO   = flag.Duration("fetch-timeout", 0, "bound on one remote cache fetch; a timeout falls back to local execution (0 = default 5s)")
+	health    = flag.Bool("health", true, "heartbeat failure detector: quarantine dead peers' directory entries instead of timing out every fetch (-health=false restores exact paper semantics)")
+	pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address with mutex and block profiling enabled (empty = off)")
+	placement = flag.String("placement", "replicate", "entry placement: replicate (the paper's replicated directory) or ring (consistent-hash ownership with runtime join/leave)")
+	joinSeeds = flag.String("join", "", "comma-separated seed addresses to join a running ring through (ring placement only)")
+	replHot   = flag.Bool("replicate-hot", false, "adaptively replicate hot entries to their ring successors so reads of a viral key spread across multiple nodes (ring placement only)")
+	invalOn   = flag.Bool("inval", false, "dependency-based invalidation: a CGI write to a declared resource originates a versioned invalidation wave that drops dependent cached results cluster-wide, with anti-entropy replay for peers that missed it; also mounts the demo rw pair /cgi-bin/report + /cgi-bin/update for loadgen -mix rw")
+	swrOn     = flag.Bool("swr", false, "stale-while-revalidate: serve a just-invalidated body once more while a single background refresh re-executes it (requires -inval)")
+	hedgeOn   = flag.Bool("hedge", false, "hedged remote fetches: a routed fetch that outlives the peer's observed p95 launches one backup to a replica holder or falls back to local execution, first result wins; bounded by the retry budget (cooperative mode only)")
+	breakerOn = flag.Bool("breaker", false, "per-peer circuit breakers: fetch latency and failure-rate scores trip a slow or failing peer open, its fetches fail fast to local execution, half-open probes close it again (cooperative mode only)")
+	shedOn    = flag.Bool("shed", false, "adaptive load shedding: refuse peer-routed executions past the low CPU-queue watermark, peer serves and local would-execute requests past the high one (503 + Retry-After + X-Swala-Shed; stale SWR bodies serve as the degraded tier)")
+)
+
+// watchInterval is how often -watch polls its source files.
+const watchInterval = time.Second
+
 func main() {
-	var (
-		id        = flag.Uint("id", 1, "node ID (unique in the group)")
-		httpAddr  = flag.String("http", ":8080", "HTTP listen address")
-		cluAddr   = flag.String("cluster", ":9080", "cluster listen address")
-		peersFlag = flag.String("peers", "", "comma-separated id=host:port peer list")
-		modeFlag  = flag.String("mode", "cooperative", "no-cache | stand-alone | cooperative")
-		capacity  = flag.Int("capacity", 2000, "cache capacity in entries (0 = unbounded)")
-		policy    = flag.String("policy", "lru", "replacement policy: lru|fifo|lfu|size|gds")
-		cfgPath   = flag.String("config", "", "cacheability config file (default: cache all CGI, 10m TTL)")
-		cacheDir  = flag.String("cachedir", "", "disk cache directory, kept as a segmented append-only log (default: in-memory store)")
-		persist   = flag.Bool("persist", true, "recover the disk cache across restarts: scan -cachedir at startup, rebuild the directory from intact entries, quarantine corrupt ones (-persist=false wipes the directory first, the paper's cold-start semantics)")
-		fsyncPol  = flag.String("fsync", "never", "disk cache fsync policy: never|always (always fsyncs each append before acknowledging it)")
-		docsDir   = flag.String("docs", "", "static document root to serve")
-		cgiMounts = flag.String("cgi", "/cgi-bin/=demo", "comma-separated prefix=program mounts; program 'demo' is the built-in synthetic CGI")
-		cores     = flag.Int("cores", 1, "simulated CPU cores")
-		threads   = flag.Int("threads", 16, "HTTP request threads")
-		watches   = flag.String("watch", "", "comma-separated file=pattern source watches; a change to file invalidates cached keys matching pattern")
-		watchIvl  = flag.Duration("watch-interval", time.Second, "source watch poll interval")
-		accessLog = flag.String("accesslog", "", "write an extended-CLF access log to this file (analyze with loganalyze -swala)")
-		coalesce  = flag.Bool("coalesce", false, "coalesce concurrent identical cache misses into one CGI execution (beyond the paper)")
-		reqTO     = flag.Duration("request-timeout", 0, "end-to-end deadline per request through the whole fetch chain, 0 disables (overruns answer 504)")
-		fetchTO   = flag.Duration("fetch-timeout", 0, "bound on one remote cache fetch; a timeout falls back to local execution (0 = no bound)")
-		dirSync   = flag.Bool("dir-sync", true, "anti-entropy directory sync: heal dropped broadcasts and reconnect gaps with catch-up snapshots")
-		sendQueue = flag.Int("sendqueue", 0, "per-peer broadcast queue depth (0 = default 1024)")
-		health    = flag.Bool("health", true, "heartbeat failure detector: quarantine dead peers' directory entries instead of timing out every fetch (-health=false restores exact paper semantics)")
-		probeIvl  = flag.Duration("probe-interval", 0, "failure-detector heartbeat period (0 = default 1s)")
-		probeTO   = flag.Duration("probe-timeout", 0, "bound on one heartbeat round trip (0 = default 1s, clamped to probe-interval)")
-		suspAfter = flag.Int("suspect-after", 0, "consecutive probe failures before a peer is suspect (0 = default 2)")
-		deadAfter = flag.Int("dead-after", 0, "consecutive probe failures before a peer is dead and quarantined (0 = default 5)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address with mutex and block profiling enabled (empty = off)")
-		placement = flag.String("placement", "replicate", "entry placement: replicate (the paper's replicated directory) or ring (consistent-hash ownership with runtime join/leave)")
-		joinSeeds = flag.String("join", "", "comma-separated seed addresses to join a running ring through (ring placement only)")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default 256)")
-		replHot   = flag.Bool("replicate-hot", false, "adaptively replicate hot entries to their ring successors so reads of a viral key spread across multiple nodes (ring placement only)")
-		hotRPS    = flag.Float64("hot-rps", 0, "decayed remote-serve rate (req/s) above which an entry replicates (0 = default 50)")
-		hotRepl   = flag.Int("hot-replicas", 0, "ring successors that receive a copy of each hot entry (0 = default 2)")
-		handoffRt = flag.Int("handoff-rate", 0, "throttle rebalance handoff offers to this many entries/s (0 = unthrottled)")
-		invalOn   = flag.Bool("inval", false, "dependency-based invalidation: a CGI write to a declared resource originates a versioned invalidation wave that drops dependent cached results cluster-wide, with anti-entropy replay for peers that missed it; also mounts the demo rw pair /cgi-bin/report + /cgi-bin/update for loadgen -mix rw")
-		swrOn     = flag.Bool("swr", false, "stale-while-revalidate: serve a just-invalidated body once more while a single background refresh re-executes it (requires -inval)")
-		swrWindow = flag.Duration("swr-window", 0, "how long an invalidated body stays servable as stale under -swr (0 = default 2s)")
-		hedgeOn   = flag.Bool("hedge", false, "hedged remote fetches: a routed fetch that outlives the peer's observed p95 launches one backup to a replica holder or falls back to local execution, first result wins; bounded by the retry budget (cooperative mode only)")
-		hedgeTrig = flag.Duration("hedge-trigger", 0, "static hedge delay used until a peer has enough latency samples for a p95 (0 = default 100ms)")
-		hedgeMin  = flag.Duration("hedge-min-trigger", 0, "floor under the dynamic p95 hedge trigger (0 = default 2ms)")
-		budgetRat = flag.Float64("retry-budget", 0, "hedge tokens earned per primary fetch; caps hedges at roughly this fraction of fetch traffic (0 = default 0.1)")
-		budgetCap = flag.Float64("retry-burst", 0, "retry-budget token bucket capacity (0 = default 10)")
-		breakerOn = flag.Bool("breaker", false, "per-peer circuit breakers: fetch latency and failure-rate scores trip a slow or failing peer open, its fetches fail fast to local execution, half-open probes close it again (cooperative mode only)")
-		brkFail   = flag.Float64("breaker-fail-rate", 0, "EWMA fetch failure rate that trips a peer's breaker (0 = default 0.5)")
-		brkLat    = flag.Float64("breaker-latency-factor", 0, "trip when the fast latency EWMA exceeds this multiple of the healthy baseline (0 = default 8, negative disables the latency trip)")
-		brkOpen   = flag.Duration("breaker-open-for", 0, "how long an open breaker rejects fetches before half-open probing (0 = default 2s)")
-		brkMin    = flag.Int("breaker-min-samples", 0, "recorded fetches a peer needs before its breaker may trip (0 = default 8)")
-		shedOn    = flag.Bool("shed", false, "adaptive load shedding: refuse peer-routed executions past the low CPU-queue watermark, peer serves and local would-execute requests past the high one (503 + Retry-After + X-Swala-Shed; stale SWR bodies serve as the degraded tier)")
-		shedLow   = flag.Duration("shed-low", 0, "queue-delay low watermark: above it peer-routed executions are refused (0 = default 100ms)")
-		shedHigh  = flag.Duration("shed-high", 0, "queue-delay high watermark: above it peer serves and local misses are refused too (0 = default 4x shed-low)")
-	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "swalad: ", log.LstdFlags)
 
@@ -153,40 +136,14 @@ func main() {
 		CoalesceMisses: *coalesce,
 		RequestTimeout: *reqTO,
 		FetchTimeout:   *fetchTO,
-		SendQueue:      *sendQueue,
-
-		RingPlacement: ringMode,
-		VirtualNodes:  *vnodes,
-		ReplicateHot:  *replHot,
-		HotRPS:        *hotRPS,
-		HotReplicas:   *hotRepl,
-		HandoffRate:   *handoffRt,
-
-		Inval:     *invalOn,
-		SWR:       *swrOn,
-		SWRWindow: *swrWindow,
-
-		Hedge:                *hedgeOn,
-		HedgeTrigger:         *hedgeTrig,
-		HedgeMinTrigger:      *hedgeMin,
-		RetryBudgetRatio:     *budgetRat,
-		RetryBudgetBurst:     *budgetCap,
-		Breaker:              *breakerOn,
-		BreakerFailRate:      *brkFail,
-		BreakerLatencyFactor: *brkLat,
-		BreakerOpenFor:       *brkOpen,
-		BreakerMinSamples:    *brkMin,
-		Shed:                 *shedOn,
-		ShedLowWatermark:     *shedLow,
-		ShedHighWatermark:    *shedHigh,
-
-		DisableDirSync: !*dirSync,
-
-		DisableHealth:       !*health,
-		HealthProbeInterval: *probeIvl,
-		HealthProbeTimeout:  *probeTO,
-		HealthSuspectAfter:  *suspAfter,
-		HealthDeadAfter:     *deadAfter,
+		RingPlacement:  ringMode,
+		ReplicateHot:   *replHot,
+		Inval:          *invalOn,
+		SWR:            *swrOn,
+		Hedge:          *hedgeOn,
+		Breaker:        *breakerOn,
+		Shed:           *shedOn,
+		DisableHealth:  !*health,
 	}
 	if *cfgPath != "" {
 		f, err := os.Open(*cfgPath)
@@ -205,14 +162,7 @@ func main() {
 		if err != nil {
 			logger.Fatalf("fsync: %v", err)
 		}
-		if !*persist {
-			// Cold start: discard whatever a previous run left behind so the
-			// node behaves exactly like the paper's (no recovery).
-			if err := os.RemoveAll(*cacheDir); err != nil {
-				logger.Fatalf("cachedir: %v", err)
-			}
-		}
-		l, rep, err := store.OpenLog(*cacheDir, store.LogOptions{Fsync: fsync})
+		l, rep, err := openCache(*cacheDir, *persist, fsync)
 		if err != nil {
 			logger.Fatalf("cachedir: %v", err)
 		}
@@ -296,7 +246,7 @@ func main() {
 	}
 
 	if *watches != "" {
-		mon := monitor.New(srv.Invalidate, *watchIvl, nil)
+		mon := monitor.New(srv.Invalidate, watchInterval, nil)
 		for _, spec := range strings.Split(*watches, ",") {
 			file, pattern, ok := strings.Cut(strings.TrimSpace(spec), "=")
 			if !ok {
@@ -328,6 +278,21 @@ func main() {
 	}
 	snap := srv.Counters()
 	logger.Printf("final counters: %v", snap)
+}
+
+// openCache opens the log store in dir. Without persist the node starts
+// cold, as the paper's did: the segments a previous run left are deleted
+// and nothing is recovered. Files in dir the log did not create stay.
+func openCache(dir string, persist bool, fsync store.FsyncPolicy) (*store.Log, *store.RecoveryReport, error) {
+	opts := store.LogOptions{Fsync: fsync}
+	l, rep, err := store.OpenLog(dir, opts)
+	if err != nil || persist {
+		return l, rep, err
+	}
+	if err := l.Destroy(); err != nil {
+		return nil, nil, err
+	}
+	return store.OpenLog(dir, opts)
 }
 
 func parseMode(s string) (core.Mode, error) {

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func TestParseMode(t *testing.T) {
@@ -82,5 +85,79 @@ func TestMountCGI(t *testing.T) {
 	// Empty specs are skipped silently.
 	if err := mountCGI(srv, " , "); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestREADMEListsEveryFlag: README's swalad flag table has one row per
+// defined flag and no row for a flag that does not exist.
+func TestREADMEListsEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(string(readme), "\n") {
+		rest, ok := strings.CutPrefix(line, "| `-")
+		if !ok {
+			continue
+		}
+		name := rest[:strings.IndexAny(rest, " `=")]
+		if rows[name] {
+			t.Errorf("README has two rows for -%s", name)
+		}
+		rows[name] = true
+	}
+	flag.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the test binary's own
+		}
+		if !rows[f.Name] {
+			t.Errorf("flag -%s has no row in README's flag table", f.Name)
+		}
+		delete(rows, f.Name)
+	})
+	for name := range rows {
+		t.Errorf("README's flag table lists -%s, which swalad does not define", name)
+	}
+}
+
+// TestOpenCacheColdStart: without persist the segments a previous run left
+// are deleted and nothing is recovered, but other files in the directory
+// stay; with persist the entries come back.
+func TestOpenCacheColdStart(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	l, _, err := openCache(dir, true, store.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Put("GET /k", "text/plain", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	foreign := []string{"notes.txt", "x.tmp"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, rep, err := openCache(dir, true, store.FsyncNever)
+	if err != nil || len(rep.Recovered) != 1 {
+		t.Fatalf("warm open: %v, report %+v; want the one entry back", err, rep)
+	}
+	l.Close()
+
+	l, rep, err = openCache(dir, false, store.FsyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(rep.Recovered) != 0 || l.Len() != 0 {
+		t.Fatalf("cold open recovered %d entries, holds %d; want none", len(rep.Recovered), l.Len())
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("cold open removed %s: %v", name, err)
+		}
 	}
 }

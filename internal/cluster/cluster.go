@@ -143,9 +143,6 @@ type Config struct {
 	// DisableReconnect turns off automatic redial of failed peer links
 	// (links normally reconnect with exponential backoff).
 	DisableReconnect bool
-	// DisableSync turns off anti-entropy directory sync (version exchange
-	// on Hello and catch-up snapshots/deltas).
-	DisableSync bool
 	// BatchLimit caps the updates packed into one DirBatch frame
 	// (default 256).
 	BatchLimit int
@@ -164,6 +161,9 @@ type Config struct {
 	// RingMode enables dynamic membership and consistent-hash placement:
 	// MsgJoin/MsgLeave/MsgRingUpdate are spoken, Hello announces ring
 	// placement, and the failure detector evicts dead members from the ring.
+	// Ring mode replicates no directory tables, so it also turns off
+	// anti-entropy directory sync (version exchange and catch-up snapshots);
+	// waves and handoff DirSync frames still flow.
 	RingMode bool
 	// VirtualNodes is the per-member point count for the placement ring
 	// (default ring.DefaultVirtualNodes).
@@ -477,10 +477,10 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 	case *wire.DirSyncReq:
 		// The peer told us how much of our directory and wave journal it
 		// has; wake the sender to ship the difference behind everything
-		// already queued. Wave state is exchanged even when directory sync is
-		// disabled (ring mode): invalidation waves must still heal across
-		// reconnects.
-		if !n.cfg.DisableSync {
+		// already queued. Wave state is exchanged even in ring mode, which
+		// has no directory to sync: invalidation waves must still heal
+		// across reconnects.
+		if !n.cfg.RingMode {
 			raise(&c.peerVer, m.Version)
 		}
 		raise(&c.waveAck, m.WaveSeq)
@@ -490,11 +490,11 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 		// covered it. Even an empty catch-up is applied: it is the
 		// convergence signal that lifts a rejoined peer's quarantine. A
 		// handoff frame (ring rebalance offer) is not anti-entropy and
-		// passes the DisableSync gate that ring mode sets.
+		// passes the ring-mode gate.
 		if len(m.Waves) > 0 {
 			n.handler.HandleWaveSync(m.Owner, m.Waves)
 		}
-		if !n.cfg.DisableSync || m.Handoff {
+		if !n.cfg.RingMode || m.Handoff {
 			n.handler.HandleDirSync(m)
 			n.syncsApplied.Add(1)
 		}
@@ -1019,7 +1019,7 @@ func (n *Node) linkSender(link *peerLink) {
 // at version V is followed on the stream only by batches above V.
 func (n *Node) writeLinkUp(link *peerLink) error {
 	req := &wire.DirSyncReq{WaveSeq: n.handler.WaveFloor(link.id)}
-	if !n.cfg.DisableSync {
+	if !n.cfg.RingMode {
 		req.Version = n.handler.DirVersion(link.id)
 	}
 	if err := link.send(req); err != nil || !n.cfg.RingMode {
@@ -1130,7 +1130,7 @@ func (n *Node) writeRun(link *peerLink, run []outMsg) error {
 // the drain, and an update dropped any later than that asks for another pass.
 func (n *Node) writeSync(link *peerLink) error {
 	n.mu.Lock()
-	full := !n.cfg.DisableSync && n.needFullSync[link.id]
+	full := !n.cfg.RingMode && n.needFullSync[link.id]
 	delete(n.needFullSync, link.id)
 	n.mu.Unlock()
 	settled := false
@@ -1157,20 +1157,20 @@ func (n *Node) writeSync(link *peerLink) error {
 		since = 0
 	}
 	var msg *wire.DirSync
-	if !n.cfg.DisableSync {
+	if !n.cfg.RingMode {
 		msg = n.handler.BuildDirSync(since)
 	}
 	if msg == nil {
-		// The peer is already current (or directory sync is off and only
-		// waves ride this frame). Still send an empty delta at the current
-		// version: a rejoining peer that quarantined our entries while we
-		// were gone needs a convergence signal to lift the quarantine, and
-		// with nothing to catch up this ack is the only DirSync it would
-		// ever see.
+		// The peer is already current (or in ring mode only waves ride this
+		// frame). Still send an empty delta at the current version: a
+		// rejoining peer that quarantined our entries while we were gone
+		// needs a convergence signal to lift the quarantine, and with
+		// nothing to catch up this ack is the only DirSync it would ever
+		// see.
 		msg = &wire.DirSync{Owner: n.cfg.NodeID, Version: since}
 	}
 	msg.Waves = n.handler.BuildWaveSync(link.waveAck.Load())
-	if n.cfg.DisableSync && len(msg.Waves) == 0 {
+	if n.cfg.RingMode && len(msg.Waves) == 0 {
 		// Nothing to say on a wave-only link.
 		return nil
 	}
@@ -1319,14 +1319,14 @@ func (n *Node) broadcast(om outMsg) (peers, unreached int) {
 			unreached++
 			n.dropped.Add(1)
 			n.dropCounter(l.id).Add(1)
-			if om.isUpdate && !n.cfg.DisableSync {
+			if om.isUpdate && !n.cfg.RingMode {
 				// The version sequence toward this peer now has a hole;
 				// flag it for a full resync and wake the sender.
 				n.mu.Lock()
 				n.needFullSync[l.id] = true
 				n.mu.Unlock()
 			}
-			if (om.isUpdate && !n.cfg.DisableSync) || isWave {
+			if (om.isUpdate && !n.cfg.RingMode) || isWave {
 				// Wake the sender to heal the gap: dropped directory updates
 				// replay via BuildDirSync, dropped waves via BuildWaveSync
 				// (waveAck never advanced past the dropped wave).

@@ -170,16 +170,9 @@ type Config struct {
 	PurgeInterval time.Duration
 	// RequestThreads sizes the HTTP request-thread pool (default 16).
 	RequestThreads int
-	// FetchTimeout bounds remote cache fetches.
+	// FetchTimeout bounds one remote cache fetch; a fetch that overruns it
+	// falls back to local execution (<=0 = the cluster default, 5s).
 	FetchTimeout time.Duration
-	// SendQueue is the per-peer cluster broadcast queue depth (default
-	// 1024). Updates beyond it are dropped (and healed by anti-entropy
-	// sync); small values are mainly useful for overflow testing.
-	SendQueue int
-	// DisableDirSync turns off anti-entropy directory sync (the version
-	// exchange on peer connect and the catch-up snapshots that heal
-	// dropped broadcasts and reconnect gaps).
-	DisableDirSync bool
 	// RingPlacement switches cooperative mode from the paper's fully
 	// replicated directory to consistent-hash entry placement (swalad
 	// -placement=ring): keys are owned by the ring-designated node, misses
@@ -187,9 +180,6 @@ type Config struct {
 	// eviction), and entries are handed off live when ownership moves.
 	// Default off — full replication is the paper's design.
 	RingPlacement bool
-	// VirtualNodes is the per-member virtual node count in ring placement
-	// (default ring.DefaultVirtualNodes).
-	VirtualNodes int
 	// ReplicateHot enables adaptive hot-entry replication under ring
 	// placement (swalad -replicate-hot): per-entry serve rates are tracked
 	// with decayed windows, entries above HotRPS are replicated to their
@@ -213,18 +203,10 @@ type Config struct {
 	// TTL-expiry semantics are unchanged.
 	Inval bool
 	// SWR enables stale-while-revalidate on invalidation (requires Inval):
-	// the previous body of an invalidated entry is served for SWRWindow —
-	// flagged X-Swala-Cache: stale-revalidate — while one coalesced
+	// the previous body of an invalidated entry is served for swrWindow (2s)
+	// — flagged X-Swala-Cache: stale-revalidate — while one coalesced
 	// background flight refreshes the entry. Default off.
 	SWR bool
-	// SWRWindow bounds how long an invalidated body may be served stale
-	// (default 2s).
-	SWRWindow time.Duration
-	// HandoffRate, when >0, paces ring-rebalance handoff offers to roughly
-	// that many entries per second instead of offering everything at once,
-	// so a join against a large cache does not stampede the wire. Default 0
-	// (unpaced, PR-7 behavior).
-	HandoffRate int
 	// DisableHealth turns off the peer failure detector and directory
 	// quarantine: remote fetches to a dead peer then fail only by timing
 	// out and falling back to local execution — the paper's exact reactive
@@ -254,21 +236,13 @@ type Config struct {
 	// backup — to the home owner or another replica holder when one exists,
 	// otherwise abandoning the wait and executing locally — and the first
 	// result wins; the loser is cancelled through the usual context
-	// plumbing. Hedges draw from a retry budget (RetryBudgetRatio) so a
-	// brownout cannot amplify into a retry storm. Default off.
+	// plumbing. Hedges draw from a retry budget (RetryBudgetRatio,
+	// RetryBudgetBurst) so a brownout cannot amplify into a retry storm.
+	// Default off.
 	Hedge bool
 	// HedgeTrigger is the static hedge delay used while a peer has too few
 	// latency samples for a p95 estimate (default 100ms).
 	HedgeTrigger time.Duration
-	// HedgeMinTrigger floors the dynamic p95 trigger so a very fast peer
-	// cannot make every fetch hedge (default 2ms).
-	HedgeMinTrigger time.Duration
-	// RetryBudgetRatio is the hedge token earned per primary fetch: hedges
-	// are capped at roughly this fraction of fetch traffic (default 0.1).
-	RetryBudgetRatio float64
-	// RetryBudgetBurst is the retry-budget token bucket's capacity
-	// (default 10).
-	RetryBudgetBurst float64
 	// Breaker enables per-peer circuit breakers (swalad -breaker): observed
 	// fetch latency (fast EWMA judged against a slowly-advancing healthy
 	// baseline) and failure rate trip a peer open — its fetches then fail
@@ -277,13 +251,10 @@ type Config struct {
 	// complement to the PR 4 detector, which only sees peers that stop
 	// answering pings entirely. Default off.
 	Breaker bool
-	// BreakerFailRate, BreakerLatencyFactor, BreakerOpenFor, and
-	// BreakerMinSamples tune the breaker (zero = the cluster.ScoreConfig
-	// defaults).
-	BreakerFailRate      float64
-	BreakerLatencyFactor float64
-	BreakerOpenFor       time.Duration
-	BreakerMinSamples    int
+	// BreakerMinSamples is how many recorded fetches a peer needs before its
+	// breaker may trip (zero = the cluster.ScoreConfig default). The trip
+	// thresholds and open time are the cluster.ScoreConfig defaults.
+	BreakerMinSamples int
 	// Shed enables adaptive load shedding (swalad -shed): a watermark
 	// controller over the CPU queue delay refuses cheap-to-refuse work
 	// first — peer-routed executions above ShedLowWatermark; peer serves
@@ -417,15 +388,6 @@ func New(cfg Config) *Server {
 	if cfg.HedgeTrigger <= 0 {
 		cfg.HedgeTrigger = 100 * time.Millisecond
 	}
-	if cfg.HedgeMinTrigger <= 0 {
-		cfg.HedgeMinTrigger = 2 * time.Millisecond
-	}
-	if cfg.RetryBudgetRatio <= 0 {
-		cfg.RetryBudgetRatio = 0.1
-	}
-	if cfg.RetryBudgetBurst <= 0 {
-		cfg.RetryBudgetBurst = 10
-	}
 	if cfg.ShedLowWatermark <= 0 {
 		cfg.ShedLowWatermark = 100 * time.Millisecond
 	}
@@ -447,7 +409,7 @@ func New(cfg Config) *Server {
 	}
 	s.engine = cgi.NewEngine(s.node, cfg.Costs.SpawnCost)
 	if cfg.Hedge {
-		s.hedge = newHedgeState(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
+		s.hedge = newHedgeState()
 	}
 	if cfg.Shed {
 		s.shed = newShedState(cfg.ShedLowWatermark, cfg.ShedHighWatermark)
@@ -455,7 +417,7 @@ func New(cfg Config) *Server {
 	if cfg.Inval {
 		s.inv = inval.NewState(cfg.NodeID)
 		if cfg.SWR {
-			s.swr = newSWRCell(cfg.SWRWindow)
+			s.swr = newSWRCell()
 		}
 	}
 	s.http = httpserver.New(httpserver.HandlerFunc(s.serveHTTP), httpserver.Config{
@@ -467,8 +429,6 @@ func New(cfg Config) *Server {
 		Name:         cfg.Name,
 		Network:      cfg.ClusterNetwork,
 		FetchTimeout: cfg.FetchTimeout,
-		SendQueue:    cfg.SendQueue,
-		DisableSync:  cfg.DisableDirSync,
 		Health: cluster.HealthConfig{
 			Disable:       cfg.DisableHealth,
 			ProbeInterval: cfg.HealthProbeInterval,
@@ -479,12 +439,9 @@ func New(cfg Config) *Server {
 		// Scoring feeds both the breaker and hedging's dynamic p95 trigger,
 		// so either feature turns it on.
 		Score: cluster.ScoreConfig{
-			Enable:        cfg.Hedge || cfg.Breaker,
-			Breaker:       cfg.Breaker,
-			FailRate:      cfg.BreakerFailRate,
-			LatencyFactor: cfg.BreakerLatencyFactor,
-			OpenFor:       cfg.BreakerOpenFor,
-			MinSamples:    cfg.BreakerMinSamples,
+			Enable:     cfg.Hedge || cfg.Breaker,
+			Breaker:    cfg.Breaker,
+			MinSamples: cfg.BreakerMinSamples,
 		},
 		Logger: cfg.Logger,
 	}
@@ -499,10 +456,6 @@ func New(cfg Config) *Server {
 	}
 	if ringMode {
 		clusterCfg.RingMode = true
-		clusterCfg.VirtualNodes = cfg.VirtualNodes
-		// There are no replicated peer tables to anti-entropy in ring mode;
-		// handoff DirSync frames are pushed directly and bypass this.
-		clusterCfg.DisableSync = true
 		clusterCfg.OnRingChange = s.onRingChange
 		s.handoffCh = make(chan handoffTask, handoffQueueDepth)
 		if cfg.ReplicateHot {
@@ -776,8 +729,7 @@ type rejoinState struct {
 // entries are quarantined — Lookup treats them as absent, so requests that
 // map to them degrade to local execution immediately instead of paying
 // FetchTimeout per request. The quarantine lifts when the peer is alive
-// again and its anti-entropy catch-up has been applied (HandleDirSync); with
-// dir sync disabled, rejoin alone lifts it.
+// again and its anti-entropy catch-up has been applied (HandleDirSync).
 func (s *Server) onPeerState(peer uint32, state cluster.PeerState) {
 	switch state {
 	case cluster.PeerDead:
@@ -798,7 +750,7 @@ func (s *Server) onPeerState(peer uint32, state cluster.PeerState) {
 			// that recovers never drops its links, so without one there would
 			// be no fresh Hello, no DirSyncReq, and no sync to lift the
 			// quarantine. Recycled links reconnect and re-exchange versions.
-			recycle = !st.synced && !s.cfg.DisableDirSync
+			recycle = !st.synced
 		}
 		s.quarMu.Unlock()
 		s.maybeLiftQuarantine(peer)
@@ -829,7 +781,7 @@ func (s *Server) noteSynced(peer uint32) {
 func (s *Server) maybeLiftQuarantine(peer uint32) {
 	s.quarMu.Lock()
 	st := s.pendingUnq[peer]
-	lift := st != nil && st.alive && (st.synced || s.cfg.DisableDirSync)
+	lift := st != nil && st.alive && st.synced
 	if lift {
 		delete(s.pendingUnq, peer)
 	}

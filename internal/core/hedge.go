@@ -30,6 +30,17 @@ import (
 // the cluster's fetch traffic: past the budget, requests simply wait for
 // their primary as before.
 
+const (
+	// RetryBudgetRatio is the hedge token earned per primary fetch: hedges
+	// are capped at roughly this fraction of fetch traffic.
+	RetryBudgetRatio = 0.1
+	// RetryBudgetBurst is the retry-budget token bucket's capacity.
+	RetryBudgetBurst = 10
+	// hedgeMinTrigger floors the dynamic p95 trigger so a very fast peer
+	// cannot make every fetch hedge.
+	hedgeMinTrigger = 2 * time.Millisecond
+)
+
 // hedgeState is the per-server hedge machinery: the retry-budget token
 // bucket and the observability counters.
 type hedgeState struct {
@@ -46,8 +57,8 @@ type hedgeState struct {
 	local     atomic.Uint64 // trigger firings that fell back to local execution
 }
 
-func newHedgeState(ratio, burst float64) *hedgeState {
-	return &hedgeState{tokens: burst, ratio: ratio, burst: burst}
+func newHedgeState() *hedgeState {
+	return &hedgeState{tokens: RetryBudgetBurst, ratio: RetryBudgetRatio, burst: RetryBudgetBurst}
 }
 
 // earn credits the budget for one primary fetch.
@@ -110,8 +121,8 @@ type remoteResult struct {
 // cannot make every fetch hedge; the static default otherwise.
 func (s *Server) hedgeTriggerFor(peer uint32) time.Duration {
 	if p95, ok := s.clu.PeerP95(peer); ok {
-		if p95 < s.cfg.HedgeMinTrigger {
-			return s.cfg.HedgeMinTrigger
+		if p95 < hedgeMinTrigger {
+			return hedgeMinTrigger
 		}
 		return p95
 	}

@@ -27,14 +27,13 @@ import (
 // inval.State Mark/floor machinery.
 //
 // Stale-while-revalidate (Config.SWR) keeps the previous body of an
-// invalidated entry in a bounded holding cell for SWRWindow; the fetch
+// invalidated entry in a bounded holding cell for swrWindow; the fetch
 // pipeline serves it with X-Swala-Cache: stale-revalidate while one
 // background flight per key refreshes the entry, so a write storm degrades
 // hit latency instead of turning every hit into a synchronous execution.
 
-// defaultSWRWindow bounds how long an invalidated body may be served stale
-// when Config.SWRWindow is unset.
-const defaultSWRWindow = 2 * time.Second
+// swrWindow bounds how long an invalidated body may be served stale.
+const swrWindow = 2 * time.Second
 
 // swrCellCap bounds the stale-body holding cell (entries).
 const swrCellCap = 1024
@@ -195,19 +194,15 @@ type swrEntry struct {
 // swrCell is the bounded holding cell of invalidated bodies awaiting
 // refresh, plus the set of keys with a refresh flight already running.
 type swrCell struct {
-	window time.Duration
-
 	mu         sync.Mutex
+	window     time.Duration
 	parked     map[string]swrEntry
 	refreshing map[string]bool
 }
 
-func newSWRCell(window time.Duration) *swrCell {
-	if window <= 0 {
-		window = defaultSWRWindow
-	}
+func newSWRCell() *swrCell {
 	return &swrCell{
-		window:     window,
+		window:     swrWindow,
 		parked:     make(map[string]swrEntry),
 		refreshing: make(map[string]bool),
 	}

@@ -260,7 +260,6 @@ func TestSWRServesStaleDuringRefresh(t *testing.T) {
 	h := startCluster(t, 1, func(i int, cfg *Config) {
 		cfg.Inval = true
 		cfg.SWR = true
-		cfg.SWRWindow = 2 * time.Second
 	})
 	s := h.servers[0]
 	registerNullCGI(s)

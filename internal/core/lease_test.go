@@ -214,9 +214,13 @@ func TestLeaseFalseHitFallsBack(t *testing.T) {
 func TestLeaseHedgeLoserDropped(t *testing.T) {
 	srv := startLeasePair(t, 16, func(i int, cfg *Config) {
 		cfg.Hedge = true
-		cfg.HedgeTrigger, cfg.HedgeMinTrigger = time.Nanosecond, time.Nanosecond
-		cfg.RetryBudgetRatio, cfg.RetryBudgetBurst = 1, 1000
+		cfg.HedgeTrigger = time.Nanosecond
 	})
+	// A budget that never runs dry, so every fetch hedges.
+	h := srv[1].hedge
+	h.mu.Lock()
+	h.ratio, h.burst, h.tokens = 1, 1000, 1000
+	h.mu.Unlock()
 	client := httpclient.New(nil)
 	defer client.Close()
 	for round := 0; round < 4; round++ {

@@ -187,7 +187,6 @@ func TestReplicaControllerChurnDuringJoin(t *testing.T) {
 			FetchTimeout:  2 * time.Second,
 			PurgeInterval: time.Hour,
 			RingPlacement: true,
-			VirtualNodes:  32,
 			ReplicateHot:  true,
 			HotRPS:        2,
 			HotReplicas:   2,

@@ -62,8 +62,6 @@ func TestHedgeAbandonsSlowPeerForLocalExecution(t *testing.T) {
 	faulty, servers, client := startFaultyPair(t, func(i int, cfg *Config) {
 		cfg.Hedge = true
 		cfg.HedgeTrigger = 20 * time.Millisecond
-		cfg.RetryBudgetRatio = 0.1
-		cfg.RetryBudgetBurst = 5
 	})
 
 	// Warm the key at node 2 (making it owner) and wait for the directory
@@ -109,8 +107,8 @@ func TestHedgeAbandonsSlowPeerForLocalExecution(t *testing.T) {
 	}
 	rs = servers[0].ResilienceSnapshot()
 	spent := rs.HedgesIssued + rs.HedgesLocal
-	budget := uint64(float64(rs.HedgesIssued+rs.HedgesLocal+rs.HedgesDenied)*0.1) + 5 + 1
-	if primaries := uint64(extra + 1); spent > uint64(float64(primaries)*0.1)+5+1 {
+	budget := uint64(float64(rs.HedgesIssued+rs.HedgesLocal+rs.HedgesDenied)*RetryBudgetRatio) + RetryBudgetBurst + 1
+	if primaries := uint64(extra + 1); spent > uint64(float64(primaries)*RetryBudgetRatio)+RetryBudgetBurst+1 {
 		t.Fatalf("hedge spend %d exceeded the retry budget (%d primaries, cap %d)", spent, primaries, budget)
 	}
 	waitUntil(t, "hedge losers to drain", func() bool {
@@ -214,9 +212,13 @@ func TestShedServesParkedStaleUnderOverload(t *testing.T) {
 		cfg.ShedHighWatermark = 100 * time.Millisecond
 		cfg.Inval = true
 		cfg.SWR = true
-		cfg.SWRWindow = time.Minute
 	})
 	s := h.servers[0]
+	// A stale window longer than the test, so the parked body outlasts the
+	// wait for overload.
+	s.swr.mu.Lock()
+	s.swr.window = time.Minute
+	s.swr.mu.Unlock()
 	registerNullCGI(s)
 	s.CGI().Register("/cgi-bin/slow", &cgi.Synthetic{ServiceTime: 150 * time.Millisecond, OutputSize: 64})
 

@@ -170,46 +170,20 @@ func (s *Server) rebalance(r *ring.Ring) {
 	if len(misplaced) == 0 {
 		return
 	}
-	var offers []handoffOffer
+	byOwner := make(map[uint32][]wire.DirUpdate)
 	for _, e := range misplaced {
 		owner, ok := r.Owner(e.Key)
 		if !ok || owner == self {
 			continue
 		}
-		offers = append(offers, handoffOffer{owner: owner, update: wire.DirUpdate{
+		byOwner[owner] = append(byOwner[owner], wire.DirUpdate{
 			Owner: self, Key: e.Key, Size: e.Size,
 			ExecTime: e.ExecTime, Expires: e.Expires,
-		}})
+		})
 	}
-	if rate := s.cfg.HandoffRate; rate > 0 && len(offers) > 0 {
-		// Throttled mode: spread the offers over time so a mass rebalance
-		// (node join with a full cache) does not flood the receivers' pull
-		// queues and the network all at once. Runs off-loop so the ring
-		// notification goroutine stays ordered; a newer ring supersedes us.
-		s.logf("rebalance: pacing %d misplaced entries at %d entries/s", len(offers), rate)
-		go s.pacedOffers(r, offers, rate)
-		return
-	}
-	sent, owners := s.sendOffers(offers)
-	s.logf("rebalance: offered %d of %d misplaced entries to %d new owners",
-		sent, len(misplaced), owners)
-}
-
-// handoffOffer is one misplaced entry awaiting its rebalance offer.
-type handoffOffer struct {
-	owner  uint32
-	update wire.DirUpdate
-}
-
-// sendOffers groups offers by new owner and sends them, returning how many
-// updates went out directly and to how many owners.
-func (s *Server) sendOffers(offers []handoffOffer) (sent, owners int) {
-	byOwner := make(map[uint32][]wire.DirUpdate)
-	for _, o := range offers {
-		byOwner[o.owner] = append(byOwner[o.owner], o.update)
-	}
+	sent := 0
 	for owner, updates := range byOwner {
-		if err := s.clu.SendTo(owner, &wire.DirSync{Owner: s.dir.Self(), Handoff: true, Updates: updates}); err != nil {
+		if err := s.clu.SendTo(owner, &wire.DirSync{Owner: self, Handoff: true, Updates: updates}); err != nil {
 			// The link to a fresh joiner may not be up yet — the connect that
 			// reconcileLinks kicked off races this offer. Retry off-loop; the
 			// entries stay serveable here until the offer lands.
@@ -218,34 +192,8 @@ func (s *Server) sendOffers(offers []handoffOffer) (sent, owners int) {
 		}
 		sent += len(updates)
 	}
-	return sent, len(byOwner)
-}
-
-// pacedOffers drains a rebalance's offer list at Config.HandoffRate entries
-// per second, in 100ms chunks. Aborts when the server stops or another ring
-// change supersedes this one (the newer change rescans misplaced entries, so
-// nothing is lost — the entries stay serveable here meanwhile).
-func (s *Server) pacedOffers(r *ring.Ring, offers []handoffOffer, rate int) {
-	chunk := rate / 10
-	if chunk < 1 {
-		chunk = 1
-	}
-	for len(offers) > 0 {
-		select {
-		case <-s.purgeStop:
-			return
-		case <-time.After(100 * time.Millisecond):
-		}
-		if s.clu.Ring() != r {
-			return
-		}
-		n := chunk
-		if n > len(offers) {
-			n = len(offers)
-		}
-		s.sendOffers(offers[:n])
-		offers = offers[n:]
-	}
+	s.logf("rebalance: offered %d of %d misplaced entries to %d new owners",
+		sent, len(misplaced), len(byOwner))
 }
 
 // retryHandoffOffer re-sends one rebalance offer until the link to the new

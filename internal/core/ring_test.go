@@ -27,7 +27,6 @@ func startRing(t *testing.T, n int, mutate func(i int, cfg *Config)) *harness {
 			FetchTimeout:  2 * time.Second,
 			PurgeInterval: time.Hour,
 			RingPlacement: true,
-			VirtualNodes:  32,
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -184,7 +183,7 @@ func TestRingJoinTriggersHandoff(t *testing.T) {
 	cfg := Config{
 		NodeID: 3, Mode: Cooperative, Network: mem,
 		FetchTimeout: 2 * time.Second, PurgeInterval: time.Hour,
-		RingPlacement: true, VirtualNodes: 32,
+		RingPlacement: true,
 	}
 	s3 := New(cfg)
 	if err := s3.Start("http-3", "clu-3"); err != nil {
@@ -323,7 +322,7 @@ func TestRingChurnUnderLoad(t *testing.T) {
 	cfg := Config{
 		NodeID: 4, Mode: Cooperative, Network: h.mem,
 		FetchTimeout: 2 * time.Second, PurgeInterval: time.Hour,
-		RingPlacement: true, VirtualNodes: 32,
+		RingPlacement: true,
 	}
 	fast(3, &cfg)
 	s4 := New(cfg)

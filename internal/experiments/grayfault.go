@@ -156,7 +156,6 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 	r.Meta = CollectMeta()
 
 	const nodes = 4
-	const budgetRatio, budgetBurst = 0.1, 10.0
 	r.Nodes = nodes
 	hotKeys := o.pick(32, 96)
 	r.HotKeys = hotKeys
@@ -171,8 +170,8 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 	r.DelayJitter = 0.2
 	const slow = nodes - 1 // node 4, index 3
 	r.SlowNode = slow + 1
-	r.Budget.Ratio = budgetRatio
-	r.Budget.Burst = budgetBurst
+	r.Budget.Ratio = core.RetryBudgetRatio
+	r.Budget.Burst = core.RetryBudgetBurst
 
 	cluAddr := func(i int) string { return fmt.Sprintf("swala-clu-%d", i+1) }
 
@@ -195,8 +194,6 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 				}
 				cfg.Hedge = true
 				cfg.HedgeTrigger = hedgeTrigger
-				cfg.RetryBudgetRatio = budgetRatio
-				cfg.RetryBudgetBurst = budgetBurst
 				cfg.Breaker = true
 				cfg.BreakerMinSamples = 4
 			},
@@ -340,7 +337,7 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 			r.SlowOn.BreakerTrips += b.Trips
 		}
 		spent := float64(rs.HedgesIssued + rs.HedgesLocal)
-		allowance := budgetRatio*float64(rs.FetchPrimaries) + budgetBurst + 1
+		allowance := core.RetryBudgetRatio*float64(rs.FetchPrimaries) + core.RetryBudgetBurst + 1
 		over := spent - allowance
 		if first || over > r.Budget.MaxOverspend {
 			r.Budget.MaxOverspend = over

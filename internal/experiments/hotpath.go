@@ -56,10 +56,10 @@ type HotpathResult struct {
 	// Wire reports allocations per operation on the message hot paths; the
 	// pooled write path should be at (or near) zero.
 	Wire struct {
-		WriteInsertAllocs     float64 `json:"write_insert_allocs_per_op"`
+		WriteDirBatchAllocs   float64 `json:"write_dirbatch_1_allocs_per_op"`
 		WriteFetchReplyAllocs float64 `json:"write_fetch_reply_4k_allocs_per_op"`
 		ReadFetchReplyAllocs  float64 `json:"read_fetch_reply_4k_allocs_per_op"`
-		MarshalInsertAllocs   float64 `json:"marshal_insert_allocs_per_op"`
+		MarshalDirBatchAllocs float64 `json:"marshal_dirbatch_1_allocs_per_op"`
 	} `json:"wire"`
 }
 
@@ -75,8 +75,8 @@ func (r HotpathResult) Render() string {
 	fmt.Fprintf(&b, "directory lookups at %d goroutines:\n", r.Directory.Goroutines)
 	fmt.Fprintf(&b, "  striped %.0f ops/s vs global lock %.0f ops/s (%.2fx)\n",
 		r.Directory.StripedOpsPerSec, r.Directory.GlobalOpsPerSec, r.Directory.ThroughputFactor)
-	fmt.Fprintf(&b, "wire allocs/op: write insert %.1f, write fetch-reply-4K %.1f, read fetch-reply-4K %.1f (marshal insert %.1f)\n",
-		r.Wire.WriteInsertAllocs, r.Wire.WriteFetchReplyAllocs, r.Wire.ReadFetchReplyAllocs, r.Wire.MarshalInsertAllocs)
+	fmt.Fprintf(&b, "wire allocs/op: write 1-update dir-batch %.1f, write fetch-reply-4K %.1f, read fetch-reply-4K %.1f (marshal 1-update dir-batch %.1f)\n",
+		r.Wire.WriteDirBatchAllocs, r.Wire.WriteFetchReplyAllocs, r.Wire.ReadFetchReplyAllocs, r.Wire.MarshalDirBatchAllocs)
 	return b.String()
 }
 
@@ -243,15 +243,16 @@ func hotpathDirectory(r *HotpathResult, ops int) {
 // hotpathWire measures allocations per operation on the message codec hot
 // paths using testing.AllocsPerRun.
 func hotpathWire(r *HotpathResult) {
-	insert := &wire.Insert{Owner: 3, Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
-		ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)}
+	batch := &wire.DirBatch{Owner: 3, Version: 1, Updates: []wire.DirUpdate{{Owner: 3,
+		Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
+		ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)}}}
 	body := make([]byte, 4096)
 	reply := &wire.FetchReply{Seq: 9, OK: true, ContentType: "text/html", Body: body}
 	frame := wire.Marshal(reply)
 
 	w := &r.Wire
-	w.WriteInsertAllocs = testing.AllocsPerRun(2000, func() {
-		wire.WriteMessage(io.Discard, insert)
+	w.WriteDirBatchAllocs = testing.AllocsPerRun(2000, func() {
+		wire.WriteMessage(io.Discard, batch)
 	})
 	w.WriteFetchReplyAllocs = testing.AllocsPerRun(2000, func() {
 		wire.WriteMessage(io.Discard, reply)
@@ -263,7 +264,7 @@ func hotpathWire(r *HotpathResult) {
 			panic(err)
 		}
 	})
-	w.MarshalInsertAllocs = testing.AllocsPerRun(2000, func() {
-		wire.Marshal(insert)
+	w.MarshalDirBatchAllocs = testing.AllocsPerRun(2000, func() {
+		wire.Marshal(batch)
 	})
 }

@@ -438,7 +438,6 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 		mutate: func(i int, cfg *core.Config) {
 			cfg.Inval = true
 			cfg.SWR = true
-			cfg.SWRWindow = 2 * time.Second
 			cfg.Cacheability = rwPolicy()
 		},
 	})

@@ -184,9 +184,6 @@ func (f *FaultFS) Remove(path string) error {
 	return f.inner.Remove(path)
 }
 
-// RemoveAll implements FS.
-func (f *FaultFS) RemoveAll(path string) error { return f.inner.RemoveAll(path) }
-
 // SyncDir implements FS.
 func (f *FaultFS) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
 

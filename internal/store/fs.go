@@ -24,8 +24,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes path.
 	Remove(path string) error
-	// RemoveAll deletes path recursively.
-	RemoveAll(path string) error
 	// OpenRead opens path for random-access reads. The handle reads the file
 	// itself, not a snapshot: bytes appended after the open are visible.
 	OpenRead(path string) (ReaderAtCloser, error)
@@ -70,9 +68,6 @@ func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 
 // Remove implements FS.
 func (OSFS) Remove(path string) error { return os.Remove(path) }
-
-// RemoveAll implements FS.
-func (OSFS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // OpenRead implements FS.
 func (OSFS) OpenRead(path string) (ReaderAtCloser, error) { return os.Open(path) }

@@ -177,6 +177,17 @@ func parseSegmentFileName(name string) (int64, bool) {
 	return n, true
 }
 
+// isSegmentTmp reports whether name is a segment's truncation scratch file
+// (truncateSegment's seg-N.log.tmp).
+func isSegmentTmp(name string) bool {
+	seg, ok := strings.CutSuffix(name, ".tmp")
+	if !ok {
+		return false
+	}
+	_, ok = parseSegmentFileName(seg)
+	return ok
+}
+
 func (l *Log) segmentPath(seq int64) string {
 	return filepath.Join(l.dir, segmentFileName(seq))
 }
@@ -195,7 +206,7 @@ func (l *Log) recover() (*RecoveryReport, error) {
 			continue
 		}
 		full := filepath.Join(l.dir, name)
-		if strings.HasSuffix(name, ".tmp") {
+		if isSegmentTmp(name) {
 			// A truncation that never reached its rename: the original file
 			// is still in place, so the debris just goes.
 			l.fs.Remove(full)
@@ -897,8 +908,28 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// Destroy closes the store and removes its directory and every file in it.
+// Destroy closes the store and removes its segments and their truncation
+// scratch files, then the directory if that leaves it empty. Files the log
+// did not create stay.
 func (l *Log) Destroy() error {
 	l.Close()
-	return l.fs.RemoveAll(l.dir)
+	listing, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return fmt.Errorf("store: scanning %s: %w", l.dir, err)
+	}
+	kept := 0
+	for _, de := range listing {
+		_, seg := parseSegmentFileName(de.Name())
+		if de.IsDir() || !(seg || isSegmentTmp(de.Name())) {
+			kept++
+			continue
+		}
+		if err := l.fs.Remove(filepath.Join(l.dir, de.Name())); err != nil {
+			return err
+		}
+	}
+	if kept > 0 {
+		return nil
+	}
+	return l.fs.Remove(l.dir)
 }

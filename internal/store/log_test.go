@@ -257,6 +257,48 @@ func TestLogEmptyTrailingSegment(t *testing.T) {
 	t.Fatalf("no segment above 99 after append; segments = %v", segs)
 }
 
+// TestLogLeavesForeignFiles: the log only ever removes the files it creates.
+// Recovery sweeps a segment's .tmp but no other .tmp, and Destroy removes
+// segments but keeps other files and so the directory.
+func TestLogLeavesForeignFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	l, _, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("OpenLog: %v", err)
+	}
+	l.Put("k", "t/t", []byte("v"))
+	l.Close()
+	foreign := []string{"notes.txt", "x.tmp"}
+	for _, name := range append(foreign, segmentFileName(7)+".tmp") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2, rep, err := OpenLog(dir, testLogOptions(nil))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if len(rep.Recovered) != 1 || rep.OrphansSwept != 1 {
+		t.Fatalf("Recovered = %d, OrphansSwept = %d; want 1 (k), 1 (seg-7.log.tmp)", len(rep.Recovered), rep.OrphansSwept)
+	}
+	keeps := func(when string) {
+		t.Helper()
+		for _, name := range foreign {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Fatalf("%s removed %s: %v", when, name, err)
+			}
+		}
+	}
+	keeps("recovery")
+	if err := l2.Destroy(); err != nil {
+		t.Fatalf("Destroy: %v", err)
+	}
+	keeps("Destroy")
+	if segs := segmentFiles(t, dir); len(segs) != 0 {
+		t.Fatalf("segments left after Destroy: %v", segs)
+	}
+}
+
 // TestLogDuplicateKeyAcrossSegments: with one key written into several
 // segments (rotation between overwrites), recovery must keep the newest.
 func TestLogDuplicateKeyAcrossSegments(t *testing.T) {

@@ -7,19 +7,19 @@ import (
 	"time"
 )
 
-func BenchmarkMarshalInsert(b *testing.B) {
-	m := &Insert{Owner: 3, Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
-		ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)}
+// insertBatch is one insert update in the DirBatch frame that carries it.
+var insertBatch = oneUpdate(DirUpdate{Owner: 3, Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
+	ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)})
+
+func BenchmarkMarshalDirBatch1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Marshal(m)
+		Marshal(insertBatch)
 	}
 }
 
-func BenchmarkUnmarshalInsert(b *testing.B) {
-	frame := Marshal(&Insert{Owner: 3, Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
-		ExecTime: 1500 * time.Millisecond})
-	payload := frame[4:]
+func BenchmarkUnmarshalDirBatch1(b *testing.B) {
+	payload := Marshal(insertBatch)[4:]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(payload); err != nil {
@@ -28,14 +28,12 @@ func BenchmarkUnmarshalInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteMessageInsert measures the wire write path the broadcast
+// BenchmarkWriteMessageDirBatch1 measures the wire write path the broadcast
 // hot loop uses: with the pooled encoder it should be alloc-free.
-func BenchmarkWriteMessageInsert(b *testing.B) {
-	m := &Insert{Owner: 3, Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
-		ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)}
+func BenchmarkWriteMessageDirBatch1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := WriteMessage(io.Discard, m); err != nil {
+		if err := WriteMessage(io.Discard, insertBatch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,8 +12,8 @@ func FuzzUnmarshal(f *testing.F) {
 	// Seed with every valid message type plus mutations.
 	msgs := []Message{
 		&Hello{NodeID: 1, NodeName: "n", Addr: "a:1"},
-		&Insert{Owner: 2, Key: "GET /q?a=1", Size: 100, ExecTime: time.Second, Expires: time.Unix(5, 0)},
-		&Delete{Owner: 3, Key: "GET /x"},
+		oneUpdate(DirUpdate{Owner: 2, Key: "GET /q?a=1", Size: 100, ExecTime: time.Second, Expires: time.Unix(5, 0)}),
+		oneUpdate(DirUpdate{Delete: true, Owner: 3, Key: "GET /x"}),
 		&Fetch{Seq: 4, Key: "GET /y"},
 		&FetchReply{Seq: 4, OK: true, ContentType: "text/html", Body: []byte("body")},
 		&Ping{Seq: 9},

@@ -49,7 +49,7 @@ func TestLeaseFetchReplyKeepsFrameUntilRelease(t *testing.T) {
 			t.Fatalf("ContentType = %q, want %q", got, ct)
 		}
 		other.(*FetchReply).Release()
-		if _, err := ReadMessage(bytes.NewReader(Marshal(&Insert{Owner: 1, Key: "GET /k"}))); err != nil {
+		if _, err := ReadMessage(bytes.NewReader(Marshal(oneUpdate(DirUpdate{Owner: 1, Key: "GET /k"})))); err != nil {
 			t.Fatal(err)
 		}
 	}

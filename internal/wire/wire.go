@@ -34,10 +34,10 @@ type MsgType uint8
 const (
 	// MsgHello announces a node's identity when a peer link is opened.
 	MsgHello MsgType = iota + 1
-	// MsgInsert broadcasts a new cache directory entry.
-	MsgInsert
-	// MsgDelete broadcasts removal of a cache directory entry.
-	MsgDelete
+	// Types 2 and 3 are reserved (retired per-update insert and delete
+	// broadcasts) so that every later type keeps its number on the wire.
+	_
+	_
 	// MsgFetch requests the body of a cached entry from its owner.
 	MsgFetch
 	// MsgFetchReply carries a fetched cache body (or a miss indication).
@@ -96,10 +96,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "hello"
-	case MsgInsert:
-		return "insert"
-	case MsgDelete:
-		return "delete"
 	case MsgFetch:
 		return "fetch"
 	case MsgFetchReply:
@@ -199,33 +195,6 @@ type Hello struct {
 
 // Type implements Message.
 func (*Hello) Type() MsgType { return MsgHello }
-
-// Insert broadcasts a newly cached entry's meta-data to all peers.
-type Insert struct {
-	// Owner is the node that holds the cached body.
-	Owner uint32
-	// Key canonically identifies the request whose result was cached.
-	Key string
-	// Size is the body size in bytes.
-	Size int64
-	// ExecTime is how long the CGI took to produce the result.
-	ExecTime time.Duration
-	// Expires is the absolute expiry time (TTL already applied); zero means
-	// no expiry.
-	Expires time.Time
-}
-
-// Type implements Message.
-func (*Insert) Type() MsgType { return MsgInsert }
-
-// Delete broadcasts removal of a cached entry (eviction or expiry).
-type Delete struct {
-	Owner uint32
-	Key   string
-}
-
-// Type implements Message.
-func (*Delete) Type() MsgType { return MsgDelete }
 
 // Fetch flag bits (ring placement).
 const (
@@ -481,8 +450,8 @@ func (*StatsReply) Type() MsgType { return MsgStatsReply }
 
 // Invalidate asks the receiver to drop its own cached entries whose key
 // matches Pattern ('*' wildcards, cacheability.Match semantics). Each node
-// deletes only entries it owns; the resulting per-entry Delete broadcasts
-// keep the replicated directories converging.
+// deletes only entries it owns; the resulting directory delete updates keep
+// the replicated directories converging.
 type Invalidate struct {
 	// Origin is the node (or administrative client) that issued the
 	// invalidation.
@@ -525,7 +494,7 @@ type InvalAck struct {
 func (*InvalAck) Type() MsgType { return MsgInvalAck }
 
 // DirUpdate is one directory mutation inside a DirBatch or DirSync frame:
-// an Insert (Delete false) or a Delete (Delete true, meta fields unused).
+// an insert (Delete false) or a delete (Delete true, meta fields unused).
 type DirUpdate struct {
 	Delete   bool
 	Owner    uint32
@@ -795,34 +764,6 @@ func (m *Hello) decode(d *decoder) error {
 	m.Addr = d.str()
 	m.ProtoVersion = d.u32()
 	m.Placement = d.u8()
-	return d.finish()
-}
-
-func (m *Insert) encode(e *encoder) {
-	e.u32(m.Owner)
-	e.str(m.Key)
-	e.i64(m.Size)
-	e.i64(int64(m.ExecTime))
-	e.timeVal(m.Expires)
-}
-
-func (m *Insert) decode(d *decoder) error {
-	m.Owner = d.u32()
-	m.Key = d.str()
-	m.Size = d.i64()
-	m.ExecTime = time.Duration(d.i64())
-	m.Expires = d.timeVal()
-	return d.finish()
-}
-
-func (m *Delete) encode(e *encoder) {
-	e.u32(m.Owner)
-	e.str(m.Key)
-}
-
-func (m *Delete) decode(d *decoder) error {
-	m.Owner = d.u32()
-	m.Key = d.str()
 	return d.finish()
 }
 
@@ -1402,10 +1343,6 @@ func unmarshal(t MsgType, d *decoder) (Message, error) {
 	switch t {
 	case MsgHello:
 		m = &Hello{}
-	case MsgInsert:
-		m = &Insert{}
-	case MsgDelete:
-		m = &Delete{}
 	case MsgFetch:
 		m = &Fetch{}
 	case MsgFetchReply:

@@ -29,16 +29,21 @@ func TestRoundTripHello(t *testing.T) {
 	}
 }
 
+// oneUpdate wraps u in a DirBatch, the frame every directory update rides.
+func oneUpdate(u DirUpdate) *DirBatch {
+	return &DirBatch{Owner: u.Owner, Version: 1, Updates: []DirUpdate{u}}
+}
+
 func TestRoundTripInsert(t *testing.T) {
-	in := &Insert{
+	in := DirUpdate{
 		Owner:    3,
 		Key:      "GET /cgi-bin/query?zoom=3",
 		Size:     4096,
 		ExecTime: 1500 * time.Millisecond,
 		Expires:  time.Unix(12345, 67890),
 	}
-	got := roundTrip(t, in).(*Insert)
-	if got.Owner != in.Owner || got.Key != in.Key || got.Size != in.Size || got.ExecTime != in.ExecTime {
+	got := roundTrip(t, oneUpdate(in)).(*DirBatch).Updates[0]
+	if got.Delete || got.Owner != in.Owner || got.Key != in.Key || got.Size != in.Size || got.ExecTime != in.ExecTime {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 	if !got.Expires.Equal(in.Expires) {
@@ -47,16 +52,15 @@ func TestRoundTripInsert(t *testing.T) {
 }
 
 func TestRoundTripInsertZeroExpiry(t *testing.T) {
-	in := &Insert{Owner: 1, Key: "k"}
-	got := roundTrip(t, in).(*Insert)
+	got := roundTrip(t, oneUpdate(DirUpdate{Owner: 1, Key: "k"})).(*DirBatch).Updates[0]
 	if !got.Expires.IsZero() {
 		t.Fatalf("zero expiry did not survive round trip: %v", got.Expires)
 	}
 }
 
 func TestRoundTripDelete(t *testing.T) {
-	in := &Delete{Owner: 2, Key: "GET /a?b=c"}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
+	in := DirUpdate{Delete: true, Owner: 2, Key: "GET /a?b=c"}
+	if got := roundTrip(t, oneUpdate(in)).(*DirBatch).Updates[0]; !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 }
@@ -349,7 +353,7 @@ func TestUnmarshalEmpty(t *testing.T) {
 }
 
 func TestUnmarshalTruncated(t *testing.T) {
-	frame := Marshal(&Insert{Owner: 1, Key: "abcdefgh", Size: 10})
+	frame := Marshal(oneUpdate(DirUpdate{Owner: 1, Key: "abcdefgh", Size: 10}))
 	payload := frame[4:]
 	for cut := 1; cut < len(payload); cut++ {
 		if _, err := Unmarshal(payload[:cut]); err == nil {
@@ -401,8 +405,8 @@ func TestConnStream(t *testing.T) {
 	conn := NewConn(&buf)
 	msgs := []Message{
 		&Hello{NodeID: 1, NodeName: "a", Addr: "x"},
-		&Insert{Owner: 1, Key: "GET /q", Size: 7, ExecTime: time.Second},
-		&Delete{Owner: 1, Key: "GET /q"},
+		oneUpdate(DirUpdate{Owner: 1, Key: "GET /q", Size: 7, ExecTime: time.Second}),
+		oneUpdate(DirUpdate{Delete: true, Owner: 1, Key: "GET /q"}),
 		&Ping{Seq: 42},
 	}
 	for _, m := range msgs {
@@ -426,13 +430,17 @@ func TestConnStream(t *testing.T) {
 
 func TestInsertRoundTripProperty(t *testing.T) {
 	f := func(owner uint32, key string, size int64, exec int64) bool {
-		in := &Insert{Owner: owner, Key: key, Size: size, ExecTime: time.Duration(exec)}
-		got, err := ReadMessage(bytes.NewReader(Marshal(in)))
+		in := DirUpdate{Owner: owner, Key: key, Size: size, ExecTime: time.Duration(exec)}
+		got, err := ReadMessage(bytes.NewReader(Marshal(oneUpdate(in))))
 		if err != nil {
 			return false
 		}
-		out, ok := got.(*Insert)
-		return ok && out.Owner == in.Owner && out.Key == in.Key &&
+		b, ok := got.(*DirBatch)
+		if !ok || len(b.Updates) != 1 {
+			return false
+		}
+		out := b.Updates[0]
+		return !out.Delete && out.Owner == in.Owner && out.Key == in.Key &&
 			out.Size == in.Size && out.ExecTime == in.ExecTime && out.Expires.IsZero()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -461,8 +469,6 @@ func TestFetchReplyRoundTripProperty(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	cases := map[MsgType]string{
 		MsgHello:      "hello",
-		MsgInsert:     "insert",
-		MsgDelete:     "delete",
 		MsgFetch:      "fetch",
 		MsgFetchReply: "fetch-reply",
 		MsgPing:       "ping",
