@@ -1,21 +1,29 @@
 // Command benchsuite regenerates every table and figure of the paper's
 // evaluation and prints them side by side with the published shape targets.
+// It also runs the schedules beyond the paper (fault injection, crash
+// recovery, scale-out, ...), each of which checks acceptance gates.
 //
 // Usage:
 //
-//	benchsuite                 # run everything at full size
+//	benchsuite                 # every paper experiment at full size
 //	benchsuite -quick          # reduced sizes (seconds instead of minutes)
 //	benchsuite -run table1,figure4
 //	benchsuite -scale 2ms      # 1 paper-second = 2 ms measured
+//	benchsuite -run faults -json BENCH_faults.json -quick
+//
+// A schedule runs only when -run names it. With -json its result is written
+// as JSON, and the command exits non-zero when any of its gates failed.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -23,6 +31,7 @@ import (
 	"repro/internal/timescale"
 )
 
+// experiment is one row of the suite or schedules table.
 type experiment struct {
 	name string
 	desc string
@@ -32,7 +41,16 @@ type experiment struct {
 	// scheduling noise; structural experiments (hit counts, large ratios)
 	// use a compressed one to run fast.
 	scale time.Duration
-	run   func(experiments.Options) (string, error)
+	run   func(experiments.Options) (report, error)
+}
+
+// report is what one run produced: its text rendering (called only after the
+// run succeeded) and, for a schedule, the result to write as JSON and the
+// names of the gates that failed.
+type report struct {
+	render func() string
+	result any
+	failed []string
 }
 
 const (
@@ -40,183 +58,114 @@ const (
 	structuralScale = 2500 * time.Microsecond
 )
 
+// suite is the paper's evaluation; it runs by default.
 var suite = []experiment{
-	{"table1", "access-log analysis: potential saving from caching CGI", structuralScale, func(o experiments.Options) (string, error) {
-		return experiments.RunTable1(o).Render(), nil
+	{"table1", "access-log analysis: potential saving from caching CGI", structuralScale, func(o experiments.Options) (report, error) {
+		return report{render: experiments.RunTable1(o).Render}, nil
 	}},
-	{"table2", "file-fetch response time vs clients (HTTPd, Enterprise, Swala)", latencyScale, func(o experiments.Options) (string, error) {
+	{"table2", "file-fetch response time vs clients (HTTPd, Enterprise, Swala)", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunTable2(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"figure3", "null-CGI response time across five configurations", latencyScale, func(o experiments.Options) (string, error) {
+	{"figure3", "null-CGI response time across five configurations", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunFigure3(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"figure4", "multi-node response time with and without cooperative caching", structuralScale, func(o experiments.Options) (string, error) {
+	{"figure4", "multi-node response time with and without cooperative caching", structuralScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunFigure4(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"table3", "insert + broadcast overhead", latencyScale, func(o experiments.Options) (string, error) {
+	{"table3", "insert + broadcast overhead", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunTable3(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"table4", "replicated directory maintenance overhead", latencyScale, func(o experiments.Options) (string, error) {
+	{"table4", "replicated directory maintenance overhead", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunTable4(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"table5", "hit ratios, cache size 2000", structuralScale, func(o experiments.Options) (string, error) {
+	{"table5", "hit ratios, cache size 2000", structuralScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunHitRatio(o, 2000)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"table6", "hit ratios, cache size 20", structuralScale, func(o experiments.Options) (string, error) {
+	{"table6", "hit ratios, cache size 20", structuralScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunHitRatio(o, 20)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"policies", "ablation: the five replacement policies", structuralScale, func(o experiments.Options) (string, error) {
+	{"policies", "ablation: the five replacement policies", structuralScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunPolicyAblation(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
 	}},
-	{"latency", "sensitivity: cooperative caching vs inter-node latency", latencyScale, func(o experiments.Options) (string, error) {
+	{"latency", "sensitivity: cooperative caching vs inter-node latency", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunLatencySweep(o)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+		return report{render: r.Render}, err
+	}},
+}
+
+// schedules go beyond the paper; each runs only when -run names it and
+// fails the command when one of its acceptance gates does not hold.
+var schedules = []experiment{
+	{"faults", "hang / partition / rejoin on 8 nodes, failure detector vs reactive fallback", timescale.DefaultScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunFaults(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"crash", "log-store crash recovery: kill mid-write, damaged records, warm restart", timescale.DefaultScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunCrash(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"scaleout", "live 8->12 ring join and graceful leave under load vs the replicated directory", timescale.DefaultScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunScaleout(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"replication", "viral key on an 8-node ring with and without -replicate-hot", latencyScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunReplication(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"invalidation", "invalidation coherence: rw mix, replica retire, partition heal, SWR storm", structuralScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunInvalidation(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"grayfault", "slow peer with hedging and breakers, flash crowd with shedding", latencyScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunGrayFault(o)
+		return report{r.Render, r, r.Failed()}, err
+	}},
+	{"multicore", "GOMAXPROCS sweep: closed-loop capacity, open-loop tail latency", timescale.DefaultScale, func(o experiments.Options) (report, error) {
+		r, err := experiments.RunMulticore(o)
+		return report{r.Render, r, r.Failed()}, err
 	}},
 }
 
 func main() {
 	var (
-		runFlag    = flag.String("run", "", "comma-separated experiment list (default: all)")
-		quick      = flag.Bool("quick", false, "reduced request counts and sweeps")
-		scaleFlag  = flag.Duration("scale", 0, "measured duration of one paper second (0 = per-experiment default)")
-		seed       = flag.Int64("seed", 1998, "workload seed")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		hotpath    = flag.String("hotpath", "", "run the hot-path optimisation comparison and write JSON to this file instead of the paper suite")
-		pipeline   = flag.String("pipeline", "", "run the fetch-pipeline overhead comparison and write JSON to this file instead of the paper suite")
-		faults     = flag.String("faults", "", "run the fault-injection schedule (hang/partition/rejoin) and write JSON to this file instead of the paper suite")
-		crash      = flag.String("crash", "", "run the crash-recovery experiment on the log store (kill mid-write, corrupt records, warm restart) and write JSON to this file instead of the paper suite")
-		multicore  = flag.String("multicore", "", "run the GOMAXPROCS scaling sweep (closed-loop capacity + open-loop tail latency) and write JSON to this file instead of the paper suite")
-		scaleout   = flag.String("scaleout", "", "run the scale-out experiment (live 8->12 ring join and graceful leave under load vs the replicated directory) and write JSON to this file instead of the paper suite")
-		replicat   = flag.String("replication", "", "run the adaptive hot-entry replication experiment (viral key on an 8-node ring with and without -replicate-hot) and write JSON to this file instead of the paper suite")
-		inval      = flag.String("invalidation", "", "run the dependency-based invalidation coherence experiment (rw mix, replica retire, partition heal, SWR storm) and write JSON to this file instead of the paper suite")
-		grayfault  = flag.String("grayfault", "", "run the gray-failure & overload resilience schedule (slow peer with hedging/breakers, flash crowd with shedding) and write JSON to this file instead of the paper suite")
-		gomaxprocs = flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS before running (0 = inherit), so the recorded meta value is controlled")
+		runFlag   = flag.String("run", "", "comma-separated paper experiments and schedules (default: every paper experiment)")
+		quick     = flag.Bool("quick", false, "reduced request counts and sweeps")
+		scaleFlag = flag.Duration("scale", 0, "measured duration of one paper second (0 = per-experiment default)")
+		seed      = flag.Int64("seed", 1998, "workload seed")
+		list      = flag.Bool("list", false, "list paper experiments and schedules and exit")
+		jsonPath  = flag.String("json", "", "write the result of the one schedule -run names to this file")
 	)
 	flag.Parse()
 
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
-
 	if *list {
+		fmt.Println("paper experiments (run by default):")
 		for _, e := range suite {
-			fmt.Printf("  %-8s  %s\n", e.name, e.desc)
+			fmt.Printf("  %-12s  %s\n", e.name, e.desc)
+		}
+		fmt.Println("schedules (run only when named):")
+		for _, e := range schedules {
+			fmt.Printf("  %-12s  %s\n", e.name, e.desc)
 		}
 		return
 	}
 
-	if *hotpath != "" {
-		if err := runHotpath(*hotpath, *quick, *seed); err != nil {
-			log.Fatalf("hotpath failed: %v", err)
-		}
-		return
-	}
-
-	if *pipeline != "" {
-		if err := runPipeline(*pipeline, *quick, *seed); err != nil {
-			log.Fatalf("pipeline failed: %v", err)
-		}
-		return
-	}
-
-	if *faults != "" {
-		if err := runFaults(*faults, *quick, *seed); err != nil {
-			log.Fatalf("faults failed: %v", err)
-		}
-		return
-	}
-
-	if *crash != "" {
-		if err := runCrash(*crash, *quick, *seed); err != nil {
-			log.Fatalf("crash failed: %v", err)
-		}
-		return
-	}
-
-	if *multicore != "" {
-		if err := runMulticore(*multicore, *quick, *seed); err != nil {
-			log.Fatalf("multicore failed: %v", err)
-		}
-		return
-	}
-
-	if *scaleout != "" {
-		if err := runScaleout(*scaleout, *quick, *seed); err != nil {
-			log.Fatalf("scaleout failed: %v", err)
-		}
-		return
-	}
-
-	if *replicat != "" {
-		if err := runReplication(*replicat, *quick, *seed); err != nil {
-			log.Fatalf("replication failed: %v", err)
-		}
-		return
-	}
-
-	if *inval != "" {
-		if err := runInvalidation(*inval, *quick, *seed); err != nil {
-			log.Fatalf("invalidation failed: %v", err)
-		}
-		return
-	}
-
-	if *grayfault != "" {
-		if err := runGrayFault(*grayfault, *quick, *seed); err != nil {
-			log.Fatalf("grayfault failed: %v", err)
-		}
-		return
-	}
-
-	want := map[string]bool{}
-	if *runFlag != "" {
-		for _, n := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
+	runs, err := selectRuns(*runFlag, *jsonPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchsuite: %v\n", err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("Swala evaluation suite — quick=%v, seed=%d\n\n", *quick, *seed)
-
 	failed := false
-	for _, e := range suite {
-		if len(want) > 0 && !want[e.name] {
-			continue
-		}
+	for _, e := range runs {
 		scale := e.scale
 		if *scaleFlag > 0 {
 			scale = *scaleFlag
@@ -226,294 +175,84 @@ func main() {
 			Seed:  *seed,
 			Scale: timescale.Scale{PerSecond: scale},
 		}
-		fmt.Printf("=== %s: %s (%s) ===\n", e.name, e.desc, opts.Scale)
-		start := time.Now()
-		out, err := e.run(opts)
-		if err != nil {
-			log.Printf("%s failed: %v", e.name, err)
+		if !runOne(os.Stdout, e, opts, *jsonPath) {
 			failed = true
-			continue
 		}
-		fmt.Print(out)
-		fmt.Printf("(%s in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-// runHotpath measures the beyond-the-paper hot-path optimisations
-// (miss coalescing, striped directory locks, pooled wire buffers) and writes
-// a machine-readable JSON report so successive changes can be compared
-// against it.
-func runHotpath(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala hot-path comparison — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunHotpath(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
+// selectRuns resolves -run into the runs to make, paper experiments first:
+// every paper experiment when names is empty, else exactly the named ones.
+// An unknown name is an error, and so is -json unless exactly one schedule
+// is selected.
+func selectRuns(names, jsonPath string) ([]experiment, error) {
+	papers, scheds := suite, []experiment(nil)
+	if names != "" {
+		want := map[string]bool{}
+		for _, n := range strings.Split(names, ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				want[n] = true
+			}
+		}
+		take := func(table []experiment) (out []experiment) {
+			for _, e := range table {
+				if want[e.name] {
+					out = append(out, e)
+					delete(want, e.name)
+				}
+			}
+			return out
+		}
+		papers, scheds = take(suite), take(schedules)
+		if len(want) > 0 {
+			var unknown, valid []string
+			for n := range want {
+				unknown = append(unknown, n)
+			}
+			sort.Strings(unknown)
+			for _, e := range append(append([]experiment{}, suite...), schedules...) {
+				valid = append(valid, e.name)
+			}
+			return nil, fmt.Errorf("unknown -run name %s (valid: %s)",
+				strings.Join(unknown, ", "), strings.Join(valid, ", "))
+		}
 	}
-	fmt.Print(r.Render())
-	fmt.Printf("(hotpath in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	if jsonPath != "" && len(scheds) != 1 {
+		return nil, errors.New("-json needs -run to name exactly one schedule")
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return append(papers, scheds...), nil
 }
 
-// runFaults measures hit ratio and request latency through a hang /
-// partition / rejoin schedule on an 8-node group with the failure detector
-// on, against the paper's reactive-only fallback, and writes a
-// machine-readable JSON report. The headline criteria: requests mapping to a
-// dead node's entries cost within 2x the ordinary miss path (vs a full
-// FetchTimeout without the detector), and the hit ratio recovers to within
-// one point of the clean baseline after rejoin and resync.
-func runFaults(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala fault-injection schedule — quick=%v, seed=%d\n\n", quick, seed)
+// runOne runs e and prints its report. A schedule's result is written to
+// jsonPath when that is set, and its failed gates are named. runOne reports
+// whether the run completed with every gate holding.
+func runOne(w io.Writer, e experiment, o experiments.Options, jsonPath string) bool {
+	fmt.Fprintf(w, "=== %s: %s (%s) ===\n", e.name, e.desc, o.Scale)
 	start := time.Now()
-	r, err := experiments.RunFaults(experiments.Options{Quick: quick, Seed: seed})
+	rep, err := e.run(o)
 	if err != nil {
-		return err
+		log.Printf("%s failed: %v", e.name, err)
+		return false
 	}
-	fmt.Print(r.Render())
-	fmt.Printf("(faults in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	fmt.Fprint(w, rep.render())
+	fmt.Fprintf(w, "(%s in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
+	if rep.result != nil && jsonPath != "" {
+		buf, err := json.MarshalIndent(rep.result, "", "  ")
+		if err == nil {
+			err = os.WriteFile(jsonPath, append(buf, '\n'), 0o644)
+		}
+		if err != nil {
+			log.Printf("%s: writing %s: %v", e.name, jsonPath, err)
+			return false
+		}
+		fmt.Fprintf(w, "wrote %s\n", jsonPath)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
+	if len(rep.failed) > 0 {
+		log.Printf("%s: acceptance gates failed: %s", e.name, strings.Join(rep.failed, ", "))
+		return false
 	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runScaleout measures the ring-placement membership machinery end to end: a
-// replicated-directory baseline at 8 nodes, ring steady state, a live join of
-// 4 nodes under hot-set load (hit-ratio dip, recovery time, rebalance
-// traffic), the grown ring's flat per-node directory footprint, and a
-// graceful leave that hands every cached entry off before departing.
-func runScaleout(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala scale-out schedule — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunScaleout(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(scaleout in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// runReplication measures adaptive hot-entry replication: a single viral key
-// on an 8-node ring, single-owner vs -replicate-hot. The headline criteria:
-// the hottest node's share of peer-routed serves drops to at most 60% of the
-// single-owner baseline, hotset p99 is no worse, and the replicas retire on
-// their own after the hotspot moves to a fresh key range.
-func runReplication(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala adaptive-replication experiment — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunReplication(experiments.Options{
-		Quick: quick, Seed: seed,
-		Scale: timescale.Scale{PerSecond: latencyScale},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(replication in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if !r.GatesPassed() {
-		return fmt.Errorf("acceptance gates failed: spread=%v tail=%v retire=%v",
-			r.SpreadGate, r.TailGate, r.RetireGate)
-	}
-	return nil
-}
-
-// runGrayFault measures gray-failure and overload resilience: a peer whose
-// cluster writes are delayed just under the probe timeout (hedged fetches +
-// breakers recover the hot-set p99; without them every request pays the
-// delay), and a 3x-capacity flash crowd against a single node (shedding
-// keeps goodput near capacity; without it the queue outlives the request
-// timeout and goodput collapses). The gates: converged slow-peer p99 within
-// 2x the healthy baseline, overload goodput with shedding at least 80% of
-// measured capacity, the hedge retry budget never exceeded on any node, and
-// the default-off configuration exposing no resilience surface.
-func runGrayFault(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala gray-failure & overload schedule — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunGrayFault(experiments.Options{
-		Quick: quick, Seed: seed,
-		Scale: timescale.Scale{PerSecond: latencyScale},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(grayfault in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if !r.GatesPassed() {
-		return fmt.Errorf("acceptance gates failed: p99within2x=%v budget=%v goodput=%v defaultoff=%v",
-			r.SlowOn.Within2x, r.Budget.Respected, r.Overload.ShedOn.GoodputOK, r.DefaultOff.Passed)
-	}
-	return nil
-}
-
-// runInvalidation measures dependency-based invalidation: a read-write mix
-// whose writes originate versioned invalidation waves. The headline criteria:
-// after wave quiescence zero stale bodies are served anywhere (byte-compared
-// on every node, including with replica holders in play and across a
-// partition heal), and stale-while-revalidate keeps read p50 within 2x of
-// steady state through a write storm.
-func runInvalidation(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala invalidation-coherence experiment — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunInvalidation(experiments.Options{
-		Quick: quick, Seed: seed,
-		Scale: timescale.Scale{PerSecond: structuralScale},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(invalidation in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if !r.GatesPassed() {
-		return fmt.Errorf("acceptance gates failed: coherence=%v replica=%v partition=%v swr=%v",
-			r.CoherenceGate, r.ReplicaGate, r.PartitionGate, r.SWRGate)
-	}
-	return nil
-}
-
-// runCrash measures log-store crash recovery: a stand-alone node fills its
-// disk cache, dies mid-append, has records damaged while down, and restarts
-// over the same directory. The headline criteria: every completed entry is
-// recovered and every damaged one quarantined, the warm-restart hit ratio is
-// strictly above the cold baseline, and zero corrupt bodies are ever served.
-func runCrash(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala crash-recovery experiment — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunCrash(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(crash in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if !r.AllCompletedRecovered || !r.AllDamagedQuarantined || !r.ZeroCorruptServed || !r.WarmAboveCold {
-		return fmt.Errorf("acceptance gates failed: completed-recovered=%v damaged-quarantined=%v zero-corrupt-served=%v warm-above-cold=%v",
-			r.AllCompletedRecovered, r.AllDamagedQuarantined, r.ZeroCorruptServed, r.WarmAboveCold)
-	}
-	return nil
-}
-
-// runMulticore sweeps GOMAXPROCS 1→N over the warm hot-set workload
-// (closed-loop capacity, then open-loop Poisson arrivals at ~70% of it for
-// honest p99/p999) and writes a machine-readable JSON report. The
-// >=2x-at-4-cores gate is enforced only on hosts with at least 4 CPUs;
-// smaller hosts record the curve unchecked.
-func runMulticore(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala multicore scaling sweep — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunMulticore(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(multicore in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	if r.GateChecked && !r.GatePassed {
-		return fmt.Errorf("scaling gate failed: %.2fx at 4 procs, want >= 2x", r.ScalingAt4)
-	}
-	return nil
-}
-
-// runPipeline measures the layered fetch chain against a hand-inlined
-// equivalent of the pre-refactor request path (local-hit and remote-hit
-// shapes) and writes a machine-readable JSON report; the chain's budget is
-// to stay within 5% of the inline path.
-func runPipeline(path string, quick bool, seed int64) error {
-	fmt.Printf("Swala fetch-pipeline comparison — quick=%v, seed=%d\n\n", quick, seed)
-	start := time.Now()
-	r, err := experiments.RunPipeline(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(r.Render())
-	fmt.Printf("(pipeline in %v)\n", time.Since(start).Round(time.Millisecond))
-
-	buf, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return true
 }

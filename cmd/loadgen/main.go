@@ -80,7 +80,7 @@ func main() {
 		// Read-write mix: cacheable reads of /cgi-bin/report plus writes to
 		// /cgi-bin/update that mutate the shared resource. With swalad -inval
 		// the writes originate invalidation waves; the coherence experiment
-		// (benchsuite -invalidation) runs this mix with byte-compared reads.
+		// (benchsuite -run invalidation) runs this mix with byte-compared reads.
 		src = workload.RWMixSource(addrs, *hotKeys, *requests, *cost, *writeFrac, *seed)
 	case "":
 		src = workload.RepeatSource(addrs, *uri, *requests)

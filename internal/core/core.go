@@ -543,14 +543,8 @@ func (s *Server) Store() store.Store { return s.store }
 // Cluster exposes the cluster node (for tools and experiments).
 func (s *Server) Cluster() *cluster.Node { return s.clu }
 
-// CPU exposes the simulated CPU node (for tools and experiments).
-func (s *Server) CPU() *cpu.Node { return s.node }
-
 // Clock exposes the server's clock (for tools and experiments).
 func (s *Server) Clock() clock.Clock { return s.clk }
-
-// Mode reports the server's caching mode.
-func (s *Server) Mode() Mode { return s.cfg.Mode }
 
 // Start listens for HTTP on httpAddr and for cluster/control traffic on
 // clusterAddr, and starts the purge daemon. The cluster endpoint is started

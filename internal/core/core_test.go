@@ -63,11 +63,11 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) *harness
 		t.Cleanup(func() { s.Close() })
 	}
 	for i := 0; i < n; i++ {
-		if h.servers[i].Mode() != Cooperative {
+		if h.servers[i].cfg.Mode != Cooperative {
 			continue
 		}
 		for j := 0; j < n; j++ {
-			if i == j || h.servers[j].Mode() != Cooperative {
+			if i == j || h.servers[j].cfg.Mode != Cooperative {
 				continue
 			}
 			if err := h.servers[i].ConnectPeer(uint32(j+1), fmt.Sprintf("clu-%d", j+1)); err != nil {

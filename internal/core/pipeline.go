@@ -28,7 +28,8 @@ import (
 //
 // The chain's observable semantics — counters, response headers, broadcast
 // traffic — are identical to the pre-refactor inline path when no deadline
-// or cancellation fires (benchsuite -pipeline holds the mechanism to that).
+// or cancellation fires; the bench/ ledger records the chain's own cost as
+// fetchpipe.chain_ns and the glue around it as core.glue_ns.
 
 // errCGIFailed marks origin-stage execution failures; the response layer
 // maps it to the 502 the inline path produced.

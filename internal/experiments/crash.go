@@ -15,7 +15,7 @@ import (
 )
 
 // CrashResult is the machine-readable outcome of the crash-recovery
-// experiment (benchsuite -crash): a stand-alone node fills its log store,
+// experiment (benchsuite -run crash): a stand-alone node fills its log store,
 // dies mid-write (a torn segment append), has three of its completed records
 // damaged while it is down, and restarts over the same directory. The
 // headline numbers are the warm-restart hit ratio against the cold baseline
@@ -65,6 +65,16 @@ type CrashResult struct {
 	AllDamagedQuarantined bool `json:"all_damaged_quarantined"`
 	ZeroCorruptServed     bool `json:"zero_corrupt_served"`
 	WarmAboveCold         bool `json:"warm_hit_ratio_above_cold"`
+}
+
+// Failed names the acceptance gates that did not hold.
+func (r CrashResult) Failed() []string {
+	return failedGates(
+		gate{"all_completed_recovered", r.AllCompletedRecovered},
+		gate{"all_damaged_quarantined", r.AllDamagedQuarantined},
+		gate{"zero_corrupt_served", r.ZeroCorruptServed},
+		gate{"warm_hit_ratio_above_cold", r.WarmAboveCold},
+	)
 }
 
 // crashURI returns the deterministic request URI for key k.

@@ -53,6 +53,24 @@ func (o Options) pick(quick, full int) int {
 	return full
 }
 
+// gate is one named acceptance check of a schedule result; the name is the
+// check's JSON field.
+type gate struct {
+	name string
+	ok   bool
+}
+
+// failedGates returns the names of the gates that did not hold, in order.
+func failedGates(gates ...gate) []string {
+	var failed []string
+	for _, g := range gates {
+		if !g.ok {
+			failed = append(failed, g.name)
+		}
+	}
+	return failed
+}
+
 // settle quiesces the runtime between measured configurations: a completed
 // GC cycle prevents garbage from an earlier configuration's run from being
 // collected during (and billed to) the next one.

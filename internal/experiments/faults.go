@@ -12,7 +12,7 @@ import (
 )
 
 // FaultsResult is the machine-readable outcome of the fault-injection
-// schedule (benchsuite -faults): an 8-node group driven with a steady-state
+// schedule (benchsuite -run faults): an 8-node group driven with a steady-state
 // hot-set workload while one node hangs, a pair partitions, and the hung
 // node recovers. The headline comparison is what a request that maps to the
 // dead node's directory entries costs: with the failure detector the entry
@@ -85,6 +85,14 @@ type FaultsResult struct {
 		DropPoints       float64 `json:"drop_points"`
 		RecoveredWithin1 bool    `json:"recovered_within_1_point"`
 	} `json:"rejoin"`
+}
+
+// Failed names the acceptance gates that did not hold.
+func (r FaultsResult) Failed() []string {
+	return failedGates(
+		gate{"hang.health_p50_within_2x_miss", r.Hang.Within2xMiss},
+		gate{"rejoin.recovered_within_1_point", r.Rejoin.RecoveredWithin1},
+	)
 }
 
 // hitRatio aggregates the hit ratio across servers from counter deltas.

@@ -12,7 +12,7 @@ import (
 )
 
 // GrayFaultResult is the machine-readable outcome of the gray-failure and
-// overload schedule (benchsuite -grayfault). Two phases:
+// overload schedule (benchsuite -run grayfault). Two phases:
 //
 // Phase A (gray-slow peer): a 4-node group serves a warmed hot set while one
 // node's outbound writes are delayed just below the failure detector's probe
@@ -143,10 +143,14 @@ type GrayFaultResult struct {
 	} `json:"default_off"`
 }
 
-// GatesPassed reports whether every acceptance gate held.
-func (r GrayFaultResult) GatesPassed() bool {
-	return r.SlowOn.Within2x && r.Budget.Respected &&
-		r.Overload.ShedOn.GoodputOK && r.DefaultOff.Passed
+// Failed names the acceptance gates that did not hold.
+func (r GrayFaultResult) Failed() []string {
+	return failedGates(
+		gate{"slow_on.p99_within_2x_healthy", r.SlowOn.Within2x},
+		gate{"budget.respected", r.Budget.Respected},
+		gate{"overload.shed_on.goodput_at_least_80pct", r.Overload.ShedOn.GoodputOK},
+		gate{"default_off.passed", r.DefaultOff.Passed},
+	)
 }
 
 // RunGrayFault measures the gray-slow-peer and flash-crowd schedules.

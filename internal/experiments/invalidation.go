@@ -18,7 +18,7 @@ import (
 )
 
 // InvalidationResult is the machine-readable outcome of the dependency-based
-// invalidation experiment (benchsuite -invalidation). Four schedules share
+// invalidation experiment (benchsuite -run invalidation). Four schedules share
 // one versioned backing store (every node's CGI programs read the same item
 // versions, standing in for the shared database the paper's dynamic content
 // is generated from):
@@ -98,9 +98,14 @@ type InvalidationResult struct {
 	SWRGate bool `json:"swr_gate"`
 }
 
-// GatesPassed reports whether every acceptance gate held.
-func (r InvalidationResult) GatesPassed() bool {
-	return r.CoherenceGate && r.ReplicaGate && r.PartitionGate && r.SWRGate
+// Failed names the acceptance gates that did not hold.
+func (r InvalidationResult) Failed() []string {
+	return failedGates(
+		gate{"coherence_gate", r.CoherenceGate},
+		gate{"replica_gate", r.ReplicaGate},
+		gate{"partition_gate", r.PartitionGate},
+		gate{"swr_gate", r.SWRGate},
+	)
 }
 
 // itemStore is the shared versioned backing store: one version counter per

@@ -36,7 +36,7 @@ type MulticorePoint struct {
 }
 
 // MulticoreResult is the machine-readable outcome of the multicore scaling
-// run (benchsuite -multicore). The acceptance gate — >=2x closed-loop
+// run (benchsuite -run multicore). The acceptance gate — >=2x closed-loop
 // throughput at GOMAXPROCS=4 vs 1 — is only enforceable on a host with at
 // least 4 CPUs; on smaller hosts the sweep still records the (flat) curve and
 // GateChecked stays false so the artifact is honest about what it measured.
@@ -57,6 +57,12 @@ type MulticoreResult struct {
 	// gate is physically demonstrable; GatePassed is only meaningful then.
 	GateChecked bool `json:"gate_checked"`
 	GatePassed  bool `json:"gate_passed"`
+}
+
+// Failed names the acceptance gates that did not hold. The scaling gate
+// fails only where it was checked.
+func (r MulticoreResult) Failed() []string {
+	return failedGates(gate{"gate_passed", !r.GateChecked || r.GatePassed})
 }
 
 // multicoreProcs returns the sweep points: 1, 2, 4, and NumCPU when larger.

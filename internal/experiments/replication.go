@@ -11,7 +11,7 @@ import (
 )
 
 // ReplicationResult is the machine-readable outcome of the adaptive
-// hot-entry replication experiment (benchsuite -replication): an 8-node ring
+// hot-entry replication experiment (benchsuite -run replication): an 8-node ring
 // serving a single viral key, with and without -replicate-hot. Single-owner
 // placement funnels every routed read through one node; the controller
 // should spread that load across the owner plus its replica holders, improve
@@ -69,9 +69,13 @@ type ReplicationResult struct {
 	RetireGate bool `json:"retire_gate"`
 }
 
-// GatesPassed reports whether every acceptance gate held.
-func (r ReplicationResult) GatesPassed() bool {
-	return r.SpreadGate && r.TailGate && r.RetireGate
+// Failed names the acceptance gates that did not hold.
+func (r ReplicationResult) Failed() []string {
+	return failedGates(
+		gate{"spread_gate", r.SpreadGate},
+		gate{"tail_gate", r.TailGate},
+		gate{"retire_gate", r.RetireGate},
+	)
 }
 
 // RunReplication measures adaptive hot-entry replication on an 8-node ring.

@@ -15,7 +15,7 @@ import (
 )
 
 // ScaleoutResult is the machine-readable outcome of the scale-out experiment
-// (benchsuite -scaleout): a ring-placement group grows from 8 to 12 nodes
+// (benchsuite -run scaleout): a ring-placement group grows from 8 to 12 nodes
 // live, under a steady hot-set load, then shrinks gracefully back — measuring
 // rebalance traffic, the hit-ratio dip and its recovery, and per-node
 // directory footprint against the paper's fully-replicated directory.
@@ -85,6 +85,16 @@ type ScaleoutResult struct {
 		Lost      int     `json:"lost_entries"`
 		HitRatio  float64 `json:"hit_ratio_after"`
 	} `json:"leave"`
+}
+
+// Failed names the acceptance gates that did not hold.
+func (r ScaleoutResult) Failed() []string {
+	return failedGates(
+		gate{"ring_steady.owned_share_within_15pct", r.RingSteady.BalanceWithin15Pct},
+		gate{"join.recovered_within_2_points", r.Join.RecoveredWithin2},
+		gate{"ring12.dir_memory_flat", r.Ring12.DirMemoryFlat},
+		gate{"leave.lost_entries", r.Leave.Lost == 0},
+	)
 }
 
 // scaleoutCluster is a dynamically-sized ring cluster: nodes are added (join

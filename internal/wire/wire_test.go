@@ -338,6 +338,24 @@ func TestConnCorkedWrites(t *testing.T) {
 	}
 }
 
+// TestWriteMessageAllocs holds WriteMessage to zero allocations: the frame is
+// encoded into a pooled buffer, for a 4 KiB body and a directory batch alike.
+func TestWriteMessageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a share of what is put")
+	}
+	for _, m := range []Message{
+		&FetchReply{Seq: 9, OK: true, ContentType: "text/html", Body: make([]byte, 4096)},
+		&DirBatch{Owner: 3, Version: 1, Updates: []DirUpdate{{Owner: 3,
+			Key: "GET /cgi-bin/query?zoom=3&layer=roads", Size: 4096,
+			ExecTime: 1500 * time.Millisecond, Expires: time.Unix(12345, 0)}}},
+	} {
+		if got := testing.AllocsPerRun(500, func() { WriteMessage(io.Discard, m) }); got != 0 {
+			t.Errorf("WriteMessage(%v): %.1f allocs, want 0", m.Type(), got)
+		}
+	}
+}
+
 func TestUnmarshalUnknownType(t *testing.T) {
 	_, err := Unmarshal([]byte{0xEE, 1, 2, 3})
 	if !errors.Is(err, ErrUnknownType) {
