@@ -9,8 +9,8 @@ import (
 
 // Per-peer health scoring and circuit breaking.
 //
-// The PR 4 failure detector answers a binary question — is the peer
-// responding to pings at all? — which misses gray failures: a peer that is
+// The failure detector answers a binary question — is the peer responding
+// to pings at all? — which misses gray failures: a peer that is
 // alive but an order of magnitude slower (GC pause, disk stall, saturated
 // NIC) keeps its full share of fetches and drags the cluster tail toward
 // the straggler. The score tracks what the detector cannot see: observed
@@ -24,55 +24,36 @@ import (
 // zero value disables both (the paper's behaviour).
 type ScoreConfig struct {
 	// Enable turns on per-peer latency/failure scoring. Scoring is cheap
-	// (one mutex-guarded record per fetch) and is required for the hedging
-	// layer's dynamic p95 trigger even when the breaker itself is off.
+	// (one update of the peer's record per fetch) and is required for the
+	// hedging layer's dynamic p95 trigger even when the breaker itself is off.
 	Enable bool
 	// Breaker arms the circuit breaker on top of the score: fetches to a
 	// tripped peer fail fast with ErrPeerTripped.
 	Breaker bool
-	// FailRate is the EWMA failure-rate threshold that trips the breaker
-	// (default 0.5).
-	FailRate float64
-	// LatencyFactor trips the breaker when the fast latency EWMA exceeds
-	// LatencyFactor times the slow baseline (default 8; <= 0 disables the
-	// latency trip). The baseline only advances while the breaker is
-	// closed, so a brownout cannot drag the baseline up after itself.
-	LatencyFactor float64
-	// LatencyFloor is the minimum fast EWMA at which the latency trip may
-	// fire (default 5ms), so jitter around a microsecond-scale baseline
-	// never opens the breaker.
-	LatencyFloor time.Duration
 	// MinSamples is how many recorded fetches a peer needs before the
 	// breaker may trip (default 8).
 	MinSamples int
-	// OpenFor is how long an open breaker rejects fetches before admitting
-	// half-open probes (default 2s).
-	OpenFor time.Duration
-	// HalfOpenProbes is how many consecutive successful probe fetches
-	// close a half-open breaker (default 3). Probes are admitted one at a
-	// time; a single failure reopens.
-	HalfOpenProbes int
 }
 
-func (c *ScoreConfig) setDefaults() {
-	if c.FailRate <= 0 {
-		c.FailRate = 0.5
-	}
-	if c.LatencyFactor == 0 {
-		c.LatencyFactor = 8
-	}
-	if c.LatencyFloor <= 0 {
-		c.LatencyFloor = 5 * time.Millisecond
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 2 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 3
-	}
+// Breaker thresholds, the same on every node. The breaker trips on an EWMA
+// failure rate above breakerFailRate, or on a fast latency EWMA above
+// breakerLatencyFactor times the slow baseline and at least
+// breakerLatencyFloor (so jitter around a microsecond-scale baseline never
+// opens it). Open, it rejects fetches for breakerOpenFor, then admits probe
+// fetches one at a time: breakerHalfOpenProbes successes in a row close it, a
+// failure reopens it.
+const (
+	breakerFailRate       = 0.5
+	breakerLatencyFactor  = 8
+	breakerLatencyFloor   = 5 * time.Millisecond
+	breakerOpenFor        = 2 * time.Second
+	breakerHalfOpenProbes = 3
+)
+
+// beyondEnvelope reports whether latency lat (seconds) is slow enough against
+// the healthy baseline base to trip the breaker.
+func beyondEnvelope(lat, base float64) bool {
+	return base > 0 && lat >= breakerLatencyFloor.Seconds() && lat > breakerLatencyFactor*base
 }
 
 // ErrPeerTripped fails a fetch fast because the peer's circuit breaker is
@@ -125,8 +106,7 @@ const (
 	fetchNeutral
 )
 
-// peerScore is one peer's health record. All fields are guarded by
-// Node.scoreMu.
+// peerScore is one peer's fetch score and breaker state, held in its record.
 type peerScore struct {
 	samples  uint64
 	fastLat  float64 // seconds, fast EWMA over successful fetch latencies
@@ -157,35 +137,16 @@ type PeerScoreInfo struct {
 	Trips    uint64
 }
 
-func (n *Node) scoreFor(peer uint32) *peerScore {
-	s := n.scores[peer]
-	if s == nil {
-		s = &peerScore{}
-		n.scores[peer] = s
-	}
-	return s
-}
-
-// admitFetch asks the breaker whether a fetch to peer may proceed. probe
+// admitFetch asks p's breaker whether a fetch to it may proceed. probe
 // reports that the fetch was admitted as the half-open probe; the caller
-// must hand probe back to settleFetch. With scoring disabled both returns
-// are zero and every fetch proceeds.
-func (n *Node) admitFetch(peer uint32) (probe bool, err error) {
-	if !n.cfg.Score.Enable {
-		return false, nil
-	}
-	n.scoreMu.Lock()
-	defer n.scoreMu.Unlock()
-	s := n.scoreFor(peer)
-	if !n.cfg.Score.Breaker {
-		return false, nil
-	}
+// must hand probe back to settleFetch. An unarmed breaker never leaves
+// closed: both returns are zero and every fetch proceeds. Callers hold n.mu.
+func (n *Node) admitFetch(p *peer) (probe bool, err error) {
+	s := &p.score
 	switch s.state {
-	case BreakerClosed:
-		return false, nil
 	case BreakerOpen:
-		if time.Since(s.trippedAt) < n.cfg.Score.OpenFor {
-			return false, fmt.Errorf("%w: %d (%s)", ErrPeerTripped, peer, s.lastTripFor)
+		if time.Since(s.trippedAt) < breakerOpenFor {
+			return false, fmt.Errorf("%w: %d (%s)", ErrPeerTripped, p.id, s.lastTripFor)
 		}
 		// Cool-down over: admit this fetch as the first half-open probe.
 		s.state = BreakerHalfOpen
@@ -194,7 +155,7 @@ func (n *Node) admitFetch(peer uint32) (probe bool, err error) {
 		return true, nil
 	case BreakerHalfOpen:
 		if s.probeBusy {
-			return false, fmt.Errorf("%w: %d (probe in flight)", ErrPeerTripped, peer)
+			return false, fmt.Errorf("%w: %d (probe in flight)", ErrPeerTripped, p.id)
 		}
 		s.probeBusy = true
 		return true, nil
@@ -202,17 +163,16 @@ func (n *Node) admitFetch(peer uint32) (probe bool, err error) {
 	return false, nil
 }
 
-// settleFetch records a finished fetch against peer's score and drives the
+// settleFetch records a finished fetch against p's score and drives the
 // breaker state machine. dur is the observed latency (meaningful for
 // fetchOK only); probe is the value admitFetch returned.
-func (n *Node) settleFetch(peer uint32, probe bool, dur time.Duration, outcome fetchOutcome) {
+func (n *Node) settleFetch(p *peer, probe bool, dur time.Duration, outcome fetchOutcome) {
 	if !n.cfg.Score.Enable {
 		return
 	}
-	cfg := &n.cfg.Score
-	n.scoreMu.Lock()
-	defer n.scoreMu.Unlock()
-	s := n.scoreFor(peer)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := &p.score
 	if probe {
 		s.probeBusy = false
 	}
@@ -240,11 +200,9 @@ func (n *Node) settleFetch(peer uint32, probe bool, dur time.Duration, outcome f
 			// Samples beyond the trip envelope are evidence of the fault, not
 			// of a new normal: they must not drag the baseline up, or a large
 			// brownout would lift its own reference and never trip.
-			anomalous := cfg.LatencyFactor > 0 && s.baseLat > 0 &&
-				sec >= cfg.LatencyFloor.Seconds() && sec > cfg.LatencyFactor*s.baseLat
 			if s.baseLat == 0 {
 				s.baseLat = sec
-			} else if !anomalous {
+			} else if !beyondEnvelope(sec, s.baseLat) {
 				s.baseLat += scoreBaseAlpha * (sec - s.baseLat)
 			}
 		}
@@ -254,22 +212,20 @@ func (n *Node) settleFetch(peer uint32, probe bool, dur time.Duration, outcome f
 			s.wlen++
 		}
 	}
-	if !cfg.Breaker {
+	if !n.cfg.Score.Breaker {
 		return
 	}
 	switch s.state {
 	case BreakerClosed:
-		if s.samples < uint64(cfg.MinSamples) {
+		if s.samples < uint64(n.cfg.Score.MinSamples) {
 			return
 		}
-		if s.failRate > cfg.FailRate {
-			n.tripLocked(peer, s, fmt.Sprintf("failure rate %.2f", s.failRate))
+		if s.failRate > breakerFailRate {
+			n.tripLocked(p, fmt.Sprintf("failure rate %.2f", s.failRate))
 			return
 		}
-		if cfg.LatencyFactor > 0 && s.baseLat > 0 &&
-			s.fastLat >= cfg.LatencyFloor.Seconds() &&
-			s.fastLat > cfg.LatencyFactor*s.baseLat {
-			n.tripLocked(peer, s, fmt.Sprintf("latency %.1fms vs baseline %.1fms",
+		if beyondEnvelope(s.fastLat, s.baseLat) {
+			n.tripLocked(p, fmt.Sprintf("latency %.1fms vs baseline %.1fms",
 				s.fastLat*1e3, s.baseLat*1e3))
 		}
 	case BreakerHalfOpen:
@@ -278,22 +234,19 @@ func (n *Node) settleFetch(peer uint32, probe bool, dur time.Duration, outcome f
 			// let probes alone decide.
 			return
 		}
-		slow := cfg.LatencyFactor > 0 && s.baseLat > 0 &&
-			s.fastLat >= cfg.LatencyFloor.Seconds() &&
-			s.fastLat > cfg.LatencyFactor*s.baseLat
-		if outcome != fetchOK || slow {
-			n.tripLocked(peer, s, "half-open probe failed")
+		if outcome != fetchOK || beyondEnvelope(s.fastLat, s.baseLat) {
+			n.tripLocked(p, "half-open probe failed")
 			return
 		}
 		s.probeOK++
-		if s.probeOK >= cfg.HalfOpenProbes {
+		if s.probeOK >= breakerHalfOpenProbes {
 			// Recovered: forget the episode so the stale slow tail cannot
 			// immediately re-trip or mis-trigger hedges.
 			s.state = BreakerClosed
 			s.failRate = 0
 			s.fastLat = s.baseLat
 			s.wlen, s.wpos = 0, 0
-			n.logf("cluster %d: breaker for peer %d closed", n.cfg.NodeID, peer)
+			n.logf("cluster %d: breaker for peer %d closed", n.cfg.NodeID, p.id)
 		}
 	case BreakerOpen:
 		// A straggler from before the trip; the cool-down timer owns the
@@ -301,29 +254,27 @@ func (n *Node) settleFetch(peer uint32, probe bool, dur time.Duration, outcome f
 	}
 }
 
-func (n *Node) tripLocked(peer uint32, s *peerScore, why string) {
+func (n *Node) tripLocked(p *peer, why string) {
+	s := &p.score
 	s.state = BreakerOpen
 	s.trippedAt = time.Now()
 	s.trips++
 	s.probeBusy = false
 	s.lastTripFor = why
-	n.logf("cluster %d: breaker for peer %d opened (%s)", n.cfg.NodeID, peer, why)
+	n.logf("cluster %d: breaker for peer %d opened (%s)", n.cfg.NodeID, p.id, why)
 }
 
 // PeerP95 estimates the 95th-percentile fetch latency observed for peer.
 // ok is false until enough samples have been recorded (or scoring is off);
 // the hedging layer then falls back to its static trigger.
 func (n *Node) PeerP95(peer uint32) (p95 time.Duration, ok bool) {
-	if !n.cfg.Score.Enable {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.peers[peer]
+	if p == nil || p.score.wlen < scoreP95Min {
 		return 0, false
 	}
-	n.scoreMu.Lock()
-	defer n.scoreMu.Unlock()
-	s := n.scores[peer]
-	if s == nil || s.wlen < scoreP95Min {
-		return 0, false
-	}
-	return p95Locked(s), true
+	return p95Locked(&p.score), true
 }
 
 func p95Locked(s *peerScore) time.Duration {
@@ -338,17 +289,17 @@ func p95Locked(s *peerScore) time.Duration {
 	return time.Duration(lat[idx] * float64(time.Second))
 }
 
-// PeerScores returns a snapshot of every scored peer, sorted by peer ID.
+// PeerScores snapshots every known peer's score, sorted by peer ID.
 func (n *Node) PeerScores() []PeerScoreInfo {
 	if !n.cfg.Score.Enable {
 		return nil
 	}
-	n.scoreMu.Lock()
-	defer n.scoreMu.Unlock()
-	out := make([]PeerScoreInfo, 0, len(n.scores))
-	for peer, s := range n.scores {
+	n.mu.Lock()
+	out := make([]PeerScoreInfo, 0, len(n.peers))
+	for id, p := range n.peers {
+		s := &p.score
 		info := PeerScoreInfo{
-			Peer:     peer,
+			Peer:     id,
 			Samples:  s.samples,
 			Latency:  time.Duration(s.fastLat * float64(time.Second)),
 			Baseline: time.Duration(s.baseLat * float64(time.Second)),
@@ -361,6 +312,7 @@ func (n *Node) PeerScores() []PeerScoreInfo {
 		}
 		out = append(out, info)
 	}
+	n.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }

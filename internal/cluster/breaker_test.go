@@ -11,20 +11,42 @@ import (
 	"repro/internal/netx"
 )
 
-// scoreNode builds a node with scoring armed but no transport started: the
-// breaker state machine is exercised directly through admitFetch/settleFetch.
-func scoreNode(t *testing.T, cfg ScoreConfig) *Node {
+// scoreNode builds a node with scoring armed but no transport started, and
+// the record of its peer 2: the breaker state machine is exercised directly
+// through admit and settleFetch.
+func scoreNode(t *testing.T, cfg ScoreConfig) (*Node, *peer) {
 	t.Helper()
 	cfg.Enable = true
-	return NewNode(Config{NodeID: 1, Network: netx.NewMem(), Score: cfg}, NopHandler{})
+	return recordNode(Config{NodeID: 1, Network: netx.NewMem(), Score: cfg})
+}
+
+func recordNode(cfg Config) (*Node, *peer) {
+	n := NewNode(cfg, NopHandler{})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n, n.peerLocked(2)
+}
+
+// coolDown ages p's trip by breakerOpenFor, as if the open time had passed.
+func coolDown(n *Node, p *peer) {
+	n.mu.Lock()
+	p.score.trippedAt = p.score.trippedAt.Add(-breakerOpenFor)
+	n.mu.Unlock()
+}
+
+// admit is admitFetch under n.mu, as FetchRing calls it.
+func admit(n *Node, p *peer) (probe bool, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.admitFetch(p)
 }
 
 func TestScoreDisabledByDefault(t *testing.T) {
-	n := NewNode(Config{NodeID: 1, Network: netx.NewMem()}, NopHandler{})
-	if probe, err := n.admitFetch(2); probe || err != nil {
+	n, p := recordNode(Config{NodeID: 1, Network: netx.NewMem()})
+	if probe, err := admit(n, p); probe || err != nil {
 		t.Fatalf("admitFetch with scoring off = %v, %v", probe, err)
 	}
-	n.settleFetch(2, false, time.Millisecond, fetchFailed)
+	n.settleFetch(p, false, time.Millisecond, fetchFailed)
 	if _, ok := n.PeerP95(2); ok {
 		t.Fatal("PeerP95 reported with scoring off")
 	}
@@ -34,15 +56,15 @@ func TestScoreDisabledByDefault(t *testing.T) {
 }
 
 func TestBreakerTripsOnFailureRate(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
 	for i := 0; i < 8; i++ {
-		probe, err := n.admitFetch(2)
+		probe, err := admit(n, p)
 		if err != nil {
 			break
 		}
-		n.settleFetch(2, probe, 0, fetchFailed)
+		n.settleFetch(p, probe, 0, fetchFailed)
 	}
-	if _, err := n.admitFetch(2); !errors.Is(err, ErrPeerTripped) {
+	if _, err := admit(n, p); !errors.Is(err, ErrPeerTripped) {
 		t.Fatalf("admitFetch after failure burst = %v, want ErrPeerTripped", err)
 	}
 	scores := n.PeerScores()
@@ -52,22 +74,22 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 }
 
 func TestBreakerLatencyTripAgainstBaseline(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4, LatencyFactor: 8})
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
 	// Establish a healthy 1ms baseline...
 	for i := 0; i < 20; i++ {
-		probe, _ := n.admitFetch(2)
-		n.settleFetch(2, probe, time.Millisecond, fetchOK)
+		probe, _ := admit(n, p)
+		n.settleFetch(p, probe, time.Millisecond, fetchOK)
 	}
 	// ...then brown out to 200ms. The fast EWMA crosses 8x baseline within a
 	// few samples while the baseline (slow EWMA) barely moves.
 	tripped := false
 	for i := 0; i < 20; i++ {
-		probe, err := n.admitFetch(2)
+		probe, err := admit(n, p)
 		if errors.Is(err, ErrPeerTripped) {
 			tripped = true
 			break
 		}
-		n.settleFetch(2, probe, 200*time.Millisecond, fetchOK)
+		n.settleFetch(p, probe, 200*time.Millisecond, fetchOK)
 	}
 	if !tripped {
 		t.Fatal("latency brownout never tripped the breaker")
@@ -75,30 +97,30 @@ func TestBreakerLatencyTripAgainstBaseline(t *testing.T) {
 }
 
 func TestBreakerLatencyFloorSuppressesMicroJitter(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4, LatencyFloor: 5 * time.Millisecond})
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
 	// 20us baseline, 400us "brownout": 20x the baseline but under the floor.
 	for i := 0; i < 20; i++ {
-		probe, _ := n.admitFetch(2)
-		n.settleFetch(2, probe, 20*time.Microsecond, fetchOK)
+		probe, _ := admit(n, p)
+		n.settleFetch(p, probe, 20*time.Microsecond, fetchOK)
 	}
 	for i := 0; i < 20; i++ {
-		probe, err := n.admitFetch(2)
+		probe, err := admit(n, p)
 		if errors.Is(err, ErrPeerTripped) {
 			t.Fatal("breaker tripped on sub-floor latencies")
 		}
-		n.settleFetch(2, probe, 400*time.Microsecond, fetchOK)
+		n.settleFetch(p, probe, 400*time.Microsecond, fetchOK)
 	}
 }
 
 func TestNeutralOutcomeDoesNotMoveScore(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
 	for i := 0; i < 50; i++ {
-		probe, err := n.admitFetch(2)
+		probe, err := admit(n, p)
 		if err != nil {
 			t.Fatalf("admitFetch %d: %v", i, err)
 		}
 		// A hedge loser's cancellation must not look like a peer failure.
-		n.settleFetch(2, probe, 0, fetchNeutral)
+		n.settleFetch(p, probe, 0, fetchNeutral)
 	}
 	scores := n.PeerScores()
 	if len(scores) != 1 || scores[0].Samples != 0 || scores[0].State != BreakerClosed {
@@ -106,33 +128,33 @@ func TestNeutralOutcomeDoesNotMoveScore(t *testing.T) {
 	}
 }
 
-func tripPeer(t *testing.T, n *Node, peer uint32) {
+func tripPeer(t *testing.T, n *Node, p *peer) {
 	t.Helper()
 	for i := 0; i < 20; i++ {
-		probe, err := n.admitFetch(peer)
+		probe, err := admit(n, p)
 		if errors.Is(err, ErrPeerTripped) {
 			return
 		}
-		n.settleFetch(peer, probe, 0, fetchFailed)
+		n.settleFetch(p, probe, 0, fetchFailed)
 	}
 	t.Fatal("failure burst never tripped the breaker")
 }
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4, OpenFor: 30 * time.Millisecond, HalfOpenProbes: 3})
-	tripPeer(t, n, 2)
-	time.Sleep(40 * time.Millisecond)
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
+	tripPeer(t, n, p)
+	coolDown(n, p)
 
-	for i := 0; i < 3; i++ {
-		probe, err := n.admitFetch(2)
+	for i := 0; i < breakerHalfOpenProbes; i++ {
+		probe, err := admit(n, p)
 		if err != nil || !probe {
 			t.Fatalf("probe %d: probe=%v err=%v, want admitted probe", i, probe, err)
 		}
 		// Only one probe at a time while the first is in flight.
-		if _, err := n.admitFetch(2); !errors.Is(err, ErrPeerTripped) {
+		if _, err := admit(n, p); !errors.Is(err, ErrPeerTripped) {
 			t.Fatalf("second concurrent probe admitted: %v", err)
 		}
-		n.settleFetch(2, probe, time.Millisecond, fetchOK)
+		n.settleFetch(p, probe, time.Millisecond, fetchOK)
 	}
 	scores := n.PeerScores()
 	if len(scores) != 1 || scores[0].State != BreakerClosed {
@@ -141,22 +163,22 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if scores[0].FailRate != 0 {
 		t.Fatalf("failure rate %v survived recovery, want reset", scores[0].FailRate)
 	}
-	if probe, err := n.admitFetch(2); probe || err != nil {
+	if probe, err := admit(n, p); probe || err != nil {
 		t.Fatalf("post-recovery admit = %v, %v", probe, err)
 	}
 }
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4, OpenFor: 30 * time.Millisecond})
-	tripPeer(t, n, 2)
-	time.Sleep(40 * time.Millisecond)
+	n, p := scoreNode(t, ScoreConfig{Breaker: true, MinSamples: 4})
+	tripPeer(t, n, p)
+	coolDown(n, p)
 
-	probe, err := n.admitFetch(2)
+	probe, err := admit(n, p)
 	if err != nil || !probe {
 		t.Fatalf("probe after cool-down: probe=%v err=%v", probe, err)
 	}
-	n.settleFetch(2, probe, 0, fetchFailed)
-	if _, err := n.admitFetch(2); !errors.Is(err, ErrPeerTripped) {
+	n.settleFetch(p, probe, 0, fetchFailed)
+	if _, err := admit(n, p); !errors.Is(err, ErrPeerTripped) {
 		t.Fatalf("admit after failed probe = %v, want ErrPeerTripped", err)
 	}
 	scores := n.PeerScores()
@@ -166,14 +188,14 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 }
 
 func TestPeerP95NeedsSamples(t *testing.T) {
-	n := scoreNode(t, ScoreConfig{})
+	n, p := scoreNode(t, ScoreConfig{})
 	for i := 0; i < scoreP95Min-1; i++ {
-		n.settleFetch(2, false, time.Millisecond, fetchOK)
+		n.settleFetch(p, false, time.Millisecond, fetchOK)
 	}
 	if _, ok := n.PeerP95(2); ok {
 		t.Fatal("PeerP95 reported below the sample minimum")
 	}
-	n.settleFetch(2, false, 100*time.Millisecond, fetchOK)
+	n.settleFetch(p, false, 100*time.Millisecond, fetchOK)
 	p95, ok := n.PeerP95(2)
 	if !ok {
 		t.Fatal("PeerP95 missing at the sample minimum")
@@ -190,9 +212,8 @@ func TestPeerP95NeedsSamples(t *testing.T) {
 // ErrPeerTripped failures.
 func TestBreakerUnderConcurrentFetches(t *testing.T) {
 	mem := netx.NewMem()
-	score := ScoreConfig{Enable: true, Breaker: true, MinSamples: 4, OpenFor: 10 * time.Second}
-	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 50 * time.Millisecond,
-		DisableReconnect: true, Score: score}, NopHandler{})
+	score := ScoreConfig{Enable: true, Breaker: true, MinSamples: 4}
+	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 50 * time.Millisecond, Score: score}, NopHandler{})
 	if err := a.Start("brk-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +258,11 @@ func TestBreakerUnderConcurrentFetches(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterSpreads is the regression test that reconnect backoff is
-// jittered: a cohort of links failing at the same instant must not redial in
-// lockstep. jitter draws uniformly over [d/2, d], so a run of draws at the
-// same nominal backoff has to produce distinct values inside that envelope.
+// TestBackoffJitterSpreads is the regression test that the waits between dial
+// attempts are jittered: a cohort of links failing at the same instant must
+// not redial in lockstep. jitter draws uniformly over [d/2, d], so a run of
+// draws at the same nominal wait has to produce distinct values inside that
+// envelope.
 func TestBackoffJitterSpreads(t *testing.T) {
 	const d = 100 * time.Millisecond
 	seen := make(map[time.Duration]bool)

@@ -135,17 +135,6 @@ type Config struct {
 	// FetchTimeout bounds a remote cache fetch (default 5s). A timed-out
 	// fetch is treated as a false hit by the caller.
 	FetchTimeout time.Duration
-	// DialRetry is how long ConnectPeer keeps retrying an unreachable peer
-	// (default 5s), so nodes can start in any order.
-	DialRetry time.Duration
-	// SendQueue is the per-peer async broadcast queue depth (default 1024).
-	SendQueue int
-	// DisableReconnect turns off automatic redial of failed peer links
-	// (links normally reconnect with exponential backoff).
-	DisableReconnect bool
-	// BatchLimit caps the updates packed into one DirBatch frame
-	// (default 256).
-	BatchLimit int
 	// Health tunes the peer failure detector (see HealthConfig). The zero
 	// value enables it with conservative defaults; set Health.Disable for
 	// the paper's reactive-only failure handling.
@@ -154,7 +143,7 @@ type Config struct {
 	// breaker (see ScoreConfig). The zero value disables both.
 	Score ScoreConfig
 	// OnPeerState, when set, observes failure-detector transitions (alive →
-	// suspect → dead and back). It runs with the detector lock held so one
+	// suspect → dead and back). It runs with the node's lock held so one
 	// peer's transitions arrive in order; it must be fast and must not call
 	// back into the Node.
 	OnPeerState func(peer uint32, state PeerState)
@@ -165,9 +154,6 @@ type Config struct {
 	// anti-entropy directory sync (version exchange and catch-up snapshots);
 	// waves and handoff DirSync frames still flow.
 	RingMode bool
-	// VirtualNodes is the per-member point count for the placement ring
-	// (default ring.DefaultVirtualNodes).
-	VirtualNodes int
 	// OnRingChange, when set, observes ring rebuilds after membership
 	// changes. Changes are delivered in order on a dedicated goroutine; the
 	// callback may call back into the Node.
@@ -181,6 +167,21 @@ var (
 	ErrNoPeer       = errors.New("cluster: no link to peer")
 	ErrFetchTimeout = errors.New("cluster: fetch timed out")
 	ErrClosed       = errors.New("cluster: node closed")
+
+	errForgotten = errors.New("cluster: peer forgotten")
+)
+
+// Link tuning, the same on every node.
+const (
+	// connectWindow is how long ConnectPeer keeps dialing, so nodes can start
+	// in any order, and what bounds each attempt of every dial loop.
+	connectWindow = 5 * time.Second
+	// dialRetry is the nominal gap between a dial loop's attempts (jittered).
+	dialRetry = 20 * time.Millisecond
+	// sendQueueLen is a link's async broadcast queue depth.
+	sendQueueLen = 1024
+	// batchLimit caps the updates packed into one DirBatch frame.
+	batchLimit = 256
 )
 
 // Node is one member of the Swala group.
@@ -188,32 +189,16 @@ type Node struct {
 	cfg     Config
 	handler Handler
 
-	mu           sync.Mutex
-	listener     net.Listener
-	peers        map[uint32]*peerLink          // the one link per peer, dialed or adopted
-	peerAddrs    map[uint32]string             // last known dial address per peer
-	intended     map[uint32]bool               // peers ConnectPeer was asked to reach
-	dialing      map[uint32]context.CancelFunc // aborts of the dials in flight
-	reconnecting map[uint32]bool
-	inbound      map[net.Conn]struct{}
-	closed       bool
-	done         chan struct{} // closed when the node shuts down
-	wg           sync.WaitGroup
+	// mu guards the listener, the peer records, inbound and closed.
+	mu       sync.Mutex
+	listener net.Listener
+	peers    map[uint32]*peer
+	inbound  map[net.Conn]struct{}
+	closed   bool
+	done     chan struct{} // closed when the node shuts down
+	wg       sync.WaitGroup
 
-	// needFullSync marks peers that lost at least one update to a full
-	// queue since their last sync. It lives on the Node, not the link, so
-	// the debt survives link death and is settled on reconnect.
-	needFullSync map[uint32]bool
-	// peerDrops counts dropped updates per destination peer.
-	peerDrops map[uint32]*atomic.Uint64
-
-	// healthMu guards health: the failure detector's per-peer records.
-	healthMu sync.Mutex
-	health   map[uint32]*peerHealth
-
-	// scoreMu guards scores: per-peer fetch scoring and breaker state.
-	scoreMu sync.Mutex
-	scores  map[uint32]*peerScore
+	sendQueue int // sendQueueLen, which tests shrink before Start
 
 	// memMu guards the dynamic membership table (ring mode only).
 	memMu   sync.Mutex
@@ -251,37 +236,20 @@ func NewNode(cfg Config, handler Handler) *Node {
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 5 * time.Second
 	}
-	if cfg.DialRetry <= 0 {
-		cfg.DialRetry = 5 * time.Second
-	}
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 1024
-	}
-	if cfg.BatchLimit <= 0 {
-		cfg.BatchLimit = 256
-	}
 	cfg.Health.setDefaults()
-	cfg.Score.setDefaults()
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = ring.DefaultVirtualNodes
+	if cfg.Score.MinSamples <= 0 {
+		cfg.Score.MinSamples = 8
 	}
 	if handler == nil {
 		handler = NopHandler{}
 	}
 	n := &Node{
-		cfg:          cfg,
-		handler:      handler,
-		peers:        make(map[uint32]*peerLink),
-		peerAddrs:    make(map[uint32]string),
-		intended:     make(map[uint32]bool),
-		dialing:      make(map[uint32]context.CancelFunc),
-		reconnecting: make(map[uint32]bool),
-		inbound:      make(map[net.Conn]struct{}),
-		needFullSync: make(map[uint32]bool),
-		peerDrops:    make(map[uint32]*atomic.Uint64),
-		health:       make(map[uint32]*peerHealth),
-		scores:       make(map[uint32]*peerScore),
-		done:         make(chan struct{}),
+		cfg:       cfg,
+		handler:   handler,
+		peers:     make(map[uint32]*peer),
+		inbound:   make(map[net.Conn]struct{}),
+		done:      make(chan struct{}),
+		sendQueue: sendQueueLen,
 	}
 	if cfg.RingMode {
 		n.members = make(map[uint32]memberInfo)
@@ -547,7 +515,68 @@ func (n *Node) reply(c *peerLink, m wire.Message) {
 	}()
 }
 
-// --- peer links ---
+// --- peers and their links ---
+
+// peer is everything a node keeps about one other node, guarded by Node.mu.
+type peer struct {
+	id   uint32
+	link *peerLink // the pair's one connection, dialed or adopted; nil before the first
+	// addr is where the peer is dialed: the address ConnectPeer or membership
+	// gave, else the one its Hello announced (see adopt).
+	addr string
+	// intended: ConnectPeer or membership asked for a link, so fan-out
+	// accounting counts the peer as unreached while it has none.
+	intended bool
+
+	// loop is closed when the running dial loop ends (nil when none runs);
+	// unbounded asks that loop to carry on past its caller's context until
+	// the pair is linked. abort cancels the dial attempt in flight.
+	loop      chan struct{}
+	unbounded bool
+	abort     context.CancelFunc
+
+	// fullSync: an update toward the peer was dropped since its last sync.
+	// Kept off the link, the debt survives link death.
+	fullSync bool
+	drops    uint64 // broadcasts dropped for it
+
+	health PeerHealthInfo // Peer left unset
+	score  peerScore
+}
+
+// linked reports whether the pair has a live link.
+func (p *peer) linked() bool { return p.link != nil && p.link.live() }
+
+// teardown aborts p's dial attempt in flight and closes its link. Callers
+// hold n.mu.
+func (p *peer) teardown() {
+	if p.abort != nil {
+		p.abort()
+	}
+	if p.link != nil {
+		p.link.close()
+	}
+}
+
+// peerLocked returns id's record, made on first use. Callers hold n.mu.
+func (n *Node) peerLocked(id uint32) *peer {
+	p := n.peers[id]
+	if p == nil {
+		p = &peer{id: id}
+		n.peers[id] = p
+	}
+	return p
+}
+
+// link returns the pair's link to id, nil when there is none.
+func (n *Node) link(id uint32) *peerLink {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p := n.peers[id]; p != nil {
+		return p.link
+	}
+	return nil
+}
 
 // outMsg is one entry in a link's send queue: either a versioned directory
 // update (batchable) or an arbitrary message written as its own frame.
@@ -558,8 +587,8 @@ type outMsg struct {
 	isUpdate bool
 }
 
-// peerLink is one served connection. Registered in Node.peers it is the
-// pair's link — the one connection both nodes send everything to each other
+// peerLink is one served connection. Held by a peer record it is the pair's
+// link — the one connection both nodes send everything to each other
 // on, whichever of them dialed it — and owns a send queue and a sender; a
 // connection that is not a link (queue == nil) only answers requests.
 type peerLink struct {
@@ -607,26 +636,6 @@ type peerLink struct {
 	closed  bool
 }
 
-// expect numbers a request and registers ch for its answer; false when the
-// link is closed.
-func (p *peerLink) expect(ch chan *wire.FetchReply) (seq uint64, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, false
-	}
-	p.nextSeq++
-	p.pending[p.nextSeq] = ch
-	return p.nextSeq, true
-}
-
-// forget deregisters a request that gave up on its answer.
-func (p *peerLink) forget(seq uint64) {
-	p.mu.Lock()
-	delete(p.pending, seq)
-	p.mu.Unlock()
-}
-
 // deliver hands r to the request it answers, if that still waits.
 func (p *peerLink) deliver(seq uint64, r *wire.FetchReply) bool {
 	p.mu.Lock()
@@ -637,6 +646,92 @@ func (p *peerLink) deliver(seq uint64, r *wire.FetchReply) bool {
 		ch <- r
 	}
 	return ch != nil
+}
+
+// fetchWaiter is what one request blocks on: its answer's channel and the
+// timer bounding the wait. Only a request that got its answer pools its
+// waiter again: on every other exit a closing link or a late answer may touch
+// the channel.
+type fetchWaiter struct {
+	ch    chan *wire.FetchReply // capacity 1: the reader never blocks on it
+	timer *time.Timer
+}
+
+// quickWait is how long a request waits for its answer before it also waits
+// on its context: several round trips, a thousandth of the default
+// FetchTimeout.
+const quickWait = time.Millisecond
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &fetchWaiter{ch: make(chan *wire.FetchReply, 1), timer: t}
+}}
+
+// roundTrip sends the request m, numbered through seq (m's own Seq field),
+// and waits for its answer — a Fetch's FetchReply, nil for a Ping's Pong —
+// for at most timeout and no longer than ctx. A link torn down meanwhile
+// fails it at once with ErrNoPeer.
+func (p *peerLink) roundTrip(ctx context.Context, timeout time.Duration, m wire.Message, seq *uint64) (*wire.FetchReply, error) {
+	w := waiterPool.Get().(*fetchWaiter)
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		waiterPool.Put(w)
+		return nil, p.errClosed()
+	}
+	p.nextSeq++
+	*seq = p.nextSeq
+	p.pending[*seq] = w.ch
+	p.mu.Unlock()
+	err := p.send(m)
+	if err == nil {
+		// An answer is usually there within a fraction of a millisecond, and
+		// a context can charge for its Done channel (httpserver's starts the
+		// disconnect watch with it): wait quickWait on the answer alone, and
+		// ask the context only for a request that outlasts it.
+		quick := min(timeout, quickWait)
+		rest := timeout - quick
+		w.timer.Reset(quick)
+		var done <-chan struct{}
+	wait:
+		select {
+		case reply, open := <-w.ch:
+			if !w.timer.Stop() {
+				// Fired meanwhile: take the tick out before the timer is reused.
+				select {
+				case <-w.timer.C:
+				default:
+				}
+			}
+			if open {
+				waiterPool.Put(w)
+				return reply, nil
+			}
+			err = p.errClosed()
+		case <-w.timer.C:
+			if rest > 0 {
+				done = ctx.Done()
+				w.timer.Reset(rest)
+				rest = 0
+				goto wait
+			}
+			err = ctxFetchErr(context.DeadlineExceeded)
+		case <-done:
+			w.timer.Stop()
+			err = ctxFetchErr(ctx.Err())
+		}
+	} else {
+		err = fmt.Errorf("cluster: %v to %d: %w", m.Type(), p.id, err)
+	}
+	p.mu.Lock()
+	delete(p.pending, *seq) // given up on: a late answer finds no one
+	p.mu.Unlock()
+	return nil, err
+}
+
+func (p *peerLink) errClosed() error {
+	return fmt.Errorf("%w: %d (link closed)", ErrNoPeer, p.id)
 }
 
 func (n *Node) newConn(id uint32, conn net.Conn, wc *wire.Conn, dialed bool) *peerLink {
@@ -703,13 +798,12 @@ func (p *peerLink) close() {
 	}
 }
 
-// register makes c the pair's link, in place of whatever was. Callers hold
-// n.mu.
-func (n *Node) register(c *peerLink) {
-	c.queue = make(chan outMsg, n.cfg.SendQueue)
+// register makes c p's link, in place of whatever was. Callers hold n.mu.
+func (n *Node) register(p *peer, c *peerLink) {
+	c.queue = make(chan outMsg, n.sendQueue)
 	c.syncCh = make(chan struct{}, 1)
 	c.pending = make(map[uint64]chan *wire.FetchReply)
-	n.peers[c.id] = c
+	p.link = c
 }
 
 // adopt makes an accepted connection from a cluster node this node's link to
@@ -722,24 +816,24 @@ func (n *Node) register(c *peerLink) {
 // connection that is adopted replaces the link that was: a peer that dials
 // again has given the old one up.
 //
-// announced, the listen address in the peer's Hello, becomes the prober's
-// roster entry and the redial address only when ConnectPeer was never given
-// one for that peer: a node knows the address it listens on, not the one it
-// is reached at.
+// announced, the listen address in the peer's Hello, becomes the dial
+// address only when ConnectPeer or membership never gave one for that peer:
+// a node knows the address it listens on, not the one it is reached at.
 func (n *Node) adopt(c *peerLink, announced string) bool {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return false
 	}
-	cur, abort := n.peers[c.id], n.dialing[c.id]
+	p := n.peerLocked(c.id)
+	cur, abort := p.link, p.abort
 	if c.id > n.cfg.NodeID && (abort != nil || cur != nil && cur.dialed && cur.live()) {
 		n.mu.Unlock()
 		return false
 	}
-	n.register(c)
-	if n.peerAddrs[c.id] == "" {
-		n.peerAddrs[c.id] = dialBack(announced, c.conn)
+	n.register(p, c)
+	if p.addr == "" {
+		p.addr = dialBack(announced, c.conn)
 	}
 	n.mu.Unlock()
 	if cur != nil {
@@ -771,146 +865,185 @@ func dialBack(announced string, conn net.Conn) string {
 
 // linkDown closes a connection that failed. If it was still the pair's link —
 // not replaced, forgotten or shut down with the node — the peer is suspected
-// and, unless a redial loop for it runs already, redialed, whichever side
-// had dialed the link.
+// and redialed until the pair is linked again, whichever side had dialed the
+// link.
 func (n *Node) linkDown(c *peerLink) {
 	c.close()
 	n.mu.Lock()
-	current := n.peers[c.id] == c && !n.closed
-	addr := n.peerAddrs[c.id]
-	redial := current && !n.cfg.DisableReconnect && addr != "" && !n.reconnecting[c.id]
-	if redial {
-		n.reconnecting[c.id] = true
-		n.wg.Add(1)
+	defer n.mu.Unlock()
+	p := n.peers[c.id]
+	if p == nil || p.link != c || n.closed {
+		return
 	}
-	n.mu.Unlock()
-	if current {
-		n.noteLinkDown(c.id)
-	}
-	if redial {
-		go n.redial(c.id, addr)
-	}
+	n.suspectLocked(p)
+	n.keepDialingLocked(p, true)
 }
 
 // ConnectPeer makes sure this node has a link to peerID, dialing addr unless
 // one is already up (the peer may have dialed first: a pair shares one link).
-// It retries for DialRetry so nodes can start in any order, and both nodes
-// of a pair may call it at the same time (see adopt).
+// It keeps dialing for connectWindow so nodes can start in any order, and
+// both nodes of a pair may call it at the same time (see adopt).
 func (n *Node) ConnectPeer(peerID uint32, addr string) error {
-	return n.ConnectPeerContext(context.Background(), peerID, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), connectWindow)
+	defer cancel()
+	return n.ConnectPeerContext(ctx, peerID, addr)
 }
 
-// ConnectPeerContext is ConnectPeer bounded by a context. The dial-retry
-// loop is fully event-driven: it sleeps on a timer between attempts and
-// aborts as soon as ctx is canceled or the node is closed, so Close never
-// has to wait out the remainder of the retry window behind a pending dial.
+// ConnectPeerContext is ConnectPeer for as long as ctx lives. It runs the
+// peer's dial loop itself, or waits for the one already running, and returns
+// as soon as ctx ends or the node closes.
 func (n *Node) ConnectPeerContext(ctx context.Context, peerID uint32, addr string) error {
-	// Register the peer as intended before the first dial attempt, not
-	// after it succeeds: a peer whose link is still dialing is already part
-	// of the intended mesh, so fan-out accounting (BroadcastCounted) must
-	// count it as unreached rather than silently skipping it. (peerAddrs is
-	// deliberately left alone until the dial succeeds — it doubles as the
-	// failure detector's probe roster.)
-	n.mu.Lock()
-	n.intended[peerID] = true
-	n.mu.Unlock()
-
-	window, cancel := context.WithTimeout(ctx, n.cfg.DialRetry)
-	defer cancel()
 	for {
-		// Cancellation wins over a ready retry tick: the select below picks
-		// randomly among ready cases, so without this check a cancelled
-		// connect could still issue one more dial.
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, cerr)
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
+			return ErrClosed
 		}
-		up, err := n.dialLink(window, peerID, addr)
-		if up {
+		p := n.peerLocked(peerID)
+		p.intended, p.addr = true, addr
+		if p.linked() {
+			n.mu.Unlock()
 			return nil
 		}
-		if errors.Is(err, ErrClosed) {
-			return err
+		running := p.loop
+		if running == nil {
+			p.loop = make(chan struct{})
+		}
+		n.mu.Unlock()
+		if running == nil {
+			return n.dialLoop(ctx, p, false)
 		}
 		select {
-		case <-window.Done():
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr // the caller's cancellation, not the window
-			}
-			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, err)
+		case <-running: // over: look again
+		case <-ctx.Done():
+			return fmt.Errorf("cluster: dial peer %d at %s: %w", peerID, addr, ctx.Err())
 		case <-n.done:
 			return ErrClosed
-		case <-time.After(jitter(20 * time.Millisecond)):
 		}
 	}
 }
 
-// errDialInFlight fails a dial attempt that found another one to the same
-// peer under way, its own or the peer's; the retry finds that one's link.
-var errDialInFlight = errors.New("another dial in flight")
+// keepDialingLocked makes sure a dial loop runs for p until the pair is
+// linked, p is forgotten or the node closes: a new one (after a jittered
+// pause when pause is set), or the one running, which then outlives its
+// caller's context. Callers hold n.mu on an open node.
+func (n *Node) keepDialingLocked(p *peer, pause bool) {
+	p.unbounded = true
+	if p.loop != nil {
+		return
+	}
+	p.loop = make(chan struct{})
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		n.dialLoop(context.Background(), p, pause)
+	}()
+}
 
-// dialLink is one attempt of ConnectPeer: up reports that the pair has its
-// link, which this attempt dialed unless the peer's own dial got there
-// first. A dialed connection is the link once the peer's Hello has said that
-// it adopted it (one that announces no address says it did not: see
-// serveAccepted), so when ConnectPeer returns, the link it found or made is
-// the one both ends use.
-func (n *Node) dialLink(ctx context.Context, peerID uint32, addr string) (up bool, err error) {
-	dial, abort := context.WithCancel(ctx)
-	defer abort()
+// dialLoop is the one loop that dials a peer: one attempt at a time,
+// jitter(dialRetry) apart (the first at once unless pause), until the pair is
+// linked, p is forgotten, the node closes or ctx ends. Its starter has set
+// p.loop, which the loop owns until it ends.
+func (n *Node) dialLoop(ctx context.Context, p *peer, pause bool) error {
+	var up bool
+	var err error
+	logged := time.Now()
+	for ; ; pause = true {
+		if pause {
+			select {
+			case <-time.After(jitter(dialRetry)):
+			case <-ctx.Done():
+			case <-n.done:
+			}
+		}
+		attempt, abort := context.WithTimeout(ctx, connectWindow)
+		n.mu.Lock()
+		addr, unbounded := p.addr, p.unbounded
+		over := n.closed || n.peers[p.id] != p || p.linked() || ctx.Err() != nil
+		if !over {
+			// Until this attempt settles no dial of a higher peer is adopted
+			// (see adopt); adopting a lower one's, forget or Close aborts it.
+			p.abort = abort
+		}
+		n.mu.Unlock()
+		if !over {
+			up, err = n.dialLink(attempt, p, addr)
+		}
+		abort()
+		if over || up {
+			break
+		}
+		if unbounded && time.Since(logged) >= connectWindow {
+			n.logf("reconnect to peer %d: %v", p.id, err)
+			logged = time.Now()
+		}
+	}
+
 	n.mu.Lock()
-	cur := n.peers[peerID]
+	defer n.mu.Unlock()
+	close(p.loop)
+	p.loop = nil
+	unbounded := p.unbounded
+	p.unbounded = false
 	switch {
 	case n.closed:
-		err = ErrClosed
-	case cur != nil && cur.live():
-		up = true
-		n.peerAddrs[peerID] = addr
-	case n.dialing[peerID] != nil:
-		err = errDialInFlight
-	default:
-		// Until this attempt settles, no dial of a higher peer is adopted:
-		// ours is the one the pair keeps. Adopting a lower peer's, or Close,
-		// aborts it.
-		n.dialing[peerID] = abort
+		return ErrClosed
+	case n.peers[p.id] != p:
+		return errForgotten
+	case up || p.linked():
+		if unbounded {
+			n.logf("reconnected to peer %d at %s", p.id, p.addr)
+		}
+		return nil
+	case unbounded:
+		n.keepDialingLocked(p, true) // asked to outlive ctx, which ended
 	}
-	n.mu.Unlock()
-	if up || err != nil {
-		return up, err
-	}
-	c, answer, err := n.dialHello(dial, addr)
+	return fmt.Errorf("cluster: dial peer %d at %s: %w (last attempt: %v)", p.id, p.addr, ctx.Err(), err)
+}
+
+// errDialInFlight fails a dial attempt the peer answered as a spare: the pair
+// keeps the peer's own dial, whose adoption aborted this attempt.
+var errDialInFlight = errors.New("another dial in flight")
+
+// dialLink is one attempt of a dial loop: up reports that the pair has its
+// link, dialed by this attempt unless the peer's own dial got there first. A
+// dialed connection is the link once the peer's Hello says it adopted it (see
+// serveAccepted), so the link ConnectPeer returns with is the one both ends
+// use.
+func (n *Node) dialLink(ctx context.Context, p *peer, addr string) (up bool, err error) {
+	c, answer, err := n.dialHello(ctx, addr)
 	if err == nil && answer != nil {
 		switch {
-		case answer.NodeID != peerID:
+		case answer.NodeID != p.id:
 			err = fmt.Errorf("the node there is %d", answer.NodeID)
 		case answer.Addr == "":
 			// The peer keeps the link it dialed itself: adopting that one
 			// aborts this attempt.
 			c.conn.Close()
-			<-dial.Done()
+			<-ctx.Done()
 			err = errDialInFlight
 		}
 	}
-	return n.settle(c, peerID, err, addr)
+	return n.settle(c, p, err)
 }
 
-// settle ends a dial attempt, err telling how it went: c becomes the pair's
-// link unless the lower node's dial was adopted while this one was in flight,
-// which makes this one the spare (see adopt). addr, the address the caller
-// was given for the peer, is the one the prober and the redial keep.
-func (n *Node) settle(c *peerLink, peerID uint32, err error, addr string) (up bool, _ error) {
+// settle ends a dial attempt, err telling how it went: c becomes p's link
+// unless the lower node's dial was adopted while this one was in flight,
+// which makes this one the spare (see adopt), or p was forgotten meanwhile.
+func (n *Node) settle(c *peerLink, p *peer, err error) (up bool, _ error) {
 	n.mu.Lock()
-	delete(n.dialing, peerID)
-	cur := n.peers[peerID]
+	p.abort = nil
+	cur := p.link
 	switch {
 	case n.closed:
 		err = ErrClosed
-	case cur != nil && cur.live() && n.cfg.NodeID > peerID:
+	case n.peers[p.id] != p:
+		err = errForgotten
+	case cur != nil && cur.live() && n.cfg.NodeID > p.id:
 		up, err = true, nil
-		n.peerAddrs[peerID] = addr
 	case err == nil:
-		c.id = peerID
-		n.register(c)
-		n.peerAddrs[peerID] = addr
+		c.id = p.id
+		n.register(p, c)
 		n.wg.Add(2)
 		n.mu.Unlock()
 		if cur != nil {
@@ -1070,7 +1203,7 @@ func (n *Node) writeCoalesced(link *peerLink, first outMsg) error {
 }
 
 // writeRun writes one drained run: consecutive directory updates are packed
-// into DirBatch frames (split at BatchLimit), other messages go out as their
+// into DirBatch frames (split at batchLimit), other messages go out as their
 // own frames, everything corked until the caller flushes. Callers hold
 // sendMu.
 func (n *Node) writeRun(link *peerLink, run []outMsg) error {
@@ -1100,7 +1233,7 @@ func (n *Node) writeRun(link *peerLink, run []outMsg) error {
 			if om.version > ver {
 				ver = om.version
 			}
-			if len(batch) >= n.cfg.BatchLimit {
+			if len(batch) >= batchLimit {
 				if err := writeBatch(); err != nil {
 					return err
 				}
@@ -1130,14 +1263,17 @@ func (n *Node) writeRun(link *peerLink, run []outMsg) error {
 // the drain, and an update dropped any later than that asks for another pass.
 func (n *Node) writeSync(link *peerLink) error {
 	n.mu.Lock()
-	full := !n.cfg.RingMode && n.needFullSync[link.id]
-	delete(n.needFullSync, link.id)
+	p := n.peers[link.id]
+	full := !n.cfg.RingMode && p != nil && p.fullSync
+	if full {
+		p.fullSync = false
+	}
 	n.mu.Unlock()
 	settled := false
 	defer func() {
 		if full && !settled { // the link failed first: the next one owes it
 			n.mu.Lock()
-			n.needFullSync[link.id] = true
+			p.fullSync = true
 			n.mu.Unlock()
 		}
 	}()
@@ -1192,12 +1328,9 @@ func (n *Node) writeSync(link *peerLink) error {
 	return nil
 }
 
-// jitter spreads a backoff wait uniformly over [d/2, d]. Deterministic
-// exponential backoff makes every link that died in the same partition
-// redial in lockstep after a heal — a reconnect thundering herd that lands
-// N simultaneous dials (and N Hello/DirSync exchanges) on the recovered
-// peer. Randomizing each wait de-synchronizes the herd while keeping the
-// same expected pace.
+// jitter spreads a wait uniformly over [d/2, d], so the links that died in
+// one partition are not redialed in lockstep after a heal: N simultaneous
+// dials (and Hello/DirSync exchanges) on the recovered peer.
 func jitter(d time.Duration) time.Duration {
 	if d <= 1 {
 		return d
@@ -1205,47 +1338,15 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// redial re-establishes a failed peer link with exponential backoff so a
-// restarted node rejoins the mesh without operator action. Both ends of a
-// dead link redial; whichever gets there first re-establishes it and the
-// other finds it up. At most one redial loop runs per peer (linkDown claims
-// Node.reconnecting), and intentional shutdown never reconnects.
-func (n *Node) redial(peer uint32, addr string) {
-	defer n.wg.Done()
-	defer func() {
-		n.mu.Lock()
-		delete(n.reconnecting, peer)
-		n.mu.Unlock()
-	}()
-	backoff := 50 * time.Millisecond
-	for {
-		select {
-		case <-n.done:
-			return
-		case <-time.After(jitter(backoff)):
-		}
-		err := n.ConnectPeer(peer, addr)
-		if err == nil {
-			n.logf("reconnected to peer %d at %s", peer, addr)
-			return
-		}
-		if errors.Is(err, ErrClosed) {
-			return
-		}
-		n.logf("reconnect to peer %d: %v", peer, err)
-		if backoff < 5*time.Second {
-			backoff *= 2
-		}
-	}
-}
-
-// Peers returns the connected peer IDs, ascending.
+// Peers returns the IDs of the peers that have a link, ascending.
 func (n *Node) Peers() []uint32 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]uint32, 0, len(n.peers))
-	for id := range n.peers {
-		out = append(out, id)
+	for id, p := range n.peers {
+		if p.link != nil {
+			out = append(out, id)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -1255,21 +1356,21 @@ func (n *Node) Peers() []uint32 {
 // queues — the transport for targeted control traffic such as handoff
 // metadata pushes during a rebalance.
 func (n *Node) SendTo(peer uint32, msg wire.Message) error {
-	n.mu.Lock()
-	link := n.peers[peer]
-	n.mu.Unlock()
+	link := n.link(peer)
 	if link == nil {
 		return fmt.Errorf("%w: %d", ErrNoPeer, peer)
 	}
 	return link.send(msg)
 }
 
-// Broadcast enqueues a message to every peer without blocking the caller. If
-// a peer's queue is full the message is dropped for that peer and counted; the
-// weak consistency protocol tolerates the resulting staleness (it manifests as
-// a false miss or false hit) and anti-entropy sync later heals it.
-func (n *Node) Broadcast(m wire.Message) {
-	n.broadcast(outMsg{msg: m})
+// Broadcast enqueues m to every peer without blocking the caller and reports
+// the fan-out: peers is how many peers the node was asked to reach (links
+// plus peers still dialing), unreached how many did not take m — no link
+// yet, or a full queue, which drops m for that peer and counts it. The weak
+// consistency protocol tolerates the staleness (a false miss or false hit);
+// anti-entropy heals dropped waves, and callers may surface the count.
+func (n *Node) Broadcast(m wire.Message) (peers, unreached int) {
+	return n.broadcast(outMsg{msg: m})
 }
 
 // BroadcastUpdate enqueues one directory update to every peer, to travel in
@@ -1281,34 +1382,20 @@ func (n *Node) BroadcastUpdate(u wire.DirUpdate, version uint64) {
 	n.broadcast(outMsg{isUpdate: true, update: u, version: version})
 }
 
-// BroadcastCounted enqueues m to every intended peer and reports the
-// fan-out: peers is how many peers the node was asked to reach (live links
-// plus peers still dialing or reconnecting), unreached how many of them did
-// not take the message — no usable link yet, or a full queue. Invalidation
-// waves heal unreached peers via anti-entropy once their links come up; for
-// other message kinds an unreached peer simply never sees the frame, which
-// is why callers surface the count instead of dropping it silently.
-func (n *Node) BroadcastCounted(m wire.Message) (peers, unreached int) {
-	return n.broadcast(outMsg{msg: m})
-}
-
 func (n *Node) broadcast(om outMsg) (peers, unreached int) {
 	_, isWave := om.msg.(*wire.InvalWave)
 	n.mu.Lock()
 	links := make([]*peerLink, 0, len(n.peers))
-	for _, l := range n.peers {
-		links = append(links, l)
-	}
-	// Peers an operator asked to connect (or that membership dialed) but
-	// that have no live link yet count as unreached, not as nonexistent.
-	for id := range n.intended {
-		if _, ok := n.peers[id]; !ok {
-			peers++
+	for _, p := range n.peers {
+		switch {
+		case p.link != nil:
+			links = append(links, p.link)
+		case p.intended: // asked for, never linked: unreached, not nonexistent
 			unreached++
 		}
 	}
 	n.mu.Unlock()
-	peers += len(links)
+	peers = len(links) + unreached
 	for _, l := range links {
 		select {
 		case l.queue <- om:
@@ -1318,15 +1405,18 @@ func (n *Node) broadcast(om outMsg) (peers, unreached int) {
 		default:
 			unreached++
 			n.dropped.Add(1)
-			n.dropCounter(l.id).Add(1)
-			if om.isUpdate && !n.cfg.RingMode {
-				// The version sequence toward this peer now has a hole;
-				// flag it for a full resync and wake the sender.
-				n.mu.Lock()
-				n.needFullSync[l.id] = true
-				n.mu.Unlock()
+			// A dropped update leaves a hole in the version sequence toward
+			// this peer: it owes a full resync.
+			hole := om.isUpdate && !n.cfg.RingMode
+			n.mu.Lock()
+			if p := n.peers[l.id]; p != nil {
+				p.drops++
+				if hole {
+					p.fullSync = true
+				}
 			}
-			if (om.isUpdate && !n.cfg.RingMode) || isWave {
+			n.mu.Unlock()
+			if hole || isWave {
 				// Wake the sender to heal the gap: dropped directory updates
 				// replay via BuildDirSync, dropped waves via BuildWaveSync
 				// (waveAck never advanced past the dropped wave).
@@ -1345,29 +1435,18 @@ func dropKind(om outMsg) string {
 	return om.msg.Type().String()
 }
 
-func (n *Node) dropCounter(peer uint32) *atomic.Uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := n.peerDrops[peer]
-	if c == nil {
-		c = new(atomic.Uint64)
-		n.peerDrops[peer] = c
-	}
-	return c
-}
-
 // Dropped reports broadcasts dropped due to full peer queues.
 func (n *Node) Dropped() uint64 { return n.dropped.Load() }
 
 // DroppedByPeer returns per-peer dropped-broadcast counts, covering every
-// peer that has lost at least one message.
+// known peer that has lost at least one message.
 func (n *Node) DroppedByPeer() map[uint32]uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[uint32]uint64, len(n.peerDrops))
-	for id, c := range n.peerDrops {
-		if v := c.Load(); v > 0 {
-			out[id] = v
+	out := make(map[uint32]uint64)
+	for id, p := range n.peers {
+		if p.drops > 0 {
+			out[id] = p.drops
 		}
 	}
 	return out
@@ -1410,24 +1489,6 @@ func (n *Node) Fetch(ctx context.Context, owner uint32, key string) (contentType
 	return reply.ContentType, reply.Body, reply.OK, nil // never released: body is the caller's own
 }
 
-// fetchWaiter is what one fetch blocks on: its reply's channel and the timer
-// bounding the wait. Only a fetch that got its reply pools its waiter again:
-// on every other exit a closing link or a late reply may touch the channel.
-type fetchWaiter struct {
-	ch    chan *wire.FetchReply // capacity 1: the reader never blocks on it
-	timer *time.Timer
-}
-
-// quickWait is how long a fetch waits for its reply before it also waits on
-// its context: several round trips, a thousandth of the default FetchTimeout.
-const quickWait = time.Millisecond
-
-var waiterPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &fetchWaiter{ch: make(chan *wire.FetchReply, 1), timer: t}
-}}
-
 // FetchRing is Fetch with ring-placement flags (wire.FetchExecute asks the
 // owner to run the request on a cache miss; wire.FetchTakeover pulls a body
 // during handoff and tells the previous owner to drop its copy;
@@ -1437,89 +1498,47 @@ var waiterPool = sync.Pool{New: func() any {
 // means the key is not worth routing to the owner again until something
 // changes). Its Body is leased: valid until Release, which may never come.
 func (n *Node) FetchRing(ctx context.Context, owner uint32, key string, flags uint8) (*wire.FetchReply, error) {
-	if n.PeerState(owner) == PeerDead {
+	n.mu.Lock()
+	p := n.peers[owner]
+	if p == nil || p.link == nil {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("%w: %d", ErrNoPeer, owner)
+	}
+	if p.health.State == PeerDead {
+		n.mu.Unlock()
 		// The failure detector has declared the owner dead: fail fast so the
 		// caller degrades to local execution immediately instead of paying
 		// FetchTimeout. (The prober keeps pinging, so a recovered peer is
 		// marked alive again without fetch traffic.)
 		return nil, fmt.Errorf("%w: %d (peer dead)", ErrNoPeer, owner)
 	}
-	probe, admitErr := n.admitFetch(owner)
-	if admitErr != nil {
+	probe, err := n.admitFetch(p)
+	link := p.link
+	n.mu.Unlock()
+	if err != nil {
 		// Breaker open: fail fast like the dead-peer path so the caller
 		// degrades to local execution without paying FetchTimeout.
-		return nil, admitErr
-	}
-	n.mu.Lock()
-	link := n.peers[owner]
-	n.mu.Unlock()
-	if link == nil {
-		n.settleFetch(owner, probe, 0, fetchNeutral)
-		return nil, fmt.Errorf("%w: %d", ErrNoPeer, owner)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		// The wait below looks at ctx only after quickWait.
-		n.settleFetch(owner, probe, 0, fetchNeutral)
+		// The round trip looks at ctx only after quickWait.
+		n.settleFetch(p, probe, 0, fetchNeutral)
 		return nil, ctxFetchErr(err)
 	}
 
-	w := waiterPool.Get().(*fetchWaiter)
-	seq, ok := link.expect(w.ch)
-	if !ok {
-		waiterPool.Put(w)
-		n.settleFetch(owner, probe, 0, fetchFailed)
-		return nil, fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
-	}
-
 	start := time.Now()
-	err := link.send(&wire.Fetch{Seq: seq, Key: key, Flags: flags})
+	f := &wire.Fetch{Key: key, Flags: flags}
+	reply, err := link.roundTrip(ctx, n.cfg.FetchTimeout, f, &f.Seq)
 	if err == nil {
-		// A reply is usually there within a fraction of a millisecond, and a
-		// context can charge for its Done channel (httpserver's starts the
-		// disconnect watch with it): wait quickWait on the reply alone, and
-		// ask the context only for a fetch that outlasts it.
-		quick := min(n.cfg.FetchTimeout, quickWait)
-		rest := n.cfg.FetchTimeout - quick
-		w.timer.Reset(quick)
-		var done <-chan struct{}
-	wait:
-		select {
-		case reply, open := <-w.ch:
-			if !w.timer.Stop() {
-				// Fired meanwhile: take the tick out before the timer is reused.
-				select {
-				case <-w.timer.C:
-				default:
-				}
-			}
-			if open {
-				n.settleFetch(owner, probe, time.Since(start), fetchOK)
-				waiterPool.Put(w)
-				return reply, nil
-			}
-			err = fmt.Errorf("%w: %d (link closed)", ErrNoPeer, owner)
-		case <-w.timer.C:
-			if rest > 0 {
-				done = ctx.Done()
-				w.timer.Reset(rest)
-				rest = 0
-				goto wait
-			}
-			err = ctxFetchErr(context.DeadlineExceeded)
-		case <-done:
-			w.timer.Stop()
-			err = ctxFetchErr(ctx.Err())
-		}
-	} else {
-		err = fmt.Errorf("cluster: fetch from %d: %w", owner, err)
+		n.settleFetch(p, probe, time.Since(start), fetchOK)
+		return reply, nil
 	}
-	link.forget(seq)
-	outcome := fetchFailed // a failed send or a missed deadline counts against the peer
+	outcome := fetchFailed // a closed link, a failed send or a missed deadline counts against the peer
 	if errors.Is(err, context.Canceled) {
 		// The caller gave up (hedge loser, client gone): says nothing about it.
 		outcome = fetchNeutral
 	}
-	n.settleFetch(owner, probe, 0, outcome)
+	n.settleFetch(p, probe, 0, outcome)
 	return nil, err
 }
 
@@ -1539,46 +1558,22 @@ func ctxFetchErr(err error) error {
 // reconnect would otherwise happen, so no DirSyncReq would be exchanged and
 // updates lost during the outage would never be healed.
 func (n *Node) RecyclePeer(peer uint32) {
-	n.mu.Lock()
-	link := n.peers[peer]
-	n.mu.Unlock()
-	if link != nil {
+	if link := n.link(peer); link != nil {
 		n.logf("recycling link to peer %d for a fresh sync exchange", peer)
 		link.close()
 	}
 }
 
 // Ping round-trips a liveness probe to a peer, bounded by ctx and the node's
-// FetchTimeout (whichever fires first).
+// FetchTimeout (whichever fires first). It passes neither the dead-peer
+// fast-fail nor the breaker: a probe is what revives a dead peer.
 func (n *Node) Ping(ctx context.Context, peer uint32) error {
-	n.mu.Lock()
-	link := n.peers[peer]
-	n.mu.Unlock()
+	link := n.link(peer)
 	if link == nil {
 		return fmt.Errorf("%w: %d", ErrNoPeer, peer)
 	}
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
-	defer cancel()
-	ch := make(chan *wire.FetchReply, 1)
-	seq, ok := link.expect(ch)
-	if !ok {
-		return fmt.Errorf("%w: %d (link closed)", ErrNoPeer, peer)
-	}
-	err := link.send(&wire.Ping{Seq: seq})
-	if err == nil {
-		select {
-		case _, open := <-ch:
-			if open {
-				return nil
-			}
-			// The link was torn down with our ping in flight: the answer is
-			// known without waiting out ctx.
-			err = fmt.Errorf("%w: %d (link closed)", ErrNoPeer, peer)
-		case <-ctx.Done():
-			err = ctxFetchErr(ctx.Err())
-		}
-	}
-	link.forget(seq)
+	m := &wire.Ping{}
+	_, err := link.roundTrip(ctx, n.cfg.FetchTimeout, m, &m.Seq)
 	return err
 }
 
@@ -1598,21 +1593,16 @@ func (n *Node) Close() error {
 	n.closed = true
 	close(n.done)
 	l := n.listener
-	peers := n.peers
-	n.peers = make(map[uint32]*peerLink)
+	for _, p := range n.peers {
+		p.teardown() // its dial loop sees the node closed and ends
+	}
 	for c := range n.inbound {
 		c.Close() // its serving goroutine takes it off the table
-	}
-	for _, abort := range n.dialing {
-		abort()
 	}
 	n.mu.Unlock()
 
 	if l != nil {
 		l.Close()
-	}
-	for _, p := range peers {
-		p.close()
 	}
 	n.wg.Wait()
 	return nil

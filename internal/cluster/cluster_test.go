@@ -87,7 +87,6 @@ func startMesh(t *testing.T, n int) ([]*Node, []*recordingHandler) {
 			NodeID:       uint32(i + 1),
 			Network:      mem,
 			FetchTimeout: 2 * time.Second,
-			DialRetry:    2 * time.Second,
 		}, handlers[i])
 		if err := nodes[i].Start(fmt.Sprintf("node-%d", i+1)); err != nil {
 			t.Fatal(err)
@@ -253,7 +252,7 @@ func TestCloseIdempotent(t *testing.T) {
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	mem := netx.NewMem()
 	hA := newRecordingHandler()
-	a := NewNode(Config{NodeID: 1, Network: mem, DialRetry: 500 * time.Millisecond}, hA)
+	a := NewNode(Config{NodeID: 1, Network: mem}, hA)
 	if err := a.Start("ra"); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,8 @@ func TestNoReconnectAfterNodeClose(t *testing.T) {
 
 func TestBroadcastDropsWhenQueueFull(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, SendQueue: 4}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
+	a.sendQueue = 4
 	if err := a.Start("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestBroadcastDropsWhenQueueFull(t *testing.T) {
 
 func TestConnectPeerRetries(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, DialRetry: 3 * time.Second}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
 	if err := a.Start("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -368,12 +368,14 @@ func TestConnectPeerRetries(t *testing.T) {
 
 func TestConnectPeerGivesUp(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, DialRetry: 50 * time.Millisecond}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
 	if err := a.Start("a"); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if err := a.ConnectPeer(2, "never-exists"); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := a.ConnectPeerContext(ctx, 2, "never-exists"); err == nil {
 		t.Fatal("ConnectPeer to absent peer succeeded")
 	}
 }
@@ -471,8 +473,9 @@ func TestMeshOverTCP(t *testing.T) {
 
 func TestPingSendErrorDeregistersPong(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, DisableReconnect: true}, nil)
-	b := NewNode(Config{NodeID: 2, Network: mem, DisableReconnect: true}, nil)
+	netA, netB := &refusingNetwork{Network: mem}, &refusingNetwork{Network: mem}
+	a := NewNode(Config{NodeID: 1, Network: netA}, nil)
+	b := NewNode(Config{NodeID: 2, Network: netB}, nil)
 	if err := a.Start("ping-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -484,10 +487,11 @@ func TestPingSendErrorDeregistersPong(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a.mu.Lock()
-	link := a.peers[2]
-	a.mu.Unlock()
-	// Kill the transport under the link so the ping's send fails.
+	link := a.link(2)
+	// Kill the transport under the link so the ping's send fails, and keep
+	// either end from redialing it meanwhile.
+	netA.refuse.Store(true)
+	netB.refuse.Store(true)
 	link.conn.Close()
 
 	pingCtx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -503,18 +507,18 @@ func TestPingSendErrorDeregistersPong(t *testing.T) {
 	}
 }
 
-// TestConnectPeerAbortsOnClose: Close must abort a pending dial-retry loop
-// immediately instead of letting it sleep out the rest of the DialRetry
-// window.
+// TestConnectPeerAbortsOnClose: Close must abort a pending dial loop
+// immediately instead of letting it dial on for as long as its context
+// allows.
 func TestConnectPeerAbortsOnClose(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, DialRetry: time.Hour}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
 	if err := a.Start("a"); err != nil {
 		t.Fatal(err)
 	}
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- a.ConnectPeer(2, "never-listens") }()
+	go func() { errCh <- a.ConnectPeerContext(context.Background(), 2, "never-listens") }()
 	// Let the dial loop start retrying, then close the node.
 	time.Sleep(30 * time.Millisecond)
 	start := time.Now()
@@ -536,7 +540,7 @@ func TestConnectPeerAbortsOnClose(t *testing.T) {
 // retry loop the same way.
 func TestConnectPeerContextCanceled(t *testing.T) {
 	mem := netx.NewMem()
-	a := NewNode(Config{NodeID: 1, Network: mem, DialRetry: time.Hour}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
 	if err := a.Start("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -588,8 +592,8 @@ func TestFetchAsksContextOnlyWhenSlow(t *testing.T) {
 	mem := netx.NewMem()
 	gate := make(chan struct{})
 	const fetchTimeout = 150 * time.Millisecond
-	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: fetchTimeout, DialRetry: time.Second}, NopHandler{})
-	b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: fetchTimeout, DialRetry: time.Second}, gatedFetchHandler{gate: gate})
+	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: fetchTimeout}, NopHandler{})
+	b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: fetchTimeout}, gatedFetchHandler{gate: gate})
 	for i, n := range []*Node{a, b} {
 		if err := n.Start(fmt.Sprintf("quick-%d", i+1)); err != nil {
 			t.Fatal(err)

@@ -98,14 +98,6 @@ type PeerHealthInfo struct {
 	LastErr string
 }
 
-// peerHealth is the detector's per-peer record, guarded by Node.healthMu.
-type peerHealth struct {
-	state   PeerState
-	fails   int
-	since   time.Time
-	lastErr string
-}
-
 // probeLoop is the heartbeat prober: every ProbeInterval it pings all known
 // peers concurrently and feeds the outcomes to the state machine. It runs for
 // the node's lifetime (started by Start, stopped by Close) unless health is
@@ -124,28 +116,17 @@ func (n *Node) probeLoop() {
 	}
 }
 
-// probePeers runs one probe round, waiting for every probe so rounds never
-// pile up (ProbeTimeout <= ProbeInterval bounds the round).
+// probePeers runs one probe round over every peer record, waiting for every
+// probe so rounds never pile up (ProbeTimeout <= ProbeInterval bounds the
+// round). A ring member never reached has a record too (reconcileLinks), so
+// it walks to dead and is evicted instead of keeping its keyspace forever.
 func (n *Node) probePeers() {
 	n.mu.Lock()
-	seen := make(map[uint32]bool, len(n.peerAddrs))
-	ids := make([]uint32, 0, len(n.peerAddrs))
-	for id := range n.peerAddrs {
-		seen[id] = true
+	ids := make([]uint32, 0, len(n.peers))
+	for id := range n.peers {
 		ids = append(ids, id)
 	}
 	n.mu.Unlock()
-	// In ring mode the membership table is the probe roster, not just the
-	// dialed links: a member we never managed to connect to must still walk
-	// to dead (each probe fails instantly with ErrNoPeer) and be evicted, or
-	// its keyspace would stay assigned to an unreachable node forever.
-	if r := n.Ring(); r != nil {
-		for _, id := range r.Members() {
-			if id != n.cfg.NodeID && !seen[id] {
-				ids = append(ids, id)
-			}
-		}
-	}
 
 	var wg sync.WaitGroup
 	for _, id := range ids {
@@ -162,91 +143,74 @@ func (n *Node) probePeers() {
 }
 
 // recordProbe feeds one probe outcome into the peer's state machine and fires
-// Config.OnPeerState on a transition. The callback runs with the detector
-// lock held so transitions for one peer are delivered in order; it must not
-// call back into the Node.
-func (n *Node) recordProbe(peer uint32, err error) {
-	if n.cfg.Health.Disable {
-		return
+// Config.OnPeerState on a transition, with n.mu held so transitions for one
+// peer are delivered in order.
+func (n *Node) recordProbe(id uint32, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.peers[id]
+	if p == nil {
+		return // forgotten while the probe ran
 	}
-	n.healthMu.Lock()
-	defer n.healthMu.Unlock()
-	h := n.health[peer]
-	if h == nil {
-		h = &peerHealth{state: PeerAlive}
-		n.health[peer] = h
-	}
-	old := h.state
+	h := &p.health
+	old := h.State
 	if err == nil {
-		h.fails = 0
-		h.lastErr = ""
-		h.state = PeerAlive
+		h.Fails = 0
+		h.LastErr = ""
+		h.State = PeerAlive
 	} else {
-		h.fails++
-		h.lastErr = err.Error()
+		h.Fails++
+		h.LastErr = err.Error()
 		switch {
-		case h.fails >= n.cfg.Health.DeadAfter:
-			h.state = PeerDead
-		case h.fails >= n.cfg.Health.SuspectAfter:
-			h.state = PeerSuspect
+		case h.Fails >= n.cfg.Health.DeadAfter:
+			h.State = PeerDead
+		case h.Fails >= n.cfg.Health.SuspectAfter:
+			h.State = PeerSuspect
 		}
 	}
-	if h.state != old {
-		h.since = time.Now()
-		n.logf("peer %d health: %v -> %v (fails=%d)", peer, old, h.state, h.fails)
+	if h.State != old {
+		h.Since = time.Now()
+		n.logf("peer %d health: %v -> %v (fails=%d)", id, old, h.State, h.Fails)
 		if n.cfg.OnPeerState != nil {
-			n.cfg.OnPeerState(peer, h.state)
+			n.cfg.OnPeerState(id, h.State)
 		}
-		if h.state == PeerDead && n.cfg.RingMode {
+		if h.State == PeerDead && n.cfg.RingMode {
 			// The detector is the membership authority in ring mode: a dead
 			// peer is evicted from the ring so its keyspace reassigns.
-			// Asynchronous because evictMember takes memMu and then the node
-			// and detector locks via link teardown.
-			go n.evictMember(peer)
+			// Asynchronous because evictMember takes memMu and then n.mu via
+			// link teardown.
+			go n.evictMember(id)
 		}
 	}
 }
 
-// noteLinkDown registers an immediate suspicion when a peer link tears down:
+// suspectLocked registers an immediate suspicion when p's link tears down:
 // the peer jumps straight to suspect (not dead — a restart-in-progress peer
 // should not be quarantined for one broken connection), and the failure run
 // is advanced so DeadAfter-SuspectAfter further silent probes finish the job.
-func (n *Node) noteLinkDown(peer uint32) {
-	if n.cfg.Health.Disable {
+// Callers hold n.mu.
+func (n *Node) suspectLocked(p *peer) {
+	h := &p.health
+	if n.cfg.Health.Disable || h.State != PeerAlive {
 		return
 	}
-	n.healthMu.Lock()
-	defer n.healthMu.Unlock()
-	h := n.health[peer]
-	if h == nil {
-		h = &peerHealth{state: PeerAlive}
-		n.health[peer] = h
-	}
-	if h.state != PeerAlive {
-		return
-	}
-	if h.fails < n.cfg.Health.SuspectAfter {
-		h.fails = n.cfg.Health.SuspectAfter
-	}
-	h.state = PeerSuspect
-	h.since = time.Now()
-	h.lastErr = "link down"
-	n.logf("peer %d health: alive -> suspect (link down)", peer)
+	h.Fails = max(h.Fails, n.cfg.Health.SuspectAfter)
+	h.State = PeerSuspect
+	h.Since = time.Now()
+	h.LastErr = "link down"
+	n.logf("peer %d health: alive -> suspect (link down)", p.id)
 	if n.cfg.OnPeerState != nil {
-		n.cfg.OnPeerState(peer, PeerSuspect)
+		n.cfg.OnPeerState(p.id, PeerSuspect)
 	}
 }
 
 // PeerState reports the detector's current verdict on peer. With health
 // disabled (or an unknown peer) it is always PeerAlive.
 func (n *Node) PeerState(peer uint32) PeerState {
-	if n.cfg.Health.Disable {
-		return PeerAlive
-	}
-	n.healthMu.Lock()
-	defer n.healthMu.Unlock()
-	if h := n.health[peer]; h != nil {
-		return h.state
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p := n.peers[peer]; p != nil {
+		return p.health.State
 	}
 	return PeerAlive
 }
@@ -258,25 +222,13 @@ func (n *Node) PeerHealth() []PeerHealthInfo {
 		return nil
 	}
 	n.mu.Lock()
-	ids := make([]uint32, 0, len(n.peerAddrs))
-	for id := range n.peerAddrs {
-		ids = append(ids, id)
-	}
-	n.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	n.healthMu.Lock()
-	defer n.healthMu.Unlock()
-	out := make([]PeerHealthInfo, 0, len(ids))
-	for _, id := range ids {
-		info := PeerHealthInfo{Peer: id, State: PeerAlive}
-		if h := n.health[id]; h != nil {
-			info.State = h.state
-			info.Fails = h.fails
-			info.Since = h.since
-			info.LastErr = h.lastErr
-		}
+	out := make([]PeerHealthInfo, 0, len(n.peers))
+	for id, p := range n.peers {
+		info := p.health
+		info.Peer = id
 		out = append(out, info)
 	}
+	n.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }

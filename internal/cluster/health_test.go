@@ -59,9 +59,9 @@ func TestHealthStateMachine(t *testing.T) {
 	var log transitionLog
 	a := NewNode(Config{
 		NodeID: 1, Network: mem,
-		FetchTimeout: 2 * time.Second, DialRetry: 2 * time.Second,
-		Health:      fastHealth(),
-		OnPeerState: log.record,
+		FetchTimeout: 2 * time.Second,
+		Health:       fastHealth(),
+		OnPeerState:  log.record,
 	}, newRecordingHandler())
 	if err := a.Start("hsm-a"); err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func TestHealthStateMachine(t *testing.T) {
 	startB := func() *Node {
 		b := NewNode(Config{
 			NodeID: 2, Network: mem,
-			FetchTimeout: 2 * time.Second, DialRetry: 2 * time.Second,
-			Health: HealthConfig{Disable: true},
+			FetchTimeout: 2 * time.Second,
+			Health:       HealthConfig{Disable: true},
 		}, newRecordingHandler())
 		if err := b.Start("hsm-b"); err != nil {
 			t.Fatal(err)
@@ -127,7 +127,7 @@ func TestHealthStateMachine(t *testing.T) {
 func TestHealthDisabled(t *testing.T) {
 	mem := netx.NewMem()
 	a := NewNode(Config{
-		NodeID: 1, Network: mem, DialRetry: time.Second,
+		NodeID: 1, Network: mem,
 		Health: HealthConfig{Disable: true},
 	}, newRecordingHandler())
 	if err := a.Start("hd-a"); err != nil {
@@ -135,7 +135,7 @@ func TestHealthDisabled(t *testing.T) {
 	}
 	defer a.Close()
 	b := NewNode(Config{
-		NodeID: 2, Network: mem, DialRetry: time.Second,
+		NodeID: 2, Network: mem,
 		Health: HealthConfig{Disable: true},
 	}, newRecordingHandler())
 	if err := b.Start("hd-b"); err != nil {
@@ -164,18 +164,11 @@ func TestFetchWakesOnLinkTeardown(t *testing.T) {
 		mem := netx.NewMem()
 		release := make(chan struct{})
 		h := &blockingFetchHandler{release: release}
-		a := NewNode(Config{
-			NodeID: 1, Network: mem,
-			FetchTimeout: 10 * time.Second, DialRetry: time.Second,
-			DisableReconnect: true,
-		}, newRecordingHandler())
+		a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 10 * time.Second}, newRecordingHandler())
 		if err := a.Start(fmt.Sprintf("ft-a-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		b := NewNode(Config{
-			NodeID: 2, Network: mem,
-			FetchTimeout: 10 * time.Second, DialRetry: time.Second,
-		}, h)
+		b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: 10 * time.Second}, h)
 		if err := b.Start(fmt.Sprintf("ft-b-%d", i)); err != nil {
 			t.Fatal(err)
 		}
@@ -224,19 +217,12 @@ func TestPingWakesOnLinkTeardown(t *testing.T) {
 	mem := netx.NewMem()
 	gate := make(chan struct{})
 	h := &blockingInsertHandler{gate: gate}
-	a := NewNode(Config{
-		NodeID: 1, Network: mem,
-		FetchTimeout: 10 * time.Second, DialRetry: time.Second,
-		DisableReconnect: true,
-	}, newRecordingHandler())
+	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 10 * time.Second}, newRecordingHandler())
 	if err := a.Start("pt-a"); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b := NewNode(Config{
-		NodeID: 2, Network: mem,
-		FetchTimeout: 10 * time.Second, DialRetry: time.Second,
-	}, h)
+	b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: 10 * time.Second}, h)
 	if err := b.Start("pt-b"); err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +340,12 @@ func TestConnectPeerCancelDuringDial(t *testing.T) {
 	inner := netx.NewMem()
 	bn := &blockingNetwork{countingNetwork: countingNetwork{Network: inner}, entered: make(chan struct{}), release: make(chan struct{})}
 
-	a := NewNode(Config{NodeID: 1, Network: bn, DialRetry: 10 * time.Second}, NopHandler{})
+	a := NewNode(Config{NodeID: 1, Network: bn}, NopHandler{})
 	if err := a.Start("cd-a"); err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b := NewNode(Config{NodeID: 2, Network: inner, DialRetry: 10 * time.Second}, NopHandler{})
+	b := NewNode(Config{NodeID: 2, Network: inner}, NopHandler{})
 	if err := b.Start("cd-b"); err != nil {
 		t.Fatal(err)
 	}
@@ -395,18 +381,37 @@ func TestConnectPeerCancelDuringDial(t *testing.T) {
 	}
 }
 
-// blockingNetwork parks the first Dial until release closes.
+// blockingNetwork parks the first Dial until release closes, and records the
+// most dials it ever had in flight at once.
 type blockingNetwork struct {
 	countingNetwork
 	entered chan struct{}
 	release chan struct{}
 	once    sync.Once
+
+	gauge             sync.Mutex
+	inFlight, busiest int
 }
 
 func (b *blockingNetwork) Dial(addr string) (net.Conn, error) {
+	b.gauge.Lock()
+	b.inFlight++
+	b.busiest = max(b.busiest, b.inFlight)
+	b.gauge.Unlock()
+	defer func() {
+		b.gauge.Lock()
+		b.inFlight--
+		b.gauge.Unlock()
+	}()
 	b.once.Do(func() {
 		close(b.entered)
 		<-b.release
 	})
 	return b.countingNetwork.Dial(addr)
+}
+
+func (b *blockingNetwork) mostInFlight() int {
+	b.gauge.Lock()
+	defer b.gauge.Unlock()
+	return b.busiest
 }

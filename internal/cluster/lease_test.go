@@ -66,12 +66,12 @@ func (h *leasingHandler) HandleFetch(key string, _ uint8, r *wire.FetchReply) fu
 // requester's link to the owner up.
 func startLeasePair(t *testing.T, h Handler, fetchTimeout time.Duration) (requester, owner *Node) {
 	t.Helper()
-	owner = NewNode(Config{NodeID: 2, FetchTimeout: fetchTimeout, DisableReconnect: true}, h)
+	owner = NewNode(Config{NodeID: 2, FetchTimeout: fetchTimeout}, h)
 	if err := owner.Start("127.0.0.1:0"); err != nil {
 		t.Skipf("loopback unavailable: %v", err)
 	}
 	t.Cleanup(func() { owner.Close() })
-	requester = NewNode(Config{NodeID: 1, FetchTimeout: fetchTimeout, DisableReconnect: true}, nil)
+	requester = NewNode(Config{NodeID: 1, FetchTimeout: fetchTimeout}, nil)
 	if err := requester.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

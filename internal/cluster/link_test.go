@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -56,6 +57,20 @@ func (c *countedConn) Close() error {
 		c.n.mu.Unlock()
 	})
 	return c.Conn.Close()
+}
+
+// refusingNetwork fails every Dial once refuse is set: it makes the end of a
+// pair that must not redial.
+type refusingNetwork struct {
+	netx.Network
+	refuse atomic.Bool
+}
+
+func (r *refusingNetwork) Dial(addr string) (net.Conn, error) {
+	if r.refuse.Load() {
+		return nil, errors.New("dial refused")
+	}
+	return r.Network.Dial(addr)
 }
 
 // linkGoroutines counts the running senders and read loops of every node in
@@ -139,12 +154,6 @@ func TestLinkSimultaneousDialSettles(t *testing.T) {
 			return mem.openConns() == n*(n-1)/2 && senders == n*(n-1) && readers == n*(n-1)
 		})
 		for i, node := range nodes {
-			node.mu.Lock()
-			redials := len(node.reconnecting)
-			node.mu.Unlock()
-			if redials != 0 {
-				t.Fatalf("iter %d: node %d runs %d redial loops", iter, i+1, redials)
-			}
 			for _, h := range node.PeerHealth() {
 				if h.State != PeerAlive || h.LastErr != "" {
 					t.Fatalf("iter %d: node %d suspects peer %d: %+v", iter, i+1, h.Peer, h)
@@ -181,9 +190,7 @@ func TestLinkSnapshotDuringBatchStorm(t *testing.T) {
 	if err := nA.ConnectPeer(2, "snap-b"); err != nil {
 		t.Fatal(err)
 	}
-	nA.mu.Lock()
-	link := nA.peers[2]
-	nA.mu.Unlock()
+	link := nA.link(2)
 
 	stop := make(chan struct{})
 	var watcher sync.WaitGroup
@@ -212,7 +219,7 @@ func TestLinkSnapshotDuringBatchStorm(t *testing.T) {
 		}
 		if i%50 == 0 {
 			nA.mu.Lock()
-			nA.needFullSync[2] = true
+			nA.peers[2].fullSync = true
 			nA.mu.Unlock()
 			link.wakeSync()
 		}
@@ -414,7 +421,7 @@ func TestDispatchTable(t *testing.T) {
 	}
 
 	mem := netx.NewMem()
-	n := NewNode(Config{NodeID: 1, Network: mem, RingMode: true, DialRetry: 10 * time.Millisecond}, newRecordingHandler())
+	n := NewNode(Config{NodeID: 1, Network: mem, RingMode: true}, newRecordingHandler())
 	if err := n.Start("dispatch-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +441,7 @@ func TestDispatchTable(t *testing.T) {
 	}
 	link, admin := conn(), conn()
 	n.mu.Lock()
-	n.register(link)
+	n.register(n.peerLocked(9), link)
 	n.mu.Unlock()
 	// No read loop runs on them; end their fetch workers as one would.
 	defer func() { close(link.fetches); close(admin.fetches) }()
@@ -474,14 +481,15 @@ func TestLinkReestablishedFromEitherSide(t *testing.T) {
 			return a.Ping(ctx, b.ID()) == nil && b.Ping(ctx, a.ID()) == nil
 		})
 	}
-	start := func(t *testing.T, mem netx.Network, id uint32, noRedial bool) *Node {
+	start := func(t *testing.T, mem netx.Network, id uint32) (*Node, *refusingNetwork) {
 		t.Helper()
-		n := NewNode(Config{NodeID: id, Network: mem, DisableReconnect: noRedial}, NopHandler{})
+		rn := &refusingNetwork{Network: mem}
+		n := NewNode(Config{NodeID: id, Network: rn}, NopHandler{})
 		if err := n.Start(fmt.Sprintf("re-%d", id)); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		return n
+		return n, rn
 	}
 	for _, tc := range []struct {
 		name             string
@@ -496,16 +504,15 @@ func TestLinkReestablishedFromEitherSide(t *testing.T) {
 	} {
 		t.Run("link dies/"+tc.name, func(t *testing.T) {
 			mem := &countingNetwork{Network: netx.NewMem()}
-			d := start(t, mem, tc.dialer, tc.redialer == tc.acceptor)
-			a := start(t, mem, tc.acceptor, tc.redialer == tc.dialer)
+			d, dNet := start(t, mem, tc.dialer)
+			a, aNet := start(t, mem, tc.acceptor)
 			if err := d.ConnectPeer(a.ID(), a.Addr()); err != nil {
 				t.Fatal(err)
 			}
 			bothWays(t, d, a)
-			d.mu.Lock()
-			link := d.peers[a.ID()]
-			d.mu.Unlock()
-			link.conn.Close() // the transport fails under both ends
+			dNet.refuse.Store(tc.redialer == tc.acceptor)
+			aNet.refuse.Store(tc.redialer == tc.dialer)
+			d.link(a.ID()).conn.Close() // the transport fails under both ends
 			bothWays(t, d, a)
 			waitFor(t, "one connection again", func() bool { return mem.openConns() == 1 })
 		})
@@ -522,14 +529,14 @@ func TestLinkReestablishedFromEitherSide(t *testing.T) {
 	} {
 		t.Run("restart/"+tc.name, func(t *testing.T) {
 			mem := &countingNetwork{Network: netx.NewMem()}
-			s := start(t, mem, tc.survivor, false)
-			r := start(t, mem, tc.restarted, false)
+			s, _ := start(t, mem, tc.survivor)
+			r, _ := start(t, mem, tc.restarted)
 			if err := s.ConnectPeer(r.ID(), r.Addr()); err != nil {
 				t.Fatal(err)
 			}
 			bothWays(t, s, r)
 			r.Close()
-			r = start(t, mem, tc.restarted, false)
+			r, _ = start(t, mem, tc.restarted)
 			if tc.dialsBack {
 				if err := r.ConnectPeer(s.ID(), s.Addr()); err != nil {
 					t.Fatal(err)
@@ -547,11 +554,13 @@ func TestLinkReestablishedFromEitherSide(t *testing.T) {
 // connection came from, keep an address ConnectPeer was given over anything a
 // Hello announces, and never take a connection from itself for a peer's.
 func TestLinkRedialAddress(t *testing.T) {
-	start := func(t *testing.T, id uint32, noRedial bool) (*Node, string) {
+	// start's network refuses dials once its refuse is set.
+	start := func(t *testing.T, id uint32) (*Node, *refusingNetwork, string) {
 		t.Helper()
 		h := newRecordingHandler()
 		h.bodies["GET /who"] = fmt.Sprintf("node-%d", id)
-		n := NewNode(Config{NodeID: id, DisableReconnect: noRedial, DialRetry: time.Second}, h)
+		rn := &refusingNetwork{Network: netx.TCP{}}
+		n := NewNode(Config{NodeID: id, Network: rn}, h)
 		if err := n.Start(":0"); err != nil {
 			t.Skipf("loopback unavailable: %v", err)
 		}
@@ -560,12 +569,12 @@ func TestLinkRedialAddress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n, net.JoinHostPort("127.0.0.1", port)
+		return n, rn, net.JoinHostPort("127.0.0.1", port)
 	}
 	redialAddr := func(n *Node, peer uint32) string {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.peerAddrs[peer]
+		return n.peers[peer].addr
 	}
 	answers := func(from *Node, peer uint32) string {
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -575,11 +584,12 @@ func TestLinkRedialAddress(t *testing.T) {
 	}
 
 	t.Run("adopted link is redialed where it came from", func(t *testing.T) {
-		a, aAddr := start(t, 1, true)
-		b, bAddr := start(t, 2, false)
+		a, aNet, aAddr := start(t, 1)
+		b, _, bAddr := start(t, 2)
 		if err := a.ConnectPeer(2, bAddr); err != nil {
 			t.Fatal(err)
 		}
+		aNet.refuse.Store(true)
 		if got := redialAddr(b, 1); got != aAddr {
 			t.Fatalf("adopting end redials %q (the peer announced %q), want %q", got, a.Addr(), aAddr)
 		}
@@ -590,8 +600,9 @@ func TestLinkRedialAddress(t *testing.T) {
 		}
 	})
 	t.Run("ConnectPeer's address outlives adoption", func(t *testing.T) {
-		a, aAddr := start(t, 1, false)
-		b, bAddr := start(t, 2, true)
+		a, _, aAddr := start(t, 1)
+		b, bNet, bAddr := start(t, 2)
+		bNet.refuse.Store(true)
 		if err := a.ConnectPeer(2, bAddr); err != nil {
 			t.Fatal(err)
 		}
@@ -608,16 +619,107 @@ func TestLinkRedialAddress(t *testing.T) {
 		}
 	})
 	t.Run("a dial that reaches the node's own listener", func(t *testing.T) {
-		a, aAddr := start(t, 1, true)
+		a, aNet, aAddr := start(t, 1)
 		a.ConnectPeer(2, aAddr) // there is no node 2 there
+		aNet.refuse.Store(true)
 		if got := answers(a, 2); got != "" {
 			t.Fatalf("node 1 answers as its own peer 2: %q", got)
 		}
 		waitFor(t, "the rejected link to die", func() bool {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			link := a.peers[2]
-			return a.peers[1] == nil && (link == nil || !link.live())
+			p := a.peers[2]
+			return a.peers[1] == nil && (p == nil || !p.linked())
 		})
 	})
+}
+
+// TestOneDialLoopPerPeer: a link loss, a membership dial and a ConnectPeer
+// arrive for one peer at once. One dial loop serves all three: at most one
+// dial is in flight at a time, ConnectPeer returns with the link that loop
+// makes, and no loop outlives the link coming up.
+func TestOneDialLoopPerPeer(t *testing.T) {
+	mem := netx.NewMem()
+	bn := &blockingNetwork{countingNetwork: countingNetwork{Network: mem}, entered: make(chan struct{}), release: make(chan struct{})}
+	bNet := &refusingNetwork{Network: mem}
+	a := NewNode(Config{NodeID: 1, Network: bn}, NopHandler{})
+	b := NewNode(Config{NodeID: 2, Network: bNet}, NopHandler{})
+	for i, n := range []*Node{a, b} {
+		if err := n.Start(fmt.Sprintf("loop-%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+	}
+	// b dials the pair's link, so a's first dial is the redial the network
+	// parks; b dials nothing more, so only a can link the pair again.
+	if err := b.ConnectPeer(1, "loop-1"); err != nil {
+		t.Fatal(err)
+	}
+	bNet.refuse.Store(true)
+
+	a.RecyclePeer(2)
+	select {
+	case <-bn.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the lost link was never redialed")
+	}
+	a.reconcileLinks([]wire.Member{{ID: 2, Addr: "loop-2"}})
+	connected := make(chan error, 1)
+	go func() { connected <- a.ConnectPeer(2, "loop-2") }()
+	time.Sleep(50 * time.Millisecond) // a second loop would dial meanwhile
+	close(bn.release)
+
+	if err := <-connected; err != nil {
+		t.Fatalf("ConnectPeer: %v", err)
+	}
+	if got := bn.mostInFlight(); got != 1 {
+		t.Fatalf("%d dials to one peer in flight at once, want 1", got)
+	}
+	loops := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		running := 0
+		for _, p := range n.peers {
+			if p.loop != nil {
+				running++
+			}
+		}
+		return running
+	}
+	waitFor(t, "every dial loop to end", func() bool { return loops(a) == 0 && loops(b) == 0 })
+	if err := a.Ping(context.Background(), 2); err != nil {
+		t.Fatalf("ping over the redialed link: %v", err)
+	}
+}
+
+// TestUnboundedDialOutlivesCaller: membership asks for a peer while a
+// ConnectPeerContext is dialing it. The loop carries on past that caller's
+// context, so the peer is linked once it listens.
+func TestUnboundedDialOutlivesCaller(t *testing.T) {
+	mem := netx.NewMem()
+	a := NewNode(Config{NodeID: 1, Network: mem}, NopHandler{})
+	if err := a.Start("late-1"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	connected := make(chan error, 1)
+	go func() { connected <- a.ConnectPeerContext(ctx, 2, "late-2") }() // nobody listens there yet
+	waitFor(t, "the caller's loop to run", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.peers[2] != nil && a.peers[2].loop != nil
+	})
+	a.reconcileLinks([]wire.Member{{ID: 2, Addr: "late-2"}})
+	if err := <-connected; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ConnectPeerContext = %v, want its deadline", err)
+	}
+
+	b := NewNode(Config{NodeID: 2, Network: mem}, NopHandler{})
+	if err := b.Start("late-2"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	waitFor(t, "the pair to be linked", func() bool { return a.Ping(context.Background(), 2) == nil })
 }

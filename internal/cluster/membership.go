@@ -29,7 +29,7 @@ import (
 //     the directory uses with DirSyncReq.
 //   - Graceful leave marks the member departed at incarnation+1; the
 //     departing node hands its entries off first, then announces.
-//   - The PR 4 failure detector is the membership authority for crashes: a
+//   - The failure detector is the membership authority for crashes: a
 //     peer declared dead is evicted (tombstoned) and the ring excludes it.
 //     If it was a false positive, the evicted node sees its own tombstone in
 //     gossip and refutes it at a higher incarnation, rejoining the ring.
@@ -71,7 +71,7 @@ func (n *Node) buildRingLocked() *ring.Ring {
 			ids = append(ids, id)
 		}
 	}
-	return ring.New(ids, n.cfg.VirtualNodes)
+	return ring.New(ids, ring.DefaultVirtualNodes)
 }
 
 // Ring returns the current placement ring (nil when not in ring mode, never
@@ -178,8 +178,7 @@ func (n *Node) ringChangedLocked(gossip bool) {
 	}
 }
 
-// reconcileLinks connects to new live members and tears down links to
-// departed ones.
+// reconcileLinks dials live members until linked and forgets departed ones.
 func (n *Node) reconcileLinks(members []wire.Member) {
 	for _, m := range members {
 		if m.ID == n.cfg.NodeID {
@@ -190,48 +189,22 @@ func (n *Node) reconcileLinks(members []wire.Member) {
 			continue
 		}
 		n.mu.Lock()
-		_, linked := n.peers[m.ID]
-		connecting := n.reconnecting[m.ID]
-		if !linked && !connecting {
-			// Claim the reconnecting slot so concurrent merges do not dial
-			// the same member twice.
-			n.reconnecting[m.ID] = true
+		if p := n.peerLocked(m.ID); !n.closed && !p.linked() {
+			p.intended, p.addr = true, m.Addr
+			n.keepDialingLocked(p, false)
 		}
-		closed := n.closed
 		n.mu.Unlock()
-		if linked || connecting || closed {
-			continue
-		}
-		n.wg.Add(1)
-		go func(id uint32, addr string) {
-			defer n.wg.Done()
-			defer func() {
-				n.mu.Lock()
-				delete(n.reconnecting, id)
-				n.mu.Unlock()
-			}()
-			if err := n.ConnectPeer(id, addr); err != nil {
-				n.logf("connect to member %d at %s: %v", id, addr, err)
-			}
-		}(m.ID, m.Addr)
 	}
 }
 
-// forgetPeer removes a departed member's link, dial address, and detector
-// record so no reconnect or probe resurrects it.
+// forgetPeer drops a departed member's record — link, dial loop, detector
+// state, score and all — so no reconnect or probe resurrects it.
 func (n *Node) forgetPeer(id uint32) {
 	n.mu.Lock()
-	link := n.peers[id]
-	delete(n.peers, id)
-	delete(n.peerAddrs, id)
-	delete(n.intended, id)
-	delete(n.needFullSync, id)
-	n.mu.Unlock()
-	n.healthMu.Lock()
-	delete(n.health, id)
-	n.healthMu.Unlock()
-	if link != nil {
-		link.close()
+	defer n.mu.Unlock()
+	if p := n.peers[id]; p != nil {
+		delete(n.peers, id)
+		p.teardown() // its dial loop sees the record gone and ends
 	}
 }
 
@@ -326,7 +299,11 @@ func (n *Node) JoinSeed(ctx context.Context, seedAddr string) error {
 	if answer.Addr == "" {
 		err = errDialInFlight // the seed is dialing this node: that is the link
 	}
-	up, err := n.settle(c, seed, err, seedAddr)
+	n.mu.Lock()
+	p := n.peerLocked(seed)
+	p.addr = seedAddr
+	n.mu.Unlock()
+	up, err := n.settle(c, p, err)
 	if !up {
 		err = n.ConnectPeerContext(ctx, seed, seedAddr)
 	}
@@ -370,8 +347,10 @@ func (n *Node) AnnounceLeave() {
 	msg := &wire.Leave{NodeID: n.cfg.NodeID, Incarnation: inc}
 	n.mu.Lock()
 	links := make([]*peerLink, 0, len(n.peers))
-	for _, l := range n.peers {
-		links = append(links, l)
+	for _, p := range n.peers {
+		if p.link != nil {
+			links = append(links, p.link)
+		}
 	}
 	n.mu.Unlock()
 	for _, l := range links {

@@ -20,9 +20,7 @@ func startRingNode(t *testing.T, mem *netx.Mem, id uint32, fastHealth bool) (*No
 		NodeID:       id,
 		Network:      mem,
 		FetchTimeout: 2 * time.Second,
-		DialRetry:    50 * time.Millisecond,
 		RingMode:     true,
-		VirtualNodes: 32,
 	}
 	if fastHealth {
 		cfg.Health = HealthConfig{
@@ -108,8 +106,7 @@ func TestJoinSeedConvergence(t *testing.T) {
 func TestRingMemberAddressesDialable(t *testing.T) {
 	start := func(id uint32) (*Node, string) {
 		t.Helper()
-		n := NewNode(Config{NodeID: id, RingMode: true, VirtualNodes: 32,
-			FetchTimeout: 2 * time.Second, DialRetry: 50 * time.Millisecond}, newRecordingHandler())
+		n := NewNode(Config{NodeID: id, RingMode: true, FetchTimeout: 2 * time.Second}, newRecordingHandler())
 		if err := n.Start(":0"); err != nil {
 			t.Skipf("loopback unavailable: %v", err)
 		}
@@ -246,7 +243,6 @@ func TestPlacementMismatchRejected(t *testing.T) {
 		NodeID:       2,
 		Network:      mem,
 		FetchTimeout: time.Second,
-		DialRetry:    time.Hour, // no background retry noise
 	}, h)
 	if err := replicate.Start("legacy-2"); err != nil {
 		t.Fatal(err)
@@ -309,4 +305,76 @@ func TestRejoinWhileSeedRedials(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestForgetPeerForgetsEverything: a departed member leaves nothing behind —
+// no score or drop count that stats keep listing and a rejoin would inherit,
+// and no dial loop that links it again.
+func TestForgetPeerForgetsEverything(t *testing.T) {
+	t.Run("score and drops", func(t *testing.T) {
+		mem := netx.NewMem()
+		a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 100 * time.Millisecond,
+			Score: ScoreConfig{Enable: true, Breaker: true}}, NopHandler{})
+		b := NewNode(Config{NodeID: 2, Network: mem}, NopHandler{})
+		for i, n := range []*Node{a, b} {
+			if err := n.Start(fmt.Sprintf("fs-%d", i+1)); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+		}
+		if err := a.ConnectPeer(2, "fs-2"); err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+		waitFor(t, "the link to fail", func() bool { return a.Ping(context.Background(), 2) != nil })
+		// The dead link stays a's link to 2 until it is replaced: fetches fail
+		// against 2's score, and broadcasts overflow its undrained queue.
+		for i := 0; i < 8; i++ {
+			a.FetchRing(context.Background(), 2, "GET /x", 0)
+		}
+		for i := 0; i < 2*sendQueueLen; i++ {
+			a.Broadcast(&wire.Ping{})
+		}
+		if len(a.PeerScores()) != 1 || a.DroppedByPeer()[2] == 0 {
+			t.Fatalf("setup: scores %+v, drops %v", a.PeerScores(), a.DroppedByPeer())
+		}
+
+		a.forgetPeer(2)
+		for _, s := range a.PeerScores() {
+			if s.Peer == 2 {
+				t.Errorf("forgotten peer still scored: %+v", s)
+			}
+		}
+		if d, ok := a.DroppedByPeer()[2]; ok {
+			t.Errorf("forgotten peer still counts %d drops", d)
+		}
+	})
+	t.Run("dial loop", func(t *testing.T) {
+		mem := netx.NewMem()
+		aNet, bNet := &refusingNetwork{Network: mem}, &refusingNetwork{Network: mem}
+		a := NewNode(Config{NodeID: 1, Network: aNet}, NopHandler{})
+		b := NewNode(Config{NodeID: 2, Network: bNet}, NopHandler{})
+		for i, n := range []*Node{a, b} {
+			if err := n.Start(fmt.Sprintf("fd-%d", i+1)); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+		}
+		if err := a.ConnectPeer(2, "fd-2"); err != nil {
+			t.Fatal(err)
+		}
+		// Only a may link the pair again, and its dials fail until 2 has
+		// left: the redial loop the lost link starts is still running then.
+		bNet.refuse.Store(true)
+		aNet.refuse.Store(true)
+		a.RecyclePeer(2)
+		waitFor(t, "the lost link to be noticed", func() bool { return a.PeerState(2) == PeerSuspect })
+		a.forgetPeer(2)
+		aNet.refuse.Store(false)
+
+		time.Sleep(20 * dialRetry) // a loop left running links 2 meanwhile: it still listens
+		if got := a.Peers(); len(got) != 0 {
+			t.Fatalf("links to %v after forgetting 2", got)
+		}
+	})
 }

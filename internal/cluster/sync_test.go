@@ -105,15 +105,17 @@ func wireUpdates(h *dirHandler, n *Node) {
 	})
 }
 
-// startSyncPair builds a two-node mesh with directory-backed handlers.
-func startSyncPair(t *testing.T, cfgA, cfgB Config) (*Node, *Node, *dirHandler, *dirHandler) {
+// startSyncPair builds a two-node mesh with directory-backed handlers;
+// queueA, when not zero, is node A's send queue depth.
+func startSyncPair(t *testing.T, queueA int) (*Node, *Node, *dirHandler, *dirHandler) {
 	t.Helper()
 	mem := netx.NewMem()
 	hA, hB := newDirHandler(1), newDirHandler(2)
-	cfgA.NodeID, cfgA.Network = 1, mem
-	cfgB.NodeID, cfgB.Network = 2, mem
-	nA := NewNode(cfgA, hA)
-	nB := NewNode(cfgB, hB)
+	nA := NewNode(Config{NodeID: 1, Network: mem}, hA)
+	nB := NewNode(Config{NodeID: 2, Network: mem}, hB)
+	if queueA != 0 {
+		nA.sendQueue = queueA
+	}
 	if err := nA.Start("sync-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func agreeOn(owner, replica *directory.Directory) bool {
 }
 
 func TestBatchedBroadcastConverges(t *testing.T) {
-	nA, _, hA, hB := startSyncPair(t, Config{}, Config{})
+	nA, _, hA, hB := startSyncPair(t, 0)
 	const inserts = 800
 	for i := 0; i < inserts; i++ {
 		hA.dir.InsertLocal(directory.Entry{Key: fmt.Sprintf("GET /k%d", i), Size: 10}, time.Now())
@@ -171,7 +173,7 @@ func TestBatchedBroadcastConverges(t *testing.T) {
 }
 
 func TestBatchingPreservesUpdateOrder(t *testing.T) {
-	_, _, hA, hB := startSyncPair(t, Config{}, Config{})
+	_, _, hA, hB := startSyncPair(t, 0)
 	// Insert, delete, reinsert the same key repeatedly: any reordering
 	// inside or across batches would leave the replica on the wrong step.
 	key := "GET /contested"
@@ -190,9 +192,7 @@ func TestBatchingPreservesUpdateOrder(t *testing.T) {
 }
 
 func TestDropAndHealAfterQueueOverflow(t *testing.T) {
-	nA, _, hA, hB := startSyncPair(t,
-		Config{SendQueue: 4},
-		Config{})
+	nA, _, hA, hB := startSyncPair(t, 4)
 	// Stall the receiver so A's tiny queue overflows and drops updates.
 	hB.block()
 	const inserts = 3000
@@ -218,7 +218,7 @@ func TestDropAndHealAfterQueueOverflow(t *testing.T) {
 func TestReconnectHealsOfflineGap(t *testing.T) {
 	mem := netx.NewMem()
 	hA := newDirHandler(1)
-	nA := NewNode(Config{NodeID: 1, Network: mem, DialRetry: 3 * time.Second}, hA)
+	nA := NewNode(Config{NodeID: 1, Network: mem}, hA)
 	if err := nA.Start("gap-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestReconnectHealsOfflineGap(t *testing.T) {
 	wireUpdates(hA, nA)
 
 	hB := newDirHandler(2)
-	nB := NewNode(Config{NodeID: 2, Network: mem, DialRetry: 3 * time.Second}, hB)
+	nB := NewNode(Config{NodeID: 2, Network: mem}, hB)
 	if err := nB.Start("gap-b"); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestReconnectHealsOfflineGap(t *testing.T) {
 	// crash); A's reconnect loop finds it, B requests a sync at version 0,
 	// and A ships a snapshot.
 	hB2 := newDirHandler(2)
-	nB2 := NewNode(Config{NodeID: 2, Network: mem, DialRetry: 3 * time.Second}, hB2)
+	nB2 := NewNode(Config{NodeID: 2, Network: mem}, hB2)
 	if err := nB2.Start("gap-b"); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestReconnectHealsOfflineGap(t *testing.T) {
 }
 
 func TestConcurrentBatchEncodeApply(t *testing.T) {
-	nA, _, hA, hB := startSyncPair(t, Config{}, Config{})
+	nA, _, hA, hB := startSyncPair(t, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -299,7 +299,8 @@ func TestConcurrentBatchEncodeApply(t *testing.T) {
 func TestReconnectDuringSyncStorm(t *testing.T) {
 	mem := netx.NewMem()
 	hA := newDirHandler(1)
-	nA := NewNode(Config{NodeID: 1, Network: mem, SendQueue: 64, DialRetry: 3 * time.Second}, hA)
+	nA := NewNode(Config{NodeID: 1, Network: mem}, hA)
+	nA.sendQueue = 64
 	if err := nA.Start("storm-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestReconnectDuringSyncStorm(t *testing.T) {
 
 	startB := func() (*Node, *dirHandler) {
 		h := newDirHandler(2)
-		n := NewNode(Config{NodeID: 2, Network: mem, DialRetry: 3 * time.Second}, h)
+		n := NewNode(Config{NodeID: 2, Network: mem}, h)
 		if err := n.Start("storm-b"); err != nil {
 			t.Fatal(err)
 		}

@@ -1302,7 +1302,7 @@ func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, u
 	}
 	matched = s.invalidateLocal(m.Pattern)
 	if s.cfg.Mode == Cooperative {
-		peers, unreached = s.clu.BroadcastCounted(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
+		peers, unreached = s.clu.Broadcast(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
 	}
 	return matched, peers, unreached
 }

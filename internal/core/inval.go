@@ -76,7 +76,7 @@ func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) 
 	dropped = s.invalidateLocal(pattern)
 	s.inv.NoteApplied(pattern)
 	if s.cfg.Mode == Cooperative {
-		peers, unreached = s.clu.BroadcastCounted(&wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern})
+		peers, unreached = s.clu.Broadcast(&wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern})
 		if unreached > 0 {
 			s.logf("wave %d %q: %d of %d peers unreached now (anti-entropy will replay)",
 				w.Seq, pattern, unreached, peers)
