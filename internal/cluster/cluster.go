@@ -40,8 +40,8 @@ type Handler interface {
 	// flags (zero, and ignored, under replicate placement). Body may be
 	// leased: the link calls release, when not nil, once reply is written.
 	HandleFetch(key string, flags uint8, reply *wire.FetchReply) (release func())
-	// HandleStats returns the node's counters for swalactl.
-	HandleStats() wire.StatsReply
+	// HandleStats returns the node's metric samples for swalactl.
+	HandleStats() []stats.Sample
 	// HandleInvalidate drops locally owned entries matching the pattern and
 	// reports the local matches plus the fan-out accounting (peers the
 	// invalidation was sent on toward, and how many of them it could not
@@ -87,7 +87,7 @@ type NopHandler struct{}
 func (NopHandler) HandleFetch(string, uint8, *wire.FetchReply) func() { return nil }
 
 // HandleStats implements Handler.
-func (NopHandler) HandleStats() wire.StatsReply { return wire.StatsReply{} }
+func (NopHandler) HandleStats() []stats.Sample { return nil }
 
 // HandleInvalidate implements Handler.
 func (NopHandler) HandleInvalidate(*wire.Invalidate) (matched, peers, unreached int) {
@@ -429,9 +429,7 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 	case *wire.Pong:
 		c.deliver(m.Seq, nil)
 	case *wire.Stats:
-		sr := n.handler.HandleStats()
-		sr.Seq = m.Seq
-		n.reply(c, &sr)
+		n.reply(c, &wire.StatsReply{Seq: m.Seq, Samples: n.handler.HandleStats()})
 	case *wire.Invalidate:
 		matched, peers, unreached := n.handler.HandleInvalidate(m)
 		if m.Seq != 0 {
@@ -1439,15 +1437,13 @@ func dropKind(om outMsg) string {
 func (n *Node) Dropped() uint64 { return n.dropped.Load() }
 
 // DroppedByPeer returns per-peer dropped-broadcast counts, covering every
-// known peer that has lost at least one message.
+// known peer (zero for one that has lost nothing).
 func (n *Node) DroppedByPeer() map[uint32]uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[uint32]uint64)
+	out := make(map[uint32]uint64, len(n.peers))
 	for id, p := range n.peers {
-		if p.drops > 0 {
-			out[id] = p.drops
-		}
+		out[id] = p.drops
 	}
 	return out
 }

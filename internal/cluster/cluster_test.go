@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/netx"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -47,8 +48,11 @@ func (h *recordingHandler) HandleFetch(key string, _ uint8, r *wire.FetchReply) 
 	return nil
 }
 
-func (h *recordingHandler) HandleStats() wire.StatsReply {
-	return wire.StatsReply{LocalHits: 7, Entries: 3}
+func (h *recordingHandler) HandleStats() []stats.Sample {
+	return []stats.Sample{
+		{Name: "swala_local_hits_total", Value: 7},
+		{Name: "swala_directory_local_entries", Value: 3},
+	}
 }
 
 func (h *recordingHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int) {
@@ -410,7 +414,9 @@ func TestStatsQuery(t *testing.T) {
 	if !ok {
 		t.Fatalf("reply = %T", msg)
 	}
-	if sr.Seq != 5 || sr.LocalHits != 7 || sr.Entries != 3 {
+	hits, _ := stats.Find(sr.Samples, "swala_local_hits_total")
+	entries, _ := stats.Find(sr.Samples, "swala_directory_local_entries")
+	if sr.Seq != 5 || hits != 7 || entries != 3 {
 		t.Fatalf("stats = %+v", sr)
 	}
 }

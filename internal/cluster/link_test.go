@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/directory"
 	"repro/internal/netx"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -406,9 +407,9 @@ func TestDispatchTable(t *testing.T) {
 		wire.MsgPing:         {&wire.Ping{Seq: 1}, true, true},
 		wire.MsgPong:         {&wire.Pong{Seq: 1}, true, false},
 		wire.MsgStats:        {&wire.Stats{Seq: 1}, true, true},
-		wire.MsgStatsReply:   {&wire.StatsReply{Seq: 1}, false, false},
 		wire.MsgInvalidate:   {&wire.Invalidate{Origin: 9, Pattern: "*", Seq: 1}, true, true},
 		wire.MsgInvalAck:     {&wire.InvalAck{Seq: 1}, false, false},
+		wire.MsgStatsReply:   {&wire.StatsReply{Seq: 1, Samples: []stats.Sample{{Name: "swala_misses_total"}}}, false, false},
 		wire.MsgInvalWave:    {&wire.InvalWave{Origin: 9, Seq: 1, Pattern: "*"}, true, false},
 		wire.MsgDirBatch:     {&wire.DirBatch{Owner: 9, Version: 1}, true, false},
 		wire.MsgDirSyncReq:   {&wire.DirSyncReq{}, true, false},

@@ -18,10 +18,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -312,7 +312,7 @@ type Server struct {
 	quarantineLifts atomic.Uint64 // quarantines lifted after rejoin+resync
 
 	// Ring-placement rebalance state: handoffCh queues body pulls on the
-	// receiving side of a handoff; the counters feed StatsReply.Ring.
+	// receiving side of a handoff; the counters feed Metrics.
 	handoffCh chan handoffTask
 	handoffWG sync.WaitGroup
 	// rep holds the adaptive hot-entry replication state (nil unless
@@ -869,154 +869,16 @@ func (s *Server) route(ctx context.Context, req *httpmsg.Request) *httpmsg.Respo
 	return errorResponse(404, "not found: "+req.Path)
 }
 
-// serveStatus renders the admin status page: node identity, mode, counters,
-// and the most valuable cache entries.
+// serveStatus writes Metrics as plain text. Keys come from client URLs, so
+// the page is never served as HTML.
 func (s *Server) serveStatus() *httpmsg.Response {
-	snap := s.counters.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "<html><head><title>Swala node %d</title></head><body>\n", s.cfg.NodeID)
-	fmt.Fprintf(&b, "<h1>Swala node %d (%s)</h1>\n", s.cfg.NodeID, s.cfg.Name)
-	fmt.Fprintf(&b, "<p>mode: %s | policy: %s | capacity: %d entries</p>\n",
-		s.cfg.Mode, s.cfg.Policy, s.cfg.CacheCapacity)
-	fmt.Fprintf(&b, "<h2>Counters</h2><ul>\n")
-	fmt.Fprintf(&b, "<li>local hits: %d</li><li>remote hits: %d</li><li>misses: %d</li>\n",
-		snap.LocalHits, snap.RemoteHits, snap.Misses)
-	fmt.Fprintf(&b, "<li>false misses: %d</li><li>false hits: %d</li>\n",
-		snap.FalseMisses, snap.FalseHits)
-	fmt.Fprintf(&b, "<li>inserts: %d</li><li>evictions: %d</li><li>coalesced: %d</li><li>coalesced abandoned: %d</li><li>hit ratio: %.1f%%</li>\n",
-		snap.Inserts, snap.Evictions, snap.Coalesced, snap.CoalescedAbandoned, 100*snap.HitRatio())
-	fmt.Fprintf(&b, "</ul>\n")
-	fmt.Fprintf(&b, "<h2>Fetch pipeline</h2>\n")
-	fmt.Fprintf(&b, "<table border=1><tr><th>stage</th><th>attempts</th><th>served</th><th>deferred</th><th>failed</th><th>canceled</th><th>mean own time</th></tr>\n")
-	for _, st := range s.pipe.Snapshot() {
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%v</td></tr>\n",
-			st.Name, st.Attempts, st.Served, st.Deferred, st.Failed, st.Canceled, st.MeanTime())
-	}
-	fmt.Fprintf(&b, "</table>\n")
-	rs := s.clu.ReplicationStats()
-	fmt.Fprintf(&b, "<h2>Replication</h2><ul>\n")
-	fmt.Fprintf(&b, "<li>directory version: %d</li>\n", s.dir.Version())
-	fmt.Fprintf(&b, "<li>updates enqueued: %d | sent: %d</li>\n", rs.Updates, rs.UpdatesSent)
-	fmt.Fprintf(&b, "<li>batch frames: %d (mean batch %.1f)</li>\n", rs.BatchFrames, rs.MeanBatch())
-	fmt.Fprintf(&b, "<li>wire flushes: %d (%.3f per update)</li>\n", rs.Flushes, rs.FlushesPerUpdate())
-	fmt.Fprintf(&b, "<li>syncs sent: %d (full %d, delta %d, %d updates) | syncs applied: %d</li>\n",
-		rs.SyncsSent, rs.SyncFull, rs.SyncDelta, rs.SyncUpdates, rs.SyncsApplied)
-	fmt.Fprintf(&b, "<li>dropped broadcasts: %d</li>\n", rs.Dropped)
-	if drops := s.clu.DroppedByPeer(); len(drops) > 0 {
-		peers := make([]uint32, 0, len(drops))
-		for id := range drops {
-			peers = append(peers, id)
-		}
-		sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-		for _, id := range peers {
-			fmt.Fprintf(&b, "<li>dropped toward peer %d: %d</li>\n", id, drops[id])
-		}
-	}
-	fmt.Fprintf(&b, "</ul>\n")
-	if health := s.clu.PeerHealth(); len(health) > 0 {
-		quarantined, lifted := s.QuarantineStats()
-		fmt.Fprintf(&b, "<h2>Peer health</h2>\n")
-		fmt.Fprintf(&b, "<p>quarantines: %d | lifted: %d | currently quarantined: %v</p>\n",
-			quarantined, lifted, s.dir.Quarantined())
-		fmt.Fprintf(&b, "<table border=1><tr><th>peer</th><th>state</th><th>consecutive failures</th><th>quarantined</th><th>last error</th></tr>\n")
-		for _, ph := range health {
-			fmt.Fprintf(&b, "<tr><td>%d</td><td>%s</td><td>%d</td><td>%v</td><td>%s</td></tr>\n",
-				ph.Peer, ph.State, ph.Fails, s.dir.IsQuarantined(ph.Peer), htmlEscape(ph.LastErr))
-		}
-		fmt.Fprintf(&b, "</table>\n")
-	}
-	if st, ok := store.StatusOf(s.store); ok {
-		fmt.Fprintf(&b, "<h2>Storage</h2><ul>\n")
-		mode := "healthy"
-		if st.Degraded {
-			mode = fmt.Sprintf("degraded (read-only) since %s", st.DegradedSince.Format(time.RFC3339))
-		}
-		fmt.Fprintf(&b, "<li>mode: %s</li>\n", mode)
-		if st.LastError != "" {
-			fmt.Fprintf(&b, "<li>last write error: %s</li>\n", htmlEscape(st.LastError))
-		}
-		fmt.Fprintf(&b, "<li>put failures: %d | quarantined entries: %d</li>\n", st.PutFailures, st.Quarantined)
-		fmt.Fprintf(&b, "<li>recovered at startup: %d | orphans swept: %d</li>\n", st.Recovered, st.OrphansSwept)
-		fmt.Fprintf(&b, "</ul>\n")
-	}
-	if rs := s.ringStats(); rs != nil {
-		fmt.Fprintf(&b, "<h2>Ring</h2><ul>\n")
-		fmt.Fprintf(&b, "<li>epoch: %d | virtual nodes per member: %d</li>\n", rs.Epoch, rs.VirtualNodes)
-		if !rs.LastRebalance.IsZero() {
-			fmt.Fprintf(&b, "<li>last rebalance: %s</li>\n", rs.LastRebalance.Format(time.RFC3339))
-		}
-		fmt.Fprintf(&b, "<li>handoff: %d entries out, %d in, %d bytes pulled</li>\n",
-			rs.HandoffOut, rs.HandoffIn, rs.HandoffBytes)
-		fmt.Fprintf(&b, "</ul>\n")
-		fmt.Fprintf(&b, "<table border=1><tr><th>member</th><th>addr</th><th>state</th><th>owned keyspace</th></tr>\n")
-		for _, m := range rs.Members {
-			state := cluster.PeerState(m.State).String()
-			if m.ID == s.cfg.NodeID {
-				state = "self"
-			}
-			fmt.Fprintf(&b, "<tr><td>%d</td><td>%s</td><td>%s</td><td>%.1f%%</td></tr>\n",
-				m.ID, htmlEscape(m.Addr), state, float64(m.OwnedPermille)/10)
-		}
-		fmt.Fprintf(&b, "</table>\n")
-	}
-	if res := s.ResilienceSnapshot(); res != nil {
-		fmt.Fprintf(&b, "<h2>Resilience</h2><ul>\n")
-		if s.hedge != nil {
-			fmt.Fprintf(&b, "<li>hedges issued: %d | won: %d | abandoned: %d | denied: %d | local fallbacks: %d</li>\n",
-				res.HedgesIssued, res.HedgesWon, res.HedgesAbandoned, res.HedgesDenied, res.HedgesLocal)
-			fmt.Fprintf(&b, "<li>retry budget fill: %.1f%%</li>\n", float64(res.BudgetPermille)/10)
-		}
-		if s.cfg.Breaker {
-			fmt.Fprintf(&b, "<li>breaker fast fails: %d</li>\n", res.BreakerFastFails)
-		}
-		if s.shed != nil {
-			fmt.Fprintf(&b, "<li>shed level: %d | shed remote: %d | shed local: %d | stale served: %d</li>\n",
-				res.ShedLevel, res.ShedRemote, res.ShedLocal, res.ShedStale)
-		}
-		fmt.Fprintf(&b, "</ul>\n")
-		if len(res.Breakers) > 0 {
-			fmt.Fprintf(&b, "<table border=1><tr><th>peer</th><th>breaker</th><th>trips</th><th>samples</th><th>latency</th><th>baseline</th><th>p95</th><th>fail rate</th></tr>\n")
-			for _, pb := range res.Breakers {
-				fmt.Fprintf(&b, "<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%v</td><td>%v</td><td>%v</td><td>%.1f%%</td></tr>\n",
-					pb.Peer, cluster.BreakerState(pb.State), pb.Trips, pb.Samples,
-					pb.Latency, pb.Baseline, pb.P95, float64(pb.FailPermille)/10)
-			}
-			fmt.Fprintf(&b, "</table>\n")
-		}
-	}
-	if reps := s.ReplicaStats(); reps != nil {
-		fmt.Fprintf(&b, "<h2>Adaptive replication</h2><ul>\n")
-		fmt.Fprintf(&b, "<li>tracked keys: %d | replicated as home: %d | held for peers: %d</li>\n",
-			reps.Tracked, reps.Hot, reps.Held)
-		fmt.Fprintf(&b, "<li>pushes sent: %d | retires sent: %d</li>\n", reps.Pushed, reps.Retired)
-		fmt.Fprintf(&b, "<li>bodies pulled: %d | replicas dropped: %d</li>\n", reps.Pulled, reps.Dropped)
-		fmt.Fprintf(&b, "<li>replica serves: %d | cold-hint skips: %d</li>\n", reps.ReplicaServes, reps.HintSkips)
-		fmt.Fprintf(&b, "</ul>\n")
-	}
-	fmt.Fprintf(&b, "<h2>Directory</h2><p>%d local entries, %d total (all nodes: %v)</p>\n",
-		s.dir.LocalLen(), s.dir.TotalLen(), s.dir.Nodes())
-	entries := s.dir.SnapshotLocal()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Hits > entries[j].Hits })
-	if len(entries) > 20 {
-		entries = entries[:20]
-	}
-	fmt.Fprintf(&b, "<table border=1><tr><th>key</th><th>size</th><th>exec time</th><th>hits</th></tr>\n")
-	for _, e := range entries {
-		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%v</td><td>%d</td></tr>\n",
-			htmlEscape(e.Key), e.Size, e.ExecTime, e.Hits)
-	}
-	fmt.Fprintf(&b, "</table></body></html>\n")
-
+	var b bytes.Buffer
+	stats.WriteText(&b, s.Metrics())
 	resp := httpmsg.NewResponse(200)
-	resp.Header.Set("Content-Type", "text/html")
-	resp.Body = []byte(b.String())
+	resp.Header.Set("Content-Type", "text/plain; charset=utf-8")
+	resp.Header.Set("X-Content-Type-Options", "nosniff")
+	resp.Body = b.Bytes()
 	return resp
-}
-
-// htmlEscape covers the characters that can appear in cache keys.
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }
 
 // serveFile streams a static document, charging the file-serving CPU cost.
@@ -1308,51 +1170,7 @@ func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, u
 }
 
 // HandleStats implements cluster.Handler.
-func (h *clusterHandler) HandleStats() wire.StatsReply {
-	s := h.server()
-	snap := s.counters.Snapshot()
-	drops := s.clu.DroppedByPeer()
-	peerDrops := make([]wire.PeerDrops, 0, len(drops))
-	for id, c := range drops {
-		peerDrops = append(peerDrops, wire.PeerDrops{Peer: id, Dropped: c})
-	}
-	sort.Slice(peerDrops, func(i, j int) bool { return peerDrops[i].Peer < peerDrops[j].Peer })
-	var health []wire.PeerHealth
-	for _, ph := range s.clu.PeerHealth() {
-		health = append(health, wire.PeerHealth{
-			Peer:  ph.Peer,
-			State: uint8(ph.State),
-			Fails: uint32(ph.Fails),
-		})
-	}
-	reply := wire.StatsReply{
-		LocalHits:   snap.LocalHits,
-		RemoteHits:  snap.RemoteHits,
-		Misses:      snap.Misses,
-		FalseMisses: snap.FalseMisses,
-		FalseHits:   snap.FalseHits,
-		Inserts:     snap.Inserts,
-		Evictions:   snap.Evictions,
-		Entries:     int64(s.dir.LocalLen()),
-		Dropped:     int64(s.clu.Dropped()),
-		PeerDrops:   peerDrops,
-		Health:      health,
-	}
-	if st, ok := store.StatusOf(s.store); ok {
-		reply.Storage = &wire.StorageStats{
-			Degraded:     st.Degraded,
-			LastError:    st.LastError,
-			PutFailures:  st.PutFailures,
-			Quarantined:  st.Quarantined,
-			Recovered:    st.Recovered,
-			OrphansSwept: st.OrphansSwept,
-		}
-	}
-	reply.Ring = s.ringStats()
-	reply.Replicas = s.ReplicaStats()
-	reply.Resilience = s.ResilienceSnapshot()
-	return reply
-}
+func (h *clusterHandler) HandleStats() []stats.Sample { return h.server().Metrics() }
 
 // --- versioned directory replication ---
 

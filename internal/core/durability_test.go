@@ -207,7 +207,7 @@ func TestStorageFaultDegradesWithoutFailingRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(status.Body), "degraded") {
+	if !strings.Contains(string(status.Body), "\nswala_store_degraded 1\n") {
 		t.Fatal("status page does not report degraded storage")
 	}
 	if !strings.Contains(string(status.Body), "no space left") {

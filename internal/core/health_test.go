@@ -72,7 +72,7 @@ func TestDeadPeerQuarantinedAndServedLocally(t *testing.T) {
 
 	// The status page reports the quarantine.
 	body := string(h.get(t, 1, StatusPath).Body)
-	for _, want := range []string{"Peer health", "dead", "quarantined"} {
+	for _, want := range []string{`swala_peer_state{peer="1",state="dead",`, `swala_peer_quarantined{peer="1"} 1`, "\nswala_quarantines_total 1\n"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("status page missing %q:\n%s", want, body)
 		}

@@ -85,14 +85,14 @@ func (h *hedgeState) take() bool {
 	return ok
 }
 
-// fillPermille reports the bucket's fill level in 1/1000ths of its burst.
-func (h *hedgeState) fillPermille() uint32 {
+// fill reports the bucket's fill level as a fraction of its burst.
+func (h *hedgeState) fill() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.burst <= 0 {
 		return 0
 	}
-	return uint32(h.tokens / h.burst * 1000)
+	return h.tokens / h.burst
 }
 
 // remoteCall names one fetch the pipeline wants from a peer.

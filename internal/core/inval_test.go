@@ -86,7 +86,7 @@ func TestInvalidateRetiresHeldReplicaLeases(t *testing.T) {
 			if i == ownerID-1 {
 				continue
 			}
-			held += int(s.ReplicaStats().Held)
+			held += int(metric(s, "swala_replica_held"))
 		}
 		return held == 2
 	})
@@ -109,7 +109,7 @@ func TestInvalidateRetiresHeldReplicaLeases(t *testing.T) {
 	// have retired the leases and the holder routes.
 	waitUntil(t, "held replica leases retired by the invalidation", func() bool {
 		for _, s := range h.servers {
-			if s.ReplicaStats().Held != 0 {
+			if metric(s, "swala_replica_held") != 0 {
 				return false
 			}
 		}

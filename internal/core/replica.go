@@ -507,28 +507,3 @@ type heldPromotion struct {
 	key  string
 	home uint32
 }
-
-// --- stats ---
-
-// ReplicaStats assembles the adaptive-replication section of a stats reply
-// (nil when ReplicateHot is off).
-func (s *Server) ReplicaStats() *wire.ReplicaStats {
-	rep := s.rep
-	if rep == nil {
-		return nil
-	}
-	rep.ctlMu.Lock()
-	hot := rep.ctl.Replicated()
-	rep.ctlMu.Unlock()
-	return &wire.ReplicaStats{
-		Tracked:       uint64(rep.tracker.Tracked()),
-		Hot:           uint64(hot),
-		Held:          uint64(rep.heldCount()),
-		Pushed:        rep.pushed.Load(),
-		Retired:       rep.retired.Load(),
-		Pulled:        rep.pulled.Load(),
-		Dropped:       rep.dropped.Load(),
-		ReplicaServes: rep.replicaServes.Load(),
-		HintSkips:     rep.hintSkips.Load(),
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cacheability"
+	"repro/internal/stats"
 )
 
 // startHotRing builds an n-node ring with adaptive replication on and fast
@@ -92,8 +93,8 @@ func TestReplicateHotFormsServesAndRetires(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if rs := owner.ReplicaStats(); rs == nil || rs.Pushed == 0 {
-		t.Fatalf("owner pushed no replicas: %+v", rs)
+	if metric(owner, "swala_replica_pushes_total") == 0 {
+		t.Fatal("owner pushed no replicas")
 	}
 
 	// With the load gone, the decayed rate collapses and every copy retires.
@@ -102,7 +103,7 @@ func TestReplicateHotFormsServesAndRetires(t *testing.T) {
 			if s.Directory().ReplicatedKeys() != 0 {
 				return false
 			}
-			if rs := s.ReplicaStats(); rs != nil && rs.Held != 0 {
+			if metric(s, "swala_replica_held") != 0 {
 				return false
 			}
 		}
@@ -228,15 +229,15 @@ func TestRoutedMissNegativeHintSkipsRepeatHop(t *testing.T) {
 	if src := h.get(t, 0, uri).Header.Get("X-Swala-Cache"); src != "owner" {
 		t.Fatalf("first fetch source = %q, want owner (routed execution)", src)
 	}
-	if n := requester.ReplicaStats().HintSkips; n != 0 {
-		t.Fatalf("hint skips after first fetch = %d, want 0", n)
+	if n := metric(requester, "swala_replica_hint_skips_total"); n != 0 {
+		t.Fatalf("hint skips after first fetch = %v, want 0", n)
 	}
 	// The immediate re-miss must skip the wasted hop and execute locally.
 	if src := h.get(t, 0, uri).Header.Get("X-Swala-Cache"); src != "" {
 		t.Fatalf("second fetch source = %q, want local execution", src)
 	}
-	if n := requester.ReplicaStats().HintSkips; n != 1 {
-		t.Fatalf("hint skips after second fetch = %d, want 1", n)
+	if n := metric(requester, "swala_replica_hint_skips_total"); n != 1 {
+		t.Fatalf("hint skips after second fetch = %v, want 1", n)
 	}
 }
 
@@ -246,7 +247,7 @@ func TestReplicateHotOffKeepsSingleOwnerSemantics(t *testing.T) {
 	h := startRing(t, 3, nil)
 	for _, s := range h.servers {
 		registerNullCGI(s)
-		if s.ReplicaStats() != nil {
+		if _, ok := stats.Find(s.Metrics(), "swala_replica_held"); ok {
 			t.Fatal("replica stats present with -replicate-hot off")
 		}
 	}

@@ -64,7 +64,7 @@ func TestStatusPageReplicationSection(t *testing.T) {
 
 	resp := h.get(t, 0, StatusPath)
 	body := string(resp.Body)
-	for _, want := range []string{"<h2>Replication</h2>", "directory version: 10", "batch frames:", "wire flushes:"} {
+	for _, want := range []string{"\nswala_directory_version 10\n", "\nswala_batch_frames_total ", "\nswala_flushes_total "} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("status page missing %q:\n%s", want, body)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cgi"
 	"repro/internal/httpclient"
 	"repro/internal/netx"
+	"repro/internal/stats"
 )
 
 // startFaultyPair builds a 2-node cooperative cluster over a Faulty network
@@ -89,11 +90,10 @@ func TestHedgeAbandonsSlowPeerForLocalExecution(t *testing.T) {
 	if d := time.Since(start); d > peerDelay/2 {
 		t.Fatalf("hedged request took %v; the trigger must abandon the %v-slow peer", d, peerDelay)
 	}
-	rs := servers[0].ResilienceSnapshot()
-	if rs == nil || rs.HedgesLocal == 0 {
-		t.Fatalf("resilience = %+v, want a local-fallback hedge", rs)
+	if metric(servers[0], "swala_hedges_local_total") == 0 {
+		t.Fatal("no local-fallback hedge counted")
 	}
-	if rs.HedgesAbandoned == 0 {
+	if metric(servers[0], "swala_hedges_abandoned_total") == 0 {
 		t.Fatal("abandoned loser not counted")
 	}
 
@@ -105,9 +105,12 @@ func TestHedgeAbandonsSlowPeerForLocalExecution(t *testing.T) {
 			t.Fatalf("request %d: %v %+v", i, err, resp)
 		}
 	}
-	rs = servers[0].ResilienceSnapshot()
-	spent := rs.HedgesIssued + rs.HedgesLocal
-	budget := uint64(float64(rs.HedgesIssued+rs.HedgesLocal+rs.HedgesDenied)*RetryBudgetRatio) + RetryBudgetBurst + 1
+	m := servers[0].Metrics()
+	issued, _ := stats.Find(m, "swala_hedges_issued_total")
+	local, _ := stats.Find(m, "swala_hedges_local_total")
+	denied, _ := stats.Find(m, "swala_hedges_denied_total")
+	spent := uint64(issued + local)
+	budget := uint64((issued+local+denied)*RetryBudgetRatio) + RetryBudgetBurst + 1
 	if primaries := uint64(extra + 1); spent > uint64(float64(primaries)*RetryBudgetRatio)+RetryBudgetBurst+1 {
 		t.Fatalf("hedge spend %d exceeded the retry budget (%d primaries, cap %d)", spent, primaries, budget)
 	}
@@ -192,11 +195,10 @@ func TestShedOverloadRefusesExecutesServesHits(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("peer request during owner overload: %d", resp.StatusCode)
 		}
-		return h.servers[0].ResilienceSnapshot().ShedRemote > 0
+		return metric(h.servers[0], "swala_shed_total", "class", "remote") > 0
 	})
-	rs := h.servers[0].ResilienceSnapshot()
-	if rs == nil || rs.ShedLocal == 0 {
-		t.Fatalf("resilience = %+v, want shed locals", rs)
+	if metric(h.servers[0], "swala_shed_total", "class", "local") == 0 {
+		t.Fatal("no shed local requests counted")
 	}
 	if snap := h.servers[1].Counters(); snap.FalseHits == 0 {
 		t.Fatalf("requester counters = %+v, want a false hit from the refused serve", snap)
@@ -267,8 +269,8 @@ func TestShedServesParkedStaleUnderOverload(t *testing.T) {
 			return false
 		}
 	})
-	if rs := s.ResilienceSnapshot(); rs == nil || rs.ShedStale == 0 {
-		t.Fatalf("resilience = %+v, want stale sheds", rs)
+	if metric(s, "swala_shed_total", "class", "stale") == 0 {
+		t.Fatal("no stale sheds counted")
 	}
 }
 

@@ -110,41 +110,6 @@ func (s *Server) HandoffStats() (out, in, bytes uint64) {
 	return s.handoffOut.Load(), s.handoffIn.Load(), s.handoffBytes.Load()
 }
 
-// ringStats assembles the wire-level ring section of a stats reply (nil
-// outside ring mode).
-func (s *Server) ringStats() *wire.RingStats {
-	if !s.ringMode() {
-		return nil
-	}
-	rs := s.clu.RingStatusSnapshot()
-	if rs == nil {
-		return nil
-	}
-	wr := &wire.RingStats{
-		Epoch:        rs.Epoch,
-		VirtualNodes: uint32(rs.VirtualNodes),
-		HandoffOut:   s.handoffOut.Load(),
-		HandoffIn:    s.handoffIn.Load(),
-		HandoffBytes: s.handoffBytes.Load(),
-	}
-	if ns := s.lastRebalance.Load(); ns != 0 {
-		wr.LastRebalance = time.Unix(0, ns)
-	}
-	for _, m := range rs.Members {
-		state := uint8(m.State)
-		if m.Self {
-			state = 3 // "self" on the wire, distinct from detector verdicts
-		}
-		wr.Members = append(wr.Members, wire.RingMember{
-			ID:            m.ID,
-			Addr:          m.Addr,
-			State:         state,
-			OwnedPermille: uint32(m.Owned*1000 + 0.5),
-		})
-	}
-	return wr
-}
-
 // onRingChange runs on the cluster's ring-notification goroutine, in ring
 // order, for every effective membership change.
 func (s *Server) onRingChange(old, new *ring.Ring) {

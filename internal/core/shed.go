@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/httpmsg"
-	"repro/internal/wire"
 )
 
 // Adaptive load shedding (Config.Shed, swalad -shed).
@@ -113,45 +112,4 @@ func (s *Server) shedStaleResponse(ct string, body []byte) *httpmsg.Response {
 	resp.Header.Set("X-Swala-Cache", "stale-overload")
 	resp.Body = body
 	return resp
-}
-
-// ResilienceSnapshot assembles the resilience section of a StatsReply:
-// hedge counters and budget fill, per-peer breaker scores, and shed counts
-// by class. It returns nil when hedging, breakers, and shedding are all
-// off, keeping StatsReply byte-compatible with the default-off semantics.
-func (s *Server) ResilienceSnapshot() *wire.ResilienceStats {
-	if s.hedge == nil && s.shed == nil && !s.cfg.Breaker {
-		return nil
-	}
-	r := &wire.ResilienceStats{
-		BreakerFastFails: s.breakerFastFails.Load(),
-	}
-	if h := s.hedge; h != nil {
-		r.FetchPrimaries = h.primaries.Load()
-		r.HedgesIssued = h.issued.Load()
-		r.HedgesWon = h.won.Load()
-		r.HedgesAbandoned = h.abandoned.Load()
-		r.HedgesDenied = h.denied.Load()
-		r.HedgesLocal = h.local.Load()
-		r.BudgetPermille = h.fillPermille()
-	}
-	if sh := s.shed; sh != nil {
-		r.ShedLevel = uint32(s.shedLevel())
-		r.ShedRemote = sh.shedRemote.Load()
-		r.ShedLocal = sh.shedLocal.Load()
-		r.ShedStale = sh.shedStale.Load()
-	}
-	for _, ps := range s.clu.PeerScores() {
-		r.Breakers = append(r.Breakers, wire.BreakerInfo{
-			Peer:         ps.Peer,
-			State:        uint8(ps.State),
-			Trips:        ps.Trips,
-			Samples:      ps.Samples,
-			Latency:      ps.Latency,
-			Baseline:     ps.Baseline,
-			P95:          ps.P95,
-			FailPermille: uint32(ps.FailRate * 1000),
-		})
-	}
-	return r
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/httpclient"
 	"repro/internal/netx"
 	"repro/internal/replacement"
+	"repro/internal/stats"
 	"repro/internal/timescale"
 )
 
@@ -241,4 +242,21 @@ func scaledBaselineCosts(s timescale.Scale, kind baseline.Kind) baseline.Costs {
 	default:
 		return baseline.Costs{}
 	}
+}
+
+// count reads one sample of a node's metrics as a count (0 when absent).
+func count(samples []stats.Sample, name string, labelPairs ...string) uint64 {
+	v, _ := stats.Find(samples, name, labelPairs...)
+	return uint64(v)
+}
+
+// resilienceOn reports whether any of hedging, breakers or shedding is
+// reporting metrics.
+func resilienceOn(samples []stats.Sample) bool {
+	for _, name := range []string{"swala_fetch_primaries_total", "swala_breaker_fast_fails_total", "swala_shed_level"} {
+		if _, ok := stats.Find(samples, name); ok {
+			return true
+		}
+	}
+	return false
 }

@@ -326,22 +326,26 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 	r.Budget.MaxOverspend = 0
 	first := true
 	for _, s := range c.servers {
-		rs := s.ResilienceSnapshot()
-		if rs == nil {
-			return r, fmt.Errorf("grayfault: resilient node returned nil resilience snapshot")
+		m := s.Metrics()
+		if !resilienceOn(m) {
+			return r, fmt.Errorf("grayfault: resilient node reports no resilience metrics")
 		}
-		r.SlowOn.BreakerFastFails += rs.BreakerFastFails
-		r.SlowOn.FetchPrimaries += rs.FetchPrimaries
-		r.SlowOn.HedgesIssued += rs.HedgesIssued
-		r.SlowOn.HedgesWon += rs.HedgesWon
-		r.SlowOn.HedgesAbandoned += rs.HedgesAbandoned
-		r.SlowOn.HedgesDenied += rs.HedgesDenied
-		r.SlowOn.HedgesLocal += rs.HedgesLocal
-		for _, b := range rs.Breakers {
-			r.SlowOn.BreakerTrips += b.Trips
+		primaries, issued, local := count(m, "swala_fetch_primaries_total"),
+			count(m, "swala_hedges_issued_total"), count(m, "swala_hedges_local_total")
+		r.SlowOn.BreakerFastFails += count(m, "swala_breaker_fast_fails_total")
+		r.SlowOn.FetchPrimaries += primaries
+		r.SlowOn.HedgesIssued += issued
+		r.SlowOn.HedgesWon += count(m, "swala_hedges_won_total")
+		r.SlowOn.HedgesAbandoned += count(m, "swala_hedges_abandoned_total")
+		r.SlowOn.HedgesDenied += count(m, "swala_hedges_denied_total")
+		r.SlowOn.HedgesLocal += local
+		for _, smp := range m {
+			if smp.Name == "swala_peer_breaker_trips_total" {
+				r.SlowOn.BreakerTrips += uint64(smp.Value)
+			}
 		}
-		spent := float64(rs.HedgesIssued + rs.HedgesLocal)
-		allowance := core.RetryBudgetRatio*float64(rs.FetchPrimaries) + core.RetryBudgetBurst + 1
+		spent := float64(issued + local)
+		allowance := core.RetryBudgetRatio*float64(primaries) + core.RetryBudgetBurst + 1
 		over := spent - allowance
 		if first || over > r.Budget.MaxOverspend {
 			r.Budget.MaxOverspend = over
@@ -367,7 +371,7 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 	}
 	r.DefaultOff.ResilienceNil = true
 	for _, s := range cn.servers {
-		if s.ResilienceSnapshot() != nil {
+		if resilienceOn(s.Metrics()) {
 			r.DefaultOff.ResilienceNil = false
 		}
 	}
@@ -495,10 +499,9 @@ func RunGrayFault(o Options) (GrayFaultResult, error) {
 		KeepAlive: true,
 		Seed:      o.Seed + 11,
 	}).Run()
-	if rs := onNode.servers[0].ResilienceSnapshot(); rs != nil {
-		r.Overload.ShedOn.ShedLocal = rs.ShedLocal
-		r.Overload.ShedOn.ShedStale = rs.ShedStale
-	}
+	m := onNode.servers[0].Metrics()
+	r.Overload.ShedOn.ShedLocal = count(m, "swala_shed_total", "class", "local")
+	r.Overload.ShedOn.ShedStale = count(m, "swala_shed_total", "class", "stale")
 	onNode.Close()
 	r.Overload.ShedOn.Offered = onOut.Offered
 	r.Overload.ShedOn.Completed = onOut.Requests

@@ -354,9 +354,7 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 		return r, fmt.Errorf("invalidation: no replica holders formed")
 	}
 	for _, s := range rc.servers {
-		if rs := s.ReplicaStats(); rs != nil {
-			r.Replica.Holders += int(rs.Held)
-		}
+		r.Replica.Holders += int(count(s.Metrics(), "swala_replica_held"))
 	}
 	// One write to the hot item; its wave must reach owner and holders.
 	if _, err := rc.client.Get(rc.addrs[1], workload.RWWriteURI(0, cost)); err != nil {

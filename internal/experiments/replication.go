@@ -210,10 +210,9 @@ func RunReplication(o Options) (ReplicationResult, error) {
 	r.Replicated.ReplicaServes = repServesAfter - repServesBefore
 	r.Replicated.HintSkips = hintsAfter - hintsBefore
 	for _, s := range c.servers {
-		if rs := s.ReplicaStats(); rs != nil {
-			r.Replicated.Pushes += rs.Pushed
-			r.Replicated.Pulls += rs.Pulled
-		}
+		m := s.Metrics()
+		r.Replicated.Pushes += count(m, "swala_replica_pushes_total")
+		r.Replicated.Pulls += count(m, "swala_replica_pulls_total")
 	}
 
 	// --- retirement: move the hotspot, replicas must drain on their own ---
@@ -231,7 +230,7 @@ func RunReplication(o Options) (ReplicationResult, error) {
 			if s.Directory().ReplicatedKeys() != 0 {
 				return false
 			}
-			if rs := s.ReplicaStats(); rs != nil && rs.Held != 0 {
+			if count(s.Metrics(), "swala_replica_held") != 0 {
 				return false
 			}
 		}
@@ -244,9 +243,7 @@ func RunReplication(o Options) (ReplicationResult, error) {
 		r.Retire.RetireTime = time.Since(retireStart)
 	}
 	for _, s := range c.servers {
-		if rs := s.ReplicaStats(); rs != nil {
-			r.Retire.Drops += rs.Dropped
-		}
+		r.Retire.Drops += count(s.Metrics(), "swala_replica_drops_total")
 	}
 
 	r.SpreadGate = r.Baseline.HottestShare > 0 &&
@@ -260,10 +257,9 @@ func RunReplication(o Options) (ReplicationResult, error) {
 // over a cluster.
 func replicaTotals(c *scaleoutCluster) (replicaServes, hintSkips uint64) {
 	for _, s := range c.servers {
-		if rs := s.ReplicaStats(); rs != nil {
-			replicaServes += rs.ReplicaServes
-			hintSkips += rs.HintSkips
-		}
+		m := s.Metrics()
+		replicaServes += count(m, "swala_replica_serves_total")
+		hintSkips += count(m, "swala_replica_hint_skips_total")
 	}
 	return
 }

@@ -508,20 +508,3 @@ type ReplicationSnapshot struct {
 	// Dropped counts updates discarded because a peer queue was full.
 	Dropped uint64 `json:"dropped"`
 }
-
-// MeanBatch is the average number of updates per batch frame.
-func (r ReplicationSnapshot) MeanBatch() float64 {
-	if r.BatchFrames == 0 {
-		return 0
-	}
-	return float64(r.UpdatesSent) / float64(r.BatchFrames)
-}
-
-// FlushesPerUpdate is how many stream pushes each sent update cost; 1.0
-// means every update was its own write, 1/N means N-way amortization.
-func (r ReplicationSnapshot) FlushesPerUpdate() float64 {
-	if r.UpdatesSent == 0 {
-		return 0
-	}
-	return float64(r.Flushes) / float64(r.UpdatesSent)
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // FuzzUnmarshal asserts the wire decoder never panics on arbitrary payloads
@@ -19,8 +21,8 @@ func FuzzUnmarshal(f *testing.F) {
 		&Ping{Seq: 9},
 		&Pong{Seq: 9},
 		&Stats{Seq: 1},
-		&StatsReply{Seq: 1, LocalHits: 2, Entries: 3},
-		&StatsReply{Seq: 2, Storage: &StorageStats{Degraded: true, LastError: "enospc", PutFailures: 1, Recovered: 4}},
+		&StatsReply{Seq: 1, Samples: []stats.Sample{{Name: "swala_misses_total", Value: 2}}},
+		&StatsReply{Seq: 2, Samples: []stats.Sample{{Name: "swala_store_info", Labels: []stats.Label{{Name: "last_error", Value: "enospc"}}, Value: 1}}},
 		&Invalidate{Origin: 7, Pattern: "GET /cgi*"},
 		&DirBatch{Owner: 1, Version: 3, Updates: []DirUpdate{
 			{Owner: 1, Key: "GET /a", Size: 9, ExecTime: time.Second},

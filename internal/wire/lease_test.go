@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lease"
+	"repro/internal/stats"
 )
 
 // TestMain runs the package with released frames poisoned.
@@ -79,7 +80,7 @@ func TestLeaseFetchReplyKeepsFrameUntilRelease(t *testing.T) {
 func TestLeaseReadErrorDoesNotPoolHugeFrame(t *testing.T) {
 	for _, m := range []Message{
 		&FetchReply{Seq: 1, OK: true, Body: make([]byte, 2<<20)},
-		&StatsReply{Storage: &StorageStats{LastError: string(make([]byte, 2<<20))}},
+		&StatsReply{Samples: []stats.Sample{{Name: "swala_store_info", Labels: []stats.Label{{Name: "last_error", Value: string(make([]byte, 2<<20))}}}}},
 	} {
 		frame := Marshal(m)
 		if _, err := ReadMessage(bytes.NewReader(frame[:len(frame)-1])); err == nil {

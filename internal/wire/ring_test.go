@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestRoundTripJoinLeaveRingUpdate(t *testing.T) {
@@ -117,57 +116,4 @@ func TestDirSyncHandoffAndLegacyFrame(t *testing.T) {
 		e.boolean(false)
 		e.u32(0)
 	})
-}
-
-func TestStatsReplyRing(t *testing.T) {
-	in := &StatsReply{
-		Seq: 2,
-		Ring: &RingStats{
-			Epoch: 5, VirtualNodes: 256,
-			LastRebalance: time.Unix(100, 0),
-			HandoffOut:    40, HandoffIn: 12, HandoffBytes: 81920,
-			Members: []RingMember{
-				{ID: 1, Addr: "h1:9080", State: 0, OwnedPermille: 126},
-				{ID: 2, Addr: "h2:9080", State: 1, OwnedPermille: 131},
-			},
-		},
-	}
-	got := roundTrip(t, in).(*StatsReply)
-	if got.Ring == nil || got.Ring.Epoch != 5 || len(got.Ring.Members) != 2 {
-		t.Fatalf("got %+v", got.Ring)
-	}
-	if !reflect.DeepEqual(got.Ring.Members, in.Ring.Members) {
-		t.Fatalf("members %+v, want %+v", got.Ring.Members, in.Ring.Members)
-	}
-	if !got.Ring.LastRebalance.Equal(in.Ring.LastRebalance) {
-		t.Fatalf("LastRebalance = %v", got.Ring.LastRebalance)
-	}
-
-	// A pre-ring frame (ends after the storage section) still decodes.
-	noRing := &StatsReply{Seq: 3, Storage: &StorageStats{Recovered: 1}}
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgStatsReply))
-	e.u64(noRing.Seq)
-	for i := 0; i < 9; i++ {
-		e.i64(0)
-	}
-	e.u32(0) // no peer drops
-	e.u32(0) // no health
-	e.boolean(true)
-	e.boolean(false)
-	e.str("")
-	e.u64(0)
-	e.u64(0)
-	e.u64(1)
-	e.u64(0)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	m, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	sr := m.(*StatsReply)
-	if sr.Ring != nil || sr.Storage == nil || sr.Storage.Recovered != 1 {
-		t.Fatalf("got %+v", sr)
-	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/lease"
+	"repro/internal/stats"
 )
 
 // MsgType identifies the kind of a protocol message.
@@ -48,8 +49,9 @@ const (
 	MsgPong
 	// MsgStats requests a node's counter snapshot (used by swalactl).
 	MsgStats
-	// MsgStatsReply answers MsgStats.
-	MsgStatsReply
+	// Type 9 is reserved: it carried StatsReply in its older, struct-shaped
+	// layout, which a current node must reject rather than misread.
+	_
 	// MsgInvalidate asks every node to drop cached entries whose key matches
 	// a pattern — the application-driven invalidation the paper lists as
 	// future work (Section 4.2, citing Iyengar & Challenger).
@@ -89,6 +91,8 @@ const (
 	// how many local entries matched, and the fan-out accounting (peers the
 	// wave was sent toward, peers whose links could not take it).
 	MsgInvalAck
+	// MsgStatsReply answers MsgStats with the node's metric samples.
+	MsgStatsReply
 )
 
 // String implements fmt.Stringer.
@@ -276,173 +280,11 @@ type Stats struct{ Seq uint64 }
 // Type implements Message.
 func (*Stats) Type() MsgType { return MsgStats }
 
-// PeerDrops reports broadcast updates dropped toward one peer.
-type PeerDrops struct {
-	Peer    uint32
-	Dropped uint64
-}
-
-// PeerHealth reports one peer's failure-detector verdict: State is the
-// cluster.PeerState ordinal (0 alive, 1 suspect, 2 dead) and Fails the
-// current run of consecutive probe failures.
-type PeerHealth struct {
-	Peer  uint32
-	State uint8
-	Fails uint32
-}
-
-// StatsReply carries a node's cache counters.
+// StatsReply carries a node's counters as one flat list of samples, in the
+// order the node collected them.
 type StatsReply struct {
-	Seq         uint64
-	LocalHits   int64
-	RemoteHits  int64
-	Misses      int64
-	FalseMisses int64
-	FalseHits   int64
-	Inserts     int64
-	Evictions   int64
-	Entries     int64
-	// Dropped counts broadcast updates discarded because a peer send queue
-	// was full; anti-entropy sync heals the resulting directory gaps.
-	Dropped int64
-	// PeerDrops breaks Dropped down by destination peer.
-	PeerDrops []PeerDrops
-	// Health lists the failure detector's per-peer state (empty when the
-	// detector is disabled or the sender predates it).
-	Health []PeerHealth
-	// Storage reports durable-store health (nil when the node runs a pure
-	// in-memory store, or the sender predates the field).
-	Storage *StorageStats
-	// Ring reports consistent-hash membership (nil when the node runs
-	// replicate placement, or the sender predates the field).
-	Ring *RingStats
-	// Replicas reports adaptive hot-entry replication (nil when the feature
-	// is off, or the sender predates the field).
-	Replicas *ReplicaStats
-	// Resilience reports gray-failure/overload handling (nil when hedging,
-	// breakers, and shedding are all off, or the sender predates the field).
-	Resilience *ResilienceStats
-}
-
-// BreakerInfo reports one peer's fetch score and circuit-breaker state
-// inside a ResilienceStats.
-type BreakerInfo struct {
-	Peer uint32
-	// State is the cluster.BreakerState ordinal (0 closed, 1 open,
-	// 2 half-open).
-	State   uint8
-	Trips   uint64
-	Samples uint64
-	// Latency is the fast EWMA over observed fetch latencies; Baseline the
-	// slow "healthy" reference it is judged against; P95 the windowed tail
-	// estimate that triggers hedges (0 until enough samples).
-	Latency  time.Duration
-	Baseline time.Duration
-	P95      time.Duration
-	// FailPermille is the EWMA fetch failure rate in 1/1000ths.
-	FailPermille uint32
-}
-
-// ResilienceStats reports the gray-failure and overload resilience layer
-// inside a StatsReply.
-type ResilienceStats struct {
-	// FetchPrimaries counts hedge-eligible primary fetches — the base rate
-	// the retry budget accrues against.
-	FetchPrimaries uint64
-	// Hedge counters: Issued hedge fetches launched, Won served the
-	// request, Abandoned were cancelled as losers, Denied were wanted but
-	// refused by the retry budget, Local are trigger firings that fell back
-	// to local execution because no alternate target existed.
-	HedgesIssued    uint64
-	HedgesWon       uint64
-	HedgesAbandoned uint64
-	HedgesDenied    uint64
-	HedgesLocal     uint64
-	// BudgetPermille is the retry-budget token bucket's fill in 1/1000ths.
-	BudgetPermille uint32
-	// BreakerFastFails counts fetches rejected because a breaker was open.
-	BreakerFastFails uint64
-	// ShedLevel is the current shed watermark level (0 none, 1 remote
-	// executes refused, 2 also remote serves and local misses).
-	ShedLevel uint32
-	// Shed counts by class: remote peer work, local client requests (503),
-	// and local requests degraded to a stale body instead of refused.
-	ShedRemote uint64
-	ShedLocal  uint64
-	ShedStale  uint64
-	// Breakers lists per-peer scores (empty when scoring is off).
-	Breakers []BreakerInfo
-}
-
-// ReplicaStats reports adaptive hot-entry replication state inside a
-// StatsReply (ring placement with -replicate-hot only).
-type ReplicaStats struct {
-	// Tracked is how many keys currently have live load-tracking state.
-	Tracked uint64
-	// Hot is how many self-owned keys are currently replicated out.
-	Hot uint64
-	// Held is how many replicas this node currently hosts for other homes.
-	Held uint64
-	// Pushed / Retired count replica push and retire orders sent as home.
-	Pushed  uint64
-	Retired uint64
-	// Pulled counts replica bodies pulled and installed as a holder.
-	Pulled uint64
-	// Dropped counts replicas dropped as a holder (retire orders, TTL
-	// lapses, ownership changes).
-	Dropped uint64
-	// ReplicaServes counts fetches this node served from a held replica.
-	ReplicaServes uint64
-	// HintSkips counts routed hops skipped thanks to a negative hint.
-	HintSkips uint64
-}
-
-// RingMember is one live member inside a RingStats report.
-type RingMember struct {
-	ID   uint32
-	Addr string
-	// State is the reporter's failure-detector verdict for the member
-	// (0 alive, 1 suspect, 2 dead; the reporter itself is always 0).
-	State uint8
-	// OwnedPermille is the member's share of the hash circle in 1/1000ths.
-	OwnedPermille uint32
-}
-
-// RingStats reports ring placement state inside a StatsReply.
-type RingStats struct {
-	// Epoch counts effective membership changes seen by the reporter.
-	Epoch uint64
-	// VirtualNodes is the per-member point count.
-	VirtualNodes uint32
-	// LastRebalance is when the reporter last started a handoff (zero if
-	// never).
-	LastRebalance time.Time
-	// HandoffOut / HandoffIn count entries this node pushed to / adopted
-	// from other owners across all rebalances.
-	HandoffOut uint64
-	HandoffIn  uint64
-	// HandoffBytes counts body bytes pulled during rebalances.
-	HandoffBytes uint64
-	// Members lists the current (non-departed) membership.
-	Members []RingMember
-}
-
-// StorageStats reports the durable store's health inside a StatsReply.
-type StorageStats struct {
-	// Degraded is true while the store is in read-only degraded mode after a
-	// write failure (full or failing disk); it re-probes periodically.
-	Degraded bool
-	// LastError is the most recent write error ("" if none ever occurred).
-	LastError string
-	// PutFailures counts writes that failed (including degraded fast-fails).
-	PutFailures uint64
-	// Quarantined counts corrupt records dropped, never served.
-	Quarantined uint64
-	// Recovered is how many entries the startup scan salvaged.
-	Recovered uint64
-	// OrphansSwept is how many torn tails and leftover files the startup scan
-	// removed.
-	OrphansSwept uint64
+	Seq     uint64
+	Samples []stats.Sample
 }
 
 // Type implements Message.
@@ -825,240 +667,53 @@ func (m *Stats) decode(d *decoder) error {
 	return d.finish()
 }
 
+// sampleMinSize and labelMinSize are the smallest encodings of one
+// stats.Sample (empty name, no labels) and one stats.Label (both strings
+// empty); they bound the counts a StatsReply frame can claim.
+const (
+	sampleMinSize = 4 + 4 + 8
+	labelMinSize  = 4 + 4
+)
+
 func (m *StatsReply) encode(e *encoder) {
 	e.u64(m.Seq)
-	e.i64(m.LocalHits)
-	e.i64(m.RemoteHits)
-	e.i64(m.Misses)
-	e.i64(m.FalseMisses)
-	e.i64(m.FalseHits)
-	e.i64(m.Inserts)
-	e.i64(m.Evictions)
-	e.i64(m.Entries)
-	e.i64(m.Dropped)
-	e.u32(uint32(len(m.PeerDrops)))
-	for _, pd := range m.PeerDrops {
-		e.u32(pd.Peer)
-		e.u64(pd.Dropped)
-	}
-	e.u32(uint32(len(m.Health)))
-	for _, ph := range m.Health {
-		e.u32(ph.Peer)
-		e.u8(ph.State)
-		e.u32(ph.Fails)
-	}
-	e.boolean(m.Storage != nil)
-	if m.Storage != nil {
-		e.boolean(m.Storage.Degraded)
-		e.str(m.Storage.LastError)
-		e.u64(m.Storage.PutFailures)
-		e.u64(m.Storage.Quarantined)
-		e.u64(m.Storage.Recovered)
-		e.u64(m.Storage.OrphansSwept)
-	}
-	e.boolean(m.Ring != nil)
-	if m.Ring != nil {
-		e.u64(m.Ring.Epoch)
-		e.u32(m.Ring.VirtualNodes)
-		e.timeVal(m.Ring.LastRebalance)
-		e.u64(m.Ring.HandoffOut)
-		e.u64(m.Ring.HandoffIn)
-		e.u64(m.Ring.HandoffBytes)
-		e.u32(uint32(len(m.Ring.Members)))
-		for _, rm := range m.Ring.Members {
-			e.u32(rm.ID)
-			e.str(rm.Addr)
-			e.u8(rm.State)
-			e.u32(rm.OwnedPermille)
+	e.u32(uint32(len(m.Samples)))
+	for _, s := range m.Samples {
+		e.str(s.Name)
+		e.u32(uint32(len(s.Labels)))
+		for _, l := range s.Labels {
+			e.str(l.Name)
+			e.str(l.Value)
 		}
-	}
-	e.boolean(m.Replicas != nil)
-	if m.Replicas != nil {
-		e.u64(m.Replicas.Tracked)
-		e.u64(m.Replicas.Hot)
-		e.u64(m.Replicas.Held)
-		e.u64(m.Replicas.Pushed)
-		e.u64(m.Replicas.Retired)
-		e.u64(m.Replicas.Pulled)
-		e.u64(m.Replicas.Dropped)
-		e.u64(m.Replicas.ReplicaServes)
-		e.u64(m.Replicas.HintSkips)
-	}
-	e.boolean(m.Resilience != nil)
-	if m.Resilience != nil {
-		r := m.Resilience
-		e.u64(r.FetchPrimaries)
-		e.u64(r.HedgesIssued)
-		e.u64(r.HedgesWon)
-		e.u64(r.HedgesAbandoned)
-		e.u64(r.HedgesDenied)
-		e.u64(r.HedgesLocal)
-		e.u32(r.BudgetPermille)
-		e.u64(r.BreakerFastFails)
-		e.u32(r.ShedLevel)
-		e.u64(r.ShedRemote)
-		e.u64(r.ShedLocal)
-		e.u64(r.ShedStale)
-		e.u32(uint32(len(r.Breakers)))
-		for i := range r.Breakers {
-			b := &r.Breakers[i]
-			e.u32(b.Peer)
-			e.u8(b.State)
-			e.u64(b.Trips)
-			e.u64(b.Samples)
-			e.i64(int64(b.Latency))
-			e.i64(int64(b.Baseline))
-			e.i64(int64(b.P95))
-			e.u32(b.FailPermille)
-		}
+		e.u64(math.Float64bits(s.Value))
 	}
 }
 
 func (m *StatsReply) decode(d *decoder) error {
 	m.Seq = d.u64()
-	m.LocalHits = d.i64()
-	m.RemoteHits = d.i64()
-	m.Misses = d.i64()
-	m.FalseMisses = d.i64()
-	m.FalseHits = d.i64()
-	m.Inserts = d.i64()
-	m.Evictions = d.i64()
-	m.Entries = d.i64()
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the drop counters.
-		return nil
-	}
-	m.Dropped = d.i64()
 	n := int(d.u32())
-	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/12 {
+	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/sampleMinSize {
 		d.fail()
 		return d.err
 	}
 	if n > 0 {
-		m.PeerDrops = make([]PeerDrops, n)
-		for i := range m.PeerDrops {
-			m.PeerDrops[i].Peer = d.u32()
-			m.PeerDrops[i].Dropped = d.u64()
-		}
+		m.Samples = make([]stats.Sample, n)
 	}
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the peer-health list.
-		return nil
-	}
-	hn := int(d.u32())
-	if d.err != nil || hn < 0 || hn > (len(d.buf)-d.off)/9 {
-		d.fail()
-		return d.err
-	}
-	if hn > 0 {
-		m.Health = make([]PeerHealth, hn)
-		for i := range m.Health {
-			m.Health[i].Peer = d.u32()
-			m.Health[i].State = d.u8()
-			m.Health[i].Fails = d.u32()
-		}
-	}
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the storage-health report.
-		return nil
-	}
-	if d.boolean() {
-		m.Storage = &StorageStats{
-			Degraded:     d.boolean(),
-			LastError:    d.str(),
-			PutFailures:  d.u64(),
-			Quarantined:  d.u64(),
-			Recovered:    d.u64(),
-			OrphansSwept: d.u64(),
-		}
-	}
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the ring report.
-		return nil
-	}
-	if d.boolean() {
-		r := &RingStats{
-			Epoch:         d.u64(),
-			VirtualNodes:  d.u32(),
-			LastRebalance: d.timeVal(),
-			HandoffOut:    d.u64(),
-			HandoffIn:     d.u64(),
-			HandoffBytes:  d.u64(),
-		}
-		rn := int(d.u32())
-		// 13 = min encoding of one RingMember (empty addr).
-		if d.err != nil || rn < 0 || rn > (len(d.buf)-d.off)/13 {
+	for i := range m.Samples {
+		s := &m.Samples[i]
+		s.Name = d.str()
+		ln := int(d.u32())
+		if d.err != nil || ln < 0 || ln > (len(d.buf)-d.off)/labelMinSize {
 			d.fail()
 			return d.err
 		}
-		if rn > 0 {
-			r.Members = make([]RingMember, rn)
-			for i := range r.Members {
-				r.Members[i].ID = d.u32()
-				r.Members[i].Addr = d.str()
-				r.Members[i].State = d.u8()
-				r.Members[i].OwnedPermille = d.u32()
+		if ln > 0 {
+			s.Labels = make([]stats.Label, ln)
+			for j := range s.Labels {
+				s.Labels[j] = stats.Label{Name: d.str(), Value: d.str()}
 			}
 		}
-		m.Ring = r
-	}
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the replication report.
-		return nil
-	}
-	if d.boolean() {
-		m.Replicas = &ReplicaStats{
-			Tracked:       d.u64(),
-			Hot:           d.u64(),
-			Held:          d.u64(),
-			Pushed:        d.u64(),
-			Retired:       d.u64(),
-			Pulled:        d.u64(),
-			Dropped:       d.u64(),
-			ReplicaServes: d.u64(),
-			HintSkips:     d.u64(),
-		}
-	}
-	if d.err == nil && d.off == len(d.buf) {
-		// Frame from a sender predating the resilience report.
-		return nil
-	}
-	if d.boolean() {
-		r := &ResilienceStats{
-			FetchPrimaries:   d.u64(),
-			HedgesIssued:     d.u64(),
-			HedgesWon:        d.u64(),
-			HedgesAbandoned:  d.u64(),
-			HedgesDenied:     d.u64(),
-			HedgesLocal:      d.u64(),
-			BudgetPermille:   d.u32(),
-			BreakerFastFails: d.u64(),
-			ShedLevel:        d.u32(),
-			ShedRemote:       d.u64(),
-			ShedLocal:        d.u64(),
-			ShedStale:        d.u64(),
-		}
-		bn := int(d.u32())
-		// 49 = encoding of one BreakerInfo.
-		if d.err != nil || bn < 0 || bn > (len(d.buf)-d.off)/49 {
-			d.fail()
-			return d.err
-		}
-		if bn > 0 {
-			r.Breakers = make([]BreakerInfo, bn)
-			for i := range r.Breakers {
-				b := &r.Breakers[i]
-				b.Peer = d.u32()
-				b.State = d.u8()
-				b.Trips = d.u64()
-				b.Samples = d.u64()
-				b.Latency = time.Duration(d.i64())
-				b.Baseline = time.Duration(d.i64())
-				b.P95 = time.Duration(d.i64())
-				b.FailPermille = d.u32()
-			}
-		}
-		m.Resilience = r
+		s.Value = math.Float64frombits(d.u64())
 	}
 	return d.finish()
 }

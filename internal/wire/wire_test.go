@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -95,7 +98,7 @@ func TestRoundTripControlMessages(t *testing.T) {
 		&Ping{Seq: 1},
 		&Pong{Seq: 2},
 		&Stats{Seq: 3},
-		&StatsReply{Seq: 3, LocalHits: 10, RemoteHits: 4, Misses: 2, FalseMisses: 1, FalseHits: 1, Inserts: 12, Evictions: 3, Entries: 9},
+		&StatsReply{Seq: 3, Samples: []stats.Sample{{Name: "swala_local_hits_total", Value: 10}}},
 		&Invalidate{Origin: 7, Pattern: "GET /cgi-bin/map*"},
 	} {
 		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
@@ -171,137 +174,182 @@ func TestDirBatchBogusCountRejected(t *testing.T) {
 	}
 }
 
-func TestStatsReplyPeerDrops(t *testing.T) {
-	in := &StatsReply{
-		Seq: 9, LocalHits: 1, Entries: 2, Dropped: 12,
-		PeerDrops: []PeerDrops{{Peer: 2, Dropped: 5}, {Peer: 3, Dropped: 7}},
+func TestStatsReplyRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []stats.Sample
+	}{
+		{"empty", nil},
+		{"no labels", []stats.Sample{{Name: "swala_misses_total", Value: 12}}},
+		{"escaped and non-ASCII labels", []stats.Sample{{
+			Name: "swala_entry_hits_total",
+			Labels: []stats.Label{
+				{Name: "key", Value: "GET /q?a=\"x\"&b=\\\n<script>"},
+				{Name: "node", Value: "nœud-π ✓"},
+			},
+			Value: 3,
+		}}},
+		{"2^53", []stats.Sample{{Name: "swala_store_put_failures_total", Value: 1 << 53}}},
+		{"signed zero and infinity", []stats.Sample{
+			{Name: "a", Value: math.Copysign(0, -1)},
+			{Name: "b", Labels: []stats.Label{{Name: "peer", Value: "2"}}, Value: math.Inf(1)},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &StatsReply{Seq: 9, Samples: tc.samples}
+			got := roundTrip(t, in).(*StatsReply)
+			if !reflect.DeepEqual(got, in) {
+				t.Fatalf("got %+v, want %+v", got, in)
+			}
+			for i := range in.Samples {
+				if w, g := math.Float64bits(in.Samples[i].Value), math.Float64bits(got.Samples[i].Value); g != w {
+					t.Fatalf("sample %d bits = %#x, want %#x", i, g, w)
+				}
+			}
+		})
 	}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
+}
+
+// sectionRoundTrip sends the samples one status section emits through a
+// StatsReply and checks that each want (name, label pairs, value) reads back.
+func sectionRoundTrip(t *testing.T, samples []stats.Sample, wants []sampleWant) {
+	t.Helper()
+	in := &StatsReply{Seq: 4, Samples: samples}
+	got := roundTrip(t, in).(*StatsReply)
+	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
+	for _, w := range wants {
+		v, ok := stats.Find(got.Samples, w.name, w.pairs...)
+		if !ok || v != w.value {
+			t.Errorf("Find(%s, %v) = (%v, %v), want (%v, true)", w.name, w.pairs, v, ok, w.value)
+		}
+	}
+}
+
+type sampleWant struct {
+	name  string
+	pairs []string
+	value float64
+}
+
+func lbl(pairs ...string) []stats.Label {
+	var ls []stats.Label
+	for i := 0; i+1 < len(pairs); i += 2 {
+		ls = append(ls, stats.Label{Name: pairs[i], Value: pairs[i+1]})
+	}
+	return ls
+}
+
+func TestStatsReplyPeerDrops(t *testing.T) {
+	sectionRoundTrip(t, []stats.Sample{
+		{Name: "swala_dropped_updates_total", Value: 12},
+		{Name: "swala_peer_dropped_updates_total", Labels: lbl("peer", "2"), Value: 5},
+		{Name: "swala_peer_dropped_updates_total", Labels: lbl("peer", "3"), Value: 7},
+	}, []sampleWant{
+		{"swala_dropped_updates_total", nil, 12},
+		{"swala_peer_dropped_updates_total", []string{"peer", "2"}, 5},
+		{"swala_peer_dropped_updates_total", []string{"peer", "3"}, 7},
+	})
 }
 
 func TestStatsReplyHealth(t *testing.T) {
-	in := &StatsReply{
-		Seq: 11, Entries: 4,
-		PeerDrops: []PeerDrops{{Peer: 2, Dropped: 1}},
-		Health:    []PeerHealth{{Peer: 2, State: 0, Fails: 0}, {Peer: 3, State: 2, Fails: 6}},
-	}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-}
-
-func TestStatsReplyDecodesPreHealthFrame(t *testing.T) {
-	// A StatsReply frame that ends after the drop counters (sender predates
-	// the health list) must still decode, with Health nil.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgStatsReply))
-	e.u64(5)
-	for _, v := range []int64{10, 4, 2, 1, 1, 12, 3, 9, 2} {
-		e.i64(v)
-	}
-	e.u32(1) // one PeerDrops entry
-	e.u32(7)
-	e.u64(2)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	got, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	sr := got.(*StatsReply)
-	if sr.Seq != 5 || sr.Dropped != 2 || len(sr.PeerDrops) != 1 || sr.PeerDrops[0].Peer != 7 {
-		t.Fatalf("got %+v", sr)
-	}
-	if sr.Health != nil {
-		t.Fatalf("pre-health frame produced health stats: %+v", sr)
-	}
+	sectionRoundTrip(t, []stats.Sample{
+		{Name: "swala_quarantines_total", Value: 1},
+		{Name: "swala_quarantine_lifts_total", Value: 0},
+		{Name: "swala_peer_state", Labels: lbl("peer", "2", "state", "suspect", "last_error", "i/o timeout"), Value: 1},
+		{Name: "swala_peer_probe_failures", Labels: lbl("peer", "2"), Value: 3},
+		{Name: "swala_peer_quarantined", Labels: lbl("peer", "2"), Value: 1},
+	}, []sampleWant{
+		{"swala_quarantines_total", nil, 1},
+		{"swala_peer_state", []string{"peer", "2", "state", "suspect", "last_error", "i/o timeout"}, 1},
+		{"swala_peer_probe_failures", []string{"peer", "2"}, 3},
+		{"swala_peer_quarantined", []string{"peer", "2"}, 1},
+	})
 }
 
 func TestStatsReplyStorage(t *testing.T) {
-	in := &StatsReply{
-		Seq: 13, Entries: 7,
-		Health: []PeerHealth{{Peer: 2, State: 1, Fails: 3}},
-		Storage: &StorageStats{
-			Degraded:     true,
-			LastError:    "write /tmp/cache/entry-9.cache.tmp: no space left on device",
-			PutFailures:  4,
-			Quarantined:  2,
-			Recovered:    117,
-			OrphansSwept: 1,
-		},
-	}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-	// And a healthy nil Storage must survive the round trip as nil.
-	in2 := &StatsReply{Seq: 14, Entries: 1}
-	if got := roundTrip(t, in2); !reflect.DeepEqual(got, in2) {
-		t.Fatalf("got %+v, want %+v", got, in2)
-	}
+	sectionRoundTrip(t, []stats.Sample{
+		{Name: "swala_store_info", Labels: lbl("last_error", "write seg-0007: no space left on device"), Value: 1},
+		{Name: "swala_store_degraded", Value: 1},
+		{Name: "swala_store_degraded_since_seconds", Value: 1.7e9},
+		{Name: "swala_store_put_failures_total", Value: 4},
+		{Name: "swala_store_quarantined_total", Value: 2},
+		{Name: "swala_store_recovered_entries", Value: 900},
+		{Name: "swala_store_orphans_swept", Value: 6},
+	}, []sampleWant{
+		{"swala_store_info", []string{"last_error", "write seg-0007: no space left on device"}, 1},
+		{"swala_store_degraded", nil, 1},
+		{"swala_store_degraded_since_seconds", nil, 1.7e9},
+		{"swala_store_put_failures_total", nil, 4},
+		{"swala_store_recovered_entries", nil, 900},
+		{"swala_store_orphans_swept", nil, 6},
+	})
 }
 
-func TestStatsReplyDecodesPreStorageFrame(t *testing.T) {
-	// A StatsReply frame that ends after the health list (sender predates the
-	// storage report) must still decode, with Storage nil.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgStatsReply))
-	e.u64(6)
-	for _, v := range []int64{10, 4, 2, 1, 1, 12, 3, 9, 2} {
-		e.i64(v)
-	}
-	e.u32(0) // no PeerDrops
-	e.u32(1) // one health entry
-	e.u32(3)
-	e.u8(2)
-	e.u32(5)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	got, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	sr := got.(*StatsReply)
-	if sr.Seq != 6 || len(sr.Health) != 1 || sr.Health[0].Peer != 3 {
-		t.Fatalf("got %+v", sr)
-	}
-	if sr.Storage != nil {
-		t.Fatalf("pre-storage frame produced storage stats: %+v", sr.Storage)
-	}
+func TestStatsReplyRing(t *testing.T) {
+	sectionRoundTrip(t, []stats.Sample{
+		{Name: "swala_ring_epoch", Value: 3},
+		{Name: "swala_ring_vnodes", Value: 64},
+		{Name: "swala_ring_last_rebalance_seconds", Value: 0},
+		{Name: "swala_ring_handoff_out_total", Value: 11},
+		{Name: "swala_ring_handoff_in_total", Value: 9},
+		{Name: "swala_ring_handoff_bytes_total", Value: 1 << 20},
+		{Name: "swala_ring_member_owned_ratio", Labels: lbl("member", "1", "addr", "10.0.0.1:9001", "state", "self"), Value: 0.5},
+		{Name: "swala_ring_member_owned_ratio", Labels: lbl("member", "2", "addr", "10.0.0.2:9001", "state", "leaving"), Value: 0.25},
+	}, []sampleWant{
+		{"swala_ring_epoch", nil, 3},
+		{"swala_ring_vnodes", nil, 64},
+		{"swala_ring_handoff_bytes_total", nil, 1 << 20},
+		{"swala_ring_member_owned_ratio", []string{"member", "1", "state", "self"}, 0.5},
+		{"swala_ring_member_owned_ratio", []string{"member", "2", "addr", "10.0.0.2:9001"}, 0.25},
+	})
+}
+
+func TestStatsReplyResilience(t *testing.T) {
+	sectionRoundTrip(t, []stats.Sample{
+		{Name: "swala_fetch_primaries_total", Value: 100},
+		{Name: "swala_hedges_issued_total", Value: 8},
+		{Name: "swala_hedges_won_total", Value: 3},
+		{Name: "swala_retry_budget_fill_ratio", Value: 0.75},
+		{Name: "swala_breaker_fast_fails_total", Value: 2},
+		{Name: "swala_shed_level", Value: 1},
+		{Name: "swala_shed_total", Labels: lbl("class", "remote"), Value: 5},
+		{Name: "swala_shed_total", Labels: lbl("class", "stale"), Value: 1},
+		{Name: "swala_peer_breaker_state", Labels: lbl("peer", "3", "state", "open"), Value: 1},
+		{Name: "swala_peer_breaker_trips_total", Labels: lbl("peer", "3"), Value: 2},
+		{Name: "swala_peer_fetch_p95_seconds", Labels: lbl("peer", "3"), Value: 0.125},
+	}, []sampleWant{
+		{"swala_fetch_primaries_total", nil, 100},
+		{"swala_retry_budget_fill_ratio", nil, 0.75},
+		{"swala_shed_total", []string{"class", "remote"}, 5},
+		{"swala_shed_total", []string{"class", "stale"}, 1},
+		{"swala_peer_breaker_state", []string{"peer", "3", "state", "open"}, 1},
+		{"swala_peer_fetch_p95_seconds", []string{"peer", "3"}, 0.125},
+	})
 }
 
 func TestStatsReplyBogusHealthCountRejected(t *testing.T) {
-	frame := Marshal(&StatsReply{Seq: 1})
-	payload := frame[4:]
-	// The health count is the last u32 of the payload.
-	binary.BigEndian.PutUint32(payload[len(payload)-4:], 1<<31-1)
-	if _, err := Unmarshal(payload); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("err = %v, want ErrBadMessage", err)
+	// A sample count or a label count far beyond what the payload can hold
+	// must fail fast instead of allocating.
+	frame := Marshal(&StatsReply{Seq: 1, Samples: []stats.Sample{{Name: "n"}}})
+	for name, off := range map[string]int{
+		"samples": 1 + 8,             // type byte + Seq
+		"labels":  1 + 8 + 4 + 4 + 1, // ... + sample count + name "n"
+	} {
+		payload := append([]byte(nil), frame[4:]...)
+		binary.BigEndian.PutUint32(payload[off:], 1<<31-1)
+		if _, err := Unmarshal(payload); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("bogus %s count: err = %v, want ErrBadMessage", name, err)
+		}
 	}
 }
 
-func TestStatsReplyDecodesLegacyFrame(t *testing.T) {
-	// A StatsReply frame from before the drop counters (fields end at
-	// Entries) must still decode, with the new fields zero.
-	e := &encoder{}
-	e.u32(0)
-	e.u8(uint8(MsgStatsReply))
-	e.u64(3)
-	for _, v := range []int64{10, 4, 2, 1, 1, 12, 3, 9} {
-		e.i64(v)
-	}
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	got, err := ReadMessage(bytes.NewReader(e.buf))
-	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
-	}
-	sr := got.(*StatsReply)
-	if sr.Seq != 3 || sr.LocalHits != 10 || sr.Entries != 9 {
-		t.Fatalf("got %+v", sr)
-	}
-	if sr.Dropped != 0 || sr.PeerDrops != nil {
-		t.Fatalf("legacy frame produced drop stats: %+v", sr)
+func TestStatsReplyRetiredTypeRejected(t *testing.T) {
+	// Type 9 carried the older StatsReply layout; a current node rejects it
+	// instead of misreading the frame.
+	if _, err := Unmarshal([]byte{9, 0, 0, 0, 0, 0, 0, 0, 1}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
 
@@ -503,30 +551,5 @@ func TestMsgTypeString(t *testing.T) {
 		if got := in.String(); got != want {
 			t.Fatalf("MsgType(%d).String() = %q, want %q", uint8(in), got, want)
 		}
-	}
-}
-
-func TestStatsReplyResilience(t *testing.T) {
-	in := &StatsReply{
-		Seq: 17, Entries: 3,
-		Resilience: &ResilienceStats{
-			FetchPrimaries: 420, HedgesIssued: 31, HedgesWon: 12, HedgesAbandoned: 30,
-			HedgesDenied: 4, HedgesLocal: 9, BudgetPermille: 730, BreakerFastFails: 55,
-			ShedLevel: 2, ShedRemote: 17, ShedLocal: 41, ShedStale: 6,
-			Breakers: []BreakerInfo{
-				{Peer: 2, State: 1, Trips: 3, Samples: 900, Latency: 80 * time.Millisecond,
-					Baseline: 2 * time.Millisecond, P95: 120 * time.Millisecond, FailPermille: 412},
-				{Peer: 3, State: 0, Samples: 1200, Latency: time.Millisecond,
-					Baseline: time.Millisecond, P95: 3 * time.Millisecond},
-			},
-		},
-	}
-	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-	// An absent section must decode back to nil (default-off byte compat).
-	plain := &StatsReply{Seq: 18, Entries: 1}
-	if got := roundTrip(t, plain).(*StatsReply); got.Resilience != nil {
-		t.Fatalf("default-off reply grew a resilience section: %+v", got)
 	}
 }
