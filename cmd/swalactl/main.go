@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 	defer conn.Close()
 	wc := wire.NewConn(conn)
 	// The Hello rides with the first request; the node sends nothing else.
-	wc.WriteBuffered(&wire.Hello{NodeID: 0xFFFF, NodeName: "swalactl"})
+	wc.WriteBuffered(&wire.Hello{NodeID: wire.AdminID, NodeName: "swalactl"})
 
 	// request sends m and reads the reply, of type want, within -timeout.
 	request := func(m wire.Message, want wire.MsgType) (wire.Message, error) {
@@ -117,7 +117,7 @@ func run(args []string, out io.Writer) error {
 		}
 		// Seq asks the node for an InvalAck instead of fire-and-forget, so a
 		// drop toward a still-dialing peer is visible here instead of silent.
-		reply, err := request(&wire.Invalidate{Origin: 0xFFFF, Pattern: fs.Arg(1), Seq: 2}, wire.MsgInvalAck)
+		reply, err := request(&wire.Invalidate{Origin: wire.AdminID, Pattern: fs.Arg(1), Seq: 2}, wire.MsgInvalAck)
 		if err != nil {
 			return err
 		}

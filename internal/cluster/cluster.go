@@ -347,7 +347,7 @@ func (n *Node) serveAccepted(conn net.Conn) {
 	}
 	// Protocol negotiation: reject placement/version mismatches with a clear
 	// error, never a decode failure downstream.
-	if reason := n.ringRejectHello(hello); reason != "" {
+	if reason := n.rejectHello(hello); reason != "" {
 		n.logf("rejecting inbound link: %s", reason)
 		return
 	}
@@ -494,6 +494,12 @@ func (n *Node) fetchWorker(c *peerLink, m *wire.Fetch) {
 		err := c.send(&r)
 		if release != nil {
 			release()
+		}
+		if errors.Is(err, wire.ErrFrameTooLarge) {
+			// The requester could not read the frame and would drop the
+			// link over it: answer a false hit, and it executes the request.
+			r = wire.FetchReply{Seq: m.Seq}
+			err = c.send(&r)
 		}
 		if err != nil {
 			n.logf("fetch reply to %d: %v", c.id, err)
@@ -1063,7 +1069,7 @@ func (n *Node) settle(c *peerLink, p *peer, err error) (up bool, _ error) {
 
 // hello introduces this node on a connection.
 func (n *Node) hello() *wire.Hello {
-	h := &wire.Hello{NodeID: n.cfg.NodeID, NodeName: n.cfg.Name, Addr: n.Addr(), ProtoVersion: wire.ProtoCurrent}
+	h := &wire.Hello{NodeID: n.cfg.NodeID, NodeName: n.cfg.Name, Addr: n.Addr(), ProtoVersion: wire.ProtoVersion}
 	if n.cfg.RingMode {
 		h.Placement = wire.PlacementRing
 	}

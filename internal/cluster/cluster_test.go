@@ -185,6 +185,56 @@ func TestFetchFalseHit(t *testing.T) {
 	}
 }
 
+// hugeBodyHandler serves a body one frame too large for "GET /huge" and the
+// recording handler's bodies for every other key.
+type hugeBodyHandler struct{ *recordingHandler }
+
+func (h hugeBodyHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply) func() {
+	if key == "GET /huge" {
+		r.OK, r.ContentType, r.Body = true, "application/octet-stream", make([]byte, wire.MaxFrameSize)
+		return nil
+	}
+	return h.recordingHandler.HandleFetch(key, flags, r)
+}
+
+// TestFetchOversizedBodyIsFalseHit: a body whose reply frame the requester
+// could not read comes back as a false hit, and the link that carried the
+// fetch stays up for the next one.
+func TestFetchOversizedBodyIsFalseHit(t *testing.T) {
+	mem := netx.NewMem()
+	owner := newRecordingHandler()
+	owner.bodies["GET /small"] = "small-body"
+	a := NewNode(Config{NodeID: 1, Network: mem, FetchTimeout: 5 * time.Second}, newRecordingHandler())
+	b := NewNode(Config{NodeID: 2, Network: mem, FetchTimeout: 5 * time.Second}, hugeBodyHandler{owner})
+	for i, n := range []*Node{a, b} {
+		if err := n.Start(fmt.Sprintf("node-%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+	}
+	if err := a.ConnectPeer(2, "node-2"); err != nil {
+		t.Fatal(err)
+	}
+	link := func() *peerLink {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.peers[2].link
+	}
+	before := link()
+
+	_, body, ok, err := a.Fetch(context.Background(), 2, "GET /huge")
+	if err != nil || ok {
+		t.Fatalf("oversized fetch = ok %v, %d bytes, err %v; want a false hit", ok, len(body), err)
+	}
+	_, body, ok, err = a.Fetch(context.Background(), 2, "GET /small")
+	if err != nil || !ok || string(body) != "small-body" {
+		t.Fatalf("fetch after the oversized one = ok %v, body %q, err %v", ok, body, err)
+	}
+	if after := link(); after != before || !after.live() {
+		t.Fatal("the oversized reply cost the link")
+	}
+}
+
 func TestFetchUnknownPeer(t *testing.T) {
 	nodes, _ := startMesh(t, 2)
 	_, _, _, err := nodes[0].Fetch(context.Background(), 99, "GET /x")

@@ -409,10 +409,10 @@ func (n *Node) RingStatusSnapshot() *RingStatus {
 	return st
 }
 
-// ringRejectHello enforces protocol negotiation for cluster-node links
+// rejectHello enforces protocol negotiation for cluster-node links
 // (administrative clients, which announce no address, are exempt). It
 // returns a non-empty reason when the peer must be rejected.
-func (n *Node) ringRejectHello(hello *wire.Hello) string {
+func (n *Node) rejectHello(hello *wire.Hello) string {
 	if hello.Addr == "" {
 		return ""
 	}
@@ -420,11 +420,11 @@ func (n *Node) ringRejectHello(hello *wire.Hello) string {
 		return fmt.Sprintf("peer %s announces this node's own ID %d: a dial that reached its own listener, or two nodes started with one -id",
 			hello.NodeName, hello.NodeID)
 	}
+	if hello.ProtoVersion != wire.ProtoVersion {
+		return fmt.Sprintf("peer %d (%s) speaks protocol v%d; this node speaks v%d — run one build across the cluster",
+			hello.NodeID, hello.NodeName, hello.ProtoVersion, wire.ProtoVersion)
+	}
 	if n.cfg.RingMode {
-		if hello.ProtoVersion < wire.ProtoRing {
-			return fmt.Sprintf("peer %d (%s) speaks protocol v%d (replicate-era message set); ring placement requires v%d — upgrade it or start this node with -placement=replicate",
-				hello.NodeID, hello.NodeName, hello.ProtoVersion, wire.ProtoRing)
-		}
 		if hello.Placement != wire.PlacementRing {
 			return fmt.Sprintf("peer %d (%s) runs replicate placement; this node runs ring placement — align -placement across the cluster",
 				hello.NodeID, hello.NodeName)

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"log"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -261,6 +265,56 @@ func TestPlacementMismatchRejected(t *testing.T) {
 	if ringNode.Ring().Len() != 1 {
 		t.Fatalf("rejected peer leaked into the ring: %d members", ringNode.Ring().Len())
 	}
+}
+
+// TestReplicateRejectsOtherProtoVersion: a replicate-placement node refuses
+// a cluster node whose Hello announces another protocol version, with the
+// reason in its log and no link adopted.
+func TestReplicateRejectsOtherProtoVersion(t *testing.T) {
+	mem := netx.NewMem()
+	var logs lockedBuffer
+	n := NewNode(Config{NodeID: 1, Network: mem, Logger: log.New(&logs, "", 0)}, NopHandler{})
+	if err := n.Start("node-1"); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	conn, err := mem.Dial("node-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wc := wire.NewConn(conn)
+	if err := wc.Write(&wire.Hello{NodeID: 2, NodeName: "old-2", Addr: "old-2", ProtoVersion: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := wc.Read(); err == nil {
+		t.Fatalf("node answered a v2 hello with %v", m.Type())
+	}
+	if got := logs.String(); !strings.Contains(got, "rejecting inbound link: peer 2 (old-2) speaks protocol v2") {
+		t.Fatalf("log = %q, want the rejection reason", got)
+	}
+	if peers := n.Peers(); len(peers) != 0 {
+		t.Fatalf("peers = %v, want none", peers)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer a node's logger can write while a test reads.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 func TestJoinRejectedByReplicateSeed(t *testing.T) {

@@ -1143,10 +1143,6 @@ func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply
 	return release
 }
 
-// AdminOrigin marks an invalidation sent by an administrative client
-// (swalactl) rather than a cluster node.
-const AdminOrigin = 0xFFFF
-
 // HandleInvalidate implements cluster.Handler: drop locally owned entries
 // matching the pattern and report the fan-out. A node-originated invalidation
 // is not re-broadcast (the origin already told every peer; only the per-entry
@@ -1156,7 +1152,7 @@ const AdminOrigin = 0xFFFF
 // re-broadcast, keeping the propagation loop-free.
 func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int) {
 	s := h.server()
-	if m.Origin != AdminOrigin {
+	if m.Origin != wire.AdminID {
 		return s.invalidateLocal(m.Pattern), 0, 0
 	}
 	if s.inv != nil {

@@ -310,7 +310,7 @@ func TestAdminInvalidateCountsUnreachedPeers(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 
 	matched, peers, unreached := (*clusterHandler)(h.servers[0]).HandleInvalidate(
-		&wire.Invalidate{Origin: AdminOrigin, Pattern: "GET /cgi-bin/null*", Seq: 1})
+		&wire.Invalidate{Origin: wire.AdminID, Pattern: "GET /cgi-bin/null*", Seq: 1})
 	if matched != 1 {
 		t.Fatalf("matched = %d, want 1", matched)
 	}

@@ -161,7 +161,7 @@ func wireStats(t *testing.T, h *harness, i int) []stats.Sample {
 	}
 	defer conn.Close()
 	wc := wire.NewConn(conn)
-	if err := wc.Write(&wire.Hello{NodeID: 0xFFFF, NodeName: "test"}); err != nil {
+	if err := wc.Write(&wire.Hello{NodeID: wire.AdminID, NodeName: "test"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wc.Write(&wire.Stats{Seq: 1}); err != nil {

@@ -2,56 +2,108 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/stats"
+	"repro/internal/lease"
 )
 
-// FuzzUnmarshal asserts the wire decoder never panics on arbitrary payloads
-// and that anything it accepts re-encodes to an equivalent message.
-func FuzzUnmarshal(f *testing.F) {
-	// Seed with every valid message type plus mutations.
-	msgs := []Message{
-		&Hello{NodeID: 1, NodeName: "n", Addr: "a:1"},
-		oneUpdate(DirUpdate{Owner: 2, Key: "GET /q?a=1", Size: 100, ExecTime: time.Second, Expires: time.Unix(5, 0)}),
-		oneUpdate(DirUpdate{Delete: true, Owner: 3, Key: "GET /x"}),
-		&Fetch{Seq: 4, Key: "GET /y"},
-		&FetchReply{Seq: 4, OK: true, ContentType: "text/html", Body: []byte("body")},
-		&Ping{Seq: 9},
-		&Pong{Seq: 9},
-		&Stats{Seq: 1},
-		&StatsReply{Seq: 1, Samples: []stats.Sample{{Name: "swala_misses_total", Value: 2}}},
-		&StatsReply{Seq: 2, Samples: []stats.Sample{{Name: "swala_store_info", Labels: []stats.Label{{Name: "last_error", Value: "enospc"}}, Value: 1}}},
-		&Invalidate{Origin: 7, Pattern: "GET /cgi*"},
-		&DirBatch{Owner: 1, Version: 3, Updates: []DirUpdate{
-			{Owner: 1, Key: "GET /a", Size: 9, ExecTime: time.Second},
-			{Delete: true, Owner: 1, Key: "GET /b"},
-		}},
-		&DirSyncReq{Version: 17},
-		&DirSync{Owner: 2, Version: 21, Full: true, Updates: []DirUpdate{
-			{Owner: 2, Key: "GET /c", Size: 4, Expires: time.Unix(3, 0)},
-		}},
+// goldenPayloads returns every golden frame without its length prefix.
+func goldenPayloads(f *testing.F) [][]byte {
+	var out [][]byte
+	for _, g := range golden {
+		frame, err := hex.DecodeString(g.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, frame[4:])
 	}
-	for _, m := range msgs {
-		f.Add(Marshal(m)[4:])
+	return out
+}
+
+// FuzzFrame asserts, for every registered type, that a body which decodes
+// re-encodes to the same bytes, and that decoding those again gives an equal
+// message: encode∘decode is the identity on every accepted frame.
+func FuzzFrame(f *testing.F) {
+	for _, p := range goldenPayloads(f) {
+		f.Add(p[0], p[1:])
+	}
+	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
+		typ %= uint8(len(registry)) // spend the inputs on types that exist
+		payload := append([]byte{typ}, body...)
+		m, err := Unmarshal(payload)
+		if err != nil {
+			return
+		}
+		frame := Marshal(m)
+		if !bytes.Equal(frame[4:], payload) {
+			t.Fatalf("%v: re-encoded %x, decoded from %x", m.Type(), frame[4:], payload)
+		}
+		again, err := Unmarshal(frame[4:])
+		if err != nil {
+			t.Fatalf("%v: re-decode: %v", m.Type(), err)
+		}
+		if !sameMessage(again, m) {
+			t.Fatalf("%v: re-decoded %+v, want %+v", m.Type(), again, m)
+		}
+	})
+}
+
+// FuzzUnmarshal asserts that ReadMessage, whose pooled coder aliases a
+// FetchReply body into its frame and reuses the last content type, decodes
+// any payload exactly as a fresh Unmarshal does, and fails where it fails.
+func FuzzUnmarshal(f *testing.F) {
+	for _, p := range goldenPayloads(f) {
+		f.Add(p)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0, 1, 2})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		m, err := Unmarshal(payload)
-		if err != nil {
-			return
+		want, werr := Unmarshal(payload)
+		// A reply read first leaves its content type in the pooled coder.
+		prev, _ := ReadMessage(bytes.NewReader(Marshal(&FetchReply{ContentType: "text/html"})))
+		prev.(*FetchReply).Release()
+		frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		got, gerr := ReadMessage(bytes.NewReader(frame))
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("Unmarshal err %v, ReadMessage err %v", werr, gerr)
 		}
-		// Accepted messages must round-trip through the codec.
-		frame := Marshal(m)
-		again, err := ReadMessage(bytes.NewReader(frame))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded message failed: %v", err)
+		if r, ok := got.(*FetchReply); ok {
+			defer r.Release()
+			read := *r
+			read.frame = lease.Buf{}
+			got = &read
 		}
-		if again.Type() != m.Type() {
-			t.Fatalf("type changed: %v -> %v", m.Type(), again.Type())
+		if werr == nil && !sameMessage(got, want) {
+			t.Fatalf("ReadMessage %+v, Unmarshal %+v", got, want)
 		}
 	})
+}
+
+// sameMessage is reflect.DeepEqual, except that sample values compare by
+// their bits, so a NaN equals itself.
+func sameMessage(a, b Message) bool {
+	ra, ok := a.(*StatsReply)
+	rb, ok2 := b.(*StatsReply)
+	if !ok || !ok2 {
+		return reflect.DeepEqual(a, b)
+	}
+	if ra.Seq != rb.Seq || len(ra.Samples) != len(rb.Samples) {
+		return false
+	}
+	for i := range ra.Samples {
+		x, y := ra.Samples[i], rb.Samples[i]
+		if math.Float64bits(x.Value) != math.Float64bits(y.Value) {
+			return false
+		}
+		x.Value, y.Value = 0, 0
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
 }

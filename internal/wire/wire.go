@@ -1,8 +1,9 @@
 // Package wire defines the binary inter-node protocol Swala nodes use to
-// exchange cache meta-data and data: directory insert/delete broadcasts,
-// remote cache fetches, and membership hellos. Messages are length-prefixed
-// and encoded with a compact big-endian binary format so that the protocol
-// has a stable, language-independent wire representation.
+// exchange cache meta-data and data: directory update batches and their
+// anti-entropy syncs, remote cache fetches, ring membership, hot-entry
+// replicas, invalidation waves, and the hellos that open a link. Messages
+// are length-prefixed and encoded with a compact big-endian binary format so
+// that the protocol has a stable, language-independent wire representation.
 //
 // Frame layout:
 //
@@ -10,8 +11,14 @@
 //	uint8   message type
 //	...     type-specific payload
 //
-// Strings and byte slices are encoded as uint32 length + bytes. Times are
-// int64 Unix nanoseconds. Durations are int64 nanoseconds.
+// Strings and byte slices are encoded as uint32 length + bytes, booleans as
+// one byte that is 0 or 1, and lists as a uint32 count + the elements. Times
+// are int64 Unix nanoseconds (math.MinInt64 for the zero time). Durations are
+// int64 nanoseconds.
+//
+// Each message lays out its fields once, in a code method that a coder runs
+// in either direction: appending the fields to a frame, or reading them back
+// from one. Decoding a frame and encoding the result gives the same bytes.
 package wire
 
 import (
@@ -95,64 +102,48 @@ const (
 	MsgStatsReply
 )
 
-// String implements fmt.Stringer.
-func (t MsgType) String() string {
-	switch t {
-	case MsgHello:
-		return "hello"
-	case MsgFetch:
-		return "fetch"
-	case MsgFetchReply:
-		return "fetch-reply"
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
-	case MsgStats:
-		return "stats"
-	case MsgStatsReply:
-		return "stats-reply"
-	case MsgInvalidate:
-		return "invalidate"
-	case MsgDirBatch:
-		return "dir-batch"
-	case MsgDirSyncReq:
-		return "dir-sync-req"
-	case MsgDirSync:
-		return "dir-sync"
-	case MsgJoin:
-		return "join"
-	case MsgLeave:
-		return "leave"
-	case MsgRingUpdate:
-		return "ring-update"
-	case MsgReplicaPush:
-		return "replica-push"
-	case MsgReplicaEvent:
-		return "replica-event"
-	case MsgInvalWave:
-		return "inval-wave"
-	case MsgInvalAck:
-		return "inval-ack"
-	default:
-		return fmt.Sprintf("wire.MsgType(%d)", uint8(t))
-	}
+// registry names each message type and makes a zero message of it. The slots
+// of the reserved numbers stay empty, so a frame of one is an unknown type.
+var registry = [...]struct {
+	name string
+	new  func() Message
+}{
+	MsgHello:        {"hello", func() Message { return new(Hello) }},
+	MsgFetch:        {"fetch", func() Message { return new(Fetch) }},
+	MsgFetchReply:   {"fetch-reply", func() Message { return new(FetchReply) }},
+	MsgPing:         {"ping", func() Message { return new(Ping) }},
+	MsgPong:         {"pong", func() Message { return new(Pong) }},
+	MsgStats:        {"stats", func() Message { return new(Stats) }},
+	MsgInvalidate:   {"invalidate", func() Message { return new(Invalidate) }},
+	MsgDirBatch:     {"dir-batch", func() Message { return new(DirBatch) }},
+	MsgDirSyncReq:   {"dir-sync-req", func() Message { return new(DirSyncReq) }},
+	MsgDirSync:      {"dir-sync", func() Message { return new(DirSync) }},
+	MsgJoin:         {"join", func() Message { return new(Join) }},
+	MsgLeave:        {"leave", func() Message { return new(Leave) }},
+	MsgRingUpdate:   {"ring-update", func() Message { return new(RingUpdate) }},
+	MsgReplicaPush:  {"replica-push", func() Message { return new(ReplicaPush) }},
+	MsgReplicaEvent: {"replica-event", func() Message { return new(ReplicaEvent) }},
+	MsgInvalWave:    {"inval-wave", func() Message { return new(InvalWave) }},
+	MsgInvalAck:     {"inval-ack", func() Message { return new(InvalAck) }},
+	MsgStatsReply:   {"stats-reply", func() Message { return new(StatsReply) }},
 }
 
-// Protocol versions announced in the Hello exchange.
-const (
-	// ProtoReplicate is the replicate-era protocol: fully replicated
-	// directory, fixed boot-time peer list, no membership messages.
-	ProtoReplicate uint32 = 1
-	// ProtoRing adds MsgJoin/MsgLeave/MsgRingUpdate, ring placement flags
-	// on Fetch, and handoff DirSync frames.
-	ProtoRing uint32 = 2
-	// ProtoInval adds versioned invalidation waves: MsgInvalWave/MsgInvalAck,
-	// a Seq on Invalidate, a WaveSeq on DirSyncReq, and Waves on DirSync.
-	ProtoInval uint32 = 3
-	// ProtoCurrent is the version this build announces.
-	ProtoCurrent = ProtoInval
-)
+// String implements fmt.Stringer.
+func (t MsgType) String() string {
+	if int(t) < len(registry) && registry[t].new != nil {
+		return registry[t].name
+	}
+	return fmt.Sprintf("wire.MsgType(%d)", uint8(t))
+}
+
+// ProtoVersion is the protocol version a cluster node announces in Hello. A
+// node refuses a peer that announces another: decoding is strict, so the
+// peer's frames would fail on arrival.
+const ProtoVersion uint32 = 3
+
+// AdminID is the node ID an administrative client (swalactl) announces in its
+// Hello, and the Origin of an Invalidate it sends.
+const AdminID uint32 = 0xFFFF
 
 // Placement modes a node announces in Hello.
 const (
@@ -179,8 +170,7 @@ var (
 type Message interface {
 	// Type returns the message's wire type tag.
 	Type() MsgType
-	encode(e *encoder)
-	decode(d *decoder) error
+	code(c *coder)
 }
 
 // Hello announces the sending node when a peer connection is established.
@@ -199,6 +189,14 @@ type Hello struct {
 
 // Type implements Message.
 func (*Hello) Type() MsgType { return MsgHello }
+
+func (m *Hello) code(c *coder) {
+	c.u32(&m.NodeID)
+	c.str(&m.NodeName)
+	c.str(&m.Addr)
+	c.u32(&m.ProtoVersion)
+	c.u8(&m.Placement)
+}
 
 // Fetch flag bits (ring placement).
 const (
@@ -227,6 +225,12 @@ type Fetch struct {
 // Type implements Message.
 func (*Fetch) Type() MsgType { return MsgFetch }
 
+func (m *Fetch) code(c *coder) {
+	c.u64(&m.Seq)
+	c.str(&m.Key)
+	c.u8(&m.Flags)
+}
+
 // FetchReply returns a cached body, or reports that the entry is gone
 // (a "false hit" in the paper's terminology).
 type FetchReply struct {
@@ -253,6 +257,24 @@ type FetchReply struct {
 // Type implements Message.
 func (*FetchReply) Type() MsgType { return MsgFetchReply }
 
+func (m *FetchReply) code(c *coder) {
+	c.u64(&m.Seq)
+	c.boolean(&m.OK)
+	if c.dec {
+		// A content type that repeats from reply to reply through
+		// ReadMessage's pooled coder is not copied again.
+		if ct := c.view(); c.ct != string(ct) {
+			c.ct = string(ct)
+		}
+		m.ContentType = c.ct
+	} else {
+		c.str(&m.ContentType)
+	}
+	c.bytes(&m.Body)
+	c.boolean(&m.Executed)
+	c.boolean(&m.Stored)
+}
+
 // Release gives back the frame Body aliases, and Body with it. It is
 // idempotent, and a no-op on a nil reply or one that was not read.
 func (m *FetchReply) Release() {
@@ -268,17 +290,23 @@ type Ping struct{ Seq uint64 }
 // Type implements Message.
 func (*Ping) Type() MsgType { return MsgPing }
 
+func (m *Ping) code(c *coder) { c.u64(&m.Seq) }
+
 // Pong answers a Ping.
 type Pong struct{ Seq uint64 }
 
 // Type implements Message.
 func (*Pong) Type() MsgType { return MsgPong }
 
+func (m *Pong) code(c *coder) { c.u64(&m.Seq) }
+
 // Stats requests a node's counters.
 type Stats struct{ Seq uint64 }
 
 // Type implements Message.
 func (*Stats) Type() MsgType { return MsgStats }
+
+func (m *Stats) code(c *coder) { c.u64(&m.Seq) }
 
 // StatsReply carries a node's counters as one flat list of samples, in the
 // order the node collected them.
@@ -290,12 +318,28 @@ type StatsReply struct {
 // Type implements Message.
 func (*StatsReply) Type() MsgType { return MsgStatsReply }
 
+func (m *StatsReply) code(c *coder) {
+	c.u64(&m.Seq)
+	list(c, &m.Samples, samples)
+}
+
+func codeSample(s *stats.Sample, c *coder) {
+	c.str(&s.Name)
+	list(c, &s.Labels, labels)
+	c.f64(&s.Value)
+}
+
+func codeLabel(l *stats.Label, c *coder) {
+	c.str(&l.Name)
+	c.str(&l.Value)
+}
+
 // Invalidate asks the receiver to drop its own cached entries whose key
 // matches Pattern ('*' wildcards, cacheability.Match semantics). Each node
 // deletes only entries it owns; the resulting directory delete updates keep
 // the replicated directories converging.
 type Invalidate struct {
-	// Origin is the node (or administrative client) that issued the
+	// Origin is the node (or administrative client, AdminID) that issued the
 	// invalidation.
 	Origin  uint32
 	Pattern string
@@ -307,6 +351,12 @@ type Invalidate struct {
 
 // Type implements Message.
 func (*Invalidate) Type() MsgType { return MsgInvalidate }
+
+func (m *Invalidate) code(c *coder) {
+	c.u32(&m.Origin)
+	c.str(&m.Pattern)
+	c.u64(&m.Seq)
+}
 
 // InvalWave is one versioned invalidation: Origin's Seq-th wave drops every
 // cached entry whose key matches Pattern. Receivers apply each (Origin, Seq)
@@ -320,6 +370,12 @@ type InvalWave struct {
 
 // Type implements Message.
 func (*InvalWave) Type() MsgType { return MsgInvalWave }
+
+func (m *InvalWave) code(c *coder) {
+	c.u32(&m.Origin)
+	c.u64(&m.Seq)
+	c.str(&m.Pattern)
+}
 
 // InvalAck answers an Invalidate that carried a Seq: Matched local entries
 // were dropped, and the resulting wave was sent toward Peers peers of which
@@ -335,6 +391,13 @@ type InvalAck struct {
 // Type implements Message.
 func (*InvalAck) Type() MsgType { return MsgInvalAck }
 
+func (m *InvalAck) code(c *coder) {
+	c.u64(&m.Seq)
+	c.u32(&m.Matched)
+	c.u32(&m.Peers)
+	c.u32(&m.Unreached)
+}
+
 // DirUpdate is one directory mutation inside a DirBatch or DirSync frame:
 // an insert (Delete false) or a delete (Delete true, meta fields unused).
 type DirUpdate struct {
@@ -344,6 +407,15 @@ type DirUpdate struct {
 	Size     int64
 	ExecTime time.Duration
 	Expires  time.Time
+}
+
+func (u *DirUpdate) code(c *coder) {
+	c.boolean(&u.Delete)
+	c.u32(&u.Owner)
+	c.str(&u.Key)
+	c.i64(&u.Size)
+	c.dur(&u.ExecTime)
+	c.timeVal(&u.Expires)
 }
 
 // DirBatch packs a run of directory updates from one sender into a single
@@ -357,6 +429,12 @@ type DirBatch struct {
 
 // Type implements Message.
 func (*DirBatch) Type() MsgType { return MsgDirBatch }
+
+func (m *DirBatch) code(c *coder) {
+	c.u32(&m.Owner)
+	c.u64(&m.Version)
+	list(c, &m.Updates, dirUpdates)
+}
 
 // DirSyncReq is what each end of a peer link opens its half of the stream
 // with: it tells the peer the highest version of the peer's directory the
@@ -373,6 +451,11 @@ type DirSyncReq struct {
 
 // Type implements Message.
 func (*DirSyncReq) Type() MsgType { return MsgDirSyncReq }
+
+func (m *DirSyncReq) code(c *coder) {
+	c.u64(&m.Version)
+	c.u64(&m.WaveSeq)
+}
 
 // DirSync is an anti-entropy catch-up for one node's directory table. When
 // Full is true the receiver replaces its whole replica of Owner's table with
@@ -396,6 +479,15 @@ type DirSync struct {
 // Type implements Message.
 func (*DirSync) Type() MsgType { return MsgDirSync }
 
+func (m *DirSync) code(c *coder) {
+	c.u32(&m.Owner)
+	c.u64(&m.Version)
+	c.boolean(&m.Full)
+	list(c, &m.Updates, dirUpdates)
+	c.boolean(&m.Handoff)
+	list(c, &m.Waves, invalWaves)
+}
+
 // Member describes one cluster member inside a RingUpdate. Incarnation
 // orders competing statements about the same node: the highest wins, and a
 // departure (Left) beats an arrival at the same incarnation.
@@ -404,6 +496,13 @@ type Member struct {
 	Addr        string
 	Incarnation uint64
 	Left        bool
+}
+
+func (mb *Member) code(c *coder) {
+	c.u32(&mb.ID)
+	c.str(&mb.Addr)
+	c.u64(&mb.Incarnation)
+	c.boolean(&mb.Left)
 }
 
 // Join asks a seed member to admit the sender into the ring. The seed
@@ -417,6 +516,11 @@ type Join struct {
 // Type implements Message.
 func (*Join) Type() MsgType { return MsgJoin }
 
+func (m *Join) code(c *coder) {
+	c.u32(&m.NodeID)
+	c.str(&m.Addr)
+}
+
 // Leave announces the sender's graceful departure at the given incarnation.
 type Leave struct {
 	NodeID      uint32
@@ -425,6 +529,11 @@ type Leave struct {
 
 // Type implements Message.
 func (*Leave) Type() MsgType { return MsgLeave }
+
+func (m *Leave) code(c *coder) {
+	c.u32(&m.NodeID)
+	c.u64(&m.Incarnation)
+}
 
 // RingUpdate gossips the sender's full membership view. Receivers merge it
 // member-by-member (highest incarnation wins) and re-gossip on change, so
@@ -436,6 +545,11 @@ type RingUpdate struct {
 
 // Type implements Message.
 func (*RingUpdate) Type() MsgType { return MsgRingUpdate }
+
+func (m *RingUpdate) code(c *coder) {
+	c.u32(&m.Origin)
+	list(c, &m.Members, members)
+}
 
 // ReplicaPush is sent by a hot entry's home owner to one of its ring
 // successors: host a replica of Key (Retire false) or drop it (Retire true).
@@ -458,6 +572,15 @@ type ReplicaPush struct {
 // Type implements Message.
 func (*ReplicaPush) Type() MsgType { return MsgReplicaPush }
 
+func (m *ReplicaPush) code(c *coder) {
+	c.u32(&m.Home)
+	c.str(&m.Key)
+	c.i64(&m.Size)
+	c.dur(&m.ExecTime)
+	c.timeVal(&m.Expires)
+	c.boolean(&m.Retire)
+}
+
 // ReplicaEvent is broadcast by a replica holder once a replica is live
 // (Retire false) or gone (Retire true), so every node can include — or stop
 // including — Holder in its read-routing choices for Key.
@@ -471,488 +594,200 @@ type ReplicaEvent struct {
 // Type implements Message.
 func (*ReplicaEvent) Type() MsgType { return MsgReplicaEvent }
 
-// --- encoding ---
-
-type encoder struct {
-	buf []byte
+func (m *ReplicaEvent) code(c *coder) {
+	c.str(&m.Key)
+	c.u32(&m.Home)
+	c.u32(&m.Holder)
+	c.boolean(&m.Retire)
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-func (e *encoder) timeVal(t time.Time) {
-	if t.IsZero() {
-		e.i64(math.MinInt64)
-		return
-	}
-	e.i64(t.UnixNano())
-}
+// --- the codec ---
 
-type decoder struct {
+// coder runs a message's code method in one direction. Encoding appends each
+// field to buf. Decoding (dec) fills the fields of a zero message from buf at
+// off; an error sticks, so finish reports a short or malformed frame however
+// many fields were read after it.
+type coder struct {
 	buf   []byte
+	dec   bool
 	off   int
 	err   error
-	alias bool   // bytes returns slices of buf, not copies (FetchReply keeps its frame)
-	ct    string // the content type FetchReply.decode returned last
+	alias bool   // decoded byte slices are views of buf, not copies (FetchReply keeps its frame)
+	ct    string // the content type the last decoded FetchReply carried
 }
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrBadMessage
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-
-// view returns the next length-prefixed field as a slice of buf.
-func (d *decoder) view() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
+// take returns the next n bytes of buf, or nil when fewer remain.
+func (c *coder) take(n int) []byte {
+	if uint(n) > uint(len(c.buf)-c.off) {
+		c.err = ErrBadMessage
 		return nil
 	}
-	b := d.buf[d.off : d.off+n : d.off+n]
-	d.off += n
-	return b
+	c.off += n
+	return c.buf[c.off-n : c.off]
 }
 
-func (d *decoder) str() string { return string(d.view()) }
+func (c *coder) u8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	}
+}
 
-func (d *decoder) bytes() []byte {
-	b := d.view()
-	if !d.alias {
+func (c *coder) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.BigEndian.Uint32(b)
+	}
+}
+
+func (c *coder) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.BigEndian.Uint64(b)
+	}
+}
+
+func (c *coder) i64(v *int64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = int64(binary.BigEndian.Uint64(b))
+	}
+}
+
+func (c *coder) dur(v *time.Duration) { c.i64((*int64)(v)) }
+
+func (c *coder) f64(v *float64) {
+	if !c.dec {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	} else if b := c.take(8); b != nil {
+		*v = math.Float64frombits(binary.BigEndian.Uint64(b))
+	}
+}
+
+// boolean accepts only the bytes 0 and 1, the two an encoder writes, so every
+// frame that decodes re-encodes to itself.
+func (c *coder) boolean(v *bool) {
+	if !c.dec {
+		var b uint8
+		if *v {
+			b = 1
+		}
+		c.buf = append(c.buf, b)
+	} else if b := c.take(1); b != nil {
+		switch b[0] {
+		case 0: // a decode fills a zero message
+		case 1:
+			*v = true
+		default:
+			c.err = ErrBadMessage
+		}
+	}
+}
+
+// view returns the next length-prefixed field of a decode as a slice of buf,
+// capped so that appending to it cannot reach the bytes after it.
+func (c *coder) view() []byte {
+	var n uint32
+	c.u32(&n)
+	b := c.take(int(n))
+	return b[:len(b):len(b)]
+}
+
+func (c *coder) str(v *string) {
+	if c.dec {
+		*v = string(c.view())
+	} else {
+		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
+	}
+}
+
+func (c *coder) bytes(v *[]byte) {
+	if !c.dec {
+		c.buf = append(binary.BigEndian.AppendUint32(c.buf, uint32(len(*v))), *v...)
+		return
+	}
+	b := c.view()
+	if !c.alias {
 		b = append(make([]byte, 0, len(b)), b...)
 	}
-	return b
+	*v = b
 }
 
-func (d *decoder) timeVal() time.Time {
-	v := d.i64()
-	if v == math.MinInt64 {
-		return time.Time{}
+func (c *coder) timeVal(v *time.Time) {
+	if c.dec {
+		var ns int64
+		if c.i64(&ns); ns != math.MinInt64 {
+			*v = time.Unix(0, ns)
+		}
+		return
 	}
-	return time.Unix(0, v)
-}
-
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
+	ns := int64(math.MinInt64)
+	if !v.IsZero() {
+		ns = v.UnixNano()
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(d.buf)-d.off)
+	c.i64(&ns)
+}
+
+// finish reports a decode's error, or trailing bytes after the last field.
+func (c *coder) finish() error {
+	if c.err == nil && c.off != len(c.buf) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(c.buf)-c.off)
 	}
-	return nil
+	return c.err
 }
 
-func (m *Hello) encode(e *encoder) {
-	e.u32(m.NodeID)
-	e.str(m.NodeName)
-	e.str(m.Addr)
-	e.u32(m.ProtoVersion)
-	e.u8(m.Placement)
+// elem is how a list codes one element of type T. min is the size of a zero
+// element, the fewest bytes any element takes: it bounds the count a frame
+// can claim, so a corrupt count cannot force a huge allocation.
+type elem[T any] struct {
+	code func(*T, *coder)
+	min  int
 }
 
-func (m *Hello) decode(d *decoder) error {
-	m.NodeID = d.u32()
-	m.NodeName = d.str()
-	m.Addr = d.str()
-	m.ProtoVersion = d.u32()
-	m.Placement = d.u8()
-	return d.finish()
+func newElem[T any](code func(*T, *coder)) elem[T] {
+	var c coder
+	var zero T
+	code(&zero, &c)
+	return elem[T]{code, len(c.buf)}
 }
 
-func (m *Fetch) encode(e *encoder) {
-	e.u64(m.Seq)
-	e.str(m.Key)
-	e.u8(m.Flags)
-}
-
-func (m *Fetch) decode(d *decoder) error {
-	m.Seq = d.u64()
-	m.Key = d.str()
-	m.Flags = d.u8()
-	return d.finish()
-}
-
-func (m *FetchReply) encode(e *encoder) {
-	e.u64(m.Seq)
-	e.boolean(m.OK)
-	e.str(m.ContentType)
-	e.bytes(m.Body)
-	e.boolean(m.Executed)
-	e.boolean(m.Stored)
-}
-
-func (m *FetchReply) decode(d *decoder) error {
-	m.Seq = d.u64()
-	m.OK = d.boolean()
-	// A content type that repeats from reply to reply through ReadMessage's
-	// pooled decoder is not copied again.
-	if ct := d.view(); d.ct != string(ct) {
-		d.ct = string(ct)
-	}
-	m.ContentType = d.ct
-	m.Body = d.bytes()
-	m.Executed = d.boolean()
-	m.Stored = d.boolean()
-	return d.finish()
-}
-
-func (m *Ping) encode(e *encoder) { e.u64(m.Seq) }
-
-func (m *Ping) decode(d *decoder) error {
-	m.Seq = d.u64()
-	return d.finish()
-}
-
-func (m *Pong) encode(e *encoder) { e.u64(m.Seq) }
-
-func (m *Pong) decode(d *decoder) error {
-	m.Seq = d.u64()
-	return d.finish()
-}
-
-func (m *Stats) encode(e *encoder) { e.u64(m.Seq) }
-
-func (m *Stats) decode(d *decoder) error {
-	m.Seq = d.u64()
-	return d.finish()
-}
-
-// sampleMinSize and labelMinSize are the smallest encodings of one
-// stats.Sample (empty name, no labels) and one stats.Label (both strings
-// empty); they bound the counts a StatsReply frame can claim.
-const (
-	sampleMinSize = 4 + 4 + 8
-	labelMinSize  = 4 + 4
+// The element codecs of the message lists.
+var (
+	dirUpdates = newElem((*DirUpdate).code)
+	invalWaves = newElem((*InvalWave).code)
+	members    = newElem((*Member).code)
+	samples    = newElem(codeSample)
+	labels     = newElem(codeLabel)
 )
 
-func (m *StatsReply) encode(e *encoder) {
-	e.u64(m.Seq)
-	e.u32(uint32(len(m.Samples)))
-	for _, s := range m.Samples {
-		e.str(s.Name)
-		e.u32(uint32(len(s.Labels)))
-		for _, l := range s.Labels {
-			e.str(l.Name)
-			e.str(l.Value)
+// list codes a uint32 count followed by each element of *s. A decoded count
+// of zero leaves *s nil.
+func list[T any](c *coder, s *[]T, e elem[T]) {
+	n := uint32(len(*s))
+	c.u32(&n)
+	if c.dec {
+		if c.err != nil || uint64(n) > uint64((len(c.buf)-c.off)/e.min) {
+			c.err = ErrBadMessage
+			return
 		}
-		e.u64(math.Float64bits(s.Value))
-	}
-}
-
-func (m *StatsReply) decode(d *decoder) error {
-	m.Seq = d.u64()
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/sampleMinSize {
-		d.fail()
-		return d.err
-	}
-	if n > 0 {
-		m.Samples = make([]stats.Sample, n)
-	}
-	for i := range m.Samples {
-		s := &m.Samples[i]
-		s.Name = d.str()
-		ln := int(d.u32())
-		if d.err != nil || ln < 0 || ln > (len(d.buf)-d.off)/labelMinSize {
-			d.fail()
-			return d.err
-		}
-		if ln > 0 {
-			s.Labels = make([]stats.Label, ln)
-			for j := range s.Labels {
-				s.Labels[j] = stats.Label{Name: d.str(), Value: d.str()}
-			}
-		}
-		s.Value = math.Float64frombits(d.u64())
-	}
-	return d.finish()
-}
-
-func (m *Invalidate) encode(e *encoder) {
-	e.u32(m.Origin)
-	e.str(m.Pattern)
-	e.u64(m.Seq)
-}
-
-func (m *Invalidate) decode(d *decoder) error {
-	m.Origin = d.u32()
-	m.Pattern = d.str()
-	m.Seq = d.u64()
-	return d.finish()
-}
-
-// invalWaveMinSize is the smallest encoding of one InvalWave (empty
-// pattern); it bounds the wave count a DirSync frame can claim.
-const invalWaveMinSize = 4 + 8 + 4
-
-func (m *InvalWave) encode(e *encoder) {
-	e.u32(m.Origin)
-	e.u64(m.Seq)
-	e.str(m.Pattern)
-}
-
-func (m *InvalWave) decode(d *decoder) error {
-	m.Origin = d.u32()
-	m.Seq = d.u64()
-	m.Pattern = d.str()
-	return d.finish()
-}
-
-func (m *InvalAck) encode(e *encoder) {
-	e.u64(m.Seq)
-	e.u32(m.Matched)
-	e.u32(m.Peers)
-	e.u32(m.Unreached)
-}
-
-func (m *InvalAck) decode(d *decoder) error {
-	m.Seq = d.u64()
-	m.Matched = d.u32()
-	m.Peers = d.u32()
-	m.Unreached = d.u32()
-	return d.finish()
-}
-
-// dirUpdateMinSize is the smallest possible encoding of one DirUpdate
-// (empty key); it bounds how many updates a frame of a given size can hold,
-// so a corrupt count cannot force a huge allocation.
-const dirUpdateMinSize = 1 + 4 + 4 + 8 + 8 + 8
-
-func (e *encoder) dirUpdate(u *DirUpdate) {
-	e.boolean(u.Delete)
-	e.u32(u.Owner)
-	e.str(u.Key)
-	e.i64(u.Size)
-	e.i64(int64(u.ExecTime))
-	e.timeVal(u.Expires)
-}
-
-func (d *decoder) dirUpdate(u *DirUpdate) {
-	u.Delete = d.boolean()
-	u.Owner = d.u32()
-	u.Key = d.str()
-	u.Size = d.i64()
-	u.ExecTime = time.Duration(d.i64())
-	u.Expires = d.timeVal()
-}
-
-func (d *decoder) dirUpdates() []DirUpdate {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/dirUpdateMinSize {
-		d.fail()
-		return nil
-	}
-	updates := make([]DirUpdate, n)
-	for i := range updates {
-		d.dirUpdate(&updates[i])
-	}
-	return updates
-}
-
-func (m *DirBatch) encode(e *encoder) {
-	e.u32(m.Owner)
-	e.u64(m.Version)
-	e.u32(uint32(len(m.Updates)))
-	for i := range m.Updates {
-		e.dirUpdate(&m.Updates[i])
-	}
-}
-
-func (m *DirBatch) decode(d *decoder) error {
-	m.Owner = d.u32()
-	m.Version = d.u64()
-	m.Updates = d.dirUpdates()
-	return d.finish()
-}
-
-func (m *DirSyncReq) encode(e *encoder) {
-	e.u64(m.Version)
-	e.u64(m.WaveSeq)
-}
-
-func (m *DirSyncReq) decode(d *decoder) error {
-	m.Version = d.u64()
-	m.WaveSeq = d.u64()
-	return d.finish()
-}
-
-func (m *DirSync) encode(e *encoder) {
-	e.u32(m.Owner)
-	e.u64(m.Version)
-	e.boolean(m.Full)
-	e.u32(uint32(len(m.Updates)))
-	for i := range m.Updates {
-		e.dirUpdate(&m.Updates[i])
-	}
-	e.boolean(m.Handoff)
-	e.u32(uint32(len(m.Waves)))
-	for i := range m.Waves {
-		e.u32(m.Waves[i].Origin)
-		e.u64(m.Waves[i].Seq)
-		e.str(m.Waves[i].Pattern)
-	}
-}
-
-func (m *DirSync) decode(d *decoder) error {
-	m.Owner = d.u32()
-	m.Version = d.u64()
-	m.Full = d.boolean()
-	m.Updates = d.dirUpdates()
-	m.Handoff = d.boolean()
-	wn := int(d.u32())
-	if d.err != nil || wn < 0 || wn > (len(d.buf)-d.off)/invalWaveMinSize {
-		d.fail()
-		return d.err
-	}
-	if wn > 0 {
-		m.Waves = make([]InvalWave, wn)
-		for i := range m.Waves {
-			m.Waves[i].Origin = d.u32()
-			m.Waves[i].Seq = d.u64()
-			m.Waves[i].Pattern = d.str()
+		if n > 0 {
+			*s = make([]T, n)
 		}
 	}
-	return d.finish()
-}
-
-// memberMinSize is the smallest encoding of one Member (empty addr); it
-// bounds the member count a frame can claim.
-const memberMinSize = 4 + 4 + 8 + 1
-
-func (m *Join) encode(e *encoder) {
-	e.u32(m.NodeID)
-	e.str(m.Addr)
-}
-
-func (m *Join) decode(d *decoder) error {
-	m.NodeID = d.u32()
-	m.Addr = d.str()
-	return d.finish()
-}
-
-func (m *Leave) encode(e *encoder) {
-	e.u32(m.NodeID)
-	e.u64(m.Incarnation)
-}
-
-func (m *Leave) decode(d *decoder) error {
-	m.NodeID = d.u32()
-	m.Incarnation = d.u64()
-	return d.finish()
-}
-
-func (m *RingUpdate) encode(e *encoder) {
-	e.u32(m.Origin)
-	e.u32(uint32(len(m.Members)))
-	for _, mb := range m.Members {
-		e.u32(mb.ID)
-		e.str(mb.Addr)
-		e.u64(mb.Incarnation)
-		e.boolean(mb.Left)
+	for i := range *s {
+		e.code(&(*s)[i], c)
 	}
 }
 
-func (m *RingUpdate) decode(d *decoder) error {
-	m.Origin = d.u32()
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > (len(d.buf)-d.off)/memberMinSize {
-		d.fail()
-		return d.err
-	}
-	if n > 0 {
-		m.Members = make([]Member, n)
-		for i := range m.Members {
-			m.Members[i].ID = d.u32()
-			m.Members[i].Addr = d.str()
-			m.Members[i].Incarnation = d.u64()
-			m.Members[i].Left = d.boolean()
-		}
-	}
-	return d.finish()
-}
-
-func (m *ReplicaPush) encode(e *encoder) {
-	e.u32(m.Home)
-	e.str(m.Key)
-	e.i64(m.Size)
-	e.i64(int64(m.ExecTime))
-	e.timeVal(m.Expires)
-	e.boolean(m.Retire)
-}
-
-func (m *ReplicaPush) decode(d *decoder) error {
-	m.Home = d.u32()
-	m.Key = d.str()
-	m.Size = d.i64()
-	m.ExecTime = time.Duration(d.i64())
-	m.Expires = d.timeVal()
-	m.Retire = d.boolean()
-	return d.finish()
-}
-
-func (m *ReplicaEvent) encode(e *encoder) {
-	e.str(m.Key)
-	e.u32(m.Home)
-	e.u32(m.Holder)
-	e.boolean(m.Retire)
-}
-
-func (m *ReplicaEvent) decode(d *decoder) error {
-	m.Key = d.str()
-	m.Home = d.u32()
-	m.Holder = d.u32()
-	m.Retire = d.boolean()
-	return d.finish()
+// frame appends m's frame to c.buf, which must be empty.
+func (c *coder) frame(m Message) {
+	c.buf = append(c.buf, 0, 0, 0, 0, uint8(m.Type())) // length, patched below
+	m.code(c)
+	binary.BigEndian.PutUint32(c.buf, uint32(len(c.buf)-4))
 }
 
 // maxPooledBuf caps the capacity of buffers returned to the encode/decode
@@ -960,27 +795,17 @@ func (m *ReplicaEvent) decode(d *decoder) error {
 // allocated and freed normally rather than pinned in the pool forever.
 const maxPooledBuf = 1 << 20
 
-// encPool recycles encoder buffers across WriteMessage calls so the hot
+// encPool recycles encoding coders across WriteMessage calls so the hot
 // broadcast/fetch path does not allocate a fresh frame per message.
 var encPool = sync.Pool{
-	New: func() any { return &encoder{buf: make([]byte, 0, 512)} },
-}
-
-// AppendFrame appends m's self-delimiting frame encoding to buf and returns
-// the extended slice (append-style; buf may be nil).
-func AppendFrame(buf []byte, m Message) []byte {
-	e := &encoder{buf: buf}
-	start := len(e.buf)
-	e.u32(0) // placeholder for length
-	e.u8(uint8(m.Type()))
-	m.encode(e)
-	binary.BigEndian.PutUint32(e.buf[start:], uint32(len(e.buf)-start-4))
-	return e.buf
+	New: func() any { return &coder{buf: make([]byte, 0, 512)} },
 }
 
 // Marshal encodes a message into a self-delimiting frame.
 func Marshal(m Message) []byte {
-	return AppendFrame(make([]byte, 0, 64), m)
+	c := &coder{buf: make([]byte, 0, 64)}
+	c.frame(m)
+	return c.buf
 }
 
 // Unmarshal decodes one message from a frame payload (type byte + body,
@@ -989,73 +814,36 @@ func Unmarshal(payload []byte) (Message, error) {
 	if len(payload) < 1 {
 		return nil, ErrBadMessage
 	}
-	return unmarshal(MsgType(payload[0]), &decoder{buf: payload[1:]})
+	return unmarshal(MsgType(payload[0]), &coder{buf: payload[1:], dec: true})
 }
 
-// unmarshal decodes the message of type t that d holds.
-func unmarshal(t MsgType, d *decoder) (Message, error) {
-	var m Message
-	switch t {
-	case MsgHello:
-		m = &Hello{}
-	case MsgFetch:
-		m = &Fetch{}
-	case MsgFetchReply:
-		m = &FetchReply{}
-	case MsgPing:
-		m = &Ping{}
-	case MsgPong:
-		m = &Pong{}
-	case MsgStats:
-		m = &Stats{}
-	case MsgStatsReply:
-		m = &StatsReply{}
-	case MsgInvalidate:
-		m = &Invalidate{}
-	case MsgDirBatch:
-		m = &DirBatch{}
-	case MsgDirSyncReq:
-		m = &DirSyncReq{}
-	case MsgDirSync:
-		m = &DirSync{}
-	case MsgJoin:
-		m = &Join{}
-	case MsgLeave:
-		m = &Leave{}
-	case MsgRingUpdate:
-		m = &RingUpdate{}
-	case MsgReplicaPush:
-		m = &ReplicaPush{}
-	case MsgReplicaEvent:
-		m = &ReplicaEvent{}
-	case MsgInvalWave:
-		m = &InvalWave{}
-	case MsgInvalAck:
-		m = &InvalAck{}
-	default:
+// unmarshal decodes the message of type t that c holds.
+func unmarshal(t MsgType, c *coder) (Message, error) {
+	if int(t) >= len(registry) || registry[t].new == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
 	}
-	if err := m.decode(d); err != nil {
+	m := registry[t].new()
+	m.code(c)
+	if err := c.finish(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
 // WriteMessage writes one framed message to w. The frame is encoded into a
-// pooled buffer, so steady-state writes do not allocate.
+// pooled buffer, so steady-state writes do not allocate. A frame larger than
+// MaxFrameSize, which the reader would reject, is not written at all: the
+// error is ErrFrameTooLarge and w is untouched.
 func WriteMessage(w io.Writer, m Message) error {
-	// Encode inline on the pooled encoder rather than via AppendFrame: a
-	// stack-constructed encoder would escape through the Message interface
-	// call and cost an allocation per write.
-	e := encPool.Get().(*encoder)
-	e.buf = e.buf[:0]
-	e.u32(0) // placeholder for length
-	e.u8(uint8(m.Type()))
-	m.encode(e)
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
-	_, err := w.Write(e.buf)
-	if cap(e.buf) <= maxPooledBuf {
-		encPool.Put(e)
+	c := encPool.Get().(*coder)
+	c.buf = c.buf[:0]
+	c.frame(m)
+	err := ErrFrameTooLarge
+	if len(c.buf)-4 <= MaxFrameSize {
+		_, err = w.Write(c.buf)
+	}
+	if cap(c.buf) <= maxPooledBuf {
+		encPool.Put(c)
 	}
 	return err
 }
@@ -1065,7 +853,7 @@ func WriteMessage(w io.Writer, m Message) error {
 // never released in place, so leasing it again is safe.
 type frameReader struct {
 	hdr   [4]byte
-	d     decoder
+	c     coder
 	frame lease.Buf
 }
 
@@ -1077,7 +865,7 @@ var readerPool = sync.Pool{New: func() any { return new(frameReader) }}
 func ReadMessage(r io.Reader) (Message, error) {
 	fr := readerPool.Get().(*frameReader)
 	m, err := fr.read(r)
-	fr.d.buf = nil
+	fr.c.buf = nil
 	if cap(fr.frame.B) > maxPooledBuf {
 		fr.frame = lease.Buf{}
 	}
@@ -1105,8 +893,8 @@ func (fr *frameReader) read(r io.Reader) (Message, error) {
 		return nil, err
 	}
 	t := MsgType(payload[0])
-	fr.d = decoder{buf: payload[1:], alias: t == MsgFetchReply, ct: fr.d.ct}
-	m, err := unmarshal(t, &fr.d)
+	fr.c = coder{buf: payload[1:], dec: true, alias: t == MsgFetchReply, ct: fr.c.ct}
+	m, err := unmarshal(t, &fr.c)
 	if reply, ok := m.(*FetchReply); ok {
 		reply.frame, fr.frame = fr.frame, lease.Buf{}
 	}

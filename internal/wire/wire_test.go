@@ -24,62 +24,22 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-func TestRoundTripHello(t *testing.T) {
-	in := &Hello{NodeID: 7, NodeName: "node-7", Addr: "127.0.0.1:9007"}
-	got := roundTrip(t, in)
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-}
+func TestRoundTripHello(t *testing.T) { checkGolden(t, "hello") }
 
 // oneUpdate wraps u in a DirBatch, the frame every directory update rides.
 func oneUpdate(u DirUpdate) *DirBatch {
 	return &DirBatch{Owner: u.Owner, Version: 1, Updates: []DirUpdate{u}}
 }
 
-func TestRoundTripInsert(t *testing.T) {
-	in := DirUpdate{
-		Owner:    3,
-		Key:      "GET /cgi-bin/query?zoom=3",
-		Size:     4096,
-		ExecTime: 1500 * time.Millisecond,
-		Expires:  time.Unix(12345, 67890),
-	}
-	got := roundTrip(t, oneUpdate(in)).(*DirBatch).Updates[0]
-	if got.Delete || got.Owner != in.Owner || got.Key != in.Key || got.Size != in.Size || got.ExecTime != in.ExecTime {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-	if !got.Expires.Equal(in.Expires) {
-		t.Fatalf("Expires = %v, want %v", got.Expires, in.Expires)
-	}
-}
+func TestRoundTripInsert(t *testing.T) { checkGolden(t, "dir-sync") }
 
-func TestRoundTripInsertZeroExpiry(t *testing.T) {
-	got := roundTrip(t, oneUpdate(DirUpdate{Owner: 1, Key: "k"})).(*DirBatch).Updates[0]
-	if !got.Expires.IsZero() {
-		t.Fatalf("zero expiry did not survive round trip: %v", got.Expires)
-	}
-}
+func TestRoundTripInsertZeroExpiry(t *testing.T) { checkGolden(t, "dir-batch zero expiry") }
 
-func TestRoundTripDelete(t *testing.T) {
-	in := DirUpdate{Delete: true, Owner: 2, Key: "GET /a?b=c"}
-	if got := roundTrip(t, oneUpdate(in)).(*DirBatch).Updates[0]; !reflect.DeepEqual(got, in) {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-}
+func TestRoundTripDelete(t *testing.T) { checkGolden(t, "dir-batch") }
 
 func TestRoundTripFetchAndReply(t *testing.T) {
-	f := &Fetch{Seq: 99, Key: "GET /x"}
-	if got := roundTrip(t, f); !reflect.DeepEqual(got, f) {
-		t.Fatalf("got %+v, want %+v", got, f)
-	}
-	// Field by field: a decoded reply also carries the frame it was read into.
-	r := &FetchReply{Seq: 99, OK: true, ContentType: "text/html", Body: []byte("hello"), Executed: true}
-	got := roundTrip(t, r).(*FetchReply)
-	if got.Seq != r.Seq || got.OK != r.OK || got.ContentType != r.ContentType ||
-		!bytes.Equal(got.Body, r.Body) || got.Executed != r.Executed || got.Stored != r.Stored {
-		t.Fatalf("got %+v, want %+v", got, r)
-	}
+	checkGolden(t, "fetch")
+	checkGolden(t, "fetch-reply")
 }
 
 func TestRoundTripFetchReplyMiss(t *testing.T) {
@@ -94,16 +54,8 @@ func TestRoundTripFetchReplyMiss(t *testing.T) {
 }
 
 func TestRoundTripControlMessages(t *testing.T) {
-	for _, m := range []Message{
-		&Ping{Seq: 1},
-		&Pong{Seq: 2},
-		&Stats{Seq: 3},
-		&StatsReply{Seq: 3, Samples: []stats.Sample{{Name: "swala_local_hits_total", Value: 10}}},
-		&Invalidate{Origin: 7, Pattern: "GET /cgi-bin/map*"},
-	} {
-		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
-			t.Fatalf("got %+v, want %+v", got, m)
-		}
+	for _, name := range []string{"ping", "pong", "stats", "stats-reply", "invalidate"} {
+		checkGolden(t, name)
 	}
 }
 
@@ -132,35 +84,14 @@ func TestRoundTripDirBatch(t *testing.T) {
 
 func TestRoundTripDirBatchEmpty(t *testing.T) {
 	in := &DirBatch{Owner: 1, Version: 5}
-	got := roundTrip(t, in).(*DirBatch)
-	if got.Owner != 1 || got.Version != 5 || len(got.Updates) != 0 {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-}
-
-func TestRoundTripDirSync(t *testing.T) {
-	in := &DirSync{
-		Owner:   2,
-		Version: 88,
-		Full:    true,
-		Updates: []DirUpdate{
-			{Owner: 2, Key: "GET /k1", Size: 1},
-			{Owner: 2, Key: "GET /k2", Size: 2, Expires: time.Unix(7, 0)},
-		},
-	}
-	got := roundTrip(t, in).(*DirSync)
-	if got.Owner != in.Owner || got.Version != in.Version || got.Full != in.Full ||
-		len(got.Updates) != 2 || got.Updates[1].Key != "GET /k2" {
-		t.Fatalf("got %+v, want %+v", got, in)
-	}
-}
-
-func TestRoundTripDirSyncReq(t *testing.T) {
-	in := &DirSyncReq{Version: 41}
 	if got := roundTrip(t, in); !reflect.DeepEqual(got, in) {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}
 }
+
+func TestRoundTripDirSync(t *testing.T) { checkGolden(t, "dir-sync") }
+
+func TestRoundTripDirSyncReq(t *testing.T) { checkGolden(t, "dir-sync-req") }
 
 func TestDirBatchBogusCountRejected(t *testing.T) {
 	// A frame claiming 2^31 updates in a tiny payload must fail fast
@@ -405,9 +336,33 @@ func TestWriteMessageAllocs(t *testing.T) {
 }
 
 func TestUnmarshalUnknownType(t *testing.T) {
-	_, err := Unmarshal([]byte{0xEE, 1, 2, 3})
-	if !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("err = %v, want ErrUnknownType", err)
+	// 0 and the reserved numbers are unknown, like any number past the last.
+	for _, typ := range []byte{0, 2, 3, 9, 0xEE} {
+		if _, err := Unmarshal([]byte{typ, 1, 2, 3}); !errors.Is(err, ErrUnknownType) {
+			t.Fatalf("type %d: err = %v, want ErrUnknownType", typ, err)
+		}
+	}
+}
+
+// TestBooleanByteIsZeroOrOne: a bool byte other than 0 or 1 would decode to
+// true and re-encode as 1, so decoding rejects it.
+func TestBooleanByteIsZeroOrOne(t *testing.T) {
+	for _, tc := range []struct {
+		row string
+		off int // of a bool byte in the frame
+	}{
+		{"fetch-reply", 4 + 1 + 8},          // OK, after the Seq
+		{"dir-batch", 4 + 1 + 4 + 8 + 4},    // the update's Delete, after its count
+		{"ring-update", 4 + 1 + 4 + 4 + 23}, // the first member's Left
+	} {
+		_, frame := goldenRow(t, tc.row)
+		if frame[tc.off] != 1 {
+			t.Fatalf("%s: byte %d is %d, not a true bool", tc.row, tc.off, frame[tc.off])
+		}
+		frame[tc.off] = 2
+		if m, err := ReadMessage(bytes.NewReader(frame)); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s with a bool byte of 2: got %+v, %v; want ErrBadMessage", tc.row, m, err)
+		}
 	}
 }
 
@@ -418,15 +373,7 @@ func TestUnmarshalEmpty(t *testing.T) {
 	}
 }
 
-func TestUnmarshalTruncated(t *testing.T) {
-	frame := Marshal(oneUpdate(DirUpdate{Owner: 1, Key: "abcdefgh", Size: 10}))
-	payload := frame[4:]
-	for cut := 1; cut < len(payload); cut++ {
-		if _, err := Unmarshal(payload[:cut]); err == nil {
-			t.Fatalf("Unmarshal of %d/%d-byte prefix succeeded, want error", cut, len(payload))
-		}
-	}
-}
+func TestUnmarshalTruncated(t *testing.T) { checkPrefixes(t, "dir-batch zero expiry") }
 
 func TestUnmarshalTrailingGarbage(t *testing.T) {
 	frame := Marshal(&Ping{Seq: 1})
@@ -545,6 +492,8 @@ func TestMsgTypeString(t *testing.T) {
 		MsgDirBatch:   "dir-batch",
 		MsgDirSyncReq: "dir-sync-req",
 		MsgDirSync:    "dir-sync",
+		MsgType(0):    "wire.MsgType(0)",
+		MsgType(9):    "wire.MsgType(9)",
 		MsgType(200):  "wire.MsgType(200)",
 	}
 	for in, want := range cases {
