@@ -37,8 +37,10 @@ type Entry struct {
 	Bytes      int
 	// Duration is the server-side service time.
 	Duration time.Duration
-	// CacheSource is "local", "remote", "executed", or "" (static files and
-	// errors).
+	// CacheSource is how a CGI request was served, as the X-Swala-Cache
+	// response header names it: "local", "remote", "replica", "owner",
+	// "coalesced", "stale-revalidate" or "stale-overload"; "executed" for a
+	// CGI the node ran itself; "" for static files and errors.
 	CacheSource string
 }
 

@@ -817,19 +817,10 @@ func (s *Server) serveHTTP(ctx context.Context, req *httpmsg.Request) *httpmsg.R
 		Bytes:      len(resp.Body),
 		Duration:   s.clk.Now().Sub(start),
 	}
-	switch resp.Header.Get("X-Swala-Cache") {
-	case "local":
-		entry.CacheSource = "local"
-	case "remote":
-		entry.CacheSource = "remote"
-	case "coalesced":
-		entry.CacheSource = "coalesced"
-	case "stale-revalidate":
-		entry.CacheSource = "stale-revalidate"
-	default:
-		if _, ok := s.engine.Lookup(req.Path); ok {
-			entry.CacheSource = "executed"
-		}
+	if src := resp.Header.Get("X-Swala-Cache"); src != "" {
+		entry.CacheSource = src
+	} else if _, ok := s.engine.Lookup(req.Path); ok {
+		entry.CacheSource = "executed"
 	}
 	if err := s.cfg.AccessLog.Log(entry); err != nil {
 		s.logf("access log: %v", err)

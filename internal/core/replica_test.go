@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/accesslog"
 	"repro/internal/cacheability"
 	"repro/internal/stats"
 )
@@ -112,6 +114,51 @@ func TestReplicateHotFormsServesAndRetires(t *testing.T) {
 	// The entry itself must survive retirement at its home owner.
 	if _, ok := owner.Directory().LookupLocal("GET "+uri, time.Now()); !ok {
 		t.Fatal("home owner lost the entry when its replicas retired")
+	}
+}
+
+// TestAccessLogRecordsReplicaHit: a read served by a replica holder is
+// logged with the source its response names, not as an execution.
+func TestAccessLogRecordsReplicaHit(t *testing.T) {
+	bufs := make([]bytes.Buffer, 4)
+	logs := make([]*accesslog.Writer, len(bufs))
+	for i := range bufs {
+		logs[i] = accesslog.NewWriter(&bufs[i])
+	}
+	h := startHotRing(t, len(bufs), func(i int, cfg *Config) { cfg.AccessLog = logs[i] })
+	for _, s := range h.servers {
+		registerNullCGI(s)
+	}
+	const ownerID = 2
+	uri := uriOwnedBy(t, h.servers[0], ownerID)
+
+	stop := make(chan struct{})
+	wg, viaReplica := hammer(t, h, uri, ownerID-1, stop)
+	waitUntil(t, "a read served from a replica holder", func() bool {
+		return viaReplica.Load() > 0
+	})
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	logged := 0
+	for i := range logs {
+		if err := logs[i].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := accesslog.Parse(&bufs[i])
+		if err != nil {
+			t.Fatalf("node %d: unparseable access log: %v", i+1, err)
+		}
+		for _, e := range entries {
+			if e.CacheSource == "replica" {
+				logged++
+			}
+		}
+	}
+	if want := viaReplica.Load(); int64(logged) < want {
+		t.Fatalf("%d replica entries logged, %d responses served from a replica", logged, want)
 	}
 }
 

@@ -65,24 +65,53 @@ func (e *Entry) Expired(now time.Time) bool {
 // hash + mask with no allocation.
 const numStripes = 32
 
+// slot is what a table stores per key: an Entry less the fields the table
+// already knows (Key is the map key, Owner the table's node) or never holds
+// (Holders belongs to synthetic ring lookups) — 80 bytes instead of 128.
+type slot struct {
+	size     int64
+	execTime time.Duration
+	inserted time.Time
+	expires  time.Time
+	hits     int64
+	replica  bool
+}
+
+func newSlot(e *Entry) *slot {
+	return &slot{size: e.Size, execTime: e.ExecTime, inserted: e.Inserted, expires: e.Expires, hits: e.Hits, replica: e.Replica}
+}
+
+func (v *slot) expired(now time.Time) bool {
+	return !v.expires.IsZero() && now.After(v.expires)
+}
+
 // stripe is one lock-shard of a table.
 type stripe struct {
 	mu      sync.RWMutex
-	entries map[string]*Entry
+	entries map[string]*slot
 }
 
 // table is the per-node portion of the directory, hash-striped so that
 // concurrent operations on different keys do not contend on one lock.
 type table struct {
+	owner   uint32
 	stripes [numStripes]stripe
 }
 
-func newTable() *table {
-	t := &table{}
+func newTable(owner uint32) *table {
+	t := &table{owner: owner}
 	for i := range t.stripes {
-		t.stripes[i].entries = make(map[string]*Entry)
+		t.stripes[i].entries = make(map[string]*slot)
 	}
 	return t
+}
+
+// fill rebuilds in e the Entry stored under key. It writes e field by field:
+// building an Entry value and copying it costs the lookup hot path several
+// 128-byte copies.
+func (t *table) fill(e *Entry, key string, v *slot) {
+	e.Key, e.Owner, e.Size, e.ExecTime = key, t.owner, v.size, v.execTime
+	e.Inserted, e.Expires, e.Hits, e.Replica = v.inserted, v.expires, v.hits, v.replica
 }
 
 // stripeFor selects the shard for key with FNV-1a, inlined to avoid the
@@ -100,21 +129,22 @@ func (t *table) stripeFor(key string) *stripe {
 	return &t.stripes[h%numStripes]
 }
 
-func (t *table) lookup(key string, now time.Time) (Entry, bool) {
+func (t *table) lookup(key string, now time.Time) (e Entry, ok bool) {
 	s := t.stripeFor(key)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[key]
-	if !ok || e.Expired(now) {
-		return Entry{}, false
+	v, ok := s.entries[key]
+	if ok = ok && !v.expired(now); ok {
+		t.fill(&e, key, v)
 	}
-	return *e, true
+	s.mu.RUnlock()
+	return e, ok
 }
 
 func (t *table) insert(e *Entry) {
+	v := newSlot(e)
 	s := t.stripeFor(e.Key)
 	s.mu.Lock()
-	s.entries[e.Key] = e
+	s.entries[e.Key] = v
 	s.mu.Unlock()
 }
 
@@ -123,12 +153,13 @@ func (t *table) insert(e *Entry) {
 // invisible to the replacement policy, so the caller's capacity bookkeeping
 // must treat overwriting one as a fresh insert).
 func (t *table) insertReporting(e *Entry) (existed, wasReplica bool) {
+	v := newSlot(e)
 	s := t.stripeFor(e.Key)
 	s.mu.Lock()
 	if old, ok := s.entries[e.Key]; ok {
-		existed, wasReplica = true, old.Replica
+		existed, wasReplica = true, old.replica
 	}
-	s.entries[e.Key] = e
+	s.entries[e.Key] = v
 	s.mu.Unlock()
 	return existed, wasReplica
 }
@@ -137,8 +168,8 @@ func (t *table) insertReporting(e *Entry) (existed, wasReplica bool) {
 func (t *table) touch(key string) {
 	s := t.stripeFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		e.Hits++
+	if v, ok := s.entries[key]; ok {
+		v.hits++
 	}
 	s.mu.Unlock()
 }
@@ -168,8 +199,8 @@ func (t *table) expiredKeys(now time.Time) []string {
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.RLock()
-		for k, e := range s.entries {
-			if e.Expired(now) {
+		for k, v := range s.entries {
+			if v.expired(now) {
 				out = append(out, k)
 			}
 		}
@@ -179,22 +210,39 @@ func (t *table) expiredKeys(now time.Time) []string {
 	return out
 }
 
+// current returns key's state as the sync op at version ver: an insert of
+// the stored entry (expired or not, as a snapshot ships it), or a delete
+// when the key is absent or only held as a replica.
+func (t *table) current(key string, ver uint64) SyncOp {
+	s := t.stripeFor(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if v, ok := s.entries[key]; ok && !v.replica {
+		op := SyncOp{Version: ver}
+		t.fill(&op.Entry, key, v)
+		return op
+	}
+	return SyncOp{Version: ver, Delete: true, Entry: Entry{Key: key, Owner: t.owner}}
+}
+
 // snapshot returns copies of all entries in the table.
 func (t *table) snapshot() []Entry {
 	var out []Entry
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.RLock()
-		for _, e := range s.entries {
-			out = append(out, *e)
+		for k, v := range s.entries {
+			var e Entry
+			t.fill(&e, k, v)
+			out = append(out, e)
 		}
 		s.mu.RUnlock()
 	}
 	return out
 }
 
-// SyncOp is one versioned local-table mutation, as recorded in the journal
-// and handed to the OnUpdate callback. For deletes only Entry.Key (and
+// SyncOp is one versioned local-table mutation, as handed to the OnUpdate
+// callback and shipped in a SyncSince delta. For deletes only Entry.Key (and
 // Entry.Owner) are meaningful.
 type SyncOp struct {
 	Version uint64
@@ -225,9 +273,11 @@ type Directory struct {
 	// eviction, and expiry bumps it by one. Replicas track the highest
 	// version they have applied, which is what anti-entropy sync compares.
 	version uint64
-	// journal holds the most recent mutations, oldest first, with contiguous
-	// versions ending at version.
-	journal []SyncOp
+	// journal holds the key of each recent mutation, oldest first:
+	// journal[i] was mutated at version version-len(journal)+1+i. The
+	// entries themselves are not kept — the local table already holds each
+	// key's current state, which is what a delta ships (SyncSince).
+	journal []string
 	// onUpdate, when set, observes every versioned mutation under localMu.
 	onUpdate func(SyncOp)
 
@@ -298,7 +348,7 @@ func New(self uint32, capacity int, policy replacement.Policy) *Directory {
 		peerVers:    make(map[uint32]uint64),
 		quarantined: make(map[uint32]bool),
 	}
-	d.tables[self] = newTable()
+	d.tables[self] = newTable(self)
 	for i := range d.holders {
 		d.holders[i].m = make(map[string][]uint32)
 	}
@@ -319,15 +369,16 @@ func (d *Directory) OnUpdate(fn func(SyncOp)) {
 // record logs one local mutation. Callers must hold localMu.
 func (d *Directory) record(del bool, e Entry) {
 	d.version++
-	op := SyncOp{Version: d.version, Delete: del, Entry: e}
 	if len(d.journal) >= 2*journalLimit {
-		// Amortized compaction: keep the newest journalLimit ops in place.
+		// Amortized compaction: keep the newest journalLimit keys in place
+		// and clear the rest so the dropped keys can be freed.
 		n := copy(d.journal, d.journal[len(d.journal)-journalLimit:])
+		clear(d.journal[n:])
 		d.journal = d.journal[:n]
 	}
-	d.journal = append(d.journal, op)
+	d.journal = append(d.journal, e.Key)
 	if d.onUpdate != nil {
-		d.onUpdate(op)
+		d.onUpdate(SyncOp{Version: d.version, Delete: del, Entry: e})
 	}
 }
 
@@ -347,7 +398,7 @@ func (d *Directory) tableFor(node uint32, create bool) *table {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if t = d.tables[node]; t == nil {
-		t = newTable()
+		t = newTable(node)
 		d.tables[node] = t
 	}
 	return t
@@ -496,8 +547,7 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 	d.localMu.Lock()
 	defer d.localMu.Unlock()
 
-	ec := e
-	exists, wasReplica := t.insertReporting(&ec)
+	exists, wasReplica := t.insertReporting(&e)
 
 	if exists && !wasReplica {
 		d.policy.Access(e.Key)
@@ -534,8 +584,7 @@ func (d *Directory) InsertLocalReplica(e Entry, now time.Time) {
 	if e.Inserted.IsZero() {
 		e.Inserted = now
 	}
-	ec := e
-	d.tableFor(d.self, true).insert(&ec)
+	d.tableFor(d.self, true).insert(&e)
 }
 
 // RemoveLocalReplica drops a held replica. Entries not marked Replica are
@@ -546,8 +595,8 @@ func (d *Directory) RemoveLocalReplica(key string) bool {
 	s := t.stripeFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok || !e.Replica {
+	v, ok := s.entries[key]
+	if !ok || !v.replica {
 		return false
 	}
 	delete(s.entries, key)
@@ -606,8 +655,7 @@ func (d *Directory) ApplyInsert(e Entry, now time.Time) {
 	if e.Inserted.IsZero() {
 		e.Inserted = now
 	}
-	ec := e
-	d.tableFor(e.Owner, true).insert(&ec)
+	d.tableFor(e.Owner, true).insert(&e)
 }
 
 // ApplyDelete merges a peer's broadcast delete.
@@ -696,7 +744,11 @@ func (d *Directory) Version() uint64 {
 
 // SyncSince assembles the catch-up needed to bring a replica that last saw
 // version since up to date with the local table. When the journal still
-// covers the gap it returns an ordered delta (full=false); when the replica
+// covers the gap it returns an ordered delta (full=false) with one op per
+// version: each journaled key's current state, an insert of the live entry
+// or a delete when the key is gone (or only held as a replica). A key
+// mutated again later appears again later in the run, so replaying the delta
+// in order still ends at the current table. When the replica
 // is too far behind, or has never seen this node (since 0), it returns a
 // full snapshot of live local entries as insert ops (full=true). ok=false
 // means the replica is already current and nothing needs to be sent.
@@ -712,6 +764,7 @@ func (d *Directory) SyncSince(since uint64) (ops []SyncOp, version uint64, full,
 	defer d.localMu.Unlock()
 	if since > d.version {
 		d.version = since
+		clear(d.journal)
 		d.journal = d.journal[:0] // its versions no longer end at d.version
 	} else if since == d.version {
 		return nil, since, false, false
@@ -719,8 +772,12 @@ func (d *Directory) SyncSince(since uint64) (ops []SyncOp, version uint64, full,
 	cur := d.version
 	if since != 0 && since < cur {
 		if gap := cur - since; gap <= uint64(len(d.journal)) {
-			start := len(d.journal) - int(gap)
-			ops = append([]SyncOp(nil), d.journal[start:]...)
+			t := d.tableFor(d.self, false)
+			keys := d.journal[len(d.journal)-int(gap):]
+			ops = make([]SyncOp, len(keys))
+			for i, k := range keys {
+				ops[i] = t.current(k, since+1+uint64(i))
+			}
 			return ops, cur, false, true
 		}
 	}
@@ -792,7 +849,7 @@ func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uin
 // changes nothing). peerMu is held across the check and the swap, so a batch
 // has either recorded its version before the check or applies after the swap.
 func (d *Directory) replaceTable(owner uint32, ops []SyncOp, version uint64, now time.Time) bool {
-	t := newTable()
+	t := newTable(owner)
 	for _, op := range ops {
 		if op.Delete {
 			continue

@@ -1,7 +1,11 @@
 package directory
 
 import (
+	"flag"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -292,5 +296,126 @@ func TestConcurrentMutationsKeepJournalContiguous(t *testing.T) {
 	}
 	if ver != 4000 {
 		t.Fatalf("final version = %d, want 4000", ver)
+	}
+}
+
+// syncSeeds is how many seeds TestSyncSinceModel runs; CI raises it.
+var syncSeeds = flag.Int("sync-seeds", 3, "seeds TestSyncSinceModel runs (1..n)")
+
+// TestSyncSinceModel drives random inserts (at capacity, so they evict),
+// re-inserts, removes, expiries and touches on an owner. At random points a
+// replica that applied the owner's OnUpdate stream through a random version
+// inside the journal window catches up with one delta, and must then hold
+// exactly the owner's local table.
+func TestSyncSinceModel(t *testing.T) {
+	for seed := int64(1); seed <= int64(*syncSeeds); seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { syncSinceModel(t, seed) })
+	}
+}
+
+func syncSinceModel(t *testing.T, seed int64) {
+	const capacity, keys, checkpoints = 64, 160, 4
+	rng := rand.New(rand.NewSource(seed))
+	// About half the seeds run past 2*journalLimit versions, so the journal is
+	// compacted at least once before the last checkpoint.
+	steps := 1000 + rng.Intn(4*journalLimit)
+	owner := New(1, capacity, nil)
+	var stream []SyncOp
+	owner.OnUpdate(func(op SyncOp) { stream = append(stream, op) })
+	now := t0
+	check := make(map[int]bool, checkpoints)
+	for len(check) < checkpoints-1 {
+		check[rng.Intn(steps)] = true
+	}
+	check[steps-1] = true
+	for step := 0; step < steps; step++ {
+		now = now.Add(time.Second)
+		key := fmt.Sprintf("k%d", rng.Intn(keys))
+		switch op := rng.Intn(100); {
+		case op < 60: // fresh insert, or a re-insert replacing the entry
+			e := Entry{Key: key, Size: int64(1 + rng.Intn(1000)), ExecTime: time.Duration(rng.Intn(1000)) * time.Millisecond}
+			if rng.Intn(2) == 0 {
+				e.Expires = now.Add(time.Duration(rng.Intn(60)) * time.Second)
+			}
+			owner.InsertLocal(e, now)
+		case op < 75:
+			owner.RemoveLocal(key)
+		case op < 85:
+			owner.ExpireLocal(now)
+		default:
+			owner.TouchLocal(key)
+		}
+		if !check[step] || owner.Version() < 2 {
+			continue
+		}
+		owner.localMu.Lock()
+		window := uint64(len(owner.journal))
+		owner.localMu.Unlock()
+		ver := owner.Version()
+		lo := uint64(1)
+		if ver > window {
+			lo = ver - window
+		}
+		since := lo + uint64(rng.Int63n(int64(ver-lo)))
+
+		replica := New(2, 0, nil)
+		for _, op := range stream[:since] {
+			replica.AdvancePeerVersion(1, op.Version)
+			if op.Delete {
+				replica.ApplyDelete(1, op.Entry.Key)
+			} else {
+				replica.ApplyInsert(op.Entry, now)
+			}
+		}
+		ops, got, full, ok := owner.SyncSince(since)
+		if !ok || full || got != ver || len(ops) != int(ver-since) {
+			t.Fatalf("step %d: SyncSince(%d) = %d ops at %d full=%v ok=%v, want a delta of %d at %d", step, since, len(ops), got, full, ok, ver-since, ver)
+		}
+		replica.ApplySync(1, full, ops, got, now)
+
+		var have []Entry
+		if tab := replica.tableFor(1, false); tab != nil {
+			have = tab.snapshot()
+		}
+		sort.Slice(have, func(i, j int) bool { return have[i].Key < have[j].Key })
+		want := owner.SnapshotLocal()
+		if len(have) != len(want) {
+			t.Fatalf("step %d: replica caught up from %d holds %d entries, owner %d", step, since, len(have), len(want))
+		}
+		for i := range want {
+			h, w := have[i], want[i]
+			if h.Key != w.Key || h.Size != w.Size || h.ExecTime != w.ExecTime || !h.Expires.Equal(w.Expires) {
+				t.Fatalf("step %d: replica caught up from %d holds %+v, owner %+v", step, since, h, w)
+			}
+		}
+	}
+}
+
+// TestDirectoryFootprint bounds the heap a full local table retains per
+// owned entry, journal included, after the table has turned over twice.
+func TestDirectoryFootprint(t *testing.T) {
+	const capacity, maxPerEntry = 4096, 320
+	keys := make([]string, 3*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("GET /cgi-bin/q?key=%d", i)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	d := New(1, capacity, nil)
+	for _, k := range keys {
+		d.InsertLocal(Entry{Key: k, Size: 2048, ExecTime: time.Millisecond}, t0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	n := d.LocalLen()
+	runtime.KeepAlive(keys)
+	if n != capacity {
+		t.Fatalf("local table holds %d entries, want %d", n, capacity)
+	}
+	per := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / int64(n)
+	t.Logf("%d B of heap per owned entry", per)
+	if per > maxPerEntry {
+		t.Fatalf("directory retains %d B per owned entry, want at most %d", per, maxPerEntry)
 	}
 }
