@@ -78,9 +78,10 @@ func main() {
 		src = workload.HotSetSource(addrs, *hotKeys, *requests, *cost, *seed)
 	case "rw":
 		// Read-write mix: cacheable reads of /cgi-bin/report plus writes to
-		// /cgi-bin/update that mutate the shared resource. With swalad -inval
-		// the writes originate invalidation waves; the coherence experiment
-		// (benchsuite -run invalidation) runs this mix with byte-compared reads.
+		// /cgi-bin/update that mutate the shared resource. swalad's demo
+		// mount serves the pair, and each write originates an invalidation
+		// wave; the coherence experiment (benchsuite -run invalidation) runs
+		// this mix with byte-compared reads.
 		src = workload.RWMixSource(addrs, *hotKeys, *requests, *cost, *writeFrac, *seed)
 	case "":
 		src = workload.RepeatSource(addrs, *uri, *requests)

@@ -115,8 +115,8 @@ func run(args []string, out io.Writer) error {
 		if fs.Arg(1) == "" {
 			return fmt.Errorf("invalidate requires a key pattern, e.g. 'GET /cgi-bin/map*'")
 		}
-		// Seq asks the node for an InvalAck instead of fire-and-forget, so a
-		// drop toward a still-dialing peer is visible here instead of silent.
+		// Seq asks the node for an InvalAck, so a drop toward a still-dialing
+		// peer is visible here instead of silent.
 		reply, err := request(&wire.Invalidate{Origin: wire.AdminID, Pattern: fs.Arg(1), Seq: 2}, wire.MsgInvalAck)
 		if err != nil {
 			return err

@@ -54,7 +54,7 @@ var (
 	persist   = flag.Bool("persist", true, "recover the disk cache across restarts: scan -cachedir at startup, rebuild the directory from intact entries, quarantine corrupt ones (-persist=false deletes the log's segments first, the paper's cold-start semantics; other files in -cachedir stay)")
 	fsyncPol  = flag.String("fsync", "never", "disk cache fsync policy: never|always (always fsyncs each append before acknowledging it)")
 	docsDir   = flag.String("docs", "", "static document root to serve")
-	cgiMounts = flag.String("cgi", "/cgi-bin/=demo", "comma-separated prefix=program mounts; program 'demo' is the built-in synthetic CGI")
+	cgiMounts = flag.String("cgi", "/cgi-bin/=demo", "comma-separated prefix=program mounts; program 'demo' is the built-in synthetic CGI, mounted with the demo rw pair <prefix>report + <prefix>update for loadgen -mix rw")
 	cores     = flag.Int("cores", 1, "simulated CPU cores")
 	threads   = flag.Int("threads", 16, "HTTP request threads")
 	watches   = flag.String("watch", "", "comma-separated file=pattern source watches; a change to file (polled every second) invalidates cached keys matching pattern")
@@ -67,8 +67,7 @@ var (
 	placement = flag.String("placement", "replicate", "entry placement: replicate (the paper's replicated directory) or ring (consistent-hash ownership with runtime join/leave)")
 	joinSeeds = flag.String("join", "", "comma-separated seed addresses to join a running ring through (ring placement only)")
 	replHot   = flag.Bool("replicate-hot", false, "adaptively replicate hot entries to their ring successors so reads of a viral key spread across multiple nodes (ring placement only)")
-	invalOn   = flag.Bool("inval", false, "dependency-based invalidation: a CGI write to a declared resource originates a versioned invalidation wave that drops dependent cached results cluster-wide, with anti-entropy replay for peers that missed it; also mounts the demo rw pair /cgi-bin/report + /cgi-bin/update for loadgen -mix rw")
-	swrOn     = flag.Bool("swr", false, "stale-while-revalidate: serve a just-invalidated body once more while a single background refresh re-executes it (requires -inval)")
+	swrOn     = flag.Bool("swr", false, "stale-while-revalidate: serve a just-invalidated body once more while a single background refresh re-executes it")
 	hedgeOn   = flag.Bool("hedge", false, "hedged remote fetches: a routed fetch that outlives the peer's observed p95 launches one backup to a replica holder or falls back to local execution, first result wins; bounded by the retry budget (cooperative mode only)")
 	breakerOn = flag.Bool("breaker", false, "per-peer circuit breakers: fetch latency and failure-rate scores trip a slow or failing peer open, its fetches fail fast to local execution, half-open probes close it again (cooperative mode only)")
 	shedOn    = flag.Bool("shed", false, "adaptive load shedding: refuse peer-routed executions past the low CPU-queue watermark, peer serves and local would-execute requests past the high one (503 + Retry-After + X-Swala-Shed; stale SWR bodies serve as the degraded tier)")
@@ -101,9 +100,6 @@ func main() {
 	}
 	if *replHot && !ringMode {
 		logger.Fatalf("-replicate-hot requires -placement=ring")
-	}
-	if *swrOn && !*invalOn {
-		logger.Fatalf("-swr requires -inval")
 	}
 	if *hedgeOn && mode != core.Cooperative {
 		logger.Fatalf("-hedge requires -mode=cooperative")
@@ -138,7 +134,6 @@ func main() {
 		FetchTimeout:   *fetchTO,
 		RingPlacement:  ringMode,
 		ReplicateHot:   *replHot,
-		Inval:          *invalOn,
 		SWR:            *swrOn,
 		Hedge:          *hedgeOn,
 		Breaker:        *breakerOn,
@@ -200,10 +195,6 @@ func main() {
 	}
 	if err := mountCGI(srv, *cgiMounts); err != nil {
 		logger.Fatal(err)
-	}
-	if *invalOn {
-		mountDemoRW(srv)
-		logger.Printf("invalidation on: /cgi-bin/report reads and /cgi-bin/update writes the demo resource %q", demoResource)
 	}
 
 	if err := srv.Start(*httpAddr, *cluAddr); err != nil {
@@ -344,8 +335,10 @@ func typeFor(path string) string {
 }
 
 // mountCGI installs CGI programs: "prefix=demo" mounts the synthetic demo
-// program; "prefix=/path/to/exe" mounts a real executable.
+// program and the demo read-write pair; "prefix=/path/to/exe" mounts a real
+// executable.
 func mountCGI(srv *core.Server, mounts string) error {
+	demos := make(map[string]cgi.Program)
 	for _, m := range strings.Split(mounts, ",") {
 		m = strings.TrimSpace(m)
 		if m == "" {
@@ -356,13 +349,17 @@ func mountCGI(srv *core.Server, mounts string) error {
 			return fmt.Errorf("bad cgi mount %q (want prefix=program)", m)
 		}
 		if prog == "demo" {
-			srv.CGI().RegisterPrefix(prefix, &cgi.Synthetic{
-				OutputSize:   2048,
-				PerQueryTime: time.Millisecond,
-			})
+			demo := &cgi.Synthetic{OutputSize: 2048, PerQueryTime: time.Millisecond}
+			srv.CGI().RegisterPrefix(prefix, demo)
+			demos[prefix] = demo
 		} else {
 			srv.CGI().RegisterPrefix(prefix, &cgi.Exec{Path: prog})
 		}
+	}
+	// After every mount, so the pair never shadows an executable mounted at
+	// one of its paths, whichever order the mounts were listed in.
+	for prefix, demo := range demos {
+		mountDemoRW(srv, prefix, demo)
 	}
 	return nil
 }
@@ -412,14 +409,22 @@ func (p *demoUpdate) Run(_ context.Context, req cgi.Request) (cgi.Result, error)
 		Body: []byte(fmt.Sprintf("updated %s -> v%06d\n", it, v))}, nil
 }
 
-// mountDemoRW installs the demo read-write pair with declared dependencies:
-// /cgi-bin/report reads the demo resource, /cgi-bin/update writes it, so a
-// completed update originates an invalidation wave covering cached reports
-// (drive it with loadgen -mix rw).
-func mountDemoRW(srv *core.Server) {
+// mountDemoRW installs the demo read-write pair with declared dependencies
+// under the demo program's prefix: <prefix>report reads the demo resource,
+// <prefix>update writes it, so a completed update originates an
+// invalidation wave covering cached reports (drive it with loadgen -mix rw).
+// The pair is skipped when either path is served by a program other than
+// demo.
+func mountDemoRW(srv *core.Server, prefix string, demo cgi.Program) {
+	report, update := prefix+"report", prefix+"update"
+	for _, path := range []string{report, update} {
+		if p, _ := srv.CGI().Lookup(path); p != demo {
+			return
+		}
+	}
 	db := &demoDB{vers: make(map[string]int)}
-	srv.CGI().Register("/cgi-bin/report", &demoReport{db: db})
-	srv.CGI().RegisterDeps("/cgi-bin/report", cgi.Deps{Reads: []string{demoResource}})
-	srv.CGI().Register("/cgi-bin/update", &demoUpdate{db: db})
-	srv.CGI().RegisterDeps("/cgi-bin/update", cgi.Deps{Writes: []string{demoResource}})
+	srv.CGI().Register(report, &demoReport{db: db})
+	srv.CGI().RegisterDeps(report, cgi.Deps{Reads: []string{demoResource}})
+	srv.CGI().Register(update, &demoUpdate{db: db})
+	srv.CGI().RegisterDeps(update, cgi.Deps{Writes: []string{demoResource}})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cgi"
 	"repro/internal/core"
 	"repro/internal/store"
 )
@@ -85,6 +86,28 @@ func TestMountCGI(t *testing.T) {
 	// Empty specs are skipped silently.
 	if err := mountCGI(srv, " , "); err != nil {
 		t.Fatal(err)
+	}
+
+	// The demo mount brings the rw pair loadgen -mix rw drives, with the
+	// deps that make an update originate a wave; an executable mounted at
+	// one of the pair's paths keeps it.
+	if d, _ := srv.CGI().DepsFor("/cgi-bin/report"); len(d.Reads) != 1 || d.Reads[0] != demoResource {
+		t.Fatalf("report deps = %+v, want a read of %q", d, demoResource)
+	}
+	if d, _ := srv.CGI().DepsFor("/cgi-bin/update"); len(d.Writes) != 1 || d.Writes[0] != demoResource {
+		t.Fatalf("update deps = %+v, want a write of %q", d, demoResource)
+	}
+	exe := core.New(core.Config{NodeID: 2, Mode: core.NoCache})
+	defer exe.Close()
+	if err := mountCGI(exe, "/cgi-bin/update=/bin/true,/cgi-bin/=demo"); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := exe.CGI().Lookup("/cgi-bin/update")
+	if _, ok := p.(*cgi.Exec); !ok {
+		t.Fatalf("/cgi-bin/update served by %T, want the mounted executable", p)
+	}
+	if _, ok := exe.CGI().DepsFor("/cgi-bin/update"); ok {
+		t.Fatal("demo pair declared deps over a mounted executable")
 	}
 }
 

@@ -47,8 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Node 1 watches the catalog file; a change invalidates all cached
-	// query results, cluster-wide.
+	// Node 1 watches the catalog file; a change originates an invalidation
+	// wave that drops all cached query results, cluster-wide.
 	mon := monitor.New(nodes[0].Invalidate, 50*time.Millisecond, nil)
 	if err := mon.Add(monitor.Watch{Path: dbFile, Pattern: "GET /cgi-bin/query*"}); err != nil {
 		log.Fatal(err)
@@ -80,14 +80,14 @@ func main() {
 	mustWrite(dbFile, "catalog v2 — a new map collection was ingested")
 	bumpMtime(dbFile)
 	waitFor(func() bool { return mon.Fired() > 0 })
-	time.Sleep(100 * time.Millisecond) // let deletes propagate
+	time.Sleep(100 * time.Millisecond) // let the wave and its deletes propagate
 
 	fmt.Printf("4. node1 re-executes and re-caches the fresh result: node1=%s\n", get(1, uri))
 	fmt.Printf("   node2 cooperatively serves node1's FRESH result:  node2=%s\n", get(2, uri))
 
 	fmt.Println("5. explicit admin invalidation (swalactl-style) clears the cluster:")
 	nodes[1].Invalidate("GET /cgi-bin/query*")
-	time.Sleep(100 * time.Millisecond) // let the invalidation reach node 1
+	time.Sleep(100 * time.Millisecond) // let the wave reach node 1
 	fmt.Printf("   next request executes again:  node2=%s\n", get(2, uri))
 }
 

@@ -42,10 +42,10 @@ type Handler interface {
 	HandleFetch(key string, flags uint8, reply *wire.FetchReply) (release func())
 	// HandleStats returns the node's metric samples for swalactl.
 	HandleStats() []stats.Sample
-	// HandleInvalidate drops locally owned entries matching the pattern and
-	// reports the local matches plus the fan-out accounting (peers the
-	// invalidation was sent on toward, and how many of them it could not
-	// reach), which the link returns as an InvalAck when m.Seq asks for one.
+	// HandleInvalidate originates an invalidation wave for the pattern and
+	// reports the local matches plus the fan-out accounting (peers the wave
+	// was sent on toward, and how many of them it could not reach), which
+	// the link returns as an InvalAck when m.Seq asks for one.
 	HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int)
 
 	// HandleDirBatch applies a batched run of directory updates.

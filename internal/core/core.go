@@ -194,15 +194,7 @@ type Config struct {
 	HotReplicas int
 	// HotInterval is the replication controller's tick period (default 1s).
 	HotInterval time.Duration
-	// Inval enables dependency-based invalidation waves (swalad -inval):
-	// CGI programs declare the resources they read and write
-	// (cgi.Engine.RegisterDeps), a successful writer execution originates a
-	// versioned invalidation wave per dependent reader, and waves ride the
-	// journaled directory channel so anti-entropy replays whatever a
-	// partitioned or reconnecting peer missed. Default off — the paper's
-	// TTL-expiry semantics are unchanged.
-	Inval bool
-	// SWR enables stale-while-revalidate on invalidation (requires Inval):
+	// SWR enables stale-while-revalidate on invalidation:
 	// the previous body of an invalidated entry is served for swrWindow (2s)
 	// — flagged X-Swala-Cache: stale-revalidate — while one coalesced
 	// background flight refreshes the entry. Default off.
@@ -318,9 +310,9 @@ type Server struct {
 	// rep holds the adaptive hot-entry replication state (nil unless
 	// Config.ReplicateHot is set in ring mode); see replica.go.
 	rep *replicaState
-	// inv holds the invalidation-wave state (nil unless Config.Inval) and
-	// swr the stale-while-revalidate holding cell (nil unless Config.SWR);
-	// see inval.go.
+	// inv holds the invalidation-wave state and swr the
+	// stale-while-revalidate holding cell (nil unless Config.SWR); see
+	// inval.go.
 	inv *inval.State
 	swr *swrCell
 	// hedge holds the hedged-fetch state and retry budget (nil unless
@@ -403,6 +395,7 @@ func New(cfg Config) *Server {
 		files:      content.NewFileSet(),
 		dir:        directory.New(cfg.NodeID, cfg.CacheCapacity, replacement.MustNew(cfg.Policy)),
 		inflight:   make(map[string]int),
+		inv:        inval.NewState(cfg.NodeID),
 		pendingUnq: make(map[uint32]*rejoinState),
 		purgeStop:  make(chan struct{}),
 		purgeDone:  make(chan struct{}),
@@ -414,11 +407,8 @@ func New(cfg Config) *Server {
 	if cfg.Shed {
 		s.shed = newShedState(cfg.ShedLowWatermark, cfg.ShedHighWatermark)
 	}
-	if cfg.Inval {
-		s.inv = inval.NewState(cfg.NodeID)
-		if cfg.SWR {
-			s.swr = newSWRCell()
-		}
+	if cfg.SWR {
+		s.swr = newSWRCell()
 	}
 	s.http = httpserver.New(httpserver.HandlerFunc(s.serveHTTP), httpserver.Config{
 		RequestThreads: cfg.RequestThreads,
@@ -632,24 +622,17 @@ func (s *Server) purgeDaemon() {
 	}
 }
 
-// Invalidate drops every locally owned cache entry whose key matches
-// pattern ('*' wildcards; keys look like "GET /cgi-bin/q?a=1") and, in
-// cooperative mode, propagates the invalidation so peers drop their own
-// matching entries. It returns the number of local entries dropped.
+// Invalidate drops every cached entry whose key matches pattern ('*'
+// wildcards; keys look like "GET /cgi-bin/q?a=1") by originating one
+// invalidation wave: it applies here at once and, in cooperative mode,
+// reaches every peer over its ordered link, with anti-entropy replay for a
+// peer that missed it. It returns the number of local entries dropped.
 //
 // This implements the application-driven invalidation the paper lists as
 // future work: a content application that knows its source data changed can
 // invalidate the affected results instead of waiting for TTL expiry.
 func (s *Server) Invalidate(pattern string) int {
-	if s.inv != nil {
-		// Wave mode: versioned, journaled, healed by anti-entropy replay.
-		n, _, _ := s.invalidateWave(pattern)
-		return n
-	}
-	n := s.invalidateLocal(pattern)
-	if s.cfg.Mode == Cooperative {
-		s.clu.Broadcast(&wire.Invalidate{Origin: s.dir.Self(), Pattern: pattern})
-	}
+	n, _, _ := s.invalidateWave(pattern)
 	return n
 }
 
@@ -658,9 +641,9 @@ func (s *Server) Invalidate(pattern string) int {
 // held hot replicas — which retire in full, lease and announcement included,
 // instead of lingering until the replica controller's next tick notices the
 // entry vanished — and, for owned keys with announced replica holders, the
-// holder routes themselves, with a direct retire push as backstop for
-// holders that lost the invalidation frame. With SWR on, owned bodies move
-// to the stale holding cell instead of vanishing outright.
+// holder routes themselves; each holder drops its copy when the same wave
+// reaches it. With SWR on, owned bodies move to the stale holding cell
+// instead of vanishing outright.
 func (s *Server) invalidateLocal(pattern string) int {
 	dropped := 0
 	for _, key := range s.matchHeldReplicas(pattern) {
@@ -682,9 +665,6 @@ func (s *Server) invalidateLocal(pattern string) int {
 			s.logf("invalidate delete %q: %v", e.Key, err)
 		}
 		for _, hd := range s.dir.ReplicaHolders(e.Key) {
-			if err := s.clu.SendTo(hd, &wire.ReplicaPush{Home: s.dir.Self(), Key: e.Key, Retire: true}); err != nil {
-				s.logf("invalidate retire %q at %d: %v", e.Key, hd, err)
-			}
 			s.dir.RemoveReplica(e.Key, hd)
 		}
 	}
@@ -967,12 +947,11 @@ func (s *Server) execCGI(ctx context.Context, creq cgi.Request) (cgi.Result, tim
 // update callback.
 //
 // startVer is the invalidation apply-version the producing flight was
-// stamped with at launch (s.invVersion, 0 with invalidation off): a result
-// whose execution straddled a matching invalidation wave is already stale
-// and is discarded instead of stored — storing it would resurrect
-// invalidated content with a full TTL.
+// stamped with at launch (s.inv.Version): a result whose execution straddled
+// a matching invalidation wave is already stale and is discarded instead of
+// stored — storing it would resurrect invalidated content with a full TTL.
 func (s *Server) insertResult(key string, res cgi.Result, execTime time.Duration, ttl time.Duration, startVer uint64) {
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		s.logf("discarding superseded in-flight result for %q", key)
 		return
 	}
@@ -1020,7 +999,7 @@ func (s *Server) insertResult(key string, res cgi.Result, execTime time.Duration
 			s.logf("evict delete %q: %v", victim, err)
 		}
 	}
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		// A wave raced the insert itself (between the guard above and
 		// InsertLocal): undo rather than leave invalidated content cached.
 		if s.dir.RemoveLocal(key) {
@@ -1134,26 +1113,11 @@ func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply
 	return release
 }
 
-// HandleInvalidate implements cluster.Handler: drop locally owned entries
-// matching the pattern and report the fan-out. A node-originated invalidation
-// is not re-broadcast (the origin already told every peer; only the per-entry
-// deletes are). An admin-originated one (swalactl invalidate) arrived at a
-// single node, so that node fans it out — as a wave when invalidation waves
-// are on, else with itself as origin: peers see a node origin and do not
-// re-broadcast, keeping the propagation loop-free.
+// HandleInvalidate implements cluster.Handler: an administrative
+// invalidation (swalactl invalidate) reaches a single node, which originates
+// it as a wave and reports the local matches and the fan-out.
 func (h *clusterHandler) HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int) {
-	s := h.server()
-	if m.Origin != wire.AdminID {
-		return s.invalidateLocal(m.Pattern), 0, 0
-	}
-	if s.inv != nil {
-		return s.invalidateWave(m.Pattern)
-	}
-	matched = s.invalidateLocal(m.Pattern)
-	if s.cfg.Mode == Cooperative {
-		peers, unreached = s.clu.Broadcast(&wire.Invalidate{Origin: s.dir.Self(), Pattern: m.Pattern})
-	}
-	return matched, peers, unreached
+	return h.server().invalidateWave(m.Pattern)
 }
 
 // HandleStats implements cluster.Handler.

@@ -562,8 +562,8 @@ func TestInvalidatePropagatesAcrossCluster(t *testing.T) {
 	})
 
 	// Invalidating on node 1 must clear matching entries everywhere: node
-	// 2's own entry via the broadcast invalidation, and the directory
-	// replicas via the per-entry deletes.
+	// 2's own entry via the invalidation wave, and the directory replicas
+	// via the per-entry deletes.
 	h.servers[0].Invalidate("GET /cgi-bin/null*")
 	waitUntil(t, "cluster-wide invalidation", func() bool {
 		return h.servers[0].Directory().TotalLen() == 0 &&

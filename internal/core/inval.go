@@ -11,20 +11,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Dependency-based invalidation (Config.Inval): the server-layer half of the
-// versioned wave protocol in internal/inval. CGI programs declare the
-// resources they read and write (cgi.Engine.RegisterDeps); a successful
-// writer execution originates one wave per dependent reader program, and a
-// wave drops every matching cached body on every node — owned entries, held
-// hot replicas (whose leases retire immediately, not on the next controller
-// tick), and the holder-index routes that point at them.
+// Invalidation: the server-layer half of the versioned wave protocol in
+// internal/inval, the one way an invalidation travels. Server.Invalidate, an
+// administrative wire.Invalidate (swalactl) and a successful execution of a
+// CGI program that declares writes (cgi.Engine.RegisterDeps: one wave per
+// dependent reader program) each originate a wave, and a wave drops every
+// matching cached body on every node — owned entries, held hot replicas
+// (whose leases retire immediately, not on the next controller tick), and
+// the holder-index routes that point at them.
 //
-// Waves ride the cluster's ordered per-link queues as MsgInvalWave frames
-// instead of the legacy fire-and-forget Invalidate broadcast; the origin
-// journals them, links track the highest wave each peer has confirmed, and
-// the anti-entropy sync path replays whatever a partitioned or overflowed
-// peer missed (cluster.Handler). Exactly-once application per node is the
-// inval.State Mark/floor machinery.
+// Waves ride the cluster's ordered per-link queues as MsgInvalWave frames;
+// the origin journals them, links track the highest wave each peer has
+// confirmed, and the anti-entropy sync path replays whatever a partitioned
+// or overflowed peer missed (cluster.Handler). Exactly-once application per
+// node is the inval.State Mark/floor machinery.
 //
 // Stale-while-revalidate (Config.SWR) keeps the previous body of an
 // invalidated entry in a bounded holding cell for swrWindow; the fetch
@@ -38,25 +38,9 @@ const swrWindow = 2 * time.Second
 // swrCellCap bounds the stale-body holding cell (entries).
 const swrCellCap = 1024
 
-// invVersion returns the local wave apply-version to stamp a fetch flight
-// with, or 0 when invalidation is off.
-func (s *Server) invVersion() uint64 {
-	if s.inv == nil {
-		return 0
-	}
-	return s.inv.Version()
-}
-
-// invStale reports whether a wave matching key has been applied since the
-// flight stamped with startVer began — if so its result is already invalid
-// and must not be stored.
-func (s *Server) invStale(key string, startVer uint64) bool {
-	return s.inv != nil && s.inv.Superseded(key, startVer)
-}
-
 // applyWave applies one remote invalidation wave exactly once.
 func (s *Server) applyWave(w inval.Wave) {
-	if s.inv == nil || !s.inv.Mark(w) {
+	if !s.inv.Mark(w) {
 		return
 	}
 	n := s.invalidateLocal(w.Pattern)
@@ -89,9 +73,6 @@ func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) 
 // CGI mounted at path: one wave per reader program of each resource the
 // writer declares, covering all of that reader's cached results.
 func (s *Server) noteWrites(path string) {
-	if s.inv == nil {
-		return
-	}
 	deps, ok := s.engine.DepsFor(path)
 	if !ok || len(deps.Writes) == 0 {
 		return
@@ -109,24 +90,14 @@ func (s *Server) noteWrites(path string) {
 }
 
 // WaveSeq returns this node's own wave sequence counter — how many waves it
-// has originated (0 with invalidation off).
-func (s *Server) WaveSeq() uint64 {
-	if s.inv == nil {
-		return 0
-	}
-	return s.inv.Seq()
-}
+// has originated.
+func (s *Server) WaveSeq() uint64 { return s.inv.Seq() }
 
 // WaveFloorFor returns the contiguous applied floor of origin's waves at
-// this node (0 with invalidation off). Experiments use Seq/Floor pairs to
-// detect wave quiescence: every node's floor for every origin has reached
-// that origin's own sequence.
-func (s *Server) WaveFloorFor(origin uint32) uint64 {
-	if s.inv == nil {
-		return 0
-	}
-	return s.inv.Floor(origin)
-}
+// this node. Experiments use Seq/Floor pairs to detect wave quiescence:
+// every node's floor for every origin has reached that origin's own
+// sequence.
+func (s *Server) WaveFloorFor(origin uint32) uint64 { return s.inv.Floor(origin) }
 
 // --- cluster wave plumbing ---
 
@@ -142,24 +113,19 @@ func (h *clusterHandler) HandleInvalWave(m *wire.InvalWave) {
 // has been trimmed), so the batch is contiguous and the floor may jump to its
 // last sequence.
 func (h *clusterHandler) HandleWaveSync(origin uint32, waves []wire.InvalWave) {
-	s := h.server()
-	if s.inv == nil || len(waves) == 0 {
+	if len(waves) == 0 {
 		return
 	}
 	for i := range waves {
 		h.HandleInvalWave(&waves[i])
 	}
-	s.inv.AdvanceFloor(origin, waves[len(waves)-1].Seq)
+	h.server().inv.AdvanceFloor(origin, waves[len(waves)-1].Seq)
 }
 
 // WaveFloor implements cluster.Handler: the contiguous applied floor to
 // advertise toward origin during the link handshake.
 func (h *clusterHandler) WaveFloor(origin uint32) uint64 {
-	s := h.server()
-	if s.inv == nil {
-		return 0
-	}
-	return s.inv.Floor(origin)
+	return h.server().inv.Floor(origin)
 }
 
 // BuildWaveSync implements cluster.Handler: our own waves a peer whose
@@ -167,9 +133,6 @@ func (h *clusterHandler) WaveFloor(origin uint32) uint64 {
 // resume numbering above what its peers already applied.
 func (h *clusterHandler) BuildWaveSync(since uint64) []wire.InvalWave {
 	s := h.server()
-	if s.inv == nil {
-		return nil
-	}
 	s.inv.AdoptSeq(since)
 	missed := s.inv.Missed(since)
 	if len(missed) == 0 {
@@ -301,7 +264,7 @@ func (s *Server) refreshStale(key string) {
 			defer cancel()
 		}
 		fs := s.fetchStateFrom(ctx, key)
-		startVer := s.invVersion()
+		startVer := s.inv.Version()
 		res, execTime, err := s.execCGI(ctx, fs.creq)
 		if err != nil || res.Status != 200 {
 			if err != nil {

@@ -13,11 +13,8 @@ import (
 	"repro/internal/wire"
 )
 
-// withInval turns the versioned invalidation-wave protocol on.
-func withInval(i int, cfg *Config) { cfg.Inval = true }
-
 func TestWaveInvalidationPropagates(t *testing.T) {
-	h := startCluster(t, 3, withInval)
+	h := startCluster(t, 3, nil)
 	for _, s := range h.servers {
 		registerNullCGI(s)
 	}
@@ -59,8 +56,8 @@ func TestWaveInvalidationPropagates(t *testing.T) {
 // stall or a long HotInterval) holders kept serving the stale replica body.
 // The test freezes the controller (HotInterval = 1h), forms replicas by
 // driving the tracker and ticking manually, then asserts invalidation alone
-// retires everything. Runs on the legacy broadcast path: the fix lives in
-// invalidateLocal, which wave mode shares.
+// retires everything: the holders drop their copies when the wave reaches
+// them, with no retire push from the owner.
 func TestInvalidateRetiresHeldReplicaLeases(t *testing.T) {
 	h := startHotRing(t, 4, func(i int, cfg *Config) {
 		cfg.HotInterval = time.Hour // dormant: no tick-time self-healing
@@ -159,7 +156,7 @@ func (g *gate) Run(ctx context.Context, req cgi.Request) (cgi.Result, error) {
 // at launch and their results discarded on store if a matching wave applied
 // in between. (CI repeats this test under -race.)
 func TestWaveDiscardsSupersededInflightResult(t *testing.T) {
-	h := startCluster(t, 1, withInval)
+	h := startCluster(t, 1, nil)
 	s := h.servers[0]
 	g := &gate{started: make(chan struct{}), release: make(chan struct{})}
 	s.CGI().Register("/cgi-bin/block", g)
@@ -203,7 +200,6 @@ func TestWaveSyncHealsPartitionedNode(t *testing.T) {
 			Network:       faulty.Endpoint(fmt.Sprintf("clu-%d", i+1)),
 			FetchTimeout:  time.Second,
 			PurgeInterval: time.Hour,
-			Inval:         true,
 		}
 		fastHealth(&cfg)
 		s := New(cfg)
@@ -261,7 +257,6 @@ func TestWaveSyncHealsPartitionedNode(t *testing.T) {
 
 func TestSWRServesStaleDuringRefresh(t *testing.T) {
 	h := startCluster(t, 1, func(i int, cfg *Config) {
-		cfg.Inval = true
 		cfg.SWR = true
 	})
 	s := h.servers[0]
@@ -296,7 +291,7 @@ func TestSWRServesStaleDuringRefresh(t *testing.T) {
 // not reach right now (links still dialing, severed), instead of silently
 // dropping them — the count swalactl invalidate surfaces.
 func TestAdminInvalidateCountsUnreachedPeers(t *testing.T) {
-	h := startCluster(t, 2, withInval)
+	h := startCluster(t, 2, nil)
 	for _, s := range h.servers {
 		registerNullCGI(s)
 	}
@@ -326,7 +321,7 @@ func TestAdminInvalidateCountsUnreachedPeers(t *testing.T) {
 // execution of a writer program invalidates every cached result of each
 // reader of the written resource, cluster-wide.
 func TestWriteDepsTriggerWave(t *testing.T) {
-	h := startCluster(t, 2, withInval)
+	h := startCluster(t, 2, nil)
 	for _, s := range h.servers {
 		s.CGI().Register("/cgi-bin/report", &cgi.Synthetic{OutputSize: 64})
 		s.CGI().RegisterDeps("/cgi-bin/report", cgi.Deps{Reads: []string{"db"}})

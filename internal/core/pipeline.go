@@ -380,7 +380,7 @@ func (st *originStage) Fetch(ctx context.Context, key string, _ any) (fetchpipe.
 	// Stamp the flight with the invalidation apply-version before executing:
 	// a wave that passes mid-flight supersedes the result (insertResult
 	// discards it).
-	startVer := s.invVersion()
+	startVer := s.inv.Version()
 	res, execTime, err := s.execCGI(ctx, fs.creq)
 	if err != nil {
 		// The CGI return value is checked; failed executions are discarded,
@@ -418,7 +418,7 @@ func (s *Server) coalescedOrigin(ctx context.Context, key string, fs fetchState)
 			fctx, cancel = context.WithTimeout(fctx, s.cfg.RequestTimeout)
 			defer cancel()
 		}
-		startVer := s.invVersion()
+		startVer := s.inv.Version()
 		res, execTime, err := s.execCGI(fctx, fs.creq)
 		// Insert inside the singleflight window: by the time any waiter is
 		// released (or a new request becomes a fresh leader), the result is

@@ -359,7 +359,7 @@ func (s *Server) pullReplica(t replicaPull) {
 		rep.markHeld(key, t.home, now)
 		return
 	}
-	startVer := s.invVersion()
+	startVer := s.inv.Version()
 	reply, err := s.clu.FetchRing(context.Background(), t.home, key, wire.FetchReplica)
 	if err != nil {
 		s.logf("replica pull %q from %d: %v", key, t.home, err)
@@ -371,7 +371,7 @@ func (s *Server) pullReplica(t replicaPull) {
 	if !reply.OK {
 		return // home no longer has it
 	}
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		// An invalidation wave matching key passed while the body was on the
 		// wire from the home; installing it would plant a stale replica.
 		return
@@ -385,7 +385,7 @@ func (s *Server) pullReplica(t replicaPull) {
 		Inserted: now, Expires: t.entry.Expires,
 	}, now)
 	rep.markHeld(key, t.home, now)
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		// A wave raced the install itself; retire the copy before anyone is
 		// told to route here.
 		s.dropHeldReplica(key)

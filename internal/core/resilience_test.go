@@ -212,7 +212,6 @@ func TestShedServesParkedStaleUnderOverload(t *testing.T) {
 		cfg.Shed = true
 		cfg.ShedLowWatermark = 30 * time.Millisecond
 		cfg.ShedHighWatermark = 100 * time.Millisecond
-		cfg.Inval = true
 		cfg.SWR = true
 	})
 	s := h.servers[0]

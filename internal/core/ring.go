@@ -270,7 +270,7 @@ func (s *Server) pullHandoff(t handoffTask) {
 		reply.Release()
 		return
 	}
-	startVer := s.invVersion()
+	startVer := s.inv.Version()
 	reply, err := s.takeoverFetch(t.owner, key)
 	if err != nil {
 		s.logf("handoff pull %q from %d: %v", key, t.owner, err)
@@ -282,7 +282,7 @@ func (s *Server) pullHandoff(t handoffTask) {
 	if !reply.OK {
 		return // old owner no longer has it (expired or evicted there)
 	}
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		// An invalidation wave matching key passed while the body was on the
 		// wire; the old owner has relinquished it, but installing it here
 		// would resurrect an invalidated result. Drop it — the next request
@@ -303,7 +303,7 @@ func (s *Server) pullHandoff(t handoffTask) {
 			s.logf("evict delete %q: %v", victim, err)
 		}
 	}
-	if s.invStale(key, startVer) {
+	if s.inv.Superseded(key, startVer) {
 		// A wave raced the install itself; undo rather than serve stale.
 		if s.dir.RemoveLocal(key) {
 			s.store.Delete(key)
@@ -355,7 +355,7 @@ func (s *Server) executeAsOwner(key string) (contentType string, body []byte, st
 	fs := s.fetchStateFrom(ctx, key)
 	s.trackInflight(key, +1)
 	defer s.trackInflight(key, -1)
-	startVer := s.invVersion()
+	startVer := s.inv.Version()
 	res, execTime, err := s.execCGI(ctx, fs.creq)
 	if err != nil {
 		s.logf("owner execute %q: %v", key, err)

@@ -116,7 +116,7 @@ func startAllFeatures(t *testing.T) *harness {
 			t.Fatal(err)
 		}
 		cfg.Store = l
-		cfg.ReplicateHot, cfg.Inval, cfg.SWR = true, true, true
+		cfg.ReplicateHot, cfg.SWR = true, true
 		cfg.Hedge, cfg.Breaker, cfg.Shed = true, true, true
 	})
 	for _, s := range h.servers {

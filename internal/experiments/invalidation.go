@@ -275,7 +275,6 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 	c, err := newSwalaCluster(o, clusterSpec{
 		n: nodes, mode: core.Cooperative,
 		mutate: func(i int, cfg *core.Config) {
-			cfg.Inval = true
 			cfg.Cacheability = rwPolicy()
 		},
 	})
@@ -318,7 +317,6 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 
 	st = newItemStore(items, 0)
 	rc, err := newScaleoutCluster(o, true, nodes, func(i int, cfg *core.Config) {
-		cfg.Inval = true
 		cfg.Cacheability = rwPolicy()
 		cfg.ReplicateHot = true
 		cfg.HotRPS = 10
@@ -386,7 +384,6 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 		n: 2, mode: core.Cooperative, mem: mem,
 		netFor: func(i int) netx.Network { return faulty.Endpoint(cluAddr(i)) },
 		mutate: func(i int, cfg *core.Config) {
-			cfg.Inval = true
 			cfg.Cacheability = rwPolicy()
 			cfg.FetchTimeout = time.Second
 			cfg.HealthProbeInterval = 25 * time.Millisecond
@@ -439,7 +436,6 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 	sc, err := newSwalaCluster(o, clusterSpec{
 		n: 2, mode: core.Cooperative,
 		mutate: func(i int, cfg *core.Config) {
-			cfg.Inval = true
 			cfg.SWR = true
 			cfg.Cacheability = rwPolicy()
 		},

@@ -5,12 +5,12 @@
 // invalidation *wave* (origin node + monotonically increasing sequence +
 // key pattern), and every node applies each wave exactly once.
 //
-// Waves ride the same per-link ordered queues as directory batches rather
-// than a fire-and-forget broadcast: the origin journals its own waves, a
-// peer advertises the highest wave floor it has applied during the link
-// handshake (DirSyncReq.WaveSeq), and anti-entropy sync replays whatever
-// the peer missed — so a partitioned or reconnecting node converges instead
-// of serving invalidated bodies forever.
+// Waves ride the same per-link ordered queues as directory batches: the
+// origin journals its own waves, a peer advertises the highest wave floor
+// it has applied during the link handshake (DirSyncReq.WaveSeq), and
+// anti-entropy sync replays whatever the peer missed — so a partitioned or
+// reconnecting node converges instead of serving invalidated bodies
+// forever.
 //
 // State also keeps a local monotonic apply-version and a bounded ring of
 // recently applied waves. Fetch flights are stamped with the version at
@@ -125,7 +125,9 @@ func (s *State) AdoptSeq(min uint64) {
 
 // Mark records a remote wave as applied and reports whether the caller
 // should apply its pattern: true exactly once per (Origin, Seq), in any
-// arrival order.
+// arrival order. The exception is a wave that arrives while sparseLimit
+// waves above the floor are already outstanding: it is applied unrecorded,
+// so Mark returns true for it again until the floor passes it.
 func (s *State) Mark(w Wave) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,11 +151,9 @@ func (s *State) Mark(w Wave) bool {
 		o.sparse = make(map[uint64]bool)
 	}
 	if len(o.sparse) >= sparseLimit {
-		// Pathological gap: collapse to the highest seen sequence. Waves in
-		// the gap will be re-offered by sync and deduped no further — they
-		// re-apply, which only costs extra misses, never staleness.
-		o.floor = w.Seq
-		o.sparse = nil
+		// Pathological gap: apply the wave without recording it. The floor
+		// stays below the gap, so sync still re-offers every wave in it, and
+		// this one re-applies then — extra misses, never staleness.
 		return true
 	}
 	o.sparse[w.Seq] = true

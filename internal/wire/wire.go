@@ -59,9 +59,10 @@ const (
 	// Type 9 is reserved: it carried StatsReply in its older, struct-shaped
 	// layout, which a current node must reject rather than misread.
 	_
-	// MsgInvalidate asks every node to drop cached entries whose key matches
-	// a pattern — the application-driven invalidation the paper lists as
-	// future work (Section 4.2, citing Iyengar & Challenger).
+	// MsgInvalidate asks a node (swalactl's administrative entry) to drop
+	// cached entries whose key matches a pattern cluster-wide — the
+	// application-driven invalidation the paper lists as future work
+	// (Section 4.2, citing Iyengar & Challenger).
 	MsgInvalidate
 	// MsgDirBatch packs a run of directory updates (inserts and deletes) into
 	// one frame so an insert storm costs one write per drained queue instead
@@ -334,18 +335,17 @@ func codeLabel(l *stats.Label, c *coder) {
 	c.str(&l.Value)
 }
 
-// Invalidate asks the receiver to drop its own cached entries whose key
-// matches Pattern ('*' wildcards, cacheability.Match semantics). Each node
-// deletes only entries it owns; the resulting directory delete updates keep
-// the replicated directories converging.
+// Invalidate is the administrative entry of an invalidation: the receiver
+// originates one InvalWave for Pattern ('*' wildcards, cacheability.Match
+// semantics), which drops every matching cached entry on every node.
 type Invalidate struct {
-	// Origin is the node (or administrative client, AdminID) that issued the
-	// invalidation.
+	// Origin is the client that issued the invalidation (swalactl sends
+	// AdminID).
 	Origin  uint32
 	Pattern string
 	// Seq, when non-zero, asks the receiver to answer with an InvalAck
 	// carrying the same Seq once the invalidation has been applied and
-	// fanned out. Zero keeps the legacy fire-and-forget behavior.
+	// fanned out as a wave. Zero asks for no answer.
 	Seq uint64
 }
 
