@@ -116,7 +116,7 @@ var schedules = []experiment{
 		r, err := experiments.RunScaleout(o)
 		return report{r.Render, r, r.Failed()}, err
 	}},
-	{"replication", "viral key on an 8-node ring with and without -replicate-hot", latencyScale, func(o experiments.Options) (report, error) {
+	{"replication", "viral key on an 8-node ring with and without hot replication", latencyScale, func(o experiments.Options) (report, error) {
 		r, err := experiments.RunReplication(o)
 		return report{r.Render, r, r.Failed()}, err
 	}},

@@ -54,7 +54,7 @@ func TestWatchTimesOut(t *testing.T) {
 // TestStatsPrefix: stats prints the node's metric lines, filtered by name
 // prefix.
 func TestStatsPrefix(t *testing.T) {
-	s := core.New(core.Config{NodeID: 1, Mode: core.StandAlone})
+	s := core.New(core.Config{NodeID: 1, Mode: core.StandAlone, Costs: core.DefaultCosts()})
 	if err := s.Start("127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -59,18 +60,11 @@ var (
 	threads   = flag.Int("threads", 16, "HTTP request threads")
 	watches   = flag.String("watch", "", "comma-separated file=pattern source watches; a change to file (polled every second) invalidates cached keys matching pattern")
 	accessLog = flag.String("accesslog", "", "write an extended-CLF access log to this file (analyze with loganalyze -swala)")
-	coalesce  = flag.Bool("coalesce", false, "coalesce concurrent identical cache misses into one CGI execution (beyond the paper)")
 	reqTO     = flag.Duration("request-timeout", 0, "end-to-end deadline per request through the whole fetch chain, 0 disables (overruns answer 504)")
 	fetchTO   = flag.Duration("fetch-timeout", 0, "bound on one remote cache fetch; a timeout falls back to local execution (0 = default 5s)")
-	health    = flag.Bool("health", true, "heartbeat failure detector: quarantine dead peers' directory entries instead of timing out every fetch (-health=false restores exact paper semantics)")
 	pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address with mutex and block profiling enabled (empty = off)")
-	placement = flag.String("placement", "replicate", "entry placement: replicate (the paper's replicated directory) or ring (consistent-hash ownership with runtime join/leave)")
-	joinSeeds = flag.String("join", "", "comma-separated seed addresses to join a running ring through (ring placement only)")
-	replHot   = flag.Bool("replicate-hot", false, "adaptively replicate hot entries to their ring successors so reads of a viral key spread across multiple nodes (ring placement only)")
-	swrOn     = flag.Bool("swr", false, "stale-while-revalidate: serve a just-invalidated body once more while a single background refresh re-executes it")
-	hedgeOn   = flag.Bool("hedge", false, "hedged remote fetches: a routed fetch that outlives the peer's observed p95 launches one backup to a replica holder or falls back to local execution, first result wins; bounded by the retry budget (cooperative mode only)")
-	breakerOn = flag.Bool("breaker", false, "per-peer circuit breakers: fetch latency and failure-rate scores trip a slow or failing peer open, its fetches fail fast to local execution, half-open probes close it again (cooperative mode only)")
-	shedOn    = flag.Bool("shed", false, "adaptive load shedding: refuse peer-routed executions past the low CPU-queue watermark, peer serves and local would-execute requests past the high one (503 + Retry-After + X-Swala-Shed; stale SWR bodies serve as the degraded tier)")
+	profile   = flag.String("profile", "paper", "paper (the paper's Swala: replicated directory, simulated CPU costs) or production (ring placement, hot replication, stale-while-revalidate, hedging, breakers, miss coalescing; no simulated CPU; -mode=cooperative only)")
+	joinSeeds = flag.String("join", "", "comma-separated seed addresses to join a running ring through (-profile=production only)")
 )
 
 // watchInterval is how often -watch polls its source files.
@@ -84,28 +78,9 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	ringMode := false
-	switch *placement {
-	case "replicate":
-	case "ring":
-		if mode != core.Cooperative {
-			logger.Fatalf("-placement=ring requires -mode=cooperative")
-		}
-		ringMode = true
-	default:
-		logger.Fatalf("unknown placement %q (want replicate or ring)", *placement)
-	}
-	if *joinSeeds != "" && !ringMode {
-		logger.Fatalf("-join requires -placement=ring")
-	}
-	if *replHot && !ringMode {
-		logger.Fatalf("-replicate-hot requires -placement=ring")
-	}
-	if *hedgeOn && mode != core.Cooperative {
-		logger.Fatalf("-hedge requires -mode=cooperative")
-	}
-	if *breakerOn && mode != core.Cooperative {
-		logger.Fatalf("-breaker requires -mode=cooperative")
+	cfg, err := profileConfig(*profile, mode, *joinSeeds != "")
+	if err != nil {
+		logger.Fatal(err)
 	}
 
 	if *pprofAddr != "" {
@@ -121,25 +96,14 @@ func main() {
 		}()
 	}
 
-	cfg := core.Config{
-		NodeID:         uint32(*id),
-		Mode:           mode,
-		Cores:          *cores,
-		CacheCapacity:  *capacity,
-		Policy:         replacement.Kind(*policy),
-		RequestThreads: *threads,
-		Logger:         logger,
-		CoalesceMisses: *coalesce,
-		RequestTimeout: *reqTO,
-		FetchTimeout:   *fetchTO,
-		RingPlacement:  ringMode,
-		ReplicateHot:   *replHot,
-		SWR:            *swrOn,
-		Hedge:          *hedgeOn,
-		Breaker:        *breakerOn,
-		Shed:           *shedOn,
-		DisableHealth:  !*health,
-	}
+	cfg.NodeID = uint32(*id)
+	cfg.Cores = *cores
+	cfg.CacheCapacity = *capacity
+	cfg.Policy = replacement.Kind(*policy)
+	cfg.RequestThreads = *threads
+	cfg.Logger = logger
+	cfg.RequestTimeout = *reqTO
+	cfg.FetchTimeout = *fetchTO
 	if *cfgPath != "" {
 		f, err := os.Open(*cfgPath)
 		if err != nil {
@@ -200,8 +164,8 @@ func main() {
 	if err := srv.Start(*httpAddr, *cluAddr); err != nil {
 		logger.Fatal(err)
 	}
-	logger.Printf("node %d serving HTTP on %s, cluster on %s, mode %s",
-		*id, srv.HTTPAddr(), srv.ClusterAddr(), mode)
+	logger.Printf("node %d serving HTTP on %s, cluster on %s, profile %s, mode %s",
+		*id, srv.HTTPAddr(), srv.ClusterAddr(), *profile, mode)
 
 	if *peersFlag != "" {
 		for _, spec := range strings.Split(*peersFlag, ",") {
@@ -256,7 +220,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	logger.Printf("shutting down")
-	if ringMode {
+	if cfg.RingPlacement {
 		// Hand every owned entry to its next owner before going dark, so a
 		// planned shutdown costs the cluster no cached work.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -284,6 +248,24 @@ func openCache(dir string, persist bool, fsync store.FsyncPolicy) (*store.Log, *
 		return nil, nil, err
 	}
 	return store.OpenLog(dir, opts)
+}
+
+// profileConfig returns the configuration -profile names, in the given mode.
+func profileConfig(profile string, mode core.Mode, join bool) (cfg core.Config, err error) {
+	switch {
+	case profile == "paper" && join:
+		return cfg, errors.New("-join requires -profile=production")
+	case profile == "paper":
+		cfg = core.Paper()
+	case profile == "production" && mode != core.Cooperative:
+		return cfg, errors.New("-profile=production requires -mode=cooperative")
+	case profile == "production":
+		cfg = core.Production()
+	default:
+		return cfg, fmt.Errorf("unknown profile %q (want paper or production)", profile)
+	}
+	cfg.Mode = mode
+	return cfg, nil
 }
 
 func parseMode(s string) (core.Mode, error) {

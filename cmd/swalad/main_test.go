@@ -32,6 +32,34 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
+// TestProfileFlag: -profile names one of the two configurations, and the
+// combinations a profile cannot run are refused.
+func TestProfileFlag(t *testing.T) {
+	cfg, err := profileConfig("paper", core.StandAlone, false)
+	if err != nil || cfg.Mode != core.StandAlone || cfg.Costs != core.DefaultCosts() || cfg.RingPlacement {
+		t.Fatalf("paper = %+v, %v; want Paper() in stand-alone mode", cfg, err)
+	}
+	cfg, err = profileConfig("production", core.Cooperative, true)
+	if err != nil || !cfg.RingPlacement || cfg.Costs != (core.CostModel{}) {
+		t.Fatalf("production = %+v, %v; want Production()", cfg, err)
+	}
+	for _, c := range []struct {
+		profile string
+		mode    core.Mode
+		join    bool
+		want    string
+	}{
+		{"turbo", core.Cooperative, false, `unknown profile "turbo"`},
+		{"production", core.StandAlone, false, "-profile=production requires -mode=cooperative"},
+		{"paper", core.Cooperative, true, "-join requires -profile=production"},
+	} {
+		_, err := profileConfig(c.profile, c.mode, c.join)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("profileConfig(%q, %v, join=%v) = %v, want %q", c.profile, c.mode, c.join, err, c.want)
+		}
+	}
+}
+
 func TestTypeFor(t *testing.T) {
 	cases := map[string]string{
 		"/a/index.html": "text/html",
@@ -53,7 +81,7 @@ func TestLoadDocs(t *testing.T) {
 	os.WriteFile(filepath.Join(root, "index.html"), []byte("<p>root</p>"), 0o644)
 	os.WriteFile(filepath.Join(root, "sub", "page.txt"), []byte("nested"), 0o644)
 
-	srv := core.New(core.Config{NodeID: 1, Mode: core.NoCache})
+	srv := core.New(core.Config{NodeID: 1, Mode: core.NoCache, Costs: core.DefaultCosts()})
 	defer srv.Close()
 	if err := loadDocs(srv, root); err != nil {
 		t.Fatal(err)
@@ -69,7 +97,7 @@ func TestLoadDocs(t *testing.T) {
 }
 
 func TestMountCGI(t *testing.T) {
-	srv := core.New(core.Config{NodeID: 1, Mode: core.NoCache})
+	srv := core.New(core.Config{NodeID: 1, Mode: core.NoCache, Costs: core.DefaultCosts()})
 	defer srv.Close()
 	if err := mountCGI(srv, "/cgi-bin/=demo,/real/=/bin/true"); err != nil {
 		t.Fatal(err)
@@ -97,7 +125,7 @@ func TestMountCGI(t *testing.T) {
 	if d, _ := srv.CGI().DepsFor("/cgi-bin/update"); len(d.Writes) != 1 || d.Writes[0] != demoResource {
 		t.Fatalf("update deps = %+v, want a write of %q", d, demoResource)
 	}
-	exe := core.New(core.Config{NodeID: 2, Mode: core.NoCache})
+	exe := core.New(core.Config{NodeID: 2, Mode: core.NoCache, Costs: core.DefaultCosts()})
 	defer exe.Close()
 	if err := mountCGI(exe, "/cgi-bin/update=/bin/true,/cgi-bin/=demo"); err != nil {
 		t.Fatal(err)

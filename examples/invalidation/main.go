@@ -26,10 +26,12 @@ func main() {
 	dbFile := filepath.Join(dir, "catalog.db")
 	mustWrite(dbFile, "catalog v1")
 
-	// Two cooperative nodes so the invalidation has to cross the cluster.
+	// Two Paper nodes, so the invalidation has to cross the cluster.
 	nodes := make([]*core.Server, 2)
 	for i := range nodes {
-		s := core.New(core.Config{NodeID: uint32(i + 1), Mode: core.Cooperative})
+		cfg := core.Paper()
+		cfg.NodeID = uint32(i + 1)
+		s := core.New(cfg)
 		s.CGI().Register("/cgi-bin/query", &cgi.Synthetic{
 			ServiceTime: 100 * time.Millisecond,
 			OutputSize:  512,

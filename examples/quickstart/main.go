@@ -14,13 +14,12 @@ import (
 )
 
 func main() {
-	// Two cooperative nodes. Ports are picked by the OS.
+	// Two nodes of the paper's configuration. Ports are picked by the OS.
 	nodes := make([]*core.Server, 2)
 	for i := range nodes {
-		s := core.New(core.Config{
-			NodeID: uint32(i + 1),
-			Mode:   core.Cooperative,
-		})
+		cfg := core.Paper()
+		cfg.NodeID = uint32(i + 1)
+		s := core.New(cfg)
 		// A "map rendering" CGI that takes 300 ms of CPU.
 		s.CGI().Register("/cgi-bin/map", &cgi.Synthetic{
 			ServiceTime: 300 * time.Millisecond,

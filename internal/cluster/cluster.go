@@ -407,7 +407,7 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 		return false
 	}
 	if !n.cfg.RingMode && (t == wire.MsgJoin || t == wire.MsgLeave || t == wire.MsgRingUpdate) {
-		n.logf("%v from node %d ignored: this node runs replicate placement (start it with -placement=ring to accept joins)", t, c.id)
+		n.logf("%v from node %d ignored: this node runs replicate placement (start it with swalad -profile=production to accept joins)", t, c.id)
 		return true
 	}
 	switch m := msg.(type) {

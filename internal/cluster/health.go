@@ -47,7 +47,7 @@ func (s PeerState) String() string {
 type HealthConfig struct {
 	// Disable turns the failure detector off entirely: no probes are sent,
 	// every peer reads as alive, and remote fetches fail only by timing out —
-	// the paper's exact reactive semantics (swalad -health=false).
+	// the paper's exact reactive semantics (core.Config.DisableHealth).
 	Disable bool
 	// ProbeInterval is the heartbeat period (default 1s).
 	ProbeInterval time.Duration

@@ -426,13 +426,13 @@ func (n *Node) rejectHello(hello *wire.Hello) string {
 	}
 	if n.cfg.RingMode {
 		if hello.Placement != wire.PlacementRing {
-			return fmt.Sprintf("peer %d (%s) runs replicate placement; this node runs ring placement — align -placement across the cluster",
+			return fmt.Sprintf("peer %d (%s) runs replicate placement; this node runs ring placement — run one placement (swalad -profile) across the cluster",
 				hello.NodeID, hello.NodeName)
 		}
 		return ""
 	}
 	if hello.Placement == wire.PlacementRing {
-		return fmt.Sprintf("peer %d (%s) runs ring placement; this node replicates — align -placement across the cluster",
+		return fmt.Sprintf("peer %d (%s) runs ring placement; this node replicates — run one placement (swalad -profile) across the cluster",
 			hello.NodeID, hello.NodeName)
 	}
 	return ""

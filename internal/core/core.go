@@ -132,7 +132,8 @@ type Config struct {
 	// Cores is the node's CPU core count (default 1, as in the paper's
 	// single-CPU-per-node experiments).
 	Cores int
-	// Costs is the simulated cost model (zero value = DefaultCosts).
+	// Costs is the simulated cost model: DefaultCosts in Paper; the zero
+	// value, Production's, means no simulated CPU.
 	Costs CostModel
 	// CacheCapacity bounds the local cache in entries (<=0 = unbounded).
 	CacheCapacity int
@@ -153,9 +154,9 @@ type Config struct {
 	// misses share a single CGI execution instead of each running their
 	// own. The paper executes all of them and counts the duplicates as
 	// false misses; coalescing is the beyond-the-paper alternative, so it
-	// defaults off to preserve the paper's false-miss accounting
-	// (EXPERIMENTS.md). Coalesced waiters are counted under the Coalesced
-	// stats counter.
+	// is off in Paper to preserve the paper's false-miss accounting
+	// (EXPERIMENTS.md) and on in Production. Coalesced waiters are counted
+	// under the Coalesced stats counter.
 	CoalesceMisses bool
 	// Network carries HTTP traffic (nil = real TCP).
 	Network netx.Network
@@ -174,17 +175,17 @@ type Config struct {
 	// falls back to local execution (<=0 = the cluster default, 5s).
 	FetchTimeout time.Duration
 	// RingPlacement switches cooperative mode from the paper's fully
-	// replicated directory to consistent-hash entry placement (swalad
-	// -placement=ring): keys are owned by the ring-designated node, misses
-	// are executed at the owner, membership changes at runtime (join/leave/
-	// eviction), and entries are handed off live when ownership moves.
-	// Default off — full replication is the paper's design.
+	// replicated directory to consistent-hash entry placement: keys are
+	// owned by the ring-designated node, misses are executed at the owner,
+	// membership changes at runtime (join/leave/eviction), and entries are
+	// handed off live when ownership moves. On in Production; off in Paper,
+	// whose design is full replication.
 	RingPlacement bool
 	// ReplicateHot enables adaptive hot-entry replication under ring
-	// placement (swalad -replicate-hot): per-entry serve rates are tracked
-	// with decayed windows, entries above HotRPS are replicated to their
-	// ring successors, and replicas retire as load decays. Requires
-	// RingPlacement; default off keeps exact single-owner semantics.
+	// placement: per-entry serve rates are tracked with decayed windows,
+	// entries above HotRPS are replicated to their ring successors, and
+	// replicas retire as load decays. Requires RingPlacement; on in
+	// Production.
 	ReplicateHot bool
 	// HotRPS is the decayed remote-serve rate (requests/second) above which
 	// an owned entry is replicated (default 50).
@@ -197,12 +198,12 @@ type Config struct {
 	// SWR enables stale-while-revalidate on invalidation:
 	// the previous body of an invalidated entry is served for swrWindow (2s)
 	// — flagged X-Swala-Cache: stale-revalidate — while one coalesced
-	// background flight refreshes the entry. Default off.
+	// background flight refreshes the entry. On in Production.
 	SWR bool
 	// DisableHealth turns off the peer failure detector and directory
 	// quarantine: remote fetches to a dead peer then fail only by timing
 	// out and falling back to local execution — the paper's exact reactive
-	// failure handling (swalad -health=false).
+	// failure handling. Both profiles keep the detector on.
 	DisableHealth bool
 	// HealthProbeInterval is the failure detector's heartbeat period
 	// (default 1s).
@@ -223,37 +224,37 @@ type Config struct {
 	// a 504. Default 0 preserves the paper's behavior (no deadline; work
 	// is only abandoned when the client disconnects or the server stops).
 	RequestTimeout time.Duration
-	// Hedge enables hedged remote fetches (swalad -hedge): a routed fetch
-	// that has not returned by the target peer's observed p95 launches one
-	// backup — to the home owner or another replica holder when one exists,
+	// Hedge enables hedged remote fetches: a routed fetch that has not
+	// returned by the target peer's observed p95 launches one backup — to
+	// the home owner or another replica holder when one exists,
 	// otherwise abandoning the wait and executing locally — and the first
 	// result wins; the loser is cancelled through the usual context
 	// plumbing. Hedges draw from a retry budget (RetryBudgetRatio,
 	// RetryBudgetBurst) so a brownout cannot amplify into a retry storm.
-	// Default off.
+	// On in Production.
 	Hedge bool
 	// HedgeTrigger is the static hedge delay used while a peer has too few
 	// latency samples for a p95 estimate (default 100ms).
 	HedgeTrigger time.Duration
-	// Breaker enables per-peer circuit breakers (swalad -breaker): observed
-	// fetch latency (fast EWMA judged against a slowly-advancing healthy
-	// baseline) and failure rate trip a peer open — its fetches then fail
+	// Breaker enables per-peer circuit breakers: observed fetch latency
+	// (fast EWMA judged against a slowly-advancing healthy baseline) and
+	// failure rate trip a peer open — its fetches then fail
 	// fast to local execution, the way quarantine handles dead peers — and
 	// half-open probes decide when it closes again. This is the gray-failure
 	// complement to the PR 4 detector, which only sees peers that stop
-	// answering pings entirely. Default off.
+	// answering pings entirely. On in Production.
 	Breaker bool
 	// BreakerMinSamples is how many recorded fetches a peer needs before its
 	// breaker may trip (zero = the cluster.ScoreConfig default). The trip
 	// thresholds and open time are the cluster.ScoreConfig defaults.
 	BreakerMinSamples int
-	// Shed enables adaptive load shedding (swalad -shed): a watermark
-	// controller over the CPU queue delay refuses cheap-to-refuse work
-	// first — peer-routed executions above ShedLowWatermark; peer serves
+	// Shed enables adaptive load shedding: a watermark controller over the
+	// CPU queue delay refuses cheap-to-refuse work first — peer-routed
+	// executions above ShedLowWatermark; peer serves
 	// and local requests that would execute above ShedHighWatermark (503 +
 	// Retry-After + X-Swala-Shed, degraded to a parked SWR stale body when
 	// one exists). Cache hits are never shed: under overload the node keeps
-	// doing the cheap work it is good at. Default off.
+	// doing the cheap work it is good at. Off in both profiles; see Production.
 	Shed bool
 	// ShedLowWatermark / ShedHighWatermark are the queue-delay watermarks
 	// (defaults 100ms / 400ms). A level is left again only when the queue
@@ -315,6 +316,8 @@ type Server struct {
 	// inval.go.
 	inv *inval.State
 	swr *swrCell
+	// waveMu makes a wave's record and its local drop one step (applyLocal).
+	waveMu sync.Mutex
 	// hedge holds the hedged-fetch state and retry budget (nil unless
 	// Config.Hedge) and shed the load-shedding controller (nil unless
 	// Config.Shed); see hedge.go and shed.go. breakerFastFails counts
@@ -336,17 +339,10 @@ type Server struct {
 	closeErr  error
 }
 
-// New builds a Server from cfg. Call Start to begin serving.
+// New builds a Server from cfg, filling each zero behaviour field from
+// Paper; a zero Costs stays zero. Call Start to begin serving.
 func New(cfg Config) *Server {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
-	}
-	if cfg.Costs == (CostModel{}) {
-		cfg.Costs = DefaultCosts()
-	}
-	if cfg.Cacheability == nil {
-		cfg.Cacheability = cacheability.CacheAll(10 * time.Minute)
-	}
+	cfg = cfg.withDefaults()
 	if cfg.Store == nil {
 		cfg.Store = store.NewMemory()
 	}
@@ -359,32 +355,8 @@ func New(cfg Config) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.PurgeInterval <= 0 {
-		cfg.PurgeInterval = time.Second
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = replacement.LRU
-	}
 	if cfg.Name == "" {
 		cfg.Name = fmt.Sprintf("swala-%d", cfg.NodeID)
-	}
-	if cfg.HotRPS <= 0 {
-		cfg.HotRPS = 50
-	}
-	if cfg.HotReplicas <= 0 {
-		cfg.HotReplicas = 2
-	}
-	if cfg.HotInterval <= 0 {
-		cfg.HotInterval = time.Second
-	}
-	if cfg.HedgeTrigger <= 0 {
-		cfg.HedgeTrigger = 100 * time.Millisecond
-	}
-	if cfg.ShedLowWatermark <= 0 {
-		cfg.ShedLowWatermark = 100 * time.Millisecond
-	}
-	if cfg.ShedHighWatermark <= cfg.ShedLowWatermark {
-		cfg.ShedHighWatermark = 4 * cfg.ShedLowWatermark
 	}
 
 	s := &Server{
@@ -929,6 +901,7 @@ type execShare struct {
 	res      cgi.Result
 	execTime time.Duration
 	err      error
+	stored   bool // the result was inserted into the cache
 }
 
 func (s *Server) execCGI(ctx context.Context, creq cgi.Request) (cgi.Result, time.Duration, error) {

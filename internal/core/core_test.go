@@ -45,6 +45,7 @@ func startCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) *harness
 
 	for i := 0; i < n; i++ {
 		cfg := Config{
+			Costs:        DefaultCosts(),
 			NodeID:       uint32(i + 1),
 			Mode:         Cooperative,
 			Network:      mem,

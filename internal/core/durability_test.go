@@ -22,6 +22,7 @@ func durableNode(t *testing.T, mem *netx.Mem, dir, httpAddr, cluAddr string) (*S
 		t.Fatal(err)
 	}
 	s := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          StandAlone,
 		Store:         l,
@@ -118,6 +119,7 @@ func TestWarmRestartReannouncesToPeers(t *testing.T) {
 		t.Fatalf("recovered %d entries, want 4", len(rep.Recovered))
 	}
 	a := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          Cooperative,
 		Store:         l,
@@ -131,6 +133,7 @@ func TestWarmRestartReannouncesToPeers(t *testing.T) {
 	}
 	defer a.Close()
 	b := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        2,
 		Mode:          Cooperative,
 		Network:       mem,
@@ -175,6 +178,7 @@ func TestStorageFaultDegradesWithoutFailingRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          StandAlone,
 		Store:         l,

@@ -15,6 +15,7 @@ import (
 func Example() {
 	mem := netx.NewMem()
 	node := core.New(core.Config{
+		Costs:   core.DefaultCosts(),
 		NodeID:  1,
 		Mode:    core.StandAlone,
 		Network: mem,
@@ -53,7 +54,7 @@ func Example() {
 // cached results are dropped on demand instead of waiting for TTL expiry.
 func ExampleServer_Invalidate() {
 	mem := netx.NewMem()
-	node := core.New(core.Config{NodeID: 1, Mode: core.StandAlone, Network: mem})
+	node := core.New(core.Config{NodeID: 1, Mode: core.StandAlone, Costs: core.DefaultCosts(), Network: mem})
 	node.CGI().Register("/cgi-bin/q", &cgi.Synthetic{OutputSize: 64})
 	if err := node.Start("http", "cluster"); err != nil {
 		fmt.Println("start:", err)

@@ -138,6 +138,7 @@ func TestHungPeerQuarantineAndRecovery(t *testing.T) {
 	servers := make([]*Server, 2)
 	for i := range servers {
 		cfg := Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       faulty.Endpoint(fmt.Sprintf("clu-%d", i+1)),
@@ -232,6 +233,7 @@ func TestQuarantineLiftsAfterRejoinAndResync(t *testing.T) {
 
 	// Restart node 1 at the same addresses (empty cache) and reconnect it.
 	cfg := Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          Cooperative,
 		Network:       h.mem,

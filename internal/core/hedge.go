@@ -12,7 +12,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Hedged remote fetches (Config.Hedge, swalad -hedge).
+// Hedged remote fetches (Config.Hedge, on in Production).
 //
 // A routed fetch's tail is the target peer's tail: one slow peer drags the
 // whole cluster's p99 toward itself. The hedge bounds that coupling: if

@@ -27,6 +27,7 @@ func TestDiskStoreEndToEnd(t *testing.T) {
 	}
 	mem := netx.NewMem()
 	s := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          StandAlone,
 		Store:         l,
@@ -83,7 +84,7 @@ func TestRealSubprocessCGIThroughServer(t *testing.T) {
 	}
 
 	mem := netx.NewMem()
-	s := New(Config{NodeID: 1, Mode: StandAlone, Network: mem, PurgeInterval: time.Hour})
+	s := New(Config{NodeID: 1, Mode: StandAlone, Costs: DefaultCosts(), Network: mem, PurgeInterval: time.Hour})
 	s.CGI().Register("/cgi-bin/date", &cgi.Exec{Path: script})
 	if err := s.Start("http", "clu"); err != nil {
 		t.Fatal(err)
@@ -117,6 +118,7 @@ func TestPurgeDaemonRuns(t *testing.T) {
 	mem := netx.NewMem()
 	pol := cacheability.CacheAll(30 * time.Millisecond)
 	s := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          StandAlone,
 		Network:       mem,
@@ -153,6 +155,7 @@ func TestAccessLogging(t *testing.T) {
 	logW := accesslog.NewWriter(&buf)
 	mem := netx.NewMem()
 	s := New(Config{
+		Costs:         DefaultCosts(),
 		NodeID:        1,
 		Mode:          StandAlone,
 		Network:       mem,
@@ -212,6 +215,7 @@ func TestPeerCrashFallback(t *testing.T) {
 	mem := netx.NewMem()
 	mk := func(id uint32) *Server {
 		s := New(Config{
+			Costs:         DefaultCosts(),
 			NodeID:        id,
 			Mode:          Cooperative,
 			Network:       mem,
@@ -288,6 +292,7 @@ func TestEightNodeClusterSmoke(t *testing.T) {
 	servers := make([]*Server, n)
 	for i := 0; i < n; i++ {
 		s := New(Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       mem,

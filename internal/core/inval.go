@@ -40,14 +40,23 @@ const swrCellCap = 1024
 
 // applyWave applies one remote invalidation wave exactly once.
 func (s *Server) applyWave(w inval.Wave) {
-	if !s.inv.Mark(w) {
-		return
-	}
-	n := s.invalidateLocal(w.Pattern)
-	s.inv.NoteApplied(w.Pattern)
-	if n > 0 {
+	if n := s.applyLocal(w); n > 0 {
 		s.logf("wave %d/%d %q: dropped %d entries", w.Origin, w.Seq, w.Pattern, n)
 	}
+}
+
+// applyLocal records w and, the first time, drops every local entry it
+// matches. The apply-version moves first, so a flight inserting a matching
+// key after the drop's snapshot undoes its insert; waveMu keeps WaveFloorFor
+// from reporting a wave whose entries are not gone yet.
+func (s *Server) applyLocal(w inval.Wave) (dropped int) {
+	s.waveMu.Lock()
+	defer s.waveMu.Unlock()
+	if !s.inv.Mark(w) {
+		return 0
+	}
+	s.inv.NoteApplied(w.Pattern)
+	return s.invalidateLocal(w.Pattern)
 }
 
 // invalidateWave originates one wave: issue the next own sequence, apply it
@@ -56,9 +65,7 @@ func (s *Server) applyWave(w inval.Wave) {
 // through wave sync; their count is returned so admin callers can surface it.
 func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) {
 	w := s.inv.Next(pattern)
-	s.inv.Mark(w)
-	dropped = s.invalidateLocal(pattern)
-	s.inv.NoteApplied(pattern)
+	dropped = s.applyLocal(w)
 	if s.cfg.Mode == Cooperative {
 		peers, unreached = s.clu.Broadcast(&wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern})
 		if unreached > 0 {
@@ -97,7 +104,11 @@ func (s *Server) WaveSeq() uint64 { return s.inv.Seq() }
 // this node. Experiments use Seq/Floor pairs to detect wave quiescence:
 // every node's floor for every origin has reached that origin's own
 // sequence.
-func (s *Server) WaveFloorFor(origin uint32) uint64 { return s.inv.Floor(origin) }
+func (s *Server) WaveFloorFor(origin uint32) uint64 {
+	s.waveMu.Lock()
+	defer s.waveMu.Unlock()
+	return s.inv.Floor(origin)
+}
 
 // --- cluster wave plumbing ---
 
@@ -258,22 +269,12 @@ func (s *Server) refreshStale(key string) {
 	go func() {
 		defer s.swr.refreshDone(key)
 		ctx := context.Background()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		fs := s.fetchStateFrom(ctx, key)
-		startVer := s.inv.Version()
-		res, execTime, err := s.execCGI(ctx, fs.creq)
-		if err != nil || res.Status != 200 {
-			if err != nil {
-				s.logf("stale revalidate %q: %v", key, err)
+		v := s.execDetached(ctx, key, s.fetchStateFrom(ctx, key))
+		if v.err != nil || v.res.Status != 200 {
+			if v.err != nil {
+				s.logf("stale revalidate %q: %v", key, v.err)
 			}
 			return
-		}
-		if s.ownsKey(key) && s.cfg.Cacheability.ShouldInsert(execTime, int64(len(res.Body))) {
-			s.insertResult(key, res, execTime, fs.ttl, startVer)
 		}
 		// Fresh result stored (or deliberately uncacheable): stale window over.
 		s.swr.drop(key)

@@ -195,6 +195,7 @@ func TestWaveSyncHealsPartitionedNode(t *testing.T) {
 	servers := make([]*Server, 2)
 	for i := range servers {
 		cfg := Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       faulty.Endpoint(fmt.Sprintf("clu-%d", i+1)),

@@ -412,23 +412,7 @@ func (st *originStage) Fetch(ctx context.Context, key string, _ any) (fetchpipe.
 // CoalescedAbandoned.
 func (s *Server) coalescedOrigin(ctx context.Context, key string, fs fetchState) (fetchpipe.Result, error) {
 	v, err, shared := s.flight.DoCtx(ctx, key, func() (execShare, error) {
-		fctx := context.WithoutCancel(ctx)
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			fctx, cancel = context.WithTimeout(fctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		startVer := s.inv.Version()
-		res, execTime, err := s.execCGI(fctx, fs.creq)
-		// Insert inside the singleflight window: by the time any waiter is
-		// released (or a new request becomes a fresh leader), the result is
-		// already in the directory, so no duplicate execution can slip in
-		// between execution and insertion.
-		if err == nil && res.Status == 200 && s.ownsKey(key) &&
-			s.cfg.Cacheability.ShouldInsert(execTime, int64(len(res.Body))) {
-			s.insertResult(key, res, execTime, fs.ttl, startVer)
-		}
-		return execShare{res: res, execTime: execTime, err: err}, nil
+		return s.execDetached(ctx, key, fs), nil
 	})
 	if errors.Is(err, singleflight.ErrDetached) {
 		// This caller's client is gone (or its deadline passed); the flight
@@ -455,6 +439,29 @@ func (s *Server) coalescedOrigin(ctx context.Context, key string, fs fetchState)
 	}
 	s.counters.Miss()
 	return fetchpipe.Result{Status: v.res.Status, ContentType: v.res.ContentType, Body: v.res.Body}, nil
+}
+
+// execDetached executes key's CGI detached from ctx's cancellation, bounded
+// by RequestTimeout when one is configured, and inserts a storable result.
+// Inside a miss flight the insert lands before any waiter is released (or a
+// new request becomes a fresh leader), so no duplicate execution can slip in
+// between execution and insertion.
+func (s *Server) execDetached(ctx context.Context, key string, fs fetchState) execShare {
+	ctx = context.WithoutCancel(ctx)
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	startVer := s.inv.Version()
+	res, execTime, err := s.execCGI(ctx, fs.creq)
+	v := execShare{res: res, execTime: execTime, err: err}
+	if err == nil && res.Status == 200 && s.ownsKey(key) &&
+		s.cfg.Cacheability.ShouldInsert(execTime, int64(len(res.Body))) {
+		s.insertResult(key, res, execTime, fs.ttl, startVer)
+		v.stored = true
+	}
+	return v
 }
 
 // originErr classifies an origin-stage execution failure: cancellations and

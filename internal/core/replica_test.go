@@ -229,6 +229,7 @@ func TestReplicaControllerChurnDuringJoin(t *testing.T) {
 	// repeats this test).
 	for i := 3; i < 5; i++ {
 		cfg := Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       h.mem,

@@ -25,6 +25,7 @@ func startFaultyPair(t *testing.T, mutate func(i int, cfg *Config)) (*netx.Fault
 	servers := make([]*Server, 2)
 	for i := range servers {
 		cfg := Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       faulty.Endpoint(fmt.Sprintf("clu-%d", i+1)),

@@ -347,38 +347,37 @@ func (s *Server) serveTakeover(key string) (string, []byte, bool) {
 // result was cached here, so it can record a negative hint when it was not.
 func (s *Server) executeAsOwner(key string) (contentType string, body []byte, stored, ok bool) {
 	ctx := context.Background()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
 	fs := s.fetchStateFrom(ctx, key)
-	s.trackInflight(key, +1)
-	defer s.trackInflight(key, -1)
-	startVer := s.inv.Version()
-	res, execTime, err := s.execCGI(ctx, fs.creq)
-	if err != nil {
-		s.logf("owner execute %q: %v", key, err)
+	var v execShare
+	if s.cfg.CoalesceMisses {
+		// Routed duplicates share one execution, with each other and with
+		// this node's own misses for key.
+		v, _, _ = s.flight.DoCtx(ctx, key, func() (execShare, error) {
+			return s.execDetached(ctx, key, fs), nil
+		})
+	} else {
+		s.trackInflight(key, +1)
+		defer s.trackInflight(key, -1)
+		v = s.execDetached(ctx, key, fs)
+	}
+	if v.err != nil {
+		s.logf("owner execute %q: %v", key, v.err)
 		return "", nil, false, false
 	}
-	if res.Status != 200 {
+	if v.res.Status != 200 {
 		return "", nil, false, false
-	}
-	if s.ownsKey(key) && s.cfg.Cacheability.ShouldInsert(execTime, int64(len(res.Body))) {
-		s.insertResult(key, res, execTime, fs.ttl, startVer)
-		stored = true
 	}
 	// A routed execution concentrates load on the owner exactly like a remote
 	// serve does — feed the replication controller's load estimate.
 	s.counters.RemoteServe()
 	if s.rep != nil {
-		s.rep.tracker.Observe(key, execTime)
+		s.rep.tracker.Observe(key, v.execTime)
 	}
 	// Shipping the fresh result to the requester costs the same as serving a
 	// cached body remotely.
-	cost := s.cfg.Costs.RemoteServeCost + time.Duration(len(res.Body))*s.cfg.Costs.PerByte
+	cost := s.cfg.Costs.RemoteServeCost + time.Duration(len(v.res.Body))*s.cfg.Costs.PerByte
 	if cost > 0 {
 		s.node.Run(context.Background(), cost)
 	}
-	return res.ContentType, res.Body, stored, true
+	return v.res.ContentType, v.res.Body, v.stored, true
 }

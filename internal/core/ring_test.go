@@ -21,6 +21,7 @@ func startRing(t *testing.T, n int, mutate func(i int, cfg *Config)) *harness {
 
 	for i := 0; i < n; i++ {
 		cfg := Config{
+			Costs:         DefaultCosts(),
 			NodeID:        uint32(i + 1),
 			Mode:          Cooperative,
 			Network:       mem,
@@ -181,6 +182,7 @@ func TestRingJoinTriggersHandoff(t *testing.T) {
 	// A third node joins under no load: the movers must migrate to it.
 	mem := h.mem
 	cfg := Config{
+		Costs:  DefaultCosts(),
 		NodeID: 3, Mode: Cooperative, Network: mem,
 		FetchTimeout: 2 * time.Second, PurgeInterval: time.Hour,
 		RingPlacement: true,
@@ -320,6 +322,7 @@ func TestRingChurnUnderLoad(t *testing.T) {
 	// Node 4 joins (handoffs start flowing toward it) and, while those are in
 	// flight, node 2 crashes.
 	cfg := Config{
+		Costs:  DefaultCosts(),
 		NodeID: 4, Mode: Cooperative, Network: h.mem,
 		FetchTimeout: 2 * time.Second, PurgeInterval: time.Hour,
 		RingPlacement: true,

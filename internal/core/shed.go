@@ -8,7 +8,7 @@ import (
 	"repro/internal/httpmsg"
 )
 
-// Adaptive load shedding (Config.Shed, swalad -shed).
+// Adaptive load shedding (Config.Shed, on in neither profile).
 //
 // The CPU model queues without bound: under a flash crowd every admitted
 // execution pushes the queue delay further past RequestTimeout, clients

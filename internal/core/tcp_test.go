@@ -13,7 +13,7 @@ import (
 // cmd/swalad deploys it.
 func TestTwoNodeClusterOverTCP(t *testing.T) {
 	mk := func(id uint32) *Server {
-		s := New(Config{NodeID: id, Mode: Cooperative, PurgeInterval: time.Hour})
+		s := New(Config{NodeID: id, Mode: Cooperative, Costs: DefaultCosts(), PurgeInterval: time.Hour})
 		s.CGI().Register("/cgi-bin/q", &cgi.Synthetic{OutputSize: 512})
 		return s
 	}

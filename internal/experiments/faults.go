@@ -17,7 +17,7 @@ import (
 // node recovers. The headline comparison is what a request that maps to the
 // dead node's directory entries costs: with the failure detector the entry
 // is quarantined and the request degrades to an ordinary local miss; with
-// the paper's reactive-only fallback (-health=false) every such request
+// the paper's reactive-only fallback (DisableHealth) every such request
 // pays the full FetchTimeout before degrading.
 type FaultsResult struct {
 	Meta Meta `json:"meta"`
@@ -51,7 +51,7 @@ type FaultsResult struct {
 		// detector on (quarantined -> local miss).
 		HealthP50  time.Duration `json:"health_p50_ns"`
 		HealthMean time.Duration `json:"health_mean_ns"`
-		// NaiveP50/Mean: the same requests with -health=false (every one
+		// NaiveP50/Mean: the same requests with DisableHealth (every one
 		// pays FetchTimeout before local fallback).
 		NaiveP50  time.Duration `json:"naive_p50_ns"`
 		NaiveMean time.Duration `json:"naive_mean_ns"`

@@ -26,7 +26,7 @@ import (
 //  1. Coherence: a read-write mix over a cooperative group; after wave
 //     quiescence every item is fetched on every node and byte-compared
 //     against its current version. The gate is ZERO stale bodies.
-//  2. Replica: the same check with -replicate-hot holders formed for a hot
+//  2. Replica: the same check with ReplicateHot holders formed for a hot
 //     item before the write — the wave must retire the replicas too.
 //  3. Partition: a node is partitioned away during the write, serves its
 //     stale copy while cut off (counted, expected), and must converge via
@@ -56,7 +56,7 @@ type InvalidationResult struct {
 		StaleServed int `json:"stale_served"`
 	} `json:"coherence"`
 
-	// Replica is the hot-replica schedule on a -replicate-hot ring.
+	// Replica is the hot-replica schedule on a ReplicateHot ring.
 	Replica struct {
 		Holders     int           `json:"holders"`
 		QuiesceTime time.Duration `json:"quiesce_time_ns"`
@@ -313,7 +313,7 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 		return r, err
 	}
 
-	// --- schedule 2: the wave must retire -replicate-hot holders too ---
+	// --- schedule 2: the wave must retire ReplicateHot holders too ---
 
 	st = newItemStore(items, 0)
 	rc, err := newScaleoutCluster(o, true, nodes, func(i int, cfg *core.Config) {

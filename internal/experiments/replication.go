@@ -12,7 +12,7 @@ import (
 
 // ReplicationResult is the machine-readable outcome of the adaptive
 // hot-entry replication experiment (benchsuite -run replication): an 8-node ring
-// serving a single viral key, with and without -replicate-hot. Single-owner
+// serving a single viral key, with and without ReplicateHot. Single-owner
 // placement funnels every routed read through one node; the controller
 // should spread that load across the owner plus its replica holders, improve
 // the hotset tail, and retire the replicas once the hotspot moves away.
@@ -33,7 +33,7 @@ type ReplicationResult struct {
 		Throughput   float64       `json:"throughput_rps"`
 	} `json:"baseline"`
 
-	// Replicated is the same ring with -replicate-hot.
+	// Replicated is the same ring with ReplicateHot.
 	Replicated struct {
 		HottestShare float64       `json:"hottest_share"`
 		P99          time.Duration `json:"p99_ns"`
@@ -158,7 +158,7 @@ func RunReplication(o Options) (ReplicationResult, error) {
 	r.Baseline.Throughput = out.Throughput()
 	base.Close()
 
-	// --- replicated: same ring, -replicate-hot ---
+	// --- replicated: same ring, ReplicateHot ---
 
 	c, err := newScaleoutCluster(o, true, nodes, func(i int, cfg *core.Config) {
 		cfg.ReplicateHot = true

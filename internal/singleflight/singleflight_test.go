@@ -315,11 +315,25 @@ func TestStripedManyKeysConcurrent(t *testing.T) {
 			}()
 		}
 	}
-	// Wait until every key has its flight registered, then let them finish.
+	// Wait until every caller has joined — each key's flight registered with
+	// all its duplicates waiting on it — then let them finish.
+	joined := func() (calls, waiters int) {
+		for i := range g.stripes {
+			st := &g.stripes[i]
+			st.mu.Lock()
+			for _, c := range st.calls {
+				calls++
+				waiters += c.waiters
+			}
+			st.mu.Unlock()
+		}
+		return calls, waiters
+	}
+	const wantWaiters = keys * (callersPerKey - 1)
 	deadline := time.Now().Add(2 * time.Second)
-	for g.InFlight() < keys {
+	for calls, waiters := joined(); calls < keys || waiters < wantWaiters; calls, waiters = joined() {
 		if time.Now().After(deadline) {
-			t.Fatalf("InFlight = %d, want %d", g.InFlight(), keys)
+			t.Fatalf("%d calls with %d waiters, want %d with %d", calls, waiters, keys, wantWaiters)
 		}
 		time.Sleep(time.Millisecond)
 	}
