@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/directory"
 	"repro/internal/netx"
 	"repro/internal/ring"
 	"repro/internal/stats"
@@ -48,29 +49,18 @@ type Handler interface {
 	// the link returns as an InvalAck when m.Seq asks for one.
 	HandleInvalidate(m *wire.Invalidate) (matched, peers, unreached int)
 
-	// HandleDirBatch applies a batched run of directory updates.
+	// HandleDirBatch applies a batch of consecutive records of a peer's
+	// origin log (directory updates and invalidation waves).
 	HandleDirBatch(m *wire.DirBatch)
 	// HandleDirSync applies an anti-entropy catch-up (or, with m.Handoff, a
 	// ring rebalance offer) from a peer.
 	HandleDirSync(m *wire.DirSync)
-	// DirVersion reports the highest update version applied from owner's
-	// directory table (0 = never seen a versioned update from it).
+	// DirVersion reports this node's floor of owner's origin log: every
+	// record at or below it has been applied (0 = none).
 	DirVersion(owner uint32) uint64
-	// BuildDirSync assembles a catch-up that brings a replica which last
-	// saw version since up to date with the local table; nil when the
-	// replica is already current.
+	// BuildDirSync assembles the catch-up of this node's origin log for a
+	// peer whose floor is since; nil when the peer is already current.
 	BuildDirSync(since uint64) *wire.DirSync
-
-	// HandleInvalWave applies one invalidation wave from a peer.
-	HandleInvalWave(m *wire.InvalWave)
-	// HandleWaveSync applies waves replayed inside a DirSync catch-up.
-	HandleWaveSync(origin uint32, waves []wire.InvalWave)
-	// WaveFloor reports the highest contiguous wave sequence applied from
-	// origin — the WaveSeq advertised in a DirSyncReq toward it.
-	WaveFloor(origin uint32) uint64
-	// BuildWaveSync returns this node's own waves that a peer whose applied
-	// floor is since still needs, in sequence order (nil when current).
-	BuildWaveSync(since uint64) []wire.InvalWave
 
 	// HandleReplicaPush applies a home owner's instruction to hold (or
 	// retire) a replica of one of its hot entries.
@@ -106,18 +96,6 @@ func (NopHandler) DirVersion(uint32) uint64 { return 0 }
 // BuildDirSync implements Handler.
 func (NopHandler) BuildDirSync(uint64) *wire.DirSync { return nil }
 
-// HandleInvalWave implements Handler.
-func (NopHandler) HandleInvalWave(*wire.InvalWave) {}
-
-// HandleWaveSync implements Handler.
-func (NopHandler) HandleWaveSync(uint32, []wire.InvalWave) {}
-
-// WaveFloor implements Handler.
-func (NopHandler) WaveFloor(uint32) uint64 { return 0 }
-
-// BuildWaveSync implements Handler.
-func (NopHandler) BuildWaveSync(uint64) []wire.InvalWave { return nil }
-
 // HandleReplicaPush implements Handler.
 func (NopHandler) HandleReplicaPush(*wire.ReplicaPush) {}
 
@@ -150,9 +128,8 @@ type Config struct {
 	// RingMode enables dynamic membership and consistent-hash placement:
 	// MsgJoin/MsgLeave/MsgRingUpdate are spoken, Hello announces ring
 	// placement, and the failure detector evicts dead members from the ring.
-	// Ring mode replicates no directory tables, so it also turns off
-	// anti-entropy directory sync (version exchange and catch-up snapshots);
-	// waves and handoff DirSync frames still flow.
+	// Ring mode replicates no directory tables: the origin logs its links
+	// carry hold invalidation waves only.
 	RingMode bool
 	// OnRingChange, when set, observes ring rebuilds after membership
 	// changes. Changes are delivered in order on a dedicated goroutine; the
@@ -441,31 +418,17 @@ func (n *Node) dispatch(c *peerLink, msg wire.Message) bool {
 	case *wire.DirBatch:
 		n.handler.HandleDirBatch(m)
 	case *wire.DirSyncReq:
-		// The peer told us how much of our directory and wave journal it
-		// has; wake the sender to ship the difference behind everything
-		// already queued. Wave state is exchanged even in ring mode, which
-		// has no directory to sync: invalidation waves must still heal
-		// across reconnects.
-		if !n.cfg.RingMode {
-			raise(&c.peerVer, m.Version)
+		// The peer told us its floor of our log: the sender ships the
+		// records above it behind everything already queued.
+		select {
+		case c.floors <- m.Version:
+		default: // a link's peer asks once
 		}
-		raise(&c.waveAck, m.WaveSeq)
-		c.wakeSync()
 	case *wire.DirSync:
-		// Waves first, so a healed entry can never outlive a wave that
-		// covered it. Even an empty catch-up is applied: it is the
-		// convergence signal that lifts a rejoined peer's quarantine. A
-		// handoff frame (ring rebalance offer) is not anti-entropy and
-		// passes the ring-mode gate.
-		if len(m.Waves) > 0 {
-			n.handler.HandleWaveSync(m.Owner, m.Waves)
-		}
-		if !n.cfg.RingMode || m.Handoff {
-			n.handler.HandleDirSync(m)
-			n.syncsApplied.Add(1)
-		}
-	case *wire.InvalWave:
-		n.handler.HandleInvalWave(m)
+		// Even an empty catch-up is applied: it is the convergence signal
+		// that lifts a rejoined peer's quarantine.
+		n.handler.HandleDirSync(m)
+		n.syncsApplied.Add(1)
 	case *wire.ReplicaPush:
 		n.handler.HandleReplicaPush(m)
 	case *wire.ReplicaEvent:
@@ -539,10 +502,7 @@ type peer struct {
 	unbounded bool
 	abort     context.CancelFunc
 
-	// fullSync: an update toward the peer was dropped since its last sync.
-	// Kept off the link, the debt survives link death.
-	fullSync bool
-	drops    uint64 // broadcasts dropped for it
+	drops uint64 // broadcasts dropped for it
 
 	health PeerHealthInfo // Peer left unset
 	score  peerScore
@@ -582,8 +542,8 @@ func (n *Node) link(id uint32) *peerLink {
 	return nil
 }
 
-// outMsg is one entry in a link's send queue: either a versioned directory
-// update (batchable) or an arbitrary message written as its own frame.
+// outMsg is one entry in a link's send queue: either a record of this node's
+// origin log (batchable) or an arbitrary message written as its own frame.
 type outMsg struct {
 	msg      wire.Message
 	update   wire.DirUpdate
@@ -603,24 +563,20 @@ type peerLink struct {
 
 	sendMu sync.Mutex // serializes writes to wc
 	queue  chan outMsg
-	// syncCh (capacity 1) wakes the sender to ship an anti-entropy
-	// catch-up: poked when the peer requests one (DirSyncReq) or when a
-	// queue overflow drops an update toward it.
+	// floors (capacity 1) hands the sender the floor the peer's DirSyncReq
+	// names; syncCh (capacity 1) wakes the sender to ship a catch-up when a
+	// record toward the peer was dropped or written past a gap.
+	floors chan uint64
 	syncCh chan struct{}
 	done   chan struct{} // closed when the link shuts down
 	// fetches hands the peer's fetches to idle fetch workers; the read loop
 	// closes it on its way out.
 	fetches chan *wire.Fetch
 
-	// peerVer tracks the highest directory version the peer is believed to
-	// have from us: seeded by its DirSyncReq, advanced as batches go out.
-	peerVer atomic.Uint64
-
-	// waveAck tracks the highest of our own invalidation waves the peer is
-	// believed to have: seeded by its DirSyncReq.WaveSeq, advanced as wave
-	// frames go out and as sync replays are sent. A wave dropped by a full
-	// queue leaves waveAck behind, so the next sync pass replays it.
-	waveAck atomic.Uint64
+	// since is how far into our log the peer has been sent every record:
+	// set from its DirSyncReq and by each catch-up, advanced over batches
+	// that continue it. Only the sender touches it.
+	since directory.Cursor
 
 	// flushes points at the owning node's flush counter so every real
 	// stream push on this link is accounted.
@@ -747,16 +703,6 @@ func (n *Node) newConn(id uint32, conn net.Conn, wc *wire.Conn, dialed bool) *pe
 	}
 }
 
-// raise lifts a to v, never lowering it.
-func raise(a *atomic.Uint64, v uint64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // wakeSync asks the sender for an anti-entropy pass; one already asked for
 // covers this one too.
 func (p *peerLink) wakeSync() {
@@ -805,6 +751,7 @@ func (p *peerLink) close() {
 // register makes c p's link, in place of whatever was. Callers hold n.mu.
 func (n *Node) register(p *peer, c *peerLink) {
 	c.queue = make(chan outMsg, n.sendQueue)
+	c.floors = make(chan uint64, 1)
 	c.syncCh = make(chan struct{}, 1)
 	c.pending = make(map[uint64]chan *wire.FetchReply)
 	p.link = c
@@ -1124,10 +1071,10 @@ func (n *Node) linkSender(link *peerLink) {
 	err := n.writeLinkUp(link)
 	if err == nil {
 		// Nothing queued leaves before the peer's DirSyncReq has said what it
-		// holds: a batch written ahead of it would pass for the peer's
-		// version and hide what the peer missed while the link was down.
+		// holds: the catch-up from its floor goes first.
 		select {
-		case <-link.syncCh:
+		case v := <-link.floors:
+			link.since = directory.Cursor(v)
 			err = n.writeSync(link)
 		case <-link.done:
 			return
@@ -1136,7 +1083,13 @@ func (n *Node) linkSender(link *peerLink) {
 	for err == nil {
 		select {
 		case om := <-link.queue:
-			err = n.writeCoalesced(link, om)
+			var owed bool
+			if owed, err = n.writeCoalesced(link, om); owed && err == nil {
+				err = n.writeSync(link)
+			}
+		case v := <-link.floors:
+			link.since = directory.Cursor(v)
+			err = n.writeSync(link)
 		case <-link.syncCh:
 			err = n.writeSync(link)
 		case <-link.done:
@@ -1148,17 +1101,15 @@ func (n *Node) linkSender(link *peerLink) {
 }
 
 // writeLinkUp is the exchange each end opens a link with once the Hellos
-// have crossed, whichever end dialed: a DirSyncReq telling the peer how much of its directory and wave
-// journal this node has, so it ships the catch-up we are missing (and an
+// have crossed, whichever end dialed: a DirSyncReq telling the peer our floor
+// of its origin log, so it ships the catch-up we are missing (and an
 // affirmative "you are current" when there is none — see writeSync), and in
 // ring mode the full membership view, link establishment being membership's
-// anti-entropy path too. The peer answers through its sender, so a snapshot
-// at version V is followed on the stream only by batches above V.
+// anti-entropy path too. The peer answers through its sender, so a catch-up
+// at version V is followed on the stream only by batches it covers or that
+// continue it.
 func (n *Node) writeLinkUp(link *peerLink) error {
-	req := &wire.DirSyncReq{WaveSeq: n.handler.WaveFloor(link.id)}
-	if !n.cfg.RingMode {
-		req.Version = n.handler.DirVersion(link.id)
-	}
+	req := &wire.DirSyncReq{Version: n.handler.DirVersion(link.id)}
 	if err := link.send(req); err != nil || !n.cfg.RingMode {
 		return err
 	}
@@ -1170,9 +1121,11 @@ func (n *Node) writeLinkUp(link *peerLink) error {
 const maxDrain = 1024
 
 // writeCoalesced writes first plus everything else currently queued, corked,
-// and flushes once the queue runs empty. The send mutex is released between
+// and flushes once the queue runs empty, or as soon as a run owes the peer a
+// catch-up (see writeRun), which it then reports: every record still queued
+// past the gap would be refused too. The send mutex is released between
 // rounds so fetches and pings can interleave with a long storm.
-func (n *Node) writeCoalesced(link *peerLink, first outMsg) error {
+func (n *Node) writeCoalesced(link *peerLink, first outMsg) (owed bool, err error) {
 	pending := append(link.run[:0], first)
 	defer func() { link.run = pending[:0] }()
 	for {
@@ -1186,8 +1139,8 @@ func (n *Node) writeCoalesced(link *peerLink, first outMsg) error {
 			}
 		}
 		link.sendMu.Lock()
-		err := n.writeRun(link, pending)
-		if err == nil && len(link.queue) == 0 {
+		owed, err = n.writeRun(link, pending)
+		if err == nil && (owed || len(link.queue) == 0) {
 			// Queue ran empty: uncork. A racing enqueue after this check
 			// costs one extra flush, nothing more.
 			var wrote bool
@@ -1196,128 +1149,98 @@ func (n *Node) writeCoalesced(link *peerLink, first outMsg) error {
 				n.flushes.Add(1)
 			}
 			link.sendMu.Unlock()
-			return err
+			return owed, err
 		}
 		link.sendMu.Unlock()
 		if err != nil {
-			return err
+			return false, err
 		}
 		pending = pending[:0]
 	}
 }
 
-// writeRun writes one drained run: consecutive directory updates are packed
-// into DirBatch frames (split at batchLimit), other messages go out as their
-// own frames, everything corked until the caller flushes. Callers hold
-// sendMu.
-func (n *Node) writeRun(link *peerLink, run []outMsg) error {
+// writeRun writes one drained run: consecutive records of the log are packed
+// into DirBatch frames (split at batchLimit and at version gaps, since a
+// batch numbers its records from its last one), other messages go out as
+// their own frames, everything corked until the caller flushes. A batch that
+// does not continue the peer's cursor would be refused there: it is not
+// written, and writeRun reports that the peer is owed a catch-up, which will
+// carry it. Callers hold sendMu.
+func (n *Node) writeRun(link *peerLink, run []outMsg) (owed bool, err error) {
 	batch := link.batch[:0]
 	defer func() { link.batch = batch[:0] }()
 	var ver uint64
 	writeBatch := func() error {
+		defer func() { batch = batch[:0] }()
 		if len(batch) == 0 {
 			return nil
 		}
-		err := link.wc.WriteBuffered(&wire.DirBatch{
+		if ver != 0 && !link.since.Wrote(ver+1-uint64(len(batch)), ver) {
+			owed = true
+			return nil
+		}
+		n.batchFrames.Add(1)
+		n.updatesSent.Add(uint64(len(batch)))
+		return link.wc.WriteBuffered(&wire.DirBatch{
 			Owner:   n.cfg.NodeID,
 			Version: ver,
 			Updates: batch,
 		})
-		n.batchFrames.Add(1)
-		n.updatesSent.Add(uint64(len(batch)))
-		raise(&link.peerVer, ver)
-		batch = batch[:0]
-		ver = 0
-		return err
 	}
 	for i := range run {
 		om := &run[i]
-		if om.isUpdate {
-			batch = append(batch, om.update)
-			if om.version > ver {
-				ver = om.version
+		if !om.isUpdate {
+			if err := writeBatch(); err != nil {
+				return owed, err
 			}
-			if len(batch) >= batchLimit {
-				if err := writeBatch(); err != nil {
-					return err
-				}
+			if err := link.wc.WriteBuffered(om.msg); err != nil {
+				return owed, err
 			}
 			continue
 		}
-		if err := writeBatch(); err != nil {
-			return err
+		if len(batch) > 0 && !(ver == 0 && om.version == 0 || ver != 0 && om.version == ver+1) {
+			if err := writeBatch(); err != nil {
+				return owed, err
+			}
 		}
-		if err := link.wc.WriteBuffered(om.msg); err != nil {
-			return err
-		}
-		if w, ok := om.msg.(*wire.InvalWave); ok && w.Origin == n.cfg.NodeID {
-			// The peer now has (or has in the ordered pipe) every own wave
-			// up to this one; sync passes need not replay below it.
-			raise(&link.waveAck, w.Seq)
+		batch = append(batch, om.update)
+		ver = om.version
+		if len(batch) >= batchLimit {
+			if err := writeBatch(); err != nil {
+				return owed, err
+			}
 		}
 	}
-	return writeBatch()
+	err = writeBatch()
+	return owed, err
 }
 
-// writeSync ships an anti-entropy catch-up to the peer: everything above the
-// version the peer is known to hold as the pass starts. The queue is then
-// drained first so the catch-up's version covers every update already on the
-// wire — anything still queued behind it replays idempotently on top,
-// provided the replayed run has no hole: so the full-sync debt is taken before
-// the drain, and an update dropped any later than that asks for another pass.
+// writeSync ships an anti-entropy catch-up of this node's log to the peer:
+// everything above its cursor. The queue is drained first, so the catch-up
+// comes after every record already written and covers all of them; whatever
+// is queued behind it and at or below its version the peer skips, and
+// whatever is above continues the cursor the catch-up leaves.
 func (n *Node) writeSync(link *peerLink) error {
-	n.mu.Lock()
-	p := n.peers[link.id]
-	full := !n.cfg.RingMode && p != nil && p.fullSync
-	if full {
-		p.fullSync = false
-	}
-	n.mu.Unlock()
-	settled := false
-	defer func() {
-		if full && !settled { // the link failed first: the next one owes it
-			n.mu.Lock()
-			p.fullSync = true
-			n.mu.Unlock()
-		}
-	}()
-	// Read before the drain raises it: the peer's version says nothing about
-	// the updates made while it had no link to be queued on.
-	since := link.peerVer.Load()
 	select {
 	case om := <-link.queue:
-		if err := n.writeCoalesced(link, om); err != nil {
+		if _, err := n.writeCoalesced(link, om); err != nil {
 			return err
 		}
 	default:
 	}
-	if full {
-		// Updates were dropped toward this peer, so versions alone cannot
-		// tell what it is missing: resend authoritative state.
-		since = 0
-	}
-	var msg *wire.DirSync
-	if !n.cfg.RingMode {
-		msg = n.handler.BuildDirSync(since)
-	}
+	since := uint64(link.since)
+	msg := n.handler.BuildDirSync(since)
 	if msg == nil {
-		// The peer is already current (or in ring mode only waves ride this
-		// frame). Still send an empty delta at the current version: a
-		// rejoining peer that quarantined our entries while we were gone
-		// needs a convergence signal to lift the quarantine, and with
-		// nothing to catch up this ack is the only DirSync it would ever
-		// see.
+		// The peer is already current. Still send an empty delta at the
+		// current version: a rejoining peer that quarantined our entries
+		// while we were gone needs a convergence signal to lift the
+		// quarantine, and with nothing to catch up this ack is the only
+		// DirSync it would ever see.
 		msg = &wire.DirSync{Owner: n.cfg.NodeID, Version: since}
-	}
-	msg.Waves = n.handler.BuildWaveSync(link.waveAck.Load())
-	if n.cfg.RingMode && len(msg.Waves) == 0 {
-		// Nothing to say on a wave-only link.
-		return nil
 	}
 	if err := link.send(msg); err != nil {
 		return err
 	}
-	settled = true
 	n.syncsSent.Add(1)
 	if msg.Full {
 		n.syncFull.Add(1)
@@ -1325,10 +1248,7 @@ func (n *Node) writeSync(link *peerLink) error {
 		n.syncDelta.Add(1)
 	}
 	n.syncUpdates.Add(uint64(len(msg.Updates)))
-	raise(&link.peerVer, msg.Version)
-	if len(msg.Waves) > 0 {
-		raise(&link.waveAck, msg.Waves[len(msg.Waves)-1].Seq)
-	}
+	link.since = directory.Cursor(msg.Version)
 	return nil
 }
 
@@ -1371,23 +1291,23 @@ func (n *Node) SendTo(peer uint32, msg wire.Message) error {
 // the fan-out: peers is how many peers the node was asked to reach (links
 // plus peers still dialing), unreached how many did not take m — no link
 // yet, or a full queue, which drops m for that peer and counts it. The weak
-// consistency protocol tolerates the staleness (a false miss or false hit);
-// anti-entropy heals dropped waves, and callers may surface the count.
+// consistency protocol tolerates the staleness (a false miss or false hit).
 func (n *Node) Broadcast(m wire.Message) (peers, unreached int) {
 	return n.broadcast(outMsg{msg: m})
 }
 
-// BroadcastUpdate enqueues one directory update to every peer, to travel in
-// a DirBatch (version 0 = unversioned: anti-entropy does not cover it).
-// Callers must present updates in version order (the directory's OnUpdate
-// callback does, holding its lock), which makes per-link queue contents
-// version-ordered — the invariant anti-entropy sync relies on.
-func (n *Node) BroadcastUpdate(u wire.DirUpdate, version uint64) {
-	n.broadcast(outMsg{isUpdate: true, update: u, version: version})
+// BroadcastUpdate enqueues one record of this node's origin log to every
+// peer, to travel in a DirBatch (version 0 = unversioned: anti-entropy does
+// not cover it), and reports the fan-out as Broadcast does; anti-entropy
+// replays the record to a peer it did not reach. Callers must present
+// records in version order (the directory's OnUpdate callback does, holding
+// its lock), which makes per-link queue contents version-ordered — the
+// invariant anti-entropy sync relies on.
+func (n *Node) BroadcastUpdate(u wire.DirUpdate, version uint64) (peers, unreached int) {
+	return n.broadcast(outMsg{isUpdate: true, update: u, version: version})
 }
 
 func (n *Node) broadcast(om outMsg) (peers, unreached int) {
-	_, isWave := om.msg.(*wire.InvalWave)
 	n.mu.Lock()
 	links := make([]*peerLink, 0, len(n.peers))
 	for _, p := range n.peers {
@@ -1409,21 +1329,15 @@ func (n *Node) broadcast(om outMsg) (peers, unreached int) {
 		default:
 			unreached++
 			n.dropped.Add(1)
-			// A dropped update leaves a hole in the version sequence toward
-			// this peer: it owes a full resync.
-			hole := om.isUpdate && !n.cfg.RingMode
 			n.mu.Lock()
 			if p := n.peers[l.id]; p != nil {
 				p.drops++
-				if hole {
-					p.fullSync = true
-				}
 			}
 			n.mu.Unlock()
-			if hole || isWave {
-				// Wake the sender to heal the gap: dropped directory updates
-				// replay via BuildDirSync, dropped waves via BuildWaveSync
-				// (waveAck never advanced past the dropped wave).
+			if om.isUpdate {
+				// A dropped record leaves a gap in the log toward this peer,
+				// which stops its floor: the sender's cursor stops there too,
+				// and a catch-up replays the gap.
 				l.wakeSync()
 			}
 			n.logf("broadcast queue full for peer %d; dropped %v", l.id, dropKind(om))

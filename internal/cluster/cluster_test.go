@@ -31,7 +31,7 @@ func (h *recordingHandler) HandleDirBatch(m *wire.DirBatch) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, u := range m.Updates {
-		if u.Delete {
+		if u.Kind == wire.DirDelete {
 			h.deletes = append(h.deletes, u)
 		} else {
 			h.inserts = append(h.inserts, u)
@@ -139,7 +139,7 @@ func TestBroadcastInsertReachesAllPeers(t *testing.T) {
 
 func TestBroadcastDelete(t *testing.T) {
 	nodes, handlers := startMesh(t, 2)
-	nodes[1].BroadcastUpdate(wire.DirUpdate{Delete: true, Owner: 2, Key: "GET /x"}, 0)
+	nodes[1].BroadcastUpdate(wire.DirUpdate{Kind: wire.DirDelete, Owner: 2, Key: "GET /x"}, 0)
 	waitFor(t, "delete at node 1", func() bool { return handlers[0].deleteCount() == 1 })
 	if got := handlers[0].deletes[0]; got.Key != "GET /x" || got.Owner != 2 {
 		t.Fatalf("delete = %+v", got)

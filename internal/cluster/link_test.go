@@ -219,10 +219,11 @@ func TestLinkSnapshotDuringBatchStorm(t *testing.T) {
 			hA.dir.RemoveLocal(fmt.Sprintf("GET /s%d", (i+350)%700))
 		}
 		if i%50 == 0 {
-			nA.mu.Lock()
-			nA.peers[2].fullSync = true
-			nA.mu.Unlock()
-			link.wakeSync()
+			// A request from floor 0: the catch-up is a full snapshot.
+			select {
+			case link.floors <- 0:
+			default:
+			}
 		}
 	}
 	defer func() {
@@ -410,7 +411,6 @@ func TestDispatchTable(t *testing.T) {
 		wire.MsgInvalidate:   {&wire.Invalidate{Origin: 9, Pattern: "*", Seq: 1}, true, true},
 		wire.MsgInvalAck:     {&wire.InvalAck{Seq: 1}, false, false},
 		wire.MsgStatsReply:   {&wire.StatsReply{Seq: 1, Samples: []stats.Sample{{Name: "swala_misses_total"}}}, false, false},
-		wire.MsgInvalWave:    {&wire.InvalWave{Origin: 9, Seq: 1, Pattern: "*"}, true, false},
 		wire.MsgDirBatch:     {&wire.DirBatch{Owner: 9, Version: 1}, true, false},
 		wire.MsgDirSyncReq:   {&wire.DirSyncReq{}, true, false},
 		wire.MsgDirSync:      {&wire.DirSync{Owner: 9}, true, false},

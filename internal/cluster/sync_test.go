@@ -47,34 +47,25 @@ func (h *dirHandler) waitGate() {
 
 func (h *dirHandler) HandleDirBatch(m *wire.DirBatch) {
 	h.waitGate()
-	now := time.Now()
-	h.dir.AdvancePeerVersion(m.Owner, m.Version) // before applying, as core does
-	for i := range m.Updates {
-		u := &m.Updates[i]
-		if u.Delete {
-			h.dir.ApplyDelete(u.Owner, u.Key)
-		} else {
-			h.dir.ApplyInsert(directory.Entry{
-				Key: u.Key, Owner: u.Owner, Size: u.Size,
-				ExecTime: u.ExecTime, Expires: u.Expires,
-			}, now)
-		}
-	}
+	h.dir.ApplySync(m.Owner, false, syncOps(m.Updates), m.Version, time.Now())
 }
 
 func (h *dirHandler) HandleDirSync(m *wire.DirSync) {
-	ops := make([]directory.SyncOp, len(m.Updates))
-	for i := range m.Updates {
-		u := &m.Updates[i]
+	h.dir.ApplySync(m.Owner, m.Full, syncOps(m.Updates), m.Version, time.Now())
+}
+
+func syncOps(updates []wire.DirUpdate) []directory.SyncOp {
+	ops := make([]directory.SyncOp, len(updates))
+	for i, u := range updates {
 		ops[i] = directory.SyncOp{
-			Delete: u.Delete,
+			Kind: directory.Kind(u.Kind),
 			Entry: directory.Entry{
 				Key: u.Key, Owner: u.Owner, Size: u.Size,
 				ExecTime: u.ExecTime, Expires: u.Expires,
 			},
 		}
 	}
-	h.dir.ApplySync(m.Owner, m.Full, ops, m.Version, time.Now())
+	return ops
 }
 
 func (h *dirHandler) DirVersion(owner uint32) uint64 { return h.dir.PeerVersion(owner) }
@@ -86,22 +77,23 @@ func (h *dirHandler) BuildDirSync(since uint64) *wire.DirSync {
 	}
 	updates := make([]wire.DirUpdate, len(ops))
 	for i, op := range ops {
-		updates[i] = wire.DirUpdate{
-			Delete: op.Delete, Owner: h.dir.Self(), Key: op.Entry.Key,
-			Size: op.Entry.Size, ExecTime: op.Entry.ExecTime, Expires: op.Entry.Expires,
-		}
+		updates[i] = dirUpdate(h.dir.Self(), op)
 	}
 	return &wire.DirSync{Owner: h.dir.Self(), Version: ver, Full: full, Updates: updates}
+}
+
+func dirUpdate(self uint32, op directory.SyncOp) wire.DirUpdate {
+	return wire.DirUpdate{
+		Kind: wire.DirKind(op.Kind), Owner: self, Key: op.Entry.Key,
+		Size: op.Entry.Size, ExecTime: op.Entry.ExecTime, Expires: op.Entry.Expires,
+	}
 }
 
 // wireUpdates connects a node's directory to its cluster broadcasts the way
 // the core server does: every versioned local mutation is enqueued in order.
 func wireUpdates(h *dirHandler, n *Node) {
 	h.dir.OnUpdate(func(op directory.SyncOp) {
-		n.BroadcastUpdate(wire.DirUpdate{
-			Delete: op.Delete, Owner: h.dir.Self(), Key: op.Entry.Key,
-			Size: op.Entry.Size, ExecTime: op.Entry.ExecTime, Expires: op.Entry.Expires,
-		}, op.Version)
+		n.BroadcastUpdate(dirUpdate(h.dir.Self(), op), op.Version)
 	})
 }
 
@@ -207,11 +199,12 @@ func TestDropAndHealAfterQueueOverflow(t *testing.T) {
 	}
 	hB.unblock()
 	// Anti-entropy must restore full agreement despite the dropped
-	// broadcasts: the drop flagged peer 2 for a full resync.
+	// broadcasts. The journal still reaches the replica's floor, which
+	// stopped at the first drop, so the heal is a delta, not a snapshot.
 	waitFor(t, "drop-and-heal agreement", func() bool { return agreeOn(hA.dir, hB.dir) })
 	rs := nA.ReplicationStats()
-	if rs.SyncsSent == 0 || rs.SyncFull == 0 {
-		t.Fatalf("expected a full sync to heal drops, got %+v", rs)
+	if rs.SyncDelta < 2 || rs.SyncFull != 0 {
+		t.Fatalf("expected a delta sync to heal drops, got %+v", rs)
 	}
 }
 

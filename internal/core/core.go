@@ -316,8 +316,14 @@ type Server struct {
 	// inval.go.
 	inv *inval.State
 	swr *swrCell
-	// waveMu makes a wave's record and its local drop one step (applyLocal).
+	// waveMu serializes wave origination, so the fan-out the update observer
+	// reports in fanout belongs to the wave just recorded (invalidateWave).
 	waveMu sync.Mutex
+	fanout struct{ peers, unreached int }
+	// Wave counters: waves this node originated, remote waves it applied,
+	// and "*" waves its catch-ups sent in place of waves its log no longer
+	// holds.
+	wavesOriginated, wavesApplied, waveFallbacks atomic.Uint64
 	// hedge holds the hedged-fetch state and retry budget (nil unless
 	// Config.Hedge) and shed the load-shedding controller (nil unless
 	// Config.Shed); see hedge.go and shed.go. breakerFastFails counts
@@ -367,7 +373,7 @@ func New(cfg Config) *Server {
 		files:      content.NewFileSet(),
 		dir:        directory.New(cfg.NodeID, cfg.CacheCapacity, replacement.MustNew(cfg.Policy)),
 		inflight:   make(map[string]int),
-		inv:        inval.NewState(cfg.NodeID),
+		inv:        inval.NewState(),
 		pendingUnq: make(map[uint32]*rejoinState),
 		purgeStop:  make(chan struct{}),
 		purgeDone:  make(chan struct{}),
@@ -434,21 +440,19 @@ func New(cfg Config) *Server {
 			return r.Owner(key)
 		})
 	}
-	if cfg.Mode == Cooperative && !ringMode {
-		// Every versioned local directory mutation — insert, replace,
-		// eviction, remove, expiry — is broadcast from here, in version
-		// order (the directory invokes the callback under its local-table
-		// lock). This single choke point replaces per-call-site broadcasts
-		// and is what lets anti-entropy sync reason about what a peer has.
+	s.dir.OnWave(s.applyWave)
+	if cfg.Mode == Cooperative {
+		// Every record of the node's origin log — a local directory mutation
+		// (insert, replace, eviction, remove, expiry; none under ring
+		// placement) or an invalidation wave — is broadcast from here, in
+		// version order (the directory invokes the callback under its
+		// local-table lock). This single choke point is what lets
+		// anti-entropy sync reason about what a peer has.
 		s.dir.OnUpdate(func(op directory.SyncOp) {
-			s.clu.BroadcastUpdate(wire.DirUpdate{
-				Delete:   op.Delete,
-				Owner:    s.dir.Self(),
-				Key:      op.Entry.Key,
-				Size:     op.Entry.Size,
-				ExecTime: op.Entry.ExecTime,
-				Expires:  op.Entry.Expires,
-			}, op.Version)
+			peers, unreached := s.clu.BroadcastUpdate(s.dirUpdate(op), op.Version)
+			if op.Kind == directory.Wave {
+				s.fanout.peers, s.fanout.unreached = peers, unreached
+			}
 		})
 	}
 	s.buildPipeline()
@@ -1098,33 +1102,16 @@ func (h *clusterHandler) HandleStats() []stats.Sample { return h.server().Metric
 
 // --- versioned directory replication ---
 
-// HandleDirBatch implements cluster.Handler: record how far into the peer's
-// update stream this replica is about to be — first, so that an older full
-// snapshot still arriving on a link this one replaced merges instead of
-// replacing (directory.ApplySync) — then apply the batched run in order.
+// HandleDirBatch implements cluster.Handler: apply a batch of the peer's
+// log above this node's floor of it (directory.ApplySync).
 func (h *clusterHandler) HandleDirBatch(m *wire.DirBatch) {
 	s := h.server()
-	now := s.clk.Now()
-	s.dir.AdvancePeerVersion(m.Owner, m.Version)
-	for i := range m.Updates {
-		u := &m.Updates[i]
-		if u.Delete {
-			s.dir.ApplyDelete(u.Owner, u.Key)
-		} else {
-			s.dir.ApplyInsert(directory.Entry{
-				Key:      u.Key,
-				Owner:    u.Owner,
-				Size:     u.Size,
-				ExecTime: u.ExecTime,
-				Expires:  u.Expires,
-			}, now)
-		}
-	}
+	s.dir.ApplySync(m.Owner, false, syncOps(m.Updates), m.Version, s.clk.Now())
 }
 
 // HandleDirSync implements cluster.Handler: apply an anti-entropy catch-up
-// (full snapshot or delta) of a peer's directory table. A Handoff frame is
-// not replication at all: it is a rebalance offer listing entries whose ring
+// (full snapshot or delta) of a peer's log. A Handoff frame is not
+// replication at all: it is a rebalance offer listing entries whose ring
 // ownership moved to this node; the bodies are pulled asynchronously.
 func (h *clusterHandler) HandleDirSync(m *wire.DirSync) {
 	s := h.server()
@@ -1132,11 +1119,20 @@ func (h *clusterHandler) HandleDirSync(m *wire.DirSync) {
 		s.acceptHandoff(m)
 		return
 	}
-	ops := make([]directory.SyncOp, len(m.Updates))
-	for i := range m.Updates {
-		u := &m.Updates[i]
+	s.dir.ApplySync(m.Owner, m.Full, syncOps(m.Updates), m.Version, s.clk.Now())
+	// A catch-up from the owner means our replica of its table has
+	// converged; if the owner was quarantined and has rejoined, this is
+	// what lifts the quarantine.
+	s.noteSynced(m.Owner)
+}
+
+// syncOps converts wire records to the directory's.
+func syncOps(updates []wire.DirUpdate) []directory.SyncOp {
+	ops := make([]directory.SyncOp, len(updates))
+	for i := range updates {
+		u := &updates[i]
 		ops[i] = directory.SyncOp{
-			Delete: u.Delete,
+			Kind: directory.Kind(u.Kind),
 			Entry: directory.Entry{
 				Key:      u.Key,
 				Owner:    u.Owner,
@@ -1146,11 +1142,19 @@ func (h *clusterHandler) HandleDirSync(m *wire.DirSync) {
 			},
 		}
 	}
-	s.dir.ApplySync(m.Owner, m.Full, ops, m.Version, s.clk.Now())
-	// A catch-up from the owner means our replica of its table has
-	// converged; if the owner was quarantined and has rejoined, this is
-	// what lifts the quarantine.
-	s.noteSynced(m.Owner)
+	return ops
+}
+
+// dirUpdate converts one of this node's log records to its wire form.
+func (s *Server) dirUpdate(op directory.SyncOp) wire.DirUpdate {
+	return wire.DirUpdate{
+		Kind:     wire.DirKind(op.Kind),
+		Owner:    s.dir.Self(),
+		Key:      op.Entry.Key,
+		Size:     op.Entry.Size,
+		ExecTime: op.Entry.ExecTime,
+		Expires:  op.Entry.Expires,
+	}
 }
 
 // DirVersion implements cluster.Handler.
@@ -1159,7 +1163,7 @@ func (h *clusterHandler) DirVersion(owner uint32) uint64 {
 }
 
 // BuildDirSync implements cluster.Handler: assemble the catch-up for a
-// replica that last saw version since of our local table.
+// peer whose floor of our log is since.
 func (h *clusterHandler) BuildDirSync(since uint64) *wire.DirSync {
 	s := h.server()
 	ops, ver, full, ok := s.dir.SyncSince(since)
@@ -1168,14 +1172,10 @@ func (h *clusterHandler) BuildDirSync(since uint64) *wire.DirSync {
 	}
 	updates := make([]wire.DirUpdate, len(ops))
 	for i, op := range ops {
-		updates[i] = wire.DirUpdate{
-			Delete:   op.Delete,
-			Owner:    s.dir.Self(),
-			Key:      op.Entry.Key,
-			Size:     op.Entry.Size,
-			ExecTime: op.Entry.ExecTime,
-			Expires:  op.Entry.Expires,
-		}
+		updates[i] = s.dirUpdate(op)
+	}
+	if full && len(ops) > 0 && ops[0].Kind == directory.Wave && ops[0].Version == 0 {
+		s.waveFallbacks.Add(1)
 	}
 	return &wire.DirSync{Owner: s.dir.Self(), Version: ver, Full: full, Updates: updates}
 }

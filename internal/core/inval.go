@@ -8,23 +8,22 @@ import (
 	"repro/internal/cacheability"
 	"repro/internal/fetchpipe"
 	"repro/internal/inval"
-	"repro/internal/wire"
 )
 
-// Invalidation: the server-layer half of the versioned wave protocol in
-// internal/inval, the one way an invalidation travels. Server.Invalidate, an
-// administrative wire.Invalidate (swalactl) and a successful execution of a
-// CGI program that declares writes (cgi.Engine.RegisterDeps: one wave per
-// dependent reader program) each originate a wave, and a wave drops every
-// matching cached body on every node — owned entries, held hot replicas
-// (whose leases retire immediately, not on the next controller tick), and
-// the holder-index routes that point at them.
+// Invalidation: the server-layer half of the versioned wave protocol, the
+// one way an invalidation travels. Server.Invalidate, an administrative
+// wire.Invalidate (swalactl) and a successful execution of a CGI program that
+// declares writes (cgi.Engine.RegisterDeps: one wave per dependent reader
+// program) each originate a wave, and a wave drops every matching cached body
+// on every node — owned entries, held hot replicas (whose leases retire
+// immediately, not on the next controller tick), and the holder-index routes
+// that point at them.
 //
-// Waves ride the cluster's ordered per-link queues as MsgInvalWave frames;
-// the origin journals them, links track the highest wave each peer has
-// confirmed, and the anti-entropy sync path replays whatever a partitioned
-// or overflowed peer missed (cluster.Handler). Exactly-once application per
-// node is the inval.State Mark/floor machinery.
+// A wave is a record of the origin's directory log: it rides the cluster's
+// ordered per-link queues in DirBatch frames with the directory's own
+// updates, anti-entropy sync replays it to a peer that missed it, and each
+// peer's floor of the origin's log applies it exactly once
+// (directory.ApplySync, which calls applyWave).
 //
 // Stale-while-revalidate (Config.SWR) keeps the previous body of an
 // invalidated entry in a bounded holding cell for swrWindow; the fetch
@@ -38,42 +37,38 @@ const swrWindow = 2 * time.Second
 // swrCellCap bounds the stale-body holding cell (entries).
 const swrCellCap = 1024
 
-// applyWave applies one remote invalidation wave exactly once.
-func (s *Server) applyWave(w inval.Wave) {
-	if n := s.applyLocal(w); n > 0 {
-		s.logf("wave %d/%d %q: dropped %d entries", w.Origin, w.Seq, w.Pattern, n)
+// applyWave applies one remote invalidation wave (directory.OnWave).
+func (s *Server) applyWave(origin uint32, pattern string) {
+	s.wavesApplied.Add(1)
+	if n := s.dropMatching(pattern); n > 0 {
+		s.logf("wave from %d %q: dropped %d entries", origin, pattern, n)
 	}
 }
 
-// applyLocal records w and, the first time, drops every local entry it
-// matches. The apply-version moves first, so a flight inserting a matching
-// key after the drop's snapshot undoes its insert; waveMu keeps WaveFloorFor
-// from reporting a wave whose entries are not gone yet.
-func (s *Server) applyLocal(w inval.Wave) (dropped int) {
-	s.waveMu.Lock()
-	defer s.waveMu.Unlock()
-	if !s.inv.Mark(w) {
-		return 0
-	}
-	s.inv.NoteApplied(w.Pattern)
-	return s.invalidateLocal(w.Pattern)
+// dropMatching drops every local entry pattern matches. The apply-version
+// moves first, so a flight inserting a matching key after the drop's
+// snapshot undoes its insert.
+func (s *Server) dropMatching(pattern string) int {
+	s.inv.NoteApplied(pattern)
+	return s.invalidateLocal(pattern)
 }
 
-// invalidateWave originates one wave: issue the next own sequence, apply it
-// locally, and push it to every peer over the ordered update queues. Peers
-// the push cannot reach now (links still dialing, queue overflow) converge
-// through wave sync; their count is returned so admin callers can surface it.
+// invalidateWave originates one wave: append it to the directory's log,
+// which pushes it to every peer over the ordered update queues, and apply it
+// locally. Peers the push cannot reach now (links still dialing, queue
+// overflow) converge through anti-entropy; their count is returned so admin
+// callers can surface it.
 func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) {
-	w := s.inv.Next(pattern)
-	dropped = s.applyLocal(w)
-	if s.cfg.Mode == Cooperative {
-		peers, unreached = s.clu.Broadcast(&wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern})
-		if unreached > 0 {
-			s.logf("wave %d %q: %d of %d peers unreached now (anti-entropy will replay)",
-				w.Seq, pattern, unreached, peers)
-		}
+	s.waveMu.Lock()
+	ver := s.dir.Wave(pattern)
+	peers, unreached = s.fanout.peers, s.fanout.unreached
+	s.waveMu.Unlock()
+	s.wavesOriginated.Add(1)
+	if unreached > 0 {
+		s.logf("wave %d %q: %d of %d peers unreached now (anti-entropy will replay)",
+			ver, pattern, unreached, peers)
 	}
-	return dropped, peers, unreached
+	return s.dropMatching(pattern), peers, unreached
 }
 
 // noteWrites originates invalidation waves for a successful execution of the
@@ -94,66 +89,6 @@ func (s *Server) noteWrites(path string) {
 			s.invalidateWave(inval.KeyPattern(reader))
 		}
 	}
-}
-
-// WaveSeq returns this node's own wave sequence counter — how many waves it
-// has originated.
-func (s *Server) WaveSeq() uint64 { return s.inv.Seq() }
-
-// WaveFloorFor returns the contiguous applied floor of origin's waves at
-// this node. Experiments use Seq/Floor pairs to detect wave quiescence:
-// every node's floor for every origin has reached that origin's own
-// sequence.
-func (s *Server) WaveFloorFor(origin uint32) uint64 {
-	s.waveMu.Lock()
-	defer s.waveMu.Unlock()
-	return s.inv.Floor(origin)
-}
-
-// --- cluster wave plumbing ---
-
-// HandleInvalWave implements cluster.Handler: one wave frame off a peer
-// link's ordered queue.
-func (h *clusterHandler) HandleInvalWave(m *wire.InvalWave) {
-	h.server().applyWave(inval.Wave{Origin: m.Origin, Seq: m.Seq, Pattern: m.Pattern})
-}
-
-// HandleWaveSync implements cluster.Handler: an anti-entropy replay of
-// origin's waves above our advertised floor. The sender ships everything it
-// retains past that floor (prefixed by a synthetic full wave when its journal
-// has been trimmed), so the batch is contiguous and the floor may jump to its
-// last sequence.
-func (h *clusterHandler) HandleWaveSync(origin uint32, waves []wire.InvalWave) {
-	if len(waves) == 0 {
-		return
-	}
-	for i := range waves {
-		h.HandleInvalWave(&waves[i])
-	}
-	h.server().inv.AdvanceFloor(origin, waves[len(waves)-1].Seq)
-}
-
-// WaveFloor implements cluster.Handler: the contiguous applied floor to
-// advertise toward origin during the link handshake.
-func (h *clusterHandler) WaveFloor(origin uint32) uint64 {
-	return h.server().inv.Floor(origin)
-}
-
-// BuildWaveSync implements cluster.Handler: our own waves a peer whose
-// floor is since still needs. Adopting since first makes a restarted node
-// resume numbering above what its peers already applied.
-func (h *clusterHandler) BuildWaveSync(since uint64) []wire.InvalWave {
-	s := h.server()
-	s.inv.AdoptSeq(since)
-	missed := s.inv.Missed(since)
-	if len(missed) == 0 {
-		return nil
-	}
-	out := make([]wire.InvalWave, len(missed))
-	for i, w := range missed {
-		out[i] = wire.InvalWave{Origin: w.Origin, Seq: w.Seq, Pattern: w.Pattern}
-	}
-	return out
 }
 
 // --- stale-while-revalidate ---

@@ -184,8 +184,9 @@ func TestWaveDiscardsSupersededInflightResult(t *testing.T) {
 }
 
 // Satellite: a node partitioned away during an invalidation converges after
-// the partition heals — the wave journal replays over the anti-entropy sync
-// path, so the stale entry is dropped without any re-send from the origin.
+// the partition heals — the origin's log replays the wave over the
+// anti-entropy sync path, so the stale entry is dropped without any re-send
+// from the origin.
 func TestWaveSyncHealsPartitionedNode(t *testing.T) {
 	mem := netx.NewMem()
 	faulty := netx.NewFaulty(mem, 1)

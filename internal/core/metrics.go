@@ -36,6 +36,9 @@ func (s *Server) Metrics() []stats.Sample {
 	m.add("swala_directory_version", float64(s.dir.Version()))
 	m.add("swala_directory_local_entries", float64(s.dir.LocalLen()))
 	m.add("swala_directory_entries", float64(s.dir.TotalLen()))
+	m.add("swala_waves_total", float64(s.wavesOriginated.Load()), "kind", "originated")
+	m.add("swala_waves_total", float64(s.wavesApplied.Load()), "kind", "applied")
+	m.add("swala_wave_fallbacks_total", float64(s.waveFallbacks.Load()))
 
 	for _, st := range s.pipe.Snapshot() {
 		m.add("swala_stage_attempts_total", float64(st.Attempts), "stage", st.Name)

@@ -275,7 +275,7 @@ func TestProductionProfile(t *testing.T) {
 	waitUntil(t, "the update's wave to reach every node", func() bool {
 		for _, origin := range h.servers {
 			for _, s := range h.servers {
-				if s.WaveFloorFor(origin.cfg.NodeID) < origin.WaveSeq() {
+				if s != origin && s.Directory().PeerVersion(origin.cfg.NodeID) < origin.Directory().LastWave() {
 					return false
 				}
 			}

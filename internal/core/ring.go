@@ -190,7 +190,7 @@ func (s *Server) acceptHandoff(m *wire.DirSync) {
 	}
 	for i := range m.Updates {
 		u := &m.Updates[i]
-		if u.Delete {
+		if u.Kind != wire.DirInsert {
 			continue
 		}
 		t := handoffTask{owner: m.Owner, entry: directory.Entry{

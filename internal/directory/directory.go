@@ -210,9 +210,9 @@ func (t *table) expiredKeys(now time.Time) []string {
 	return out
 }
 
-// current returns key's state as the sync op at version ver: an insert of
-// the stored entry (expired or not, as a snapshot ships it), or a delete
-// when the key is absent or only held as a replica.
+// current returns key's state as the record at version ver: an insert of the
+// stored entry (expired or not, as a snapshot ships it), or a delete when the
+// key is absent or only held as a replica.
 func (t *table) current(key string, ver uint64) SyncOp {
 	s := t.stripeFor(key)
 	s.mu.RLock()
@@ -222,7 +222,7 @@ func (t *table) current(key string, ver uint64) SyncOp {
 		t.fill(&op.Entry, key, v)
 		return op
 	}
-	return SyncOp{Version: ver, Delete: true, Entry: Entry{Key: key, Owner: t.owner}}
+	return SyncOp{Version: ver, Kind: Delete, Entry: Entry{Key: key, Owner: t.owner}}
 }
 
 // snapshot returns copies of all entries in the table.
@@ -241,18 +241,60 @@ func (t *table) snapshot() []Entry {
 	return out
 }
 
-// SyncOp is one versioned local-table mutation, as handed to the OnUpdate
-// callback and shipped in a SyncSince delta. For deletes only Entry.Key (and
-// Entry.Owner) are meaningful.
+// Kind says what a record of an origin log does.
+type Kind uint8
+
+// Record kinds, numbered as wire.DirKind.
+const (
+	// Insert adds or replaces Entry in the origin's table.
+	Insert Kind = iota
+	// Delete removes Entry.Key from the origin's table.
+	Delete
+	// Wave is an invalidation wave: every node drops its cached entries
+	// whose key matches the pattern in Entry.Key.
+	Wave
+)
+
+// SyncOp is one record of a node's origin log, as handed to the OnUpdate
+// callback and shipped in a SyncSince catch-up. For a delete only Entry.Key
+// (and Entry.Owner) are meaningful; for a wave only Entry.Key, the pattern.
 type SyncOp struct {
 	Version uint64
-	Delete  bool
+	Kind    Kind
 	Entry   Entry
 }
 
-// journalLimit is how many recent local mutations are kept for delta sync;
-// a replica further behind than this receives a full snapshot instead.
+// journalLimit is how many recent records the log keeps for delta sync; a
+// replica further behind than this receives a full snapshot instead.
 const journalLimit = 4096
+
+// Cursor is a sender's position in its own log toward one peer: every record
+// at or below it has been written to the peer, in order. A catch-up replays
+// the log from it (SyncSince). It moves only over contiguous records, so a
+// record dropped on the way keeps it below the gap, where the peer's floor
+// stops too.
+type Cursor uint64
+
+// Wrote advances c over the records first..last, just written to the peer,
+// and reports whether they continue it. When they do not, the peer refuses
+// them (its floor stops at the gap) and the caller owes it a catch-up.
+func (c *Cursor) Wrote(first, last uint64) bool {
+	if first > uint64(*c)+1 {
+		return false
+	}
+	*c = max(*c, Cursor(last))
+	return true
+}
+
+// origin is what a replica keeps of one other node's log: the floor, the
+// version up to which every record has been applied. mu serializes the
+// application of the origin's records, so a record is applied once however
+// many links deliver it, and a wave's drop finishes before the floor passes
+// it.
+type origin struct {
+	mu    sync.Mutex
+	floor uint64
+}
 
 // Directory is one node's replica of the global cache directory.
 // All methods are safe for concurrent use.
@@ -269,22 +311,37 @@ type Directory struct {
 	policy   replacement.Policy
 	capacity int
 
-	// version counts local-table mutations; every insert, replace, delete,
-	// eviction, and expiry bumps it by one. Replicas track the highest
-	// version they have applied, which is what anti-entropy sync compares.
+	// version numbers the records of this node's origin log: each wave, and
+	// each local-table mutation (insert, replace, delete, eviction, expiry)
+	// while entries are logged (see logEntries). Replicas keep a floor of it,
+	// which is what anti-entropy sync compares.
 	version uint64
-	// journal holds the key of each recent mutation, oldest first:
-	// journal[i] was mutated at version version-len(journal)+1+i. The
-	// entries themselves are not kept — the local table already holds each
-	// key's current state, which is what a delta ships (SyncSince).
+	// journal holds the key (or, for a wave, the pattern) of each recent
+	// record, oldest first: journal[i] is the record at version
+	// version-len(journal)+1+i. Entries themselves are not kept — the local
+	// table already holds each key's current state, which is what a delta
+	// ships (SyncSince). waves lists the versions of the journal's wave
+	// records, ascending.
 	journal []string
-	// onUpdate, when set, observes every versioned mutation under localMu.
-	onUpdate func(SyncOp)
+	waves   []uint64
+	// lastWave is the version of the newest wave record; lostWave the
+	// newest version at or below which a wave may lie that the journal no
+	// longer holds (trimmed, or from before a restart). A catch-up past the
+	// journal's reach leads with a "*" wave when lostWave is above the
+	// replica's floor.
+	lastWave, lostWave uint64
+	// onUpdate, when set, observes every record under localMu. logEntries
+	// is whether local-table mutations are records: only while someone
+	// observes them and no ring placement keeps peers from replicating the
+	// table. A log nobody reads records no entries.
+	onUpdate   func(SyncOp)
+	logEntries bool
+	// onWave applies a remote wave's pattern to the local cache.
+	onWave func(origin uint32, pattern string)
 
-	// peerMu guards peerVers: the highest update version applied from each
-	// remote node's table.
-	peerMu   sync.Mutex
-	peerVers map[uint32]uint64
+	// peerMu guards origins, this replica's state of each other node's log.
+	peerMu  sync.Mutex
+	origins map[uint32]*origin
 
 	// placeMu guards place, the consistent-hash placement resolver. When set
 	// (ring mode) Lookup stops scanning replicated peer tables: the ring
@@ -345,7 +402,7 @@ func New(self uint32, capacity int, policy replacement.Policy) *Directory {
 		tables:      make(map[uint32]*table),
 		policy:      policy,
 		capacity:    capacity,
-		peerVers:    make(map[uint32]uint64),
+		origins:     make(map[uint32]*origin),
 		quarantined: make(map[uint32]bool),
 	}
 	d.tables[self] = newTable(self)
@@ -355,31 +412,81 @@ func New(self uint32, capacity int, policy replacement.Policy) *Directory {
 	return d
 }
 
-// OnUpdate registers fn to observe every versioned local-table mutation
-// (insert, replace, delete, eviction, expiry). fn runs with the local-table
-// lock held, in strict version order — this is what lets the cluster layer
-// enqueue broadcasts in version order — so it must be fast and must not call
-// back into the Directory. Set it before the directory sees concurrent use.
+// OnUpdate registers fn to observe every record of the origin log: the
+// local-table mutations (insert, replace, delete, eviction, expiry), logged
+// from now on unless ring placement is set, and the waves. fn runs with the
+// local-table lock held, in strict version order — this is what lets the
+// cluster layer enqueue broadcasts in version order — so it must be fast and
+// must not call back into the Directory. Set it before the directory sees
+// concurrent use.
 func (d *Directory) OnUpdate(fn func(SyncOp)) {
 	d.localMu.Lock()
 	d.onUpdate = fn
+	d.logEntries = fn != nil && d.resolver() == nil
 	d.localMu.Unlock()
 }
 
-// record logs one local mutation. Callers must hold localMu.
-func (d *Directory) record(del bool, e Entry) {
+// OnWave registers fn to apply the waves of other nodes' logs: drop every
+// local entry whose key matches pattern. fn runs once per wave, before the
+// replica's floor of origin passes it, with that origin's records held back;
+// it may call back into the Directory, but not wait for origin's floor. Set
+// it before the directory sees concurrent use.
+func (d *Directory) OnWave(fn func(origin uint32, pattern string)) {
+	d.onWave = fn
+}
+
+// record appends one record to the log. Callers must hold localMu.
+func (d *Directory) record(kind Kind, e Entry) {
 	d.version++
 	if len(d.journal) >= 2*journalLimit {
-		// Amortized compaction: keep the newest journalLimit keys in place
+		// Amortized compaction: keep the newest journalLimit records in place
 		// and clear the rest so the dropped keys can be freed.
+		trimmed := d.version - 1 - journalLimit // the newest record dropped
 		n := copy(d.journal, d.journal[len(d.journal)-journalLimit:])
 		clear(d.journal[n:])
 		d.journal = d.journal[:n]
+		i := 0
+		for i < len(d.waves) && d.waves[i] <= trimmed {
+			d.lostWave = d.waves[i]
+			i++
+		}
+		d.waves = append(d.waves[:0], d.waves[i:]...)
 	}
 	d.journal = append(d.journal, e.Key)
-	if d.onUpdate != nil {
-		d.onUpdate(SyncOp{Version: d.version, Delete: del, Entry: e})
+	if kind == Wave {
+		d.waves = append(d.waves, d.version)
+		d.lastWave = d.version
 	}
+	if d.onUpdate != nil {
+		d.onUpdate(SyncOp{Version: d.version, Kind: kind, Entry: e})
+	}
+}
+
+// recordEntry logs a local-table mutation, when entries are logged. Callers
+// must hold localMu.
+func (d *Directory) recordEntry(kind Kind, e Entry) {
+	if d.logEntries {
+		d.record(kind, e)
+	}
+}
+
+// Wave appends an invalidation wave for pattern to the log, and so to every
+// peer's stream, and returns its version. The caller drops its own matching
+// entries.
+func (d *Directory) Wave(pattern string) uint64 {
+	d.localMu.Lock()
+	defer d.localMu.Unlock()
+	d.record(Wave, Entry{Key: pattern, Owner: d.self})
+	return d.version
+}
+
+// LastWave returns the version of the newest wave this node originated (0
+// when none): a replica whose floor of this node has reached it has applied
+// every one of them.
+func (d *Directory) LastWave() uint64 {
+	d.localMu.Lock()
+	defer d.localMu.Unlock()
+	return d.lastWave
 }
 
 // Self returns the owning node's ID.
@@ -411,10 +518,16 @@ func (d *Directory) tableFor(node uint32, create bool) *table {
 // entry naming that owner. resolve should consult the current ring on every
 // call so membership changes take effect without re-registration. A nil
 // resolve restores the paper's full-replication lookup.
+//
+// Under ring placement no peer replicates the local table, so the log stops
+// recording its mutations: it carries waves only.
 func (d *Directory) SetRing(resolve func(key string) (owner uint32, ok bool)) {
+	d.localMu.Lock()
+	defer d.localMu.Unlock()
 	d.placeMu.Lock()
 	d.place = resolve
 	d.placeMu.Unlock()
+	d.logEntries = d.onUpdate != nil && resolve == nil
 }
 
 // resolver returns the installed placement resolver, or nil in replicate mode.
@@ -551,13 +664,13 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 
 	if exists && !wasReplica {
 		d.policy.Access(e.Key)
-		d.record(false, e)
+		d.recordEntry(Insert, e)
 		return nil
 	}
 	// New key — or one that only existed as a held replica, which the
 	// policy has never seen: either way it enters capacity bookkeeping now.
 	d.policy.Insert(e.Key, replacement.Meta{Size: e.Size, ExecTime: e.ExecTime})
-	d.record(false, e)
+	d.recordEntry(Insert, e)
 	if d.capacity > 0 {
 		for d.policy.Len() > d.capacity {
 			victim := d.policy.Evict()
@@ -566,7 +679,7 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 			}
 			t.remove(victim)
 			evicted = append(evicted, victim)
-			d.record(true, Entry{Key: victim, Owner: d.self})
+			d.recordEntry(Delete, Entry{Key: victim, Owner: d.self})
 		}
 	}
 	return evicted
@@ -640,7 +753,7 @@ func (d *Directory) RemoveLocal(key string) bool {
 	d.policy.Remove(key)
 	ok := t.remove(key)
 	if ok {
-		d.record(true, Entry{Key: key, Owner: d.self})
+		d.recordEntry(Delete, Entry{Key: key, Owner: d.self})
 	}
 	return ok
 }
@@ -689,7 +802,7 @@ func (d *Directory) ExpireLocal(now time.Time) []string {
 		}
 		d.policy.Remove(k)
 		if t.remove(k) {
-			d.record(true, Entry{Key: k, Owner: d.self})
+			d.recordEntry(Delete, Entry{Key: k, Owner: d.self})
 		}
 	}
 	return keys
@@ -730,7 +843,7 @@ func (d *Directory) DropPeer(node uint32) {
 	delete(d.tables, node)
 	d.mu.Unlock()
 	d.peerMu.Lock()
-	delete(d.peerVers, node)
+	delete(d.origins, node)
 	d.peerMu.Unlock()
 	d.SetQuarantined(node, false)
 }
@@ -742,135 +855,164 @@ func (d *Directory) Version() uint64 {
 	return d.version
 }
 
-// SyncSince assembles the catch-up needed to bring a replica that last saw
-// version since up to date with the local table. When the journal still
-// covers the gap it returns an ordered delta (full=false) with one op per
-// version: each journaled key's current state, an insert of the live entry
-// or a delete when the key is gone (or only held as a replica). A key
+// SyncSince assembles the catch-up that brings a replica whose floor of this
+// node's log is since up to date. When the journal still reaches since, it
+// returns the missed records in order (full=false), one per version: a wave
+// as it was, and a journaled key as its current state, an insert of the live
+// entry or a delete when the key is gone (or only held as a replica). A key
 // mutated again later appears again later in the run, so replaying the delta
-// in order still ends at the current table. When the replica
-// is too far behind, or has never seen this node (since 0), it returns a
-// full snapshot of live local entries as insert ops (full=true). ok=false
-// means the replica is already current and nothing needs to be sent.
+// in order still ends at the current table. When the replica is too far
+// behind, or has never seen this node (since 0), it returns a full snapshot
+// (full=true): the journal's waves above since, led by a "*" wave (the one
+// record with Version 0) when a wave the journal no longer holds lies above
+// since, then the live local entries as inserts. ok=false means the replica is already current.
 //
 // A replica that claims a version beyond ours saw a previous incarnation of
-// this node. Versions order a snapshot against the batches around it only
-// while they are comparable (ApplySync never lets one move backwards), so
-// this node then adopts the replica's version: the snapshot it answers with
-// replaces the old incarnation's table, and every later update is newer than
-// anything a peer still holds from before.
+// this node. This node then moves its version one past the replica's, so
+// every later record is newer than anything a peer still holds from before
+// and a replica at the claimed version is still behind: it gets a snapshot
+// that replaces the old incarnation's table, now or, if this one is lost, on
+// the next sync. The records of the old incarnation cannot be replayed, so a
+// replica below the claimed version gets a "*"; so does every replica, this
+// one included, when waves of this incarnation are discarded with the
+// journal.
 func (d *Directory) SyncSince(since uint64) (ops []SyncOp, version uint64, full, ok bool) {
 	d.localMu.Lock()
 	defer d.localMu.Unlock()
-	if since > d.version {
-		d.version = since
-		clear(d.journal)
-		d.journal = d.journal[:0] // its versions no longer end at d.version
-	} else if since == d.version {
+	if since == d.version {
 		return nil, since, false, false
 	}
-	cur := d.version
-	if since != 0 && since < cur {
-		if gap := cur - since; gap <= uint64(len(d.journal)) {
-			t := d.tableFor(d.self, false)
-			keys := d.journal[len(d.journal)-int(gap):]
-			ops = make([]SyncOp, len(keys))
-			for i, k := range keys {
-				ops[i] = t.current(k, since+1+uint64(i))
-			}
-			return ops, cur, false, true
+	if since > d.version {
+		d.lostWave = since
+		if len(d.waves) > 0 {
+			d.lostWave++
 		}
+		d.version = since + 1
+		clear(d.journal)
+		d.journal, d.waves = d.journal[:0], d.waves[:0] // their versions no longer end at d.version
 	}
-	// Full snapshot. Taking stripe read locks under localMu follows the
-	// same lock order as InsertLocal (localMu, then stripes).
-	snap := d.tableFor(d.self, false).snapshot()
-	ops = make([]SyncOp, len(snap))
-	for i, e := range snap {
-		ops[i] = SyncOp{Entry: e}
+	cur := d.version
+	start := cur - uint64(len(d.journal)) // the version just below the journal's first record
+	waves := d.waves
+	for len(waves) > 0 && waves[0] <= since {
+		waves = waves[1:]
+	}
+	if since != 0 && since < cur && since >= start {
+		t := d.tableFor(d.self, false)
+		keys := d.journal[since-start:]
+		ops = make([]SyncOp, len(keys))
+		for i, k := range keys {
+			v := since + 1 + uint64(i)
+			if len(waves) > 0 && waves[0] == v {
+				ops[i] = SyncOp{Version: v, Kind: Wave, Entry: Entry{Key: k, Owner: d.self}}
+				waves = waves[1:]
+				continue
+			}
+			ops[i] = t.current(k, v)
+		}
+		return ops, cur, false, true
+	}
+	if d.lostWave > since {
+		ops = append(ops, SyncOp{Kind: Wave, Entry: Entry{Key: "*", Owner: d.self}})
+	}
+	for _, v := range waves {
+		ops = append(ops, SyncOp{Version: v, Kind: Wave, Entry: Entry{Key: d.journal[v-start-1], Owner: d.self}})
+	}
+	// Taking stripe read locks under localMu follows the same lock order as
+	// InsertLocal (localMu, then stripes).
+	if d.logEntries {
+		for _, e := range d.tableFor(d.self, false).snapshot() {
+			ops = append(ops, SyncOp{Entry: e})
+		}
 	}
 	return ops, cur, true, true
 }
 
-// PeerVersion returns the highest update version applied from owner's table
-// (0 when owner is unknown or unversioned).
+// PeerVersion returns this replica's floor of owner's log: every record at
+// or below it has been applied (0 when owner is unknown). It waits for a
+// wave being applied, so it never reports one whose drop has not finished.
 func (d *Directory) PeerVersion(owner uint32) uint64 {
+	o := d.originOf(owner)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.floor
+}
+
+// originOf returns this replica's state of owner's log, made on first use.
+func (d *Directory) originOf(owner uint32) *origin {
 	d.peerMu.Lock()
 	defer d.peerMu.Unlock()
-	return d.peerVers[owner]
+	o := d.origins[owner]
+	if o == nil {
+		o = &origin{}
+		d.origins[owner] = o
+	}
+	return o
 }
 
-// AdvancePeerVersion records that owner's updates through v have been
-// applied. It never moves the recorded version backwards — late-arriving
-// batches that were already covered by a sync must not regress it. A batch
-// records its version before it applies its updates, so that a full snapshot
-// racing it on the pair's other connection (ApplySync) can tell that the
-// table may already hold something newer than the snapshot.
-func (d *Directory) AdvancePeerVersion(owner uint32, v uint64) {
-	if v == 0 || owner == d.self {
-		return
-	}
-	d.peerMu.Lock()
-	if v > d.peerVers[owner] {
-		d.peerVers[owner] = v
-	}
-	d.peerMu.Unlock()
-}
-
-// ApplySync applies an anti-entropy catch-up for owner's table. With
-// full=true the whole replica is replaced by the snapshot (clearing any
-// stale entries the sender no longer knows about) and the recorded peer
-// version becomes version — unless this replica already holds updates newer
-// than the snapshot: the frames of a dying link and of its replacement can
-// be applied concurrently, so a snapshot can arrive after later batches.
-// Replacing would erase those batches for good, so an older snapshot is
-// merged like a delta. Otherwise ops is an ordered delta applied on top of
-// the current replica. The version only ever advances.
+// ApplySync applies records of owner's log to this replica: a batch, or a
+// catch-up built by SyncSince. With full=false, ops are consecutive records
+// ending at version: those at or below the floor are skipped, and a run that
+// starts past floor+1 is refused whole, since the records in the gap must
+// apply first (the sender's next catch-up replays them). With full=true ops
+// are a snapshot at version: unless the floor has already reached version,
+// its waves apply and its inserts replace owner's whole table. Either way the
+// floor passes a wave only after its drop (OnWave) has returned.
 func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uint64, now time.Time) {
 	if owner == d.self {
 		return
 	}
-	if full && d.replaceTable(owner, ops, version, now) {
+	o := d.originOf(owner)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if full {
+		if version < o.floor {
+			return // older than what this replica holds
+		}
+		t := newTable(owner)
+		for _, op := range ops {
+			switch op.Kind {
+			case Wave:
+				d.applyWave(owner, op.Entry.Key)
+			case Insert:
+				e := op.Entry
+				e.Owner = owner
+				if e.Inserted.IsZero() {
+					e.Inserted = now
+				}
+				t.insert(&e)
+			}
+		}
+		d.mu.Lock()
+		d.tables[owner] = t
+		d.mu.Unlock()
+		o.floor = version
 		return
 	}
-	for _, op := range ops {
-		if op.Delete {
-			d.ApplyDelete(owner, op.Entry.Key)
-		} else {
+	first := version + 1 - uint64(len(ops))
+	if first > o.floor+1 {
+		return
+	}
+	for i := o.floor + 1 - first; i < uint64(len(ops)); i++ {
+		switch op := &ops[i]; op.Kind {
+		case Insert:
 			e := op.Entry
 			e.Owner = owner
 			d.ApplyInsert(e, now)
+		case Delete:
+			d.ApplyDelete(owner, op.Entry.Key)
+		case Wave:
+			d.applyWave(owner, op.Entry.Key)
 		}
+		o.floor = first + i
 	}
-	d.AdvancePeerVersion(owner, version)
 }
 
-// replaceTable swaps owner's table for the snapshot in ops, unless the
-// replica is already past the snapshot's version (it then reports false and
-// changes nothing). peerMu is held across the check and the swap, so a batch
-// has either recorded its version before the check or applies after the swap.
-func (d *Directory) replaceTable(owner uint32, ops []SyncOp, version uint64, now time.Time) bool {
-	t := newTable(owner)
-	for _, op := range ops {
-		if op.Delete {
-			continue
-		}
-		e := op.Entry
-		e.Owner = owner
-		if e.Inserted.IsZero() {
-			e.Inserted = now
-		}
-		t.insert(&e)
+// applyWave hands a remote wave to the OnWave callback.
+func (d *Directory) applyWave(owner uint32, pattern string) {
+	if d.onWave != nil {
+		d.onWave(owner, pattern)
 	}
-	d.peerMu.Lock()
-	defer d.peerMu.Unlock()
-	if version < d.peerVers[owner] {
-		return false
-	}
-	d.mu.Lock()
-	d.tables[owner] = t
-	d.mu.Unlock()
-	d.peerVers[owner] = version
-	return true
 }
 
 // LocalLen reports the number of entries in the local table.

@@ -44,7 +44,7 @@ func TestQuarantineUpdatesStillApply(t *testing.T) {
 	// Broadcast updates and syncs keep applying while quarantined, so the
 	// replica is already converged when the quarantine lifts.
 	d.ApplyInsert(entry("GET /during", 2), t0)
-	d.ApplySync(2, false, []SyncOp{{Entry: entry("GET /synced", 2)}}, 7, t0)
+	d.ApplySync(2, false, []SyncOp{{Entry: entry("GET /synced", 2)}}, 1, t0)
 
 	if _, ok := d.Lookup("GET /during", t0); ok {
 		t.Fatal("quarantined entry visible")
@@ -56,8 +56,8 @@ func TestQuarantineUpdatesStillApply(t *testing.T) {
 	if _, ok := d.Lookup("GET /synced", t0); !ok {
 		t.Fatal("sync applied during quarantine lost")
 	}
-	if got := d.PeerVersion(2); got != 7 {
-		t.Fatalf("peer version = %d, want 7 (sync must advance it during quarantine)", got)
+	if got := d.PeerVersion(2); got != 1 {
+		t.Fatalf("peer version = %d, want 1 (sync must advance it during quarantine)", got)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestDropPeerRacesApplySync(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			ops := []SyncOp{
 				{Entry: entry(fmt.Sprintf("GET /s%d", i), 2)},
-				{Delete: true, Entry: entry(fmt.Sprintf("GET /s%d", i-1), 2)},
+				{Kind: Delete, Entry: entry(fmt.Sprintf("GET /s%d", i-1), 2)},
 			}
 			d.ApplySync(2, i%10 == 0, ops, uint64(i+1), t0)
 		}

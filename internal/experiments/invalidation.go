@@ -47,8 +47,8 @@ type InvalidationResult struct {
 		Writes int64 `json:"writes"`
 		// Waves is the total number of invalidation waves originated.
 		Waves uint64 `json:"waves"`
-		// QuiesceTime is load end until every node's applied floor reached
-		// every origin's sequence.
+		// QuiesceTime is load end until every node's floor of every origin's
+		// log reached the origin's newest wave.
 		QuiesceTime time.Duration `json:"quiesce_time_ns"`
 		// Checked is how many (node, item) bodies were byte-compared.
 		Checked int `json:"checked"`
@@ -209,24 +209,14 @@ func rwPolicy() *cacheability.Policy {
 	return pol
 }
 
-// waveQuiesced reports whether every node's applied floor has reached every
-// origin's own wave sequence — no wave is still in flight or missing.
+// waveQuiesced reports whether every node's floor of every origin's log has
+// reached the origin's newest wave — no wave is still in flight or missing.
+// A floor passes a wave only once its drop has finished.
 func waveQuiesced(servers []*core.Server) bool {
 	for _, origin := range servers {
-		seq := origin.WaveSeq()
-		if seq == 0 {
-			continue
-		}
+		last := origin.Directory().LastWave()
 		for _, n := range servers {
-			if n == origin {
-				continue
-			}
-			if n.WaveFloorFor(origin.Directory().Self()) < seq {
-				return false
-			}
-			// The floor moves when a wave is marked, before its entries are
-			// dropped; a ping is read behind the wave, so answered after the drop.
-			if origin.Cluster().Ping(context.Background(), n.Directory().Self()) != nil {
+			if n != origin && n.Directory().PeerVersion(origin.Directory().Self()) < last {
 				return false
 			}
 		}
@@ -305,7 +295,8 @@ func RunInvalidation(o Options) (InvalidationResult, error) {
 	}
 	r.Coherence.QuiesceTime = quiesce
 	for _, s := range c.servers {
-		r.Coherence.Waves += s.WaveSeq()
+		waves, _ := stats.Find(s.Metrics(), "swala_waves_total", "kind", "originated")
+		r.Coherence.Waves += uint64(waves)
 	}
 	r.Coherence.Checked, r.Coherence.StaleServed, err = byteCompare(c.client, c.addrs, st, items, cost)
 	c.Close()

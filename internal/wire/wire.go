@@ -64,15 +64,15 @@ const (
 	// application-driven invalidation the paper lists as future work
 	// (Section 4.2, citing Iyengar & Challenger).
 	MsgInvalidate
-	// MsgDirBatch packs a run of directory updates (inserts and deletes) into
-	// one frame so an insert storm costs one write per drained queue instead
-	// of one per update.
+	// MsgDirBatch packs a run of origin-log records (inserts, deletes and
+	// invalidation waves) into one frame so an insert storm costs one write
+	// per drained queue instead of one per record.
 	MsgDirBatch
-	// MsgDirSyncReq asks a peer to bring our replica of its directory table up
-	// to date; Version is the highest update we have seen from it.
+	// MsgDirSyncReq asks a peer to replay its origin log above our floor of
+	// it, Version.
 	MsgDirSyncReq
-	// MsgDirSync carries an anti-entropy catch-up: either a delta of missed
-	// updates or a full snapshot of the sender's local directory table.
+	// MsgDirSync carries an anti-entropy catch-up: either the missed records
+	// of the sender's origin log or a full snapshot of its directory table.
 	MsgDirSync
 	// MsgJoin asks a seed node to admit the sender into the hash ring
 	// (ring placement only).
@@ -89,12 +89,9 @@ const (
 	// MsgReplicaEvent announces that a node now serves — or stopped serving
 	// — a replica of a key, so requesters can route reads to it.
 	MsgReplicaEvent
-	// MsgInvalWave carries one versioned invalidation: origin node, the
-	// origin's monotonically increasing wave sequence, and the key pattern to
-	// drop. Waves ride the same per-link update queues as directory batches
-	// and are journaled at the origin, so anti-entropy sync can replay waves
-	// a partitioned or reconnecting peer missed.
-	MsgInvalWave
+	// Type 19 is reserved: it carried a standalone invalidation wave, which
+	// now travels as a wave record inside DirBatch and DirSync.
+	_
 	// MsgInvalAck answers an administrative Invalidate that carries a Seq:
 	// how many local entries matched, and the fan-out accounting (peers the
 	// wave was sent toward, peers whose links could not take it).
@@ -124,7 +121,6 @@ var registry = [...]struct {
 	MsgRingUpdate:   {"ring-update", func() Message { return new(RingUpdate) }},
 	MsgReplicaPush:  {"replica-push", func() Message { return new(ReplicaPush) }},
 	MsgReplicaEvent: {"replica-event", func() Message { return new(ReplicaEvent) }},
-	MsgInvalWave:    {"inval-wave", func() Message { return new(InvalWave) }},
 	MsgInvalAck:     {"inval-ack", func() Message { return new(InvalAck) }},
 	MsgStatsReply:   {"stats-reply", func() Message { return new(StatsReply) }},
 }
@@ -140,7 +136,7 @@ func (t MsgType) String() string {
 // ProtoVersion is the protocol version a cluster node announces in Hello. A
 // node refuses a peer that announces another: decoding is strict, so the
 // peer's frames would fail on arrival.
-const ProtoVersion uint32 = 3
+const ProtoVersion uint32 = 4
 
 // AdminID is the node ID an administrative client (swalactl) announces in its
 // Hello, and the Origin of an Invalidate it sends.
@@ -336,7 +332,7 @@ func codeLabel(l *stats.Label, c *coder) {
 }
 
 // Invalidate is the administrative entry of an invalidation: the receiver
-// originates one InvalWave for Pattern ('*' wildcards, cacheability.Match
+// originates one invalidation wave for Pattern ('*' wildcards, cacheability.Match
 // semantics), which drops every matching cached entry on every node.
 type Invalidate struct {
 	// Origin is the client that issued the invalidation (swalactl sends
@@ -356,25 +352,6 @@ func (m *Invalidate) code(c *coder) {
 	c.u32(&m.Origin)
 	c.str(&m.Pattern)
 	c.u64(&m.Seq)
-}
-
-// InvalWave is one versioned invalidation: Origin's Seq-th wave drops every
-// cached entry whose key matches Pattern. Receivers apply each (Origin, Seq)
-// at most once; the origin journals its own waves so DirSync anti-entropy can
-// replay the ones a partitioned or reconnecting peer missed.
-type InvalWave struct {
-	Origin  uint32
-	Seq     uint64
-	Pattern string
-}
-
-// Type implements Message.
-func (*InvalWave) Type() MsgType { return MsgInvalWave }
-
-func (m *InvalWave) code(c *coder) {
-	c.u32(&m.Origin)
-	c.u64(&m.Seq)
-	c.str(&m.Pattern)
 }
 
 // InvalAck answers an Invalidate that carried a Seq: Matched local entries
@@ -398,10 +375,26 @@ func (m *InvalAck) code(c *coder) {
 	c.u32(&m.Unreached)
 }
 
-// DirUpdate is one directory mutation inside a DirBatch or DirSync frame:
-// an insert (Delete false) or a delete (Delete true, meta fields unused).
+// DirKind says what a DirUpdate record does.
+type DirKind uint8
+
+// Record kinds. A frame's record of kind DirInsert or DirDelete has the
+// bytes of the boolean Delete field it replaced.
+const (
+	// DirInsert adds or replaces the entry Key at Owner.
+	DirInsert DirKind = iota
+	// DirDelete removes the entry Key at Owner (meta fields unused).
+	DirDelete
+	// DirWave is an invalidation wave of Owner's: every node drops the
+	// cached entries whose key matches the pattern in Key ('*' wildcards,
+	// cacheability.Match semantics). Meta fields unused.
+	DirWave
+)
+
+// DirUpdate is one record of a node's origin log inside a DirBatch or
+// DirSync frame.
 type DirUpdate struct {
-	Delete   bool
+	Kind     DirKind
 	Owner    uint32
 	Key      string
 	Size     int64
@@ -410,7 +403,10 @@ type DirUpdate struct {
 }
 
 func (u *DirUpdate) code(c *coder) {
-	c.boolean(&u.Delete)
+	c.u8((*uint8)(&u.Kind))
+	if u.Kind > DirWave {
+		c.err = ErrBadMessage
+	}
 	c.u32(&u.Owner)
 	c.str(&u.Key)
 	c.i64(&u.Size)
@@ -418,9 +414,9 @@ func (u *DirUpdate) code(c *coder) {
 	c.timeVal(&u.Expires)
 }
 
-// DirBatch packs a run of directory updates from one sender into a single
-// frame. Version is the sender's directory version after the last update in
-// the batch (0 when the sender does not version its updates).
+// DirBatch packs a run of consecutive records of the sender's origin log
+// into a single frame. Version is the version of the last record; the one
+// before it is at Version-1, and so on, so a batch never spans a gap.
 type DirBatch struct {
 	Owner   uint32
 	Version uint64
@@ -437,16 +433,12 @@ func (m *DirBatch) code(c *coder) {
 }
 
 // DirSyncReq is what each end of a peer link opens its half of the stream
-// with: it tells the peer the highest version of the peer's directory the
-// sender has recorded, so the peer can ship a catch-up DirSync.
+// with: it tells the peer its floor of the peer's origin log, so the peer can
+// ship a catch-up DirSync.
 type DirSyncReq struct {
-	// Version is the sender's recorded version of the peer's table; 0 means
-	// it has never seen a versioned update from it.
+	// Version is the sender's floor of the peer's log: every record at or
+	// below it has been applied. 0 means it has applied none.
 	Version uint64
-	// WaveSeq is the highest invalidation-wave sequence the sender has
-	// applied from the peer (0 when none); the peer replays any of its own
-	// waves above it.
-	WaveSeq uint64
 }
 
 // Type implements Message.
@@ -454,13 +446,14 @@ func (*DirSyncReq) Type() MsgType { return MsgDirSyncReq }
 
 func (m *DirSyncReq) code(c *coder) {
 	c.u64(&m.Version)
-	c.u64(&m.WaveSeq)
 }
 
-// DirSync is an anti-entropy catch-up for one node's directory table. When
-// Full is true the receiver replaces its whole replica of Owner's table with
-// Updates (all inserts); otherwise Updates is an ordered delta to apply on
-// top of the receiver's current replica.
+// DirSync is an anti-entropy catch-up of one node's origin log. When Full is
+// false, Updates are the records above the receiver's floor, in order, the
+// last at Version. When Full is true the log no longer reaches that floor:
+// Updates are a snapshot of the sender's table at Version, led by a wave
+// record with pattern "*" when a wave the receiver may not have applied is
+// gone from the log, and the receiver replaces its whole replica with them.
 type DirSync struct {
 	Owner   uint32
 	Version uint64
@@ -470,10 +463,6 @@ type DirSync struct {
 	// ring owner is now the receiver, which adopts them into its own local
 	// table (and pulls the bodies from Owner) instead of a peer replica.
 	Handoff bool
-	// Waves replays invalidation waves of Owner's origin that the receiver
-	// missed (per its DirSyncReq.WaveSeq), in sequence order. Applied before
-	// Updates so a healed entry can never outlive a wave that covered it.
-	Waves []InvalWave
 }
 
 // Type implements Message.
@@ -485,7 +474,6 @@ func (m *DirSync) code(c *coder) {
 	c.boolean(&m.Full)
 	list(c, &m.Updates, dirUpdates)
 	c.boolean(&m.Handoff)
-	list(c, &m.Waves, invalWaves)
 }
 
 // Member describes one cluster member inside a RingUpdate. Incarnation
@@ -758,7 +746,6 @@ func newElem[T any](code func(*T, *coder)) elem[T] {
 // The element codecs of the message lists.
 var (
 	dirUpdates = newElem((*DirUpdate).code)
-	invalWaves = newElem((*InvalWave).code)
 	members    = newElem((*Member).code)
 	samples    = newElem(codeSample)
 	labels     = newElem(codeLabel)

@@ -65,7 +65,7 @@ func TestRoundTripDirBatch(t *testing.T) {
 		Version: 1234,
 		Updates: []DirUpdate{
 			{Owner: 4, Key: "GET /cgi-bin/a", Size: 100, ExecTime: time.Second, Expires: time.Unix(99, 0)},
-			{Delete: true, Owner: 4, Key: "GET /cgi-bin/b"},
+			{Kind: DirDelete, Owner: 4, Key: "GET /cgi-bin/b"},
 			{Owner: 4, Key: "GET /cgi-bin/c", Size: 7},
 		},
 	}
@@ -75,7 +75,7 @@ func TestRoundTripDirBatch(t *testing.T) {
 	}
 	for i := range in.Updates {
 		w, g := in.Updates[i], got.Updates[i]
-		if g.Delete != w.Delete || g.Owner != w.Owner || g.Key != w.Key ||
+		if g.Kind != w.Kind || g.Owner != w.Owner || g.Key != w.Key ||
 			g.Size != w.Size || g.ExecTime != w.ExecTime || !g.Expires.Equal(w.Expires) {
 			t.Fatalf("update %d = %+v, want %+v", i, g, w)
 		}
@@ -352,7 +352,7 @@ func TestBooleanByteIsZeroOrOne(t *testing.T) {
 		off int // of a bool byte in the frame
 	}{
 		{"fetch-reply", 4 + 1 + 8},          // OK, after the Seq
-		{"dir-batch", 4 + 1 + 4 + 8 + 4},    // the update's Delete, after its count
+		{"dir-sync", 4 + 1 + 4 + 8},         // Full, after the Version
 		{"ring-update", 4 + 1 + 4 + 4 + 23}, // the first member's Left
 	} {
 		_, frame := goldenRow(t, tc.row)
@@ -419,7 +419,7 @@ func TestConnStream(t *testing.T) {
 	msgs := []Message{
 		&Hello{NodeID: 1, NodeName: "a", Addr: "x"},
 		oneUpdate(DirUpdate{Owner: 1, Key: "GET /q", Size: 7, ExecTime: time.Second}),
-		oneUpdate(DirUpdate{Delete: true, Owner: 1, Key: "GET /q"}),
+		oneUpdate(DirUpdate{Kind: DirDelete, Owner: 1, Key: "GET /q"}),
 		&Ping{Seq: 42},
 	}
 	for _, m := range msgs {
@@ -453,7 +453,7 @@ func TestInsertRoundTripProperty(t *testing.T) {
 			return false
 		}
 		out := b.Updates[0]
-		return !out.Delete && out.Owner == in.Owner && out.Key == in.Key &&
+		return out.Kind == DirInsert && out.Owner == in.Owner && out.Key == in.Key &&
 			out.Size == in.Size && out.ExecTime == in.ExecTime && out.Expires.IsZero()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
