@@ -175,10 +175,10 @@ func TestCursorStopsAtGap(t *testing.T) {
 	}
 }
 
-// modelSeeds is how many seeds TestOriginLogModel runs; CI raises it.
-var modelSeeds = flag.Int("seeds", 3, "seeds TestOriginLogModel runs (1..n)")
+// modelSeeds is how many seeds TestSyncSinceModel runs; CI raises it.
+var modelSeeds = flag.Int("seeds", 3, "seeds TestSyncSinceModel runs (1..n)")
 
-// TestOriginLogModel streams one owner's origin log to a replica the way a
+// TestSyncSinceModel streams one owner's origin log to a replica the way a
 // cluster link does, with everything that goes wrong on the way. The owner
 // interleaves inserts (at capacity, so they evict), replaces, deletes,
 // expiries, touches and waves. Records travel through a bounded send queue
@@ -191,7 +191,7 @@ var modelSeeds = flag.Int("seeds", 3, "seeds TestOriginLogModel runs (1..n)")
 // floor never covers a wave whose drop has not returned, no "*" is sent
 // while the journal reaches the floor, and one is sent whenever a trimmed or
 // pre-restart wave lies above it.
-func TestOriginLogModel(t *testing.T) {
+func TestSyncSinceModel(t *testing.T) {
 	for seed := int64(1); seed <= int64(*modelSeeds); seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { originLogModel(t, seed) })
 	}
