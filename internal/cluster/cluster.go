@@ -654,41 +654,26 @@ func (p *peerLink) roundTrip(ctx context.Context, timeout time.Duration, m wire.
 		rest := timeout - quick
 		w.timer.Reset(quick)
 		var done <-chan struct{}
-		var deadline time.Time
 	wait:
 		select {
 		case reply, open := <-w.ch:
-			clean := w.timer.Stop()
-			if !clean {
-				// Fired meanwhile: take the tick out before the timer is
-				// reused. Under go 1.22 timer semantics a tick can still be
-				// on its way after Stop reports the fire; a timer whose tick
-				// is not in hand is left to the collector, not pooled.
+			if !w.timer.Stop() {
+				// Fired meanwhile: take the tick out before the timer is reused.
 				select {
 				case <-w.timer.C:
-					clean = true
 				default:
 				}
 			}
 			if open {
-				if clean {
-					waiterPool.Put(w)
-				}
+				waiterPool.Put(w)
 				return reply, nil
 			}
 			err = p.errClosed()
 		case <-w.timer.C:
 			if rest > 0 {
 				done = ctx.Done()
-				deadline = time.Now().Add(rest)
 				w.timer.Reset(rest)
 				rest = 0
-				goto wait
-			}
-			// A late tick from an earlier fire does not end the wait;
-			// only the deadline does.
-			if left := time.Until(deadline); left > 0 {
-				w.timer.Reset(left)
 				goto wait
 			}
 			err = ctxFetchErr(context.DeadlineExceeded)

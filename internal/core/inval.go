@@ -53,12 +53,16 @@ func (s *Server) dropMatching(pattern string) int {
 	return s.invalidateLocal(pattern)
 }
 
-// invalidateWave originates one wave: append it to the directory's log,
-// which pushes it to every peer over the ordered update queues, and apply it
-// locally. Peers the push cannot reach now (links still dialing, queue
-// overflow) converge through anti-entropy; their count is returned so admin
-// callers can surface it.
+// invalidateWave originates one wave: apply it locally, then append it to
+// the directory's log, which pushes it to every peer over the ordered update
+// queues. The local drop goes first so its delete records precede the wave
+// in the log: a peer that has applied the wave has also stopped listing the
+// origin's dropped keys, and cannot fetch a pre-write body from it. Peers
+// the push cannot reach now (links still dialing, queue overflow) converge
+// through anti-entropy; their count is returned so admin callers can
+// surface it.
 func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) {
+	dropped = s.dropMatching(pattern)
 	s.waveMu.Lock()
 	ver := s.dir.Wave(pattern)
 	peers, unreached = s.fanout.peers, s.fanout.unreached
@@ -68,7 +72,7 @@ func (s *Server) invalidateWave(pattern string) (dropped, peers, unreached int) 
 		s.logf("wave %d %q: %d of %d peers unreached now (anti-entropy will replay)",
 			ver, pattern, unreached, peers)
 	}
-	return s.dropMatching(pattern), peers, unreached
+	return dropped, peers, unreached
 }
 
 // noteWrites originates invalidation waves for a successful execution of the

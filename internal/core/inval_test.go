@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cgi"
+	"repro/internal/directory"
 	"repro/internal/httpclient"
 	"repro/internal/netx"
 	"repro/internal/wire"
@@ -346,5 +347,23 @@ func TestWriteDepsTriggerWave(t *testing.T) {
 	})
 	if src := h.get(t, 0, "/cgi-bin/report?q=1").Header.Get("X-Swala-Cache"); src != "" {
 		t.Fatalf("post-write fetch source = %q, want fresh execution", src)
+	}
+}
+
+// TestWaveFollowsOriginDrops: the origin's own drops are logged before the
+// wave, so a peer whose floor covers the wave has applied them too and no
+// longer lists a dropped key at the origin.
+func TestWaveFollowsOriginDrops(t *testing.T) {
+	h := startCluster(t, 2, nil)
+	registerNullCGI(h.servers[0])
+	h.get(t, 0, "/cgi-bin/null?x=1")
+	dir := h.servers[0].Directory()
+	before := dir.Version()
+	if n := h.servers[0].Invalidate("GET /cgi-bin/null*"); n != 1 {
+		t.Fatalf("origin dropped %d local entries, want 1", n)
+	}
+	ops, _, full, _ := dir.SyncSince(before)
+	if full || len(ops) != 2 || ops[0].Kind != directory.Delete || ops[1].Kind != directory.Wave {
+		t.Fatalf("origin log after the wave = %+v (full=%v), want the delete, then the wave", ops, full)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // driveInserts issues unique cacheable CGI requests against node, so each
@@ -69,4 +72,27 @@ func TestStatusPageReplicationSection(t *testing.T) {
 			t.Fatalf("status page missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestUnversionedBatchReachesDirectory is Table 4's pseudo-server: a bare
+// cluster node that streams inserts at version 0, outside any origin log.
+// Every one of them must land in the server's directory.
+func TestUnversionedBatchReachesDirectory(t *testing.T) {
+	h := startCluster(t, 1, nil)
+	ps := cluster.NewNode(cluster.Config{NodeID: 1000, Network: h.mem}, cluster.NopHandler{})
+	if err := ps.Start("pseudo"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ps.Close() })
+	if err := ps.ConnectPeer(1, "clu-1"); err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 50
+	for i := 0; i < inserts; i++ {
+		ps.BroadcastUpdate(wire.DirUpdate{Owner: 1000, Key: fmt.Sprintf("GET /cgi-bin/p?q=%d", i), Size: 1}, 0)
+	}
+	dir := h.servers[0].Directory()
+	waitUntil(t, "pseudo-server inserts applied", func() bool {
+		return dir.TotalLen()-dir.LocalLen() == inserts
+	})
 }

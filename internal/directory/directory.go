@@ -954,10 +954,12 @@ func (d *Directory) originOf(owner uint32) *origin {
 // catch-up built by SyncSince. With full=false, ops are consecutive records
 // ending at version: those at or below the floor are skipped, and a run that
 // starts past floor+1 is refused whole, since the records in the gap must
-// apply first (the sender's next catch-up replays them). With full=true ops
-// are a snapshot at version: unless the floor has already reached version,
-// its waves apply and its inserts replace owner's whole table. Either way the
-// floor passes a wave only after its drop (OnWave) has returned.
+// apply first (the sender's next catch-up replays them). Version 0 marks an
+// unversioned run: it applies in order and leaves the floor alone, so
+// anti-entropy does not cover it. With full=true ops are a snapshot at
+// version: unless the floor has already reached version, its waves apply and
+// its inserts replace owner's whole table. Either way the floor passes a
+// wave only after its drop (OnWave) has returned.
 func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uint64, now time.Time) {
 	if owner == d.self {
 		return
@@ -966,8 +968,8 @@ func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uin
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if full {
-		if version < o.floor {
-			return // older than what this replica holds
+		if version <= o.floor {
+			return // this replica already holds everything it says
 		}
 		t := newTable(owner)
 		for _, op := range ops {
@@ -989,22 +991,33 @@ func (d *Directory) ApplySync(owner uint32, full bool, ops []SyncOp, version uin
 		o.floor = version
 		return
 	}
+	if version == 0 {
+		for i := range ops {
+			d.applyOp(owner, &ops[i], now)
+		}
+		return
+	}
 	first := version + 1 - uint64(len(ops))
 	if first > o.floor+1 {
 		return
 	}
 	for i := o.floor + 1 - first; i < uint64(len(ops)); i++ {
-		switch op := &ops[i]; op.Kind {
-		case Insert:
-			e := op.Entry
-			e.Owner = owner
-			d.ApplyInsert(e, now)
-		case Delete:
-			d.ApplyDelete(owner, op.Entry.Key)
-		case Wave:
-			d.applyWave(owner, op.Entry.Key)
-		}
+		d.applyOp(owner, &ops[i], now)
 		o.floor = first + i
+	}
+}
+
+// applyOp applies one record of owner's log to this replica.
+func (d *Directory) applyOp(owner uint32, op *SyncOp, now time.Time) {
+	switch op.Kind {
+	case Insert:
+		e := op.Entry
+		e.Owner = owner
+		d.ApplyInsert(e, now)
+	case Delete:
+		d.ApplyDelete(owner, op.Entry.Key)
+	case Wave:
+		d.applyWave(owner, op.Entry.Key)
 	}
 }
 

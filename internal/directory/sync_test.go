@@ -226,10 +226,37 @@ func TestApplySyncOlderSnapshotIsSkipped(t *testing.T) {
 			t.Fatalf("k%d lost to a snapshot taken at version %d", i, snapVer)
 		}
 	}
-	// A snapshot at the replica's version or beyond still replaces.
+	// A snapshot at the replica's own version is skipped too; one beyond it
+	// replaces the table.
 	replica.ApplySync(1, true, []SyncOp{{Entry: Entry{Key: "only", Size: 1}}}, v, now)
+	if _, ok := replica.Lookup("k1", now); !ok {
+		t.Fatal("a snapshot at the replica's version replaced its table")
+	}
+	replica.ApplySync(1, true, []SyncOp{{Entry: Entry{Key: "only", Size: 1}}}, v+1, now)
 	if _, ok := replica.Lookup("k1", now); ok {
-		t.Fatal("a current full snapshot kept an entry it does not list")
+		t.Fatal("a newer full snapshot kept an entry it does not list")
+	}
+}
+
+// TestApplySyncUnversionedRun is a sender outside the log (Table 4's
+// pseudo-servers): a run at version 0 applies in order, one record or many,
+// and leaves the floor where it was.
+func TestApplySyncUnversionedRun(t *testing.T) {
+	d := New(1, 0, nil)
+	now := time.Now()
+	d.ApplySync(2, false, []SyncOp{{Entry: Entry{Key: "one", Size: 1}}}, 0, now)
+	d.ApplySync(2, false, []SyncOp{
+		{Entry: Entry{Key: "two", Size: 1}},
+		{Entry: Entry{Key: "three", Size: 1}},
+		{Kind: Delete, Entry: Entry{Key: "two"}},
+	}, 0, now)
+	for key, want := range map[string]bool{"one": true, "two": false, "three": true} {
+		if _, ok := d.Lookup(key, now); ok != want {
+			t.Errorf("lookup %q = %v, want %v", key, ok, want)
+		}
+	}
+	if got := d.PeerVersion(2); got != 0 {
+		t.Fatalf("floor after unversioned runs = %d, want 0", got)
 	}
 }
 
