@@ -19,6 +19,7 @@
 package directory
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,10 @@ type Entry struct {
 	ExecTime time.Duration
 	// Inserted is when the entry was cached.
 	Inserted time.Time
-	// Expires is the TTL deadline; zero means never expires.
+	// Expires is the TTL deadline; zero means never expires. The directory
+	// keeps both times as Unix nanoseconds, so the times it returns carry
+	// no monotonic clock reading (compare them with Equal), and an Expires
+	// after the year 2262 never passes.
 	Expires time.Time
 	// Hits counts fetches served from this entry (maintained by the owner).
 	Hits int64
@@ -67,22 +71,60 @@ const numStripes = 32
 
 // slot is what a table stores per key: an Entry less the fields the table
 // already knows (Key is the map key, Owner the table's node) or never holds
-// (Holders belongs to synthetic ring lookups) — 80 bytes instead of 128.
+// (Holders belongs to synthetic ring lookups), with its times as Unix
+// nanoseconds (see nanos) — 48 bytes instead of 128, and no pointers, so the
+// garbage collector never scans a table's slots.
 type slot struct {
 	size     int64
 	execTime time.Duration
-	inserted time.Time
-	expires  time.Time
+	inserted int64
+	expires  int64
 	hits     int64
 	replica  bool
 }
 
 func newSlot(e *Entry) *slot {
-	return &slot{size: e.Size, execTime: e.ExecTime, inserted: e.Inserted, expires: e.Expires, hits: e.Hits, replica: e.Replica}
+	return &slot{size: e.Size, execTime: e.ExecTime, inserted: nanos(e.Inserted), expires: nanos(e.Expires), hits: e.Hits, replica: e.Replica}
 }
 
 func (v *slot) expired(now time.Time) bool {
-	return !v.expires.IsZero() && now.After(v.expires)
+	return v.expires != noTime && nanos(now) > v.expires
+}
+
+// noTime is a slot's zero time.Time. It cannot be 0, the Unix epoch, which
+// is a real instant (fake clocks start there); nanos clamps every real
+// instant above it.
+const noTime = math.MinInt64
+
+// firstNanos and lastNanos bound the instants Unix nanoseconds can hold
+// (years 1677 to 2262).
+var (
+	firstNanos = time.Unix(0, noTime+1)
+	lastNanos  = time.Unix(0, math.MaxInt64)
+)
+
+// nanos encodes t for a slot: noTime for the zero Time, else its Unix
+// nanoseconds, clamped to the range an int64 holds — so an expiry after
+// 2262 reads as the last instant, which no clock passes: never.
+func nanos(t time.Time) int64 {
+	switch {
+	case t.IsZero():
+		return noTime
+	case t.Before(firstNanos):
+		return noTime + 1
+	case t.After(lastNanos):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// fromNanos decodes a slot time. The Time it returns carries no monotonic
+// clock reading.
+func fromNanos(n int64) time.Time {
+	if n == noTime {
+		return time.Time{}
+	}
+	return time.Unix(0, n)
 }
 
 // stripe is one lock-shard of a table.
@@ -111,7 +153,7 @@ func newTable(owner uint32) *table {
 // 128-byte copies.
 func (t *table) fill(e *Entry, key string, v *slot) {
 	e.Key, e.Owner, e.Size, e.ExecTime = key, t.owner, v.size, v.execTime
-	e.Inserted, e.Expires, e.Hits, e.Replica = v.inserted, v.expires, v.hits, v.replica
+	e.Inserted, e.Expires, e.Hits, e.Replica = fromNanos(v.inserted), fromNanos(v.expires), v.hits, v.replica
 }
 
 // stripeFor selects the shard for key with FNV-1a, inlined to avoid the

@@ -2,7 +2,6 @@ package directory
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -324,35 +323,5 @@ func TestConcurrentMutationsKeepJournalContiguous(t *testing.T) {
 	}
 	if ver != 4000 {
 		t.Fatalf("final version = %d, want 4000", ver)
-	}
-}
-
-// TestDirectoryFootprint bounds the heap a full local table retains per
-// owned entry, journal included, after the table has turned over twice.
-func TestDirectoryFootprint(t *testing.T) {
-	const capacity, maxPerEntry = 4096, 320
-	keys := make([]string, 3*capacity)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("GET /cgi-bin/q?key=%d", i)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	d := New(1, capacity, nil)
-	d.OnUpdate(func(SyncOp) {}) // a cluster node's journal
-	for _, k := range keys {
-		d.InsertLocal(Entry{Key: k, Size: 2048, ExecTime: time.Millisecond}, t0)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	n := d.LocalLen()
-	runtime.KeepAlive(keys)
-	if n != capacity {
-		t.Fatalf("local table holds %d entries, want %d", n, capacity)
-	}
-	per := (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / int64(n)
-	t.Logf("%d B of heap per owned entry", per)
-	if per > maxPerEntry {
-		t.Fatalf("directory retains %d B per owned entry, want at most %d", per, maxPerEntry)
 	}
 }

@@ -19,7 +19,6 @@ package replacement
 
 import (
 	"container/heap"
-	"container/list"
 	"fmt"
 	"time"
 )
@@ -95,50 +94,93 @@ func MustNew(k Kind) Policy {
 
 // --- LRU / FIFO: doubly linked list, evict from back ---
 
+// listNode is one entry of a listPolicy: its key and its neighbours, as
+// indexes into the policy's node array. The front is the most recently
+// inserted (or, for LRU, touched) entry.
+type listNode struct {
+	key        string
+	prev, next int32
+}
+
+// listPolicy keeps its list in one dense node array instead of a
+// container/list: an entry costs one 24-byte node and no allocation of its
+// own. Node 0 is the sentinel, whose next is the front and prev the back;
+// removed nodes are chained through next into a free list headed by free,
+// for the next insert to reuse.
 type listPolicy struct {
 	name        string
 	moveOnTouch bool // true: LRU; false: FIFO
-	ll          *list.List
-	index       map[string]*list.Element
+	nodes       []listNode
+	free        int32 // first free node, 0 when none
+	index       map[string]int32
 }
 
 func newListPolicy(name string, moveOnTouch bool) *listPolicy {
 	return &listPolicy{
 		name:        name,
 		moveOnTouch: moveOnTouch,
-		ll:          list.New(),
-		index:       make(map[string]*list.Element),
+		nodes:       make([]listNode, 1),
+		index:       make(map[string]int32),
 	}
 }
 
 func (p *listPolicy) Name() string { return p.name }
-func (p *listPolicy) Len() int     { return p.ll.Len() }
+func (p *listPolicy) Len() int     { return len(p.index) }
+
+// pushFront links node i in at the front.
+func (p *listPolicy) pushFront(i int32) {
+	n := &p.nodes[i]
+	n.prev, n.next = 0, p.nodes[0].next
+	p.nodes[n.next].prev = i
+	p.nodes[0].next = i
+}
+
+// unlink takes node i out of the list.
+func (p *listPolicy) unlink(i int32) {
+	n := &p.nodes[i]
+	p.nodes[n.prev].next = n.next
+	p.nodes[n.next].prev = n.prev
+}
 
 func (p *listPolicy) Insert(key string, _ Meta) {
 	if _, ok := p.index[key]; ok {
 		return
 	}
-	p.index[key] = p.ll.PushFront(key)
+	i := p.free
+	if i != 0 {
+		p.free = p.nodes[i].next
+	} else {
+		i = int32(len(p.nodes))
+		p.nodes = append(p.nodes, listNode{})
+	}
+	p.nodes[i].key = key
+	p.pushFront(i)
+	p.index[key] = i
 }
 
 func (p *listPolicy) Access(key string) {
-	if e, ok := p.index[key]; ok && p.moveOnTouch {
-		p.ll.MoveToFront(e)
+	if !p.moveOnTouch {
+		return
+	}
+	if i, ok := p.index[key]; ok && p.nodes[0].next != i {
+		p.unlink(i)
+		p.pushFront(i)
 	}
 }
 
 func (p *listPolicy) Remove(key string) {
-	if e, ok := p.index[key]; ok {
-		p.ll.Remove(e)
-		delete(p.index, key)
+	i, ok := p.index[key]
+	if !ok {
+		return
 	}
+	delete(p.index, key)
+	p.unlink(i)
+	p.nodes[i] = listNode{next: p.free} // drop the key so it can be freed
+	p.free = i
 }
 
 func (p *listPolicy) Victim() string {
-	if e := p.ll.Back(); e != nil {
-		return e.Value.(string)
-	}
-	return ""
+	return p.nodes[p.nodes[0].prev].key // the sentinel's key is ""
 }
 
 func (p *listPolicy) Evict() string {
