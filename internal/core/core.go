@@ -295,6 +295,12 @@ type Server struct {
 	inflightMu sync.Mutex
 	inflight   map[string]int // cacheable keys currently executing
 
+	// bodyMu orders the deletion of a stored body against installs of its
+	// key; installing counts each key's installs between their Put and the
+	// end of their directory insert (settleBody).
+	bodyMu     sync.Mutex
+	installing map[string]int
+
 	// quarMu guards pendingUnq: dead peers whose quarantine waits for both
 	// a rejoin (detector alive again) and an anti-entropy DirSync from them
 	// before it lifts, so lookups only resume on a converged replica.
@@ -324,6 +330,9 @@ type Server struct {
 	// and "*" waves its catch-ups sent in place of waves its log no longer
 	// holds.
 	wavesOriginated, wavesApplied, waveFallbacks atomic.Uint64
+	// missingBodies counts local hits whose listed entry's body could not
+	// be read (localStage).
+	missingBodies atomic.Uint64
 	// hedge holds the hedged-fetch state and retry budget (nil unless
 	// Config.Hedge) and shed the load-shedding controller (nil unless
 	// Config.Shed); see hedge.go and shed.go. breakerFastFails counts
@@ -373,6 +382,7 @@ func New(cfg Config) *Server {
 		files:      content.NewFileSet(),
 		dir:        directory.New(cfg.NodeID, cfg.CacheCapacity, replacement.MustNew(cfg.Policy)),
 		inflight:   make(map[string]int),
+		installing: make(map[string]int),
 		inv:        inval.NewState(),
 		pendingUnq: make(map[uint32]*rejoinState),
 		purgeStop:  make(chan struct{}),
@@ -441,6 +451,9 @@ func New(cfg Config) *Server {
 		})
 	}
 	s.dir.OnWave(s.applyWave)
+	// A body leaves the store with its directory entry, whatever removed it:
+	// eviction, expiry, invalidation, takeover or a replica's retirement.
+	s.dir.OnRemove(func(key string) { s.settleBody(key, 0) })
 	if cfg.Mode == Cooperative {
 		// Every record of the node's origin log — a local directory mutation
 		// (insert, replace, eviction, remove, expiry; none under ring
@@ -465,7 +478,7 @@ func New(cfg Config) *Server {
 // warmRestart repopulates the local directory table from entries a durable
 // store recovered at startup, in recovery order (which approximates the
 // pre-crash insertion order, so LRU state is roughly preserved). Entries the
-// replacement policy evicts on the way in are deleted from the store too. In
+// replacement policy evicts on the way in leave the store through OnRemove. In
 // cooperative mode each insert flows through the directory's OnUpdate hook,
 // so recovered entries are re-announced to peers exactly like fresh inserts.
 func (s *Server) warmRestart(recovered []store.RecoveredEntry) {
@@ -475,18 +488,13 @@ func (s *Server) warmRestart(recovered []store.RecoveredEntry) {
 			s.store.Delete(re.Key)
 			continue
 		}
-		evicted := s.dir.InsertLocal(directory.Entry{
+		s.dir.InsertLocal(directory.Entry{
 			Key:      re.Key,
 			Size:     re.Size,
 			ExecTime: re.ExecTime,
 			Inserted: now,
 			Expires:  re.Expires,
 		}, now)
-		for _, victim := range evicted {
-			if err := s.store.Delete(victim); err != nil {
-				s.logf("warm restart: evict %q: %v", victim, err)
-			}
-		}
 	}
 	s.logf("warm restart: repopulated %d directory entries from recovered store", s.dir.LocalLen())
 }
@@ -612,7 +620,8 @@ func (s *Server) Invalidate(pattern string) int {
 	return n
 }
 
-// invalidateLocal drops every matching local entry: owned entries (whose
+// invalidateLocal drops every matching local entry and, through OnRemove, its
+// body: owned entries (whose
 // per-entry deletions reach peers through the directory's update callback),
 // held hot replicas — which retire in full, lease and announcement included,
 // instead of lingering until the replica controller's next tick notices the
@@ -637,9 +646,6 @@ func (s *Server) invalidateLocal(pattern string) int {
 			continue
 		}
 		dropped++
-		if err := s.store.Delete(e.Key); err != nil {
-			s.logf("invalidate delete %q: %v", e.Key, err)
-		}
 		for _, hd := range s.dir.ReplicaHolders(e.Key) {
 			s.dir.RemoveReplica(e.Key, hd)
 		}
@@ -648,20 +654,16 @@ func (s *Server) invalidateLocal(pattern string) int {
 }
 
 // PurgeExpired removes expired local entries immediately (the daemon's work
-// item, callable directly in tests with a fake clock); the deletions reach
-// peers through the directory's update callback. Expired replicas of peer
+// item, callable directly in tests with a fake clock); the bodies go through
+// OnRemove, and the deletions reach peers through the directory's update
+// callback. Expired replicas of peer
 // entries are pruned at the same time, without broadcasts — each node prunes
 // its own directory copies.
 func (s *Server) PurgeExpired() int {
 	now := s.clk.Now()
-	keys := s.dir.ExpireLocal(now)
-	for _, key := range keys {
-		if err := s.store.Delete(key); err != nil {
-			s.logf("purge delete %q: %v", key, err)
-		}
-	}
+	n := len(s.dir.ExpireLocal(now))
 	s.dir.ExpireRemote(now)
-	return len(keys)
+	return n
 }
 
 // --- peer failure handling ---
@@ -918,15 +920,9 @@ func (s *Server) execCGI(ctx context.Context, creq cgi.Request) (cgi.Result, tim
 	return res, execTime, err
 }
 
-// insertResult files the result body and inserts directory meta-data;
-// evictions forced by the replacement policy are deleted from the store. The
-// insert broadcast and the eviction delete broadcasts ride the directory's
-// update callback.
-//
-// startVer is the invalidation apply-version the producing flight was
-// stamped with at launch (s.inv.Version): a result whose execution straddled
-// a matching invalidation wave is already stale and is discarded instead of
-// stored — storing it would resurrect invalidated content with a full TTL.
+// insertResult caches an executed result through install. A result whose
+// execution straddled a matching invalidation wave (see install) is already
+// stale and is discarded: storing it would resurrect invalidated content.
 func (s *Server) insertResult(key string, res cgi.Result, execTime time.Duration, ttl time.Duration, startVer uint64) {
 	if s.inv.Superseded(key, startVer) {
 		s.logf("discarding superseded in-flight result for %q", key)
@@ -945,45 +941,70 @@ func (s *Server) insertResult(key string, res cgi.Result, execTime time.Duration
 		// Identical request executing concurrently on this node.
 		s.counters.FalseMiss()
 	}
-
-	now := s.clk.Now()
 	var expires time.Time
 	if ttl > 0 {
-		expires = now.Add(ttl)
+		expires = s.clk.Now().Add(ttl)
+	}
+	if s.install(key, res.ContentType, res.Body, execTime, expires, startVer) {
+		s.counters.Insert()
+	}
+}
+
+// install files a body and inserts its owned directory entry, the one way a
+// result enters the cache as this node's own (executed here or handed off),
+// and reports whether the entry was kept. A failed Put (full or failing disk)
+// leaves the result uncached. Evicted bodies leave through OnRemove. startVer
+// is s.inv.Version when the body's flight began: a matching wave since then
+// keeps the stale body out, or removes it again if it raced the insert.
+func (s *Server) install(key, contentType string, body []byte, execTime time.Duration, expires time.Time, startVer uint64) bool {
+	if s.inv.Superseded(key, startVer) {
+		return false
 	}
 	// PutWithMeta persists exec time and expiry alongside the body when the
 	// store is durable, so a restarted node can rebuild its directory table
-	// from the files alone. A failed Put (full or failing disk) is logged and
-	// the result simply goes uncached — the request itself already succeeded.
-	if err := store.PutWithMeta(s.store, key, res.ContentType, res.Body, execTime, expires); err != nil {
-		s.logf("cache put %q: %v", key, err)
-		return
-	}
-	entry := directory.Entry{
-		Key:      key,
-		Size:     int64(len(res.Body)),
-		ExecTime: execTime,
-		Inserted: now,
-		Expires:  expires,
-	}
-	// The insert itself and any eviction deletes are broadcast by the
-	// directory's update callback, in version order.
-	evicted := s.dir.InsertLocal(entry, now)
-	s.counters.Insert()
-	for _, victim := range evicted {
-		s.counters.Eviction()
-		if err := s.store.Delete(victim); err != nil {
-			s.logf("evict delete %q: %v", victim, err)
+	// from the files alone.
+	s.settleBody(key, +1)
+	err := store.PutWithMeta(s.store, key, contentType, body, execTime, expires)
+	if err == nil {
+		now := s.clk.Now()
+		for range s.dir.InsertLocal(directory.Entry{
+			Key: key, Size: int64(len(body)), ExecTime: execTime,
+			Inserted: now, Expires: expires,
+		}, now) {
+			s.counters.Eviction()
 		}
+	}
+	s.settleBody(key, -1)
+	if err != nil {
+		s.logf("cache put %q: %v", key, err)
+		return false
 	}
 	if s.inv.Superseded(key, startVer) {
-		// A wave raced the insert itself (between the guard above and
-		// InsertLocal): undo rather than leave invalidated content cached.
-		if s.dir.RemoveLocal(key) {
-			if err := s.store.Delete(key); err != nil {
-				s.logf("superseded insert delete %q: %v", key, err)
-			}
-		}
+		s.dir.RemoveLocal(key)
+		return false
+	}
+	return true
+}
+
+// settleBody deletes key's stored body unless a local entry or a running
+// install (delta +1 starts one, -1 ends it) holds it; bodyMu makes the test
+// and the delete one step. So a removal that races an install of the same key
+// cannot delete the new body under its entry, and a body whose install failed
+// or whose new entry was removed at once does not outlive it. At the zero
+// time no entry has expired: LookupLocal then tests presence.
+func (s *Server) settleBody(key string, delta int) {
+	s.bodyMu.Lock()
+	defer s.bodyMu.Unlock()
+	if delta > 0 || s.installing[key]+delta > 0 {
+		s.installing[key] += delta
+		return
+	}
+	delete(s.installing, key)
+	if _, ok := s.dir.LookupLocal(key, time.Time{}); ok {
+		return
+	}
+	if err := s.store.Delete(key); err != nil {
+		s.logf("cache delete %q: %v", key, err)
 	}
 }
 

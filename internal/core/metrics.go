@@ -33,6 +33,7 @@ func (s *Server) Metrics() []stats.Sample {
 	m.add("swala_coalesced_total", float64(snap.Coalesced))
 	m.add("swala_coalesced_abandoned_total", float64(snap.CoalescedAbandoned))
 	m.add("swala_remote_serves_total", float64(snap.RemoteServes))
+	m.add("swala_missing_bodies_total", float64(s.missingBodies.Load()))
 	m.add("swala_directory_version", float64(s.dir.Version()))
 	m.add("swala_directory_local_entries", float64(s.dir.LocalLen()))
 	m.add("swala_directory_entries", float64(s.dir.TotalLen()))

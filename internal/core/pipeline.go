@@ -144,9 +144,10 @@ func (s *Server) fetchStateFrom(ctx context.Context, key string) fetchState {
 
 // --- local stage ---
 
-// localStage serves hits owned by this node from its store. A directory
-// entry whose body has vanished is dropped and the fetch falls through to
-// execution, as in the inline path.
+// localStage serves hits owned by this node from its store. When the body
+// cannot be read the fetch falls through to execution; if the entry is still
+// listed (not evicted since the lookup), its body is missing: that is
+// counted, and the entry is dropped with its store record (OnRemove).
 type localStage struct{ s *Server }
 
 func (st *localStage) Name() string { return "local" }
@@ -168,8 +169,11 @@ func (st *localStage) Fetch(ctx context.Context, key string, hint any) (fetchpip
 	}
 	ct, body, release, err := store.GetLeased(s.store, key)
 	if err != nil {
-		s.logf("local cache body missing for %q: %v", key, err)
-		s.dir.RemoveLocal(key)
+		if _, ok := s.dir.LookupLocal(key, time.Time{}); ok { // any expiry
+			s.logf("local cache body missing for %q: %v", key, err)
+			s.missingBodies.Add(1)
+			s.dir.RemoveLocal(key)
+		}
 		return fetchpipe.Defer(dirMiss{})
 	}
 	// A cache fetch "in effect becomes a file fetch".

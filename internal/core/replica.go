@@ -280,11 +280,7 @@ func (s *Server) dropHeldReplica(key string) {
 	if !ok {
 		return
 	}
-	if s.dir.RemoveLocalReplica(key) {
-		if err := s.store.Delete(key); err != nil {
-			s.logf("replica drop %q: %v", key, err)
-		}
-	}
+	s.dir.RemoveLocalReplica(key)
 	rep.dropped.Add(1)
 	s.clu.Broadcast(&wire.ReplicaEvent{Key: key, Home: h.home, Holder: s.dir.Self(), Retire: true})
 }
@@ -376,14 +372,19 @@ func (s *Server) pullReplica(t replicaPull) {
 		// wire from the home; installing it would plant a stale replica.
 		return
 	}
-	if err := store.PutWithMeta(s.store, key, ct, body, t.entry.ExecTime, t.entry.Expires); err != nil {
+	s.settleBody(key, +1)
+	err = store.PutWithMeta(s.store, key, ct, body, t.entry.ExecTime, t.entry.Expires)
+	if err == nil {
+		s.dir.InsertLocalReplica(directory.Entry{
+			Key: key, Size: int64(len(body)), ExecTime: t.entry.ExecTime,
+			Inserted: now, Expires: t.entry.Expires,
+		}, now)
+	}
+	s.settleBody(key, -1)
+	if err != nil {
 		s.logf("replica put %q: %v", key, err)
 		return
 	}
-	s.dir.InsertLocalReplica(directory.Entry{
-		Key: key, Size: int64(len(body)), ExecTime: t.entry.ExecTime,
-		Inserted: now, Expires: t.entry.Expires,
-	}, now)
 	rep.markHeld(key, t.home, now)
 	if s.inv.Superseded(key, startVer) {
 		// A wave raced the install itself; retire the copy before anyone is
@@ -492,11 +493,8 @@ func (s *Server) replicaRingChange(old, new *ring.Ring) {
 		if !ok {
 			continue
 		}
-		for _, victim := range evicted {
+		for range evicted {
 			s.counters.Eviction()
-			if err := s.store.Delete(victim); err != nil {
-				s.logf("evict delete %q: %v", victim, err)
-			}
 		}
 		s.clu.Broadcast(&wire.ReplicaEvent{Key: p.key, Home: p.home, Holder: s.dir.Self(), Retire: true})
 		s.logf("promoted held replica %q to owned entry after ring change", p.key)

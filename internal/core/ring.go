@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/directory"
 	"repro/internal/ring"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -278,40 +277,17 @@ func (s *Server) pullHandoff(t handoffTask) {
 	}
 	// The store copies what it is given, so the frame goes back on every exit.
 	defer reply.Release()
-	ct, body := reply.ContentType, reply.Body
 	if !reply.OK {
 		return // old owner no longer has it (expired or evicted there)
 	}
-	if s.inv.Superseded(key, startVer) {
-		// An invalidation wave matching key passed while the body was on the
-		// wire; the old owner has relinquished it, but installing it here
-		// would resurrect an invalidated result. Drop it — the next request
-		// re-executes fresh.
-		return
-	}
-	if err := store.PutWithMeta(s.store, key, ct, body, t.entry.ExecTime, t.entry.Expires); err != nil {
-		s.logf("handoff put %q: %v", key, err)
-		return
-	}
-	evicted := s.dir.InsertLocal(directory.Entry{
-		Key: key, Size: int64(len(body)), ExecTime: t.entry.ExecTime,
-		Inserted: now, Expires: t.entry.Expires,
-	}, now)
-	for _, victim := range evicted {
-		s.counters.Eviction()
-		if err := s.store.Delete(victim); err != nil {
-			s.logf("evict delete %q: %v", victim, err)
-		}
-	}
-	if s.inv.Superseded(key, startVer) {
-		// A wave raced the install itself; undo rather than serve stale.
-		if s.dir.RemoveLocal(key) {
-			s.store.Delete(key)
-		}
+	// The old owner has relinquished the body, but an invalidation wave
+	// matching key that passed while it was on the wire keeps it out: the
+	// next request re-executes fresh.
+	if !s.install(key, reply.ContentType, reply.Body, t.entry.ExecTime, t.entry.Expires, startVer) {
 		return
 	}
 	s.handoffIn.Add(1)
-	s.handoffBytes.Add(uint64(len(body)))
+	s.handoffBytes.Add(uint64(len(reply.Body)))
 }
 
 // serveTakeover serves one handed-off body to its new owner and drops the
@@ -332,9 +308,6 @@ func (s *Server) serveTakeover(key string) (string, []byte, bool) {
 	// With the body shipped, the new owner is the entry's home; our copy
 	// would only shadow it.
 	s.dir.RemoveLocal(key)
-	if err := s.store.Delete(key); err != nil {
-		s.logf("takeover delete %q: %v", key, err)
-	}
 	s.handoffOut.Add(1)
 	return ct, body, true
 }

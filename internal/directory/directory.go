@@ -13,9 +13,10 @@
 //
 // The directory stores meta-data only. The local table additionally enforces
 // a capacity (in entries, as in the paper's experiments with cache sizes
-// 2000 and 20) through a pluggable replacement policy; evictions are
-// reported to the caller so the cache manager can delete the stored body and
-// broadcast the deletion.
+// 2000 and 20) through a pluggable replacement policy. Every key that leaves
+// the local table — evicted, expired or removed — is reported to the OnRemove
+// hook, where the cache manager deletes the stored body; the deletion reaches
+// peers through the origin log (OnUpdate).
 package directory
 
 import (
@@ -380,6 +381,8 @@ type Directory struct {
 	logEntries bool
 	// onWave applies a remote wave's pattern to the local cache.
 	onWave func(origin uint32, pattern string)
+	// onRemove observes every key that leaves the local table (OnRemove).
+	onRemove func(key string)
 
 	// peerMu guards origins, this replica's state of each other node's log.
 	peerMu  sync.Mutex
@@ -475,6 +478,28 @@ func (d *Directory) OnUpdate(fn func(SyncOp)) {
 // it before the directory sees concurrent use.
 func (d *Directory) OnWave(fn func(origin uint32, pattern string)) {
 	d.onWave = fn
+}
+
+// OnRemove registers fn to run once for every key that leaves the local
+// table, owned entry or held replica: an eviction (InsertLocal,
+// PromoteReplica), RemoveLocal, RemoveLocalReplica or ExpireLocal. Replacing
+// an entry in place removes nothing, and neither does any change to a peer's
+// table. fn runs after the directory's locks are released, in the goroutine
+// that removed the key, so it may call back into the Directory. Set it before
+// the directory sees concurrent use.
+func (d *Directory) OnRemove(fn func(key string)) {
+	d.onRemove = fn
+}
+
+// removed reports keys that left the local table to the OnRemove hook.
+// Callers must hold no directory lock.
+func (d *Directory) removed(keys ...string) {
+	if d.onRemove == nil {
+		return
+	}
+	for _, k := range keys {
+		d.onRemove(k)
+	}
 }
 
 // record appends one record to the log. Callers must hold localMu.
@@ -686,10 +711,9 @@ func (d *Directory) LookupLocal(key string, now time.Time) (Entry, bool) {
 }
 
 // InsertLocal adds an entry owned by this node, evicting per the replacement
-// policy if the local table is at capacity. It returns the evicted keys
-// (already removed from the local table) so the caller can delete bodies
-// and broadcast deletions. If key is already present its entry is replaced
-// in place with no eviction.
+// policy if the local table is at capacity. It returns the evicted keys,
+// already removed from the local table and reported to OnRemove. If key is
+// already present its entry is replaced in place with no eviction.
 func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 	e.Owner = d.self
 	e.Replica = false
@@ -700,13 +724,11 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 	t := d.tableFor(d.self, true)
 
 	d.localMu.Lock()
-	defer d.localMu.Unlock()
-
 	exists, wasReplica := t.insertReporting(&e)
-
 	if exists && !wasReplica {
 		d.policy.Access(e.Key)
 		d.recordEntry(Insert, e)
+		d.localMu.Unlock()
 		return nil
 	}
 	// New key — or one that only existed as a held replica, which the
@@ -724,6 +746,8 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 			d.recordEntry(Delete, Entry{Key: victim, Owner: d.self})
 		}
 	}
+	d.localMu.Unlock()
+	d.removed(evicted...)
 	return evicted
 }
 
@@ -749,19 +773,22 @@ func (d *Directory) RemoveLocalReplica(key string) bool {
 	t := d.tableFor(d.self, false)
 	s := t.stripeFor(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	v, ok := s.entries[key]
-	if !ok || !v.replica {
-		return false
+	if ok = ok && v.replica; ok {
+		delete(s.entries, key)
 	}
-	delete(s.entries, key)
-	return true
+	s.mu.Unlock()
+	if ok {
+		d.removed(key)
+	}
+	return ok
 }
 
 // PromoteReplica turns a held replica into an ordinary owned entry — used
 // when a ring change makes the holder the key's home, so the body it already
 // has becomes the authoritative copy. The entry enters the replacement
-// policy like a fresh insert; evicted keys are returned as from InsertLocal.
+// policy like a fresh insert; evicted keys are returned and reported as from
+// InsertLocal.
 func (d *Directory) PromoteReplica(key string, now time.Time) (evicted []string, ok bool) {
 	e, found := d.LookupLocal(key, now)
 	if !found || !e.Replica {
@@ -791,11 +818,14 @@ func (d *Directory) RemoveLocal(key string) bool {
 	}
 	t := d.tableFor(d.self, false)
 	d.localMu.Lock()
-	defer d.localMu.Unlock()
 	d.policy.Remove(key)
 	ok := t.remove(key)
 	if ok {
 		d.recordEntry(Delete, Entry{Key: key, Owner: d.self})
+	}
+	d.localMu.Unlock()
+	if ok {
+		d.removed(key)
 	}
 	return ok
 }
@@ -823,8 +853,8 @@ func (d *Directory) ApplyDelete(owner uint32, key string) {
 	}
 }
 
-// ExpireLocal removes expired entries from the local table and returns their
-// keys so the caller can delete bodies and broadcast deletions. This backs
+// ExpireLocal removes expired entries from the local table, reports each to
+// OnRemove, and returns the expired keys found. This backs
 // the paper's purge daemon, which "wakes up every few seconds and deletes
 // expired cache entries".
 func (d *Directory) ExpireLocal(now time.Time) []string {
@@ -833,20 +863,26 @@ func (d *Directory) ExpireLocal(now time.Time) []string {
 	if len(keys) == 0 {
 		return keys
 	}
-	d.localMu.Lock()
-	defer d.localMu.Unlock()
+	var owned []string
 	for _, k := range keys {
-		if d.RemoveLocalReplica(k) {
-			// Expired replica: drop it silently — the policy never knew it
-			// and nothing is broadcast; the holder's controller notices the
-			// disappearance and announces the retirement.
-			continue
+		// An expired replica goes silently: the policy never knew it and
+		// nothing is broadcast; the holder's controller notices the
+		// disappearance and announces the retirement.
+		if !d.RemoveLocalReplica(k) {
+			owned = append(owned, k)
 		}
+	}
+	gone := owned[:0]
+	d.localMu.Lock()
+	for _, k := range owned {
 		d.policy.Remove(k)
 		if t.remove(k) {
 			d.recordEntry(Delete, Entry{Key: k, Owner: d.self})
+			gone = append(gone, k)
 		}
 	}
+	d.localMu.Unlock()
+	d.removed(gone...)
 	return keys
 }
 

@@ -33,23 +33,10 @@ func RunPolicyAblation(opt Options) (PolicyAblationResult, error) {
 	opt = opt.withDefaults()
 	res := PolicyAblationResult{Scale: float64(opt.Scale.PerSecond)}
 
-	distinct := opt.pick(100, 200)
-	requests := opt.pick(1000, 3000)
-	capacity := distinct / 5
-
-	rng := rand.New(rand.NewSource(opt.Seed))
-	reqs := make([]workload.TraceRequest, 0, requests)
-	for i := 0; i < requests; i++ {
-		q := zipfPick(rng, distinct)
-		// Execution cost is decorrelated from popularity (a deterministic
-		// hash of the query ID spreads costs 50-850 paper-ms): among equally
-		// popular queries, retaining the expensive ones saves more time,
-		// which is exactly the signal GDS uses and recency/frequency
-		// policies ignore.
-		costMs := 50 + int(queryCostHash(q)%800)
-		reqs = append(reqs, workload.TraceRequest{
-			URI: fmt.Sprintf("/cgi-bin/adl?q=query%03d&cost=%d", q, costMs),
-		})
+	queries, capacity := policyTrace(opt)
+	reqs := make([]workload.TraceRequest, len(queries))
+	for i, q := range queries {
+		reqs[i].URI = policyURI(q)
 	}
 
 	for _, kind := range replacement.Kinds() {
@@ -80,6 +67,31 @@ func RunPolicyAblation(opt Options) (PolicyAblationResult, error) {
 		res.Evictions = append(res.Evictions, snap.Evictions)
 	}
 	return res, nil
+}
+
+// policyTrace returns the ablation's workload for opt: the query ID of each
+// request in order, drawn Zipf from the distinct queries, and the cache
+// capacity, a fifth of them.
+func policyTrace(opt Options) (queries []int, capacity int) {
+	distinct := opt.pick(100, 200)
+	rng := rand.New(rand.NewSource(opt.Seed))
+	queries = make([]int, opt.pick(1000, 3000))
+	for i := range queries {
+		queries[i] = zipfPick(rng, distinct)
+	}
+	return queries, distinct / 5
+}
+
+// policyCostMs is query q's execution cost in paper-ms. It is decorrelated
+// from popularity (a deterministic hash of the query ID spreads costs 50-850
+// paper-ms): among equally popular queries, retaining the expensive ones
+// saves more time, which is exactly the signal GDS uses and
+// recency/frequency policies ignore.
+func policyCostMs(q int) int { return 50 + int(queryCostHash(q)%800) }
+
+// policyURI is the request for query q.
+func policyURI(q int) string {
+	return fmt.Sprintf("/cgi-bin/adl?q=query%03d&cost=%d", q, policyCostMs(q))
 }
 
 // queryCostHash maps a query ID to a stable pseudo-random cost component.

@@ -87,7 +87,7 @@ func (r *ring) armDeadline(slot **time.Timer, deadline time.Time) {
 }
 
 func deadlinePassed(dl time.Time) bool {
-	return !dl.IsZero() && time.Now().After(dl)
+	return !dl.IsZero() && !time.Now().Before(dl)
 }
 
 func (r *ring) read(p []byte) (int, error) {
