@@ -296,8 +296,8 @@ type Server struct {
 	inflight   map[string]int // cacheable keys currently executing
 
 	// bodyMu orders the deletion of a stored body against installs of its
-	// key; installing counts each key's installs between their Put and the
-	// end of their directory insert (settleBody).
+	// key; installing counts each key's installs between their Append and
+	// the end of their directory insert (settleBody).
 	bodyMu     sync.Mutex
 	installing map[string]int
 
@@ -453,7 +453,7 @@ func New(cfg Config) *Server {
 	s.dir.OnWave(s.applyWave)
 	// A body leaves the store with its directory entry, whatever removed it:
 	// eviction, expiry, invalidation, takeover or a replica's retirement.
-	s.dir.OnRemove(func(key string) { s.settleBody(key, 0) })
+	s.dir.OnRemove(func(key string, loc store.Loc) { s.settleBody(key, loc, 0) })
 	if cfg.Mode == Cooperative {
 		// Every record of the node's origin log — a local directory mutation
 		// (insert, replace, eviction, remove, expiry; none under ring
@@ -469,28 +469,39 @@ func New(cfg Config) *Server {
 		})
 	}
 	s.buildPipeline()
-	if len(cfg.Recovered) > 0 {
-		s.warmRestart(cfg.Recovered)
+	warm := func() {
+		if len(cfg.Recovered) > 0 {
+			s.warmRestart(cfg.Recovered)
+		}
+	}
+	// A log store gives up its own key map: the local table lists where each
+	// body lies, and the log asks it what is live.
+	if l, ok := cfg.Store.(*store.Log); ok {
+		l.Adopt(s.dir, warm)
+	} else {
+		warm()
 	}
 	return s
 }
 
 // warmRestart repopulates the local directory table from entries a durable
-// store recovered at startup, in recovery order (which approximates the
-// pre-crash insertion order, so LRU state is roughly preserved). Entries the
-// replacement policy evicts on the way in leave the store through OnRemove. In
+// store recovered at startup, with their locations, in recovery order (which
+// approximates the pre-crash insertion order, so LRU state is roughly
+// preserved). Entries the replacement policy evicts on the way in leave the
+// store through OnRemove, and expired ones are dropped here. In
 // cooperative mode each insert flows through the directory's OnUpdate hook,
 // so recovered entries are re-announced to peers exactly like fresh inserts.
 func (s *Server) warmRestart(recovered []store.RecoveredEntry) {
 	now := s.clk.Now()
 	for _, re := range recovered {
 		if !re.Expires.IsZero() && !re.Expires.After(now) {
-			s.store.Delete(re.Key)
+			s.store.DropAt(re.Key, re.Loc, true)
 			continue
 		}
 		s.dir.InsertLocal(directory.Entry{
 			Key:      re.Key,
 			Size:     re.Size,
+			Loc:      re.Loc,
 			ExecTime: re.ExecTime,
 			Inserted: now,
 			Expires:  re.Expires,
@@ -640,7 +651,7 @@ func (s *Server) invalidateLocal(pattern string) int {
 			continue
 		}
 		if !e.Replica {
-			s.parkStale(e.Key)
+			s.parkStale(e)
 		}
 		if !s.dir.RemoveLocal(e.Key) {
 			continue
@@ -952,7 +963,8 @@ func (s *Server) insertResult(key string, res cgi.Result, execTime time.Duration
 
 // install files a body and inserts its owned directory entry, the one way a
 // result enters the cache as this node's own (executed here or handed off),
-// and reports whether the entry was kept. A failed Put (full or failing disk)
+// and reports whether the entry was kept. The body is appended first and its
+// entry then lists where it lies; a failed Append (full or failing disk)
 // leaves the result uncached. Evicted bodies leave through OnRemove. startVer
 // is s.inv.Version when the body's flight began: a matching wave since then
 // keeps the stale body out, or removes it again if it raced the insert.
@@ -960,21 +972,19 @@ func (s *Server) install(key, contentType string, body []byte, execTime time.Dur
 	if s.inv.Superseded(key, startVer) {
 		return false
 	}
-	// PutWithMeta persists exec time and expiry alongside the body when the
-	// store is durable, so a restarted node can rebuild its directory table
-	// from the files alone.
-	s.settleBody(key, +1)
-	err := store.PutWithMeta(s.store, key, contentType, body, execTime, expires)
-	if err == nil {
+	// The record carries exec time and expiry alongside the body, so a
+	// restarted node can rebuild its directory table from the files alone.
+	s.settleBody(key, store.Loc{}, +1)
+	err := s.store.Append(key, contentType, body, execTime, expires, func(loc store.Loc) {
 		now := s.clk.Now()
 		for range s.dir.InsertLocal(directory.Entry{
-			Key: key, Size: int64(len(body)), ExecTime: execTime,
+			Key: key, Size: int64(len(body)), Loc: loc, ExecTime: execTime,
 			Inserted: now, Expires: expires,
 		}, now) {
 			s.counters.Eviction()
 		}
-	}
-	s.settleBody(key, -1)
+	})
+	s.settleBody(key, store.Loc{}, -1)
 	if err != nil {
 		s.logf("cache put %q: %v", key, err)
 		return false
@@ -986,26 +996,29 @@ func (s *Server) install(key, contentType string, body []byte, execTime time.Dur
 	return true
 }
 
-// settleBody deletes key's stored body unless a local entry or a running
-// install (delta +1 starts one, -1 ends it) holds it; bodyMu makes the test
-// and the delete one step. So a removal that races an install of the same key
-// cannot delete the new body under its entry, and a body whose install failed
+// settleBody drops the stored record at loc, which key's entry gave up (the
+// zero Loc when none), and deletes key from the store for good — a tombstone
+// in the log — unless a local entry or a running install (delta +1 starts
+// one, -1 ends it) holds a newer record of it; bodyMu makes the test and the
+// tombstone one step. So a removal that races an install of the same key
+// cannot erase the new body under its entry, and a body whose install failed
 // or whose new entry was removed at once does not outlive it. At the zero
 // time no entry has expired: LookupLocal then tests presence.
-func (s *Server) settleBody(key string, delta int) {
+func (s *Server) settleBody(key string, loc store.Loc, delta int) {
 	s.bodyMu.Lock()
 	defer s.bodyMu.Unlock()
-	if delta > 0 || s.installing[key]+delta > 0 {
+	if delta > 0 {
+		s.installing[key]++
+		return
+	}
+	held := s.installing[key]+delta > 0
+	if held {
 		s.installing[key] += delta
-		return
+	} else {
+		delete(s.installing, key)
+		_, held = s.dir.LookupLocal(key, time.Time{})
 	}
-	delete(s.installing, key)
-	if _, ok := s.dir.LookupLocal(key, time.Time{}); ok {
-		return
-	}
-	if err := s.store.Delete(key); err != nil {
-		s.logf("cache delete %q: %v", key, err)
-	}
+	s.store.DropAt(key, loc, !held)
 }
 
 func (s *Server) trackInflight(key string, delta int) {
@@ -1061,8 +1074,8 @@ func (h *clusterHandler) server() *Server { return (*Server)(h) }
 func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply) (release func()) {
 	s := h.server()
 	if flags&wire.FetchTakeover != 0 {
-		r.ContentType, r.Body, r.OK = s.serveTakeover(key)
-		return nil
+		r.ContentType, r.Body, release, r.OK = s.serveTakeover(key)
+		return release
 	}
 	e, ok := s.dir.LookupLocal(key, s.clk.Now())
 	if !ok && flags&wire.FetchExecute != 0 {
@@ -1088,7 +1101,7 @@ func (h *clusterHandler) HandleFetch(key string, flags uint8, r *wire.FetchReply
 	if !ok {
 		return nil
 	}
-	ct, body, release, err := store.GetLeased(s.store, key)
+	ct, body, release, err := s.store.ReadAt(key, e.Loc)
 	if err != nil {
 		return nil
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"time"
 
 	"repro/internal/cacheability"
+	"repro/internal/directory"
 	"repro/internal/fetchpipe"
 	"repro/internal/inval"
 )
@@ -221,16 +223,21 @@ func (s *Server) refreshStale(key string) {
 }
 
 // parkStale is called by invalidateLocal before it deletes an owned entry's
-// body: with SWR on, the body moves to the holding cell instead of vanishing.
-func (s *Server) parkStale(key string) {
+// body: with SWR on, a copy of the body moves to the holding cell instead of
+// vanishing.
+func (s *Server) parkStale(e directory.Entry) {
 	if s.swr == nil {
 		return
 	}
-	ct, body, err := s.store.Get(key)
+	ct, body, release, err := s.store.ReadAt(e.Key, e.Loc)
 	if err != nil {
 		return
 	}
-	s.swr.park(key, ct, body, s.clk.Now())
+	if release != nil {
+		body = bytes.Clone(body)
+		release()
+	}
+	s.swr.park(e.Key, ct, body, s.clk.Now())
 }
 
 // matchHeldReplicas returns the held-replica keys matching pattern (nil when

@@ -61,20 +61,42 @@ func TestReadFaultLeavesNoOrphan(t *testing.T) {
 	ffs.FailReads(nil)
 	ffs.FailWrites(nil)
 
-	if n, dir := s.Store().Len(), s.Directory().LocalLen(); n != dir {
-		t.Fatalf("store holds %d bodies, directory %d local entries", n, dir)
+	if why := checkBodies(s); why != "" {
+		t.Fatal(why)
 	}
 	if n := metric(s, "swala_missing_bodies_total"); n != 1 {
 		t.Fatalf("swala_missing_bodies_total = %v, want 1", n)
 	}
 }
 
+// checkBodies reports how s's log store fails to hold exactly the bodies of
+// its local entries — an entry whose location does not read back a record of
+// its own key, or live bytes beyond the entries' records — or "" when it
+// holds them.
+func checkBodies(s *Server) string {
+	l := s.Store().(*store.Log)
+	var listed int64
+	for _, e := range s.Directory().SnapshotLocal() {
+		_, _, release, err := l.ReadAt(e.Key, e.Loc)
+		if err != nil {
+			return fmt.Sprintf("entry %q has no body at its location: %v", e.Key, err)
+		}
+		release()
+		listed += int64(e.Loc.Len())
+	}
+	if live := l.LiveBytes(); live != listed {
+		return fmt.Sprintf("the log holds %d live bytes, its %d local entries' records %d", live, s.Directory().LocalLen(), listed)
+	}
+	return ""
+}
+
 // TestOwnedEntryLifecycle churns small caches in both profiles — a two-node
 // Paper cluster, and a Production cluster that a third node joins mid-run
 // (ring handoff, replicas, stale-while-revalidate) — with evictions, TTL
-// expiry, purges and invalidation waves interleaved. Once the cluster is
-// quiet, each node's store holds exactly the bodies of its local directory
-// entries.
+// expiry, purges and invalidation waves interleaved, on log stores with 16
+// KiB segments and a cleaner that runs at any dead byte, so records move
+// under installs and removals. Once the cluster is quiet, each node's store
+// holds exactly the bodies of its local directory entries.
 func TestOwnedEntryLifecycle(t *testing.T) {
 	const (
 		capacity = 8
@@ -104,7 +126,7 @@ func TestOwnedEntryLifecycle(t *testing.T) {
 				cfg.PurgeInterval = time.Hour // the test purges
 				cfg.CacheCapacity = capacity
 				cfg.Cacheability = cacheability.CacheAll(ttl)
-				l, _, err := store.OpenLog(t.TempDir(), store.LogOptions{})
+				l, _, err := store.OpenLog(t.TempDir(), store.LogOptions{SegmentMaxBytes: 16 << 10, CompactMinBytes: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,14 +225,8 @@ func TestOwnedEntryLifecycle(t *testing.T) {
 			var why string
 			quiet := func() bool {
 				for i, s := range h.servers {
-					for _, e := range s.Directory().SnapshotLocal() {
-						if _, _, err := s.Store().Get(e.Key); err != nil {
-							why = fmt.Sprintf("node %d: entry %q has no body: %v", i+1, e.Key, err)
-							return false
-						}
-					}
-					if n, dir := s.Store().Len(), s.Directory().LocalLen(); n != dir {
-						why = fmt.Sprintf("node %d: store holds %d bodies, directory %d local entries", i+1, n, dir)
+					if why = checkBodies(s); why != "" {
+						why = fmt.Sprintf("node %d: %s", i+1, why)
 						return false
 					}
 				}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/httpmsg"
 	"repro/internal/singleflight"
 	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -167,7 +166,9 @@ func (st *localStage) Fetch(ctx context.Context, key string, hint any) (fetchpip
 		}
 		return fetchpipe.Defer(hint)
 	}
-	ct, body, release, err := store.GetLeased(s.store, key)
+	// One read at the listed location: a record evicted since the lookup
+	// still reads back until the log's cleaner retires its segment.
+	ct, body, release, err := s.store.ReadAt(key, e.Loc)
 	if err != nil {
 		if _, ok := s.dir.LookupLocal(key, time.Time{}); ok { // any expiry
 			s.logf("local cache body missing for %q: %v", key, err)

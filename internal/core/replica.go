@@ -372,15 +372,14 @@ func (s *Server) pullReplica(t replicaPull) {
 		// wire from the home; installing it would plant a stale replica.
 		return
 	}
-	s.settleBody(key, +1)
-	err = store.PutWithMeta(s.store, key, ct, body, t.entry.ExecTime, t.entry.Expires)
-	if err == nil {
+	s.settleBody(key, store.Loc{}, +1)
+	err = s.store.Append(key, ct, body, t.entry.ExecTime, t.entry.Expires, func(loc store.Loc) {
 		s.dir.InsertLocalReplica(directory.Entry{
-			Key: key, Size: int64(len(body)), ExecTime: t.entry.ExecTime,
+			Key: key, Size: int64(len(body)), Loc: loc, ExecTime: t.entry.ExecTime,
 			Inserted: now, Expires: t.entry.Expires,
 		}, now)
-	}
-	s.settleBody(key, -1)
+	})
+	s.settleBody(key, store.Loc{}, -1)
 	if err != nil {
 		s.logf("replica put %q: %v", key, err)
 		return

@@ -290,15 +290,16 @@ func (s *Server) pullHandoff(t handoffTask) {
 	s.handoffBytes.Add(uint64(len(reply.Body)))
 }
 
-// serveTakeover serves one handed-off body to its new owner and drops the
-// local, now-misplaced copy.
-func (s *Server) serveTakeover(key string) (string, []byte, bool) {
-	if _, ok := s.dir.LookupLocal(key, s.clk.Now()); !ok {
-		return "", nil, false
+// serveTakeover serves one handed-off body to its new owner, leased until
+// release, and drops the local, now-misplaced copy.
+func (s *Server) serveTakeover(key string) (ct string, body []byte, release func(), ok bool) {
+	e, ok := s.dir.LookupLocal(key, s.clk.Now())
+	if !ok {
+		return "", nil, nil, false
 	}
-	ct, body, err := s.store.Get(key)
+	ct, body, release, err := s.store.ReadAt(key, e.Loc)
 	if err != nil {
-		return "", nil, false
+		return "", nil, nil, false
 	}
 	cost := s.cfg.Costs.RemoteServeCost + s.cfg.Costs.FileBaseCost +
 		time.Duration(len(body))*s.cfg.Costs.PerByte
@@ -309,7 +310,7 @@ func (s *Server) serveTakeover(key string) (string, []byte, bool) {
 	// would only shadow it.
 	s.dir.RemoveLocal(key)
 	s.handoffOut.Add(1)
-	return ct, body, true
+	return ct, body, release, true
 }
 
 // executeAsOwner runs a routed miss at the ring owner. The result is cached

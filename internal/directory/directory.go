@@ -11,12 +11,15 @@
 // parallel; the paper's argument (coarser = contention, finer = overhead)
 // picks the stripe count as the middle ground.
 //
-// The directory stores meta-data only. The local table additionally enforces
-// a capacity (in entries, as in the paper's experiments with cache sizes
-// 2000 and 20) through a pluggable replacement policy. Every key that leaves
-// the local table — evicted, expired or removed — is reported to the OnRemove
-// hook, where the cache manager deletes the stored body; the deletion reaches
-// peers through the origin log (OnUpdate).
+// The directory stores meta-data only. A local entry holds its body's
+// location in the node's store (Entry.Loc), so the local table is also the
+// store's index (store.Index): one in-memory index per cached body. The local
+// table additionally enforces a capacity (in entries, as in the paper's
+// experiments with cache sizes 2000 and 20) through a pluggable replacement
+// policy. Every key that leaves the local table — evicted, expired or removed
+// — is reported with its location to the OnRemove hook, where the cache
+// manager drops the stored body; the deletion reaches peers through the
+// origin log (OnUpdate).
 package directory
 
 import (
@@ -27,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/replacement"
+	"repro/internal/store"
 )
 
 // Entry is the meta-data for one cached result.
@@ -37,6 +41,10 @@ type Entry struct {
 	Owner uint32
 	// Size is the body size in bytes.
 	Size int64
+	// Loc is where a local entry's body lies in the node's store: the zero
+	// Loc for a peer's entry, and for a store that needs none. Never encoded
+	// on the wire.
+	Loc store.Loc
 	// ExecTime is how long the CGI ran to produce the result.
 	ExecTime time.Duration
 	// Inserted is when the entry was cached.
@@ -73,19 +81,27 @@ const numStripes = 32
 // slot is what a table stores per key: an Entry less the fields the table
 // already knows (Key is the map key, Owner the table's node) or never holds
 // (Holders belongs to synthetic ring lookups), with its times as Unix
-// nanoseconds (see nanos) — 48 bytes instead of 128, and no pointers, so the
-// garbage collector never scans a table's slots.
+// nanoseconds (see nanos) and its size and hit count as saturating 32-bit
+// counts (bodies stay below wire.MaxFrameSize) — 48 bytes instead of 144,
+// the body's location included, and no pointers, so the garbage collector
+// never scans a table's slots.
 type slot struct {
-	size     int64
 	execTime time.Duration
 	inserted int64
 	expires  int64
-	hits     int64
+	size     uint32
+	hits     uint32
+	loc      store.Loc
 	replica  bool
 }
 
 func newSlot(e *Entry) *slot {
-	return &slot{size: e.Size, execTime: e.ExecTime, inserted: nanos(e.Inserted), expires: nanos(e.Expires), hits: e.Hits, replica: e.Replica}
+	return &slot{size: sat32(e.Size), execTime: e.ExecTime, inserted: nanos(e.Inserted), expires: nanos(e.Expires), hits: sat32(e.Hits), loc: e.Loc, replica: e.Replica}
+}
+
+// sat32 clamps n to a slot's 32-bit counts.
+func sat32(n int64) uint32 {
+	return uint32(min(max(n, 0), math.MaxUint32))
 }
 
 func (v *slot) expired(now time.Time) bool {
@@ -153,8 +169,8 @@ func newTable(owner uint32) *table {
 // building an Entry value and copying it costs the lookup hot path several
 // 128-byte copies.
 func (t *table) fill(e *Entry, key string, v *slot) {
-	e.Key, e.Owner, e.Size, e.ExecTime = key, t.owner, v.size, v.execTime
-	e.Inserted, e.Expires, e.Hits, e.Replica = fromNanos(v.inserted), fromNanos(v.expires), v.hits, v.replica
+	e.Key, e.Owner, e.Size, e.Loc, e.ExecTime = key, t.owner, int64(v.size), v.loc, v.execTime
+	e.Inserted, e.Expires, e.Hits, e.Replica = fromNanos(v.inserted), fromNanos(v.expires), int64(v.hits), v.replica
 }
 
 // stripeFor selects the shard for key with FNV-1a, inlined to avoid the
@@ -183,47 +199,44 @@ func (t *table) lookup(key string, now time.Time) (e Entry, ok bool) {
 	return e, ok
 }
 
-func (t *table) insert(e *Entry) {
-	v := newSlot(e)
-	s := t.stripeFor(e.Key)
-	s.mu.Lock()
-	s.entries[e.Key] = v
-	s.mu.Unlock()
-}
-
-// insertReporting stores e and reports whether the key was already present
-// and, if so, whether the displaced entry was a held replica (replicas are
-// invisible to the replacement policy, so the caller's capacity bookkeeping
-// must treat overwriting one as a fresh insert).
-func (t *table) insertReporting(e *Entry) (existed, wasReplica bool) {
+// insert stores e and reports whether the key was already present and, if
+// so, whether the displaced entry was a held replica (replicas are invisible
+// to the replacement policy, so the caller's capacity bookkeeping must treat
+// overwriting one as a fresh insert) and where its body lay.
+func (t *table) insert(e *Entry) (existed, wasReplica bool, prev store.Loc) {
 	v := newSlot(e)
 	s := t.stripeFor(e.Key)
 	s.mu.Lock()
 	if old, ok := s.entries[e.Key]; ok {
-		existed, wasReplica = true, old.replica
+		existed, wasReplica, prev = true, old.replica, old.loc
 	}
 	s.entries[e.Key] = v
 	s.mu.Unlock()
-	return existed, wasReplica
+	return existed, wasReplica, prev
 }
 
 // touch bumps the hit counter of key if present.
 func (t *table) touch(key string) {
 	s := t.stripeFor(key)
 	s.mu.Lock()
-	if v, ok := s.entries[key]; ok {
+	if v, ok := s.entries[key]; ok && v.hits < math.MaxUint32 {
 		v.hits++
 	}
 	s.mu.Unlock()
 }
 
-func (t *table) remove(key string) bool {
+// remove deletes key and returns where its body lay.
+func (t *table) remove(key string) (store.Loc, bool) {
 	s := t.stripeFor(key)
 	s.mu.Lock()
-	_, ok := s.entries[key]
-	delete(s.entries, key)
+	v, ok := s.entries[key]
+	var loc store.Loc
+	if ok {
+		loc = v.loc
+		delete(s.entries, key)
+	}
 	s.mu.Unlock()
-	return ok
+	return loc, ok
 }
 
 func (t *table) len() int {
@@ -382,7 +395,7 @@ type Directory struct {
 	// onWave applies a remote wave's pattern to the local cache.
 	onWave func(origin uint32, pattern string)
 	// onRemove observes every key that leaves the local table (OnRemove).
-	onRemove func(key string)
+	onRemove func(key string, loc store.Loc)
 
 	// peerMu guards origins, this replica's state of each other node's log.
 	peerMu  sync.Mutex
@@ -481,24 +494,30 @@ func (d *Directory) OnWave(fn func(origin uint32, pattern string)) {
 }
 
 // OnRemove registers fn to run once for every key that leaves the local
-// table, owned entry or held replica: an eviction (InsertLocal,
-// PromoteReplica), RemoveLocal, RemoveLocalReplica or ExpireLocal. Replacing
-// an entry in place removes nothing, and neither does any change to a peer's
-// table. fn runs after the directory's locks are released, in the goroutine
-// that removed the key, so it may call back into the Directory. Set it before
-// the directory sees concurrent use.
-func (d *Directory) OnRemove(fn func(key string)) {
+// table, owned entry or held replica, with the location its entry held: an
+// eviction (InsertLocal, PromoteReplica), RemoveLocal, RemoveLocalReplica or
+// ExpireLocal. Replacing an entry in place removes no key, but when the new
+// entry holds another location, fn gets the old one. No change to a peer's
+// table is reported. fn runs after the directory's locks are released, in the
+// goroutine that removed the key, so it may call back into the Directory. Set
+// it before the directory sees concurrent use.
+func (d *Directory) OnRemove(fn func(key string, loc store.Loc)) {
 	d.onRemove = fn
 }
 
-// removed reports keys that left the local table to the OnRemove hook.
+// removed reports to the OnRemove hook that key's entry gave up loc.
 // Callers must hold no directory lock.
-func (d *Directory) removed(keys ...string) {
-	if d.onRemove == nil {
-		return
+func (d *Directory) removed(key string, loc store.Loc) {
+	if d.onRemove != nil {
+		d.onRemove(key, loc)
 	}
-	for _, k := range keys {
-		d.onRemove(k)
+}
+
+// replaced reports the location an entry replaced in place gave up, if any.
+// Callers must hold no directory lock.
+func (d *Directory) replaced(key string, prev, next store.Loc) {
+	if prev != next && prev != (store.Loc{}) {
+		d.removed(key, prev)
 	}
 }
 
@@ -724,31 +743,45 @@ func (d *Directory) InsertLocal(e Entry, now time.Time) (evicted []string) {
 	t := d.tableFor(d.self, true)
 
 	d.localMu.Lock()
-	exists, wasReplica := t.insertReporting(&e)
+	exists, wasReplica, prev := t.insert(&e)
 	if exists && !wasReplica {
 		d.policy.Access(e.Key)
 		d.recordEntry(Insert, e)
 		d.localMu.Unlock()
+		d.replaced(e.Key, prev, e.Loc)
 		return nil
 	}
 	// New key — or one that only existed as a held replica, which the
 	// policy has never seen: either way it enters capacity bookkeeping now.
+	var buf [4]store.Loc
+	evicted, locs := d.admitLocked(t, &e, buf[:0])
+	d.localMu.Unlock()
+	d.replaced(e.Key, prev, e.Loc)
+	for i, k := range evicted {
+		d.removed(k, locs[i])
+	}
+	return evicted
+}
+
+// admitLocked enters e, just stored, into capacity bookkeeping and logs it,
+// evicting per the replacement policy while the table is over capacity. It
+// returns the evicted keys and, appended to locs, their locations. Callers
+// hold localMu.
+func (d *Directory) admitLocked(t *table, e *Entry, locs []store.Loc) (evicted []string, _ []store.Loc) {
 	d.policy.Insert(e.Key, replacement.Meta{Size: e.Size, ExecTime: e.ExecTime})
-	d.recordEntry(Insert, e)
+	d.recordEntry(Insert, *e)
 	if d.capacity > 0 {
 		for d.policy.Len() > d.capacity {
 			victim := d.policy.Evict()
 			if victim == "" {
 				break
 			}
-			t.remove(victim)
-			evicted = append(evicted, victim)
+			loc, _ := t.remove(victim)
+			evicted, locs = append(evicted, victim), append(locs, loc)
 			d.recordEntry(Delete, Entry{Key: victim, Owner: d.self})
 		}
 	}
-	d.localMu.Unlock()
-	d.removed(evicted...)
-	return evicted
+	return evicted, locs
 }
 
 // InsertLocalReplica installs a replica of a key homed on another ring
@@ -763,7 +796,8 @@ func (d *Directory) InsertLocalReplica(e Entry, now time.Time) {
 	if e.Inserted.IsZero() {
 		e.Inserted = now
 	}
-	d.tableFor(d.self, true).insert(&e)
+	_, _, prev := d.tableFor(d.self, true).insert(&e)
+	d.replaced(e.Key, prev, e.Loc)
 }
 
 // RemoveLocalReplica drops a held replica. Entries not marked Replica are
@@ -779,22 +813,38 @@ func (d *Directory) RemoveLocalReplica(key string) bool {
 	}
 	s.mu.Unlock()
 	if ok {
-		d.removed(key)
+		d.removed(key, v.loc)
 	}
 	return ok
 }
 
 // PromoteReplica turns a held replica into an ordinary owned entry — used
 // when a ring change makes the holder the key's home, so the body it already
-// has becomes the authoritative copy. The entry enters the replacement
-// policy like a fresh insert; evicted keys are returned and reported as from
-// InsertLocal.
+// has becomes the authoritative copy. The entry keeps its slot, location
+// included, and enters the replacement policy like a fresh insert; evicted
+// keys are returned and reported as from InsertLocal.
 func (d *Directory) PromoteReplica(key string, now time.Time) (evicted []string, ok bool) {
-	e, found := d.LookupLocal(key, now)
-	if !found || !e.Replica {
+	t := d.tableFor(d.self, false)
+	var e Entry
+	d.localMu.Lock()
+	s := t.stripeFor(key)
+	s.mu.Lock()
+	if v, found := s.entries[key]; found && v.replica && !v.expired(now) {
+		v.replica, ok = false, true
+		t.fill(&e, key, v)
+	}
+	s.mu.Unlock()
+	if !ok {
+		d.localMu.Unlock()
 		return nil, false
 	}
-	return d.InsertLocal(e, now), true
+	var buf [4]store.Loc
+	evicted, locs := d.admitLocked(t, &e, buf[:0])
+	d.localMu.Unlock()
+	for i, k := range evicted {
+		d.removed(k, locs[i])
+	}
+	return evicted, true
 }
 
 // TouchLocal records a hit on a locally owned entry: bumps the hit counter
@@ -819,14 +869,41 @@ func (d *Directory) RemoveLocal(key string) bool {
 	t := d.tableFor(d.self, false)
 	d.localMu.Lock()
 	d.policy.Remove(key)
-	ok := t.remove(key)
+	loc, ok := t.remove(key)
 	if ok {
 		d.recordEntry(Delete, Entry{Key: key, Owner: d.self})
 	}
 	d.localMu.Unlock()
 	if ok {
-		d.removed(key)
+		d.removed(key, loc)
 	}
+	return ok
+}
+
+// LocalLoc implements store.Index: where the body of key's local entry,
+// owned or replica, lies, whatever its expiry.
+func (d *Directory) LocalLoc(key string) (loc store.Loc, ok bool) {
+	s := d.tableFor(d.self, false).stripeFor(key)
+	s.mu.RLock()
+	v, ok := s.entries[key]
+	if ok {
+		loc = v.loc
+	}
+	s.mu.RUnlock()
+	return loc, ok
+}
+
+// Repoint implements store.Index: it swaps the location in key's local entry
+// from prev to next in one step, if the entry still holds prev. Nothing else
+// about the entry changes and nothing is reported.
+func (d *Directory) Repoint(key string, prev, next store.Loc) bool {
+	s := d.tableFor(d.self, false).stripeFor(key)
+	s.mu.Lock()
+	v, ok := s.entries[key]
+	if ok = ok && v.loc == prev; ok {
+		v.loc = next
+	}
+	s.mu.Unlock()
 	return ok
 }
 
@@ -872,17 +949,19 @@ func (d *Directory) ExpireLocal(now time.Time) []string {
 			owned = append(owned, k)
 		}
 	}
-	gone := owned[:0]
+	gone, locs := owned[:0], make([]store.Loc, 0, len(owned))
 	d.localMu.Lock()
 	for _, k := range owned {
 		d.policy.Remove(k)
-		if t.remove(k) {
+		if loc, ok := t.remove(k); ok {
 			d.recordEntry(Delete, Entry{Key: k, Owner: d.self})
-			gone = append(gone, k)
+			gone, locs = append(gone, k), append(locs, loc)
 		}
 	}
 	d.localMu.Unlock()
-	d.removed(gone...)
+	for i, k := range gone {
+		d.removed(k, locs[i])
+	}
 	return keys
 }
 
@@ -902,7 +981,7 @@ func (d *Directory) ExpireRemote(now time.Time) int {
 	dropped := 0
 	for _, t := range tables {
 		for _, k := range t.expiredKeys(now) {
-			if t.remove(k) {
+			if _, ok := t.remove(k); ok {
 				dropped++
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ring"
+	"repro/internal/store"
 )
 
 // TestOnRemove checks that every path by which a key leaves the local table
@@ -24,7 +25,7 @@ func TestOnRemove(t *testing.T) {
 			}
 			d.OnUpdate(func(SyncOp) {})
 			var got []string
-			d.OnRemove(func(key string) {
+			d.OnRemove(func(key string, _ store.Loc) {
 				if !d.localMu.TryLock() {
 					t.Errorf("OnRemove(%q) runs under localMu", key)
 					return
@@ -119,5 +120,75 @@ func TestOnRemove(t *testing.T) {
 				t.Fatalf("LocalLen = %d, want 2 (p1, p2)", n)
 			}
 		})
+	}
+}
+
+// TestOnRemoveLocations: the hook receives the location each removed entry
+// held, and the old location of an entry replaced in place with another;
+// Repoint swaps a location only from the one it is given and reports nothing;
+// PromoteReplica keeps the replica's location.
+func TestOnRemoveLocations(t *testing.T) {
+	l, _, err := store.OpenLog(t.TempDir(), store.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	at := func(key string) (loc store.Loc) {
+		if err := l.Append(key, "t/t", []byte(key), 0, time.Time{}, func(x store.Loc) { loc = x }); err != nil {
+			t.Fatal(err)
+		}
+		return loc
+	}
+	locA, locB, locB2, locC, locC2, locR := at("a"), at("b"), at("b2"), at("c"), at("c2"), at("r")
+
+	d := New(1, 2, nil) // LRU, two owned entries
+	type removal struct {
+		key string
+		loc store.Loc
+	}
+	var got []removal
+	d.OnRemove(func(key string, loc store.Loc) { got = append(got, removal{key, loc}) })
+	expect := func(step string, want ...removal) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: OnRemove saw %+v, want %+v", step, got, want)
+		}
+		got = got[:0]
+	}
+	now := time.Now()
+
+	d.InsertLocal(Entry{Key: "a", Size: 1, Loc: locA}, now)
+	d.InsertLocal(Entry{Key: "b", Size: 1, Loc: locB}, now)
+	expect("inserts")
+	d.InsertLocal(Entry{Key: "b", Size: 2, Loc: locB2}, now)
+	expect("replace with a new location", removal{"b", locB})
+	d.InsertLocal(Entry{Key: "b", Size: 2, Loc: locB2}, now)
+	expect("replace at the same location")
+	d.InsertLocal(Entry{Key: "c", Size: 1, Loc: locC}, now)
+	expect("eviction", removal{"a", locA})
+
+	if d.Repoint("c", locA, locC2) || d.Repoint("gone", locC, locC2) {
+		t.Fatal("Repoint moved a location it was not given")
+	}
+	if !d.Repoint("c", locC, locC2) {
+		t.Fatal("Repoint refused the listed location")
+	}
+	if loc, ok := d.LocalLoc("c"); !ok || loc != locC2 {
+		t.Fatalf("LocalLoc(c) = %+v, %v after Repoint", loc, ok)
+	}
+	expect("repoint")
+	d.RemoveLocal("c")
+	expect("remove", removal{"c", locC2})
+
+	d.InsertLocalReplica(Entry{Key: "r", Size: 1, Loc: locR}, now)
+	if _, ok := d.PromoteReplica("r", now); !ok {
+		t.Fatal("PromoteReplica refused the replica")
+	}
+	if e, ok := d.LookupLocal("r", now); !ok || e.Replica || e.Loc != locR {
+		t.Fatalf("promoted entry = %+v, %v; want an owned entry at the replica's location", e, ok)
+	}
+	expect("promotion")
+	if e, _ := d.LookupLocal("b", now); e.Loc != locB2 {
+		t.Fatalf("b at %+v, want %+v", e.Loc, locB2)
 	}
 }

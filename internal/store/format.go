@@ -53,10 +53,19 @@ type entryMeta struct {
 	bodyLen int
 }
 
-// encodeEntry serializes one cache entry in format version 1.
-func encodeEntry(key, contentType string, body []byte, execTime time.Duration, expires time.Time) []byte {
-	n := entryFixedSize + len(key) + len(contentType) + len(body)
-	buf := make([]byte, 0, n)
+// recordSize is the encoded size of an entry.
+func recordSize(key, contentType string, body []byte) int {
+	return entryFixedSize + len(key) + len(contentType) + len(body)
+}
+
+// appendEntry serializes one cache entry in format version 1 into dst's
+// spare capacity, growing it only when the record does not fit, and returns
+// the record.
+func appendEntry(dst []byte, key, contentType string, body []byte, execTime time.Duration, expires time.Time) []byte {
+	buf := dst[:0]
+	if n := recordSize(key, contentType, body); cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	buf = append(buf, entryMagic[:]...)
 	buf = append(buf, entryVersion)
 	buf = binary.BigEndian.AppendUint32(buf, 0) // crc placeholder

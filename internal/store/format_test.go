@@ -26,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{"k", "application/octet-stream", []byte{0, 1, 2, 0xff}, time.Hour, time.Time{}},
 	}
 	for _, c := range cases {
-		buf := encodeEntry(c.key, c.ct, c.body, c.exec, c.expires)
+		buf := appendEntry(nil, c.key, c.ct, c.body, c.exec, c.expires)
 		m, body, err := decodeEntry(buf)
 		if err != nil {
 			t.Fatalf("decode(%q): %v", c.key, err)
@@ -41,7 +41,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeEntryRejectsMutations(t *testing.T) {
-	buf := encodeEntry("key", "ct", []byte("body bytes"), time.Millisecond, time.Time{})
+	buf := appendEntry(nil, "key", "ct", []byte("body bytes"), time.Millisecond, time.Time{})
 	// Flipping any single byte after the magic must fail the checksum (or the
 	// structural parse); the magic bytes fail the magic check directly.
 	for i := range buf {
@@ -66,13 +66,13 @@ func TestDecodeEntryRejectsMutations(t *testing.T) {
 // FuzzParseEntryHeader holds parseEntryRecord to its contract: never panic on
 // arbitrary bytes, and accept-with-fidelity anything encodeEntry produced.
 func FuzzParseEntryHeader(f *testing.F) {
-	f.Add(encodeEntry("GET /cgi-bin/q?a=1", "text/html", []byte("<b>x</b>"), time.Millisecond, time.Unix(0, 1754000000000000000)))
-	f.Add(encodeEntry("", "", nil, 0, time.Time{}))
-	torn := encodeEntry("k", "t", []byte("0123456789"), 0, time.Time{})
+	f.Add(appendEntry(nil, "GET /cgi-bin/q?a=1", "text/html", []byte("<b>x</b>"), time.Millisecond, time.Unix(0, 1754000000000000000)))
+	f.Add(appendEntry(nil, "", "", nil, 0, time.Time{}))
+	torn := appendEntry(nil, "k", "t", []byte("0123456789"), 0, time.Time{})
 	f.Add(torn[:len(torn)/2])
 	f.Add([]byte("SWLC"))
 	f.Add([]byte{})
-	bad := encodeEntry("k", "t", []byte("x"), 0, time.Time{})
+	bad := appendEntry(nil, "k", "t", []byte("x"), 0, time.Time{})
 	bad[len(bad)-1] ^= 0xff
 	f.Add(bad)
 
@@ -84,7 +84,7 @@ func FuzzParseEntryHeader(f *testing.F) {
 		// A structurally valid buffer must re-encode to the same bytes once
 		// the body is extracted — the format is canonical.
 		body := data[m.bodyOff : m.bodyOff+m.bodyLen]
-		re := encodeEntry(m.Key, m.ContentType, body, m.ExecTime, m.Expires)
+		re := appendEntry(nil, m.Key, m.ContentType, body, m.ExecTime, m.Expires)
 		// The crc field may differ (parse does not verify it); blank it on
 		// both sides before comparing.
 		a := append([]byte(nil), data...)

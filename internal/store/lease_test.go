@@ -87,7 +87,7 @@ func TestLeaseGetOwnsExactBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loc := l.index["small"]; cap(body) > loc.n {
+		if loc := l.index["small"]; cap(body) > loc.Len() {
 			t.Fatalf("Get's %d-byte body sits in a %d-byte buffer (record %d)", len(body), cap(body), loc.n)
 		}
 	}
@@ -99,7 +99,7 @@ func TestLeaseLogReadVerifies(t *testing.T) {
 	l, dir := newTestLog(t)
 	l.Put("rot", "t/t", []byte(strings.Repeat("x", 500)))
 	loc := l.index["rot"]
-	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+50)
+	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), int64(loc.off)+50)
 	if _, body, release, err := GetLeased(l, "rot"); !errors.Is(err, ErrCorrupt) || body != nil || release != nil {
 		t.Fatalf("GetLeased = %d bytes, release %v, %v; want ErrCorrupt", len(body), release != nil, err)
 	}

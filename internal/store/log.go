@@ -19,8 +19,10 @@ import (
 
 // Log is the durable store. Entries are appended to segmented, append-only
 // files ("seg-N.log"), each record being one checksummed entry encoding
-// (format.go); the key→location index lives in memory and is rebuilt by a
-// recovery scan on open. A warm miss costs one sequential append.
+// (format.go). Where each key's live record lies is kept in memory by an
+// Index: the log's own key map, rebuilt by a recovery scan on open, until a
+// cache directory adopts the log (Adopt) and lists the locations in its own
+// entries. A warm miss costs one sequential append.
 //
 // Crash semantics:
 //
@@ -46,18 +48,29 @@ type Log struct {
 	compactFrac float64
 	compactMin  int64
 
-	mu         sync.RWMutex
-	index      map[string]recordLoc
-	active     File  // nil until the first append after open/rotate
-	activeSeq  int64 // valid only when active != nil
+	mu sync.RWMutex
+	// idx answers which record of a key is live: ownIndex over index until
+	// the log is adopted, the adopter after.
+	idx Index
+	// index is the log's own key map, guarded by indexMu; nil once adopted.
+	indexMu sync.RWMutex
+	index   map[string]Loc
+	// buf holds the record being appended, reused from append to append.
+	buf        []byte
+	active     File   // nil until the first append after open/rotate
+	activeSeq  uint32 // valid only when active != nil
 	activeOff  int64
-	nextSeq    int64                // highest segment number ever used
-	segBytes   map[int64]int64      // on-disk bytes per segment
-	segLive    map[int64]int64      // bytes per segment that index entries point at
-	handles    map[int64]*segHandle // one shared read handle per segment read so far
-	totalBytes int64                // bytes across all segments (live + dead)
-	deadBytes  int64                // bytes no current index entry points at
+	nextSeq    uint32                // highest segment number ever used
+	segBytes   map[uint32]int64      // on-disk bytes per segment
+	segLive    map[uint32]int64      // bytes per segment of listed records, and of appended ones not listed yet
+	handles    map[uint32]*segHandle // one shared read handle per segment read so far
+	totalBytes int64                 // bytes across all segments (live + dead)
+	deadBytes  int64                 // bytes no listing holds
 	closed     bool
+	// pins counts, per segment, appends whose record is not listed yet; the
+	// cleaner waits on unpinned (whose L is &mu) before it scans a victim.
+	pins     map[uint32]int
+	unpinned sync.Cond
 
 	compacting bool      // one cleaner at a time; guarded by mu
 	cleanRetry time.Time // a failed cleaning pass is not retried before this
@@ -66,12 +79,51 @@ type Log struct {
 	storeHealth
 }
 
-// recordLoc locates one live record: segment number, byte offset, length.
-type recordLoc struct {
-	seg int64
-	off int64
-	n   int
+// Loc is where one record lies: segment number, byte offset and length. It
+// is opaque outside the store and comparable; the zero Loc names no record.
+// Each field fits 32 bits — segments rotate below maxSegmentBytes and no
+// record reaches maxRecordBytes — so a directory slot holds one in 12 bytes.
+type Loc struct {
+	seg, off, n uint32
 }
+
+// Len returns the record's length in bytes (0 for the zero Loc).
+func (loc Loc) Len() int { return int(loc.n) }
+
+// Index lists, for each key, where its live record lies. The log asks it
+// every liveness question — is this record still listed, move a listing to
+// its copy, drop a listing whose record failed verification — and a Log
+// that is not adopted answers them from its own key map. The log calls
+// LocalLoc and Repoint with its lock held, so that a listing and the live
+// accounting change together: they must neither call into the log nor wait
+// for anything that does.
+type Index interface {
+	// LocalLoc returns key's listed location; ok is false when key is not
+	// listed. A listed key may hold the zero Loc: its record was dropped.
+	LocalLoc(key string) (loc Loc, ok bool)
+	// Repoint lists next for key if key is listed at prev, in one step,
+	// and reports whether it did. The log repoints a copied record to its
+	// copy, and a record that failed verification to the zero Loc.
+	Repoint(key string, prev, next Loc) bool
+	// LocalLen reports how many keys are listed.
+	LocalLen() int
+}
+
+// Segments rotate once they reach maxSegmentBytes and a record must stay
+// below maxRecordBytes, so every offset and length fits a Loc's 32 bits.
+const (
+	maxSegmentBytes = 1 << 30
+	maxRecordBytes  = 1 << 31
+	// maxKeptBuf bounds the append buffer a log keeps between appends.
+	maxKeptBuf = 256 << 10
+)
+
+// errRecordTooLarge refuses an entry whose record would not fit a Loc.
+var errRecordTooLarge = errors.New("store: entry too large for one record")
+
+// errAdopted refuses a keyed Put on an adopted log: a record enters its
+// adopter's index through Append.
+var errAdopted = errors.New("store: the log is adopted; entries enter through Append")
 
 // tombstoneContentType marks a deletion record in the log. Real entries
 // never carry it: content types come from CGI responses, and the store
@@ -90,7 +142,7 @@ type LogOptions struct {
 	// recovery probe (0 = DefaultReprobeInterval).
 	ReprobeInterval time.Duration
 	// SegmentMaxBytes rotates the active segment once it reaches this size
-	// (0 = DefaultSegmentMaxBytes).
+	// (0 = DefaultSegmentMaxBytes; at most 1 GiB).
 	SegmentMaxBytes int64
 	// CompactFraction starts the cleaner when dead bytes exceed this
 	// fraction of total bytes (0 = 0.5).
@@ -122,6 +174,7 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 	if opts.SegmentMaxBytes <= 0 {
 		opts.SegmentMaxBytes = DefaultSegmentMaxBytes
 	}
+	opts.SegmentMaxBytes = min(opts.SegmentMaxBytes, maxSegmentBytes)
 	if opts.CompactFraction <= 0 {
 		opts.CompactFraction = defaultCompactFraction
 	}
@@ -138,11 +191,14 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 		segMax:      opts.SegmentMaxBytes,
 		compactFrac: opts.CompactFraction,
 		compactMin:  opts.CompactMinBytes,
-		index:       make(map[string]recordLoc),
-		segBytes:    make(map[int64]int64),
-		segLive:     make(map[int64]int64),
-		handles:     make(map[int64]*segHandle),
+		index:       make(map[string]Loc),
+		segBytes:    make(map[uint32]int64),
+		segLive:     make(map[uint32]int64),
+		handles:     make(map[uint32]*segHandle),
+		pins:        make(map[uint32]int),
 	}
+	l.idx = (*ownIndex)(l)
+	l.unpinned.L = &l.mu
 	l.reprobe = opts.ReprobeInterval
 	rep, err := l.recover()
 	if err != nil {
@@ -157,11 +213,11 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 // Dir returns the store's root directory.
 func (l *Log) Dir() string { return l.dir }
 
-func segmentFileName(seq int64) string {
-	return "seg-" + strconv.FormatInt(seq, 10) + ".log"
+func segmentFileName(seq uint32) string {
+	return "seg-" + strconv.FormatUint(uint64(seq), 10) + ".log"
 }
 
-func parseSegmentFileName(name string) (int64, bool) {
+func parseSegmentFileName(name string) (uint32, bool) {
 	s, ok := strings.CutPrefix(name, "seg-")
 	if !ok {
 		return 0, false
@@ -170,11 +226,11 @@ func parseSegmentFileName(name string) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
+	n, err := strconv.ParseUint(s, 10, 32)
+	if err != nil || n == 0 {
 		return 0, false
 	}
-	return n, true
+	return uint32(n), true
 }
 
 // isSegmentTmp reports whether name is a segment's truncation scratch file
@@ -188,18 +244,18 @@ func isSegmentTmp(name string) bool {
 	return ok
 }
 
-func (l *Log) segmentPath(seq int64) string {
+func (l *Log) segmentPath(seq uint32) string {
 	return filepath.Join(l.dir, segmentFileName(seq))
 }
 
-// recover scans the segment files and rebuilds the in-memory index.
+// recover scans the segment files and rebuilds the log's key map.
 func (l *Log) recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{}
 	listing, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: scanning %s: %w", l.dir, err)
 	}
-	var seqs []int64
+	var seqs []uint32
 	for _, de := range listing {
 		name := de.Name()
 		if de.IsDir() {
@@ -233,6 +289,9 @@ func (l *Log) recover() (*RecoveryReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: reading %s: %w", path, err)
 		}
+		if len(data) > maxSegmentBytes+maxRecordBytes {
+			return nil, fmt.Errorf("store: %s: %d bytes, more than a segment holds", path, len(data))
+		}
 		if len(data) == 0 {
 			// An empty trailing segment (rotation or open with no appends
 			// before the crash) carries nothing; sweep it.
@@ -244,7 +303,7 @@ func (l *Log) recover() (*RecoveryReport, error) {
 		for off < len(data) {
 			m, body, n, derr := decodeRecord(data[off:])
 			if derr == nil {
-				loc := recordLoc{seg: seq, off: int64(off), n: n}
+				loc := Loc{seg: seq, off: uint32(off), n: uint32(n)}
 				off += n
 				if m.ContentType == tombstoneContentType {
 					delete(l.index, m.Key)
@@ -307,7 +366,7 @@ func (l *Log) recover() (*RecoveryReport, error) {
 	}
 	// Surviving index entries, in write order, for directory repopulation.
 	type liveEntry struct {
-		loc  recordLoc
+		loc  Loc
 		meta entryMeta
 	}
 	ordered := make([]liveEntry, 0, len(l.index))
@@ -330,6 +389,7 @@ func (l *Log) recover() (*RecoveryReport, error) {
 			Size:        int64(e.meta.bodyLen),
 			ExecTime:    e.meta.ExecTime,
 			Expires:     e.meta.Expires,
+			Loc:         e.loc,
 		})
 	}
 	l.deadBytes = l.totalBytes - liveBytes
@@ -404,6 +464,9 @@ func (l *Log) rotateLocked() error {
 		l.active.Close()
 		l.active = nil
 	}
+	if l.nextSeq == math.MaxUint32 {
+		return errors.New("store: segment numbers exhausted")
+	}
 	l.nextSeq++
 	f, err := l.fs.Create(l.segmentPath(l.nextSeq))
 	if err == nil && l.fsync == FsyncAlways {
@@ -426,10 +489,10 @@ func (l *Log) rotateLocked() error {
 // first if needed, and returns where it landed. Callers hold l.mu. On error
 // the active segment is abandoned (its tail may be torn); the next append
 // starts a fresh segment so later records never follow garbage.
-func (l *Log) appendLocked(rec []byte) (recordLoc, error) {
+func (l *Log) appendLocked(rec []byte) (Loc, error) {
 	if l.active == nil || l.activeOff >= l.segMax {
 		if err := l.rotateLocked(); err != nil {
-			return recordLoc{}, err
+			return Loc{}, err
 		}
 	}
 	_, err := l.active.Write(rec)
@@ -441,13 +504,24 @@ func (l *Log) appendLocked(rec []byte) (recordLoc, error) {
 		// but the running store must also never append after the tear.
 		l.active.Close()
 		l.active = nil
-		return recordLoc{}, err
+		return Loc{}, err
 	}
-	loc := recordLoc{seg: l.activeSeq, off: l.activeOff, n: len(rec)}
+	loc := Loc{seg: l.activeSeq, off: uint32(l.activeOff), n: uint32(len(rec))}
 	l.activeOff += int64(len(rec))
 	l.segBytes[l.activeSeq] += int64(len(rec))
 	l.totalBytes += int64(len(rec))
 	return loc, nil
+}
+
+// appendEntryLocked encodes one entry into the log's append buffer and
+// appends it. Callers hold l.mu and have checked the record's size.
+func (l *Log) appendEntryLocked(key, contentType string, body []byte, execTime time.Duration, expires time.Time) (Loc, error) {
+	l.buf = appendEntry(l.buf, key, contentType, body, execTime, expires)
+	loc, err := l.appendLocked(l.buf)
+	if cap(l.buf) > maxKeptBuf {
+		l.buf = nil // one large body must not stay resident
+	}
+	return loc, err
 }
 
 // Put implements Store.
@@ -455,54 +529,130 @@ func (l *Log) Put(key, contentType string, body []byte) error {
 	return l.PutEntry(key, contentType, body, 0, time.Time{})
 }
 
-// PutEntry implements MetaPutter. The write path is a single segment append.
+// PutEntry implements MetaPutter: one Append, listed in the log's own key
+// map, the record it replaces dropped. An adopted log refuses it.
 func (l *Log) PutEntry(key, contentType string, body []byte, execTime time.Duration, expires time.Time) error {
+	l.indexMu.RLock()
+	adopted := l.index == nil
+	l.indexMu.RUnlock()
+	if adopted {
+		return errAdopted
+	}
+	return l.Append(key, contentType, body, execTime, expires, func(loc Loc) {
+		l.indexMu.Lock()
+		old := l.index[key]
+		l.index[key] = loc
+		l.indexMu.Unlock()
+		if old != (Loc{}) {
+			l.DropAt(key, old, false)
+		}
+	})
+}
+
+// Append implements Store. The write is a single segment append, and the
+// record counts as live from it on: list must list loc in the index, or
+// drop it (DropAt), before it returns. Until then the record's segment is
+// pinned, so the cleaner — which copies only listed records — cannot retire
+// a record nobody lists yet. list runs without the log's locks held.
+func (l *Log) Append(key, contentType string, body []byte, execTime time.Duration, expires time.Time, list func(Loc)) error {
 	if contentType == tombstoneContentType {
 		return fmt.Errorf("store: content type %q is reserved", contentType)
+	}
+	if recordSize(key, contentType, body) >= maxRecordBytes {
+		return errRecordTooLarge
 	}
 	if err := l.writeGate(); err != nil {
 		l.putFailures.Add(1)
 		return err
 	}
-	rec := encodeEntry(key, contentType, body, execTime, expires)
-
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	loc, err := l.appendLocked(rec)
+	loc, err := l.appendEntryLocked(key, contentType, body, execTime, expires)
 	if err != nil {
 		l.mu.Unlock()
 		l.noteWriteError(err)
 		return err
 	}
-	if old, ok := l.index[key]; ok {
-		l.deadenLocked(old)
-	}
-	l.index[key] = loc
 	l.segLive[loc.seg] += int64(loc.n)
-	l.startCleanerLocked()
+	l.pins[loc.seg]++
 	l.mu.Unlock()
 	l.noteWriteOK()
+
+	list(loc)
+
+	l.mu.Lock()
+	if l.pins[loc.seg]--; l.pins[loc.seg] == 0 {
+		delete(l.pins, loc.seg)
+		l.unpinned.Broadcast()
+	}
+	l.startCleanerLocked()
+	l.mu.Unlock()
 	return nil
 }
 
-// deadenLocked takes loc, which the index just stopped pointing at, out of
-// the live accounting.
-func (l *Log) deadenLocked(loc recordLoc) {
+// DropAt implements Store: the record at loc, which no listing holds any
+// more, stops counting as live, and with tombstone a tombstone record makes
+// the key's deletion durable. The caller decides the tombstone: written while
+// a newer record of key is listed or being appended, it would erase that
+// record at the next open. If the store is degraded the tombstone is skipped
+// — the entry may resurrect on the next open — rather than failing an
+// eviction that must proceed.
+func (l *Log) DropAt(key string, loc Loc, tombstone bool) {
+	l.mu.Lock()
+	if !l.closed {
+		l.deadenLocked(loc)
+	}
+	l.mu.Unlock()
+	if tombstone {
+		l.appendTombstone(key)
+	}
+}
+
+// appendTombstone appends key's tombstone, dead on arrival.
+func (l *Log) appendTombstone(key string) {
+	if err := l.writeGate(); err != nil {
+		return
+	}
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return
+	}
+	loc, err := l.appendEntryLocked(key, tombstoneContentType, nil, 0, time.Time{})
+	if err == nil {
+		l.deadBytes += int64(loc.n)
+		l.startCleanerLocked()
+	}
+	l.mu.Unlock()
+	if err != nil {
+		l.noteWriteError(err)
+		return
+	}
+	l.noteWriteOK()
+}
+
+// deadenLocked takes loc, which no listing holds any more, out of the live
+// accounting. The zero Loc is no record, and a record of a retired segment
+// left the accounting with its segment. Callers hold l.mu.
+func (l *Log) deadenLocked(loc Loc) {
+	if _, ok := l.segBytes[loc.seg]; !ok {
+		return
+	}
 	l.deadBytes += int64(loc.n)
 	l.segLive[loc.seg] -= int64(loc.n)
 }
 
-// dropIfAt removes key from the index if it still points at loc.
-func (l *Log) dropIfAt(key string, loc recordLoc) bool {
+// unlist repoints key's listing from loc to the zero Loc, if it is still
+// there, and reports whether it was.
+func (l *Log) unlist(key string, loc Loc) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.index[key] != loc {
+	if !l.idx.Repoint(key, loc, Loc{}) {
 		return false
 	}
-	delete(l.index, key)
 	l.deadenLocked(loc)
 	return true
 }
@@ -513,46 +663,87 @@ func (l *Log) Get(key string) (string, []byte, error) {
 	return ct, body, err
 }
 
-// get reads key's record with one ReadAt through its segment's shared handle
-// into a buffer of its own or, when leased, into a leased one, which the
-// returned body then aliases until the lease (nil on error) is released. The
-// record is checksum-verified on every read; an entry that fails is dropped
-// from the index and reported as an error, so a corrupt body is never served.
-// A read that races the cleaner (its segment retired between lookup and read)
-// retries against the updated index.
+// get reads the record the index lists for key (see read).
 func (l *Log) get(key string, leased bool) (string, []byte, *lease.Buf, error) {
+	l.mu.RLock()
+	closed, idx := l.closed, l.idx
+	l.mu.RUnlock()
+	if closed {
+		return "", nil, nil, ErrClosed
+	}
+	loc, _ := idx.LocalLoc(key)
+	return l.read(key, loc, leased)
+}
+
+// ReadAt implements Store. The body is leased: valid until release is
+// called.
+func (l *Log) ReadAt(key string, loc Loc) (string, []byte, func(), error) {
+	ct, body, ls, err := l.read(key, loc, true)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	return ct, body, ls.Release, nil
+}
+
+// read reads key's record at loc with one ReadAt through its segment's
+// shared handle into a buffer of its own or, when leased, into a leased one,
+// which the returned body then aliases until the lease (nil on error) is
+// released. A record no listing holds any more still reads back until the
+// cleaner retires its segment; a read that finds the segment retired asks the
+// index where key lives now and reads there — or, when the index still lists
+// key in the retired segment, where the cleaner could not find the record,
+// drops the listing and counts it. The record is checksum-verified on every
+// read; one that fails is dropped from the index and reported as an error, so
+// a corrupt body is never served.
+func (l *Log) read(key string, loc Loc, leased bool) (string, []byte, *lease.Buf, error) {
 	var ls *lease.Buf
 	var data []byte
 	for attempt := 0; ; attempt++ {
+		if loc == (Loc{}) {
+			ls.Release()
+			return "", nil, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		}
 		l.mu.RLock()
-		closed := l.closed
-		loc, ok := l.index[key]
+		closed, idx := l.closed, l.idx
 		h := l.handles[loc.seg]
 		if h != nil {
 			h.refs.Add(1)
 		}
 		l.mu.RUnlock()
 		if closed {
+			if h != nil {
+				h.release()
+			}
+			ls.Release()
 			return "", nil, nil, ErrClosed
 		}
-		if !ok {
-			return "", nil, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-		}
-		if cap(data) < loc.n {
+		n := int(loc.n)
+		if cap(data) < n {
 			ls.Release()
 			if leased {
 				ls = new(lease.Buf) // a Buf leases once
-				ls.Lease(loc.n)
+				ls.Lease(n)
 				data = ls.B
 			} else {
-				data = make([]byte, loc.n)
+				data = make([]byte, n)
 			}
 		}
-		data = data[:loc.n]
-		if err := l.readRecord(data, loc, h); err != nil {
-			if errors.Is(err, iofs.ErrNotExist) && attempt < 4 {
-				continue // the cleaner retired the segment under us; re-look up
+		data = data[:n]
+		err := l.readRecord(data, loc, h)
+		if errors.Is(err, iofs.ErrNotExist) {
+			// The cleaner retired the segment: ask the index again.
+			next, _ := idx.LocalLoc(key)
+			if next != loc && attempt < 4 {
+				loc = next
+				continue
 			}
+			if next == loc && l.unlist(key, loc) {
+				l.quarantined.Add(1)
+			}
+			ls.Release()
+			return "", nil, nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		}
+		if err != nil {
 			ls.Release()
 			return "", nil, nil, fmt.Errorf("store: reading %s@%d: %w", segmentFileName(loc.seg), loc.off, err)
 		}
@@ -565,7 +756,8 @@ func (l *Log) get(key string, leased bool) (string, []byte, *lease.Buf, error) {
 		}
 		// Verification failed. If the cleaner moved the entry meanwhile, the
 		// stale bytes we read say nothing about the live record — retry.
-		if !l.dropIfAt(key, loc) && attempt < 4 {
+		if !l.unlist(key, loc) && attempt < 4 {
+			loc, _ = idx.LocalLoc(key)
 			continue
 		}
 		ls.Release()
@@ -577,7 +769,7 @@ func (l *Log) get(key string, leased bool) (string, []byte, *lease.Buf, error) {
 // readRecord fills data with loc's bytes by one ReadAt through its segment's
 // handle: h, on which the caller holds a reference, or the table's after
 // opening it.
-func (l *Log) readRecord(data []byte, loc recordLoc, h *segHandle) error {
+func (l *Log) readRecord(data []byte, loc Loc, h *segHandle) error {
 	if h == nil {
 		var err error
 		if h, err = l.openHandle(loc.seg); err != nil {
@@ -585,7 +777,7 @@ func (l *Log) readRecord(data []byte, loc recordLoc, h *segHandle) error {
 		}
 	}
 	defer h.release()
-	_, err := h.f.ReadAt(data, loc.off)
+	_, err := h.f.ReadAt(data, int64(loc.off))
 	return err
 }
 
@@ -606,8 +798,8 @@ func (h *segHandle) release() {
 // openHandle returns seg's read handle with a reference taken for the
 // caller, opening it on the first read of that segment (the active one
 // included: the handle sees later appends). A segment the cleaner has retired
-// reports ErrNotExist, which sends Get back to the index.
-func (l *Log) openHandle(seg int64) (*segHandle, error) {
+// reports ErrNotExist, which sends a read back to the index.
+func (l *Log) openHandle(seg uint32) (*segHandle, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -632,53 +824,100 @@ func (l *Log) openHandle(seg int64) (*segHandle, error) {
 
 // dropHandleLocked takes seg's handle out of the table; reads in flight
 // keep the file open until they finish. Callers hold l.mu.
-func (l *Log) dropHandleLocked(seg int64) {
+func (l *Log) dropHandleLocked(seg uint32) {
 	if h := l.handles[seg]; h != nil {
 		delete(l.handles, seg)
 		h.release()
 	}
 }
 
-// Delete implements Store: the key leaves the index immediately and a
-// tombstone record makes the deletion durable. If the store is degraded the
-// tombstone is skipped — the entry may resurrect on the next open — rather
-// than failing an eviction that must proceed.
+// Delete implements Store: the key's listing is dropped at once — an adopted
+// log's adopter keeps the key listed without a record — and a tombstone
+// makes the deletion durable (see DropAt).
 func (l *Log) Delete(key string) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
+	for {
+		l.mu.RLock()
+		closed, idx := l.closed, l.idx
+		l.mu.RUnlock()
+		if closed {
+			return ErrClosed
+		}
+		loc, _ := idx.LocalLoc(key)
+		if loc == (Loc{}) {
+			return nil
+		}
+		if l.unlist(key, loc) {
+			break
+		}
 	}
-	loc, ok := l.index[key]
-	if !ok {
-		l.mu.Unlock()
-		return nil
-	}
-	delete(l.index, key)
-	l.deadenLocked(loc)
-	l.mu.Unlock()
-
-	if err := l.writeGate(); err != nil {
-		return nil
-	}
-	rec := encodeEntry(key, tombstoneContentType, nil, 0, time.Time{})
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	_, err := l.appendLocked(rec)
-	if err == nil {
-		l.deadBytes += int64(len(rec)) // a tombstone is dead on arrival
-		l.startCleanerLocked()
-	}
-	l.mu.Unlock()
-	if err != nil {
-		l.noteWriteError(err)
-		return nil
-	}
-	l.noteWriteOK()
+	l.appendTombstone(key)
 	return nil
+}
+
+// Adopt makes idx — a cache directory's table of the entries it holds — the
+// log's index, and frees the log's own key map. fill runs first, with the
+// cleaner held off: it lists in idx the recovered entries that stay
+// (RecoveredEntry.Loc) and drops the rest. When it returns, what idx lists is
+// what is live. Adopt must run before the log sees concurrent use.
+func (l *Log) Adopt(idx Index, fill func()) {
+	l.compactWG.Wait()
+	l.mu.Lock()
+	l.compacting = true
+	l.mu.Unlock()
+	if fill != nil {
+		fill()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.indexMu.Lock()
+	own := l.index
+	l.index = nil
+	l.indexMu.Unlock()
+	l.idx = idx
+	// Drops during fill counted against the key map; recount from idx.
+	clear(l.segLive)
+	l.deadBytes = l.totalBytes
+	for key, loc := range own {
+		if at, _ := idx.LocalLoc(key); at == loc {
+			l.segLive[loc.seg] += int64(loc.n)
+			l.deadBytes -= int64(loc.n)
+		}
+	}
+	l.compacting = false
+	l.startCleanerLocked()
+}
+
+// ownIndex is a Log's own key map in the role of its Index.
+type ownIndex Log
+
+// LocalLoc implements Index.
+func (x *ownIndex) LocalLoc(key string) (Loc, bool) {
+	x.indexMu.RLock()
+	defer x.indexMu.RUnlock()
+	loc, ok := x.index[key]
+	return loc, ok
+}
+
+// Repoint implements Index; repointing to the zero Loc forgets the key.
+func (x *ownIndex) Repoint(key string, prev, next Loc) bool {
+	x.indexMu.Lock()
+	defer x.indexMu.Unlock()
+	if cur, ok := x.index[key]; !ok || cur != prev {
+		return false
+	}
+	if next == (Loc{}) {
+		delete(x.index, key)
+	} else {
+		x.index[key] = next
+	}
+	return true
+}
+
+// LocalLen implements Index.
+func (x *ownIndex) LocalLen() int {
+	x.indexMu.RLock()
+	defer x.indexMu.RUnlock()
+	return len(x.index)
 }
 
 // overDeadLocked reports whether dead bytes justify cleaning.
@@ -727,14 +966,15 @@ func (l *Log) clean() {
 const cleanBatchBytes = 256 << 10
 
 // cleanOldest retires the oldest segment: unread if nothing in it is live,
-// otherwise after copying its live records to the tail through buf, which is
-// returned for the next pass — never more than one segment in memory. A crash
-// anywhere is safe: a copy is byte-identical to its original and replays
-// after it, and a tombstone in the oldest segment can only mask records of
-// that same segment, so it may leave with it.
+// otherwise after copying its listed records to the tail through buf, which
+// is returned for the next pass — never more than one segment in memory. It
+// first waits out the appends whose records in the segment are not listed
+// yet. A crash anywhere is safe: a copy is byte-identical to its original and
+// replays after it, and a tombstone in the oldest segment can only mask
+// records of that same segment, so it may leave with it.
 func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 	l.mu.Lock()
-	victim := int64(math.MaxInt64)
+	victim := uint32(math.MaxUint32)
 	for seq := range l.segBytes {
 		victim = min(victim, seq)
 	}
@@ -742,6 +982,9 @@ func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 		// Seal it: the next append, a copy included, starts a new segment.
 		l.active.Close()
 		l.active = nil
+	}
+	for l.pins[victim] > 0 {
+		l.unpinned.Wait()
 	}
 	size, live := l.segBytes[victim], l.segLive[victim]
 	l.mu.Unlock()
@@ -760,10 +1003,12 @@ func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 		l.mu.Unlock()
 		return buf, ErrClosed
 	}
-	if l.segLive[victim] != 0 {
-		// What the index still holds here the scan did not find where the
-		// index says it is (damage before it, another key's record in its
-		// place, a short file): it cannot be verified, so it goes.
+	if l.segLive[victim] != 0 && l.index != nil {
+		// What the key map still lists here the scan did not find where the
+		// map says it is (damage before it, another key's record in its
+		// place, a short file): it cannot be verified, so it goes. An
+		// adopter's listings of this kind are found by the read (read).
+		l.indexMu.Lock()
 		for key, loc := range l.index {
 			if loc.seg == victim {
 				delete(l.index, key)
@@ -771,30 +1016,33 @@ func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 				l.quarantined.Add(1)
 			}
 		}
+		l.indexMu.Unlock()
 	}
+	// Whatever still counts as live here — a drop on its way, an adopter's
+	// listing the scan did not find — leaves with the segment.
 	l.totalBytes -= l.segBytes[victim]
-	l.deadBytes -= l.segBytes[victim]
+	l.deadBytes -= l.segBytes[victim] - l.segLive[victim]
 	delete(l.segBytes, victim)
 	delete(l.segLive, victim)
-	// Handle out of the table, then unlink: a Get racing this retries and
+	// Handle out of the table, then unlink: a read racing this retries and
 	// finds the copy; one already reading keeps its handle until it is done.
 	l.dropHandleLocked(victim)
 	l.mu.Unlock()
 	return buf, l.fs.Remove(l.segmentPath(victim))
 }
 
-// liveRecord is a record of the victim the index pointed at when scanned.
+// liveRecord is a record of the victim the index listed when scanned.
 type liveRecord struct {
 	key string
-	loc recordLoc
+	loc Loc
 }
 
 // copyLive reads the sealed segment victim into data, walks its records as
-// recovery does, and copies to the tail each one the index still points at —
-// by (segment, offset), so of several records of one key at most the newest —
-// once it verifies as in Get: whole-record parse, checksum, stored key indexed
-// there. A live record that fails its checksum is dropped and counted.
-func (l *Log) copyLive(victim int64, data []byte) error {
+// recovery does, and copies to the tail each one the index still lists — by
+// (segment, offset), so of several records of one key at most the newest —
+// once it verifies as in Get: whole-record parse, checksum, stored key listed
+// there. A listed record that fails its checksum is dropped and counted.
+func (l *Log) copyLive(victim uint32, data []byte) error {
 	h, err := l.openHandle(victim)
 	if err != nil {
 		return err
@@ -805,6 +1053,9 @@ func (l *Log) copyLive(victim int64, data []byte) error {
 		return fmt.Errorf("store: cleaning %s: %w", segmentFileName(victim), err)
 	}
 	data = data[:got]
+	l.mu.RLock()
+	idx := l.idx
+	l.mu.RUnlock()
 
 	var batch []liveRecord
 	batchBytes := 0
@@ -818,16 +1069,13 @@ func (l *Log) copyLive(victim int64, data []byte) error {
 			off = next
 			continue
 		}
-		loc := recordLoc{seg: victim, off: int64(off), n: n}
+		loc := Loc{seg: victim, off: uint32(off), n: uint32(n)}
 		off += n
-		l.mu.RLock()
-		live := l.index[m.Key] == loc
-		l.mu.RUnlock()
-		if !live {
+		if at, _ := idx.LocalLoc(m.Key); at != loc {
 			continue
 		}
 		if _, _, _, err := decodeRecord(data[loc.off:off]); err != nil {
-			if l.dropIfAt(m.Key, loc) {
+			if l.unlist(m.Key, loc) {
 				l.quarantined.Add(1)
 			}
 			continue
@@ -844,31 +1092,39 @@ func (l *Log) copyLive(victim int64, data []byte) error {
 	return l.copyBatch(data, batch)
 }
 
-// copyBatch appends the records of batch (in offset order, bytes in data) that
-// the index still points at to the tail with one append and swings the index
-// to the copies — all under the one lock a Put takes, so a concurrent
-// overwrite or delete lands wholly before (no copy) or after (later in the log).
+// copyBatch appends the records of batch (in offset order, bytes in data)
+// that the index still lists to the tail with one append, and repoints each
+// listing to its copy — all under the write lock, so of a concurrent append or
+// drop of the same key, and of a repoint, one wins whole: a listing that moved
+// on since the check leaves its copy dead on arrival.
 func (l *Log) copyBatch(data []byte, batch []liveRecord) error {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return ErrClosed
+	}
 	// Survivors are packed at the front of data: a record only moves down,
-	// over bytes the scan has passed. (A closed store's index is empty.)
+	// over bytes the scan has passed.
 	out, kept := data[:0], batch[:0]
 	for _, r := range batch {
-		if l.index[r.key] == r.loc {
-			out = append(out, data[r.loc.off:r.loc.off+int64(r.loc.n)]...)
+		if at, _ := l.idx.LocalLoc(r.key); at == r.loc {
+			out = append(out, data[r.loc.off:r.loc.off+r.loc.n]...)
 			kept = append(kept, r)
 		}
 	}
 	var err error
 	if len(kept) > 0 {
-		var at recordLoc
+		var at Loc
 		if at, err = l.appendLocked(out); err == nil {
 			for _, r := range kept {
-				l.deadenLocked(r.loc)
 				at.n = r.loc.n
-				l.index[r.key] = at
-				l.segLive[at.seg] += int64(at.n)
-				at.off += int64(at.n)
+				if l.idx.Repoint(r.key, r.loc, at) {
+					l.deadenLocked(r.loc)
+					l.segLive[at.seg] += int64(at.n)
+				} else {
+					l.deadBytes += int64(at.n)
+				}
+				at.off += at.n
 			}
 		}
 	}
@@ -883,11 +1139,21 @@ func (l *Log) copyBatch(data []byte, batch []liveRecord) error {
 // the wire stats.
 func (l *Log) StorageStatus() StorageStatus { return l.status() }
 
-// Len implements Store.
-func (l *Log) Len() int {
+// LiveBytes reports the bytes of the records the index lists, together with
+// those of records appended but not listed yet and those dropped but not yet
+// reported (DropAt).
+func (l *Log) LiveBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.index)
+	return l.totalBytes - l.deadBytes
+}
+
+// Len implements Store: how many keys the index lists.
+func (l *Log) Len() int {
+	l.mu.RLock()
+	idx := l.idx
+	l.mu.RUnlock()
+	return idx.LocalLen()
 }
 
 // Close implements Store. Segments stay on disk so the next OpenLog recovers
@@ -899,7 +1165,11 @@ func (l *Log) Close() error {
 		l.active.Close()
 		l.active = nil
 	}
-	l.index = make(map[string]recordLoc)
+	l.indexMu.Lock()
+	if l.index != nil {
+		l.index = make(map[string]Loc)
+	}
+	l.indexMu.Unlock()
 	for seg := range l.handles {
 		l.dropHandleLocked(seg)
 	}

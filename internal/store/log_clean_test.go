@@ -26,7 +26,7 @@ func checkLogAccounting(t *testing.T, l *Log) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var live, segLive, segBytes int64
-	perSeg := make(map[int64]int64)
+	perSeg := make(map[uint32]int64)
 	for _, loc := range l.index {
 		live += int64(loc.n)
 		perSeg[loc.seg] += int64(loc.n)
@@ -329,7 +329,7 @@ func TestLogCleanCrashPoints(t *testing.T) {
 	if l, _, err = OpenLog(dir, opts); err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
-	before := make(map[string]recordLoc, len(l.index))
+	before := make(map[string]Loc, len(l.index))
 	for key, loc := range l.index {
 		before[key] = loc
 	}
@@ -349,7 +349,7 @@ func TestLogCleanCrashPoints(t *testing.T) {
 		t.Fatalf("Duplicates = %d, want the template's %d + %d copies", rep.Duplicates, baseline.Duplicates, copied)
 	}
 
-	recordLen := len(encodeEntry("cold0", "t/t", model["cold0"], 0, time.Time{}))
+	recordLen := len(appendEntry(nil, "cold0", "t/t", model["cold0"], 0, time.Time{}))
 	for at := 1; at <= writes; at++ {
 		for _, keep := range []int{0, 9, recordLen + 100, 3*recordLen - 1} {
 			t.Run(fmt.Sprintf("write%d/keep%d", at, keep), func(t *testing.T) {
@@ -385,7 +385,7 @@ func TestLogCleanDropsRottenRecord(t *testing.T) {
 		l.Put(key, "t/t", model[key])
 	}
 	loc := l.index["rotten"]
-	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+int64(loc.n)-10)
+	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), int64(loc.off+loc.n)-10)
 	delete(model, "rotten")
 
 	if _, err := l.cleanOldest(nil); err != nil {
@@ -427,7 +427,7 @@ func TestLogCleanSweepsUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0x7f}, first.off+int64(first.n)-300-4); err != nil {
+	if _, err := f.WriteAt([]byte{0x7f}, int64(first.off+first.n)-300-4); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -169,7 +169,7 @@ func TestLogTornFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut the last record roughly in half.
-	lastLen := len(encodeEntry("torn", "t/t", []byte("this record will be cut in half"), 0, time.Time{}))
+	lastLen := len(appendEntry(nil, "torn", "t/t", []byte("this record will be cut in half"), 0, time.Time{}))
 	if err := os.WriteFile(path, data[:len(data)-lastLen/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestLogDamagedRecordQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[loc.off+int64(loc.n)-10] ^= 0x40 // flip a bit inside victim's body
+	data[int64(loc.off+loc.n)-10] ^= 0x40 // flip a bit inside victim's body
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestLogBitRotCaughtAtRead(t *testing.T) {
 				}
 			}
 			loc := l.index["rot"]
-			flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+50)
+			flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), int64(loc.off)+50)
 			if _, _, err := l.Get("rot"); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Get err = %v, want ErrCorrupt", err)
 			}
@@ -697,10 +697,10 @@ func TestLogHandlesUnderCompactionChurn(t *testing.T) {
 
 	// oldestSegment rises exactly when the cleaner retires a segment; the
 	// Wait below lets the run it belongs to finish.
-	oldestSegment := func() int64 {
+	oldestSegment := func() uint32 {
 		l.mu.RLock()
 		defer l.mu.RUnlock()
-		oldest := int64(math.MaxInt64)
+		oldest := uint32(math.MaxUint32)
 		for seg := range l.segBytes {
 			oldest = min(oldest, seg)
 		}
@@ -962,7 +962,7 @@ func TestDiskGetQuarantinesRuntimeCorruption(t *testing.T) {
 		}
 	}
 	loc := l.index["rot"]
-	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), loc.off+int64(loc.n)-2)
+	flipByteInPlace(t, filepath.Join(dir, segmentFileName(loc.seg)), int64(loc.off+loc.n)-2)
 
 	if _, _, err := l.Get("rot"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get on the corrupt entry = %v, want ErrCorrupt", err)

@@ -1,9 +1,14 @@
 // Package store holds cached CGI result bodies. Following the paper's
 // design, cached results live on disk and the OS file cache makes recently
 // used ones cheap to serve; only meta-data lives in memory. The durable
-// backend, Log, appends every entry to segmented, append-only files and keeps
-// the key→record index in memory. Memory, a map behind the same interface,
-// serves tests and experiments that should not touch disk.
+// backend, Log, appends every entry to segmented, append-only files. Where
+// each record lies (a Loc) is listed by an Index: a cache directory that
+// adopts the log (Adopt) keeps each body's Loc in its own entry, so a node
+// holds one in-memory index per cached body, and the log answers its
+// liveness questions — what the cleaner copies, where a moved record went —
+// from that table; a log nobody adopted keeps a key map of its own. Memory,
+// a map behind the same interface, serves tests and experiments that should
+// not touch disk.
 //
 // Beyond the paper, the log is durable and self-healing: records are
 // self-describing (format.go) and checksum-verified on every read, OpenLog
@@ -46,6 +51,23 @@ type Store interface {
 	// Close releases resources. The log store keeps its segments so a later
 	// OpenLog can recover them; use Destroy to delete them.
 	Close() error
+
+	// The located operations, through which a cache directory that lists
+	// each body's Loc files, reads and drops bodies.
+
+	// Append stores body, with the meta-data a recovery scan rebuilds
+	// directory entries from, as a record of its own, and hands its Loc to
+	// list, which must list it (or drop it, DropAt) before returning.
+	Append(key, contentType string, body []byte, execTime time.Duration, expires time.Time, list func(Loc)) error
+	// ReadAt returns key's body at loc — still there after its listing was
+	// dropped, until the log's cleaner retires the record. The body is valid
+	// until release is called; release is nil when the body is the caller's
+	// own, and on error.
+	ReadAt(key string, loc Loc) (contentType string, body []byte, release func(), err error)
+	// DropAt reports that no entry lists the record at loc any more. With
+	// tombstone no entry lists key and none is being installed: the key
+	// leaves the store for good (the log appends a tombstone).
+	DropAt(key string, loc Loc, tombstone bool)
 }
 
 // MetaPutter is implemented by stores that persist cache meta-data (CGI
@@ -67,7 +89,7 @@ func PutWithMeta(s Store, key, contentType string, body []byte, execTime time.Du
 // GetLeased is s.Get into a pooled buffer when s can lease one (the log
 // store): body is then valid until release is called, and keeping it longer
 // means copying it. release is nil when body is the caller's own, and on
-// error.
+// error. ReadAt is the located form.
 func GetLeased(s Store, key string) (contentType string, body []byte, release func(), err error) {
 	if l, ok := s.(*Log); ok {
 		ct, body, ls, err := l.get(key, true)
@@ -171,6 +193,27 @@ func (m *Memory) Len() int {
 	return len(m.entries)
 }
 
+// Append implements Store: body is stored under key, which is where every
+// Memory record lies, so list gets the zero Loc.
+func (m *Memory) Append(key, contentType string, body []byte, _ time.Duration, _ time.Time, list func(Loc)) error {
+	m.Put(key, contentType, body)
+	list(Loc{})
+	return nil
+}
+
+// ReadAt implements Store by key; the body is the caller's own.
+func (m *Memory) ReadAt(key string, _ Loc) (string, []byte, func(), error) {
+	ct, body, err := m.Get(key)
+	return ct, body, nil, err
+}
+
+// DropAt implements Store: with tombstone the body goes.
+func (m *Memory) DropAt(key string, _ Loc, tombstone bool) {
+	if tombstone {
+		m.Delete(key)
+	}
+}
+
 // Close implements Store.
 func (m *Memory) Close() error {
 	m.mu.Lock()
@@ -228,6 +271,8 @@ type RecoveredEntry struct {
 	Size        int64
 	ExecTime    time.Duration
 	Expires     time.Time
+	// Loc is where the entry's record lies, for the adopting directory.
+	Loc Loc
 }
 
 // RecoveryReport summarizes what OpenLog found in an existing cache
