@@ -166,8 +166,9 @@ func (st *localStage) Fetch(ctx context.Context, key string, hint any) (fetchpip
 		}
 		return fetchpipe.Defer(hint)
 	}
-	// One read at the listed location: a record evicted since the lookup
-	// still reads back until the log's cleaner retires its segment.
+	// One read at the listed location: a record evicted, or dropped by a
+	// wave, since the lookup still reads back until the log's cleaner
+	// retires its segment.
 	ct, body, release, err := s.store.ReadAt(key, e.Loc)
 	if err != nil {
 		if _, ok := s.dir.LookupLocal(key, time.Time{}); ok { // any expiry

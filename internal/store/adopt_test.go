@@ -143,10 +143,11 @@ func checkAdopted(t *testing.T, l *Log, idx *testIndex, model map[string][]byte)
 // adopted log: append first and list after, overwrites and removals dropped
 // by location, the cleaner repointing listings by compare-and-swap. Segments
 // hold a few records each and the cleaner runs every few steps — sometimes
-// between an append and its listing, retiring every segment up to the
-// appended record's own. After every step each listed location reads back
-// its key's newest body and the live bytes are the listed records' lengths;
-// a reopen recovers the same live set.
+// between an append and its listing, either retiring every segment up to the
+// appended record's own or retiring only the oldest, which may hold the key's
+// older, still listed record, and reopening after the listing. After every
+// step each listed location reads back its key's newest body and the live
+// bytes are the listed records' lengths; a reopen recovers the same live set.
 func TestLogCleanModelAdopted(t *testing.T) {
 	for seed := int64(1); seed <= int64(*modelSeeds); seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { logCleanModelAdopted(t, seed) })
@@ -182,9 +183,12 @@ func logCleanModelAdopted(t *testing.T, seed int64) {
 			body := versionBody(key, versions[key], 40+rng.Intn(500))
 			var during func(Loc)
 			var cleaned chan error
-			if rng.Intn(4) == 0 {
+			reopen := false
+			switch rng.Intn(8) {
+			case 0, 1:
 				// Retire every segment up to the one the unlisted record lies
-				// in; the last pass must wait for the listing.
+				// in; the last pass, and any over an older record of key, must
+				// wait for the listing.
 				cleaned = make(chan error, 1)
 				during = func(loc Loc) {
 					go func() {
@@ -196,10 +200,27 @@ func logCleanModelAdopted(t *testing.T, seed int64) {
 							}
 						}
 					}()
-					for oldest() < loc.seg {
+					deadline := time.Now().Add(2 * time.Millisecond)
+					for oldest() < loc.seg && time.Now().Before(deadline) {
 						runtime.Gosched()
 					}
 					time.Sleep(time.Millisecond)
+				}
+			case 2:
+				// Retire only the oldest segment; a pass that must wait for
+				// the listing is given time to run ahead of it.
+				cleaned = make(chan error, 1)
+				reopen = true
+				during = func(Loc) {
+					go func() {
+						_, err := l.cleanOldest(nil)
+						cleaned <- err
+					}()
+					select {
+					case err := <-cleaned:
+						cleaned <- err
+					case <-time.After(2 * time.Millisecond):
+					}
 				}
 			}
 			install(t, l, idx, key, body, during)
@@ -209,6 +230,10 @@ func logCleanModelAdopted(t *testing.T, seed int64) {
 				}
 			}
 			model[key] = body
+			if reopen {
+				l.Close()
+				l, idx = openAdopted(t, dir, opts)
+			}
 		case op < 75:
 			if loc, ok := idx.remove(key); ok {
 				l.DropAt(key, loc, true)
@@ -237,6 +262,41 @@ func logCleanModelAdopted(t *testing.T, seed int64) {
 	l.Close()
 	l, idx = openAdopted(t, dir, opts)
 	checkAdopted(t, l, idx, model)
+}
+
+// TestLogCleanDuringAppendKeepsNewest: a cleaning pass over the segment of a
+// key's listed record, run while a newer record of the key is appended but
+// not listed yet, does not copy the older record past the newer one, so a
+// reopen recovers the newer body.
+func TestLogCleanDuringAppendKeepsNewest(t *testing.T) {
+	// One record per segment: the oldest holds only the older record.
+	opts := LogOptions{SegmentMaxBytes: 1, CompactMinBytes: 1 << 40}
+	dir := filepath.Join(t.TempDir(), "cache")
+	l, idx := openAdopted(t, dir, opts)
+	older, newer := versionBody("k", 1, 300), versionBody("k", 2, 300)
+	install(t, l, idx, "k", older, nil)
+	cleaned := make(chan error, 1)
+	install(t, l, idx, "k", newer, func(Loc) {
+		go func() {
+			_, err := l.cleanOldest(nil)
+			cleaned <- err
+		}()
+		// The pass waits for the listing; give it time to run ahead if it
+		// would not.
+		select {
+		case err := <-cleaned:
+			cleaned <- err
+		case <-time.After(50 * time.Millisecond):
+		}
+	})
+	if err := <-cleaned; err != nil {
+		t.Fatalf("cleanOldest: %v", err)
+	}
+	checkAdopted(t, l, idx, map[string][]byte{"k": newer})
+	l.Close()
+	l, idx = openAdopted(t, dir, opts)
+	defer l.Close()
+	checkAdopted(t, l, idx, map[string][]byte{"k": newer})
 }
 
 // TestLogAdoptedConcurrent runs installs, drops and reads of disjoint key

@@ -7,6 +7,7 @@ import (
 	iofs "io/fs"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,10 +68,12 @@ type Log struct {
 	totalBytes int64                 // bytes across all segments (live + dead)
 	deadBytes  int64                 // bytes no listing holds
 	closed     bool
-	// pins counts, per segment, appends whose record is not listed yet; the
-	// cleaner waits on unpinned (whose L is &mu) before it scans a victim.
-	pins     map[uint32]int
-	unpinned sync.Cond
+	// unlisted holds the records appended but not listed yet. The cleaner
+	// retires no segment that holds one, and copies no record of a key that
+	// has one: the copy would land after the newer record and replay over it.
+	// It waits on listed (whose L is &mu) instead.
+	unlisted []liveRecord
+	listed   sync.Cond
 
 	compacting bool      // one cleaner at a time; guarded by mu
 	cleanRetry time.Time // a failed cleaning pass is not retried before this
@@ -195,10 +198,9 @@ func OpenLog(dir string, opts LogOptions) (*Log, *RecoveryReport, error) {
 		segBytes:    make(map[uint32]int64),
 		segLive:     make(map[uint32]int64),
 		handles:     make(map[uint32]*segHandle),
-		pins:        make(map[uint32]int),
 	}
 	l.idx = (*ownIndex)(l)
-	l.unpinned.L = &l.mu
+	l.listed.L = &l.mu
 	l.reprobe = opts.ReprobeInterval
 	rep, err := l.recover()
 	if err != nil {
@@ -551,9 +553,10 @@ func (l *Log) PutEntry(key, contentType string, body []byte, execTime time.Durat
 
 // Append implements Store. The write is a single segment append, and the
 // record counts as live from it on: list must list loc in the index, or
-// drop it (DropAt), before it returns. Until then the record's segment is
-// pinned, so the cleaner — which copies only listed records — cannot retire
-// a record nobody lists yet. list runs without the log's locks held.
+// drop it (DropAt), before it returns. Until then the cleaner neither retires
+// the record's segment — it copies only listed records — nor copies an older
+// record of key, which would land after this one and replay over it. list
+// runs without the log's locks held.
 func (l *Log) Append(key, contentType string, body []byte, execTime time.Duration, expires time.Time, list func(Loc)) error {
 	if contentType == tombstoneContentType {
 		return fmt.Errorf("store: content type %q is reserved", contentType)
@@ -577,17 +580,19 @@ func (l *Log) Append(key, contentType string, body []byte, execTime time.Duratio
 		return err
 	}
 	l.segLive[loc.seg] += int64(loc.n)
-	l.pins[loc.seg]++
+	l.unlisted = append(l.unlisted, liveRecord{key: key, loc: loc})
 	l.mu.Unlock()
 	l.noteWriteOK()
 
 	list(loc)
 
 	l.mu.Lock()
-	if l.pins[loc.seg]--; l.pins[loc.seg] == 0 {
-		delete(l.pins, loc.seg)
-		l.unpinned.Broadcast()
-	}
+	i := slices.Index(l.unlisted, liveRecord{key: key, loc: loc})
+	last := len(l.unlisted) - 1
+	l.unlisted[i] = l.unlisted[last]
+	l.unlisted[last] = liveRecord{}
+	l.unlisted = l.unlisted[:last]
+	l.listed.Broadcast()
 	l.startCleanerLocked()
 	l.mu.Unlock()
 	return nil
@@ -601,11 +606,13 @@ func (l *Log) Append(key, contentType string, body []byte, execTime time.Duratio
 // — the entry may resurrect on the next open — rather than failing an
 // eviction that must proceed.
 func (l *Log) DropAt(key string, loc Loc, tombstone bool) {
-	l.mu.Lock()
-	if !l.closed {
-		l.deadenLocked(loc)
+	if loc != (Loc{}) {
+		l.mu.Lock()
+		if !l.closed {
+			l.deadenLocked(loc)
+		}
+		l.mu.Unlock()
 	}
-	l.mu.Unlock()
 	if tombstone {
 		l.appendTombstone(key)
 	}
@@ -969,7 +976,7 @@ const cleanBatchBytes = 256 << 10
 // otherwise after copying its listed records to the tail through buf, which
 // is returned for the next pass — never more than one segment in memory. It
 // first waits out the appends whose records in the segment are not listed
-// yet. A crash anywhere is safe: a copy is byte-identical to its original and
+// yet (unlisted). A crash anywhere is safe: a copy is byte-identical to its original and
 // replays after it, and a tombstone in the oldest segment can only mask
 // records of that same segment, so it may leave with it.
 func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
@@ -983,9 +990,7 @@ func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 		l.active.Close()
 		l.active = nil
 	}
-	for l.pins[victim] > 0 {
-		l.unpinned.Wait()
-	}
+	l.waitListedLocked(func(r liveRecord) bool { return r.loc.seg == victim })
 	size, live := l.segBytes[victim], l.segLive[victim]
 	l.mu.Unlock()
 
@@ -1031,10 +1036,19 @@ func (l *Log) cleanOldest(buf []byte) ([]byte, error) {
 	return buf, l.fs.Remove(l.segmentPath(victim))
 }
 
-// liveRecord is a record of the victim the index listed when scanned.
+// liveRecord is one record of key: a record of the cleaner's victim the
+// index listed when scanned, or an append not listed yet.
 type liveRecord struct {
 	key string
 	loc Loc
+}
+
+// waitListedLocked waits until no append that is not listed yet satisfies
+// holds. Callers hold l.mu, which the wait releases.
+func (l *Log) waitListedLocked(holds func(liveRecord) bool) {
+	for slices.ContainsFunc(l.unlisted, holds) {
+		l.listed.Wait()
+	}
 }
 
 // copyLive reads the sealed segment victim into data, walks its records as
@@ -1096,9 +1110,14 @@ func (l *Log) copyLive(victim uint32, data []byte) error {
 // that the index still lists to the tail with one append, and repoints each
 // listing to its copy — all under the write lock, so of a concurrent append or
 // drop of the same key, and of a repoint, one wins whole: a listing that moved
-// on since the check leaves its copy dead on arrival.
+// on since the check leaves its copy dead on arrival. It first waits out the
+// appends of the batch's keys that are not listed yet, whose records the
+// copies would otherwise follow on disk.
 func (l *Log) copyBatch(data []byte, batch []liveRecord) error {
 	l.mu.Lock()
+	l.waitListedLocked(func(r liveRecord) bool {
+		return slices.ContainsFunc(batch, func(b liveRecord) bool { return b.key == r.key })
+	})
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
